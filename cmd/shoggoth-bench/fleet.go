@@ -113,8 +113,8 @@ func measureFleet() ([]FleetPerfRecord, error) {
 const serialMergeBaseline100k = 605_994.53
 
 // Fleet1MPerfRecord is one capped operating-point measurement: a rush-hour
-// cluster at events fidelity in AggregateOnly mode with a capped teacher
-// queue. The -perf million-device run additionally records the engine's
+// cluster at events fidelity in AggregateOnly mode on the repo benchmark's
+// fleet_fifo tier shape. The -perf million-device run additionally records the engine's
 // wall-clock phase split so the merge tree's share of the run is visible
 // in the trajectory; the 100k acceptance record and the CI smoke reuse the
 // same shape without phases.
@@ -124,6 +124,10 @@ type Fleet1MPerfRecord struct {
 	WallSec      float64 `json:"wall_sec"`
 	Events       int64   `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
+	// ServedShare is served ÷ offered teacher batches. A run that drops most
+	// of what it is offered times the drop path, not dispatch; the smoke
+	// gate refuses one below minServedShare.
+	ServedShare float64 `json:"served_share"`
 	// Phase split in wall seconds, and the merge phase's share of the three.
 	// Only the -perf 1M run wires the perf clock; the CI smoke leaves these out.
 	AdvanceSec      float64 `json:"advance_sec,omitempty"`
@@ -132,9 +136,14 @@ type Fleet1MPerfRecord struct {
 	MergePhaseShare float64 `json:"merge_phase_share,omitempty"`
 }
 
+// minServedShare is the smoke gate's floor on ServedShare.
+const minServedShare = 0.5
+
 // fleetCluster builds the canonical fleet-scale measurement cluster: rush
-// hour at events fidelity, uploads flushed inside the horizon, teacher queue
-// capped so pending state stays O(cap) at any fleet size.
+// hour at events fidelity, uploads flushed inside the horizon, on the tier
+// shape of the repo benchmark's fleet_fifo workload (8 replicas × 32 workers,
+// 4096 batches of queue each) so the run times dispatch rather than drops and
+// pending state stays O(cap) at any fleet size.
 func fleetCluster(devices int, cycles float64) ([]shoggoth.Config, *shoggoth.Cluster, error) {
 	sc, err := shoggoth.ScenarioByName("rush-hour")
 	if err != nil {
@@ -149,7 +158,16 @@ func fleetCluster(devices int, cycles float64) ([]shoggoth.Config, *shoggoth.Clu
 	for i := range cfgs {
 		cfgs[i].UploadMaxWaitSec = 5
 	}
-	return cfgs, &shoggoth.Cluster{AggregateOnly: true, QueueCap: 256}, nil
+	return cfgs, &shoggoth.Cluster{AggregateOnly: true, Replicas: 8 * ((devices + 19_999) / 20_000), Workers: 32, QueueCap: 4096}, nil
+}
+
+// servedShare is served ÷ offered batches (0 when nothing was offered).
+func servedShare(c shoggoth.CloudStats) float64 {
+	offered := c.Batches + c.DroppedBatches
+	if offered == 0 {
+		return 0
+	}
+	return float64(c.Batches) / float64(offered)
 }
 
 // measureFleet1M runs the million-device cluster once and records its
@@ -175,13 +193,14 @@ func measureFleet1M() (Fleet1MPerfRecord, error) {
 	wall := time.Since(start).Seconds()
 
 	rec := Fleet1MPerfRecord{
-		Devices:    devices,
-		VirtualSec: cfgs[0].DurationSec,
-		WallSec:    round2(wall),
-		Events:     res.Engine.Events,
-		AdvanceSec: round2(phases.AdvanceSec),
-		MergeSec:   round2(phases.MergeSec),
-		SerialSec:  round2(phases.SerialSec),
+		Devices:     devices,
+		VirtualSec:  cfgs[0].DurationSec,
+		WallSec:     round2(wall),
+		Events:      res.Engine.Events,
+		ServedShare: servedShare(res.Cloud),
+		AdvanceSec:  round2(phases.AdvanceSec),
+		MergeSec:    round2(phases.MergeSec),
+		SerialSec:   round2(phases.SerialSec),
 	}
 	if wall > 0 {
 		rec.EventsPerSec = round2(float64(rec.Events) / wall)
@@ -208,10 +227,11 @@ func measureFleetCapped(devices int, cycles float64) (Fleet1MPerfRecord, error) 
 	}
 	wall := time.Since(start).Seconds()
 	rec := Fleet1MPerfRecord{
-		Devices:    devices,
-		VirtualSec: cfgs[0].DurationSec,
-		WallSec:    round2(wall),
-		Events:     res.Engine.Events,
+		Devices:     devices,
+		VirtualSec:  cfgs[0].DurationSec,
+		WallSec:     round2(wall),
+		Events:      res.Engine.Events,
+		ServedShare: servedShare(res.Cloud),
 	}
 	if wall > 0 {
 		rec.EventsPerSec = round2(float64(rec.Events) / wall)
@@ -220,17 +240,17 @@ func measureFleetCapped(devices int, cycles float64) (Fleet1MPerfRecord, error) 
 }
 
 // runFleetSmoke is the CI gate: one capped 100k-device (by default)
-// events-fidelity run, failing if throughput lands under the floor. The
-// floor guards the hierarchical-merge + analytic-costing rebuild against
-// regression without the cost of a full -perf sweep.
+// events-fidelity run, failing if throughput lands under the floor or the
+// tier served under minServedShare of its batches. The floor guards the
+// fleet core against regression without the cost of a full -perf sweep.
 func runFleetSmoke(devices int, minEventsPerSec float64, outPath string) error {
 	rec, err := measureFleetCapped(devices, 0.02)
 	if err != nil {
 		return fmt.Errorf("fleet smoke: %w", err)
 	}
 	evPerSec := rec.EventsPerSec
-	fmt.Printf("fleet smoke: %d devices, %.1fvs in %.1fs wall — %d events, %.0f ev/s (%.1fx the frozen serial-merge 100k baseline)\n",
-		devices, rec.VirtualSec, rec.WallSec, rec.Events, evPerSec, evPerSec/serialMergeBaseline100k)
+	fmt.Printf("fleet smoke: %d devices, %.1fvs in %.1fs wall — %d events, %.0f ev/s (%.1fx the frozen serial-merge 100k baseline), %.1f%% of batches served\n",
+		devices, rec.VirtualSec, rec.WallSec, rec.Events, evPerSec, evPerSec/serialMergeBaseline100k, 100*rec.ServedShare)
 	if outPath != "" {
 		data, err := json.MarshalIndent(&rec, "", "  ")
 		if err != nil {
@@ -240,6 +260,10 @@ func runFleetSmoke(devices int, minEventsPerSec float64, outPath string) error {
 			return err
 		}
 		fmt.Printf("fleet smoke: wrote %s\n", outPath)
+	}
+	if rec.ServedShare < minServedShare {
+		return fmt.Errorf("fleet smoke gate: tier served %.1f%% of its batches, need >= %.0f%%: the run times the drop path",
+			100*rec.ServedShare, 100*minServedShare)
 	}
 	if minEventsPerSec > 0 && evPerSec < minEventsPerSec {
 		return fmt.Errorf("fleet smoke gate: %.0f events/sec, need >= %.0f", evPerSec, minEventsPerSec)

@@ -7,7 +7,7 @@
 //	shoggoth-bench -full           # paper-scale mode (2 cycles)
 //	shoggoth-bench -exp table3     # one experiment: table1 fig4 table2 table3 fig5 extra policy router scenario tier
 //	shoggoth-bench -perf           # compute-core perf mode: refresh BENCH_core.json
-//	shoggoth-bench -fleet-smoke 100000 -fleet-min-events-per-sec 1500000
+//	shoggoth-bench -fleet-smoke 100000 -fleet-min-events-per-sec 5000000
 //	                               # CI fleet smoke: one capped events run with a throughput floor
 package main
 

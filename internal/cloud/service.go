@@ -153,14 +153,18 @@ type Service struct {
 	// assigned to the free worker with the smallest horizon, ties broken by
 	// the lowest worker index — part of the determinism contract.
 	workers []float64
-	// outstanding holds completion times of assigned batches; entries ≤ now
-	// have left the system. Its live length plus the pending queue is the
-	// queue occupancy QueueCap bounds.
-	outstanding []float64
-	pending     []*pendingBatch
-	seq         int
-	agg         queueAccum
-	devices     map[string]*ServiceDevice
+	// outstanding is a min-heap of the completion times of assigned batches
+	// still in the system; occupancyLocked pops the ones that have completed
+	// as time advances. Its length plus the pending queue is the queue
+	// occupancy QueueCap bounds.
+	outstanding doneHeap
+	// occNow is the latest time occupancy has been asked at (see
+	// occupancyLocked).
+	occNow  float64
+	pending []*pendingBatch
+	seq     int
+	agg     queueAccum
+	devices map[string]*ServiceDevice
 	// coalescedForwards counts multi-batch teacher forwards; coalescedBatches
 	// counts the batches that rode in them (primaries included).
 	coalescedForwards int
@@ -170,8 +174,74 @@ type Service struct {
 	// Timeline rather than a concrete scheduler so the fleet engine can
 	// substitute its shared event queue.
 	sched       sim.Timeline
+	dispatchFn  func(now float64) // s.onDispatch, bound once: a method value allocates where it is taken
 	dispatchSet bool
 	dispatchAt  float64
+
+	// Deferred-dispatch scratch, grown once and reused so a dispatch in
+	// steady state allocates nothing of its own: the policy's view of the
+	// queue (eligible, idx; selEpoch stamps the devices already offered),
+	// the coalesced group with its prices, and the batches assigned by one
+	// dispatch event.
+	eligible []Pending
+	idx      []int
+	selEpoch uint64
+	group    []*pendingBatch
+	costs    []float64
+	ready    []assigned
+}
+
+// assigned is one batch a dispatch event put on a worker, held until the
+// engine lock is released and its callback may run.
+type assigned struct {
+	b   *pendingBatch
+	adm Admission
+}
+
+// doneHeap is a binary min-heap of batch completion times.
+type doneHeap []float64
+
+func (h *doneHeap) push(done float64) {
+	//shoggoth:allow hotalloc -- grows to the occupancy high-water mark (at most QueueCap when bounded), then reused
+	*h = append(*h, done)
+	q := *h
+	j := len(q) - 1
+	for j > 0 {
+		parent := (j - 1) / 2
+		if q[parent] <= done {
+			break
+		}
+		q[j] = q[parent]
+		j = parent
+	}
+	q[j] = done
+}
+
+// popMin removes the earliest completion time.
+func (h *doneHeap) popMin() {
+	q := *h
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	*h = q
+	j := 0
+	for {
+		child := 2*j + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r] < q[child] {
+			child = r
+		}
+		if q[child] >= last {
+			break
+		}
+		q[j] = q[child]
+		j = child
+	}
+	if n > 0 {
+		q[j] = last
+	}
 }
 
 // NewService creates an empty labeling engine. It panics on an unregistered
@@ -185,7 +255,7 @@ func NewService(cfg ServiceConfig) *Service {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Service{
+	s := &Service{
 		cfg:    cfg,
 		policy: policy,
 		// Coalescing fuses batches when a worker frees, so it needs the
@@ -194,6 +264,8 @@ func NewService(cfg ServiceConfig) *Service {
 		workers:   make([]float64, workers),
 		devices:   make(map[string]*ServiceDevice),
 	}
+	s.dispatchFn = s.onDispatch
+	return s
 }
 
 // Bind attaches the virtual-time timeline that drives deferred dispatch.
@@ -224,6 +296,7 @@ type ServiceDevice struct {
 	weight   float64
 	analytic bool    // price labeling instead of executing it (events fidelity)
 	lastPhi  float64 // most recent batch mean φ — the drift signal policies rank by
+	selEpoch uint64  // the selection that last offered this device's head-of-line batch
 }
 
 // Register adds a device to the service. Each device brings its own teacher
@@ -273,8 +346,7 @@ func (s *Service) Stats() QueueStats {
 func (s *Service) AtCapacity(now float64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pruneLocked(now)
-	return s.cfg.QueueCap > 0 && len(s.outstanding)+len(s.pending) >= s.cfg.QueueCap
+	return s.fullLocked(now)
 }
 
 // RetryAfterSec estimates, at time now, how long until the admission queue
@@ -289,10 +361,9 @@ func (s *Service) RetryAfterSec(now float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	earliest := math.Inf(1)
-	for _, done := range s.outstanding {
-		if done > now && done < earliest {
-			earliest = done
-		}
+	s.occupancyLocked(now) // drops completed batches, so the heap's root is the next completion
+	if len(s.outstanding) > 0 {
+		earliest = s.outstanding[0]
 	}
 	if len(s.pending) > 0 {
 		// Replay the pending queue over a copy of the worker horizons in
@@ -351,15 +422,37 @@ type Admission struct {
 	ServiceSec    float64
 }
 
-// pruneLocked drops completed batches from the occupancy count.
-func (s *Service) pruneLocked(now float64) {
-	live := s.outstanding[:0]
-	for _, done := range s.outstanding {
-		if done > now {
-			live = append(live, done)
-		}
+// occupancyLocked returns the number of batches in the system — assigned and
+// not yet complete, plus pending — dropping completed batches from the heap
+// on the way, so a call costs O(1) plus O(log n) per batch that completed
+// since the last one.
+//
+// Occupancy is evaluated at the service's high-water now: the latest time
+// any caller has asked at. A completed batch has left the system for good,
+// and the heap cannot bring it back. In virtual time now never decreases, so
+// this is the caller's now. The real-time path reads its clock before it
+// takes the lock, so two requests can arrive here out of clock order; the
+// later-clocked one has then already been answered, and answering the other
+// at that same instant keeps admission a function of the order of arrival at
+// the lock. Worker horizons and Admission.Start keep using the caller's own
+// now.
+//
+//shoggoth:hotpath
+func (s *Service) occupancyLocked(now float64) int {
+	if now > s.occNow {
+		s.occNow = now
 	}
-	s.outstanding = live
+	for len(s.outstanding) > 0 && s.outstanding[0] <= s.occNow {
+		s.outstanding.popMin()
+	}
+	return len(s.outstanding) + len(s.pending)
+}
+
+// fullLocked reports whether a batch arriving at now finds the admission
+// queue at its bound.
+func (s *Service) fullLocked(now float64) bool {
+	occ := s.occupancyLocked(now) // also when unbounded: it is what drains the heap
+	return s.cfg.QueueCap > 0 && occ >= s.cfg.QueueCap
 }
 
 // freeWorkerLocked returns the worker with the smallest busyUntil horizon,
@@ -395,7 +488,7 @@ func (s *Service) assignLocked(d *ServiceDevice, n int, now, arrival, extra floa
 	}
 	done := start + service
 	s.workers[w] = done
-	s.outstanding = append(s.outstanding, done)
+	s.outstanding.push(done)
 
 	delay := start - arrival
 	d.acc.admit(delay, service)
@@ -419,8 +512,7 @@ func (d *ServiceDevice) admitExtra(nFrames int, now, extra float64) (Admission, 
 	s := d.svc
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pruneLocked(now)
-	if s.cfg.QueueCap > 0 && len(s.outstanding)+len(s.pending) >= s.cfg.QueueCap {
+	if s.fullLocked(now) {
 		d.acc.dropped++
 		s.agg.dropped++
 		return Admission{}, false
@@ -528,8 +620,7 @@ func (d *ServiceDevice) enqueueOpts(frames []*video.Frame, now, extra float64, c
 		panic(fmt.Sprintf("cloud: policy %q (coalesce %d) needs a scheduler; call Service.Bind first", s.Policy(), s.cfg.Coalesce))
 	}
 	s.mu.Lock()
-	s.pruneLocked(now)
-	if s.cfg.QueueCap > 0 && len(s.outstanding)+len(s.pending) >= s.cfg.QueueCap {
+	if s.fullLocked(now) {
 		d.acc.dropped++
 		s.agg.dropped++
 		s.mu.Unlock()
@@ -558,7 +649,7 @@ func (s *Service) ensureDispatchLocked(now float64) {
 	}
 	s.dispatchSet = true
 	s.dispatchAt = t
-	s.sched.At(t, s.onDispatch)
+	s.sched.At(t, s.dispatchFn)
 }
 
 // onDispatch assigns every free worker a pending batch in policy order —
@@ -567,31 +658,13 @@ func (s *Service) ensureDispatchLocked(now float64) {
 // and delivers their callbacks in assignment order. Selection and labeling
 // are split so no callback runs while the engine lock is held.
 func (s *Service) onDispatch(now float64) {
-	type assigned struct {
-		b   *pendingBatch
-		adm Admission
-	}
-	var ready []assigned
 	s.mu.Lock()
-	s.dispatchSet = false
-	for len(s.pending) > 0 && s.workers[s.freeWorkerLocked()] <= now {
-		if s.cfg.Coalesce >= 2 {
-			group := s.selectGroupLocked(now)
-			adms := s.assignGroupLocked(group, now)
-			for k, b := range group {
-				ready = append(ready, assigned{b: b, adm: adms[k]})
-			}
-			continue
-		}
-		i := s.selectLocked(now)
-		b := s.pending[i]
-		s.pending = append(s.pending[:i], s.pending[i+1:]...)
-		ready = append(ready, assigned{b: b, adm: s.assignLocked(b.dev, len(b.frames), now, b.arrival, b.extra)})
-	}
-	s.ensureDispatchLocked(now)
+	s.ready = s.dispatchLocked(now, s.ready[:0])
+	ready := s.ready // only dispatch events touch it, and the event loop runs one at a time
 	s.mu.Unlock()
 
-	for _, a := range ready {
+	for k := range ready {
+		a := &ready[k]
 		labels, phis, phiMean := a.b.dev.LabelFrames(a.b.frames)
 		a.b.cb(BatchResult{
 			Labels:        labels,
@@ -601,7 +674,40 @@ func (s *Service) onDispatch(now float64) {
 			Done:          a.adm.Done,
 			QueueDelaySec: a.adm.QueueDelaySec,
 		})
+		a.b = nil // the scratch must not pin a delivered batch's frames
 	}
+}
+
+// dispatchLocked is the scheduling half of a dispatch event: selection and
+// worker assignment for every free worker, appended to ready in assignment
+// order, and the next dispatch event armed. It allocates nothing in steady
+// state; the labeling half (onDispatch) produces the label sets and φs that
+// escape to the batch callbacks.
+//
+//shoggoth:hotpath
+func (s *Service) dispatchLocked(now float64, ready []assigned) []assigned {
+	s.dispatchSet = false
+	for len(s.pending) > 0 && s.workers[s.freeWorkerLocked()] <= now {
+		if s.cfg.Coalesce >= 2 {
+			ready = s.assignGroupLocked(ready, s.selectGroupLocked(now), now)
+			continue
+		}
+		b := s.takeLocked(s.selectLocked(now))
+		//shoggoth:allow hotalloc -- grows to the most batches one dispatch event has assigned, then reused
+		ready = append(ready, assigned{b: b, adm: s.assignLocked(b.dev, len(b.frames), now, b.arrival, b.extra)})
+	}
+	s.ensureDispatchLocked(now)
+	return ready
+}
+
+// takeLocked removes and returns pending[i], keeping arrival order.
+func (s *Service) takeLocked(i int) *pendingBatch {
+	b := s.pending[i]
+	n := len(s.pending) - 1
+	copy(s.pending[i:], s.pending[i+1:])
+	s.pending[n] = nil
+	s.pending = s.pending[:n]
+	return b
 }
 
 // selectGroupLocked pulls up to Coalesce pending batches for one fused
@@ -609,21 +715,25 @@ func (s *Service) onDispatch(now float64) {
 // every rider — is still the policy's pick among eligible heads). Selection
 // stops early at an incompatible batch: riders must share the primary's
 // per-frame teacher latency, or the fused forward's pricing would mix
-// models.
+// models. The returned group is service scratch, valid until the next call.
+//
+//shoggoth:hotpath
 func (s *Service) selectGroupLocked(now float64) []*pendingBatch {
-	i := s.selectLocked(now)
-	first := s.pending[i]
-	s.pending = append(s.pending[:i], s.pending[i+1:]...)
-	group := []*pendingBatch{first}
+	if cap(s.group) < s.cfg.Coalesce {
+		s.group = make([]*pendingBatch, 0, s.cfg.Coalesce)
+		s.costs = make([]float64, s.cfg.Coalesce)
+	}
+	first := s.takeLocked(s.selectLocked(now))
+	group := s.group[:1]
+	group[0] = first
 	lat := first.dev.labeler.Config.TeacherLatencySec
 	for len(group) < s.cfg.Coalesce && len(s.pending) > 0 {
 		j := s.selectLocked(now)
-		b := s.pending[j]
-		if b.dev.labeler.Config.TeacherLatencySec != lat {
+		if s.pending[j].dev.labeler.Config.TeacherLatencySec != lat {
 			break
 		}
-		s.pending = append(s.pending[:j], s.pending[j+1:]...)
-		group = append(group, b)
+		group = group[:len(group)+1]
+		group[len(group)-1] = s.takeLocked(j)
 	}
 	return group
 }
@@ -636,15 +746,16 @@ func (s *Service) selectGroupLocked(now float64) []*pendingBatch {
 // one completion; each batch's own contribution is what lands in its
 // device's busy-time accumulator, keeping per-device stats additive (and
 // meaning WFQ's attained-service counter advances less for piggybacked
-// work — riders are cheap by construction).
-func (s *Service) assignGroupLocked(group []*pendingBatch, now float64) []Admission {
+// work — riders are cheap by construction). The assignments are appended to
+// ready in selection order.
+func (s *Service) assignGroupLocked(ready []assigned, group []*pendingBatch, now float64) []assigned {
 	w := s.freeWorkerLocked()
 	start := math.Max(now, s.workers[w])
 	marginal := s.cfg.CoalesceMarginal
 	if marginal <= 0 {
 		marginal = DefaultCoalesceMarginal
 	}
-	costs := make([]float64, len(group))
+	costs := s.costs[:len(group)]
 	var total float64
 	for k, b := range group {
 		lat := b.dev.labeler.Config.TeacherLatencySec
@@ -663,43 +774,56 @@ func (s *Service) assignGroupLocked(group []*pendingBatch, now float64) []Admiss
 	}
 	done := start + total
 	s.workers[w] = done
-	adms := make([]Admission, len(group))
 	for k, b := range group {
-		s.outstanding = append(s.outstanding, done)
+		s.outstanding.push(done)
 		delay := start - b.arrival
 		b.dev.acc.admit(delay, costs[k])
 		s.agg.admit(delay, costs[k])
-		adms[k] = Admission{Start: start, Done: done, QueueDelaySec: delay, ServiceSec: costs[k]}
+		//shoggoth:allow hotalloc -- grows to the most batches one dispatch event has assigned, then reused
+		ready = append(ready, assigned{b: b, adm: Admission{Start: start, Done: done, QueueDelaySec: delay, ServiceSec: costs[k]}})
+		group[k] = nil
 	}
 	if len(group) > 1 {
 		s.coalescedForwards++
 		s.coalescedBatches += len(group)
 	}
-	return adms
+	return ready
 }
 
 // selectLocked asks the policy for the next batch among each device's
 // head-of-line batch and returns its index in s.pending. A policy returning
-// an out-of-range index falls back to the head of the queue.
+// an out-of-range index falls back to the head of the queue. The policy's
+// view is built in service scratch, and a device is marked as already
+// offered by stamping it with this selection's number, so a selection
+// allocates nothing once the scratch has reached the queue's size.
+//
+//shoggoth:hotpath
 func (s *Service) selectLocked(now float64) int {
-	eligible := make([]Pending, 0, len(s.pending))
-	idx := make([]int, 0, len(s.pending))
-	seen := make(map[*ServiceDevice]bool, len(s.pending))
+	if cap(s.eligible) < len(s.pending) {
+		n := len(s.pending) + len(s.pending)/2
+		s.eligible = make([]Pending, 0, n)
+		s.idx = make([]int, 0, n)
+	}
+	eligible, idx := s.eligible[:0], s.idx[:0]
+	s.selEpoch++
 	for i, b := range s.pending { // pending is in arrival (seq) order
-		if seen[b.dev] {
+		d := b.dev
+		if d.selEpoch == s.selEpoch {
 			continue
 		}
-		seen[b.dev] = true
-		eligible = append(eligible, Pending{
-			Device:    b.dev.id,
+		d.selEpoch = s.selEpoch
+		n := len(eligible)
+		eligible, idx = eligible[:n+1], idx[:n+1]
+		eligible[n] = Pending{
+			Device:    d.id,
 			Arrival:   b.arrival,
 			Seq:       b.seq,
 			Frames:    len(b.frames),
-			Phi:       b.dev.lastPhi,
-			ServedSec: b.dev.acc.busySec,
-			Weight:    b.dev.weight,
-		})
-		idx = append(idx, i)
+			Phi:       d.lastPhi,
+			ServedSec: d.acc.busySec,
+			Weight:    d.weight,
+		}
+		idx[n] = i
 	}
 	choice := s.policy.Next(eligible, now)
 	if choice < 0 || choice >= len(idx) {
@@ -774,20 +898,16 @@ func (s *Service) coalesceCounts() (forwards, batches int) {
 
 // loadSnapshot reports the replica's occupancy (batches in service plus
 // waiting) and the time until a teacher worker frees — the router's
-// queue-delay estimate. Unlike AtCapacity it never compacts outstanding:
-// it runs on the tier's hot dispatch path, which must not allocate.
+// queue-delay estimate. It runs on the tier's hot dispatch path, once per
+// replica per uploaded batch.
+//
+//shoggoth:hotpath
 func (s *Service) loadSnapshot(now float64) (queueLen int, freeInSec float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	live := 0
-	for _, done := range s.outstanding {
-		if done > now {
-			live++
-		}
-	}
 	t := s.workers[s.freeWorkerLocked()]
 	if t < now {
 		t = now
 	}
-	return live + len(s.pending), t - now
+	return s.occupancyLocked(now), t - now
 }

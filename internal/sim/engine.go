@@ -2,8 +2,10 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -96,13 +98,21 @@ type Engine struct {
 
 	// Indexed min-heap over device next-event times: heap holds device
 	// indices ordered by (keys[i], i), pos maps device → heap slot (-1 when
-	// absent). A total-order comparator makes the pop sequence independent
-	// of internal layout, so determinism never rests on insertion order.
+	// absent). The order is total, so the set of devices before any limit —
+	// and therefore every batch — is independent of the heap's layout;
+	// determinism never rests on insertion or restore order.
 	keys []float64
 	pos  []int
 	heap []int
 
-	batch []int // devices popped for the current epoch
+	// The current epoch's batch, selected in place (selectBatch): batch holds
+	// its devices in ascending index order, bpos their heap slots in ascending
+	// slot order, bits is the device-index bitset that orders a large batch
+	// without a comparison sort. None of the batch leaves the heap; its slots
+	// are re-priced after the advance (restoreBatch).
+	batch []int
+	bpos  []int
+	bits  []uint64
 	bn    int
 
 	// Serial-phase bookkeeping: local schedulers ping MarkDirty (via their
@@ -208,33 +218,43 @@ func (e *Engine) Run(ctx context.Context, end float64) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		tb, hasShared := e.shared.NextTime()
-		limit := end
-		if hasShared && tb < limit {
-			limit = tb
-		}
-		e.popBatch(limit)
-		if e.bn == 0 {
-			if hasShared && tb <= end {
-				t0 := e.stamp()
-				e.inSerial = true
-				e.shared.AdvanceTo(tb)
-				e.inSerial = false
-				e.flushDirty()
-				e.serialSec += e.stamp() - t0
-				e.epochs++
-				continue
-			}
+		if !e.step(end) {
 			return nil
 		}
-		t0 := e.stamp()
-		e.advanceBatch(limit)
-		t1 := e.stamp()
-		e.mergeBatch()
-		e.mergeSec += e.stamp() - t1
-		e.advanceSec += t1 - t0
-		e.epochs++
 	}
+}
+
+// step runs one epoch — the batch of devices due before the next shared
+// event (or end), or, when none is, that shared event — and reports whether
+// it found anything to run.
+func (e *Engine) step(end float64) bool {
+	tb, hasShared := e.shared.NextTime()
+	limit := end
+	if hasShared && tb < limit {
+		limit = tb
+	}
+	e.selectBatch(limit)
+	if e.bn == 0 {
+		if !hasShared || tb > end {
+			return false
+		}
+		t0 := e.stamp()
+		e.inSerial = true
+		e.shared.AdvanceTo(tb)
+		e.inSerial = false
+		e.flushDirty()
+		e.serialSec += e.stamp() - t0
+		e.epochs++
+		return true
+	}
+	t0 := e.stamp()
+	e.advanceBatch(limit)
+	t1 := e.stamp()
+	e.mergeBatch()
+	e.mergeSec += e.stamp() - t1
+	e.advanceSec += t1 - t0
+	e.epochs++
+	return true
 }
 
 // init sizes the per-device arrays and seeds the heap from every actor's
@@ -246,6 +266,8 @@ func (e *Engine) init() {
 		e.pos = make([]int, n)
 		e.heap = make([]int, 0, n)
 		e.batch = make([]int, n)
+		e.bpos = make([]int, n)
+		e.bits = make([]uint64, (n+63)/64)
 		e.dirty = make([]int, n)
 		e.dirtyMark = make([]bool, n)
 	}
@@ -263,29 +285,86 @@ func (e *Engine) init() {
 		e.dirtyMark[i] = false
 		if t, ok := e.actors[i].NextEventTime(); ok {
 			e.keys[i] = t
-			e.push(i)
+			e.pos[i] = len(e.heap)
+			e.heap = e.heap[:len(e.heap)+1] // cap preallocated to n above
+			e.heap[e.pos[i]] = i
 		}
 	}
+	e.heapify()
 }
 
-// popBatch removes every device whose next event is strictly before limit
-// into e.batch, sorted by device index so chunk assignment and the merge
-// order are canonical.
-func (e *Engine) popBatch(limit float64) {
+// selectBatch finds every device whose next event is strictly before limit
+// and lists it in e.batch by ascending device index, so chunk assignment and
+// the merge order are canonical. Nothing is removed from the heap: the
+// devices before limit form a sub-tree at its top (a node at or after limit
+// roots a sub-tree of such nodes), so a breadth-first walk that stops at
+// those nodes visits exactly the batch, in O(batch), with heap slots
+// ascending — bpos is the walk's own queue.
+//
+//shoggoth:hotpath
+func (e *Engine) selectBatch(limit float64) {
 	e.bn = 0
-	for len(e.heap) > 0 {
-		i := e.heap[0]
-		if e.keys[i] >= limit {
-			break
-		}
-		e.removeTop()
-		e.batch[e.bn] = i
-		e.bn++
+	n := len(e.heap)
+	if n == 0 || e.keys[e.heap[0]] >= limit {
+		return
 	}
-	sort.Ints(e.batch[:e.bn])
+	bpos := e.bpos
+	bpos[0] = 0
+	tail := 1
+	for head := 0; head < tail; head++ {
+		c := 2*bpos[head] + 1
+		if c < n && e.keys[e.heap[c]] < limit {
+			bpos[tail] = c
+			tail++
+		}
+		if c++; c < n && e.keys[e.heap[c]] < limit {
+			bpos[tail] = c
+			tail++
+		}
+	}
+	e.bn = tail
+	e.sortBatch()
 }
 
-// advanceBatch fast-forwards every popped device to limit — inline for one
+// sortBatch fills e.batch with the devices at bpos in ascending index order.
+// A small batch is sorted by comparison; a large one is marked in the device
+// bitset and read back by scanning the words between its lowest and highest
+// device, which costs a word per 64 devices of that span whatever the batch
+// size — a whole-fleet frame tick is ordered in O(N/64 + batch).
+func (e *Engine) sortBatch() {
+	k := e.bn
+	batch := e.batch[:k]
+	if k*bits.Len(uint(k)) < len(e.bits) {
+		for x, p := range e.bpos[:k] {
+			batch[x] = e.heap[p]
+		}
+		slices.Sort(batch)
+		return
+	}
+	lo, hi := len(e.actors), 0
+	for _, p := range e.bpos[:k] {
+		i := e.heap[p]
+		e.bits[i>>6] |= 1 << (uint(i) & 63)
+		if i < lo {
+			lo = i
+		}
+		if i > hi {
+			hi = i
+		}
+	}
+	x := 0
+	for w := lo >> 6; w <= hi>>6; w++ {
+		word := e.bits[w]
+		e.bits[w] = 0
+		for word != 0 {
+			batch[x] = w<<6 | bits.TrailingZeros64(word)
+			x++
+			word &= word - 1
+		}
+	}
+}
+
+// advanceBatch fast-forwards every selected device to limit — inline for one
 // worker, otherwise on contiguous chunks across the worker pool — and has
 // each shard collect its chunk's outbox emissions into a key-sorted run for
 // the tournament merge. Devices in a batch share no mutable state (emissions
@@ -438,8 +517,74 @@ func mergeTwo(dst, a, b []mergeEvent) []mergeEvent {
 //shoggoth:hotpath
 func (e *Engine) mergeBatch() {
 	e.shared.appendSorted(e.mergeRuns())
-	for k := 0; k < e.bn; k++ {
-		e.updateKey(e.batch[k])
+	e.restoreBatch()
+}
+
+// restoreBatch re-prices the advanced batch where it sits. Only the slots in
+// bpos changed key, and they form a sub-tree at the top of the heap, so
+// Floyd's bottom-up heapify restricted to those slots restores the
+// invariant: taken in descending slot order, each slot's children already
+// root valid heaps (advanced ones were restored first, the rest were never
+// touched), and one siftDown settles it — whatever the new keys are, because
+// every ancestor of a re-priced slot is re-priced after it. An advance moves
+// a device's next event later, so most siftDowns stop where they start:
+// O(batch) when the whole fleet moved, O(batch · log N) at worst. Finished
+// actors sink as +Inf and are removed afterwards.
+func (e *Engine) restoreBatch() {
+	finished := false
+	for _, i := range e.batch[:e.bn] {
+		t, ok := e.actors[i].NextEventTime()
+		if !ok {
+			t = math.Inf(1)
+			finished = true
+		}
+		e.keys[i] = t
+	}
+	for k := e.bn - 1; k >= 0; k-- {
+		e.siftDown(e.bpos[k])
+	}
+	if finished {
+		for _, i := range e.batch[:e.bn] {
+			if _, ok := e.actors[i].NextEventTime(); !ok {
+				e.removeAt(e.pos[i])
+			}
+		}
+	}
+	e.checkHeap()
+}
+
+// heapErr states the queue's invariants and reports the first one broken:
+// every slot orders at or after its parent under (key, device index), pos
+// inverts heap, and no finished device is queued. The shoggothdebug build
+// asserts it after every restore; the tests call it directly.
+func (e *Engine) heapErr() error {
+	for j, i := range e.heap {
+		if e.pos[i] != j {
+			return fmt.Errorf("slot %d holds device %d whose pos is %d", j, i, e.pos[i])
+		}
+		if p := e.heap[(j-1)/2]; j > 0 && e.less(i, p) {
+			return fmt.Errorf("slot %d (device %d, key %g) orders before its parent (device %d, key %g)", j, i, e.keys[i], p, e.keys[p])
+		}
+		if _, ok := e.actors[i].NextEventTime(); !ok {
+			return fmt.Errorf("finished device %d still queued at slot %d", i, j)
+		}
+	}
+	queued := 0
+	for _, p := range e.pos[:len(e.actors)] {
+		if p >= 0 {
+			queued++
+		}
+	}
+	if queued != len(e.heap) {
+		return fmt.Errorf("%d devices carry a heap slot, the heap holds %d", queued, len(e.heap))
+	}
+	return nil
+}
+
+// heapify rebuilds the heap invariant over every queued device in O(N).
+func (e *Engine) heapify() {
+	for j := len(e.heap)/2 - 1; j >= 0; j-- {
+		e.siftDown(j)
 	}
 }
 
@@ -488,8 +633,6 @@ func (e *Engine) push(i int) {
 	e.pos[i] = j
 	e.siftUp(j)
 }
-
-func (e *Engine) removeTop() { e.removeAt(0) }
 
 func (e *Engine) removeAt(j int) {
 	n := len(e.heap) - 1

@@ -4,28 +4,67 @@
 // integrals remain exact in stream time.
 package sim
 
-import "container/heap"
-
-// Event is a scheduled callback.
+// event is a scheduled callback.
 type event struct {
 	at  float64
 	seq int64
 	fn  func(now float64)
 }
 
+// before is the queue's strict total order: time, then sequence number —
+// FIFO for simultaneous events. seq is unique, so the pop sequence is a
+// function of the set of queued events and never of the heap's layout.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of events ordered by before. It is typed
+// (no container/heap) so that a push or pop moves 32-byte values inside the
+// slice and never boxes one into an interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h eventHeap) siftUp(j int) {
+	e := h[j]
+	for j > 0 {
+		parent := (j - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[j] = h[parent]
+		j = parent
 	}
-	return h[i].seq < h[j].seq // FIFO for simultaneous events: deterministic
+	h[j] = e
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) Peek() event   { return h[0] }
+
+func (h eventHeap) siftDown(j int) {
+	n := len(h)
+	e := h[j]
+	for {
+		child := 2*j + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&e) {
+			break
+		}
+		h[j] = h[child]
+		j = child
+	}
+	h[j] = e
+}
+
+// heapify restores the heap invariant over the whole slice in O(n).
+func (h eventHeap) heapify() {
+	for j := len(h)/2 - 1; j >= 0; j-- {
+		h.siftDown(j)
+	}
+}
 
 // Timeline is the minimal scheduling surface a subsystem needs to post
 // future work: "call fn at virtual time t". A *Scheduler implements it
@@ -58,10 +97,26 @@ func (s *Scheduler) At(t float64, fn func(now float64)) {
 		t = s.now
 	}
 	s.seq++
-	heap.Push(&s.heap, event{at: t, seq: s.seq, fn: fn})
+	s.heap = append(s.heap, event{at: t, seq: s.seq, fn: fn})
+	s.heap.siftUp(len(s.heap) - 1)
 	if s.waker != nil {
 		s.waker()
 	}
+}
+
+// pop removes and returns the earliest event. The vacated tail slot is
+// zeroed so the queue never pins an executed callback's closure.
+func (s *Scheduler) pop() event {
+	h := s.heap
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h[n] = event{}
+	s.heap = h[:n]
+	if n > 1 {
+		s.heap.siftDown(0)
+	}
+	return top
 }
 
 // appendSorted bulk-schedules a merged run of outbox emissions already
@@ -89,19 +144,19 @@ func (s *Scheduler) appendSorted(run []mergeEvent) {
 		copy(grown, s.heap)
 		s.heap = grown
 	}
-	if len(run) >= n/8 {
-		// Bulk: place everything, then restore the heap invariant once.
-		s.heap = s.heap[:n+len(run)]
-		for i := range run {
-			s.seq++
-			s.heap[n+i] = event{at: run[i].at, seq: s.seq, fn: run[i].fn}
+	// Bulk when the run rivals the queue: place everything, then restore the
+	// invariant once. Otherwise sift each event up as it lands.
+	bulk := len(run) >= n/8
+	s.heap = s.heap[:n+len(run)]
+	for i := range run {
+		s.seq++
+		s.heap[n+i] = event{at: run[i].at, seq: s.seq, fn: run[i].fn}
+		if !bulk {
+			s.heap.siftUp(n + i) // reads only the prefix already placed
 		}
-		heap.Init(&s.heap)
-	} else {
-		for i := range run {
-			s.seq++
-			heap.Push(&s.heap, event{at: run[i].at, seq: s.seq, fn: run[i].fn})
-		}
+	}
+	if bulk {
+		s.heap.heapify()
 	}
 	if s.waker != nil {
 		for range run {
@@ -121,8 +176,8 @@ func (s *Scheduler) After(delay float64, fn func(now float64)) {
 // AdvanceTo moves virtual time to t, executing every due event in order.
 // Events may schedule further events, including at times ≤ t.
 func (s *Scheduler) AdvanceTo(t float64) {
-	for len(s.heap) > 0 && s.heap.Peek().at <= t {
-		e := heap.Pop(&s.heap).(event)
+	for len(s.heap) > 0 && s.heap[0].at <= t {
+		e := s.pop()
 		s.now = e.at
 		s.executed++
 		e.fn(s.now)
@@ -141,7 +196,7 @@ func (s *Scheduler) NextTime() (t float64, ok bool) {
 	if len(s.heap) == 0 {
 		return 0, false
 	}
-	return s.heap.Peek().at, true
+	return s.heap[0].at, true
 }
 
 // Executed returns the number of events this scheduler has run so far —

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"cmp"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -90,5 +93,83 @@ func TestEventTimeVisibleToCallback(t *testing.T) {
 	s.AdvanceTo(10)
 	if seen != 2.5 {
 		t.Fatalf("callback should observe its own time, got %v", seen)
+	}
+}
+
+// TestSchedulerPopOrderIsTimeThenSeq checks the typed heap against its
+// contract on random interleavings of At, appendSorted (both its bulk and its
+// sift-up branch) and AdvanceTo: events run in (clamped time, posting order).
+func TestSchedulerPopOrderIsTimeThenSeq(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	type stamp struct {
+		at   float64
+		post int
+	}
+	for trial := 0; trial < 200; trial++ {
+		s := NewScheduler()
+		var ran []stamp
+		posted := 0
+		post := func(at float64) (float64, func(float64)) {
+			if at < s.Now() {
+				at = s.Now()
+			}
+			id := posted
+			posted++
+			return at, func(now float64) { ran = append(ran, stamp{now, id}) }
+		}
+		for op := 0; op < 60; op++ {
+			switch rng.IntN(4) {
+			case 0, 1:
+				at, fn := post(s.Now() + float64(rng.IntN(8))*0.5 - 1)
+				s.At(at, fn)
+			case 2:
+				run := make([]mergeEvent, rng.IntN(40))
+				for i := range run {
+					run[i].at = s.Now() + float64(rng.IntN(8))*0.5
+				}
+				slices.SortFunc(run, func(a, b mergeEvent) int { return cmp.Compare(a.at, b.at) })
+				for i := range run {
+					run[i].at, run[i].fn = post(run[i].at)
+				}
+				s.appendSorted(run)
+			case 3:
+				s.AdvanceTo(s.Now() + float64(rng.IntN(4)))
+			}
+		}
+		s.AdvanceTo(1e9)
+		if len(ran) != posted {
+			t.Fatalf("trial %d: %d of %d events ran", trial, len(ran), posted)
+		}
+		if !slices.IsSortedFunc(ran, func(a, b stamp) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.post, b.post))
+		}) {
+			t.Fatalf("trial %d: events ran out of (time, posting) order: %v", trial, ran)
+		}
+	}
+}
+
+// TestSchedulerSteadyStateZeroAlloc guards the typed heap: once the queue has
+// reached its high-water capacity, At and AdvanceTo allocate nothing (pushing
+// or popping through an interface would box every event).
+func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
+	s := NewScheduler()
+	fn := func(float64) {}
+	for i := 0; i < 256; i++ {
+		s.At(float64(i%16), fn)
+	}
+	s.AdvanceTo(16)
+	now := s.Now()
+	allocs := testing.AllocsPerRun(200, func() {
+		for i := 0; i < 256; i++ {
+			s.At(now+float64(i%16), fn)
+		}
+		now += 16
+		s.AdvanceTo(now)
+	})
+	if allocs != 0 {
+		t.Fatalf("At + AdvanceTo at steady state: %v allocs per 256 events, want 0", allocs)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d events left queued", s.Pending())
 	}
 }
