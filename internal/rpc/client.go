@@ -2,13 +2,14 @@ package rpc
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"shoggoth/internal/video"
@@ -71,20 +72,82 @@ func describe(op string, err error) error {
 	return fmt.Errorf("rpc: %s: %w", op, err)
 }
 
+// upload is one encoded request body on loan from the buffer pool. net/http
+// may still be writing a request body after Do has returned (a reply can
+// overtake the upload) and may ask for the body again to retry on a fresh
+// connection, so the buffer goes back to the pool only when Label and every
+// body handed out have let go of it.
+type upload struct {
+	buf  *[]byte
+	refs atomic.Int32 // Label's own hold plus one per open body
+}
+
+// body returns a fresh reader over the encoded bytes; its Close drops the
+// hold it takes here.
+func (u *upload) body() io.ReadCloser {
+	u.refs.Add(1)
+	b := &uploadBody{u: u}
+	b.Reset(*u.buf)
+	return b
+}
+
+func (u *upload) release() {
+	if u.refs.Add(-1) == 0 {
+		putBuffer(u.buf)
+	}
+}
+
+type uploadBody struct {
+	bytes.Reader // its WriteTo hands net/http the whole body in one write
+	u            *upload
+	closed       atomic.Bool
+}
+
+func (b *uploadBody) Close() error {
+	if !b.closed.Swap(true) {
+		b.u.release()
+	}
+	return nil
+}
+
+// drain reads off the short text of a non-200 reply: net/http closes a
+// connection whose reply was not read to EOF, so an unread refusal would
+// cost the cloud a new connection each time. Best effort — a body longer
+// than this just costs the connection.
+func drain(body io.Reader) { _, _ = io.Copy(io.Discard, io.LimitReader(body, 4<<10)) }
+
+// errorText returns the start of a non-200 reply's body and drains the rest.
+func errorText(body io.Reader) []byte {
+	msg, _ := io.ReadAll(io.LimitReader(body, 512))
+	drain(body)
+	return bytes.TrimSpace(msg)
+}
+
 // Label uploads a sample buffer with telemetry and returns the teacher
 // labels plus the new sampling rate.
 func (c *Client) Label(frames []video.Frame, alpha, lambda float64) (*LabelResponse, error) {
 	req := LabelRequest{DeviceID: c.DeviceID, Frames: frames, Alpha: alpha, Lambda: lambda}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&req); err != nil {
-		return nil, fmt.Errorf("rpc: encode request: %w", err)
+	up := &upload{buf: getBuffer()}
+	up.refs.Store(1)
+	defer up.release()
+	*up.buf = AppendLabelRequest((*up.buf)[:0], &req)
+	if n := len(*up.buf); n > MaxLabelRequestBytes {
+		return nil, fmt.Errorf("rpc: label: request of %d bytes exceeds the %d-byte cap; upload fewer frames", n, MaxLabelRequestBytes)
 	}
-	httpResp, err := c.HTTP.Post(c.BaseURL+"/v1/label", "application/octet-stream", &body)
+	httpReq, err := http.NewRequest(http.MethodPost, c.BaseURL+"/v1/label", up.body())
+	if err != nil {
+		return nil, fmt.Errorf("rpc: label: %w", err)
+	}
+	httpReq.ContentLength = int64(len(*up.buf))
+	httpReq.GetBody = func() (io.ReadCloser, error) { return up.body(), nil }
+	httpReq.Header.Set("Content-Type", "application/octet-stream")
+	httpResp, err := c.HTTP.Do(httpReq)
 	if err != nil {
 		return nil, describe("label", err)
 	}
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode == http.StatusTooManyRequests {
+		drain(httpResp.Body)
 		var retry time.Duration
 		if secs, err := strconv.Atoi(httpResp.Header.Get("Retry-After")); err == nil && secs > 0 {
 			retry = time.Duration(secs) * time.Second
@@ -92,18 +155,28 @@ func (c *Client) Label(frames []video.Frame, alpha, lambda float64) (*LabelRespo
 		return nil, &BackpressureError{RetryAfter: retry}
 	}
 	if httpResp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 512))
-		return nil, fmt.Errorf("rpc: label: %s: %s", httpResp.Status, bytes.TrimSpace(msg))
+		return nil, fmt.Errorf("rpc: label: %s: %s", httpResp.Status, errorText(httpResp.Body))
+	}
+	if httpResp.ContentLength > MaxLabelResponseBytes {
+		return nil, fmt.Errorf("rpc: label: reply of %d bytes exceeds the %d-byte cap", httpResp.ContentLength, MaxLabelResponseBytes)
+	}
+	reply := getBuffer()
+	defer putBuffer(reply)
+	if err := readBody(httpResp.Body, reply, httpResp.ContentLength, MaxLabelResponseBytes); err != nil {
+		return nil, fmt.Errorf("rpc: label: read reply: %w", err)
 	}
 	var resp LabelResponse
-	if err := gob.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("rpc: decode response: %w", err)
+	if err := DecodeLabelResponse(*reply, &resp); err != nil {
+		return nil, fmt.Errorf("rpc: label: decode reply: %w", err)
 	}
 	if len(resp.Labels) != len(frames) {
 		return nil, fmt.Errorf("rpc: label count mismatch: %d responses for %d frames", len(resp.Labels), len(frames))
 	}
 	return &resp, nil
 }
+
+// maxStatusBytes caps the /v1/status reply the client will read.
+const maxStatusBytes = 1 << 20
 
 // Status fetches cloud-side state for this device.
 func (c *Client) Status() (*StatusResponse, error) {
@@ -113,11 +186,15 @@ func (c *Client) Status() (*StatusResponse, error) {
 	}
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 512))
-		return nil, fmt.Errorf("rpc: status: %s: %s", httpResp.Status, bytes.TrimSpace(msg))
+		return nil, fmt.Errorf("rpc: status: %s: %s", httpResp.Status, errorText(httpResp.Body))
+	}
+	reply := getBuffer()
+	defer putBuffer(reply)
+	if err := readBody(httpResp.Body, reply, httpResp.ContentLength, maxStatusBytes); err != nil {
+		return nil, fmt.Errorf("rpc: status: read reply: %w", err)
 	}
 	var resp StatusResponse
-	if err := gob.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
+	if err := json.Unmarshal(*reply, &resp); err != nil {
 		return nil, fmt.Errorf("rpc: decode status: %w", err)
 	}
 	return &resp, nil

@@ -1,10 +1,23 @@
 // Package rpc provides a real network transport for the Shoggoth protocol:
 // a cloud HTTP server offering online labeling plus sampling-rate control,
-// and an edge client. Payloads are gob-encoded over net/http. It exists to
-// demonstrate that the architecture runs as an actual distributed system,
-// not only inside the virtual-time simulation; cmd/shoggoth-cloud and
-// cmd/shoggoth-edge deploy it across processes, and the livecollab example
-// runs it in-process over loopback.
+// and an edge client. It exists to demonstrate that the architecture runs as
+// an actual distributed system, not only inside the virtual-time simulation;
+// cmd/shoggoth-cloud and cmd/shoggoth-edge deploy it across processes, and
+// the livecollab example runs it in-process over loopback.
+//
+// Two endpoints over net/http:
+//
+//   - POST /v1/label carries one LabelRequest and answers one LabelResponse
+//     in the package's own binary format (wire.go; the table is in DESIGN.md
+//     §8): positional, length-checked, float64s as their raw bits so the
+//     labels the edge trains on are the teacher's to the last bit. There is
+//     one format and one version of it — a body in anything else is a 400
+//     naming the version expected. Bodies move whole through pooled buffers
+//     with Content-Length set on both legs (buffer.go has the ownership
+//     rule), under hard caps: MaxLabelRequestBytes (413 beyond it) and
+//     MaxLabelResponseBytes.
+//   - GET /v1/status?device=ID answers a StatusResponse as JSON, for
+//     operators and Client.Status alike.
 //
 // One honesty note: requests carry full frame descriptions including ground
 // truth, because the teacher is a simulated oracle (see DESIGN.md §2). A
@@ -29,8 +42,9 @@ type LabelRequest struct {
 	Lambda float64
 	// SLOClass names the device's service-level class for the tier's
 	// per-class metrics. Only the first request of a device registers it;
-	// empty means the default class. Old clients omit the field (gob
-	// decodes it as empty), which is fully compatible.
+	// empty means the default class. The field is always on the wire (an
+	// empty string costs one byte): the format has no optional fields, and a
+	// struct change is a WireVersion bump, not a compatible extension.
 	SLOClass string
 }
 
@@ -53,14 +67,14 @@ type LabelResponse struct {
 // tier-wide aggregate, and the full tier breakdown (per-replica queues,
 // admission rejections, per-SLO-class latency/drop metrics, fairness).
 type StatusResponse struct {
-	DeviceID      string
-	Rate          float64
-	FramesLabeled int64
+	DeviceID      string  `json:"device_id"`
+	Rate          float64 `json:"rate"`
+	FramesLabeled int64   `json:"frames_labeled"`
 	// Queue is this device's labeling-queue statistics.
-	Queue cloud.QueueStats
+	Queue cloud.QueueStats `json:"queue"`
 	// Cloud aggregates the whole tier (every device, every replica).
-	Cloud cloud.QueueStats
+	Cloud cloud.QueueStats `json:"cloud"`
 	// Tier is the routing-tier breakdown: per-replica queue statistics and
 	// per-SLO-class label latency and drop rates.
-	Tier cloud.TierStats
+	Tier cloud.TierStats `json:"tier"`
 }

@@ -1,7 +1,8 @@
 package rpc
 
 import (
-	"encoding/gob"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -153,9 +154,30 @@ func (s *Server) lookup(id string) *deviceState {
 	return s.devices[id]
 }
 
+// handleLabel moves whole bodies: the upload is read once into a pooled
+// buffer under MaxLabelRequestBytes and decoded from there, and the reply is
+// encoded into the same buffer and written with its Content-Length. Every
+// refusal below the 413s comes after the body was read to its end, so the
+// client's keep-alive connection survives it.
 func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
+	if r.ContentLength > MaxLabelRequestBytes {
+		// Refused unread; net/http then closes the connection rather than
+		// drain an upload of that size.
+		rejectTooLarge(w)
+		return
+	}
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if err := readBody(r.Body, buf, r.ContentLength, MaxLabelRequestBytes); err != nil {
+		if errors.Is(err, errBodyTooLarge) {
+			rejectTooLarge(w)
+		} else {
+			http.Error(w, fmt.Sprintf("read body: %v", err), http.StatusBadRequest)
+		}
+		return
+	}
 	var req LabelRequest
-	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := DecodeLabelRequest(*buf, &req); err != nil {
 		http.Error(w, fmt.Sprintf("decode: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -214,10 +236,16 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 		NewRate:       rate,
 		QueueDelaySec: adm.QueueDelaySec,
 	}
+	// req no longer points into buf (decoded values never do), so the reply
+	// can take the buffer over.
+	*buf = AppendLabelResponse((*buf)[:0], &resp)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := gob.NewEncoder(w).Encode(&resp); err != nil {
-		http.Error(w, fmt.Sprintf("encode: %v", err), http.StatusInternalServerError)
-	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
+	_, _ = w.Write(*buf) // a failed write means the client is gone; there is no one left to tell
+}
+
+func rejectTooLarge(w http.ResponseWriter) {
+	http.Error(w, fmt.Sprintf("label request exceeds the %d-byte cap", MaxLabelRequestBytes), http.StatusRequestEntityTooLarge)
 }
 
 // rejectFull answers 429 with the engine's Retry-After estimate — the
@@ -256,8 +284,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Tier:          s.tier.TierStats(),
 	}
 	d.mu.Unlock()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := gob.NewEncoder(w).Encode(&resp); err != nil {
+	body, err := json.Marshal(&resp)
+	if err != nil {
 		http.Error(w, fmt.Sprintf("encode: %v", err), http.StatusInternalServerError)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body) // as in handleLabel
 }
