@@ -31,7 +31,7 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent sessions per experiment (0 = GOMAXPROCS)")
 	perf := flag.Bool("perf", false, "measure the compute-core hot paths (train step, inference) instead of the paper experiments")
 	perfOut := flag.String("perf-out", "BENCH_core.json", "perf mode: output file (baseline entries are preserved)")
-	perfMinFast := flag.Float64("perf-min-fast-speedup", 0, "perf mode: fail unless the fast tier is at least this many times faster than exact (0 = no gate; skipped without AVX2+FMA)")
+	perfMinFast := flag.Float64("perf-min-fast-speedup", 0, "perf mode: fail unless the fast tier's train step is at least this many times faster than the frozen baseline record's (0 = no gate; skipped without AVX2+FMA)")
 	fleetSmoke := flag.Int("fleet-smoke", 0, "run one capped events-fidelity fleet at this many devices and exit (CI smoke; 0 = off)")
 	fleetMinEvents := flag.Float64("fleet-min-events-per-sec", 0, "fleet smoke: fail unless throughput reaches this many events/sec (0 = no gate)")
 	fleetSmokeOut := flag.String("fleet-smoke-out", "", "fleet smoke: write the measurement as JSON to this path (empty = don't)")

@@ -118,9 +118,9 @@ type PerfFile struct {
 
 	// Exact and Fast are the two compute tiers' training trajectories,
 	// measured back to back on this machine; SpeedupFastOverExact is their
-	// ns/step ratio (the CI fast-tier gate reads it) and
-	// SpeedupFastVsBaseline is the fast tier against the frozen
-	// pre-refactor baseline.
+	// ns/step ratio (reported, not gated: it falls whenever the exact tier
+	// gets faster) and SpeedupFastVsBaseline is the fast tier against the
+	// frozen pre-refactor baseline, which the CI fast-tier gate reads.
 	Exact                 *TierPerf `json:"exact_tier,omitempty"`
 	Fast                  *TierPerf `json:"fast_tier,omitempty"`
 	SpeedupFastOverExact  float64   `json:"speedup_fast_over_exact,omitempty"`
@@ -412,9 +412,9 @@ func perfBatch(p *video.Profile, n int, rng *rand.Rand) []detect.LabeledRegion {
 // frozen pre-refactor baseline, and prints a one-screen summary. Every
 // derived speedup is recomputed from the numbers just measured — nothing in
 // the file is allowed to go stale. minFastSpeedup > 0 turns the fast tier's
-// ns/step ratio over exact into a hard gate (skipped without the AVX2+FMA
-// microkernels, whose absence would make the ratio a property of the
-// machine, not the code).
+// ns/step ratio over the frozen baseline record into a hard gate — over the
+// baseline, not over exact: a ratio against the exact tier would fail a
+// change for speeding the exact tier up (fastTierGate).
 func runPerf(path string, minFastSpeedup float64) error {
 	var file PerfFile
 	if data, err := os.ReadFile(path); err == nil {
@@ -518,15 +518,29 @@ func runPerf(path string, minFastSpeedup float64) error {
 	fmt.Printf("perf: wrote %s\n", path)
 
 	if minFastSpeedup > 0 {
-		if !tensor.FastAccelerated() {
-			fmt.Printf("perf: fast-tier gate skipped (no AVX2+FMA microkernels on this machine)\n")
-		} else if file.SpeedupFastOverExact < minFastSpeedup {
-			return fmt.Errorf("fast tier gate: %.2fx over exact, need >= %.2fx", file.SpeedupFastOverExact, minFastSpeedup)
-		} else {
-			fmt.Printf("perf: fast-tier gate passed (%.2fx >= %.2fx)\n", file.SpeedupFastOverExact, minFastSpeedup)
+		verdict, err := fastTierGate(&file, minFastSpeedup, tensor.FastAccelerated())
+		if err != nil {
+			return err
 		}
+		fmt.Printf("perf: fast-tier gate %s\n", verdict)
 	}
 	return nil
+}
+
+// fastTierGate holds the fast tier's train step to minSpeedup times the
+// frozen baseline record's and says what it decided. It abstains where the
+// ratio would not be about the code: no assembly microkernels on this
+// machine, or no baseline record in the file.
+func fastTierGate(file *PerfFile, minSpeedup float64, accelerated bool) (verdict string, err error) {
+	switch {
+	case !accelerated:
+		return "skipped (no AVX2+FMA microkernels on this machine)", nil
+	case file.Baseline == nil:
+		return "skipped (the perf file holds no baseline record)", nil
+	case file.SpeedupFastVsBaseline < minSpeedup:
+		return "", fmt.Errorf("fast tier gate: %.2fx over the frozen baseline, need >= %.2fx", file.SpeedupFastVsBaseline, minSpeedup)
+	}
+	return fmt.Sprintf("passed (%.2fx over the frozen baseline >= %.2fx)", file.SpeedupFastVsBaseline, minSpeedup), nil
 }
 
 func round2(v float64) float64 {

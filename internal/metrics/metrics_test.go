@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"shoggoth/internal/geom"
@@ -370,6 +371,201 @@ func TestRunningMergeVariance(t *testing.T) {
 		}
 		if a.Count() != flat.Count() || a.Mean() != flat.Mean() {
 			t.Errorf("split %d: merged mean/count diverged", split)
+		}
+	}
+}
+
+// apForClassOracle is apForClass as it stood before the keyed sort — a stable
+// reflection sort over whole Dets and a map of matched ground truths — kept
+// verbatim as the reference the current one must match bit for bit.
+func apForClassOracle(dets []Det, gts []GT, class int, iouThresh float64) float64 {
+	// Ground truths per frame for this class.
+	gtByFrame := map[int][]int{} // frame -> indices into gts
+	total := 0
+	for i, g := range gts {
+		if g.Class == class {
+			gtByFrame[g.Frame] = append(gtByFrame[g.Frame], i)
+			total++
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	var cls []Det
+	for _, d := range dets {
+		if d.Class == class {
+			cls = append(cls, d)
+		}
+	}
+	sort.SliceStable(cls, func(i, j int) bool { return cls[i].Confidence > cls[j].Confidence })
+
+	matched := map[int]bool{} // gt index -> already matched
+	tp := make([]bool, len(cls))
+	for i, d := range cls {
+		best, bestIdx := iouThresh, -1
+		for _, gi := range gtByFrame[d.Frame] {
+			if matched[gi] {
+				continue
+			}
+			if iou := geom.IoU(d.Box, gts[gi].Box); iou >= best {
+				best, bestIdx = iou, gi
+			}
+		}
+		if bestIdx >= 0 {
+			matched[bestIdx] = true
+			tp[i] = true
+		}
+	}
+
+	// Precision-recall curve and all-point interpolation.
+	var cumTP, cumFP float64
+	precisions := make([]float64, len(cls))
+	recalls := make([]float64, len(cls))
+	for i := range cls {
+		if tp[i] {
+			cumTP++
+		} else {
+			cumFP++
+		}
+		precisions[i] = cumTP / (cumTP + cumFP)
+		recalls[i] = cumTP / float64(total)
+	}
+	// Make precision monotonically non-increasing from the right.
+	for i := len(precisions) - 2; i >= 0; i-- {
+		if precisions[i] < precisions[i+1] {
+			precisions[i] = precisions[i+1]
+		}
+	}
+	var ap, prevRecall float64
+	for i := range cls {
+		if recalls[i] > prevRecall {
+			ap += (recalls[i] - prevRecall) * precisions[i]
+			prevRecall = recalls[i]
+		}
+	}
+	return ap
+}
+
+// mapOracle is MAP over apForClassOracle: classes with ground truth, in
+// ascending order.
+func mapOracle(dets []Det, gts []GT, iouThresh float64) float64 {
+	seen := map[int]bool{}
+	var classes []int
+	for _, g := range gts {
+		if !seen[g.Class] {
+			seen[g.Class] = true
+			classes = append(classes, g.Class)
+		}
+	}
+	if len(classes) == 0 {
+		return 0
+	}
+	sort.Ints(classes)
+	var sum float64
+	for _, c := range classes {
+		sum += apForClassOracle(dets, gts, c, iouThresh)
+	}
+	return sum / float64(len(classes))
+}
+
+// TestMAPMatchesStableSortOracle holds MAP, WindowedMAP50 and WindowMAP50At
+// to the oracle bit for bit on generated streams built to stress the
+// ranking: confidences drawn from five values (long runs of ties, whose
+// arrival order decides which duplicate claims a ground truth), a class that
+// is detected but never present, a class that is present but never detected,
+// and stretches of frames — whole windows — without any ground truth.
+func TestMAPMatchesStableSortOracle(t *testing.T) {
+	const (
+		frames    = 400
+		fps       = 10.0
+		windowSec = 5.0
+	)
+	confs := []float64{0.2, 0.5, 0.5, 0.8, 0.95}
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 99))
+		randBox := func() geom.Box {
+			return box(0.1+0.8*rng.Float64(), 0.1+0.8*rng.Float64(), 0.05+0.2*rng.Float64(), 0.05+0.2*rng.Float64())
+		}
+		c := NewCollector()
+		type frame struct {
+			t    float64
+			gts  []GT
+			dets []Det
+		}
+		var all []frame
+		for f := 0; f < frames; f++ {
+			fr := frame{t: float64(f) / fps}
+			if (f/70)%3 != 2 { // every third 7 s stretch has no ground truth
+				for n := rng.IntN(4); n > 0; n-- {
+					fr.gts = append(fr.gts, GT{Frame: f, Class: rng.IntN(3), Box: randBox()}) // classes 0-2; 2 is never detected
+				}
+			}
+			for n := rng.IntN(7); n > 0; n-- {
+				d := Det{Frame: f, Class: []int{0, 1, 3}[rng.IntN(3)], Confidence: confs[rng.IntN(len(confs))], Box: randBox()} // 3 is never present
+				if len(fr.gts) > 0 && rng.IntN(3) > 0 {
+					// Land on a ground truth (sometimes twice: duplicates race for it).
+					g := fr.gts[rng.IntN(len(fr.gts))]
+					d.Box = g.Box
+					if g.Class != 2 {
+						d.Class = g.Class
+					}
+				}
+				fr.dets = append(fr.dets, d)
+			}
+			c.AddFrame(f, fr.t, fr.gts, fr.dets)
+			all = append(all, fr)
+		}
+		// span gathers the frames with lo <= t < hi, in arrival order.
+		span := func(lo, hi float64) (dets []Det, gts []GT) {
+			for _, fr := range all {
+				if fr.t >= lo && fr.t < hi {
+					dets = append(dets, fr.dets...)
+					gts = append(gts, fr.gts...)
+				}
+			}
+			return dets, gts
+		}
+		same := func(what string, got, want float64) {
+			t.Helper()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d: %s = %v (%#x), oracle %v (%#x)", seed, what, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+
+		dets, gts := span(0, math.Inf(1))
+		for _, thr := range []float64{0.3, 0.5, 0.75} {
+			same("MAP", MAP(dets, gts, thr), mapOracle(dets, gts, thr))
+		}
+		same("MAP without ground truth", MAP(dets, nil, 0.5), mapOracle(dets, nil, 0.5))
+
+		var want []WindowScore
+		empty := 0
+		for w := 0; float64(w)*windowSec < frames/fps; w++ {
+			start := float64(w) * windowSec
+			wd, wg := span(start, start+windowSec)
+			got, ok := c.WindowMAP50At(start, windowSec)
+			if ok != (len(wg) > 0) {
+				t.Fatalf("seed %d: WindowMAP50At(%v) ok=%v with %d ground truths", seed, start, ok, len(wg))
+			}
+			if !ok {
+				empty++
+				continue
+			}
+			same("WindowMAP50At", got, mapOracle(wd, wg, 0.5))
+			want = append(want, WindowScore{Start: start, MAP: mapOracle(wd, wg, 0.5)})
+		}
+		if empty == 0 {
+			t.Fatalf("seed %d: the stream was meant to hold windows without ground truth", seed)
+		}
+		got := c.WindowedMAP50(windowSec)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: WindowedMAP50 returned %d windows, oracle %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Start != want[i].Start {
+				t.Fatalf("seed %d: window %d starts at %v, oracle %v", seed, i, got[i].Start, want[i].Start)
+			}
+			same("WindowedMAP50", got[i].MAP, want[i].MAP)
 		}
 	}
 }

@@ -1,6 +1,11 @@
 package nn
 
-import "shoggoth/internal/tensor"
+import (
+	"math"
+	"math/bits"
+
+	"shoggoth/internal/tensor"
+)
 
 // ReLU is the rectified-linear activation y = max(0, x).
 type ReLU struct {
@@ -23,30 +28,39 @@ func (r *ReLU) OutDim(in int) int { return in }
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	r.out = tensor.Ensure(r.out, x.Rows, x.Cols)
 	out := r.out
+	xd := x.Data
+	od := out.Data[:len(xd)]
 	if train {
-		if cap(r.mask) < len(x.Data) {
-			r.mask = make([]bool, len(x.Data))
+		if cap(r.mask) < len(xd) {
+			r.mask = make([]bool, len(xd))
 		}
-		r.mask = r.mask[:len(x.Data)]
-		for i, v := range x.Data {
-			if v > 0 {
-				out.Data[i] = v
-				r.mask[i] = true
-			} else {
-				out.Data[i] = 0
-				r.mask[i] = false
-			}
+		r.mask = r.mask[:len(xd)]
+		mask := r.mask
+		for i, v := range xd {
+			y, keep := rectify(v)
+			od[i] = y
+			mask[i] = keep != 0
 		}
 		return out
 	}
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
+	for i, v := range xd {
+		od[i], _ = rectify(v)
 	}
 	return out
+}
+
+// rectify returns max(0, v) and keep = 1 when v > 0, else 0, without
+// branching on v: pre-activations are positive about half the time in no
+// predictable pattern, so an `if v > 0` mispredicts on every other element.
+// v > 0 exactly when its bit pattern lies in [1, bits(+Inf)] — sign clear,
+// not zero, not NaN — which is one unsigned compare of pattern-1 against
+// bits(+Inf), read off the subtraction's borrow. ANDing the pattern with
+// -keep then yields v itself or +0: -0, negatives and NaN all map to +0,
+// denormals and +Inf are kept, as the comparison did.
+func rectify(v float64) (y float64, keep uint64) {
+	b := math.Float64bits(v)
+	_, keep = bits.Sub64(b-1, 0x7FF0000000000000, 0)
+	return math.Float64frombits(b & -keep), keep
 }
 
 // Backward implements Layer.

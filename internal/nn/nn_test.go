@@ -35,6 +35,45 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
+// TestReLUForwardMatchesBranchingLoop holds the branch-free Forward to the
+// `if v > 0` loop it replaced, bit for bit, in both modes: the values where
+// the bit trick could go wrong (both zeros, both infinities, NaNs of either
+// sign and payload, the denormal and normal extremes) plus 10⁴ random values
+// and random bit patterns. The training mask must agree too.
+func TestReLUForwardMatchesBranchingLoop(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1),
+		math.NaN(), -math.NaN(), math.Float64frombits(0x7FF0000000000001), math.Float64frombits(0xFFF8000000000001),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000FFFFFFFFFFFFF), math.Float64frombits(0x800FFFFFFFFFFFFF), // largest denormals
+		math.Float64frombits(0x0010000000000000), math.MaxFloat64, -math.MaxFloat64,
+	}
+	rng := rand.New(rand.NewPCG(21, 22))
+	for i := 0; i < 5000; i++ {
+		vals = append(vals, rng.NormFloat64(), math.Float64frombits(rng.Uint64()))
+	}
+	x := tensor.FromSlice(1, len(vals), vals)
+	want := make([]float64, len(vals))
+	wantMask := make([]bool, len(vals))
+	for i, v := range vals {
+		if v > 0 {
+			want[i], wantMask[i] = v, true
+		}
+	}
+	r := NewReLU("r")
+	for _, train := range []bool{false, true} {
+		out := r.Forward(x, train)
+		for i, v := range vals {
+			if math.Float64bits(out.Data[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("train=%v: relu(%v [%#x]) = %v [%#x], want %v", train, v, math.Float64bits(v), out.Data[i], math.Float64bits(out.Data[i]), want[i])
+			}
+			if train && r.mask[i] != wantMask[i] {
+				t.Fatalf("relu(%v [%#x]): mask %v, want %v", v, math.Float64bits(v), r.mask[i], wantMask[i])
+			}
+		}
+	}
+}
+
 func TestBatchNormNormalizesBatch(t *testing.T) {
 	bn := NewBatchNorm("bn", 2)
 	x := tensor.FromRows([][]float64{{1, 100}, {3, 300}, {5, 500}, {7, 700}})

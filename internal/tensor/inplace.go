@@ -89,6 +89,18 @@ func MulBiasInto(dst, a, b, bias *Matrix) {
 	mulInto(dst, a, b, bias.Data)
 }
 
+// The NZ kernels (MulIntoNZ, MulBiasIntoNZ, MulAtBAddNZ) have two lanes that
+// produce the same bits. The Go loops below are the definition: per output
+// element a zeroed accumulator, the compacted row's terms in ascending
+// order, each product rounded and then each sum, the bias (or the destination
+// being accumulated into) added last. Where useAsm holds — amd64 with AVX2 —
+// the leading cols&^3 columns of every compacted row go to nzRowAVX instead,
+// which runs that sequence in each ymm lane: the lanes lie across output
+// columns, so no element's order changes, and multiply and add are never
+// fused. The Go loops keep the 1–3 column tail and the rows without
+// nonzeros, are the only lane everywhere else, and are the reference
+// nz_test.go holds the kernel to.
+
 // NZScratch holds the reusable compacted-row buffers of the NZ matmul
 // kernels. One instance per owner (layer); not safe for concurrent use.
 // The zero value is ready.
@@ -133,6 +145,8 @@ func MulIntoNZ(dst, a, b *Matrix, ws *NZScratch) {
 	}
 	checkDstShape("mulIntoNZ", dst, a.Rows, b.Cols)
 	checkNoAlias("mulIntoNZ", dst, a, b)
+	checkDataLen("mulIntoNZ", dst)
+	checkDataLen("mulIntoNZ", b)
 	mulIntoNZ(dst, a, b, nil, ws)
 }
 
@@ -147,6 +161,9 @@ func MulBiasIntoNZ(dst, a, b, bias *Matrix, ws *NZScratch) {
 	checkDstShape("mulBiasIntoNZ", dst, a.Rows, b.Cols)
 	checkNoAlias("mulBiasIntoNZ", dst, a, b)
 	checkNoAlias("mulBiasIntoNZ", dst, bias, nil)
+	checkDataLen("mulBiasIntoNZ", dst)
+	checkDataLen("mulBiasIntoNZ", b)
+	checkDataLen("mulBiasIntoNZ", bias)
 	mulIntoNZ(dst, a, b, bias.Data, ws)
 }
 
@@ -164,8 +181,11 @@ func MulAtBAddNZ(dst, a, b *Matrix, ws *NZScratch) {
 	}
 	checkDstShape("mulAtBAddNZ", dst, a.Cols, b.Cols)
 	checkNoAlias("mulAtBAddNZ", dst, a, b)
+	checkDataLen("mulAtBAddNZ", dst)
+	checkDataLen("mulAtBAddNZ", b)
 	ac, bc := a.Cols, b.Cols
 	ad, bd := a.Data, b.Data
+	vc := vectorCols(bc)
 	if cap(ws.val) < a.Rows {
 		ws.val = make([]float64, a.Rows)
 		ws.off = make([]int, a.Rows)
@@ -188,6 +208,12 @@ func MulAtBAddNZ(dst, a, b *Matrix, ws *NZScratch) {
 		off = off[:len(val)]
 		orow := dst.Data[i*bc : (i+1)*bc]
 		j := 0
+		if vc > 0 && len(val) > 0 {
+			// orow doubles as the bias row: orow[j] = s + orow[j], the one
+			// add of the loops below with its operands the other way round.
+			nzRowAVX(&orow[0], &bd[0], &orow[0], &val[0], &off[0], len(val), vc)
+			j = vc
+		}
 		for ; j+4 <= bc; j += 4 {
 			var s0, s1, s2, s3 float64
 			for t, av := range val {
@@ -232,12 +258,21 @@ func MulAtBAddNZ(dst, a, b *Matrix, ws *NZScratch) {
 func mulIntoNZ(dst, a, b *Matrix, bias []float64, ws *NZScratch) {
 	ac, bc := a.Cols, b.Cols
 	bd := b.Data
+	vc := vectorCols(bc)
+	var biasp *float64
+	if vc > 0 && bias != nil {
+		biasp = &bias[0]
+	}
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*ac : (i+1)*ac]
 		val, off := ws.compactRow(arow, bc)
 		off = off[:len(val)]
 		orow := dst.Data[i*bc : (i+1)*bc]
 		j := 0
+		if vc > 0 && len(val) > 0 {
+			nzRowAVX(&orow[0], &bd[0], biasp, &val[0], &off[0], len(val), vc)
+			j = vc
+		}
 		for ; j+4 <= bc; j += 4 {
 			var s0, s1, s2, s3 float64
 			for t, av := range val {
@@ -712,6 +747,24 @@ func SoftmaxRowInto(dst, row []float64) {
 	for i := range dst {
 		dst[i] *= inv
 	}
+}
+
+// checkDataLen panics when m.Data is shorter than m's shape says. The NZ
+// entry points establish it once per call for every operand whose address
+// goes to nzRowAVX, which has no bounds checks of its own.
+func checkDataLen(op string, m *Matrix) {
+	if len(m.Data) < m.Rows*m.Cols {
+		panic(fmt.Sprintf("tensor: %s operand %dx%d holds %d elements", op, m.Rows, m.Cols, len(m.Data)))
+	}
+}
+
+// vectorCols returns how many leading columns of an n-wide output row go to
+// nzRowAVX: n rounded down to a multiple of 4 where the kernel runs, else 0.
+func vectorCols(n int) int {
+	if useAsm {
+		return n &^ 3
+	}
+	return 0
 }
 
 func checkDstShape(op string, dst *Matrix, rows, cols int) {
