@@ -24,10 +24,14 @@ type CloudStats = cloud.TierStats
 // still reports identical ClusterResults bytes.
 type EngineInfo struct {
 	// Events is the total number of discrete events executed: device frames,
-	// device-local queue events and shared-timeline events combined.
+	// device-local queue events and shared-timeline events combined. It is a
+	// property of the simulated fleet.
 	Events int64 `json:"events"`
 	// Epochs is the number of engine iterations (parallel device batches
-	// plus serial shared phases).
+	// plus serial shared phases). It is a property of the engine, not of the
+	// fleet: how often devices had to be woken for the same events depends
+	// on how tight their wake times are, so it is comparable only between
+	// runs of one commit.
 	Epochs int64 `json:"epochs"`
 }
 
@@ -106,8 +110,9 @@ const (
 // is ready to use.
 //
 // The default core is a discrete-event engine: devices post their next
-// interesting times to an indexed min-heap and fast-forward between shared
-// events, optionally sharded across EngineWorkers goroutines. Results are
+// interesting times to an indexed min-heap (an events-fidelity device, the
+// first frame that could upload) and fast-forward between shared events,
+// optionally sharded across EngineWorkers goroutines. Results are
 // byte-identical at every worker count — cross-device effects funnel
 // through per-device outboxes merged serially in device-index order — and
 // identical to the legacy frame stepper on the configurations both

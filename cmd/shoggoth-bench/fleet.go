@@ -124,6 +124,12 @@ type Fleet1MPerfRecord struct {
 	WallSec      float64 `json:"wall_sec"`
 	Events       int64   `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
+	// Epochs is the engine's iteration count. Events/sec says how fast events
+	// ran; epochs says how many times the engine had to stop to run them. A
+	// fleet whose devices all flush on the same frames (this shape: one 5 s
+	// deadline, 14.4 virtual s at 100k) needs a dozen or so, which is why its
+	// events/sec barely moves when devices sleep between uploads.
+	Epochs int64 `json:"epochs,omitempty"`
 	// ServedShare is served ÷ offered teacher batches. A run that drops most
 	// of what it is offered times the drop path, not dispatch; the smoke
 	// gate refuses one below minServedShare.
@@ -197,6 +203,7 @@ func measureFleet1M() (Fleet1MPerfRecord, error) {
 		VirtualSec:  cfgs[0].DurationSec,
 		WallSec:     round2(wall),
 		Events:      res.Engine.Events,
+		Epochs:      res.Engine.Epochs,
 		ServedShare: servedShare(res.Cloud),
 		AdvanceSec:  round2(phases.AdvanceSec),
 		MergeSec:    round2(phases.MergeSec),
@@ -231,6 +238,7 @@ func measureFleetCapped(devices int, cycles float64) (Fleet1MPerfRecord, error) 
 		VirtualSec:  cfgs[0].DurationSec,
 		WallSec:     round2(wall),
 		Events:      res.Engine.Events,
+		Epochs:      res.Engine.Epochs,
 		ServedShare: servedShare(res.Cloud),
 	}
 	if wall > 0 {
@@ -249,8 +257,8 @@ func runFleetSmoke(devices int, minEventsPerSec float64, outPath string) error {
 		return fmt.Errorf("fleet smoke: %w", err)
 	}
 	evPerSec := rec.EventsPerSec
-	fmt.Printf("fleet smoke: %d devices, %.1fvs in %.1fs wall — %d events, %.0f ev/s (%.1fx the frozen serial-merge 100k baseline), %.1f%% of batches served\n",
-		devices, rec.VirtualSec, rec.WallSec, rec.Events, evPerSec, evPerSec/serialMergeBaseline100k, 100*rec.ServedShare)
+	fmt.Printf("fleet smoke: %d devices, %.1fvs in %.1fs wall — %d events in %d epochs, %.0f ev/s (%.1fx the frozen serial-merge 100k baseline), %.1f%% of batches served\n",
+		devices, rec.VirtualSec, rec.WallSec, rec.Events, rec.Epochs, evPerSec, evPerSec/serialMergeBaseline100k, 100*rec.ServedShare)
 	if outPath != "" {
 		data, err := json.MarshalIndent(&rec, "", "  ")
 		if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"shoggoth/internal/cloud"
@@ -74,6 +75,14 @@ type System struct {
 	dt       float64
 	final    *Results
 	results  Results
+
+	wakeCheck wakeCheck // shoggothdebug only: no flush may beat wakeFrame
+	// wakeFrame is what an events-fidelity deployment reports to the engine
+	// in place of its next camera frame: a frame index that is never later
+	// than the first frame able to flush an upload (predictWake). AdvanceTo
+	// re-derives it on the way out, so it holds for a deployment driven
+	// through the Actor methods; Step neither reads nor maintains it.
+	wakeFrame int
 }
 
 // adaptive reports whether the cloud controller drives the sampling rate.
@@ -297,11 +306,18 @@ func (s *System) fleetFrame(t float64) {
 	}
 }
 
-// NextEventTime reports the virtual time of this deployment's next work
-// item — camera frame or local scheduler event — implementing the fleet
-// engine's Actor contract. ok is false once nothing remains.
+// NextEventTime implements the fleet engine's Actor contract: a lower bound
+// on the virtual time at which this deployment next posts to the shared
+// timeline or runs a local scheduler event. At full fidelity that is the
+// next camera frame or local event, whichever is first. An events-fidelity
+// deployment reports its wake frame instead of its next frame, so the engine
+// leaves it asleep across the frames that cannot upload; AdvanceTo replays
+// them when the device is next selected. ok is false once nothing remains.
 func (s *System) NextEventTime() (float64, bool) {
 	ft, fok := s.NextFrameTime()
+	if fok && s.fleet {
+		ft = float64(s.wakeFrame) * s.dt
+	}
 	et, eok := s.sched.NextTime()
 	switch {
 	case fok && (!eok || ft <= et):
@@ -320,6 +336,16 @@ func (s *System) NextEventTime() (float64, bool) {
 // the emission itself will change, so the engine must merge and re-price
 // before this device continues.
 func (s *System) AdvanceTo(limit float64) {
+	s.advanceTo(limit)
+	if s.fleet {
+		// Device-local state changes nowhere else, so the bound derived here
+		// is still true when the engine reads it after a later serial phase.
+		s.wakeFrame = s.predictWake()
+		s.wakeCheck.predicted(s)
+	}
+}
+
+func (s *System) advanceTo(limit float64) {
 	for {
 		ft, fok := s.NextFrameTime()
 		if fok && ft < limit {
@@ -342,6 +368,48 @@ func (s *System) AdvanceTo(limit float64) {
 			return
 		}
 	}
+}
+
+// predictWake returns the index of a frame that is never later than the
+// first frame, from frameIdx on, on which fleetFrame can flush the sample
+// buffer — and never later than the last frame, so the engine still runs
+// the whole stream before Finish. It reads device-local state only (sampler
+// credit and rate, the buffer and its first capture time): whatever the
+// cloud does to that state arrives as a local scheduler event, which
+// NextEventTime reports beside the wake. A bound that is early costs one
+// extra visit; fleetFrame decides every flush itself, frame by frame.
+//
+// A flush needs a full buffer or an expired wait. The buffer cannot fill
+// before the sampler has accepted the frames it lacks. A buffer that holds
+// a frame expires at the first frame time t with t−firstBuffered ≥
+// UploadMaxWaitSec, which is frame ⌈(firstBuffered+wait)/dt⌉ up to rounding;
+// an empty one starts that clock at the next accepted frame. Each bound
+// stops a frame short of the floor where exact arithmetic has the ceiling.
+//
+//shoggoth:hotpath
+func (s *System) predictWake() int {
+	last := s.nFrames - 1
+	if !s.uploads {
+		return last
+	}
+	next := float64(s.frameIdx)
+	lacks := s.cfg.UploadFrames - len(s.sampleBuf)
+	wake := next + s.sampler.SkipBefore(lacks, s.dt)
+	var expiry float64
+	if len(s.sampleBuf) > 0 {
+		expiry = math.Floor((s.firstBuffered+s.cfg.UploadMaxWaitSec)/s.dt) - 1
+	} else {
+		expiry = next + s.sampler.SkipBefore(1, s.dt) + math.Floor(s.cfg.UploadMaxWaitSec/s.dt) - 1
+	}
+	wake = math.Min(wake, expiry)
+	// Clamp before converting: wake is +Inf for a device that never uploads.
+	switch {
+	case wake >= float64(last):
+		return last
+	case wake > next:
+		return int(wake)
+	}
+	return s.frameIdx
 }
 
 // Finish drains the scheduler and assembles the Results. A fully-played
@@ -471,6 +539,7 @@ func (s *System) SampleForUpload(f *video.Frame, t float64) {
 // flushBuffer encodes and uploads the buffered sample frames together with
 // the edge telemetry (α since last report, λ usage).
 func (s *System) flushBuffer(t float64) {
+	s.wakeCheck.flushing(s)
 	cfg := s.cfg
 	frames := s.sampleBuf
 	s.sampleBuf = nil

@@ -1,9 +1,6 @@
 package edge
 
-import (
-	"shoggoth/internal/metrics"
-	"shoggoth/internal/tensor"
-)
+import "shoggoth/internal/tensor"
 
 // DeviceConfig models the edge board's real-time behaviour.
 type DeviceConfig struct {
@@ -45,8 +42,12 @@ type Device struct {
 
 	credit float64 // fractional frame-processing budget accumulator
 
-	fps        *FPSTracker
-	usageAccum metrics.Running // λ samples since last report
+	fps *FPSTracker
+
+	// λ samples since the last report: the report is their mean, so a sum
+	// and a count are all Tick has to keep on every frame.
+	usageSum float64
+	usageN   int
 }
 
 // NewDevice creates a device with the given configuration.
@@ -94,7 +95,8 @@ func (d *Device) EffectiveFPS(t float64) float64 {
 func (d *Device) Tick(t, dt float64) bool {
 	eff := d.EffectiveFPS(t)
 	d.fps.Record(t, eff)
-	d.usageAccum.Add(d.Usage(t))
+	d.usageSum += d.Usage(t)
+	d.usageN++
 	d.credit += eff * dt
 	if d.credit >= 1 {
 		d.credit -= 1
@@ -119,8 +121,11 @@ func (d *Device) Usage(t float64) float64 {
 // the accumulator (the edge "continuously collects resource usage and sends
 // the usage to the cloud").
 func (d *Device) DrainUsageReport() float64 {
-	m := d.usageAccum.Mean()
-	d.usageAccum.Reset()
+	m := 0.0
+	if d.usageN > 0 {
+		m = d.usageSum / float64(d.usageN)
+	}
+	d.usageSum, d.usageN = 0, 0
 	return m
 }
 

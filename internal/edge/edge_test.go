@@ -2,9 +2,11 @@ package edge
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"shoggoth/internal/detect"
+	"shoggoth/internal/metrics"
 )
 
 func paperSessionConfig() detect.TrainerConfig {
@@ -150,6 +152,35 @@ func TestDrainUsageReport(t *testing.T) {
 	}
 }
 
+// TestDrainUsageReportMatchesRunningMean: the λ report used to be a
+// metrics.Running's Mean; the plain sum and count that replaced it must
+// report the same bits, across drains and for an empty interval.
+func TestDrainUsageReportMatchesRunningMean(t *testing.T) {
+	d := NewDevice(DefaultDeviceConfig())
+	rng := rand.New(rand.NewPCG(3, 1))
+	var ref metrics.Running
+	dt := 1.0 / 30
+	for i := 0; i < 5000; i++ {
+		now := float64(i) * dt
+		switch rng.IntN(40) {
+		case 0:
+			d.BeginTraining(now + 3*rng.Float64())
+		case 1:
+			d.BeginEncoding(now + rng.Float64())
+		case 2:
+			if got, want := d.DrainUsageReport(), ref.Mean(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("frame %d: report %v, Running.Mean %v", i, got, want)
+			}
+			ref.Reset()
+			if got := d.DrainUsageReport(); got != 0 {
+				t.Fatalf("frame %d: empty interval reports %v, want 0", i, got)
+			}
+		}
+		ref.Add(d.Usage(now))
+		d.Tick(now, dt)
+	}
+}
+
 func TestFPSTrackerSeriesAndAverage(t *testing.T) {
 	f := NewFPSTracker()
 	for i := 0; i < 30; i++ {
@@ -255,5 +286,44 @@ func TestSamplerCreditClamped(t *testing.T) {
 	}
 	if count < 3 || count > 7 {
 		t.Fatalf("post-clamp sampling off: %d samples in 10s at 0.5 fps", count)
+	}
+}
+
+// TestSamplerSkipBefore: from any credit (the cap's 2 included) and rate,
+// none of the calls SkipBefore promises to skip accepts the n-th frame, and
+// below the camera FPS the promise stops at most two calls short.
+func TestSamplerSkipBefore(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 1))
+	const dt = 1.0 / 30
+	rates := []float64{0, 1e-6, 0.05, 0.5, 2, 10, 29.97, 30, 45, 120}
+	if got := NewSampler(1).SkipBefore(1, dt); got != 0 {
+		t.Fatalf("sampler not started: SkipBefore = %v, want 0", got)
+	}
+	for i := 0; i < 4000; i++ {
+		s := &Sampler{started: true, rate: rates[rng.IntN(len(rates))], credit: 2 * rng.Float64(), lastT: 7}
+		if rng.IntN(8) == 0 {
+			s.credit = float64(rng.IntN(3))
+		}
+		n := 1 + rng.IntN(20)
+		state := *s
+		skip := s.SkipBefore(n, dt)
+		const horizon = 3000
+		accepted, at := 0, -1
+		for call := 1; call <= horizon && at < 0; call++ {
+			if s.Sample(state.lastT + float64(call)*dt) {
+				if accepted++; accepted == n {
+					at = call
+				}
+			}
+		}
+		if at < 0 {
+			continue
+		}
+		if math.IsInf(skip, 1) || float64(at) <= skip {
+			t.Fatalf("case %d %+v n=%d: call %d accepted the n-th frame, SkipBefore promised %v calls before it", i, state, n, at, skip)
+		}
+		if state.rate < 1/dt && state.credit < 1 && float64(at)-1-skip > 2 {
+			t.Fatalf("case %d %+v n=%d: call %d accepted the n-th frame, SkipBefore promised only %v calls before it", i, state, n, at, skip)
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package edge
 
+import "math"
+
 // Sampler selects which camera frames are uploaded for labeling at the
 // current sampling rate r (frames/second). The rate is adjusted remotely by
 // the cloud's sampling-rate controller (§III-C).
@@ -53,4 +55,30 @@ func (s *Sampler) Sample(t float64) bool {
 		return true
 	}
 	return false
+}
+
+// creditSlack is taken off the credit SkipBefore still needs before it
+// divides. Sample's running sum drifts from the exact one by under 1e-15 a
+// call, so this absorbs a million calls whatever the rate.
+const creditSlack = 1e-9
+
+// SkipBefore returns how many of the coming Sample calls, made dt apart at
+// the current rate, are certain to come before the one that accepts the
+// n-th frame from now: a lower bound, +Inf when no number of calls gets
+// there, 0 when nothing can be promised (a sampler that has not started
+// accepts at once). That acceptance needs n−credit more credit and a call
+// adds dt·rate, so with x = (n−credit)/(dt·rate) it is call ⌈x⌉ at the
+// earliest and ⌈x⌉−1 calls come first. The bound promises ⌊x⌋−1 of them,
+// which holds while x is off by less than a whole call — rounding in this
+// division and in Sample's running sum together stay far below that. The
+// credit cap is ignored: it only ever delays an acceptance.
+func (s *Sampler) SkipBefore(n int, dt float64) float64 {
+	need := float64(n) - s.credit
+	if !s.started || need <= 0 {
+		return 0
+	}
+	if s.rate <= 0 {
+		return math.Inf(1) // credit no longer moves
+	}
+	return math.Max(0, math.Floor((need-creditSlack)/(dt*s.rate))-1)
 }
