@@ -3,10 +3,13 @@ package shoggoth
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"shoggoth/internal/core"
 	"shoggoth/internal/detect"
+	"shoggoth/internal/video"
 )
 
 // StudentCache pretrains at most one student per profile and hands every
@@ -72,9 +75,12 @@ type Job struct {
 
 // Fleet runs many sessions — a (profile, strategy, seed) grid, a sweep, or
 // one config per camera — on a bounded worker pool with a shared
-// pretrained-student cache. The zero value is ready to use.
+// pretrained-student cache. Full-fidelity sessions of one call that watch
+// the same video (same *Profile, same Seed) are stepped together on frames
+// rendered once; every session's Results equal its lone Run's, byte for
+// byte. The zero value is ready to use.
 type Fleet struct {
-	// Workers bounds concurrent sessions; 0 means GOMAXPROCS.
+	// Workers bounds the goroutines running sessions; 0 means GOMAXPROCS.
 	Workers int
 	// Cache, when set, shares pretrained students across fleets; nil uses
 	// a fleet-private cache.
@@ -136,41 +142,27 @@ func (f *Fleet) RunJobs(ctx context.Context, jobs []Job) ([]*Results, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	groups := streamGroups(jobs, workers)
 	out := make([]*Results, len(jobs))
-	errs := make([]error, len(jobs))
-	sem := make(chan struct{}, workers)
+	errs := make([]error, len(groups))
+	// Each worker takes the next group in order until none is left, so one
+	// worker runs them — and folds their counters into Perf — in that order.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := range jobs {
+	for w := 0; w < min(workers, len(groups)); w++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
+			for {
+				g := int(next.Add(1)) - 1
+				if g >= len(groups) {
+					return
+				}
+				if errs[g] = f.runGroup(ctx, jobs, groups[g], out); errs[g] != nil {
+					cancel()
+				}
 			}
-			sess, err := NewSession(jobs[i].Config)
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			if jobs[i].Observer != nil {
-				sess.Observe(jobs[i].Observer)
-			}
-			out[i], errs[i] = sess.RunContext(ctx)
-			if errs[i] != nil {
-				cancel()
-				return
-			}
-			if f.Perf != nil {
-				f.perfMu.Lock()
-				f.Perf.Add(sess.System().Workspace().Perf)
-				f.perfMu.Unlock()
-			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	// Prefer a real session error over the cancellations it caused.
@@ -189,6 +181,134 @@ func (f *Fleet) RunJobs(ctx context.Context, jobs []Job) ([]*Results, error) {
 		return nil, ctxErr
 	}
 	return out, nil
+}
+
+// streamGroup is the unit a Fleet worker runs: every full-fidelity job
+// watching one video — the same *Profile and Seed — so that the worker
+// renders the video once for all of them. It is the FrameSource its sessions
+// share: the worker renders a frame into it, steps every session once, and
+// renders the next, so each session's k-th Step reads frame k. Nothing but
+// the sessions themselves (a sample buffer, a replay memory) keeps a frame
+// beyond its round. An events-fidelity job renders no video and is a group
+// of its own.
+type streamGroup struct {
+	jobs   []int         // indices into RunJobs' jobs, input order
+	stream *video.Stream // set by runGroup; stays nil at events fidelity
+	frame  *Frame        // the frame of the round being stepped
+}
+
+// Next implements core.FrameSource.
+func (g *streamGroup) Next() *Frame { return g.frame }
+
+// streamGroups partitions the jobs into stream groups, in order of first
+// appearance. The key is the profile pointer, not its Name: a
+// video.ApplyScriptTransform variant keeps its base's name and plays a
+// different script.
+//
+// A group never spans goroutines, so its frames need no locks. The price is
+// parallelism, and the splitting rule pays it back: while there are fewer
+// groups than min(workers, len(jobs)), the largest group (the first among
+// equals) is halved, and each half renders its own copy of the video.
+func streamGroups(jobs []Job, workers int) []*streamGroup {
+	type stream struct {
+		profile *Profile
+		seed    uint64
+	}
+	var groups []*streamGroup
+	at := map[stream]*streamGroup{}
+	for i := range jobs {
+		cfg := &jobs[i].Config
+		key := stream{cfg.Profile, cfg.Seed}
+		g := at[key]
+		if g == nil || !fullFidelity(cfg) {
+			g = &streamGroup{}
+			groups = append(groups, g)
+			if fullFidelity(cfg) {
+				at[key] = g
+			}
+		}
+		g.jobs = append(g.jobs, i)
+	}
+	for len(groups) < min(workers, len(jobs)) {
+		big := 0
+		for i, g := range groups {
+			if len(g.jobs) > len(groups[big].jobs) {
+				big = i
+			}
+		}
+		g := groups[big]
+		half := (len(g.jobs) + 1) / 2
+		groups = slices.Insert(groups, big+1, &streamGroup{jobs: g.jobs[half:]})
+		g.jobs = g.jobs[:half]
+	}
+	return groups
+}
+
+// fullFidelity reports whether the run renders its video ("" is the default
+// spelling of FidelityFull).
+func fullFidelity(cfg *Config) bool {
+	return cfg.Fidelity == "" || cfg.Fidelity == FidelityFull
+}
+
+// runGroup builds the group's sessions and steps them round-robin, one frame
+// at a time, until the longest has played out; a session with a shorter
+// DurationSec drops out early. Results land in out at the jobs' own indices.
+// A lone session is a group of one.
+func (f *Fleet) runGroup(ctx context.Context, jobs []Job, g *streamGroup, out []*Results) error {
+	var opts core.SystemOptions
+	first := &jobs[g.jobs[0]].Config
+	if fullFidelity(first) {
+		opts.Frames = g
+	}
+	systems := make([]*core.System, len(g.jobs))
+	for k, i := range g.jobs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		sys, err := core.NewSystemOpts(jobs[i].Config, opts)
+		if err != nil {
+			return err
+		}
+		if jobs[i].Observer != nil {
+			sys.SetObserver(jobs[i].Observer)
+		}
+		systems[k] = sys
+	}
+	if opts.Frames != nil {
+		g.stream = video.NewStream(first.Profile, first.Seed)
+	}
+	live := append([]*core.System(nil), systems...)
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if len(live) == 0 {
+			break
+		}
+		if g.stream != nil {
+			g.frame = g.stream.Next()
+		}
+		n := 0
+		for _, sys := range live {
+			if sys.Step() {
+				live[n] = sys
+				n++
+			}
+		}
+		live = live[:n]
+	}
+	g.frame = nil
+	for k, i := range g.jobs {
+		out[i] = systems[k].Finish()
+	}
+	if f.Perf != nil {
+		f.perfMu.Lock()
+		for _, sys := range systems {
+			f.Perf.Add(sys.Workspace().Perf)
+		}
+		f.perfMu.Unlock()
+	}
+	return nil
 }
 
 // Grid builds the (profile × strategy) config grid with shared options

@@ -26,7 +26,7 @@ type System struct {
 
 	rng    *rand.Rand
 	sched  *sim.Scheduler
-	stream *video.Stream
+	frames FrameSource         // full fidelity: the rendered camera stream
 	sparse *video.SparseStream // events fidelity: frames without features
 
 	// shared is the timeline for cross-device work (upload arrivals that
@@ -99,9 +99,15 @@ type UplinkSender interface {
 	Send(bytes int, start float64, deliver func(now float64))
 }
 
+// FrameSource hands a full-fidelity deployment its camera frames: one call
+// per Step, frame k on the k-th call. A *video.Stream is one.
+type FrameSource interface {
+	Next() *video.Frame
+}
+
 // SystemOptions injects shared infrastructure into a deployment. The zero
-// value gives the system a private scheduler and a private cloud service —
-// the classic one-edge-one-cloud run.
+// value gives the system a private scheduler, a private cloud service and a
+// private video stream — the classic one-edge-one-cloud run.
 type SystemOptions struct {
 	// Scheduler, when set, is the virtual-time event loop this deployment
 	// shares with others (a Cluster steps every device on one clock).
@@ -118,6 +124,13 @@ type SystemOptions struct {
 	// Uplink, when set, carries this device's uploads over a shared medium
 	// instead of the config's point-to-point uplink model.
 	Uplink UplinkSender
+	// Frames, when set, supplies the camera frames in place of a private
+	// video.NewStream(cfg.Profile, cfg.Seed) and must yield exactly the
+	// frames that stream would. A Fleet hands every session watching one
+	// (profile, seed) video the same source, so the video renders once;
+	// frames are immutable (see video.Frame), so the sessions may all keep
+	// it. Events fidelity renders no frames and ignores it.
+	Frames FrameSource
 }
 
 // NewSystem builds a deployment for the config. If cfg.Pretrained is nil the
@@ -175,8 +188,8 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 		// sampled, and without feature tensors — so a 100k-device fleet
 		// never renders what nothing will consume.
 		s.sparse = video.NewSparseStream(cfg.Profile, cfg.Seed)
-	} else {
-		s.stream = video.NewStream(cfg.Profile, cfg.Seed)
+	} else if s.frames = opts.Frames; s.frames == nil {
+		s.frames = video.NewStream(cfg.Profile, cfg.Seed)
 	}
 	// The teacher is seeded from the run seed only, so every strategy on
 	// the same (profile, seed) sees identical teacher behaviour.
@@ -273,7 +286,7 @@ func (s *System) processFrame(t float64) {
 	if s.fleet {
 		s.fleetFrame(t)
 	} else {
-		f := s.stream.Next()
+		f := s.frames.Next()
 		s.strategy.OnFrame(f, t, s.dt)
 	}
 	s.frameIdx++
@@ -734,17 +747,16 @@ func (s *System) RecordProcessedFrame(f *video.Frame, dets []detect.Detection) {
 
 // collect records one evaluated frame into the metric collector.
 func (s *System) collect(f *video.Frame, dets []detect.Detection) {
-	var gts []metrics.GT
-	for _, pr := range f.Proposals {
-		if pr.GT != nil {
-			gts = append(gts, metrics.GT{Frame: f.Index, Class: pr.GT.Class, Box: pr.GT.Box})
+	c := s.collector
+	c.BeginFrame(f.Index, f.Time)
+	for i := range f.Proposals {
+		if gt := f.Proposals[i].GT; gt != nil {
+			c.AddGT(metrics.GT{Frame: f.Index, Class: gt.Class, Box: gt.Box})
 		}
 	}
-	evs := make([]metrics.Det, len(dets))
-	for i, d := range dets {
-		evs[i] = metrics.Det{Frame: f.Index, Class: d.Class, Confidence: d.Confidence, Box: d.Box}
+	for _, d := range dets {
+		c.AddDet(metrics.Det{Frame: f.Index, Class: d.Class, Confidence: d.Confidence, Box: d.Box})
 	}
-	s.collector.AddFrame(f.Index, f.Time, gts, evs)
 }
 
 // drainAlpha returns the α estimate accumulated since the last report.

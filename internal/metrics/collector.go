@@ -1,14 +1,21 @@
 package metrics
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Collector accumulates detections and ground truths over a run and computes
 // whole-stream and windowed metrics.
 type Collector struct {
 	dets []Det
 	gts  []GT
-	// frame -> stream time, for window bucketing
-	frameTime map[int]float64
+	// frameTime[f] is the stream time of frame f, for window bucketing;
+	// recorded[f] tells a frame recorded at time 0 from one never recorded.
+	// Frames are the stream's dense 0…n−1 indices, so a slice serves.
+	frameTime []float64
+	recorded  []bool
+	frames    int // distinct frames recorded
 
 	// Cursors keep streaming WindowMAP50At queries linear overall: frames
 	// arrive in nondecreasing time, so successive windows only ever skip
@@ -20,18 +27,48 @@ type Collector struct {
 
 // NewCollector creates an empty collector.
 func NewCollector() *Collector {
-	return &Collector{frameTime: make(map[int]float64)}
+	return &Collector{}
 }
 
 // AddFrame records one evaluated frame.
 func (c *Collector) AddFrame(frame int, t float64, gts []GT, dets []Det) {
-	c.frameTime[frame] = t
+	c.BeginFrame(frame, t)
 	c.gts = append(c.gts, gts...)
 	c.dets = append(c.dets, dets...)
 }
 
-// Frames returns the number of recorded frames.
-func (c *Collector) Frames() int { return len(c.frameTime) }
+// BeginFrame records that frame (a non-negative stream index) was evaluated
+// at stream time t; the frame's ground truths and detections follow through
+// AddGT and AddDet. Recording a frame again moves its time.
+func (c *Collector) BeginFrame(frame int, t float64) {
+	if frame >= len(c.frameTime) {
+		c.frameTime = append(c.frameTime, make([]float64, frame+1-len(c.frameTime))...)
+		c.recorded = append(c.recorded, make([]bool, frame+1-len(c.recorded))...)
+	}
+	if !c.recorded[frame] {
+		c.recorded[frame] = true
+		c.frames++
+	}
+	c.frameTime[frame] = t
+}
+
+// AddGT records one ground truth of a frame begun with BeginFrame.
+func (c *Collector) AddGT(g GT) { c.gts = append(c.gts, g) }
+
+// AddDet records one detection of a frame begun with BeginFrame.
+func (c *Collector) AddDet(d Det) { c.dets = append(c.dets, d) }
+
+// Frames returns the number of distinct recorded frames.
+func (c *Collector) Frames() int { return c.frames }
+
+// timeOf returns the stream time a frame was recorded at, 0 for a frame that
+// never was.
+func (c *Collector) timeOf(frame int) float64 {
+	if frame < 0 || frame >= len(c.frameTime) {
+		return 0
+	}
+	return c.frameTime[frame]
+}
 
 // MAP50 computes mAP@0.5 over everything recorded.
 func (c *Collector) MAP50() float64 { return MAP50(c.dets, c.gts) }
@@ -57,54 +94,91 @@ func (c *Collector) WindowMAP50At(start, windowSec float64) (map50 float64, ok b
 	}
 	c.winStart = start
 	end := start + windowSec
-	for c.winGT < len(c.gts) && c.frameTime[c.gts[c.winGT].Frame] < start {
+	for c.winGT < len(c.gts) && c.timeOf(c.gts[c.winGT].Frame) < start {
 		c.winGT++
 	}
-	for c.winDet < len(c.dets) && c.frameTime[c.dets[c.winDet].Frame] < start {
+	for c.winDet < len(c.dets) && c.timeOf(c.dets[c.winDet].Frame) < start {
 		c.winDet++
 	}
-	var gts []GT
-	for i := c.winGT; i < len(c.gts) && c.frameTime[c.gts[i].Frame] < end; i++ {
-		gts = append(gts, c.gts[i])
+	gtEnd := c.winGT
+	for gtEnd < len(c.gts) && c.timeOf(c.gts[gtEnd].Frame) < end {
+		gtEnd++
 	}
-	if len(gts) == 0 {
+	if gtEnd == c.winGT {
 		return 0, false
 	}
-	var dets []Det
-	for i := c.winDet; i < len(c.dets) && c.frameTime[c.dets[i].Frame] < end; i++ {
-		dets = append(dets, c.dets[i])
+	detEnd := c.winDet
+	for detEnd < len(c.dets) && c.timeOf(c.dets[detEnd].Frame) < end {
+		detEnd++
 	}
-	return MAP50(dets, gts), true
+	// MAP50 only reads its inputs, so the window's runs are scored in place.
+	return MAP50(c.dets[c.winDet:detEnd], c.gts[c.winGT:gtEnd]), true
 }
 
 // WindowedMAP50 buckets frames into windows of windowSec stream seconds and
 // returns per-window mAP@0.5 (used for the Figure 5 CDF).
 func (c *Collector) WindowedMAP50(windowSec float64) []WindowScore {
-	if windowSec <= 0 || len(c.frameTime) == 0 {
+	if windowSec <= 0 || c.frames == 0 {
 		return nil
 	}
-	window := func(t float64) int { return int(t / windowSec) }
-	detsByW := map[int][]Det{}
-	gtsByW := map[int][]GT{}
-	for _, d := range c.dets {
-		w := window(c.frameTime[d.Frame])
-		detsByW[w] = append(detsByW[w], d)
-	}
-	for _, g := range c.gts {
-		w := window(c.frameTime[g.Frame])
-		gtsByW[w] = append(gtsByW[w], g)
-	}
-	var windows []int
-	for w := range gtsByW {
-		windows = append(windows, w)
-	}
-	sort.Ints(windows)
-	out := make([]WindowScore, 0, len(windows))
-	for _, w := range windows {
+	window := func(frame int) int { return int(c.timeOf(frame) / windowSec) }
+	gts, gtWin := inWindowOrder(c.gts, func(g *GT) int { return window(g.Frame) })
+	dets, detWin := inWindowOrder(c.dets, func(d *Det) int { return window(d.Frame) })
+
+	// Each window owns one contiguous run of gts and one of dets; a window
+	// without ground truth is skipped, detections and all. Non-nil even when
+	// empty: nil is for a collector that recorded no frame at all.
+	out := []WindowScore{}
+	d := 0
+	for g := 0; g < len(gts); {
+		w := gtWin[g]
+		gEnd := runEnd(gtWin, g)
+		for d < len(dets) && detWin[d] < w {
+			d++
+		}
+		dEnd := d
+		if d < len(dets) && detWin[d] == w {
+			dEnd = runEnd(detWin, d)
+		}
 		out = append(out, WindowScore{
 			Start: float64(w) * windowSec,
-			MAP:   MAP50(detsByW[w], gtsByW[w]),
+			MAP:   MAP50(dets[d:dEnd], gts[g:gEnd]),
 		})
+		g, d = gEnd, dEnd
 	}
 	return out
+}
+
+// inWindowOrder returns xs ordered by window, arrival order kept within a
+// window, and each element's window beside it. Frames arrive in
+// nondecreasing time, so xs is normally in that order already and is
+// returned as it is; only out-of-order frames cost a sorted copy.
+func inWindowOrder[T any](xs []T, window func(*T) int) ([]T, []int) {
+	wins := make([]int, len(xs))
+	for i := range xs {
+		wins[i] = window(&xs[i])
+	}
+	if slices.IsSorted(wins) {
+		return xs, wins
+	}
+	order := make([]int, len(xs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(wins[a], wins[b]) })
+	sorted := make([]T, len(xs))
+	sortedWins := make([]int, len(xs))
+	for i, from := range order {
+		sorted[i], sortedWins[i] = xs[from], wins[from]
+	}
+	return sorted, sortedWins
+}
+
+// runEnd returns the end of the run of equal values that starts at wins[i].
+func runEnd(wins []int, i int) int {
+	end := i + 1
+	for end < len(wins) && wins[end] == wins[i] {
+		end++
+	}
+	return end
 }

@@ -16,7 +16,9 @@ type GT struct {
 
 // Proposal is one candidate region of a frame: the anchor box the detector
 // would propose, the feature vector models observe, and (for real objects)
-// the ground truth. Distractor proposals have GT == nil.
+// the ground truth. Distractor proposals have GT == nil. Like the Frame that
+// holds it, a Proposal — its Features and GT included — is never written
+// after Next returns.
 type Proposal struct {
 	// TrackID identifies the persistent scene element behind this proposal
 	// (objects and clutter share one id space); consumers use it for
@@ -28,7 +30,10 @@ type Proposal struct {
 	TrueOffset geom.Offset // anchor→GT box offset; zero for distractors
 }
 
-// Frame is one generated video frame.
+// Frame is one generated video frame. It is immutable once Next returns it:
+// any number of readers may retain and share it — a sample buffer, a
+// training region that aliases a proposal's Features, every session of a
+// Fleet stream group — and none may write to it or to anything it points to.
 type Frame struct {
 	Index      int
 	Time       float64 // seconds since stream start
