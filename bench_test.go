@@ -129,8 +129,8 @@ func BenchmarkExtraAblations(b *testing.B) {
 
 // BenchmarkFleetEngine measures the discrete-event fleet core: a
 // 1k-device rush-hour cluster at events fidelity, reporting events/sec.
-// (cmd/shoggoth-bench -perf records the 1k/10k/100k engine-vs-stepper
-// trajectory into BENCH_core.json.)
+// (The repo benchmark's fleet_fifo and fleet_policy workloads time it at
+// 20,000 devices: BENCHMARK.json, sim.engine.* rows.)
 func BenchmarkFleetEngine(b *testing.B) {
 	sc, err := shoggoth.ScenarioByName("rush-hour")
 	if err != nil {

@@ -62,8 +62,7 @@ type ClusterResults struct {
 	// the run used core.FidelitySampled.
 	Sampled *SampledStats `json:"sampled,omitempty"`
 	Cloud   CloudStats    `json:"cloud"`
-	// Engine carries event-engine telemetry; nil under the legacy
-	// frame-step core.
+	// Engine carries event-engine telemetry.
 	Engine *EngineInfo `json:"engine,omitempty"`
 }
 
@@ -88,15 +87,6 @@ func (r *ClusterResults) Utilization() float64 {
 	return r.Cloud.BusySeconds / end
 }
 
-// Cluster engine selectors (Cluster.Engine).
-const (
-	// EngineEvent is the sharded discrete-event core — the default.
-	EngineEvent = "event"
-	// EngineFrameStep is the legacy frame-by-frame stepper, kept as a
-	// differential oracle for the event engine.
-	EngineFrameStep = "frame-step"
-)
-
 // Cluster runs N edge deployments against ONE shared cloud labeling
 // service inside a single virtual-time scheduler — the paper's setting of
 // a fleet of cameras multiplexed onto one teacher. Devices genuinely
@@ -109,14 +99,15 @@ const (
 // with a single device it reproduces a Session bit for bit. The zero value
 // is ready to use.
 //
-// The default core is a discrete-event engine: devices post their next
+// The core is a discrete-event engine: devices post their next
 // interesting times to an indexed min-heap (an events-fidelity device, the
 // first frame that could upload) and fast-forward between shared events,
 // optionally sharded across EngineWorkers goroutines. Results are
 // byte-identical at every worker count — cross-device effects funnel
 // through per-device outboxes merged serially in device-index order — and
-// identical to the legacy frame stepper on the configurations both
-// support. See DESIGN.md §11 for the ordering contract.
+// identical to the frame stepper the tests keep as a differential oracle
+// (framestep_test.go) on the configurations both support. See DESIGN.md
+// §11 for the ordering contract.
 type Cluster struct {
 	// QueueCap bounds the shared labeling queue (batches in service plus
 	// waiting); an arriving batch finding it full is dropped. 0 means
@@ -153,10 +144,6 @@ type Cluster struct {
 	// ColdStartSec prices the first batch of a video domain on each replica
 	// (domain-affinity's cold-start penalty). 0 disables it.
 	ColdStartSec float64
-	// Engine selects the execution core: "" or EngineEvent runs the
-	// discrete-event engine, EngineFrameStep the legacy stepper (which
-	// cannot model shared uplink cells and rejects configs carrying one).
-	Engine string
 	// EngineWorkers shards the event engine's device batches across a
 	// goroutine pool. Purely a wall-clock knob: any value — including 0,
 	// meaning 1 — produces byte-identical ClusterResults.
@@ -226,14 +213,7 @@ func (c *Cluster) Run(ctx context.Context, cfgs []Config) (*ClusterResults, erro
 	if cache == nil {
 		cache = &c.own
 	}
-	switch c.Engine {
-	case "", EngineEvent:
-		return c.runEvents(ctx, cfgs, cache)
-	case EngineFrameStep:
-		return c.runFrameStep(ctx, cfgs, cache)
-	default:
-		return nil, fmt.Errorf("shoggoth: unknown cluster engine %q (want %q or %q)", c.Engine, EngineEvent, EngineFrameStep)
-	}
+	return c.runEvents(ctx, cfgs, cache)
 }
 
 // tierConfig assembles the shared cloud tier's configuration. When every
@@ -440,76 +420,4 @@ func countTrue(bs []bool) int {
 		}
 	}
 	return n
-}
-
-// runFrameStep is the legacy core: every device on ONE scheduler, stepped
-// in global frame-time order (ties break by device index, so simultaneous
-// frames replay identically run to run). Each Step advances the shared
-// scheduler, executing every device's due cloud/network/training events
-// along the way. O(N) per frame — it exists as the differential oracle the
-// event engine is checked against.
-func (c *Cluster) runFrameStep(ctx context.Context, cfgs []Config, cache *StudentCache) (*ClusterResults, error) {
-	for i := range cfgs {
-		if cfgs[i].Fidelity == core.FidelitySampled {
-			return nil, fmt.Errorf("shoggoth: cluster device %d: fidelity %q needs the event engine (Cluster.Engine %q)",
-				i, core.FidelitySampled, EngineEvent)
-		}
-	}
-	sched := sim.NewScheduler()
-	tier := cloud.NewTier(c.tierConfig(cfgs))
-	tier.Bind(sched)
-	sessions := make([]*core.System, len(cfgs))
-	for i, cfg := range cfgs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if cfg.DeviceID == "" {
-			cfg.DeviceID = fmt.Sprintf("edge-%d", i+1)
-		}
-		if cfg.Fidelity != core.FidelityEvents {
-			defaultPretrained(&cfg, cache)
-		}
-		sys, err := core.NewSystemOpts(cfg, core.SystemOptions{Scheduler: sched, Cloud: tier})
-		if err != nil {
-			return nil, fmt.Errorf("shoggoth: cluster device %d: %w", i, err)
-		}
-		sessions[i] = sys
-	}
-
-	for steps := 0; ; steps++ {
-		if steps&0xFF == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		best, bestT := -1, 0.0
-		for i := range sessions {
-			if t, ok := sessions[i].NextFrameTime(); ok && (best < 0 || t < bestT) {
-				best, bestT = i, t
-			}
-		}
-		if best < 0 {
-			break
-		}
-		sessions[best].Step()
-	}
-
-	out := &ClusterResults{}
-	if !c.AggregateOnly {
-		out.Devices = make([]*Results, len(sessions))
-	}
-	var fold fleetFold
-	for i, sys := range sessions {
-		r := sys.Finish()
-		if out.Devices != nil {
-			out.Devices[i] = r
-		}
-		if c.Perf != nil {
-			c.Perf.Add(sys.Workspace().Perf)
-		}
-		fold.add(r, cfgs[i].Fidelity != core.FidelityEvents)
-	}
-	out.Fleet = fold.aggregate()
-	out.Cloud = tier.TierStats()
-	return out, nil
 }

@@ -235,20 +235,20 @@ func TestClusterMixedDurationsRejected(t *testing.T) {
 }
 
 // TestClusterEngineMatchesFrameStep is the differential oracle: the
-// discrete-event engine and the legacy frame stepper must produce
-// byte-identical device results and cloud stats on any configuration both
-// support (the engine additionally reports EngineInfo, which the stepper
-// leaves nil).
+// discrete-event engine and the frame stepper kept in framestep_test.go
+// must produce byte-identical device results and cloud stats on any
+// configuration both support (the engine additionally reports EngineInfo,
+// which the stepper leaves nil).
 func TestClusterEngineMatchesFrameStep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deployment run is seconds-long; skipped with -short")
 	}
 	cfgs := clusterConfigs(t, 3, false, 120)
-	event, err := (&shoggoth.Cluster{Engine: shoggoth.EngineEvent}).Run(context.Background(), cfgs)
+	event, err := (&shoggoth.Cluster{}).Run(context.Background(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := (&shoggoth.Cluster{Engine: shoggoth.EngineFrameStep}).Run(context.Background(), cfgs)
+	legacy, err := (&shoggoth.Cluster{}).RunFrameStep(context.Background(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +334,7 @@ func TestClusterEventsFidelity(t *testing.T) {
 
 // TestClusterSharedCellUplink runs the cell-tower scenario: devices
 // multiplexed onto shared uplink cells, transfers splitting each tower's
-// aggregate rate. The frame stepper cannot model the shared medium and
-// must reject the cell assignment outright.
+// aggregate rate.
 func TestClusterSharedCellUplink(t *testing.T) {
 	sc, err := shoggoth.ScenarioByName("cell-tower")
 	if err != nil {
@@ -360,17 +359,14 @@ func TestClusterSharedCellUplink(t *testing.T) {
 	if a, b := encodeJSON(t, res), encodeJSON(t, again); !bytes.Equal(a, b) {
 		t.Fatal("shared-cell run not worker-count invariant")
 	}
-	if _, err := (&shoggoth.Cluster{Engine: shoggoth.EngineFrameStep}).Run(context.Background(), cfgs); err == nil {
-		t.Fatal("frame stepper must reject configs with a shared uplink cell")
+	if _, err := shoggoth.NewSession(cfgs[0]); err == nil {
+		t.Fatal("a private session models no shared medium and must reject a cell assignment")
 	}
 }
 
 // TestClusterEngineValidation: bad engine knobs are config errors.
 func TestClusterEngineValidation(t *testing.T) {
 	cfgs := clusterConfigs(t, 1, false, 30)
-	if _, err := (&shoggoth.Cluster{Engine: "warp"}).Run(context.Background(), cfgs); err == nil {
-		t.Fatal("unknown engine name must be rejected")
-	}
 	if _, err := (&shoggoth.Cluster{EngineWorkers: -1}).Run(context.Background(), cfgs); err == nil {
 		t.Fatal("negative engine worker count must be rejected")
 	}

@@ -1,55 +1,119 @@
 // Command shoggoth-bench regenerates every table and figure of the paper's
-// evaluation section and prints measured values next to the paper's.
+// evaluation section and prints measured values next to the paper's. It
+// takes four flags and writes no file; speed is measured by the repo
+// benchmark (BENCHMARK.json, `bash benchmark/run.sh`).
 //
 // Usage:
 //
 //	shoggoth-bench                 # all experiments, quick mode (1 cycle)
 //	shoggoth-bench -full           # paper-scale mode (2 cycles)
 //	shoggoth-bench -exp table3     # one experiment: table1 fig4 table2 table3 fig5 extra policy router scenario tier
-//	shoggoth-bench -perf           # compute-core perf mode: refresh BENCH_core.json
-//	shoggoth-bench -fleet-smoke 100000 -fleet-min-events-per-sec 5000000
-//	                               # CI fleet smoke: one capped events run with a throughput floor
+//	shoggoth-bench -seed 7         # run seed
+//	shoggoth-bench -workers 2      # concurrent sessions per experiment
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 	"time"
 
 	"shoggoth/internal/experiments"
 )
 
+type renderer interface{ Render() string }
+
+// experiment is one entry of -exp: a name and the run that produces its
+// table or figure.
+type experiment struct {
+	name string
+	run  func(experiments.Mode) (renderer, error)
+}
+
+// entry adapts an experiment function's concrete result type.
+func entry[R renderer](name string, f func(experiments.Mode) (R, error)) experiment {
+	return experiment{name, func(m experiments.Mode) (renderer, error) { return f(m) }}
+}
+
+// experimentTable lists the experiments in the order `-exp all` runs them.
+// Figure 5 scores Table I's runs, so the two share one Table I result per
+// process.
+func experimentTable() []experiment {
+	var t1 *experiments.Table1Result
+	table1 := func(m experiments.Mode) (*experiments.Table1Result, error) {
+		if t1 != nil {
+			return t1, nil
+		}
+		var err error
+		t1, err = experiments.Table1(m)
+		return t1, err
+	}
+	return []experiment{
+		entry("table1", table1),
+		entry("fig4", experiments.Figure4),
+		entry("table2", experiments.Table2),
+		entry("table3", experiments.Table3),
+		entry("fig5", func(m experiments.Mode) (*experiments.Figure5Result, error) {
+			t, err := table1(m)
+			if err != nil {
+				return nil, err
+			}
+			return experiments.Figure5(m, t)
+		}),
+		entry("extra", experiments.Extra),
+		entry("policy", experiments.PolicyAblation),
+		entry("router", experiments.RouterAblation),
+		entry("scenario", experiments.ScenarioAblation),
+		entry("tier", experiments.TierAblation),
+	}
+}
+
+// names lists table's experiment names in order, for messages.
+func names(table []experiment) string {
+	ns := make([]string, len(table))
+	for i, e := range table {
+		ns[i] = e.name
+	}
+	return strings.Join(ns, ", ")
+}
+
+// runExperiments runs the entry of table named want, or every entry in
+// order for "all", printing each result and how long it took.
+func runExperiments(w io.Writer, table []experiment, want string, mode experiments.Mode) error {
+	want = strings.ToLower(want)
+	ran := false
+	for _, e := range table {
+		if want != "all" && want != e.name {
+			continue
+		}
+		ran = true
+		start := time.Now()
+		res, err := e.run(mode)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		fmt.Fprintln(w, res.Render())
+		fmt.Fprintf(w, "(%s took %.0fs)\n\n", e.name, time.Since(start).Seconds())
+	}
+	if !ran {
+		return fmt.Errorf("unknown experiment %q (want all or one of: %s)", want, names(table))
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("shoggoth-bench: ")
 
 	full := flag.Bool("full", false, "paper-scale runs (two scenario cycles per run)")
-	exp := flag.String("exp", "all", "experiment: table1, fig4, table2, table3, fig5, extra, policy, router, scenario, tier or all")
+	table := experimentTable()
+	exp := flag.String("exp", "all", "experiment: all or one of "+names(table))
 	seed := flag.Uint64("seed", 1, "run seed")
 	workers := flag.Int("workers", 0, "concurrent sessions per experiment (0 = GOMAXPROCS)")
-	perf := flag.Bool("perf", false, "measure the compute-core hot paths (train step, inference) instead of the paper experiments")
-	perfOut := flag.String("perf-out", "BENCH_core.json", "perf mode: output file (baseline entries are preserved)")
-	perfMinFast := flag.Float64("perf-min-fast-speedup", 0, "perf mode: fail unless the fast tier's train step is at least this many times faster than the frozen baseline record's (0 = no gate; skipped without AVX2+FMA)")
-	fleetSmoke := flag.Int("fleet-smoke", 0, "run one capped events-fidelity fleet at this many devices and exit (CI smoke; 0 = off)")
-	fleetMinEvents := flag.Float64("fleet-min-events-per-sec", 0, "fleet smoke: fail unless throughput reaches this many events/sec (0 = no gate)")
-	fleetSmokeOut := flag.String("fleet-smoke-out", "", "fleet smoke: write the measurement as JSON to this path (empty = don't)")
 	flag.Parse()
-
-	if *fleetSmoke > 0 {
-		if err := runFleetSmoke(*fleetSmoke, *fleetMinEvents, *fleetSmokeOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *perf {
-		if err := runPerf(*perfOut, *perfMinFast); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	mode := experiments.Quick()
 	if *full {
@@ -58,101 +122,7 @@ func main() {
 	mode.Seed = *seed
 	mode.Workers = *workers
 
-	want := strings.ToLower(*exp)
-	run := func(name string) bool { return want == "all" || want == name }
-
-	var t1 *experiments.Table1Result
-	if run("table1") || run("fig5") {
-		start := time.Now()
-		var err error
-		t1, err = experiments.Table1(mode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if run("table1") {
-			fmt.Println(t1.Render())
-			fmt.Printf("(table1 took %.0fs)\n\n", time.Since(start).Seconds())
-		}
-	}
-	if run("fig4") {
-		start := time.Now()
-		f4, err := experiments.Figure4(mode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(f4.Render())
-		fmt.Printf("(fig4 took %.0fs)\n\n", time.Since(start).Seconds())
-	}
-	if run("table2") {
-		start := time.Now()
-		t2, err := experiments.Table2(mode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(t2.Render())
-		fmt.Printf("(table2 took %.0fs)\n\n", time.Since(start).Seconds())
-	}
-	if run("table3") {
-		start := time.Now()
-		t3, err := experiments.Table3(mode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(t3.Render())
-		fmt.Printf("(table3 took %.0fs)\n\n", time.Since(start).Seconds())
-	}
-	if run("fig5") {
-		start := time.Now()
-		f5, err := experiments.Figure5(mode, t1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(f5.Render())
-		fmt.Printf("(fig5 took %.0fs)\n\n", time.Since(start).Seconds())
-	}
-	if run("extra") {
-		start := time.Now()
-		ex, err := experiments.Extra(mode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(ex.Render())
-		fmt.Printf("(extra took %.0fs)\n\n", time.Since(start).Seconds())
-	}
-	if run("policy") {
-		start := time.Now()
-		pa, err := experiments.PolicyAblation(mode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(pa.Render())
-		fmt.Printf("(policy took %.0fs)\n\n", time.Since(start).Seconds())
-	}
-	if run("router") {
-		start := time.Now()
-		ra, err := experiments.RouterAblation(mode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(ra.Render())
-		fmt.Printf("(router took %.0fs)\n\n", time.Since(start).Seconds())
-	}
-	if run("scenario") {
-		start := time.Now()
-		sa, err := experiments.ScenarioAblation(mode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(sa.Render())
-		fmt.Printf("(scenario took %.0fs)\n\n", time.Since(start).Seconds())
-	}
-	if run("tier") {
-		start := time.Now()
-		ta, err := experiments.TierAblation(mode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(ta.Render())
-		fmt.Printf("(tier took %.0fs)\n\n", time.Since(start).Seconds())
+	if err := runExperiments(os.Stdout, table, *exp, mode); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -86,7 +86,6 @@ func main() {
 	fidelity := flag.String("fidelity", "full", "simulation fidelity: full (real models, golden-identical), events (sparse fleet-scale mode) or sampled (seeded full-fidelity subset inside an events fleet; cluster mode only)")
 	sampleFrac := flag.Float64("sample-frac", 0, "sampled fidelity: fraction of devices run at full fidelity, in (0, 1] (0 = the default fraction; needs -fidelity sampled)")
 	sampleSeed := flag.Uint64("sample-seed", 0, "sampled fidelity: seed of the device-subset draw (0 = the run seed; needs -fidelity sampled)")
-	engine := flag.String("engine", shoggoth.EngineEvent, "cluster execution core: event (discrete-event engine) or frame-step (legacy stepper)")
 	engineWorkers := flag.Int("engine-workers", 0, "event-engine device-batch workers (wall-clock only; results are identical at any value; 0 = 1)")
 	asJSON := flag.Bool("json", false, "emit JSON instead of text")
 	list := flag.Bool("list", false, "list registered strategies, profiles, cloud policies and scenarios, then exit")
@@ -202,9 +201,7 @@ func main() {
 			runFleet(cfgs, *workers, *asJSON, *verbose, header, *seed)
 			return
 		}
-		runCluster(cfgs, clusterParams{
-			seed: *seed, engine: *engine, engineWorkers: *engineWorkers,
-		}, *asJSON, *verbose, header)
+		runCluster(cfgs, clusterParams{seed: *seed, engineWorkers: *engineWorkers}, *asJSON, *verbose, header)
 		return
 	}
 
@@ -224,9 +221,7 @@ func main() {
 		}
 		applyCloudFlags(cfgs)
 		header := fmt.Sprintf("profile=%s strategy=%s", profile.Name, kinds[0])
-		runCluster(cfgs, clusterParams{
-			seed: *seed, engine: *engine, engineWorkers: *engineWorkers,
-		}, *asJSON, *verbose, header)
+		runCluster(cfgs, clusterParams{seed: *seed, engineWorkers: *engineWorkers}, *asJSON, *verbose, header)
 		return
 	}
 
@@ -323,7 +318,6 @@ func runFleet(cfgs []shoggoth.Config, workers int, asJSON, verbose bool, header 
 // the execution-core knobs remain here.
 type clusterParams struct {
 	seed          uint64
-	engine        string
 	engineWorkers int
 }
 
@@ -345,7 +339,7 @@ func parseFidelity(name string) (shoggoth.Fidelity, error) {
 // labeling service and prints per-device results plus the queue's
 // contention statistics.
 func runCluster(cfgs []shoggoth.Config, p clusterParams, asJSON, verbose bool, header string) {
-	cluster := &shoggoth.Cluster{Engine: p.engine, EngineWorkers: p.engineWorkers}
+	cluster := &shoggoth.Cluster{EngineWorkers: p.engineWorkers}
 	if verbose {
 		cluster.Perf = &shoggoth.PerfCounters{}
 		clock := shoggoth.WallClock()
@@ -428,9 +422,7 @@ func runCluster(cfgs []shoggoth.Config, p clusterParams, asJSON, verbose bool, h
 		fmt.Printf("  avgIoU  est %.3f ± %.3f (95%% CI [%.3f, %.3f])\n",
 			s.AvgIoU.Mean, s.AvgIoU.StdErr, s.AvgIoU.Lo95, s.AvgIoU.Hi95)
 	}
-	if res.Engine != nil {
-		fmt.Printf("engine: %d events over %d epochs\n", res.Engine.Events, res.Engine.Epochs)
-	}
+	fmt.Printf("engine: %d events over %d epochs\n", res.Engine.Events, res.Engine.Epochs)
 }
 
 func printPerf(pc *shoggoth.PerfCounters) {

@@ -54,19 +54,23 @@ func TestClusterEventsFidelityMatchesFrameStep(t *testing.T) {
 		for _, wait := range []float64{0, 5} {
 			t.Run(fmt.Sprintf("%s/wait=%g", tier.name, wait), func(t *testing.T) {
 				cfgs := eventsFleet(t, "rush-hour", 300, 9, 0.2, wait)
-				run := func(engine string, workers int) *shoggoth.ClusterResults {
+				run := func(workers int, stepper bool) *shoggoth.ClusterResults {
 					c := &shoggoth.Cluster{
 						Replicas: 2, Workers: 4, QueueCap: 64,
 						Policy: tier.policy, Router: tier.router, Coalesce: tier.coalesce,
-						Engine: engine, EngineWorkers: workers,
+						EngineWorkers: workers,
 					}
-					res, err := c.Run(context.Background(), cfgs)
+					runner := c.Run
+					if stepper {
+						runner = c.RunFrameStep
+					}
+					res, err := runner(context.Background(), cfgs)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return res
 				}
-				oracle := run(shoggoth.EngineFrameStep, 0)
+				oracle := run(0, true)
 				if oracle.Cloud.Batches == 0 || oracle.Cloud.DroppedBatches == 0 {
 					t.Fatalf("tier served %d batches and dropped %d: want both paths exercised",
 						oracle.Cloud.Batches, oracle.Cloud.DroppedBatches)
@@ -74,7 +78,7 @@ func TestClusterEventsFidelityMatchesFrameStep(t *testing.T) {
 				wantDevices, wantCloud := encodeJSON(t, oracle.Devices), encodeJSON(t, oracle.Cloud)
 				events := int64(0) // the first worker count's, which the rest must repeat
 				for _, workers := range []int{1, 4} {
-					got := run(shoggoth.EngineEvent, workers)
+					got := run(workers, false)
 					if !bytes.Equal(encodeJSON(t, got.Devices), wantDevices) {
 						t.Fatalf("EngineWorkers=%d: device results diverged from the frame stepper", workers)
 					}

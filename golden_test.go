@@ -109,34 +109,6 @@ func TestGoldenExplicitFIFOOneWorker(t *testing.T) {
 	}
 }
 
-// TestGoldenExplicitTierOneReplica locks the routing tier's pass-through
-// contract: explicitly requesting a 1-replica round-robin tier (which makes
-// the system build a Tier instead of a bare Service) over the frozen FIFO x
-// 1-worker discipline must still reproduce testdata/golden_results.json
-// byte for byte — the tier is an exact wrapper, not merely a similar one.
-func TestGoldenExplicitTierOneReplica(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quick-mode deployment run is seconds-long; skipped with -short")
-	}
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden-file byte comparison is amd64-only (FMA contraction differs on %s)", runtime.GOARCH)
-	}
-	explicit := goldenResults(t, func(c *shoggoth.Config) {
-		c.CloudReplicas = 1
-		c.CloudRouter = "round-robin" // any non-empty tier knob forces the Tier path
-		c.CloudPolicy = "fifo"
-		c.CloudWorkers = 1
-	})
-	golden, err := os.ReadFile("testdata/golden_results.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(explicit, golden) {
-		t.Fatal("explicit 1-replica round-robin tier diverged from the golden capture; " +
-			"the tier's pass-through contract is broken")
-	}
-}
-
 // TestGoldenExplicitExactTier locks the compute tier's default-equivalence
 // contract: explicitly requesting ComputeTier "exact" must reproduce
 // testdata/golden_results.json byte for byte — the exact tier IS the frozen

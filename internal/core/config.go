@@ -43,14 +43,36 @@ const (
 	// ClusterResults extrapolates fleet accuracy aggregates from the
 	// subset with a bootstrap error bound. It is a fleet-level concept:
 	// the Cluster event engine rewrites each device to full or events
-	// fidelity before any System is built, so a single-device run (or the
-	// frame-step engine) rejects it.
+	// fidelity before any System is built, so a single-device run rejects
+	// it.
 	FidelitySampled Fidelity = "sampled"
 )
 
 // DefaultSampledFrac is the fraction of fleet devices run at full fidelity
 // under FidelitySampled when Config.SampledFrac is zero.
 const DefaultSampledFrac = 0.05
+
+// Calibration no run varies.
+const (
+	// confThreshold is θ for the α accuracy estimate (paper: 0.5).
+	confThreshold float64 = 0.5
+	// windowSec is the bucketing window for per-window mAP (Figure 5).
+	windowSec float64 = 10
+	// trainRegionsPerFrame subsamples labeled regions per frame for SGD
+	// (class-balanced hard-example selection; keeps region batches at the
+	// paper's 300-sample scale).
+	trainRegionsPerFrame int = 6
+	// canonicalBatch/canonicalReplay are the virtual image counts fed to
+	// the cost model: the paper's 300-image batches with 1500 replay
+	// images, which define session durations (Table II).
+	canonicalBatch  int = 300
+	canonicalReplay int = 1500
+	// amsCloudSpeedup is how much faster the V100 trains than the edge
+	// board; amsQuantNoise is the relative weight noise of AMS's
+	// compressed model updates.
+	amsCloudSpeedup float64 = 40
+	amsQuantNoise   float64 = 0.025
+)
 
 // Config fully describes one experiment run.
 type Config struct {
@@ -95,15 +117,13 @@ type Config struct {
 	CloudWorkers int
 
 	// CloudReplicas is how many teacher replicas the private cloud tier
-	// owns. Values ≤ 1 (with every other tier knob unset) keep the bare
-	// single Service, the frozen default. Ignored when the run joins a
-	// shared cloud service.
+	// owns. Values ≤ 1 mean one replica, the frozen default. Ignored when
+	// the run joins a shared cloud service.
 	CloudReplicas int
 	// CloudRouter names the replica router dispatching batches across the
 	// tier (registered in internal/cloud: "round-robin", "least-loaded",
 	// "domain-affinity", plus anything added via RegisterRouter). Empty
-	// means round-robin. Setting it — even with one replica — builds a
-	// Tier. Ignored when the run joins a shared cloud service.
+	// means round-robin. Ignored when the run joins a shared cloud service.
 	CloudRouter string
 	// CloudAdmitRate enables token-bucket admission control in front of the
 	// tier: sustained batches per virtual second, with CloudAdmitBurst
@@ -145,11 +165,6 @@ type Config struct {
 	// rate (2 fps); Table III sweeps fixed rates.
 	SampleRate float64
 
-	// ConfThreshold is θ for the α accuracy estimate (paper: 0.5).
-	ConfThreshold float64
-	// WindowSec is the bucketing window for per-window mAP (Figure 5).
-	WindowSec float64
-
 	Controller cloud.ControllerConfig
 	Labeler    cloud.LabelerConfig
 	Trainer    detect.TrainerConfig
@@ -189,22 +204,6 @@ type Config struct {
 	// BatchFrames is how many labeled sampled frames accumulate before an
 	// adaptive-training session triggers.
 	BatchFrames int
-	// TrainRegionsPerFrame subsamples labeled regions per frame for SGD
-	// (class-balanced hard-example selection; keeps region batches at the
-	// paper's 300-sample scale).
-	TrainRegionsPerFrame int
-
-	// CanonicalBatch/CanonicalReplay are the virtual image counts fed to
-	// the cost model: the paper's 300-image batches with 1500 replay
-	// images, which define session durations (Table II).
-	CanonicalBatch  int
-	CanonicalReplay int
-
-	// AMSCloudSpeedup is how much faster the V100 trains than the edge
-	// board; AMSQuantNoise is the relative weight noise of AMS's
-	// compressed model updates.
-	AMSCloudSpeedup float64
-	AMSQuantNoise   float64
 
 	// PerfClock, when set, is the timestamp source (monotonic seconds) the
 	// workspace PerfCounters measure inference and training cost with.
@@ -222,28 +221,21 @@ type Config struct {
 // Prompt pins the fixed maximum sampling rate).
 func NewConfig(kind StrategyKind, p *video.Profile) Config {
 	cfg := Config{
-		Kind:                 kind,
-		Profile:              p,
-		DurationSec:          2 * p.ScriptDuration(),
-		Seed:                 1,
-		ConfThreshold:        0.5,
-		WindowSec:            10,
-		Controller:           cloud.DefaultControllerConfig(),
-		Labeler:              cloud.DefaultLabelerConfig(),
-		Trainer:              detect.DefaultTrainerConfig(),
-		Device:               edge.DefaultDeviceConfig(),
-		Cost:                 edge.DefaultCostModel(),
-		Uplink:               netsim.DefaultUplink(),
-		Downlink:             netsim.DefaultDownlink(),
-		Codec:                netsim.DefaultCodec(p.BaseFrameKB),
-		UploadFrames:         20,
-		UploadMaxWaitSec:     25,
-		BatchFrames:          75,
-		TrainRegionsPerFrame: 6,
-		CanonicalBatch:       300,
-		CanonicalReplay:      1500,
-		AMSCloudSpeedup:      40,
-		AMSQuantNoise:        0.025,
+		Kind:             kind,
+		Profile:          p,
+		DurationSec:      2 * p.ScriptDuration(),
+		Seed:             1,
+		Controller:       cloud.DefaultControllerConfig(),
+		Labeler:          cloud.DefaultLabelerConfig(),
+		Trainer:          detect.DefaultTrainerConfig(),
+		Device:           edge.DefaultDeviceConfig(),
+		Cost:             edge.DefaultCostModel(),
+		Uplink:           netsim.DefaultUplink(),
+		Downlink:         netsim.DefaultDownlink(),
+		Codec:            netsim.DefaultCodec(p.BaseFrameKB),
+		UploadFrames:     20,
+		UploadMaxWaitSec: 25,
+		BatchFrames:      75,
 	}
 	if d, ok := Lookup(kind); ok && d.Preset != nil {
 		d.Preset(&cfg)
@@ -346,15 +338,6 @@ func (c *Config) validateLink(dir string, l netsim.Link, trace netsim.Trace) err
 		return fmt.Errorf("core: negative %s latency %g s", dir, l.LatencySec)
 	}
 	return nil
-}
-
-// cloudTier reports whether any tier knob is set, in which case a private
-// run builds its cloud as a cloud.Tier instead of the bare Service. With
-// every knob unset the bare Service keeps the frozen default path (and its
-// bit-identical golden output).
-func (c *Config) cloudTier() bool {
-	return c.CloudReplicas > 1 || c.CloudRouter != "" || c.CloudAdmitRate > 0 ||
-		c.CloudCoalesce >= 2 || c.CloudColdStartSec > 0
 }
 
 // Compute resolves the compute-tier knobs into the kernel descriptor

@@ -55,7 +55,7 @@ func (st *amsStrategy) OnTrainDue(batch []detect.LabeledRegion, now float64) {
 	sys := st.Sys
 	cfg := sys.Config()
 	cost := sys.ClaimSessionCost(st.costCfg)
-	dur := cost.TotalSec() / cfg.AMSCloudSpeedup
+	dur := cost.TotalSec() / amsCloudSpeedup
 	start := math.Max(now, st.busyTil)
 	end := start + dur
 	st.busyTil = end
@@ -82,14 +82,10 @@ func (st *amsStrategy) applyUpdate() {
 	sys := st.Sys
 	student := sys.Student()
 	student.CopyWeightsFrom(st.student)
-	noise := sys.Config().AMSQuantNoise
-	if noise <= 0 {
-		return
-	}
 	rng := sys.RNG()
 	for _, p := range student.Params() {
 		rms := p.Value.Norm2() / math.Sqrt(float64(len(p.Value.Data)))
-		sigma := noise * rms
+		sigma := amsQuantNoise * rms
 		for i := range p.Value.Data {
 			p.Value.Data[i] += rng.NormFloat64() * sigma
 		}

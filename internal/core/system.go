@@ -45,11 +45,11 @@ type System struct {
 	device  *edge.Device
 	sampler *edge.Sampler
 
-	// cloudSvc is the labeling backend this deployment uploads to; private
-	// by default (a bare Service, or a Tier when the config asks for
-	// replicas/admission/coalescing), shared across deployments under a
-	// Cluster. cloudDev is this device's registration on it (labeler φ
-	// continuity plus the optional sampling-rate controller).
+	// cloudSvc is the labeling backend this deployment uploads to: a
+	// private cloud.Tier built from the config's Cloud* knobs by default,
+	// one shared across deployments under a Cluster. cloudDev is this
+	// device's registration on it (labeler φ continuity plus the optional
+	// sampling-rate controller).
 	cloudSvc cloud.Backend
 	cloudDev cloud.Device
 
@@ -198,20 +198,9 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 
 	s.cloudSvc = opts.Cloud
 	if s.cloudSvc == nil {
-		if cfg.cloudTier() {
-			tier := cloud.NewTier(cfg.CloudTierConfig())
-			tier.Bind(sched)
-			s.cloudSvc = tier
-		} else {
-			svc := cloud.NewService(cloud.ServiceConfig{
-				QueueCap:    cfg.CloudQueueCap,
-				Policy:      cfg.CloudPolicy,
-				Workers:     cfg.CloudWorkers,
-				ComputeTier: cfg.ComputeTier,
-			})
-			svc.Bind(sched)
-			s.cloudSvc = svc
-		}
+		tier := cloud.NewTier(cfg.CloudTierConfig())
+		tier.Bind(sched)
+		s.cloudSvc = tier
 	}
 	var ctrlCfg *cloud.ControllerConfig
 	if cfg.adaptive() {
@@ -247,7 +236,7 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 
 	s.dt = 1 / cfg.Profile.FPS
 	s.nFrames = int(cfg.DurationSec * cfg.Profile.FPS)
-	s.nextWindowEnd = cfg.WindowSec
+	s.nextWindowEnd = windowSec
 
 	s.strategy = desc.New()
 	if err := s.strategy.Init(s); err != nil {
@@ -438,7 +427,7 @@ func (s *System) Finish() *Results {
 		end = float64(s.frameIdx) * s.dt
 	}
 	s.sched.AdvanceTo(end)
-	s.emitWindows(end + s.cfg.WindowSec) // flush the tail windows
+	s.emitWindows(end + windowSec) // flush the tail windows
 	s.final = s.finalize(end)
 	return s.final
 }
@@ -446,15 +435,15 @@ func (s *System) Finish() *Results {
 // emitWindows streams the mAP of every window that closed before t to the
 // observer (read-only over the collector: Results are unaffected).
 func (s *System) emitWindows(t float64) {
-	if s.obs == nil || s.cfg.WindowSec <= 0 {
+	if s.obs == nil {
 		return
 	}
-	for t >= s.nextWindowEnd && s.nextWindowEnd-s.cfg.WindowSec < s.cfg.DurationSec {
-		start := s.nextWindowEnd - s.cfg.WindowSec
-		if m, ok := s.collector.WindowMAP50At(start, s.cfg.WindowSec); ok {
+	for t >= s.nextWindowEnd && s.nextWindowEnd-windowSec < s.cfg.DurationSec {
+		start := s.nextWindowEnd - windowSec
+		if m, ok := s.collector.WindowMAP50At(start, windowSec); ok {
 			s.obs.OnWindowMAP(metrics.WindowScore{Start: start, MAP: m})
 		}
-		s.nextWindowEnd += s.cfg.WindowSec
+		s.nextWindowEnd += windowSec
 	}
 }
 
@@ -524,7 +513,7 @@ func (s *System) InferFrame(f *video.Frame, t, dt float64) {
 	s.RecordProcessedFrame(f, res.Detections)
 	for _, c := range res.Confidences {
 		acc := 0.0
-		if c >= s.cfg.ConfThreshold {
+		if c >= confThreshold {
 			acc = 1
 		}
 		s.alphaAcc.Add(acc)
@@ -654,11 +643,11 @@ func (s *System) accumulateBatch(frames []*video.Frame, labels [][]detect.Teache
 	s.batchFrames += len(frames)
 }
 
-// subsample picks up to TrainRegionsPerFrame regions, preferring positives
+// subsample picks up to trainRegionsPerFrame regions, preferring positives
 // (class-balanced hard-example selection) while keeping some negatives.
 func (s *System) subsample(regions []detect.LabeledRegion) []detect.LabeledRegion {
-	k := s.cfg.TrainRegionsPerFrame
-	if k <= 0 || len(regions) <= k {
+	const k = trainRegionsPerFrame
+	if len(regions) <= k {
 		return regions
 	}
 	bg := s.cfg.Profile.BackgroundClass()
@@ -696,11 +685,11 @@ func (s *System) subsample(regions []detect.LabeledRegion) []detect.LabeledRegio
 func (s *System) ClaimSessionCost(tc detect.TrainerConfig) edge.SessionCost {
 	first := s.sessionsSched == 0
 	s.sessionsSched++
-	replayVirtual := s.cfg.CanonicalReplay
+	replayVirtual := canonicalReplay
 	if first {
 		replayVirtual = 0
 	}
-	cost := s.cfg.Cost.Session(tc, first, s.cfg.CanonicalBatch, replayVirtual)
+	cost := s.cfg.Cost.Session(tc, first, canonicalBatch, replayVirtual)
 	if s.fleet {
 		// Events fidelity prices training instead of running it, so the
 		// configured compute tier must show up in the price: the measured
@@ -786,7 +775,7 @@ func (s *System) finalize(end float64) *Results {
 	r.DownBytes = s.usage.DownBytes
 	r.AvgFPS = s.device.FPS().Average()
 	r.FPSSeries = s.device.FPS().Series()
-	r.WindowMAPs = s.collector.WindowedMAP50(cfg.WindowSec)
+	r.WindowMAPs = s.collector.WindowedMAP50(windowSec)
 	r.PhiMean = s.phiAll.Mean()
 	r.AlphaMean = s.alphaAll.Mean()
 	r.Device = cfg.DeviceID

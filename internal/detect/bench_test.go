@@ -49,7 +49,8 @@ func benchBatch(p *video.Profile, n int, rng *rand.Rand) []LabeledRegion {
 // paper's configuration (8 epochs, 64-sample mini-batches, warm 1500-sample
 // replay memory) and reports ns/step across its SGD steps: replay sampling,
 // mini-batch assembly, forward, loss, backward and the optimizer update.
-// ns/step and allocs/step are the tracked perf baseline of BENCH_core.json.
+// The repo benchmark tracks the same step as detect.train_step_exact_ns and
+// detect.train_session_allocs (BENCHMARK.json).
 func BenchmarkStepTrainer(b *testing.B) {
 	tr, batch := benchTrainerFixture(b, 8)
 	tr.Config.MiniBatch = 64

@@ -1,9 +1,9 @@
 package detect
 
 import (
-	"bytes"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"shoggoth/internal/nn"
@@ -11,9 +11,36 @@ import (
 	"shoggoth/internal/video"
 )
 
+// weightBits returns the bit pattern of every weight of s: the trainable
+// parameters, then each normalisation layer's running statistics.
+func weightBits(s *Student) []uint64 {
+	var bits []uint64
+	add := func(vals []float64) {
+		for _, v := range vals {
+			bits = append(bits, math.Float64bits(v))
+		}
+	}
+	for _, p := range s.Params() {
+		add(p.Value.Data)
+	}
+	for _, net := range []*nn.Sequential{s.Backbone, s.ClassHead, s.BoxHead} {
+		for _, l := range net.LayersList {
+			switch n := l.(type) {
+			case *nn.BatchNorm:
+				add(n.RunMean.Data)
+				add(n.RunVar.Data)
+			case *nn.BatchRenorm:
+				add(n.RunMean.Data)
+				add(n.RunVar.Data)
+			}
+		}
+	}
+	return bits
+}
+
 // fastTrainRun trains a fresh student for a few sessions on identical data
-// and returns the serialised final weights plus the last session's stats.
-func fastTrainRun(t *testing.T, compute nn.Compute, workers int) ([]byte, SessionStats) {
+// and returns the final weights' bits plus the last session's stats.
+func fastTrainRun(t *testing.T, compute nn.Compute, workers int) ([]uint64, SessionStats) {
 	t.Helper()
 	p := video.DETRACProfile()
 	s := NewStudent(p.FeatureDim(), p.NumClasses(), rand.New(rand.NewPCG(61, 62)))
@@ -27,17 +54,13 @@ func fastTrainRun(t *testing.T, compute nn.Compute, workers int) ([]byte, Sessio
 	for i := 0; i < 3; i++ {
 		stats = tr.RunSession(benchBatch(p, 96, dataRng))
 	}
-	w, err := s.MarshalWeights()
-	if err != nil {
-		t.Fatalf("marshal weights: %v", err)
-	}
-	return w, stats
+	return weightBits(s), stats
 }
 
 // TestFastTrainerAccumDeterminism is the fast tier's core determinism
 // guarantee: the mini-batch always splits into the same fixed shards and the
 // gradients reduce in the same tree order, so the trained weights are
-// byte-identical for every AccumWorkers value — and across repeated runs.
+// bit-identical for every AccumWorkers value — and across repeated runs.
 // CI runs this under -race, which also vets the concurrent shard execution.
 func TestFastTrainerAccumDeterminism(t *testing.T) {
 	for _, lane := range []tensor.Lane{tensor.LaneF64, tensor.LaneF32} {
@@ -46,10 +69,10 @@ func TestFastTrainerAccumDeterminism(t *testing.T) {
 		w3, _ := fastTrainRun(t, compute, 3)
 		w8a, _ := fastTrainRun(t, compute, 8)
 		w8b, s8 := fastTrainRun(t, compute, 8)
-		if !bytes.Equal(w1, w3) || !bytes.Equal(w1, w8a) {
+		if !slices.Equal(w1, w3) || !slices.Equal(w1, w8a) {
 			t.Fatalf("lane %v: weights differ across worker counts 1/3/8", lane)
 		}
-		if !bytes.Equal(w8a, w8b) {
+		if !slices.Equal(w8a, w8b) {
 			t.Fatalf("lane %v: repeated 8-worker runs differ", lane)
 		}
 		if s1 != s8 {

@@ -243,30 +243,3 @@ func (s *Student) Params() []*nn.Param {
 	out = append(out, s.BoxHead.Params()...)
 	return out
 }
-
-// MarshalWeights serialises the full student (used by the AMS baseline's
-// model streaming and by the HTTP transport).
-func (s *Student) MarshalWeights() ([]byte, error) {
-	parts := make([][]byte, 3)
-	var err error
-	for i, net := range []*nn.Sequential{s.Backbone, s.ClassHead, s.BoxHead} {
-		if parts[i], err = net.MarshalWeights(); err != nil {
-			return nil, err
-		}
-	}
-	return encodeParts(parts)
-}
-
-// UnmarshalWeights loads weights produced by MarshalWeights.
-func (s *Student) UnmarshalWeights(data []byte) error {
-	parts, err := decodeParts(data)
-	if err != nil {
-		return err
-	}
-	for i, net := range []*nn.Sequential{s.Backbone, s.ClassHead, s.BoxHead} {
-		if err := net.UnmarshalWeights(parts[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}

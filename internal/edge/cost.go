@@ -64,11 +64,13 @@ func (c SessionCost) Scaled(speedup float64) SessionCost {
 	return SessionCost{ForwardSec: c.ForwardSec / speedup, BackwardSec: c.BackwardSec / speedup}
 }
 
-// Measured whole-step training costs of the two compute tiers on the
-// reference machine (BENCH_core.json current/fast_tier: go1.24 linux/amd64,
-// Intel Xeon @ 2.10GHz, AVX2+FMA). Their ratio is the only thing the cost
-// model consumes, so drift in absolute machine speed cancels; refresh both
-// together when re-recording BENCH_core.json.
+// Whole-step training costs of the two compute tiers as once measured on
+// the reference machine (go1.24 linux/amd64, Intel Xeon @ 2.10GHz,
+// AVX2+FMA); the repo benchmark measures the same steps today as
+// detect.train_step_exact_ns and detect.train_step_fast_ns (BENCHMARK.json).
+// Their ratio is the only thing the cost model consumes, so drift in
+// absolute machine speed cancels. The values are frozen: they price
+// events-fidelity training sessions, so changing either moves result bytes.
 const (
 	ExactStepNs = 82021.6
 	FastStepNs  = 38055.3

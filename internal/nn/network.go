@@ -146,3 +146,24 @@ func (s *Sequential) checkRange(lo, hi int) {
 		panic(fmt.Sprintf("nn: invalid layer range [%d,%d) of %d", lo, hi, len(s.LayersList)))
 	}
 }
+
+// CopyWeightsFrom copies all weights and statistics from src (identical
+// architecture) into s.
+func (s *Sequential) CopyWeightsFrom(src *Sequential) {
+	dst := s.Params()
+	from := src.Params()
+	if len(dst) != len(from) {
+		panic("nn: copy weights: parameter count mismatch")
+	}
+	for i, p := range dst {
+		copy(p.Value.Data, from[i].Value.Data)
+	}
+	for i, l := range s.LayersList {
+		if bn := asNorm(l); bn != nil {
+			if sb := asNorm(src.LayersList[i]); sb != nil {
+				copy(bn.RunMean.Data, sb.RunMean.Data)
+				copy(bn.RunVar.Data, sb.RunVar.Data)
+			}
+		}
+	}
+}

@@ -297,39 +297,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestMarshalUnmarshalRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(8, 8))
-	net := NewSequential(NewDense("d1", 3, 4, rng), NewBatchRenorm("n", 4), NewDense("d2", 4, 2, rng))
-	// Perturb running stats so they round-trip meaningfully.
-	net.Layer(1).(*BatchRenorm).RunMean.Data[1] = 3.5
-	data, err := net.MarshalWeights()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng2 := rand.New(rand.NewPCG(99, 99))
-	other := NewSequential(NewDense("d1", 3, 4, rng2), NewBatchRenorm("n", 4), NewDense("d2", 4, 2, rng2))
-	if err := other.UnmarshalWeights(data); err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.FromRows([][]float64{{0.5, -1, 2}})
-	if !net.Forward(x, false).Equal(other.Forward(x, false), 1e-12) {
-		t.Fatal("deserialised network must produce identical outputs")
-	}
-}
-
-func TestUnmarshalWrongShapeFails(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	net := NewSequential(NewDense("d1", 3, 4, rng))
-	data, err := net.MarshalWeights()
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := NewSequential(NewDense("d1", 3, 5, rng))
-	if err := other.UnmarshalWeights(data); err == nil {
-		t.Fatal("expected error for shape mismatch")
-	}
-}
-
 func TestCopyWeightsFrom(t *testing.T) {
 	rng := rand.New(rand.NewPCG(10, 10))
 	a := NewSequential(NewDense("d", 2, 2, rng))

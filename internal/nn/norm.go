@@ -305,3 +305,15 @@ func (bn *BatchNorm) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	}
 	return out
 }
+
+// asNorm returns the normalisation state of l, or nil for any other layer.
+func asNorm(l Layer) *BatchNorm {
+	switch v := l.(type) {
+	case *BatchNorm:
+		return v
+	case *BatchRenorm:
+		return &v.BatchNorm
+	default:
+		return nil
+	}
+}

@@ -99,8 +99,8 @@ func TestSampledFidelityDeterministic(t *testing.T) {
 	}
 }
 
-// TestSampledFidelityRejections pins the mode's guard rails: the frame-step
-// engine refuses it, mixed fleets refuse it, and a Session cannot carry it.
+// TestSampledFidelityRejections pins the mode's guard rails: mixed fleets
+// refuse it, and a Session cannot carry it.
 func TestSampledFidelityRejections(t *testing.T) {
 	p, err := shoggoth.ProfileByName(shoggoth.ProfileDETRAC)
 	if err != nil {
@@ -113,11 +113,6 @@ func TestSampledFidelityRejections(t *testing.T) {
 				append([]shoggoth.Option{shoggoth.WithSeed(uint64(i + 1)), shoggoth.WithCycles(0.01)}, opts...)...)
 		}
 		return cfgs
-	}
-
-	cfgs := mk(3, shoggoth.WithSampledFidelity(0.5, 0))
-	if _, err := (&shoggoth.Cluster{Engine: shoggoth.EngineFrameStep}).Run(context.Background(), cfgs); err == nil {
-		t.Error("frame-step engine accepted sampled fidelity")
 	}
 
 	mixed := mk(3, shoggoth.WithSampledFidelity(0.5, 0))
