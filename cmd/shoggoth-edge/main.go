@@ -64,17 +64,15 @@ func main() {
 	for i := 0; i < frames; i++ {
 		f := stream.Next()
 		inf := student.Infer(f)
-		var gts []metrics.GT
+		col.BeginFrame(f.Index, f.Time)
 		for _, pr := range f.Proposals {
 			if pr.GT != nil {
-				gts = append(gts, metrics.GT{Frame: f.Index, Class: pr.GT.Class, Box: pr.GT.Box})
+				col.AddGT(metrics.GT{Frame: f.Index, Class: pr.GT.Class, Box: pr.GT.Box})
 			}
 		}
-		evs := make([]metrics.Det, len(inf.Detections))
-		for j, d := range inf.Detections {
-			evs[j] = metrics.Det{Frame: f.Index, Class: d.Class, Confidence: d.Confidence, Box: d.Box}
+		for _, d := range inf.Detections {
+			col.AddDet(metrics.Det{Frame: f.Index, Class: d.Class, Confidence: d.Confidence, Box: d.Box})
 		}
-		col.AddFrame(f.Index, f.Time, gts, evs)
 		for _, c := range inf.Confidences {
 			if c >= 0.5 {
 				alphaAcc.Add(1)

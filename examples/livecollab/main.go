@@ -112,15 +112,13 @@ func main() {
 }
 
 func recordFrame(col *metrics.Collector, f *video.Frame, dets []detect.Detection) {
-	var gts []metrics.GT
+	col.BeginFrame(f.Index, f.Time)
 	for _, pr := range f.Proposals {
 		if pr.GT != nil {
-			gts = append(gts, metrics.GT{Frame: f.Index, Class: pr.GT.Class, Box: pr.GT.Box})
+			col.AddGT(metrics.GT{Frame: f.Index, Class: pr.GT.Class, Box: pr.GT.Box})
 		}
 	}
-	evs := make([]metrics.Det, len(dets))
-	for i, d := range dets {
-		evs[i] = metrics.Det{Frame: f.Index, Class: d.Class, Confidence: d.Confidence, Box: d.Box}
+	for _, d := range dets {
+		col.AddDet(metrics.Det{Frame: f.Index, Class: d.Class, Confidence: d.Confidence, Box: d.Box})
 	}
-	col.AddFrame(f.Index, f.Time, gts, evs)
 }

@@ -1,28 +1,41 @@
 package metrics
 
-import (
-	"cmp"
-	"slices"
-)
+import "fmt"
 
-// Collector accumulates detections and ground truths over a run and computes
-// whole-stream and windowed metrics.
+// Collector scores a run's frames as they arrive and computes whole-stream
+// and windowed metrics from what the scoring leaves: 16 bytes per detection,
+// a class per ground truth, and a running IoU sum.
+//
+// Each frame is evaluated once, in stream order: BeginFrame takes strictly
+// increasing indices, and AddGT and AddDet belong between a frame's
+// BeginFrame and the next call that is neither — the next BeginFrame or any
+// query scores the frame and lets its boxes go. They must name that frame.
+// A call that breaks this is a bug in the caller and panics.
 type Collector struct {
-	dets []Det
-	gts  []GT
-	// frameTime[f] is the stream time of frame f, for window bucketing;
-	// recorded[f] tells a frame recorded at time 0 from one never recorded.
-	// Frames are the stream's dense 0…n−1 indices, so a slice serves.
-	frameTime []float64
-	recorded  []bool
-	frames    int // distinct frames recorded
+	frames  []frameRec
+	recs    []scored // every closed frame's detections, in arrival order
+	gtClass []int32  // every closed frame's ground truths, likewise
+	iouSum  float64  // over gtClass, of each one's best same-class IoU
 
-	// Cursors keep streaming WindowMAP50At queries linear overall: frames
+	next int  // lowest index BeginFrame accepts: the last frame's, plus one
+	open bool // frame next−1 has yet to be scored
+
+	// The cursor keeps streaming WindowMAP50At queries linear overall: frames
 	// arrive in nondecreasing time, so successive windows only ever skip
-	// forward. An out-of-order start resets them.
+	// forward. An out-of-order start resets it.
 	winStart float64
-	winGT    int
-	winDet   int
+	winFrame int
+
+	// Built by the first BeginFrame: a collector that never sees a frame (an
+	// events-fidelity device's) stays this struct and nothing else.
+	s *scorer
+}
+
+// frameRec is one frame: its stream time and where its run of recs and of
+// gtClass ends. A run begins where the frame before ends.
+type frameRec struct {
+	time          float64
+	detEnd, gtEnd int
 }
 
 // NewCollector creates an empty collector.
@@ -33,48 +46,105 @@ func NewCollector() *Collector {
 // AddFrame records one evaluated frame.
 func (c *Collector) AddFrame(frame int, t float64, gts []GT, dets []Det) {
 	c.BeginFrame(frame, t)
-	c.gts = append(c.gts, gts...)
-	c.dets = append(c.dets, dets...)
+	for _, g := range gts {
+		c.AddGT(g)
+	}
+	for _, d := range dets {
+		c.AddDet(d)
+	}
 }
 
-// BeginFrame records that frame (a non-negative stream index) was evaluated
-// at stream time t; the frame's ground truths and detections follow through
-// AddGT and AddDet. Recording a frame again moves its time.
+// BeginFrame records that frame (a non-negative stream index, above every
+// frame before it) was evaluated at stream time t; the frame's ground truths
+// and detections follow through AddGT and AddDet.
 func (c *Collector) BeginFrame(frame int, t float64) {
-	if frame >= len(c.frameTime) {
-		c.frameTime = append(c.frameTime, make([]float64, frame+1-len(c.frameTime))...)
-		c.recorded = append(c.recorded, make([]bool, frame+1-len(c.recorded))...)
+	if frame < c.next {
+		panic(fmt.Sprintf("metrics: BeginFrame(%d) after frame %d: frames are evaluated once, in stream order", frame, c.next-1))
 	}
-	if !c.recorded[frame] {
-		c.recorded[frame] = true
-		c.frames++
+	c.closeFrame()
+	if c.s == nil {
+		c.s = &scorer{}
 	}
-	c.frameTime[frame] = t
+	c.s.beginFrame()
+	c.next, c.open = frame+1, true
+	c.frames = append(c.frames, frameRec{time: t, detEnd: len(c.recs), gtEnd: len(c.gtClass)})
 }
 
-// AddGT records one ground truth of a frame begun with BeginFrame.
-func (c *Collector) AddGT(g GT) { c.gts = append(c.gts, g) }
-
-// AddDet records one detection of a frame begun with BeginFrame.
-func (c *Collector) AddDet(d Det) { c.dets = append(c.dets, d) }
-
-// Frames returns the number of distinct recorded frames.
-func (c *Collector) Frames() int { return c.frames }
-
-// timeOf returns the stream time a frame was recorded at, 0 for a frame that
-// never was.
-func (c *Collector) timeOf(frame int) float64 {
-	if frame < 0 || frame >= len(c.frameTime) {
-		return 0
-	}
-	return c.frameTime[frame]
+// AddGT records one ground truth of the frame begun with BeginFrame.
+func (c *Collector) AddGT(g GT) {
+	c.mustBeOpen(g.Frame)
+	c.s.addGT(g)
 }
+
+// AddDet records one detection of the frame begun with BeginFrame.
+func (c *Collector) AddDet(d Det) {
+	c.mustBeOpen(d.Frame)
+	c.s.addDet(d)
+}
+
+func (c *Collector) mustBeOpen(frame int) {
+	if !c.open || frame != c.next-1 {
+		panic(fmt.Sprintf("metrics: a box of frame %d outside that frame's BeginFrame (last begun %d, open %v)", frame, c.next-1, c.open))
+	}
+}
+
+// closeFrame scores the open frame, if there is one, and keeps the outcome.
+func (c *Collector) closeFrame() {
+	if !c.open {
+		return
+	}
+	c.open = false
+	s := c.s
+	s.scoreFrame(0.5)
+	for i := range s.dets {
+		c.recs = append(c.recs, s.dets[i].scored)
+	}
+	for i := range s.gts {
+		c.gtClass = append(c.gtClass, s.gts[i].class)
+		c.iouSum += s.gts[i].best
+	}
+	f := &c.frames[len(c.frames)-1]
+	f.detEnd, f.gtEnd = len(c.recs), len(c.gtClass)
+}
+
+// Frames returns the number of recorded frames.
+func (c *Collector) Frames() int { return len(c.frames) }
 
 // MAP50 computes mAP@0.5 over everything recorded.
-func (c *Collector) MAP50() float64 { return MAP50(c.dets, c.gts) }
+func (c *Collector) MAP50() float64 {
+	m, _ := c.map50Over(0, len(c.frames))
+	return m
+}
 
 // AverageIoU computes the Table III metric over everything recorded.
-func (c *Collector) AverageIoU() float64 { return AverageIoU(c.dets, c.gts) }
+func (c *Collector) AverageIoU() float64 {
+	c.closeFrame()
+	if len(c.gtClass) == 0 {
+		return 0
+	}
+	return c.iouSum / float64(len(c.gtClass))
+}
+
+// map50Over computes mAP@0.5 over frames[lo:hi]. ok reports whether they
+// hold any ground truth.
+func (c *Collector) map50Over(lo, hi int) (map50 float64, ok bool) {
+	c.closeFrame()
+	det0, gt0 := c.runStart(lo)
+	det1, gt1 := c.runStart(hi)
+	if gt1 == gt0 {
+		return 0, false
+	}
+	return c.s.meanAP(c.recs[det0:det1], c.gtClass[gt0:gt1]), true
+}
+
+// runStart returns where frame i's runs of recs and of gtClass begin, which
+// is where frame i−1's end; i may be len(frames).
+func (c *Collector) runStart(i int) (det, gt int) {
+	if i == 0 {
+		return 0, 0
+	}
+	return c.frames[i-1].detEnd, c.frames[i-1].gtEnd
+}
 
 // WindowScore is the mAP of one time window.
 type WindowScore struct {
@@ -87,98 +157,76 @@ type WindowScore struct {
 // truth (windows without it are skipped by WindowedMAP50 too), so streaming
 // observers see exactly the windows the final Results will contain.
 // Successive calls with nondecreasing starts — the streaming pattern — scan
-// each recorded region once in total.
+// each frame record once in total. Frames are taken to arrive in
+// nondecreasing time: the window is the run of frames from the first at or
+// after start to the first at or after its end.
 func (c *Collector) WindowMAP50At(start, windowSec float64) (map50 float64, ok bool) {
 	if start < c.winStart {
-		c.winGT, c.winDet = 0, 0
+		c.winFrame = 0
 	}
 	c.winStart = start
 	end := start + windowSec
-	for c.winGT < len(c.gts) && c.timeOf(c.gts[c.winGT].Frame) < start {
-		c.winGT++
+	for c.winFrame < len(c.frames) && c.frames[c.winFrame].time < start {
+		c.winFrame++
 	}
-	for c.winDet < len(c.dets) && c.timeOf(c.dets[c.winDet].Frame) < start {
-		c.winDet++
+	hi := c.winFrame
+	for hi < len(c.frames) && c.frames[hi].time < end {
+		hi++
 	}
-	gtEnd := c.winGT
-	for gtEnd < len(c.gts) && c.timeOf(c.gts[gtEnd].Frame) < end {
-		gtEnd++
-	}
-	if gtEnd == c.winGT {
-		return 0, false
-	}
-	detEnd := c.winDet
-	for detEnd < len(c.dets) && c.timeOf(c.dets[detEnd].Frame) < end {
-		detEnd++
-	}
-	// MAP50 only reads its inputs, so the window's runs are scored in place.
-	return MAP50(c.dets[c.winDet:detEnd], c.gts[c.winGT:gtEnd]), true
+	return c.map50Over(c.winFrame, hi)
 }
 
 // WindowedMAP50 buckets frames into windows of windowSec stream seconds and
-// returns per-window mAP@0.5 (used for the Figure 5 CDF).
+// returns per-window mAP@0.5 (used for the Figure 5 CDF). Frames whose times
+// go backwards land in the window of their time all the same.
 func (c *Collector) WindowedMAP50(windowSec float64) []WindowScore {
-	if windowSec <= 0 || c.frames == 0 {
+	if windowSec <= 0 || len(c.frames) == 0 {
 		return nil
 	}
-	window := func(frame int) int { return int(c.timeOf(frame) / windowSec) }
-	gts, gtWin := inWindowOrder(c.gts, func(g *GT) int { return window(g.Frame) })
-	dets, detWin := inWindowOrder(c.dets, func(d *Det) int { return window(d.Frame) })
-
-	// Each window owns one contiguous run of gts and one of dets; a window
-	// without ground truth is skipped, detections and all. Non-nil even when
-	// empty: nil is for a collector that recorded no frame at all.
-	out := []WindowScore{}
-	d := 0
-	for g := 0; g < len(gts); {
-		w := gtWin[g]
-		gEnd := runEnd(gtWin, g)
-		for d < len(dets) && detWin[d] < w {
-			d++
+	window := func(i int) int { return int(c.frames[i].time / windowSec) }
+	if order := sortedBy(len(c.frames), window); order != nil {
+		return c.reordered(order).WindowedMAP50(windowSec)
+	}
+	// Each window owns one contiguous run of frames; a window without ground
+	// truth is skipped, detections and all. Non-nil even when empty: nil is
+	// for a collector that recorded no frame at all.
+	windows := 1
+	for i := 1; i < len(c.frames); i++ {
+		if window(i) != window(i-1) {
+			windows++
 		}
-		dEnd := d
-		if d < len(dets) && detWin[d] == w {
-			dEnd = runEnd(detWin, d)
+	}
+	out := make([]WindowScore, 0, windows)
+	for lo := 0; lo < len(c.frames); {
+		w := window(lo)
+		hi := lo + 1
+		for hi < len(c.frames) && window(hi) == w {
+			hi++
 		}
-		out = append(out, WindowScore{
-			Start: float64(w) * windowSec,
-			MAP:   MAP50(dets[d:dEnd], gts[g:gEnd]),
-		})
-		g, d = gEnd, dEnd
+		if m, ok := c.map50Over(lo, hi); ok {
+			out = append(out, WindowScore{Start: float64(w) * windowSec, MAP: m})
+		}
+		lo = hi
 	}
 	return out
 }
 
-// inWindowOrder returns xs ordered by window, arrival order kept within a
-// window, and each element's window beside it. Frames arrive in
-// nondecreasing time, so xs is normally in that order already and is
-// returned as it is; only out-of-order frames cost a sorted copy.
-func inWindowOrder[T any](xs []T, window func(*T) int) ([]T, []int) {
-	wins := make([]int, len(xs))
-	for i := range xs {
-		wins[i] = window(&xs[i])
+// reordered returns a collector that holds c's frames in the given order,
+// for queries only.
+func (c *Collector) reordered(order []int) *Collector {
+	c.closeFrame()
+	out := &Collector{
+		frames:  make([]frameRec, 0, len(c.frames)),
+		recs:    make([]scored, 0, len(c.recs)),
+		gtClass: make([]int32, 0, len(c.gtClass)),
+		s:       c.s,
 	}
-	if slices.IsSorted(wins) {
-		return xs, wins
+	for _, i := range order {
+		det0, gt0 := c.runStart(i)
+		f := c.frames[i]
+		out.recs = append(out.recs, c.recs[det0:f.detEnd]...)
+		out.gtClass = append(out.gtClass, c.gtClass[gt0:f.gtEnd]...)
+		out.frames = append(out.frames, frameRec{time: f.time, detEnd: len(out.recs), gtEnd: len(out.gtClass)})
 	}
-	order := make([]int, len(xs))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(wins[a], wins[b]) })
-	sorted := make([]T, len(xs))
-	sortedWins := make([]int, len(xs))
-	for i, from := range order {
-		sorted[i], sortedWins[i] = xs[from], wins[from]
-	}
-	return sorted, sortedWins
-}
-
-// runEnd returns the end of the run of equal values that starts at wins[i].
-func runEnd(wins []int, i int) int {
-	end := i + 1
-	for end < len(wins) && wins[end] == wins[i] {
-		end++
-	}
-	return end
+	return out
 }
