@@ -3,12 +3,19 @@
 // per-device sampling-rate controller. Pair it with cmd/shoggoth-edge.
 //
 //	shoggoth-cloud -addr :8700 -profile ua-detrac
+//
+// The listener gives a client readHeaderTimeout to finish its request
+// headers and closes a keep-alive connection idle for idleTimeout, so a peer
+// that connects and goes quiet cannot hold a goroutine and a socket for
+// good. It sets no deadline on reading a body: a 16 MB upload over a slow
+// uplink is legitimate, and rpc.MaxLabelRequestBytes already bounds it.
 package main
 
 import (
 	"flag"
 	"log"
 	"net/http"
+	"time"
 
 	"shoggoth/internal/cloud"
 	"shoggoth/internal/rpc"
@@ -28,7 +35,6 @@ func main() {
 	router := flag.String("router", "", "replica router (round-robin, least-loaded, domain-affinity; empty = round-robin)")
 	admitRate := flag.Float64("admit-rate", 0, "token-bucket admission rate in requests/sec (0 = no admission control)")
 	admitBurst := flag.Float64("admit-burst", 0, "token-bucket burst capacity in requests (<1 clamps to 1)")
-	computeTier := flag.String("compute-tier", "", "teacher math tier: exact (frame-at-a-time, the default) or fast (batched labeling through one label slab; bit-identical output)")
 	flag.Parse()
 
 	profile, err := video.ProfileByName(*profileName)
@@ -38,11 +44,6 @@ func main() {
 	if err := cloud.ValidateRouter(*router); err != nil {
 		log.Fatal(err)
 	}
-	switch *computeTier {
-	case "", "exact", "fast":
-	default:
-		log.Fatalf("unknown -compute-tier %q (want exact or fast)", *computeTier)
-	}
 	srv := rpc.NewServerOpts(profile, *seed, rpc.ServerOptions{
 		QueueCap:        *queueCap,
 		Workers:         *workers,
@@ -50,11 +51,26 @@ func main() {
 		Router:          *router,
 		AdmitRatePerSec: *admitRate,
 		AdmitBurst:      *admitBurst,
-		ComputeTier:     *computeTier,
 	})
 	log.Printf("serving %s labeling + rate control on %s (%d replica(s), queue cap %d, %d workers)",
 		profile.Name, *addr, max(*replicas, 1), *queueCap, *workers)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	if err := newHTTPServer(*addr, srv.Handler()).ListenAndServe(); err != nil {
 		log.Fatal(err)
+	}
+}
+
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the listener's configuration: deadlines on headers and
+// on idle keep-alive connections, none on bodies.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }

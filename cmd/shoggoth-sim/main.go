@@ -90,7 +90,7 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit JSON instead of text")
 	list := flag.Bool("list", false, "list registered strategies, profiles, cloud policies and scenarios, then exit")
 	verbose := flag.Bool("v", false, "print a wall-clock perf summary from the per-session workspace counters")
-	computeTier := flag.String("compute-tier", "", "arithmetic tier: exact (frozen, golden-identical; the default) or fast (blocked fast-math kernels, parallel gradient accumulation, batched teacher labeling)")
+	computeTier := flag.String("compute-tier", "", "arithmetic tier: exact (frozen, golden-identical; the default) or fast (blocked fast-math kernels, parallel gradient accumulation)")
 	computeLane := flag.String("compute-lane", "", "fast tier arithmetic width: float64 (default) or float32")
 	accumWorkers := flag.Int("accum-workers", 0, "fast tier gradient-accumulation workers (results identical at any value; <=1 runs inline)")
 	flag.Parse()

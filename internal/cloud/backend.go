@@ -28,6 +28,11 @@ type DeviceOptions struct {
 // replicas behind admission control). The zoo of virtual-time methods lives
 // on the returned Device; Backend itself only mints devices and reports
 // aggregate statistics.
+//
+// Frame ownership: a backend reads the frames a Device is handed from
+// Enqueue (or Admit) until their labeling ends — for Enqueue, until cb has
+// been called or false returned — and never afterwards; it writes to none,
+// and it keeps no reference to the label sets it delivers.
 type Backend interface {
 	// RegisterDevice adds one edge device and returns its handle. Duplicate
 	// ids are rejected.

@@ -60,45 +60,3 @@ func TestFastLabelBatchBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestFastServiceTierBitIdentical runs the same batch sequence through an
-// exact-tier and a fast-tier service and demands identical LabelFrames
-// output: the compute tier must never change labels, φ or scheduling.
-func TestFastServiceTierBitIdentical(t *testing.T) {
-	frames := serviceFrames(t, 9)
-	run := func(tier string) ([][]detect.TeacherLabel, []float64, float64) {
-		svc := NewService(ServiceConfig{ComputeTier: tier})
-		d := newServiceDevice(t, svc, "d0", 41, false)
-		var labels [][]detect.TeacherLabel
-		var phis []float64
-		var mean float64
-		rest := frames
-		for _, n := range []int{4, 2, 3} {
-			l, p, m := d.LabelFrames(rest[:n])
-			labels = append(labels, l...)
-			phis = append(phis, p...)
-			rest = rest[n:]
-			mean = m
-		}
-		return labels, phis, mean
-	}
-
-	eLabels, ePhis, eMean := run("")
-	fLabels, fPhis, fMean := run("fast")
-
-	if eMean != fMean {
-		t.Fatalf("φ mean diverged across tiers: exact %v fast %v", eMean, fMean)
-	}
-	for i := range ePhis {
-		if ePhis[i] != fPhis[i] {
-			t.Fatalf("φ[%d] diverged: exact %v fast %v", i, ePhis[i], fPhis[i])
-		}
-	}
-	for i := range eLabels {
-		for j := range eLabels[i] {
-			if eLabels[i][j] != fLabels[i][j] {
-				t.Fatalf("label [%d][%d] diverged: exact %+v fast %+v", i, j, eLabels[i][j], fLabels[i][j])
-			}
-		}
-	}
-}

@@ -20,14 +20,20 @@ func DefaultLabelerConfig() LabelerConfig {
 
 // Labeler runs the teacher over uploaded frames, producing distillation
 // labels and the φ change signal. One labeler serves one edge device's
-// stream state (the previous labels needed for φ).
+// stream state: the previous labeled frame's detections, which φ compares
+// the next frame's with. That state is the labeler's own copy — it keeps no
+// frame and no label slice it was handed or handed out.
 type Labeler struct {
 	Config  LabelerConfig
 	Teacher *detect.Teacher
 
-	prevLabels []detect.TeacherLabel
-	prevBoxes  map[int]geom.Box // proposal boxes of the previous labeled frame
-	havePrev   bool
+	// prev holds the previous labeled frame's detections and cur is the
+	// buffer the next frame's are built in; finishFrame swaps them. used is
+	// labelChangeLoss's matching scratch. All three grow to the busiest
+	// frame's detection count and are reused from then on.
+	prev, cur []detect.Detection
+	used      []bool
+	havePrev  bool
 
 	// Analytic φ-chain state (events-fidelity pricing): the previous labeled
 	// frame's time and domain are all the continuity the drift model needs.
@@ -55,15 +61,16 @@ type LabelResult struct {
 // LabelFrame labels a frame and computes φ against the previous labeled
 // frame of this device.
 func (l *Labeler) LabelFrame(f *video.Frame) LabelResult {
-	return l.finishFrame(f, l.Teacher.Label(f))
+	return l.finishFrame(l.Teacher.Label(f))
 }
 
 // LabelBatch labels a batch of frames through one shared label slab sized to
-// the batch's total proposal count: the fast tier's batched teacher
-// inference. Per-frame label content, RNG draw order and the φ chain are
-// identical to calling LabelFrame once per frame in order — only the
-// allocation pattern changes (one slab instead of one slice per frame), so
-// batch results are bit-identical to the per-frame path.
+// the batch's total proposal count. Per-frame label content, RNG draw order
+// and the φ chain are identical to calling LabelFrame once per frame in
+// order — only the allocation pattern changes (one slab instead of one slice
+// per frame), so batch results are bit-identical to the per-frame path. No
+// service calls it: it measured no faster than LabelFrame, and stays only
+// because the repo benchmark times it (ROADMAP 3g).
 func (l *Labeler) LabelBatch(frames []*video.Frame) []LabelResult {
 	total := 0
 	for _, f := range frames {
@@ -74,7 +81,7 @@ func (l *Labeler) LabelBatch(frames []*video.Frame) []LabelResult {
 	for i, f := range frames {
 		start := len(slab)
 		slab = l.Teacher.LabelAppend(slab, f)
-		out[i] = l.finishFrame(f, slab[start:len(slab):len(slab)])
+		out[i] = l.finishFrame(slab[start:len(slab):len(slab)])
 	}
 	return out
 }
@@ -102,36 +109,32 @@ func (l *Labeler) PhiAnalytic(frames []*video.Frame) []float64 {
 // finishFrame computes φ for a freshly labeled frame and rolls the device's
 // previous-frame state forward. Shared by the per-frame and batched paths so
 // the φ chain cannot diverge between them.
-func (l *Labeler) finishFrame(f *video.Frame, labels []detect.TeacherLabel) LabelResult {
+func (l *Labeler) finishFrame(labels []detect.TeacherLabel) LabelResult {
 	res := LabelResult{Labels: labels, ServiceSec: l.Config.TeacherLatencySec}
-	boxes := make(map[int]geom.Box, len(f.Proposals))
-	for i, pr := range f.Proposals {
-		boxes[i] = pr.Anchor
-	}
+	l.cur = l.Teacher.AppendDetections(l.cur[:0], labels)
 	if l.havePrev {
-		res.Phi = labelChangeLoss(l.Teacher, l.prevLabels, l.prevBoxes, labels, boxes)
+		if cap(l.used) < len(l.cur) {
+			l.used = make([]bool, len(l.cur))
+		}
+		res.Phi = labelChangeLoss(l.prev, l.cur, l.used[:len(l.cur)])
 	}
-	l.prevLabels = labels
-	l.prevBoxes = boxes
+	l.prev, l.cur = l.cur, l.prev
 	l.havePrev = true
 	return res
 }
 
 // labelChangeLoss measures how much the teacher's labels changed between
 // consecutive sampled frames: the same detection-style loss used for the
-// task, with T(I_{k-1}) as ground truth and T(I_k) as prediction. Matched
-// same-class detections contribute their localisation disagreement (1−IoU);
-// unmatched detections on either side contribute 1 each. The result is
-// normalised to [0, 1]. Stationary scenes score near 0.
-func labelChangeLoss(t *detect.Teacher, aLabels []detect.TeacherLabel, aBoxes map[int]geom.Box,
-	bLabels []detect.TeacherLabel, bBoxes map[int]geom.Box) float64 {
-
-	a := t.Detections(aLabels)
-	b := t.Detections(bLabels)
+// task, with a = T(I_{k-1}) as ground truth and b = T(I_k) as prediction,
+// both already reduced to their detections. Matched same-class detections
+// contribute their localisation disagreement (1−IoU); unmatched detections
+// on either side contribute 1 each. The result is normalised to [0, 1].
+// Stationary scenes score near 0. usedB is scratch of len(b), in any state.
+func labelChangeLoss(a, b []detect.Detection, usedB []bool) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
 	}
-	usedB := make([]bool, len(b))
+	clear(usedB)
 	var loss float64
 	matched := 0
 	for _, da := range a {

@@ -38,12 +38,6 @@ type ServiceConfig struct {
 	// CoalesceMarginal is the fractional per-frame cost of piggybacked
 	// frames in a coalesced forward (0 means DefaultCoalesceMarginal).
 	CoalesceMarginal float64
-	// ComputeTier selects the teacher-side math tier: "" or "exact" labels
-	// frame-at-a-time (the frozen default), "fast" labels each batch
-	// through one shared label slab (Labeler.LabelBatch). Label content, φ
-	// and all scheduling are bit-identical across tiers — the fast tier
-	// changes the allocation pattern only.
-	ComputeTier string
 }
 
 // DefaultCoalesceMarginal is the modeled marginal cost of a piggybacked
@@ -543,21 +537,11 @@ func (d *ServiceDevice) LabelFrames(frames []*video.Frame) ([][]detect.TeacherLa
 	labels := make([][]detect.TeacherLabel, len(frames))
 	phis := make([]float64, len(frames))
 	var phi metrics.Running
-	if d.svc.cfg.ComputeTier == "fast" {
-		// Batched teacher inference: one label slab for the whole batch.
-		// Bit-identical to the per-frame loop below (see Labeler.LabelBatch).
-		for i, res := range d.labeler.LabelBatch(frames) {
-			labels[i] = res.Labels
-			phi.Add(res.Phi)
-			phis[i] = res.Phi
-		}
-	} else {
-		for i, f := range frames {
-			res := d.labeler.LabelFrame(f)
-			labels[i] = res.Labels
-			phi.Add(res.Phi)
-			phis[i] = res.Phi
-		}
+	for i, f := range frames {
+		res := d.labeler.LabelFrame(f)
+		labels[i] = res.Labels
+		phi.Add(res.Phi)
+		phis[i] = res.Phi
 	}
 	mean := phi.Mean()
 	d.lastPhi = mean

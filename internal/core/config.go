@@ -147,9 +147,9 @@ type Config struct {
 	// ComputeTier selects the arithmetic tier the run's models execute on:
 	// "" or "exact" is the frozen default (float64 op order bit-identical
 	// to the golden captures); "fast" switches edge training to the blocked
-	// fast-math kernels with parallel gradient accumulation and cloud
-	// labeling to batched teacher inference (tolerance-bounded on losses,
-	// byte-deterministic — see DESIGN.md §13).
+	// fast-math kernels with parallel gradient accumulation
+	// (tolerance-bounded on losses, byte-deterministic — see DESIGN.md
+	// §13). The cloud labels the same way on either tier.
 	ComputeTier string
 	// ComputeLane selects the fast tier's arithmetic width: "" or
 	// "float64" (default) or "float32". Ignored on the exact tier.
@@ -359,11 +359,10 @@ func (c *Config) CloudTierConfig() cloud.TierConfig {
 		Replicas: c.CloudReplicas,
 		Router:   c.CloudRouter,
 		Service: cloud.ServiceConfig{
-			QueueCap:    c.CloudQueueCap,
-			Policy:      c.CloudPolicy,
-			Workers:     c.CloudWorkers,
-			Coalesce:    c.CloudCoalesce,
-			ComputeTier: c.ComputeTier,
+			QueueCap: c.CloudQueueCap,
+			Policy:   c.CloudPolicy,
+			Workers:  c.CloudWorkers,
+			Coalesce: c.CloudCoalesce,
 		},
 		AdmitRatePerSec: c.CloudAdmitRate,
 		AdmitBurst:      c.CloudAdmitBurst,

@@ -1,8 +1,6 @@
 package detect
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"math/rand/v2"
 
@@ -35,15 +33,78 @@ const errBucketSec = 8.0
 // they are temporally consistent — a hard object stays mislabeled for a few
 // seconds instead of flickering, which keeps the φ change signal (§III-C)
 // about the *scene* rather than about labeler noise.
+//
+// They are also computed per (track, time bucket): the executed teacher
+// keeps each pair's draws in a small table (errDraws) for as long as the
+// pair stays in view, so a frame costs hashes and Box–Muller transforms only
+// for the tracks it sees for the first time in a bucket. A Teacher is not
+// safe for concurrent use; its callers label one device's frames in order.
 type Teacher struct {
 	profile *video.Profile
 	rng     *rand.Rand
-	seed    uint64
+	// seedHash is the FNV-1a state after the teacher's seed: the prefix every
+	// hash01 shares, folded once.
+	seedHash uint64
+	// memo is nil until the first executed label: an events-fidelity device
+	// (AnalyticPhi only) never allocates it.
+	memo *[memoSize]errDraws
+}
+
+// memoSize is the number of direct-mapped errDraws slots: four frames' worth
+// of tracks on the stock profiles (at most 15 proposals a frame, with ids
+// handed out in sequence, so the live ones rarely collide). The size is fixed
+// because TrackID arrives off the wire: a hostile stream of distinct ids can
+// evict entries, never grow the table.
+const memoSize = 64
+
+// errDraws caches the error draws of one (track, bucket): the uniforms of
+// salts 1–5 and the four box-jitter normals of salts 6–9, each a pure
+// function of (teacher seed, track, bucket), filled in on first use. The
+// zero value is a valid empty entry for (0, 0).
+type errDraws struct {
+	track  int
+	bucket int64
+	have   uint // bit s: u[s-1] is set (salts 1–5); haveNormals: g is set
+	u      [5]float64
+	g      [4]float64
+}
+
+const haveNormals = 1 << 6
+
+// draws returns the table entry for (trackID, bucket), emptied first if the
+// slot held another pair's.
+func (t *Teacher) draws(trackID int, bucket int64) *errDraws {
+	e := &t.memo[uint(trackID)%memoSize]
+	if e.track != trackID || e.bucket != bucket {
+		*e = errDraws{track: trackID, bucket: bucket}
+	}
+	return e
+}
+
+// uniform is hash01(e.track, e.bucket, salt) for a salt in 1–5, hashed once
+// per entry.
+func (t *Teacher) uniform(e *errDraws, salt uint) float64 {
+	if e.have&(1<<salt) == 0 {
+		e.u[salt-1] = t.hash01(e.track, e.bucket, uint64(salt))
+		e.have |= 1 << salt
+	}
+	return e.u[salt-1]
+}
+
+// normals is hashNorm(e.track, e.bucket, 6…9), transformed once per entry.
+func (t *Teacher) normals(e *errDraws) *[4]float64 {
+	if e.have&haveNormals == 0 {
+		for i := range e.g {
+			e.g[i] = t.hashNorm(e.track, e.bucket, saltJitter+uint64(i))
+		}
+		e.have |= haveNormals
+	}
+	return &e.g
 }
 
 // NewTeacher creates the teacher for a profile.
 func NewTeacher(p *video.Profile, rng *rand.Rand) *Teacher {
-	return &Teacher{profile: p, rng: rng, seed: rng.Uint64()}
+	return &Teacher{profile: p, rng: rng, seedHash: fnvWord(fnvOffset64, rng.Uint64())}
 }
 
 // Label produces online labels for every proposal of the frame.
@@ -60,34 +121,39 @@ func (t *Teacher) LabelAppend(dst []TeacherLabel, f *video.Frame) []TeacherLabel
 	p := t.profile
 	bg := p.BackgroundClass()
 	bucket := int64(f.Time / errBucketSec)
+	if t.memo == nil {
+		t.memo = new([memoSize]errDraws)
+	}
 	out := dst
-	for i, pr := range f.Proposals {
+	for i := range f.Proposals {
+		pr := &f.Proposals[i]
+		e := t.draws(pr.TrackID, bucket)
 		if pr.GT != nil {
-			if t.hash01(pr.TrackID, bucket, 1) < p.TeacherMissRate {
+			if t.uniform(e, saltMiss) < p.TeacherMissRate {
 				out = append(out, TeacherLabel{ProposalIdx: i, Class: bg})
 				continue
 			}
 			cls := pr.GT.Class
-			if p.NumClasses() > 1 && t.hash01(pr.TrackID, bucket, 2) > p.TeacherClassAcc {
-				cls = t.flipClass(cls, pr.TrackID, bucket)
+			if p.NumClasses() > 1 && t.uniform(e, saltClassAcc) > p.TeacherClassAcc {
+				cls = t.flipClass(cls, e)
 			}
 			out = append(out, TeacherLabel{
 				ProposalIdx: i,
 				Class:       cls,
-				Box:         t.jitterBox(pr.GT.Box, pr.TrackID, bucket),
+				Box:         t.jitterBox(pr.GT.Box, e),
 				Confidence:  0.75 + 0.24*t.rng.Float64(),
 			})
 			continue
 		}
-		if t.hash01(pr.TrackID, bucket, 4) < p.TeacherFPRate {
-			cls := int(t.hash01(pr.TrackID, bucket, 5) * float64(p.NumClasses()))
+		if t.uniform(e, saltFP) < p.TeacherFPRate {
+			cls := int(t.uniform(e, saltFPClass) * float64(p.NumClasses()))
 			if cls >= p.NumClasses() {
 				cls = p.NumClasses() - 1
 			}
 			out = append(out, TeacherLabel{
 				ProposalIdx: i,
 				Class:       cls,
-				Box:         t.jitterBox(pr.Anchor, pr.TrackID, bucket),
+				Box:         t.jitterBox(pr.Anchor, e),
 				Confidence:  0.5 + 0.3*t.rng.Float64(),
 			})
 			continue
@@ -97,10 +163,18 @@ func (t *Teacher) LabelAppend(dst []TeacherLabel, f *video.Frame) []TeacherLabel
 	return out
 }
 
-// saltAnalyticPhi keys the analytic φ jitter stream; salts 1–9 (and the
-// hashNorm expansions derived from 6–9) belong to the executed teacher's
-// error draws and must never be reused.
-const saltAnalyticPhi = 10
+// The hash salts. 1–9 (and the hashNorm expansions derived from 6–9) belong
+// to the executed teacher's error draws; saltAnalyticPhi keys the analytic φ
+// jitter stream. None may be reused.
+const (
+	saltMiss        = 1 // miss test of a positive proposal
+	saltClassAcc    = 2 // class-flip test
+	saltFlip        = 3 // which wrong class
+	saltFP          = 4 // false-positive test of a distractor
+	saltFPClass     = 5 // the false positive's class
+	saltJitter      = 6 // 6–9: box-jitter normals for cx, cy, w, h
+	saltAnalyticPhi = 10
+)
 
 // AnalyticPhi is the events-fidelity stand-in for the label-change loss a
 // labeling round would compute over two executed teacher outputs: a
@@ -151,8 +225,25 @@ func (t *Teacher) AnalyticPhi(frameIdx int, dt float64, domainChanged bool) floa
 // Detections converts teacher labels into detections (Cloud-Only inference
 // results: what the cloud returns when it does all the work).
 func (t *Teacher) Detections(labels []TeacherLabel) []Detection {
+	return t.AppendDetections(nil, labels)
+}
+
+// AppendDetections appends labels' detections to dst, growing it at most
+// once, and returns the extended slice (dst itself when labels holds only
+// background).
+func (t *Teacher) AppendDetections(dst []Detection, labels []TeacherLabel) []Detection {
 	bg := t.profile.BackgroundClass()
-	var out []Detection
+	n := 0
+	for i := range labels {
+		if labels[i].Class != bg {
+			n++
+		}
+	}
+	out := dst
+	if n > cap(out)-len(out) {
+		out = make([]Detection, len(dst), len(dst)+n)
+		copy(out, dst)
+	}
 	for _, l := range labels {
 		if l.Class == bg {
 			continue
@@ -168,9 +259,9 @@ func (t *Teacher) Detections(labels []TeacherLabel) []Detection {
 }
 
 // flipClass deterministically picks a wrong class for a (track, bucket).
-func (t *Teacher) flipClass(cls, trackID int, bucket int64) int {
+func (t *Teacher) flipClass(cls int, e *errDraws) int {
 	n := t.profile.NumClasses()
-	o := int(t.hash01(trackID, bucket, 3) * float64(n-1))
+	o := int(t.uniform(e, saltFlip) * float64(n-1))
 	if o >= n-1 {
 		o = n - 2
 	}
@@ -182,12 +273,10 @@ func (t *Teacher) flipClass(cls, trackID int, bucket int64) int {
 
 // jitterBox displaces a box by a per-(track,bucket) systematic jitter plus a
 // small fresh per-frame component.
-func (t *Teacher) jitterBox(b geom.Box, trackID int, bucket int64) geom.Box {
+func (t *Teacher) jitterBox(b geom.Box, e *errDraws) geom.Box {
 	std := t.profile.TeacherBoxStd
-	gx := t.hashNorm(trackID, bucket, 6)
-	gy := t.hashNorm(trackID, bucket, 7)
-	gw := t.hashNorm(trackID, bucket, 8)
-	gh := t.hashNorm(trackID, bucket, 9)
+	g := t.normals(e)
+	gx, gy, gw, gh := g[0], g[1], g[2], g[3]
 	cx, cy := b.Center()
 	w, h := b.Size()
 	fresh := std * 0.25
@@ -200,16 +289,27 @@ func (t *Teacher) jitterBox(b geom.Box, trackID int, bucket int64) geom.Box {
 }
 
 // hash01 returns a deterministic uniform value in [0, 1) for the tuple
-// (teacher seed, track, bucket, salt).
+// (teacher seed, track, bucket, salt): 64-bit FNV-1a over the four words,
+// each taken as its eight little-endian bytes.
 func (t *Teacher) hash01(trackID int, bucket int64, salt uint64) float64 {
-	h := fnv.New64a()
-	var buf [32]byte
-	binary.LittleEndian.PutUint64(buf[0:], t.seed)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(trackID))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(bucket))
-	binary.LittleEndian.PutUint64(buf[24:], salt)
-	h.Write(buf[:])
-	return float64(h.Sum64()>>11) / float64(1<<53)
+	h := fnvWord(t.seedHash, uint64(trackID))
+	h = fnvWord(h, uint64(bucket))
+	h = fnvWord(h, salt)
+	return float64(h>>11) / float64(1<<53)
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord folds w's eight bytes, least significant first, into FNV-1a state h.
+func fnvWord(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (w & 0xff)) * fnvPrime64
+		w >>= 8
+	}
+	return h
 }
 
 // hashNorm returns a deterministic standard-normal value via Box–Muller over

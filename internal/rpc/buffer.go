@@ -13,6 +13,18 @@ import (
 // out, and net/http copies what Write is handed. The one holder that cannot
 // tell by itself when it is done is the client's upload, which net/http may
 // still be sending after Do returns; see upload.
+//
+// The server's decoded requests follow the same rule one level up. A
+// handler takes a requestArena with getArena, decodes the upload into it and
+// gives it back with putArena when it returns; between the two, the
+// request's Frames — and every *video.Frame, Proposals, Features and GT
+// reached through them — belong to that handler alone. It lends them to the
+// cloud for the length of the Admit and LabelFrames calls and to no one for
+// longer: cloud keeps no frame past LabelFrames (see its doc), and the reply
+// is built from the teacher's own label slices, never from arena memory, so
+// encoding it cannot read a recycled arena. DecodeLabelRequest, which the
+// client, the fuzzers and the benchmark call, decodes onto fresh memory the
+// caller owns outright.
 
 // bufferPool holds *[]byte so that Put does not allocate a slice header.
 var bufferPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -23,6 +35,19 @@ func getBuffer() *[]byte { return bufferPool.Get().(*[]byte) }
 func putBuffer(buf *[]byte) {
 	*buf = (*buf)[:0]
 	bufferPool.Put(buf)
+}
+
+// arenaPool holds the request arenas of handlers that have returned. Like a
+// pooled buffer, an arena keeps the capacity of the largest request it has
+// held, until the garbage collector empties the pool.
+var arenaPool = sync.Pool{New: func() any { return new(requestArena) }}
+
+func getArena() *requestArena { return arenaPool.Get().(*requestArena) }
+
+// putArena returns a, emptied: an arena in the pool holds no pointer.
+func putArena(a *requestArena) {
+	a.reset()
+	arenaPool.Put(a)
 }
 
 // errBodyTooLarge reports a body that ran past the limit readBody was given.

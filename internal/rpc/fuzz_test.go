@@ -10,10 +10,17 @@ import (
 // from 29 on the wire) and an empty label set (a 24-byte slice header from
 // 1), so 4× and 25× plus a flat allowance for the error value and whatever
 // else the process allocates meanwhile; and an input they accept re-encodes
-// to a message that decodes to the same value, bit for bit. Seeds are
-// checked in under testdata/fuzz; CI fuzzes each target for 20 s.
+// to a message that decodes to the same value, bit for bit. The request
+// target also decodes every input into one arena carried from input to
+// input, as the server's pooled arenas are carried from upload to upload,
+// and demands the fresh decode's verdict and value. Seeds are checked in
+// under testdata/fuzz; CI fuzzes each target for 20 s.
 
 const fuzzAllocSlack = 64 << 10
+
+// fuzzArena is whatever the inputs before this one left behind. A fuzz
+// worker runs its inputs one at a time.
+var fuzzArena requestArena
 
 func FuzzDecodeLabelRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -21,6 +28,13 @@ func FuzzDecodeLabelRequest(f *testing.F) {
 		var err error
 		if n := allocatedBy(func() { err = DecodeLabelRequest(data, &req) }); n > uint64(4*len(data)+fuzzAllocSlack) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		var pooled LabelRequest
+		if perr := fuzzArena.decode(data, &pooled); (perr == nil) != (err == nil) {
+			t.Fatalf("arena decode error %v, fresh decode error %v", perr, err)
+		}
+		if derr := sameDecoded(&pooled, &req); derr != nil {
+			t.Fatalf("arena decode differs from fresh decode: %v", derr)
 		}
 		if err != nil {
 			return

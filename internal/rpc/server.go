@@ -38,10 +38,6 @@ type ServerOptions struct {
 	AdmitRatePerSec float64
 	// AdmitBurst is the bucket's burst capacity (< 1 clamps to 1).
 	AdmitBurst float64
-	// ComputeTier selects the teacher's math tier ("" or "exact" labels
-	// frame-at-a-time; "fast" batches each request through one label
-	// slab). Bit-identical outputs either way — see cloud.ServiceConfig.
-	ComputeTier string
 }
 
 // Server is the cloud side: the same cloud.Tier routing-and-scheduling
@@ -93,9 +89,8 @@ func NewServerOpts(p *video.Profile, seed uint64, opts ServerOptions) *Server {
 			Replicas: opts.Replicas,
 			Router:   opts.Router,
 			Service: cloud.ServiceConfig{
-				QueueCap:    opts.QueueCap,
-				Workers:     opts.Workers,
-				ComputeTier: opts.ComputeTier,
+				QueueCap: opts.QueueCap,
+				Workers:  opts.Workers,
 			},
 			AdmitRatePerSec: opts.AdmitRatePerSec,
 			AdmitBurst:      opts.AdmitBurst,
@@ -155,10 +150,12 @@ func (s *Server) lookup(id string) *deviceState {
 }
 
 // handleLabel moves whole bodies: the upload is read once into a pooled
-// buffer under MaxLabelRequestBytes and decoded from there, and the reply is
-// encoded into the same buffer and written with its Content-Length. Every
-// refusal below the 413s comes after the body was read to its end, so the
-// client's keep-alive connection survives it.
+// buffer under MaxLabelRequestBytes and decoded from there into a pooled
+// request arena, and the reply is encoded into the same buffer and written
+// with its Content-Length. Neither pool is touched by a request refused on
+// its declared length, and the arena only once the body has arrived whole.
+// Every refusal below the 413s comes after the body was read to its end, so
+// the client's keep-alive connection survives it.
 func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 	if r.ContentLength > MaxLabelRequestBytes {
 		// Refused unread; net/http then closes the connection rather than
@@ -176,8 +173,13 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// req lives in the arena until the handler returns. The labels below are
+	// the teacher's own slices, not arena memory, so the deferred put cannot
+	// pull anything out from under the reply.
+	arena := getArena()
+	defer putArena(arena)
 	var req LabelRequest
-	if err := DecodeLabelRequest(*buf, &req); err != nil {
+	if err := arena.decode(*buf, &req); err != nil {
 		http.Error(w, fmt.Sprintf("decode: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -213,10 +215,7 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	frames := make([]*video.Frame, len(req.Frames))
-	for i := range req.Frames {
-		frames[i] = &req.Frames[i]
-	}
+	frames := arena.pointers()
 	d.mu.Lock()
 	now := s.now()
 	adm, reg, ok := d.dev.Admit(frames, now)

@@ -362,12 +362,71 @@ func (r *reader) finish(unused int) error {
 }
 
 // DecodeLabelRequest decodes one wire-format request into *req, replacing
-// every field. Nothing in *req aliases b afterwards. Zero-length slices and
-// strings decode as nil and "". On error *req is left zero.
+// every field, on fresh memory. Nothing in *req aliases b afterwards.
+// Zero-length slices and strings decode as nil and "". On error *req is left
+// zero.
 //
 //shoggoth:hotpath
 func DecodeLabelRequest(b []byte, req *LabelRequest) error {
+	var fresh requestArena
+	return fresh.decode(b, req)
+}
+
+// requestArena is the memory a decoded LabelRequest lives in: one slab per
+// element kind, whatever the frame and proposal counts, plus the pointer
+// view of the frames that the cloud API takes. A zero arena is ready to use
+// and allocates its slabs on the first decode; a reused one (see getArena)
+// allocates only when a request is larger than any it has held.
+//
+// Invariant: beyond their current length the two slabs that hold pointers —
+// frames and proposals — and the view are all zero, so a carve from them
+// starts empty and no Proposals, Features or GT of an earlier request can
+// show through a later one. features and gts hold no pointers, and every
+// element a request carves from them is overwritten before it is exposed.
+type requestArena struct {
+	frames    []video.Frame
+	proposals []video.Proposal
+	features  []float64
+	gts       []video.GT
+	view      []*video.Frame
+}
+
+// reset drops the arena's request, restoring the invariant. Every pointer
+// into the arena handed out since the last reset is dead from here on.
+func (a *requestArena) reset() {
+	clear(a.frames)
+	clear(a.proposals)
+	clear(a.view)
+	a.frames, a.proposals, a.view = a.frames[:0], a.proposals[:0], a.view[:0]
+}
+
+// slab resizes *s to n elements, on new memory only when its capacity falls
+// short, and returns it.
+func slab[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
+}
+
+// pointers returns the []*video.Frame view of the request last decoded into
+// a, which the cloud API takes.
+func (a *requestArena) pointers() []*video.Frame {
+	view := slab(&a.view, len(a.frames))
+	for i := range a.frames {
+		view[i] = &a.frames[i]
+	}
+	return view
+}
+
+// decode is DecodeLabelRequest into a's memory: the request it held before
+// is dropped first, and *req points into a until the next decode or reset.
+//
+//shoggoth:hotpath
+func (a *requestArena) decode(b []byte, req *LabelRequest) error {
 	*req = LabelRequest{}
+	a.reset()
 	r := reader{b: b}
 	r.header(requestMagic, "label request")
 	out := LabelRequest{
@@ -385,29 +444,24 @@ func DecodeLabelRequest(b []byte, req *LabelRequest) error {
 	if r.err != nil {
 		return r.err
 	}
-	// The four slabs below are the decoded message itself: one allocation
-	// each, whatever the frame and proposal counts, each bounded by the
-	// charge its total just passed.
+	// The four slabs below are the decoded message itself, each bounded by
+	// the charge its total just passed.
 	var (
 		proposals []video.Proposal
 		features  []float64
 		gts       []video.GT
 	)
 	if nFrames > 0 {
-		//shoggoth:allow hotalloc -- the decoded frames are the message's payload; one slab per request
-		out.Frames = make([]video.Frame, nFrames)
+		out.Frames = slab(&a.frames, nFrames)
 	}
 	if nProposals > 0 {
-		//shoggoth:allow hotalloc -- every frame's proposals, carved from one slab per request
-		proposals = make([]video.Proposal, nProposals)
+		proposals = slab(&a.proposals, nProposals)
 	}
 	if nFeatures > 0 {
-		//shoggoth:allow hotalloc -- every proposal's feature vector, carved from one slab per request
-		features = make([]float64, nFeatures)
+		features = slab(&a.features, nFeatures)
 	}
 	if nGT > 0 {
-		//shoggoth:allow hotalloc -- every present GT, pointed into one slab per request
-		gts = make([]video.GT, nGT)
+		gts = slab(&a.gts, nGT)
 	}
 	domain := ""
 	for i := range out.Frames {
