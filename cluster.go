@@ -185,26 +185,8 @@ func (c *Cluster) Run(ctx context.Context, cfgs []Config) (*ClusterResults, erro
 				i, cfgs[i].DurationSec, cfgs[0].DurationSec)
 		}
 	}
-	if err := cloud.ValidatePolicy(c.Policy); err != nil {
+	if err := c.tierConfig(cfgs).Validate(); err != nil {
 		return nil, err
-	}
-	if err := cloud.ValidateRouter(c.Router); err != nil {
-		return nil, err
-	}
-	if c.Workers < 0 {
-		return nil, fmt.Errorf("shoggoth: negative cluster worker count %d", c.Workers)
-	}
-	if c.Replicas < 0 {
-		return nil, fmt.Errorf("shoggoth: negative cluster replica count %d", c.Replicas)
-	}
-	if c.AdmitRate < 0 || c.AdmitBurst < 0 {
-		return nil, fmt.Errorf("shoggoth: negative cluster admission rate/burst (%g, %g)", c.AdmitRate, c.AdmitBurst)
-	}
-	if c.Coalesce < 0 {
-		return nil, fmt.Errorf("shoggoth: negative cluster coalesce bound %d", c.Coalesce)
-	}
-	if c.ColdStartSec < 0 {
-		return nil, fmt.Errorf("shoggoth: negative cluster cold-start penalty %g", c.ColdStartSec)
 	}
 	if c.EngineWorkers < 0 {
 		return nil, fmt.Errorf("shoggoth: negative engine worker count %d", c.EngineWorkers)
@@ -222,11 +204,7 @@ func (c *Cluster) Run(ctx context.Context, cfgs []Config) (*ClusterResults, erro
 // keeps a 1-device Cluster bit-identical to a Session of the same config.
 // Any explicitly-set cluster knob switches to the cluster fields wholesale.
 func (c *Cluster) tierConfig(cfgs []Config) cloud.TierConfig {
-	if c.QueueCap == 0 && c.Policy == "" && c.Workers == 0 && c.Replicas == 0 &&
-		c.Router == "" && c.AdmitRate == 0 && c.AdmitBurst == 0 && c.Coalesce == 0 && c.ColdStartSec == 0 {
-		return cfgs[0].CloudTierConfig()
-	}
-	return cloud.TierConfig{
+	tc := cloud.TierConfig{
 		Replicas:        c.Replicas,
 		Router:          c.Router,
 		Service:         cloud.ServiceConfig{QueueCap: c.QueueCap, Policy: c.Policy, Workers: c.Workers, Coalesce: c.Coalesce},
@@ -234,6 +212,10 @@ func (c *Cluster) tierConfig(cfgs []Config) cloud.TierConfig {
 		AdmitBurst:      c.AdmitBurst,
 		ColdStartSec:    c.ColdStartSec,
 	}
+	if tc == (cloud.TierConfig{}) {
+		return cfgs[0].Cloud
+	}
+	return tc
 }
 
 // cellUplink routes one device's uploads through its cell's shared medium.

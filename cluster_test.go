@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"shoggoth"
@@ -177,6 +178,22 @@ func TestClusterUnknownPolicyRejected(t *testing.T) {
 	}
 	if _, err := (&shoggoth.Cluster{Workers: -1}).Run(context.Background(), cfgs); err == nil {
 		t.Fatal("negative worker count must be rejected")
+	}
+}
+
+// TestClusterValidatesTheTierItBuilds: with no cluster-level cloud knobs the
+// shared tier comes from device 0's Config.Cloud, and Run checks that tier —
+// a bad name there is an error listing the valid ones, not a panic inside
+// the tier constructor.
+func TestClusterValidatesTheTierItBuilds(t *testing.T) {
+	cfgs := clusterConfigs(t, 2, false, 30)
+	for i := range cfgs {
+		cfgs[i].Fidelity = shoggoth.FidelityEvents
+		cfgs[i].Cloud.Service.Policy = "bogus"
+	}
+	_, err := (&shoggoth.Cluster{}).Run(context.Background(), cfgs)
+	if err == nil || !strings.Contains(err.Error(), "wfq") {
+		t.Fatalf("device-config policy %q: got %v, want an error listing the registered policies", "bogus", err)
 	}
 }
 

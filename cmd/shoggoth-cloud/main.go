@@ -15,9 +15,9 @@ import (
 	"flag"
 	"log"
 	"net/http"
+	"os"
 	"time"
 
-	"shoggoth/internal/cloud"
 	"shoggoth/internal/rpc"
 	"shoggoth/internal/video"
 )
@@ -25,38 +25,52 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("shoggoth-cloud: ")
-
-	addr := flag.String("addr", ":8700", "listen address")
-	profileName := flag.String("profile", video.ProfileDETRAC, "dataset profile the edges stream")
-	seed := flag.Uint64("seed", 7, "teacher seed")
-	queueCap := flag.Int("queue-cap", 0, "per-replica labeling queue capacity in batches; overflow answers 429 (0 = unbounded)")
-	workers := flag.Int("workers", 1, "modeled teacher pipeline workers per replica")
-	replicas := flag.Int("replicas", 1, "teacher replicas in the routing tier")
-	router := flag.String("router", "", "replica router (round-robin, least-loaded, domain-affinity; empty = round-robin)")
-	admitRate := flag.Float64("admit-rate", 0, "token-bucket admission rate in requests/sec (0 = no admission control)")
-	admitBurst := flag.Float64("admit-burst", 0, "token-bucket burst capacity in requests (<1 clamps to 1)")
-	flag.Parse()
-
-	profile, err := video.ProfileByName(*profileName)
+	hs, err := newServer(flag.NewFlagSet(os.Args[0], flag.ExitOnError), os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := cloud.ValidateRouter(*router); err != nil {
+	if err := hs.ListenAndServe(); err != nil {
 		log.Fatal(err)
 	}
-	srv := rpc.NewServerOpts(profile, *seed, rpc.ServerOptions{
+}
+
+// newServer parses the command line into a configured HTTP server. It
+// validates the tier the flags describe and returns an error for a bad
+// one; nothing listens until the caller says so.
+func newServer(fs *flag.FlagSet, args []string) (*http.Server, error) {
+	addr := fs.String("addr", ":8700", "listen address")
+	profileName := fs.String("profile", video.ProfileDETRAC, "dataset profile the edges stream")
+	seed := fs.Uint64("seed", 7, "teacher seed")
+	queueCap := fs.Int("queue-cap", 0, "per-replica labeling queue capacity in batches; overflow answers 429 (0 = unbounded)")
+	workers := fs.Int("workers", 1, "modeled teacher pipeline workers per replica")
+	replicas := fs.Int("replicas", 1, "teacher replicas in the routing tier")
+	router := fs.String("router", "", "replica router (round-robin, least-loaded, domain-affinity; empty = round-robin)")
+	admitRate := fs.Float64("admit-rate", 0, "token-bucket admission rate in requests/sec (0 = no admission control)")
+	admitBurst := fs.Float64("admit-burst", 0, "token-bucket burst capacity in requests (<1 clamps to 1)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	profile, err := video.ProfileByName(*profileName)
+	if err != nil {
+		return nil, err
+	}
+	opts := rpc.ServerOptions{
 		QueueCap:        *queueCap,
 		Workers:         *workers,
 		Replicas:        *replicas,
 		Router:          *router,
 		AdmitRatePerSec: *admitRate,
 		AdmitBurst:      *admitBurst,
-	})
-	log.Printf("serving %s labeling + rate control on %s (%d replica(s), queue cap %d, %d workers)",
-		profile.Name, *addr, max(*replicas, 1), *queueCap, *workers)
-	if err := newHTTPServer(*addr, srv.Handler()).ListenAndServe(); err != nil {
-		log.Fatal(err)
 	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	srv := rpc.NewServerOpts(profile, *seed, opts)
+	tc := opts.TierConfig().Resolved()
+	log.Printf("serving %s labeling + rate control on %s (%d replica(s), router %s, queue cap %d, %d workers)",
+		profile.Name, *addr, tc.Replicas, tc.Router, tc.Service.QueueCap, tc.Service.Workers)
+	return newHTTPServer(*addr, srv.Handler()), nil
 }
 
 const (

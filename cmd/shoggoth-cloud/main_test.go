@@ -2,10 +2,12 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -77,5 +79,30 @@ func TestServerDropsStalledHeadersNotSlowBodies(t *testing.T) {
 	resp.Body.Close()
 	if n := <-got; resp.StatusCode != http.StatusOK || n != chunks*chunk {
 		t.Fatalf("slow upload: status %d, handler read %d of %d bytes", resp.StatusCode, n, chunks*chunk)
+	}
+}
+
+// TestBadTierFlagsFailBeforeListening: a tier the flags describe but the
+// server cannot run is an error from newServer, which never listens; good
+// flags build a server on the requested address.
+func TestBadTierFlagsFailBeforeListening(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workers", "-3"}, "workers -3"},
+		{[]string{"-queue-cap", "-5"}, "queue cap -5"},
+		{[]string{"-replicas", "-1"}, "replicas -1"},
+		{[]string{"-admit-rate", "-2"}, "admit rate -2"},
+		{[]string{"-router", "warp"}, "round-robin"},
+	} {
+		hs, err := newServer(flag.NewFlagSet("shoggoth-cloud", flag.ContinueOnError), tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%v: got server %v, error %v; want an error containing %q", tc.args, hs, err, tc.want)
+		}
+	}
+	hs, err := newServer(flag.NewFlagSet("shoggoth-cloud", flag.ContinueOnError), []string{"-addr", "127.0.0.1:0", "-workers", "2"})
+	if err != nil || hs.Addr != "127.0.0.1:0" {
+		t.Fatalf("valid flags: got server %v, error %v", hs, err)
 	}
 }

@@ -72,17 +72,7 @@ func main() {
 	rate := flag.Float64("rate", 0, "fixed sampling rate in fps (0 = strategy default)")
 	workers := flag.Int("workers", 0, "concurrent sessions for -strategy all (0 = GOMAXPROCS)")
 	devices := flag.Int("devices", 0, "edge devices sharing one cloud labeling service (cluster mode when > 1; 0 = the scenario's natural size)")
-	queueCap := flag.Int("queue-cap", 0, "cloud labeling queue capacity in batches per replica (0 = unbounded)")
-	cloudPolicy := flag.String("cloud-policy", "fifo",
-		"cloud scheduling policy: "+strings.Join(shoggoth.CloudPolicies(), ", "))
-	cloudWorkers := flag.Int("cloud-workers", 1, "cloud teacher pipeline workers per replica (concurrent label batches)")
-	cloudReplicas := flag.Int("cloud-replicas", 1, "teacher replicas in the cloud routing tier")
-	cloudRouter := flag.String("cloud-router", "",
-		"cloud replica router: "+strings.Join(shoggoth.CloudRouters(), ", ")+" (empty = round-robin)")
-	cloudAdmitRate := flag.Float64("cloud-admit-rate", 0, "token-bucket admission rate in batches/sec (0 = no admission control)")
-	cloudAdmitBurst := flag.Float64("cloud-admit-burst", 0, "token-bucket burst capacity in batches (<1 clamps to 1)")
-	cloudCoalesce := flag.Int("cloud-coalesce", 0, "coalesce up to this many compatible batches per teacher forward (cross-device batching; <2 = off)")
-	cloudColdStart := flag.Float64("cloud-cold-start", 0, "cold-start penalty in seconds for a domain's first batch on a replica")
+	cloudTier := cloudFlags(flag.CommandLine)
 	fidelity := flag.String("fidelity", "full", "simulation fidelity: full (real models, golden-identical), events (sparse fleet-scale mode) or sampled (seeded full-fidelity subset inside an events fleet; cluster mode only)")
 	sampleFrac := flag.Float64("sample-frac", 0, "sampled fidelity: fraction of devices run at full fidelity, in (0, 1] (0 = the default fraction; needs -fidelity sampled)")
 	sampleSeed := flag.Uint64("sample-seed", 0, "sampled fidelity: seed of the device-subset draw (0 = the run seed; needs -fidelity sampled)")
@@ -100,42 +90,8 @@ func main() {
 		return
 	}
 
-	// Scenario files stamp cloud specs into every device config; a flag the
-	// user actually typed overrides the spec, but a flag left at its default
-	// must not clobber it.
 	explicit := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	applyCloudFlags := func(cfgs []shoggoth.Config) {
-		for i := range cfgs {
-			if explicit["queue-cap"] {
-				cfgs[i].CloudQueueCap = *queueCap
-			}
-			if explicit["cloud-policy"] {
-				cfgs[i].CloudPolicy = *cloudPolicy
-			}
-			if explicit["cloud-workers"] {
-				cfgs[i].CloudWorkers = *cloudWorkers
-			}
-			if explicit["cloud-replicas"] {
-				cfgs[i].CloudReplicas = *cloudReplicas
-			}
-			if explicit["cloud-router"] {
-				cfgs[i].CloudRouter = *cloudRouter
-			}
-			if explicit["cloud-admit-rate"] {
-				cfgs[i].CloudAdmitRate = *cloudAdmitRate
-			}
-			if explicit["cloud-admit-burst"] {
-				cfgs[i].CloudAdmitBurst = *cloudAdmitBurst
-			}
-			if explicit["cloud-coalesce"] {
-				cfgs[i].CloudCoalesce = *cloudCoalesce
-			}
-			if explicit["cloud-cold-start"] {
-				cfgs[i].CloudColdStartSec = *cloudColdStart
-			}
-		}
-	}
 
 	kinds, err := parseStrategies(*strategyName)
 	if err != nil {
@@ -193,7 +149,7 @@ func main() {
 			log.Fatal(err)
 		}
 		header := fmt.Sprintf("scenario=%s strategy=%s", scen.Name, kinds[0])
-		applyCloudFlags(cfgs)
+		applyCloudFlags(flag.CommandLine, *cloudTier, cfgs)
 		if len(cfgs) == 1 {
 			if fid == shoggoth.FidelitySampled {
 				log.Fatal("-fidelity sampled needs a device cluster (a multi-device scenario or -devices > 1): it samples across a fleet run by the event engine")
@@ -219,7 +175,7 @@ func main() {
 			cfgs[i] = shoggoth.NewConfig(kinds[0], profile, baseOpts(*seed+uint64(i))...)
 			cfgs[i].DeviceID = fmt.Sprintf("edge-%d", i+1)
 		}
-		applyCloudFlags(cfgs)
+		applyCloudFlags(flag.CommandLine, *cloudTier, cfgs)
 		header := fmt.Sprintf("profile=%s strategy=%s", profile.Name, kinds[0])
 		runCluster(cfgs, clusterParams{seed: *seed, engineWorkers: *engineWorkers}, *asJSON, *verbose, header)
 		return
@@ -229,8 +185,57 @@ func main() {
 		log.Fatal("-fidelity sampled needs a device cluster (a multi-device scenario or -devices > 1): it samples across a fleet run by the event engine")
 	}
 	cfgs := shoggoth.Grid([]*shoggoth.Profile{profile}, kinds, baseOpts(*seed)...)
-	applyCloudFlags(cfgs)
+	applyCloudFlags(flag.CommandLine, *cloudTier, cfgs)
 	runFleet(cfgs, *workers, *asJSON, *verbose, "profile="+profile.Name, *seed)
+}
+
+// cloudFlags registers the cloud tier flags on fs, bound to the fields of
+// the returned tier.
+func cloudFlags(fs *flag.FlagSet) *shoggoth.CloudTier {
+	t := new(shoggoth.CloudTier)
+	fs.IntVar(&t.Service.QueueCap, "queue-cap", 0, "cloud labeling queue capacity in batches per replica (0 = unbounded)")
+	fs.StringVar(&t.Service.Policy, "cloud-policy", "fifo",
+		"cloud scheduling policy: "+strings.Join(shoggoth.CloudPolicies(), ", "))
+	fs.IntVar(&t.Service.Workers, "cloud-workers", 1, "cloud teacher pipeline workers per replica (concurrent label batches)")
+	fs.IntVar(&t.Replicas, "cloud-replicas", 1, "teacher replicas in the cloud routing tier")
+	fs.StringVar(&t.Router, "cloud-router", "",
+		"cloud replica router: "+strings.Join(shoggoth.CloudRouters(), ", ")+" (empty = round-robin)")
+	fs.Float64Var(&t.AdmitRatePerSec, "cloud-admit-rate", 0, "token-bucket admission rate in batches/sec (0 = no admission control)")
+	fs.Float64Var(&t.AdmitBurst, "cloud-admit-burst", 0, "token-bucket burst capacity in batches (<1 clamps to 1)")
+	fs.IntVar(&t.Service.Coalesce, "cloud-coalesce", 0, "coalesce up to this many compatible batches per teacher forward (cross-device batching; <2 = off)")
+	fs.Float64Var(&t.ColdStartSec, "cloud-cold-start", 0, "cold-start penalty in seconds for a domain's first batch on a replica")
+	return t
+}
+
+// applyCloudFlags copies onto every device config the cloud flags typed on
+// fs, taking their values from t. Scenario files stamp a tier into each
+// config, and a flag left at its default must not clobber it.
+func applyCloudFlags(fs *flag.FlagSet, t shoggoth.CloudTier, cfgs []shoggoth.Config) {
+	fs.Visit(func(f *flag.Flag) {
+		for i := range cfgs {
+			c := &cfgs[i].Cloud
+			switch f.Name {
+			case "queue-cap":
+				c.Service.QueueCap = t.Service.QueueCap
+			case "cloud-policy":
+				c.Service.Policy = t.Service.Policy
+			case "cloud-workers":
+				c.Service.Workers = t.Service.Workers
+			case "cloud-replicas":
+				c.Replicas = t.Replicas
+			case "cloud-router":
+				c.Router = t.Router
+			case "cloud-admit-rate":
+				c.AdmitRatePerSec = t.AdmitRatePerSec
+			case "cloud-admit-burst":
+				c.AdmitBurst = t.AdmitBurst
+			case "cloud-coalesce":
+				c.Service.Coalesce = t.Service.Coalesce
+			case "cloud-cold-start":
+				c.ColdStartSec = t.ColdStartSec
+			}
+		}
+	})
 }
 
 // resolveScenario loads the scenario named on the command line (a file
@@ -359,25 +364,13 @@ func runCluster(cfgs []shoggoth.Config, p clusterParams, asJSON, verbose bool, h
 		emitJSON(res)
 		return
 	}
-	policy := cfgs[0].CloudPolicy
-	if policy == "" {
-		policy = "fifo"
-	}
-	workers := cfgs[0].CloudWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	replicas := cfgs[0].CloudReplicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	router := cfgs[0].CloudRouter
-	if router == "" {
-		router = "round-robin"
-	}
+	// The service knobs as the tier resolved them; replicas and router as
+	// the run reports them.
+	svc := cfgs[0].Cloud.Resolved().Service
 	n := len(cfgs)
 	fmt.Printf("%s devices=%d duration=%.0fs seeds=%d..%d queue-cap=%d policy=%s workers=%d replicas=%d router=%s\n\n",
-		header, n, res.Devices[0].Duration, p.seed, p.seed+uint64(n)-1, cfgs[0].CloudQueueCap, policy, workers, replicas, router)
+		header, n, res.Devices[0].Duration, p.seed, p.seed+uint64(n)-1, svc.QueueCap, svc.Policy, svc.Workers,
+		len(res.Cloud.Replicas), res.Cloud.Router)
 	fmt.Printf("%-8s %-10s %9s %9s %8s %9s %9s %9s %10s %10s\n",
 		"device", "profile", "mAP@0.5", "up Kbps", "fps", "sessions", "batches", "dropped", "qdelay(s)", "qmax(s)")
 	for _, r := range res.Devices {

@@ -3,6 +3,7 @@ package shoggoth_test
 import (
 	"bytes"
 	"context"
+	"runtime/debug"
 	"testing"
 
 	"shoggoth"
@@ -133,7 +134,13 @@ func TestFleetDeterminismMega(t *testing.T) {
 		}
 		return encodeJSON(t, res), res
 	}
+	// Each run holds ~4 GB live at its peak. Return it to the OS before the
+	// next run and before the tests after this one: otherwise the GC's heap
+	// goal stays sized for a million devices, and the tests that follow grow
+	// the process past that high-water mark instead of collecting.
+	t.Cleanup(debug.FreeOSMemory)
 	serial, res := run(1)
+	debug.FreeOSMemory()
 	if res.Devices != nil {
 		t.Fatalf("AggregateOnly run still carried %d device results", len(res.Devices))
 	}
@@ -170,7 +177,7 @@ func TestMultiCloudTierDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		// No cloud knobs on the Cluster: the shared tier adopts the scenario's
-		// CloudSpec stamped into the device configs.
+		// tier stamped into the device configs.
 		res, err := (&shoggoth.Cluster{EngineWorkers: workers}).Run(context.Background(), cfgs)
 		if err != nil {
 			t.Fatal(err)

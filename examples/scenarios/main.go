@@ -44,7 +44,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfgs[0].CloudQueueCap = 2 // small queue: post-blackout bursts drop
+		cfgs[0].Cloud.Service.QueueCap = 2 // small queue: post-blackout bursts drop
 		res, err := fleet.Run(context.Background(), cfgs)
 		if err != nil {
 			log.Fatal(err)

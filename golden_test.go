@@ -96,8 +96,8 @@ func TestGoldenExplicitFIFOOneWorker(t *testing.T) {
 		t.Skipf("golden-file byte comparison is amd64-only (FMA contraction differs on %s)", runtime.GOARCH)
 	}
 	explicit := goldenResults(t, func(c *shoggoth.Config) {
-		c.CloudPolicy = "fifo"
-		c.CloudWorkers = 1
+		c.Cloud.Service.Policy = "fifo"
+		c.Cloud.Service.Workers = 1
 	})
 	golden, err := os.ReadFile("testdata/golden_results.json")
 	if err != nil {

@@ -11,39 +11,48 @@ import (
 	"shoggoth/internal/video"
 )
 
-// ServiceConfig shapes the shared labeling engine.
+// ServiceConfig shapes the shared labeling engine (one replica of a tier).
 type ServiceConfig struct {
 	// QueueCap bounds the number of label batches outstanding (in service
 	// plus waiting) at any virtual instant; a batch arriving at a full
 	// queue is dropped (no labels, no rate command). 0 means unbounded.
-	QueueCap int
+	QueueCap int `json:"queue_cap,omitempty"`
 	// Policy names the scheduling policy deciding service order across
 	// devices (see RegisterPolicy). Empty means PolicyFIFO, the frozen
 	// default whose 1-worker configuration is bit-identical to the
 	// pre-engine cloud.
-	Policy string
+	Policy string `json:"policy,omitempty"`
 	// Workers is the teacher pipeline pool size: how many batches the cloud
 	// labels concurrently (in virtual time, each on its own busyUntil
 	// horizon). 0 means 1.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// Coalesce enables cross-device teacher batching on the deferred
 	// dispatch path: when a worker frees, up to Coalesce compatible pending
 	// batches (same per-frame teacher latency) are fused into ONE priced
 	// teacher forward — the first batch pays full per-frame latency, every
-	// piggybacked frame pays CoalesceMarginal of it. Values < 2 disable
+	// piggybacked frame pays coalesceMarginal of it. Values < 2 disable
 	// coalescing (the frozen default). Coalescing forces the deferred path
 	// even under an arrival-order policy, so it needs Bind; the real-time
 	// Admit path never coalesces (arrival order is fixed by the network).
-	Coalesce int
-	// CoalesceMarginal is the fractional per-frame cost of piggybacked
-	// frames in a coalesced forward (0 means DefaultCoalesceMarginal).
-	CoalesceMarginal float64
+	Coalesce int `json:"coalesce,omitempty"`
 }
 
-// DefaultCoalesceMarginal is the modeled marginal cost of a piggybacked
-// frame in a coalesced teacher forward: batching amortises weight loading
-// and kernel launch, leaving ~15% of the per-frame latency.
-const DefaultCoalesceMarginal = 0.15
+// resolved returns c with its zero-valued knobs replaced by what a Service
+// runs with: FIFO and one worker.
+func (c ServiceConfig) resolved() ServiceConfig {
+	if c.Policy == "" {
+		c.Policy = PolicyFIFO
+	}
+	if c.Workers < 1 {
+		c.Workers = 1
+	}
+	return c
+}
+
+// coalesceMarginal is the modeled marginal cost of a piggybacked frame in a
+// coalesced teacher forward: batching amortises weight loading and kernel
+// launch, leaving ~15% of the per-frame latency.
+const coalesceMarginal = 0.15
 
 // QueueStats is a snapshot of labeling-queue behaviour, either for the
 // whole service or for one device. Delays are the time a batch waited
@@ -239,15 +248,12 @@ func (h *doneHeap) popMin() {
 }
 
 // NewService creates an empty labeling engine. It panics on an unregistered
-// policy name — validate user input with ValidatePolicy first.
+// policy name — validate user input with TierConfig.Validate first.
 func NewService(cfg ServiceConfig) *Service {
+	cfg = cfg.resolved()
 	policy, err := NewPolicy(cfg.Policy)
 	if err != nil {
 		panic(err)
-	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
 	}
 	s := &Service{
 		cfg:    cfg,
@@ -255,7 +261,7 @@ func NewService(cfg ServiceConfig) *Service {
 		// Coalescing fuses batches when a worker frees, so it needs the
 		// deferred dispatch path even under an arrival-order policy.
 		immediate: policy.Immediate() && cfg.Coalesce < 2,
-		workers:   make([]float64, workers),
+		workers:   make([]float64, cfg.Workers),
 		devices:   make(map[string]*ServiceDevice),
 	}
 	s.dispatchFn = s.onDispatch
@@ -271,12 +277,7 @@ func (s *Service) Bind(tl sim.Timeline) { s.sched = tl }
 func (s *Service) Workers() int { return len(s.workers) }
 
 // Policy returns the resolved scheduling policy name.
-func (s *Service) Policy() string {
-	if s.cfg.Policy == "" {
-		return PolicyFIFO
-	}
-	return s.cfg.Policy
-}
+func (s *Service) Policy() string { return s.cfg.Policy }
 
 // ServiceDevice is one registered edge device's cloud-side state: its own
 // labeler (φ continuity) and optional sampling-rate controller, sharing the
@@ -735,16 +736,12 @@ func (s *Service) selectGroupLocked(now float64) []*pendingBatch {
 func (s *Service) assignGroupLocked(ready []assigned, group []*pendingBatch, now float64) []assigned {
 	w := s.freeWorkerLocked()
 	start := math.Max(now, s.workers[w])
-	marginal := s.cfg.CoalesceMarginal
-	if marginal <= 0 {
-		marginal = DefaultCoalesceMarginal
-	}
 	costs := s.costs[:len(group)]
 	var total float64
 	for k, b := range group {
 		lat := b.dev.labeler.Config.TeacherLatencySec
 		if k > 0 {
-			lat *= marginal
+			lat *= coalesceMarginal
 		}
 		var c float64
 		for i := 0; i < len(b.frames); i++ {

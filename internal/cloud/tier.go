@@ -14,28 +14,69 @@ import (
 // DefaultSLOClass is the SLO class of devices registered without one.
 const DefaultSLOClass = "standard"
 
-// TierConfig shapes a routed tier of teacher replicas.
+// TierConfig shapes a routed tier of teacher replicas. It is the one
+// description of a cloud tier: a single run carries it as Config.Cloud, a
+// scenario as its "cloud" JSON block, and the live server maps its options
+// onto it. The zero value is the frozen default — one FIFO worker behind a
+// 1-replica round-robin tier, no admission control, no batching.
 type TierConfig struct {
 	// Replicas is the number of Service replicas the tier owns (each a full
 	// teacher pipeline built from Service). Values < 1 mean 1.
-	Replicas int
+	Replicas int `json:"replicas,omitempty"`
 	// Router names the replica router (see RegisterRouter). Empty means
 	// RouterRoundRobin, the frozen default — with one replica the tier is
 	// then a bit-identical pass-through to the bare Service.
-	Router string
+	Router string `json:"router,omitempty"`
 	// Service configures every replica (queue bound, policy, worker pool,
 	// coalescing).
-	Service ServiceConfig
+	Service ServiceConfig `json:"service"`
 	// AdmitRatePerSec enables token-bucket admission control in front of
 	// the tier: a sustained rate of batches per virtual second, with
 	// AdmitBurst tokens of headroom. 0 disables admission control.
-	AdmitRatePerSec float64
+	AdmitRatePerSec float64 `json:"admit_rate_per_sec,omitempty"`
 	// AdmitBurst is the bucket capacity in batches (values < 1 mean 1).
-	AdmitBurst float64
+	AdmitBurst float64 `json:"admit_burst,omitempty"`
 	// ColdStartSec is the one-off extra teacher time the FIRST batch of a
 	// video domain pays on a replica that has never seen that domain — the
 	// model-warmup cost domain-affinity routing amortises. 0 disables it.
-	ColdStartSec float64
+	ColdStartSec float64 `json:"cold_start_sec,omitempty"`
+}
+
+// Validate rejects a tier NewTier cannot build: an unregistered router or
+// policy name, or a negative count, rate or duration. It is the only
+// check of a tier description; every front-end that accepts one calls it.
+func (c TierConfig) Validate() error {
+	if err := ValidateRouter(c.Router); err != nil {
+		return err
+	}
+	if err := ValidatePolicy(c.Service.Policy); err != nil {
+		return err
+	}
+	s := c.Service
+	if c.Replicas < 0 || s.Workers < 0 || s.QueueCap < 0 || s.Coalesce < 0 {
+		return fmt.Errorf("cloud: negative tier count (replicas %d, workers %d, queue cap %d, coalesce %d)",
+			c.Replicas, s.Workers, s.QueueCap, s.Coalesce)
+	}
+	if c.AdmitRatePerSec < 0 || c.AdmitBurst < 0 || c.ColdStartSec < 0 {
+		return fmt.Errorf("cloud: negative tier rate (admit rate %g, admit burst %g, cold start %g s)",
+			c.AdmitRatePerSec, c.AdmitBurst, c.ColdStartSec)
+	}
+	return nil
+}
+
+// Resolved returns c with its zero-valued knobs replaced by what the tier
+// runs with: one replica, round-robin routing, FIFO and one worker per
+// replica. NewTier builds from it, so it is also what a front-end should
+// report.
+func (c TierConfig) Resolved() TierConfig {
+	if c.Replicas < 1 {
+		c.Replicas = 1
+	}
+	if c.Router == "" {
+		c.Router = RouterRoundRobin
+	}
+	c.Service = c.Service.resolved()
+	return c
 }
 
 // SLOClassStats summarises one SLO class's label service: batch counts,
@@ -153,8 +194,7 @@ type classAccum struct {
 // updates at routing time — so the replica choice is a pure function of
 // the admitted batch sequence, independent of engine worker count.
 type Tier struct {
-	cfg      TierConfig
-	routerNm string
+	cfg      TierConfig // resolved: Router and Replicas name what runs
 	router   Router
 	replicas []*Service
 
@@ -177,23 +217,16 @@ type Tier struct {
 
 // NewTier creates a tier of cfg.Replicas fresh Service replicas. It panics
 // on an unregistered router or policy name — validate user input with
-// ValidateRouter/ValidatePolicy first.
+// TierConfig.Validate first.
 func NewTier(cfg TierConfig) *Tier {
+	cfg = cfg.Resolved()
 	router, err := NewRouter(cfg.Router)
 	if err != nil {
 		panic(err)
 	}
-	name := cfg.Router
-	if name == "" {
-		name = RouterRoundRobin
-	}
 	n := cfg.Replicas
-	if n < 1 {
-		n = 1
-	}
 	t := &Tier{
 		cfg:      cfg,
-		routerNm: name,
 		router:   router,
 		replicas: make([]*Service, n),
 		warm:     make([]map[int]float64, n),
@@ -223,7 +256,7 @@ func (t *Tier) Bind(tl sim.Timeline) {
 func (t *Tier) Replicas() int { return len(t.replicas) }
 
 // Router returns the resolved replica router name.
-func (t *Tier) Router() string { return t.routerNm }
+func (t *Tier) Router() string { return t.cfg.Router }
 
 // TierDevice is one logical edge device registered on a Tier. The tier
 // owns the device's sampling-rate controller (ONE rate stream regardless
@@ -579,7 +612,7 @@ func (t *Tier) TierStats() TierStats {
 	m.dropped += t.admissionRejected
 	out := TierStats{
 		QueueStats:        m.snapshot(),
-		Router:            t.routerNm,
+		Router:            t.cfg.Router,
 		Replicas:          reps,
 		AdmissionRejected: t.admissionRejected,
 		CoalescedForwards: fwd,

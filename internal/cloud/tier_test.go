@@ -403,3 +403,58 @@ func TestRouterRegistry(t *testing.T) {
 		t.Fatal("stock routers must have summaries")
 	}
 }
+
+// TestTierConfigValidate is the one table of bad tier descriptions: every
+// front-end (core.Config, scenarios, Cluster, the live server) delegates
+// here, so each keeps a single case of its own.
+func TestTierConfigValidate(t *testing.T) {
+	for _, ok := range []TierConfig{
+		{},
+		{Replicas: 3, Router: "Least-Loaded", Service: ServiceConfig{Policy: "wfq", Workers: 2, QueueCap: 4, Coalesce: 3}},
+		{AdmitRatePerSec: 6, AdmitBurst: 8, ColdStartSec: 0.3},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("%+v rejected: %v", ok, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  TierConfig
+		want string // a substring the error must carry
+	}{
+		{"unknown router", TierConfig{Router: "warp"}, RouterRoundRobin},
+		{"unknown policy", TierConfig{Service: ServiceConfig{Policy: "warp"}}, PolicyFIFO},
+		{"negative replicas", TierConfig{Replicas: -1}, "replicas -1"},
+		{"negative workers", TierConfig{Service: ServiceConfig{Workers: -3}}, "workers -3"},
+		{"negative queue cap", TierConfig{Service: ServiceConfig{QueueCap: -5}}, "queue cap -5"},
+		{"negative coalesce", TierConfig{Service: ServiceConfig{Coalesce: -2}}, "coalesce -2"},
+		{"negative admit rate", TierConfig{AdmitRatePerSec: -1}, "admit rate -1"},
+		{"negative admit burst", TierConfig{AdmitBurst: -1}, "admit burst -1"},
+		{"negative cold start", TierConfig{ColdStartSec: -0.1}, "cold start -0.1"},
+	} {
+		err := tc.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestTierResolvedIsWhatRuns: Resolved names the defaults a zero tier runs
+// with, and NewTier reports the same.
+func TestTierResolvedIsWhatRuns(t *testing.T) {
+	r := TierConfig{}.Resolved()
+	want := TierConfig{Replicas: 1, Router: RouterRoundRobin, Service: ServiceConfig{Policy: PolicyFIFO, Workers: 1}}
+	if r != want {
+		t.Fatalf("zero tier resolves to %+v, want %+v", r, want)
+	}
+	tier := NewTier(TierConfig{})
+	if tier.Replicas() != r.Replicas || tier.Router() != r.Router ||
+		tier.replicas[0].Policy() != r.Service.Policy || tier.replicas[0].Workers() != r.Service.Workers {
+		t.Fatalf("NewTier runs %d replicas, router %s, policy %s, %d workers; Resolved says %+v",
+			tier.Replicas(), tier.Router(), tier.replicas[0].Policy(), tier.replicas[0].Workers(), r)
+	}
+	set := TierConfig{Replicas: 2, Router: RouterLeastLoaded, Service: ServiceConfig{Policy: PolicyWFQ, Workers: 3}}
+	if set.Resolved() != set {
+		t.Fatalf("Resolved changed set knobs: %+v", set.Resolved())
+	}
+}

@@ -99,46 +99,13 @@ type Config struct {
 	// ids so per-device cloud state never aliases.
 	DeviceID string
 
-	// CloudQueueCap bounds the cloud labeling queue (batches in service
-	// plus waiting); an arriving batch finding the queue full is dropped.
-	// 0 means unbounded. Ignored when the run joins a shared cloud
-	// service, whose own configuration wins.
-	CloudQueueCap int
-
-	// CloudPolicy names the cloud scheduling policy deciding which device's
-	// batch the teacher labels next (registered in internal/cloud: "fifo",
-	// "phi-priority", "wfq", plus anything added via RegisterPolicy). Empty
-	// means FIFO, the frozen default. Ignored when the run joins a shared
-	// cloud service, whose own configuration wins.
-	CloudPolicy string
-	// CloudWorkers is the cloud teacher pipeline pool size (how many
-	// batches label concurrently in virtual time). 0 means 1, the frozen
-	// default. Ignored when the run joins a shared cloud service.
-	CloudWorkers int
-
-	// CloudReplicas is how many teacher replicas the private cloud tier
-	// owns. Values ≤ 1 mean one replica, the frozen default. Ignored when
-	// the run joins a shared cloud service.
-	CloudReplicas int
-	// CloudRouter names the replica router dispatching batches across the
-	// tier (registered in internal/cloud: "round-robin", "least-loaded",
-	// "domain-affinity", plus anything added via RegisterRouter). Empty
-	// means round-robin. Ignored when the run joins a shared cloud service.
-	CloudRouter string
-	// CloudAdmitRate enables token-bucket admission control in front of the
-	// tier: sustained batches per virtual second, with CloudAdmitBurst
-	// batches of headroom (0 burst means 1). 0 rate disables admission
-	// control, the frozen default.
-	CloudAdmitRate  float64
-	CloudAdmitBurst float64
-	// CloudCoalesce fuses up to this many compatible pending batches into
-	// one priced teacher forward per dispatch (cross-device batching).
-	// Values < 2 disable coalescing, the frozen default.
-	CloudCoalesce int
-	// CloudColdStartSec is the one-off teacher warmup cost the first batch
-	// of a video domain pays on a replica that has never seen that domain.
-	// 0 disables it, the frozen default.
-	CloudColdStartSec float64
+	// Cloud shapes the cloud tier this run labels on: replica count and
+	// router, each replica's queue bound, scheduling policy, worker pool
+	// and coalescing, admission control and cold-start pricing (see
+	// cloud.TierConfig). The zero value is the frozen default. A Cluster
+	// builds its shared tier from device 0's Cloud unless its own tier
+	// fields are set.
+	Cloud cloud.TierConfig
 
 	// SLOClass names this device's service-level class for the cloud
 	// tier's per-class latency/drop metrics. Empty means "standard".
@@ -292,26 +259,8 @@ func (c *Config) Validate() error {
 	if c.ComputeAccumWorkers < 0 {
 		return fmt.Errorf("core: negative accumulation worker count %d", c.ComputeAccumWorkers)
 	}
-	if err := cloud.ValidatePolicy(c.CloudPolicy); err != nil {
+	if err := c.Cloud.Validate(); err != nil {
 		return err
-	}
-	if c.CloudWorkers < 0 {
-		return fmt.Errorf("core: negative cloud worker count")
-	}
-	if err := cloud.ValidateRouter(c.CloudRouter); err != nil {
-		return err
-	}
-	if c.CloudReplicas < 0 {
-		return fmt.Errorf("core: negative cloud replica count")
-	}
-	if c.CloudAdmitRate < 0 || c.CloudAdmitBurst < 0 {
-		return fmt.Errorf("core: negative cloud admission rate/burst")
-	}
-	if c.CloudCoalesce < 0 {
-		return fmt.Errorf("core: negative cloud coalesce bound")
-	}
-	if c.CloudColdStartSec < 0 {
-		return fmt.Errorf("core: negative cloud cold-start penalty")
 	}
 	if err := c.validateLink("uplink", c.Uplink, c.UplinkTrace); err != nil {
 		return err
@@ -349,25 +298,6 @@ func (c *Config) Compute() nn.Compute {
 	}
 	lane, _ := tensor.ParseLane(c.ComputeLane)
 	return nn.Compute{Fast: true, Lane: lane}
-}
-
-// CloudTierConfig assembles the cloud.TierConfig this config's knobs
-// describe (shared by the private-run path and Cluster's scenario
-// inheritance).
-func (c *Config) CloudTierConfig() cloud.TierConfig {
-	return cloud.TierConfig{
-		Replicas: c.CloudReplicas,
-		Router:   c.CloudRouter,
-		Service: cloud.ServiceConfig{
-			QueueCap: c.CloudQueueCap,
-			Policy:   c.CloudPolicy,
-			Workers:  c.CloudWorkers,
-			Coalesce: c.CloudCoalesce,
-		},
-		AdmitRatePerSec: c.CloudAdmitRate,
-		AdmitBurst:      c.CloudAdmitBurst,
-		ColdStartSec:    c.CloudColdStartSec,
-	}
 }
 
 // uplink returns the effective uplink network model.

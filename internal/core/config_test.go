@@ -45,6 +45,16 @@ func TestValidateRejectsDeadLinks(t *testing.T) {
 	}
 }
 
+// TestValidateDelegatesCloudTier: Config.Cloud is checked by
+// cloud.TierConfig.Validate, whose own table covers every bad field.
+func TestValidateDelegatesCloudTier(t *testing.T) {
+	cfg := NewConfig(Shoggoth, video.DETRACProfile())
+	cfg.Cloud.Service.QueueCap = -5
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "queue cap -5") {
+		t.Fatalf("negative cloud queue cap must be rejected, got %v", err)
+	}
+}
+
 func TestTransferHelpersMatchConstantLink(t *testing.T) {
 	cfg := NewConfig(Shoggoth, video.DETRACProfile())
 	for _, bytes := range []int{64, 40_000, 2_900_000} {

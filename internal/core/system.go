@@ -198,7 +198,7 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 
 	s.cloudSvc = opts.Cloud
 	if s.cloudSvc == nil {
-		tier := cloud.NewTier(cfg.CloudTierConfig())
+		tier := cloud.NewTier(cfg.Cloud)
 		tier.Bind(sched)
 		s.cloudSvc = tier
 	}

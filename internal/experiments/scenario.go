@@ -66,7 +66,7 @@ func ScenarioAblation(m Mode) (*ScenarioAblationResult, error) {
 				return nil, fmt.Errorf("scenario ablation %s x %s: %w", name, kind, err)
 			}
 			cfg := built[0]
-			cfg.CloudQueueCap = scenarioAblationQueueCap
+			cfg.Cloud.Service.QueueCap = scenarioAblationQueueCap
 			cfgs = append(cfgs, cfg)
 		}
 	}

@@ -40,6 +40,24 @@ type ServerOptions struct {
 	AdmitBurst float64
 }
 
+// TierConfig maps the options onto the tier they describe. The live path
+// is a deliberate subset of cloud.TierConfig: service runs in arrival order
+// (no policy) and never coalesces, since the network already fixed the
+// order.
+func (o ServerOptions) TierConfig() cloud.TierConfig {
+	return cloud.TierConfig{
+		Replicas:        o.Replicas,
+		Router:          o.Router,
+		Service:         cloud.ServiceConfig{QueueCap: o.QueueCap, Workers: o.Workers},
+		AdmitRatePerSec: o.AdmitRatePerSec,
+		AdmitBurst:      o.AdmitBurst,
+	}
+}
+
+// Validate rejects options NewServerOpts cannot serve: an unregistered
+// router, or a negative count or rate.
+func (o ServerOptions) Validate() error { return o.TierConfig().Validate() }
+
 // Server is the cloud side: the same cloud.Tier routing-and-scheduling
 // engine the simulation's Cluster runs, served over HTTP. Requests are
 // admitted through the engine — so token-bucket rejections and QueueCap
@@ -78,23 +96,15 @@ func NewServer(p *video.Profile, seed uint64) *Server {
 	return NewServerOpts(p, seed, ServerOptions{})
 }
 
-// NewServerOpts is NewServer with engine options.
+// NewServerOpts is NewServer with engine options. It panics on an
+// unregistered router — check user input with ServerOptions.Validate first.
 func NewServerOpts(p *video.Profile, seed uint64, opts ServerOptions) *Server {
 	return &Server{
 		profile:    p,
 		labelerCfg: cloud.DefaultLabelerConfig(),
 		ctrlCfg:    cloud.DefaultControllerConfig(),
 		seed:       seed,
-		tier: cloud.NewTier(cloud.TierConfig{
-			Replicas: opts.Replicas,
-			Router:   opts.Router,
-			Service: cloud.ServiceConfig{
-				QueueCap: opts.QueueCap,
-				Workers:  opts.Workers,
-			},
-			AdmitRatePerSec: opts.AdmitRatePerSec,
-			AdmitBurst:      opts.AdmitBurst,
-		}),
+		tier:       cloud.NewTier(opts.TierConfig()),
 		//shoggoth:allow wallclock -- live boundary: the HTTP server's epoch; real devices arrive in real time, wall time IS the engine clock here
 		start:   time.Now(),
 		devices: make(map[string]*deviceState),

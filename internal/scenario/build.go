@@ -52,19 +52,11 @@ func (sc *Scenario) Configs(kind core.StrategyKind, n int, opts ...strategy.Opti
 		cfg := strategy.Configure(kind, p, opts...)
 		cfg.DurationSec = ref.DurationSec
 		cfg.SLOClass = dev.SLOClass
-		if cl := sc.Cloud; cl != nil {
+		if sc.Cloud != nil {
 			// Every device carries the full tier spec: a Session honours it
 			// directly, and a Cluster with no explicit cloud knobs adopts
 			// device 0's spec for the shared tier.
-			cfg.CloudReplicas = cl.Replicas
-			cfg.CloudRouter = cl.Router
-			cfg.CloudPolicy = cl.Policy
-			cfg.CloudWorkers = cl.Workers
-			cfg.CloudQueueCap = cl.QueueCap
-			cfg.CloudAdmitRate = cl.AdmitRatePerSec
-			cfg.CloudAdmitBurst = cl.AdmitBurst
-			cfg.CloudCoalesce = cl.Coalesce
-			cfg.CloudColdStartSec = cl.ColdStartSec
+			cfg.Cloud = *sc.Cloud
 		}
 
 		net := sc.deviceNetwork(dev)

@@ -12,13 +12,16 @@ import (
 // running the default world. The scenario is NOT auto-registered; pass it
 // to Register to make it name-resolvable.
 //
-// A minimal spec:
+// A small spec, with a cloud block in the shape of cloud.TierConfig (each
+// replica's own knobs nest under "service"):
 //
 //	{
 //	  "name": "my-outage",
 //	  "profile": "kitti",
 //	  "network": {"up": {"kind": "step", "period_sec": 60,
-//	                     "windows": [{"start_sec": 40, "end_sec": 50, "rate_bps": 0}]}}
+//	                     "windows": [{"start_sec": 40, "end_sec": 50, "rate_bps": 0}]}},
+//	  "cloud": {"replicas": 2, "router": "least-loaded",
+//	            "service": {"policy": "wfq", "workers": 2, "queue_cap": 8}}
 //	}
 func Load(r io.Reader) (*Scenario, error) {
 	dec := json.NewDecoder(r)

@@ -46,37 +46,11 @@ type Scenario struct {
 	// overrides it wholesale.
 	Network NetworkSpec `json:"network,omitempty"`
 	// Cloud, when set, shapes the shared labeling tier the fleet uploads to:
-	// replica count, replica router, admission control and cross-device
-	// teacher batching. Nil keeps the frozen single-service default.
-	Cloud *CloudSpec `json:"cloud,omitempty"`
-}
-
-// CloudSpec is the declarative form of the shared cloud tier. Zero-valued
-// fields keep the frozen defaults (one replica, round-robin, no admission
-// control, no batching), so an empty spec is the classic single service.
-type CloudSpec struct {
-	// Replicas is the teacher replica count (0 or 1 = one replica).
-	Replicas int `json:"replicas,omitempty"`
-	// Router names the replica router ("round-robin", "least-loaded",
-	// "domain-affinity", or any registered router). Empty = round-robin.
-	Router string `json:"router,omitempty"`
-	// Policy names each replica's scheduling policy ("fifo", "phi-priority",
-	// "wfq", or any registered policy). Empty = FIFO.
-	Policy string `json:"policy,omitempty"`
-	// Workers is each replica's teacher pipeline pool size (0 = 1).
-	Workers int `json:"workers,omitempty"`
-	// QueueCap bounds each replica's labeling queue (0 = unbounded).
-	QueueCap int `json:"queue_cap,omitempty"`
-	// AdmitRatePerSec > 0 enables token-bucket admission control at that
-	// sustained batch rate per virtual second.
-	AdmitRatePerSec float64 `json:"admit_rate_per_sec,omitempty"`
-	// AdmitBurst is the bucket's burst capacity in batches (< 1 clamps to 1).
-	AdmitBurst float64 `json:"admit_burst,omitempty"`
-	// Coalesce >= 2 lets each replica coalesce up to that many compatible
-	// pending batches into one priced teacher forward.
-	Coalesce int `json:"coalesce,omitempty"`
-	// ColdStartSec prices the first batch of a video domain on each replica.
-	ColdStartSec float64 `json:"cold_start_sec,omitempty"`
+	// replica count, replica router, each replica's service (queue bound,
+	// policy, workers, coalescing), admission control and cold-start
+	// pricing. Zero-valued fields keep the frozen defaults, and nil keeps
+	// the frozen single-service tier.
+	Cloud *cloud.TierConfig `json:"cloud,omitempty"`
 }
 
 // DeviceSpec is one device slice of a scenario: which world variant this
@@ -190,20 +164,9 @@ func (sc *Scenario) Validate() error {
 	if _, err := sc.baseProfile(); err != nil {
 		return fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	if cl := sc.Cloud; cl != nil {
-		if err := cloud.ValidateRouter(cl.Router); err != nil {
+	if sc.Cloud != nil {
+		if err := sc.Cloud.Validate(); err != nil {
 			return fmt.Errorf("scenario %s: %w", sc.Name, err)
-		}
-		if err := cloud.ValidatePolicy(cl.Policy); err != nil {
-			return fmt.Errorf("scenario %s: %w", sc.Name, err)
-		}
-		if cl.Replicas < 0 || cl.Workers < 0 || cl.QueueCap < 0 || cl.Coalesce < 0 {
-			return fmt.Errorf("scenario %s: negative cloud spec field (replicas %d, workers %d, queue cap %d, coalesce %d)",
-				sc.Name, cl.Replicas, cl.Workers, cl.QueueCap, cl.Coalesce)
-		}
-		if cl.AdmitRatePerSec < 0 || cl.AdmitBurst < 0 || cl.ColdStartSec < 0 {
-			return fmt.Errorf("scenario %s: negative cloud spec field (admit rate %g, burst %g, cold start %g)",
-				sc.Name, cl.AdmitRatePerSec, cl.AdmitBurst, cl.ColdStartSec)
 		}
 	}
 	slices := sc.Devices

@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"shoggoth/internal/cloud"
 	"shoggoth/internal/core"
 	"shoggoth/internal/netsim"
 	"shoggoth/internal/strategy"
@@ -84,10 +87,8 @@ func TestMultiCloudStampsTierSpec(t *testing.T) {
 	for i, cfg := range cfgs {
 		// Every device carries the scenario's full tier spec, so a Cluster
 		// with no explicit cloud knobs can adopt device 0's spec.
-		if cfg.CloudReplicas != 3 || cfg.CloudRouter != "domain-affinity" ||
-			cfg.CloudCoalesce != 3 || cfg.CloudAdmitRate != 6 ||
-			cfg.CloudAdmitBurst != 8 || cfg.CloudColdStartSec != 0.3 {
-			t.Fatalf("device %d: tier spec not stamped: %+v", i, cfg)
+		if cfg.Cloud != *sc.Cloud || cfg.Cloud.Replicas != 3 || cfg.Cloud.Service.Coalesce != 3 {
+			t.Fatalf("device %d: tier spec not stamped: %+v", i, cfg.Cloud)
 		}
 		if cfg.SLOClass != wantClass[i] {
 			t.Fatalf("device %d: SLO class %q, want %q", i, cfg.SLOClass, wantClass[i])
@@ -95,29 +96,60 @@ func TestMultiCloudStampsTierSpec(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadCloudSpec: a scenario's cloud block is checked by
+// cloud.TierConfig.Validate (whose own table covers every bad field).
 func TestValidateRejectsBadCloudSpec(t *testing.T) {
-	base := Scenario{Name: "t", Devices: []DeviceSpec{{}}}
-	ok := base
-	ok.Cloud = &CloudSpec{Replicas: 3, Router: "least-loaded", Policy: "wfq"}
-	if err := ok.Validate(); err != nil {
+	sc := Scenario{Name: "t", Devices: []DeviceSpec{{}}}
+	sc.Cloud = &cloud.TierConfig{Replicas: 3, Router: "least-loaded", Service: cloud.ServiceConfig{Policy: "wfq"}}
+	if err := sc.Validate(); err != nil {
 		t.Fatalf("valid cloud spec rejected: %v", err)
 	}
-	for _, tc := range []struct {
-		name  string
-		cloud CloudSpec
-	}{
-		{"unknown router", CloudSpec{Router: "warp"}},
-		{"unknown policy", CloudSpec{Policy: "warp"}},
-		{"negative replicas", CloudSpec{Replicas: -1}},
-		{"negative admit rate", CloudSpec{AdmitRatePerSec: -1}},
-		{"negative cold start", CloudSpec{ColdStartSec: -0.1}},
+	sc.Cloud.Service.Policy = "warp"
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "wfq") {
+		t.Fatalf("unknown policy: got %v, want an error listing the registered policies", err)
+	}
+}
+
+// TestCloudBlockRoundTrips: the stock multi-cloud tier marshals to the
+// nested JSON shape and loads back equal.
+func TestCloudBlockRoundTrips(t *testing.T) {
+	sc, err := ByName("multi-cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"service":{"coalesce":3}`) {
+		t.Fatalf("cloud block not nested: %s", b)
+	}
+	back, err := Load(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Cloud == nil || *back.Cloud != *sc.Cloud {
+		t.Fatalf("cloud block did not round-trip: got %+v, want %+v", back.Cloud, sc.Cloud)
+	}
+}
+
+// TestFlatCloudKeysRejected: the cloud block's per-replica knobs live under
+// "service"; a flat key fails loudly instead of being dropped.
+func TestFlatCloudKeysRejected(t *testing.T) {
+	for _, spec := range []string{
+		`{"name": "x", "cloud": {"policy": "wfq"}}`,
+		`{"name": "x", "cloud": {"replicas": 2, "queue_cap": 4}}`,
 	} {
-		bad := base
-		cl := tc.cloud
-		bad.Cloud = &cl
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("%s must fail validation", tc.name)
+		if _, err := Load(strings.NewReader(spec)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Fatalf("%s: got %v, want an unknown-field error", spec, err)
 		}
+	}
+	sc, err := Load(strings.NewReader(`{"name": "x", "cloud": {"replicas": 2, "service": {"policy": "wfq", "workers": 2}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (cloud.TierConfig{Replicas: 2, Service: cloud.ServiceConfig{Policy: "wfq", Workers: 2}}); *sc.Cloud != want {
+		t.Fatalf("nested cloud block: got %+v, want %+v", *sc.Cloud, want)
 	}
 }
 

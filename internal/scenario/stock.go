@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"shoggoth/internal/cloud"
 	"shoggoth/internal/netsim"
 	"shoggoth/internal/video"
 )
@@ -108,10 +109,10 @@ func init() {
 			{Workload: scriptPhase(240), SLOClass: "standard"},
 			{Workload: scriptDomains(0, 3), SLOClass: "standard"},
 		},
-		Cloud: &CloudSpec{
+		Cloud: &cloud.TierConfig{
 			Replicas:        3,
 			Router:          "domain-affinity",
-			Coalesce:        3,
+			Service:         cloud.ServiceConfig{Coalesce: 3},
 			AdmitRatePerSec: 6,
 			AdmitBurst:      8,
 			ColdStartSec:    0.3,

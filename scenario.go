@@ -20,9 +20,6 @@ type (
 	ScenarioDevice = scenario.DeviceSpec
 	// ScenarioNetwork selects the network model per direction.
 	ScenarioNetwork = scenario.NetworkSpec
-	// ScenarioCloud shapes the shared labeling tier a scenario's fleet
-	// uploads to (replicas, router, admission control, teacher batching).
-	ScenarioCloud = scenario.CloudSpec
 	// TraceSpec is the declarative form of one direction's network model.
 	TraceSpec = scenario.TraceSpec
 	// ScriptTransform rewrites a profile's scenario script (phase offset,
@@ -52,8 +49,9 @@ var (
 )
 
 // ScenarioByName resolves a registered scenario ("steady", "rush-hour",
-// "day-night", "lossy-uplink", "degraded-cell", "hetero-fleet", plus any
-// registered via RegisterScenario), case-insensitively.
+// "day-night", "lossy-uplink", "degraded-cell", "cell-tower",
+// "hetero-fleet", "multi-cloud", plus any registered via
+// RegisterScenario), case-insensitively.
 func ScenarioByName(name string) (*Scenario, error) { return scenario.ByName(name) }
 
 // Scenarios returns a copy of every registered scenario in registration

@@ -58,7 +58,7 @@ func TestStepOutageChangesQueueBehaviour(t *testing.T) {
 	run := func(mutate func(*shoggoth.Config)) *shoggoth.Results {
 		cfg := shoggoth.NewConfig(shoggoth.Shoggoth, profile,
 			shoggoth.WithSeed(1), shoggoth.WithCycles(0.5))
-		cfg.CloudQueueCap = 1 // any arrival during service drops
+		cfg.Cloud.Service.QueueCap = 1 // any arrival during service drops
 		if mutate != nil {
 			mutate(&cfg)
 		}

@@ -90,6 +90,13 @@ type (
 	Profile = video.Profile
 	// Option mutates a Config preset.
 	Option = strategy.Option
+	// CloudTier describes a cloud labeling tier: replicas, router,
+	// admission control, cold-start pricing and each replica's service.
+	// A run carries it as Config.Cloud and a scenario as Scenario.Cloud.
+	CloudTier = cloud.TierConfig
+	// CloudService describes one replica of a tier: queue bound,
+	// scheduling policy, worker pool and cross-device coalescing.
+	CloudService = cloud.ServiceConfig
 
 	// Strategy is the pluggable per-run behaviour dispatched by the
 	// deployment loop; implement it and RegisterStrategy to add a sixth
@@ -137,14 +144,14 @@ func StrategyKinds() []StrategyKind { return core.StrategyKinds() }
 
 // CloudPolicies returns every registered cloud scheduling policy name in
 // registration order ("fifo", "phi-priority", "wfq", plus any registered
-// via cloud.RegisterPolicy) — the valid values of Config.CloudPolicy and
-// Cluster.Policy.
+// via cloud.RegisterPolicy) — the valid values of
+// Config.Cloud.Service.Policy and Cluster.Policy.
 func CloudPolicies() []string { return cloud.PolicyNames() }
 
 // CloudRouters returns every registered cloud replica router name in
 // registration order ("round-robin", "least-loaded", "domain-affinity",
 // plus any registered via cloud.RegisterRouter) — the valid values of
-// Config.CloudRouter and Cluster.Router.
+// Config.Cloud.Router and Cluster.Router.
 func CloudRouters() []string { return cloud.RouterNames() }
 
 // ParseStrategy resolves a strategy name such as "shoggoth" or "edge-only"
