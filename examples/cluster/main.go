@@ -60,6 +60,6 @@ func main() {
 		fmt.Printf("       queue delay mean %.3fs, worst %.3fs; teacher busy %.1fs (%.1f%% of the run)\n\n",
 			c.QueueDelayMeanSec, c.QueueDelayMaxSec, c.BusySeconds, res.Utilization()*100)
 	}
-	fmt.Println("try -cloud-policy phi-priority / -cloud-workers 2 on cmd/shoggoth-sim;")
+	fmt.Println("try -set cloud.service.policy=phi-priority -set cloud.service.workers=2 on cmd/shoggoth-sim;")
 	fmt.Println("the same contention-aware engine serves real edges too: see internal/rpc")
 }

@@ -79,5 +79,5 @@ func main() {
 	}
 	fmt.Printf("\ncloud: %d batches (%d dropped), teacher busy %.1fs (%.1f%% utilization)\n",
 		res.Cloud.Batches, res.Cloud.DroppedBatches, res.Cloud.BusySeconds, res.Utilization()*100)
-	fmt.Println("\ncustom worlds load from JSON: shoggoth-sim -scenario-file myworld.json (see scenario.Load)")
+	fmt.Println("\ncustom worlds load from JSON: shoggoth-sim -set scenario=\"$(cat myworld.json)\" (see scenario.Load)")
 }

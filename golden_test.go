@@ -15,7 +15,7 @@ import (
 
 // goldenResults runs the five stock strategies on UA-DETRAC in quick mode
 // (one scenario cycle, seed 1) and returns the indented Results JSON — the
-// exact bytes `shoggoth-sim -strategy all -cycles 1 -json` prints. mutate,
+// exact bytes `shoggoth-sim -set strategy=all -set cycles=1 -json` prints. mutate,
 // when non-nil, post-processes every config before the run.
 func goldenResults(t *testing.T, mutate func(*shoggoth.Config)) []byte {
 	t.Helper()

@@ -8,8 +8,9 @@ import (
 )
 
 // Load decodes and validates one custom scenario spec from JSON. Unknown
-// fields are rejected so a typo'd key fails loudly instead of silently
-// running the default world. The scenario is NOT auto-registered; pass it
+// fields and anything after the spec's object are rejected, so a typo'd
+// key or a second spec fails loudly instead of silently running the
+// default world. The scenario is NOT auto-registered; pass it
 // to Register to make it name-resolvable.
 //
 // A small spec, with a cloud block in the shape of cloud.TierConfig (each
@@ -29,6 +30,9 @@ func Load(r io.Reader) (*Scenario, error) {
 	var sc Scenario
 	if err := dec.Decode(&sc); err != nil {
 		return nil, fmt.Errorf("scenario: decoding spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("scenario: decoding spec: data after the spec's JSON object")
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err

@@ -303,6 +303,17 @@ func TestLoadJSONScenario(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"summary": "nameless"}`)); err == nil {
 		t.Fatal("nameless JSON scenario must be rejected")
 	}
+	// The spec must be the whole input: a second value, garbage or a stray
+	// bracket after it is an error, not ignored.
+	for _, in := range []string{
+		`{"name":"a"}{"name":"b","profile":"bogus"}`,
+		`{"name":"a"} trailing garbage`,
+		`{"name":"a"}]`,
+	} {
+		if sc, err := Load(strings.NewReader(in)); err == nil {
+			t.Fatalf("Load(%q) = scenario %q, want a trailing-data error", in, sc.Name)
+		}
+	}
 }
 
 func TestByNameReturnsIsolatedCopies(t *testing.T) {

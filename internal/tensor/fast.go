@@ -32,8 +32,8 @@ const (
 	LaneF32
 )
 
-// String implements fmt.Stringer ("float64"/"float32", matching the
-// shoggoth-sim -compute-lane flag values).
+// String implements fmt.Stringer ("float64"/"float32", matching the values
+// of shoggoth-sim's compute_lane spec key).
 func (l Lane) String() string {
 	if l == LaneF32 {
 		return "float32"
