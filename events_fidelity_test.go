@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"shoggoth"
 )
@@ -134,6 +135,52 @@ func TestClusterEventsFidelityCellTowerPinned(t *testing.T) {
 			if got := fmt.Sprintf("%x", h.Sum(nil)); got != pin.digest {
 				t.Errorf("wait=%g EngineWorkers=%d: cell-tower outputs digest %s, want %s (%d batches, %d dropped)",
 					pin.wait, workers, got, pin.digest, res.Cloud.Batches, res.Cloud.DroppedBatches)
+			}
+		}
+	}
+}
+
+// TestClusterEventsFidelityCellTowerTerminates is the liveness check for
+// the shared uplink: from 0.2 cycles up these runs meet transfers whose
+// remaining bits drain in less than one ulp of the current instant, which
+// must complete at that instant. A medium that re-armed a wake for them
+// would spin at one instant forever, so each run goes under a deadline it
+// beats by orders of magnitude, and the 0.2-cycle outputs are pinned like
+// the 0.1-cycle ones above.
+func TestClusterEventsFidelityCellTowerTerminates(t *testing.T) {
+	const pin02 = "3087eb3689bcf2417a1d6bfd6024b5ce1a9b57619406026c07d32077c6141bc5"
+	for _, cycles := range []float64{0.2, 0.5, 1.0} {
+		cfgs := eventsFleet(t, "cell-tower", 12, 1, cycles, 0)
+		for _, workers := range []int{1, 4} {
+			type outcome struct {
+				res *shoggoth.ClusterResults
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				res, err := (&shoggoth.Cluster{EngineWorkers: workers}).Run(context.Background(), cfgs)
+				done <- outcome{res, err}
+			}()
+			var out outcome
+			select {
+			case out = <-done:
+			case <-time.After(60 * time.Second):
+				t.Fatalf("cycles=%g EngineWorkers=%d: cell-tower run still going after 60 s", cycles, workers)
+			}
+			if out.err != nil {
+				t.Fatalf("cycles=%g EngineWorkers=%d: %v", cycles, workers, out.err)
+			}
+			if out.res.Cloud.Batches == 0 {
+				t.Fatalf("cycles=%g: no uploads crossed the shared cells", cycles)
+			}
+			if cycles != 0.2 || runtime.GOARCH != "amd64" {
+				continue
+			}
+			h := sha256.New()
+			h.Write(encodeJSON(t, out.res.Devices))
+			h.Write(encodeJSON(t, out.res.Cloud))
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != pin02 {
+				t.Errorf("cycles=0.2 EngineWorkers=%d: cell-tower outputs digest %s, want %s", workers, got, pin02)
 			}
 		}
 	}

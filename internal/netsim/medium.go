@@ -94,7 +94,10 @@ func (m *SharedMedium) advance(target float64) {
 		perShare := m.trace.RateAt(m.now) / float64(len(m.active))
 		segEnd := math.Min(target, m.trace.NextChange(m.now))
 		if perShare > 0 {
-			if tDone := m.now + m.minRemaining()/perShare; tDone <= segEnd {
+			if tDone := m.now + m.minRemaining()/perShare; tDone <= m.now {
+				m.finishStalled(perShare)
+				continue
+			} else if tDone <= segEnd {
 				m.drain(tDone-m.now, perShare)
 				m.complete(tDone)
 				m.now = tDone
@@ -107,6 +110,21 @@ func (m *SharedMedium) advance(target float64) {
 	if m.now < target {
 		m.now = target
 	}
+}
+
+// finishStalled completes, at m.now, every transfer whose remaining bits
+// would drain at perShare in less than one ulp of m.now: m.now plus its
+// drain time rounds back to m.now, so no later instant exists at which to
+// integrate it, and a wake armed for it would fire at m.now forever. The
+// caller has seen that the smallest transfer stalls, so at least one
+// completes.
+func (m *SharedMedium) finishStalled(perShare float64) {
+	for _, t := range m.active {
+		if m.now+t.remaining/perShare <= m.now {
+			t.remaining = 0
+		}
+	}
+	m.complete(m.now)
 }
 
 // minRemaining returns the smallest outstanding bit count.
@@ -150,19 +168,27 @@ func (m *SharedMedium) complete(now float64) {
 // boundary and the earliest predicted completion at current rates. A
 // later, staler wake left in the queue is fine — it lands after this one
 // and advances over already-integrated time.
+//
+// A transfer predicted to complete at m.now itself completes here
+// (finishStalled) instead of arming a wake that could never move past now.
 func (m *SharedMedium) reschedule() {
-	if len(m.active) == 0 {
-		return
-	}
-	wake := m.trace.NextChange(m.now)
-	if perShare := m.trace.RateAt(m.now) / float64(len(m.active)); perShare > 0 {
-		if tDone := m.now + m.minRemaining()/perShare; tDone < wake {
-			wake = tDone
+	for len(m.active) > 0 {
+		wake := m.trace.NextChange(m.now)
+		if perShare := m.trace.RateAt(m.now) / float64(len(m.active)); perShare > 0 {
+			tDone := m.now + m.minRemaining()/perShare
+			if tDone <= m.now {
+				m.finishStalled(perShare)
+				continue
+			}
+			if tDone < wake {
+				wake = tDone
+			}
 		}
-	}
-	if math.IsInf(wake, 1) || wake >= m.wakeAt {
+		if math.IsInf(wake, 1) || wake >= m.wakeAt {
+			return
+		}
+		m.wakeAt = wake
+		m.sched.At(wake, m.onWake)
 		return
 	}
-	m.wakeAt = wake
-	m.sched.At(wake, m.onWake)
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"testing"
+	"time"
 
 	"shoggoth/internal/sim"
 )
@@ -136,5 +137,57 @@ func TestSharedMediumDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("delivery %d differs between runs: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestSharedMediumStalledJoinCompletes: far from t=0 one ulp of virtual
+// time outlasts a few bits at tower rate, so a one-byte upload's drain time
+// rounds away: now + remaining/share == now. Such a transfer completes at
+// now. A wake re-armed for it would fire at now forever, so the scheduler
+// runs under a deadline.
+func TestSharedMediumStalledJoinCompletes(t *testing.T) {
+	const start = 1e12 // one ulp is about 1.2e-4 s, 12,000 bits at 1e8 bps
+	sched := sim.NewScheduler()
+	m := NewSharedMedium(Link{BandwidthBps: 1e8}, sched)
+	var done []float64
+	sched.At(start, func(now float64) {
+		m.Join(1, now, func(d float64) { done = append(done, d) })
+	})
+	finished := make(chan struct{})
+	go func() {
+		sched.AdvanceTo(start + 100)
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the scheduler is still running after 10 s: a wake re-arms at one instant")
+	}
+	if len(done) != 1 || done[0] != start || m.Active() != 0 {
+		t.Fatalf("deliveries %v, %d still active; want one at %v", done, m.Active(), start)
+	}
+}
+
+// TestSharedMediumStalledSegmentCompletes: the same stall met inside one
+// integration. Two transfers share 2^27 bps at t = 2^40 (one ulp is 2^-12
+// s); the first drains exactly at +0.25 s and leaves the second 1,000 bits,
+// which at the full rate take 7.5e-6 s, under half an ulp. The second must
+// complete at +0.25 s, in the same call, not stay in flight once the
+// segment loop has run out of iterations and jumped to the target.
+func TestSharedMediumStalledSegmentCompletes(t *testing.T) {
+	start := math.Ldexp(1, 40)
+	sched := sim.NewScheduler()
+	m := NewSharedMedium(Link{BandwidthBps: math.Ldexp(1, 27)}, sched)
+	var done []float64
+	deliver := func(d float64) { done = append(done, d) }
+	m.now = start
+	m.active = []*sharedTransfer{
+		{remaining: math.Ldexp(1, 24), deliver: deliver},
+		{remaining: math.Ldexp(1, 24) + 1000, deliver: deliver},
+	}
+	m.advance(start + 10)
+	sched.AdvanceTo(start + 20)
+	if want := start + 0.25; len(done) != 2 || done[0] != want || done[1] != want || m.Active() != 0 {
+		t.Fatalf("deliveries %v, %d still active; want two at %v", done, m.Active(), want)
 	}
 }

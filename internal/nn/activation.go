@@ -10,7 +10,7 @@ import (
 // ReLU is the rectified-linear activation y = max(0, x).
 type ReLU struct {
 	name string
-	mask []bool // which inputs were positive at the last training forward
+	mask []uint8 // 1 where the input was positive at the last training forward, else 0
 
 	out, dx *tensor.Matrix // reusable scratch (see the Layer contract)
 }
@@ -32,14 +32,14 @@ func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	od := out.Data[:len(xd)]
 	if train {
 		if cap(r.mask) < len(xd) {
-			r.mask = make([]bool, len(xd))
+			r.mask = make([]uint8, len(xd))
 		}
 		r.mask = r.mask[:len(xd)]
 		mask := r.mask
 		for i, v := range xd {
 			y, keep := rectify(v)
 			od[i] = y
-			mask[i] = keep != 0
+			mask[i] = uint8(keep)
 		}
 		return out
 	}
@@ -63,18 +63,19 @@ func rectify(v float64) (y float64, keep uint64) {
 	return math.Float64frombits(b & -keep), keep
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dx is g where the forward kept its input and
+// +0 elsewhere. The mask is applied to g's bit pattern (bits & -keep keeps
+// every bit or none) rather than through a branch, for the reason rectify
+// gives.
 func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	if len(r.mask) != len(grad.Data) {
 		panic("nn: ReLU.Backward shape mismatch with last Forward")
 	}
 	r.dx = tensor.Ensure(r.dx, grad.Rows, grad.Cols)
-	for i, g := range grad.Data {
-		if r.mask[i] {
-			r.dx.Data[i] = g
-		} else {
-			r.dx.Data[i] = 0
-		}
+	gd := grad.Data
+	mask, dd := r.mask[:len(gd)], r.dx.Data[:len(gd)]
+	for i, g := range gd {
+		dd[i] = math.Float64frombits(math.Float64bits(g) & -uint64(mask[i]))
 	}
 	return r.dx
 }

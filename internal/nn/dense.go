@@ -98,7 +98,7 @@ func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	if d.compute.Fast {
 		tensor.FastMulABt(d.dx, grad, d.W.Value, d.compute.Lane, &d.fs)
 	} else {
-		tensor.MulABt(d.dx, grad, d.W.Value)
+		tensor.MulABt(d.dx, grad, d.W.Value, &d.nz)
 	}
 	return d.dx
 }

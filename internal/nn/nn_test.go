@@ -67,7 +67,7 @@ func TestReLUForwardMatchesBranchingLoop(t *testing.T) {
 			if math.Float64bits(out.Data[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("train=%v: relu(%v [%#x]) = %v [%#x], want %v", train, v, math.Float64bits(v), out.Data[i], math.Float64bits(out.Data[i]), want[i])
 			}
-			if train && r.mask[i] != wantMask[i] {
+			if train && (r.mask[i] != 0) != wantMask[i] {
 				t.Fatalf("relu(%v [%#x]): mask %v, want %v", v, math.Float64bits(v), r.mask[i], wantMask[i])
 			}
 		}

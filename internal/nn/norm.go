@@ -46,6 +46,7 @@ type BatchNorm struct {
 	evalInv        []float64
 	dx             *tensor.Matrix // backward output
 	sumG, sumGX    []float64
+	gammaR         []float64 // backward's γ·r per feature
 }
 
 // NewBatchNorm creates a BatchNorm layer over dim features.
@@ -185,21 +186,27 @@ func (bn *BatchNorm) updateRunning(mean, variance *tensor.Matrix) {
 	}
 }
 
+// The loops over rows below read each per-feature vector through a local
+// slice cut to the row width dim, so that indexing by j < dim needs no
+// bounds check and no pointer walk through the layer per element.
+
 func (bn *BatchNorm) evalForward(x *tensor.Matrix) *tensor.Matrix {
 	bn.evalOut = tensor.Ensure(bn.evalOut, x.Rows, x.Cols)
 	out := bn.evalOut
 	dim := x.Cols
 	bn.evalInv = ensureFloats(bn.evalInv, dim)
 	inv := bn.evalInv
+	runMean, runVar := bn.RunMean.Data[:dim], bn.RunVar.Data[:dim]
+	gamma, beta := bn.Gamma.Value.Data[:dim], bn.Beta.Value.Data[:dim]
 	for j := 0; j < dim; j++ {
-		inv[j] = 1 / math.Sqrt(bn.RunVar.Data[j]+bn.Eps)
+		inv[j] = 1 / math.Sqrt(runVar[j]+bn.Eps)
 	}
 	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		orow := out.Row(i)
-		for j, v := range row {
-			xhat := (v - bn.RunMean.Data[j]) * inv[j]
-			orow[j] = bn.Gamma.Value.Data[j]*xhat + bn.Beta.Value.Data[j]
+		row := x.Data[i*dim:][:dim]
+		orow := out.Data[i*dim:][:dim]
+		for j := 0; j < dim; j++ {
+			xhat := (row[j] - runMean[j]) * inv[j]
+			orow[j] = gamma[j]*xhat + beta[j]
 		}
 	}
 	return out
@@ -224,14 +231,16 @@ func (bn *BatchNorm) normalize(x, mean, variance *tensor.Matrix, r []float64) *t
 	bn.xhat = tensor.Ensure(bn.xhat, x.Rows, x.Cols)
 	bn.out = tensor.Ensure(bn.out, x.Rows, x.Cols)
 	xhat, out := bn.xhat, bn.out
+	mu, rs := mean.Data[:dim], r[:dim]
+	gamma, beta := bn.Gamma.Value.Data[:dim], bn.Beta.Value.Data[:dim]
 	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		hrow := xhat.Row(i)
-		orow := out.Row(i)
-		for j, v := range row {
-			h := (v - mean.Data[j]) * invStd[j] * r[j]
+		row := x.Data[i*dim:][:dim]
+		hrow := xhat.Data[i*dim:][:dim]
+		orow := out.Data[i*dim:][:dim]
+		for j := 0; j < dim; j++ {
+			h := (row[j] - mu[j]) * invStd[j] * rs[j]
 			hrow[j] = h
-			orow[j] = bn.Gamma.Value.Data[j]*h + bn.Beta.Value.Data[j]
+			orow[j] = gamma[j]*h + beta[j]
 		}
 	}
 	bn.cache = normCache{x: x, xhat: xhat, mean: mean, invStd: invStd, renormR: r, batchLen: x.Rows}
@@ -243,10 +252,12 @@ func (brn *BatchRenorm) normalizeRenorm(x, mean, variance *tensor.Matrix, r, d [
 	// Add the γ·d shift on top. d is a stop-gradient constant: it shifts the
 	// forward value and contributes Σg·d to dγ, but carries no gradient to x.
 	brn.cache.renormD = d
+	dim := out.Cols
+	gamma, d := brn.Gamma.Value.Data[:dim], d[:dim]
 	for i := 0; i < out.Rows; i++ {
-		orow := out.Row(i)
-		for j := range orow {
-			orow[j] += brn.Gamma.Value.Data[j] * d[j]
+		orow := out.Data[i*dim:][:dim]
+		for j := 0; j < dim; j++ {
+			orow[j] += gamma[j] * d[j]
 		}
 	}
 	return out
@@ -258,6 +269,10 @@ func (brn *BatchRenorm) normalizeRenorm(x, mean, variance *tensor.Matrix, r, d [
 //
 //	dγ = Σ g·(r·z + d),  dβ = Σ g
 //	dx = (γ·r/σ)·[ g − mean(g) − z·mean(g·z) ]
+//
+// Per element that is γ·r·((g − Σg/n) − z·(Σg·x̂/r)/n)·(1/σ) with z = x̂/r,
+// evaluated left to right; γ·r, Σg/n and Σg·x̂/r depend on the feature
+// only, so they are computed once per feature, with the same operations.
 func (bn *BatchNorm) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	c := &bn.cache
 	if c.x == nil {
@@ -272,9 +287,10 @@ func (bn *BatchNorm) Backward(grad *tensor.Matrix) *tensor.Matrix {
 		sumG[j], sumGX[j] = 0, 0
 	}
 	for i := 0; i < grad.Rows; i++ {
-		grow := grad.Row(i)
-		hrow := c.xhat.Row(i)
-		for j, g := range grow {
+		grow := grad.Data[i*dim:][:dim]
+		hrow := c.xhat.Data[i*dim:][:dim]
+		for j := 0; j < dim; j++ {
+			g := grow[j]
 			sumG[j] += g
 			sumGX[j] += g * hrow[j]
 		}
@@ -287,20 +303,27 @@ func (bn *BatchNorm) Backward(grad *tensor.Matrix) *tensor.Matrix {
 		bn.Gamma.Grad.Data[j] += dgamma
 		bn.Beta.Grad.Data[j] += sumG[j]
 	}
+	// From here on sumG holds Σg/n and sumGX holds Σg·x̂/r.
+	bn.gammaR = ensureFloats(bn.gammaR, dim)
+	gammaR := bn.gammaR
+	r, invStd, gamma := c.renormR[:dim], c.invStd[:dim], bn.Gamma.Value.Data[:dim]
+	for j := 0; j < dim; j++ {
+		gammaR[j] = gamma[j] * r[j]
+		sumG[j] /= n
+		sumGX[j] /= r[j]
+	}
 	bn.dx = tensor.Ensure(bn.dx, grad.Rows, grad.Cols)
 	out := bn.dx
 	for i := 0; i < grad.Rows; i++ {
-		grow := grad.Row(i)
-		hrow := c.xhat.Row(i)
-		orow := out.Row(i)
-		for j, g := range grow {
-			r := c.renormR[j]
-			gamma := bn.Gamma.Value.Data[j]
+		grow := grad.Data[i*dim:][:dim]
+		hrow := c.xhat.Data[i*dim:][:dim]
+		orow := out.Data[i*dim:][:dim]
+		for j := 0; j < dim; j++ {
 			// z = (x-μ)/σ = x̂/r; standard BN input gradient in terms of z,
 			// scaled by r because x̂ = r·z.
-			z := hrow[j] / r
-			dz := gamma * r * (g - sumG[j]/n - z*(sumGX[j]/r)/n)
-			orow[j] = dz * c.invStd[j]
+			z := hrow[j] / r[j]
+			dz := gammaR[j] * (grow[j] - sumG[j] - z*sumGX[j]/n)
+			orow[j] = dz * invStd[j]
 		}
 	}
 	return out

@@ -97,10 +97,16 @@ func (u *upload) release() {
 	}
 }
 
+// uploadBody serves the encoded bytes through the embedded bytes.Reader.
+// Its WriteTo is never used: net/http copies a body of known length through
+// an io.LimitReader, which hides WriteTo, so the copy ends in the TCP
+// connection's generic ReadFrom, and io.Copy there allocates a buffer of up
+// to 32 KB per upload. Only a chunked upload avoids that copy path, and it
+// would lose the ContentLength by which the server sizes and caps its read.
 type uploadBody struct {
-	bytes.Reader // its WriteTo hands net/http the whole body in one write
-	u            *upload
-	closed       atomic.Bool
+	bytes.Reader
+	u      *upload
+	closed atomic.Bool
 }
 
 func (b *uploadBody) Close() error {

@@ -22,7 +22,7 @@ func TestAliasAssertions(t *testing.T) {
 	b := New(4, 4)
 	mustPanic("MulInto dst==a", func() { MulInto(a, a, b) })
 	mustPanic("MulInto dst==b", func() { MulInto(b, a, b) })
-	mustPanic("MulABt dst==a", func() { MulABt(a, a, b) })
+	mustPanic("MulABt dst==a", func() { MulABt(a, a, b, &NZScratch{}) })
 	mustPanic("MulAtB dst==b", func() { MulAtB(b, a, b) })
 	mustPanic("SumRowsInto overlap", func() {
 		row := &Matrix{Rows: 1, Cols: 4, Data: a.Data[:4]}

@@ -147,6 +147,7 @@ func TestFastMulMatchesExactWithinULP(t *testing.T) {
 	shapes := [][3]int{{64, 40, 48}, {64, 48, 48}, {64, 48, 32}, {64, 32, 5}, {64, 32, 4},
 		{1, 1, 1}, {1, 32, 5}, {0, 4, 4}, {4, 4, 0}, {5, 3, 9}, {33, 17, 9}}
 	var ws FastScratch
+	var nz NZScratch
 	for _, lane := range []Lane{LaneF64, LaneF32} {
 		for _, sh := range shapes {
 			m, k, n := sh[0], sh[1], sh[2]
@@ -165,7 +166,7 @@ func TestFastMulMatchesExactWithinULP(t *testing.T) {
 			FastMulBiasInto(fast, a, b, bias, lane, &ws)
 			checkFastClose(t, "FastMulBiasInto", lane, exact, fast)
 
-			MulABt(exact, a, bt)
+			MulABt(exact, a, bt, &nz)
 			FastMulABt(fast, a, bt, lane, &ws)
 			checkFastClose(t, "FastMulABt", lane, exact, fast)
 

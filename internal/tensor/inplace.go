@@ -102,11 +102,20 @@ func MulBiasInto(dst, a, b, bias *Matrix) {
 // nz_test.go holds the kernel to.
 
 // NZScratch holds the reusable compacted-row buffers of the NZ matmul
-// kernels. One instance per owner (layer); not safe for concurrent use.
-// The zero value is ready.
+// kernels and MulABt's k-major weight copy. One instance per owner (layer);
+// not safe for concurrent use. The zero value is ready.
 type NZScratch struct {
 	val []float64
 	off []int
+	bt  []float64 // MulABt's bᵀ
+}
+
+// grow makes val and off hold at least n elements each.
+func (ws *NZScratch) grow(n int) {
+	if cap(ws.val) < n {
+		ws.val = make([]float64, n)
+		ws.off = make([]int, n)
+	}
 }
 
 // compactRow collects row's nonzero entries in order: val[t] holds the t-th
@@ -119,10 +128,7 @@ type NZScratch struct {
 // zeros in no predictable pattern, and a conditional append would eat a
 // branch mispredict on nearly every element.
 func (ws *NZScratch) compactRow(row []float64, stride int) ([]float64, []int) {
-	if cap(ws.val) < len(row) {
-		ws.val = make([]float64, len(row))
-		ws.off = make([]int, len(row))
-	}
+	ws.grow(len(row))
 	val, off := ws.val[:len(row)], ws.off[:len(row)]
 	n := 0
 	o := 0
@@ -186,10 +192,7 @@ func MulAtBAddNZ(dst, a, b *Matrix, ws *NZScratch) {
 	ac, bc := a.Cols, b.Cols
 	ad, bd := a.Data, b.Data
 	vc := vectorCols(bc)
-	if cap(ws.val) < a.Rows {
-		ws.val = make([]float64, a.Rows)
-		ws.off = make([]int, a.Rows)
-	}
+	ws.grow(a.Rows)
 	for i := 0; i < ac; i++ {
 		// Compact column i of a: val[t] = a[r_t,i], off[t] = r_t·bc, with
 		// the same branch-free cursor trick as compactRow.
@@ -430,17 +433,65 @@ func mulInto(dst, a, b *Matrix, bias []float64) {
 	}
 }
 
-// MulABt computes dst = a × bᵀ without materialising the transpose. dst must
-// be a.Rows×b.Rows and must not alias a or b.
-// MulABt's inner product runs four b-rows per pass; each output element
-// still accumulates Σ_k a[i,k]·b[j,k] in ascending k, independently per j,
-// so results match the one-row-at-a-time loop bit for bit.
-func MulABt(dst, a, b *Matrix) {
+// MulABt computes dst = a × bᵀ without materialising the transpose in the
+// caller: dst[i,j] = Σ_k a[i,k]·b[j,k], accumulated in ascending k from a
+// zeroed accumulator with no term skipped. dst must be a.Rows×b.Rows and
+// must not alias a or b; ws owns the k-major copy of b the AVX lane reads.
+//
+// It has the NZ kernels' two lanes. The Go loops (mulABt) are the
+// definition. Where useAsm holds, the leading b.Rows&^3 columns of every
+// output row go to nzRowAVX instead, over bᵀ copied into ws once per call:
+// the row of a is passed whole as the "compacted" row (MulABt skips no
+// zeros, so neither does its kernel) and term k's offset into bᵀ is
+// k·b.Rows. The Go loops keep the 1–3 column tail.
+func MulABt(dst, a, b *Matrix, ws *NZScratch) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDstShape("mulABt", dst, a.Rows, b.Rows)
 	checkNoAlias("mulABt", dst, a, b)
+	k, n := a.Cols, b.Rows
+	vc := vectorCols(n)
+	if k == 0 || a.Rows == 0 {
+		vc = 0
+	}
+	if vc > 0 {
+		bt, off := ws.kMajor(b)
+		for i := 0; i < a.Rows; i++ {
+			arow := a.Data[i*k : (i+1)*k]
+			orow := dst.Data[i*n : (i+1)*n]
+			nzRowAVX(&orow[0], &bt[0], nil, &arow[0], &off[0], k, vc)
+		}
+	}
+	mulABt(dst, a, b, vc)
+}
+
+// kMajor copies b (n×k) into ws as bᵀ (k×n) and returns it with the dense
+// term offsets off[t] = t·n: the layout nzRowAVX reads a whole row of a
+// against.
+func (ws *NZScratch) kMajor(b *Matrix) ([]float64, []int) {
+	n, k := b.Rows, b.Cols
+	if cap(ws.bt) < n*k {
+		ws.bt = make([]float64, n*k)
+	}
+	ws.grow(k)
+	bt, off := ws.bt[:n*k], ws.off[:k]
+	for j := 0; j < n; j++ {
+		for t, v := range b.Data[j*k : (j+1)*k] {
+			bt[t*n+j] = v
+		}
+	}
+	for t := range off {
+		off[t] = t * n
+	}
+	return bt, off
+}
+
+// mulABt is MulABt's Go lane over output columns [j0, b.Rows). Its inner
+// product runs four b-rows per pass; each output element still accumulates
+// Σ_k a[i,k]·b[j,k] in ascending k, independently per j, so results match
+// the one-row-at-a-time loop bit for bit.
+func mulABt(dst, a, b *Matrix, j0 int) {
 	ac, bc := a.Cols, b.Cols
 	i := 0
 	for ; i+2 <= a.Rows; i += 2 {
@@ -448,7 +499,7 @@ func MulABt(dst, a, b *Matrix) {
 		arow1 := a.Data[(i+1)*ac : (i+2)*ac]
 		orow0 := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
 		orow1 := dst.Data[(i+1)*dst.Cols : (i+2)*dst.Cols]
-		j := 0
+		j := j0
 		for ; j+4 <= b.Rows; j += 4 {
 			b0 := b.Data[j*bc : (j+1)*bc]
 			b1 := b.Data[(j+1)*bc : (j+2)*bc]
@@ -489,7 +540,7 @@ func MulABt(dst, a, b *Matrix) {
 	for ; i < a.Rows; i++ {
 		arow := a.Data[i*ac : (i+1)*ac]
 		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		j := 0
+		j := j0
 		for ; j+4 <= b.Rows; j += 4 {
 			b0 := b.Data[j*bc : (j+1)*bc]
 			b1 := b.Data[(j+1)*bc : (j+2)*bc]
@@ -672,10 +723,12 @@ func SumRowsInto(dst, m *Matrix) {
 	checkDstShape("sumRowsInto", dst, 1, m.Cols)
 	checkNoAlias("sumRowsInto", dst, m, nil)
 	dst.Zero()
+	n := m.Cols
+	sum := dst.Data[:n] // a local slice: no reload of dst.Data per element
 	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, x := range row {
-			dst.Data[j] += x
+		row := m.Data[i*n:][:n]
+		for j := 0; j < n; j++ {
+			sum[j] += row[j]
 		}
 	}
 }
@@ -701,11 +754,13 @@ func VarRowsInto(dst, m, mean *Matrix) {
 	if m.Rows == 0 {
 		return
 	}
+	n := m.Cols
+	sum, mu := dst.Data[:n], mean.Data[:n] // as in SumRowsInto
 	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, x := range row {
-			d := x - mean.Data[j]
-			dst.Data[j] += d * d
+		row := m.Data[i*n:][:n]
+		for j := 0; j < n; j++ {
+			d := row[j] - mu[j]
+			sum[j] += d * d
 		}
 	}
 	dst.ScaleInPlace(1 / float64(m.Rows))

@@ -139,7 +139,7 @@ func TestKernelsBitIdenticalToReference(t *testing.T) {
 			b2 := sparseMatrix(n, k, sp/2, rng)
 			wantBt := referenceMatMulT(a, b2)
 			gotBt := New(a.Rows, b2.Rows)
-			MulABt(gotBt, a, b2)
+			MulABt(gotBt, a, b2, &ws)
 			requireIdentical(t, "MulABt", gotBt, wantBt)
 		}
 	}

@@ -136,7 +136,8 @@ func MatMulT(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Rows)
-	MulABt(out, a, b)
+	var ws NZScratch
+	MulABt(out, a, b, &ws)
 	return out
 }
 

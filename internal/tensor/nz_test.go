@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -70,7 +71,25 @@ func requireSameBits(t *testing.T, what string, got, want *Matrix) {
 	}
 }
 
-// TestNZKernelMatchesGoLoops runs the three NZ entry points twice — through
+// bothLanes runs f on the kernel path and on the Go path (useAsm on, then
+// off; the caller restores it), each into its own guarded copy of init, and
+// requires identical bits and no store outside the destination.
+func bothLanes(t *testing.T, what string, rows, cols int, init *Matrix, f func(dst *Matrix)) {
+	t.Helper()
+	var out [2]*Matrix
+	for pass, asm := range []bool{true, false} {
+		dst, intact := guarded(rows, cols, init)
+		useAsm = asm
+		f(dst)
+		if !intact() {
+			t.Fatalf("%s (asm=%v): wrote outside the destination", what, asm)
+		}
+		out[pass] = dst
+	}
+	requireSameBits(t, what, out[0], out[1])
+}
+
+// TestNZKernelMatchesGoLoops runs the three NZ entry points and MulABt twice — through
 // nzRowAVX and, with useAsm switched off, through the Go loops alone — and
 // requires identical bits. Every column count 1…100 (each pass width of the
 // kernel and each 1–3 column scalar tail) meets every inner dimension 0…50;
@@ -85,22 +104,6 @@ func TestNZKernelMatchesGoLoops(t *testing.T) {
 	sparsities := []float64{0, 0.5, 0.95, 1}
 	rng := rand.New(rand.NewPCG(19, 23))
 	var ws NZScratch
-	// both runs f on the kernel path and on the Go path, each into its own
-	// guarded copy of init, and compares.
-	both := func(what string, rows, cols int, init *Matrix, f func(dst *Matrix)) {
-		t.Helper()
-		var out [2]*Matrix
-		for pass, asm := range []bool{true, false} {
-			dst, intact := guarded(rows, cols, init)
-			useAsm = asm
-			f(dst)
-			if !intact() {
-				t.Fatalf("%s (asm=%v): wrote outside the destination", what, asm)
-			}
-			out[pass] = dst
-		}
-		requireSameBits(t, what, out[0], out[1])
-	}
 	c := 0
 	for n := 1; n <= 100; n++ {
 		for k := 0; k <= 50; k++ {
@@ -109,19 +112,33 @@ func TestNZKernelMatchesGoLoops(t *testing.T) {
 			salt := c%3 == 0
 			c++
 
-			a := saltedMatrix(m, k, sp, salt, rng)
-			b := saltedMatrix(k, n, 0.1, salt, rng)
-			bias := saltedMatrix(1, n, 0.1, salt, rng)
-			both("MulIntoNZ", m, n, nil, func(dst *Matrix) { MulIntoNZ(dst, a, b, &ws) })
-			both("MulBiasIntoNZ", m, n, nil, func(dst *Matrix) { MulBiasIntoNZ(dst, a, b, bias, &ws) })
-
-			// dst (m×n) += atᵀ × g over k shared rows.
-			at := saltedMatrix(k, m, sp, salt, rng)
-			g := saltedMatrix(k, n, 0.1, salt, rng)
-			acc := saltedMatrix(m, n, 0.1, salt, rng)
-			both("MulAtBAddNZ", m, n, acc, func(dst *Matrix) { MulAtBAddNZ(dst, at, g, &ws) })
+			checkExactKernels(t, m, k, n, sp, salt, rng, &ws)
 		}
 	}
+}
+
+// checkExactKernels draws one case — every m×n output from an inner
+// dimension k, left operands with sparsity sp, all salted when salt is set
+// — and holds MulIntoNZ, MulBiasIntoNZ, MulAtBAddNZ and MulABt to their Go
+// loops through bothLanes.
+func checkExactKernels(t *testing.T, m, k, n int, sp float64, salt bool, rng *rand.Rand, ws *NZScratch) {
+	t.Helper()
+	shape := fmt.Sprintf(" %dx%d·%dx%d", m, k, k, n)
+	a := saltedMatrix(m, k, sp, salt, rng)
+	b := saltedMatrix(k, n, 0.1, salt, rng)
+	bias := saltedMatrix(1, n, 0.1, salt, rng)
+	bothLanes(t, "MulIntoNZ"+shape, m, n, nil, func(dst *Matrix) { MulIntoNZ(dst, a, b, ws) })
+	bothLanes(t, "MulBiasIntoNZ"+shape, m, n, nil, func(dst *Matrix) { MulBiasIntoNZ(dst, a, b, bias, ws) })
+
+	// dst (m×n) += atᵀ × g over k shared rows.
+	at := saltedMatrix(k, m, sp, salt, rng)
+	g := saltedMatrix(k, n, 0.1, salt, rng)
+	acc := saltedMatrix(m, n, 0.1, salt, rng)
+	bothLanes(t, "MulAtBAddNZ"+shape, m, n, acc, func(dst *Matrix) { MulAtBAddNZ(dst, at, g, ws) })
+
+	// dst (m×n) = a × btᵀ, bt n×k: MulABt's inner dimension is k.
+	bt := saltedMatrix(n, k, 0.1, salt, rng)
+	bothLanes(t, "MulABt"+shape, m, n, nil, func(dst *Matrix) { MulABt(dst, a, bt, ws) })
 }
 
 // TestNZShortOperandPanics: a Matrix whose Data is shorter than its shape
@@ -154,9 +171,11 @@ func TestNZShortOperandPanics(t *testing.T) {
 	mustPanic("MulBiasIntoNZ destination", func() { MulBiasIntoNZ(short(3, 8), a, full(5, 8), full(1, 8), &ws) })
 	mustPanic("MulAtBAddNZ gradient", func() { MulAtBAddNZ(full(3, 8), at, short(5, 8), &ws) })
 	mustPanic("MulAtBAddNZ destination", func() { MulAtBAddNZ(short(3, 8), at, full(5, 8), &ws) })
+	mustPanic("MulABt weights", func() { MulABt(full(3, 8), a, short(8, 5), &ws) })
+	mustPanic("MulABt destination", func() { MulABt(short(3, 8), a, full(8, 5), &ws) })
 }
 
-// TestNZZeroAlloc: on a warm scratch none of the NZ entry points allocates,
+// TestNZZeroAlloc: on a warm scratch none of the NZ entry points (nor MulABt) allocates,
 // whichever path serves them.
 func TestNZZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(29, 31))
@@ -164,16 +183,36 @@ func TestNZZeroAlloc(t *testing.T) {
 	w := sparseMatrix(48, 50, 0, rng) // 48 vector columns and a 2-column tail
 	g := sparseMatrix(64, 50, 0, rng)
 	bias := sparseMatrix(1, 50, 0, rng)
-	dst, acc := New(64, 50), New(48, 50)
+	wt := sparseMatrix(50, 48, 0, rng) // MulABt's weights: g × wtᵀ is 64×50
+	dst, acc, dx := New(64, 50), New(48, 50), New(64, 50)
 	var ws NZScratch
 	MulAtBAddNZ(acc, a, g, &ws) // the larger of the two compaction sizes
+	MulABt(dx, a, wt, &ws)      // sizes the k-major weight copy
 	for name, f := range map[string]func(){
 		"MulIntoNZ":     func() { MulIntoNZ(dst, a, w, &ws) },
 		"MulBiasIntoNZ": func() { MulBiasIntoNZ(dst, a, w, bias, &ws) },
 		"MulAtBAddNZ":   func() { MulAtBAddNZ(acc, a, g, &ws) },
+		"MulABt":        func() { MulABt(dx, a, wt, &ws) },
 	} {
 		if n := testing.AllocsPerRun(20, f); n != 0 {
 			t.Errorf("%s: %v allocs per call on a warm NZScratch, want 0", name, n)
 		}
 	}
+}
+
+// FuzzExactKernelsMatchGoLoops is TestNZKernelMatchesGoLoops driven by the
+// fuzzer: a shape up to 65×49·49×100, a sparsity, a value stream and
+// whether to salt it choose one case, and MulIntoNZ, MulBiasIntoNZ,
+// MulAtBAddNZ and MulABt must give the same bits through nzRowAVX as
+// through the Go loops alone, writing nothing outside the destination.
+// Seeds are checked in under testdata/fuzz.
+func FuzzExactKernelsMatchGoLoops(f *testing.F) {
+	f.Fuzz(func(t *testing.T, mb, kb, nb, sparsity uint8, seed uint64, salt bool) {
+		if !useAsm {
+			t.Skip("no AVX2 here: the Go loops are the only path, there is nothing to compare")
+		}
+		defer func() { useAsm = true }()
+		var ws NZScratch
+		checkExactKernels(t, int(mb)%66, int(kb)%50, 1+int(nb)%100, float64(sparsity)/256, salt, rand.New(rand.NewPCG(seed, 61)), &ws)
+	})
 }
