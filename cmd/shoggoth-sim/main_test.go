@@ -109,6 +109,9 @@ func TestBadSpecIsAnError(t *testing.T) {
 		{[]string{"scenario.name=x", "scenario.cloud.service.policy=bogus"}, "policy"},
 		{[]string{"strategy"}, "strategy"},
 		{[]string{"strategy.name=shoggoth"}, "strategy"},
+		{[]string{"compute_lane=float32"}, "compute_lane"},
+		{[]string{"compute_tier=bogus"}, "compute_tier"},
+		{[]string{"accum_workers=-1"}, "accum_workers"},
 	} {
 		args := []string{}
 		for _, kv := range tc.sets {

@@ -31,7 +31,6 @@ type runSpec struct {
 	SampleSeed uint64  `json:"sample_seed"`
 	// Empty and 0 keep the exact, golden-identical arithmetic.
 	ComputeTier  string `json:"compute_tier"`
-	ComputeLane  string `json:"compute_lane"`
 	AccumWorkers int    `json:"accum_workers"`
 	// Cloud is a cloud.TierConfig fragment: the keys it names override
 	// every device's tier, the rest keep the scenario's.
@@ -104,7 +103,7 @@ type resolved struct {
 }
 
 // Validate checks every key, naming the first bad one, and resolves the
-// spec's names. A trial config per strategy checks fidelity and compute.
+// spec's names. A trial config per strategy checks fidelity.
 func (s *runSpec) Validate() (r resolved, err error) {
 	if r.kinds = shoggoth.StrategyKinds(); !strings.EqualFold(s.Strategy, "all") {
 		kind, err := shoggoth.ParseStrategy(s.Strategy)
@@ -165,6 +164,20 @@ func (s *runSpec) Validate() (r resolved, err error) {
 	if err != nil {
 		return r, fmt.Errorf("spec key cloud: %w", err)
 	}
+	// Config.Validate owns the compute checks; a config that differs from
+	// the default in one compute key lets the error name that key.
+	for _, c := range []struct {
+		key string
+		opt shoggoth.Option
+	}{
+		{"compute_tier", shoggoth.WithComputeTier(s.ComputeTier)},
+		{"accum_workers", shoggoth.WithAccumWorkers(s.AccumWorkers)},
+	} {
+		cfg := shoggoth.NewConfig(r.kinds[0], r.profile, c.opt)
+		if err := cfg.Validate(); err != nil {
+			return r, fmt.Errorf("spec key %s: %w", c.key, err)
+		}
+	}
 	for _, kind := range r.kinds {
 		cfg := shoggoth.NewConfig(kind, r.profile, s.options()...)
 		if err := cfg.Validate(); err != nil {
@@ -178,7 +191,7 @@ func (s *runSpec) Validate() (r resolved, err error) {
 func (s *runSpec) options() []shoggoth.Option {
 	opts := []shoggoth.Option{shoggoth.WithSeed(s.Seed), shoggoth.WithCycles(s.Cycles),
 		shoggoth.WithFidelity(shoggoth.Fidelity(s.Fidelity)), shoggoth.WithComputeTier(s.ComputeTier),
-		shoggoth.WithComputeLane(s.ComputeLane), shoggoth.WithAccumWorkers(s.AccumWorkers)}
+		shoggoth.WithAccumWorkers(s.AccumWorkers)}
 	if s.Fidelity == string(shoggoth.FidelitySampled) {
 		opts = append(opts, shoggoth.WithSampledFidelity(s.SampleFrac, s.SampleSeed))
 	}

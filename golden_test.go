@@ -134,11 +134,11 @@ func TestGoldenExplicitExactTier(t *testing.T) {
 }
 
 // TestGoldenFastTierWithinTolerance is the fast tier's accuracy contract at
-// whole-system scale: the all-strategy quick-mode run on the fast float64
-// lane must reproduce every Results number within a 2% relative tolerance
-// of the exact golden capture, and non-numeric fields exactly. The fast
-// kernels only reassociate float64 sums (FMA, blocking, sharded
-// accumulation), so losses drift at the 1e-9 level per session; the
+// whole-system scale: the all-strategy quick-mode run on the fast tier, at
+// four accumulation workers, must reproduce every Results number within a
+// 2% relative tolerance of the exact golden capture, and non-numeric fields
+// exactly. The fast kernels only reassociate float64 sums (FMA, blocking,
+// sharded accumulation), so losses drift at the 1e-9 level per session; the
 // tolerance absorbs how discontinuous metrics (threshold crossings in mAP
 // windows) amplify that drift over a full deployment.
 func TestGoldenFastTierWithinTolerance(t *testing.T) {
@@ -147,7 +147,7 @@ func TestGoldenFastTierWithinTolerance(t *testing.T) {
 	}
 	fast := goldenResults(t, func(c *shoggoth.Config) {
 		c.ComputeTier = "fast"
-		c.ComputeAccumWorkers = 4
+		c.Trainer.AccumWorkers = 4
 	})
 	golden, err := os.ReadFile("testdata/golden_results.json")
 	if err != nil {

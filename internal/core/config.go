@@ -15,7 +15,6 @@ import (
 	"shoggoth/internal/edge"
 	"shoggoth/internal/netsim"
 	"shoggoth/internal/nn"
-	"shoggoth/internal/tensor"
 	"shoggoth/internal/video"
 )
 
@@ -117,15 +116,8 @@ type Config struct {
 	// fast-math kernels with parallel gradient accumulation
 	// (tolerance-bounded on losses, byte-deterministic — see DESIGN.md
 	// §13). The cloud labels the same way on either tier.
+	// The fast tier's shard-worker count is Trainer.AccumWorkers.
 	ComputeTier string
-	// ComputeLane selects the fast tier's arithmetic width: "" or
-	// "float64" (default) or "float32". Ignored on the exact tier.
-	ComputeLane string
-	// ComputeAccumWorkers is how many workers execute the fast tier's
-	// fixed gradient-accumulation shards (values ≤ 1 run them inline).
-	// Results are byte-identical for every value; this knob trades cores
-	// for wall-clock only.
-	ComputeAccumWorkers int
 
 	// SampleRate fixes the frame sampling rate (fps). 0 means adaptive
 	// (the cloud controller drives it). Prompt uses the fixed maximum
@@ -253,11 +245,8 @@ func (c *Config) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown compute tier %q (want exact or fast)", c.ComputeTier)
 	}
-	if _, err := tensor.ParseLane(c.ComputeLane); err != nil {
-		return err
-	}
-	if c.ComputeAccumWorkers < 0 {
-		return fmt.Errorf("core: negative accumulation worker count %d", c.ComputeAccumWorkers)
+	if c.Trainer.AccumWorkers < 0 {
+		return fmt.Errorf("core: negative accumulation worker count %d", c.Trainer.AccumWorkers)
 	}
 	if err := c.Cloud.Validate(); err != nil {
 		return err
@@ -289,15 +278,10 @@ func (c *Config) validateLink(dir string, l netsim.Link, trace netsim.Trace) err
 	return nil
 }
 
-// Compute resolves the compute-tier knobs into the kernel descriptor
-// trainers and students run on. Only meaningful after Validate; an invalid
-// lane falls back to float64 here (Validate already rejected it).
+// Compute resolves the compute tier into the kernel descriptor trainers and
+// students run on. Only meaningful after Validate.
 func (c *Config) Compute() nn.Compute {
-	if c.ComputeTier != "fast" {
-		return nn.Compute{}
-	}
-	lane, _ := tensor.ParseLane(c.ComputeLane)
-	return nn.Compute{Fast: true, Lane: lane}
+	return nn.Compute{Fast: c.ComputeTier == "fast"}
 }
 
 // uplink returns the effective uplink network model.

@@ -154,13 +154,10 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 	desc, _ := Lookup(cfg.Kind) // Validate rejected unregistered kinds
 	// Resolve the compute tier once: Trainer carries it to every strategy's
 	// trainer, the deployed student's inference kernels match it, and the
-	// workspace advertises it to diagnostics. Explicit Trainer knobs win
-	// when the top-level tier fields are unset.
+	// workspace advertises it to diagnostics. An explicit Trainer.Compute
+	// wins when ComputeTier is unset.
 	if cfg.ComputeTier != "" {
 		cfg.Trainer.Compute = cfg.Compute()
-	}
-	if cfg.ComputeAccumWorkers != 0 {
-		cfg.Trainer.AccumWorkers = cfg.ComputeAccumWorkers
 	}
 	sched := opts.Scheduler
 	if sched == nil {

@@ -63,52 +63,43 @@ func fastTrainRun(t *testing.T, compute nn.Compute, workers int) ([]uint64, Sess
 // bit-identical for every AccumWorkers value — and across repeated runs.
 // CI runs this under -race, which also vets the concurrent shard execution.
 func TestFastTrainerAccumDeterminism(t *testing.T) {
-	for _, lane := range []tensor.Lane{tensor.LaneF64, tensor.LaneF32} {
-		compute := nn.Compute{Fast: true, Lane: lane}
-		w1, s1 := fastTrainRun(t, compute, 1)
-		w3, _ := fastTrainRun(t, compute, 3)
-		w8a, _ := fastTrainRun(t, compute, 8)
-		w8b, s8 := fastTrainRun(t, compute, 8)
-		if !slices.Equal(w1, w3) || !slices.Equal(w1, w8a) {
-			t.Fatalf("lane %v: weights differ across worker counts 1/3/8", lane)
-		}
-		if !slices.Equal(w8a, w8b) {
-			t.Fatalf("lane %v: repeated 8-worker runs differ", lane)
-		}
-		if s1 != s8 {
-			t.Fatalf("lane %v: session stats differ across worker counts: %+v vs %+v", lane, s1, s8)
-		}
+	compute := nn.Compute{Fast: true, Lane: tensor.LaneF64}
+	w1, s1 := fastTrainRun(t, compute, 1)
+	w3, _ := fastTrainRun(t, compute, 3)
+	w8a, _ := fastTrainRun(t, compute, 8)
+	w8b, s8 := fastTrainRun(t, compute, 8)
+	if !slices.Equal(w1, w3) || !slices.Equal(w1, w8a) {
+		t.Fatal("weights differ across worker counts 1/3/8")
+	}
+	if !slices.Equal(w8a, w8b) {
+		t.Fatal("repeated 8-worker runs differ")
+	}
+	if s1 != s8 {
+		t.Fatalf("session stats differ across worker counts: %+v vs %+v", s1, s8)
 	}
 }
 
 // TestFastTrainerMatchesExactWithinTolerance bounds the fast tier's drift
 // from the exact tier at the training-session level: the averaged losses of
-// identical sessions must agree within the lane's tolerance (the float64
-// lane differs only by summation order; the float32 lane by precision).
+// identical sessions must agree within 1e-9 relative (the fast tier differs
+// only by summation order).
 func TestFastTrainerMatchesExactWithinTolerance(t *testing.T) {
+	const tol = 1e-9
 	_, exact := fastTrainRun(t, nn.Compute{}, 0)
-	for _, tc := range []struct {
-		lane tensor.Lane
-		tol  float64
+	_, fast := fastTrainRun(t, nn.Compute{Fast: true, Lane: tensor.LaneF64}, 2)
+	if fast.Steps != exact.Steps {
+		t.Fatalf("step counts diverged: %d vs %d", fast.Steps, exact.Steps)
+	}
+	for _, pair := range []struct {
+		name       string
+		fast, want float64
 	}{
-		{tensor.LaneF64, 1e-9},
-		{tensor.LaneF32, 5e-2},
+		{"class loss", fast.AvgClassLoss, exact.AvgClassLoss},
+		{"box loss", fast.AvgBoxLoss, exact.AvgBoxLoss},
 	} {
-		_, fast := fastTrainRun(t, nn.Compute{Fast: true, Lane: tc.lane}, 2)
-		if fast.Steps != exact.Steps {
-			t.Fatalf("lane %v: step counts diverged: %d vs %d", tc.lane, fast.Steps, exact.Steps)
-		}
-		for _, pair := range []struct {
-			name       string
-			fast, want float64
-		}{
-			{"class loss", fast.AvgClassLoss, exact.AvgClassLoss},
-			{"box loss", fast.AvgBoxLoss, exact.AvgBoxLoss},
-		} {
-			d := math.Abs(pair.fast - pair.want)
-			if d > tc.tol*math.Max(1, math.Abs(pair.want)) {
-				t.Fatalf("lane %v: %s drifted beyond %v: fast %v exact %v", tc.lane, pair.name, tc.tol, pair.fast, pair.want)
-			}
+		d := math.Abs(pair.fast - pair.want)
+		if d > tol*math.Max(1, math.Abs(pair.want)) {
+			t.Fatalf("%s drifted beyond %v: fast %v exact %v", pair.name, tol, pair.fast, pair.want)
 		}
 	}
 }
@@ -116,7 +107,7 @@ func TestFastTrainerMatchesExactWithinTolerance(t *testing.T) {
 // TestFastTrainerStepZeroAlloc extends the zero-allocation contract to the
 // fast tier's sharded path: with inline shard execution (AccumWorkers ≤ 1)
 // a steady-state session allocates nothing — shadow networks, shard views,
-// conversion scratch and loss buffers are all pinned. (Worker goroutines are
+// transpose scratch and loss buffers are all pinned. (Worker goroutines are
 // the one by-design allocation of AccumWorkers > 1.)
 func TestFastTrainerStepZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(71, 72))
@@ -125,7 +116,7 @@ func TestFastTrainerStepZeroAlloc(t *testing.T) {
 	cfg := DefaultTrainerConfig()
 	cfg.Epochs = 1
 	cfg.ReplayCapacity = 0 // keep pool placement, drop the by-design memory-write allocations
-	cfg.Compute = nn.Compute{Fast: true, Lane: tensor.LaneF32}
+	cfg.Compute = nn.Compute{Fast: true, Lane: tensor.LaneF64}
 	cfg.AccumWorkers = 1
 	tr := NewTrainer(s, cfg, rand.New(rand.NewPCG(73, 74)))
 	batch := benchBatch(p, 64, rng)

@@ -23,8 +23,8 @@ func StepFast(w *FastWorkspace, in, weights *tensor.Matrix) {
 	_ = prod
 }
 
-// stage32 is the grow-once conversion staging the real FastScratch uses:
-// the cap guard keeps steady state allocation-free.
+// stage32 is grow-once conversion staging: the cap guard keeps steady
+// state allocation-free.
 func stage32(w *FastWorkspace, in *tensor.Matrix) {
 	if cap(w.a32) < len(in.Data) {
 		w.a32 = make([]float32, len(in.Data))

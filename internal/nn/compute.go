@@ -5,11 +5,10 @@ import "shoggoth/internal/tensor"
 // Compute selects the arithmetic tier layer kernels run on. The zero value
 // is the exact tier: frozen float64 op order, bit-identical to the golden
 // captures. Fast switches dense layers to the blocked fast-math kernels of
-// internal/tensor (tolerance-bounded, deterministic — see DESIGN.md §13);
-// Lane selects their arithmetic width.
+// internal/tensor (tolerance-bounded, deterministic — see DESIGN.md §13).
 type Compute struct {
 	Fast bool
-	Lane tensor.Lane
+	Lane tensor.Lane // one value, tensor.LaneF64; kept because benchmark/ names it
 }
 
 // String renders the tier for logs and ablation tables.

@@ -92,7 +92,7 @@ func TestFastShardLossRowGradsBitIdentical(t *testing.T) {
 func TestFastShadowClone(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	d := NewDense("d", 8, 4, rng)
-	d.SetCompute(Compute{Fast: true, Lane: tensor.LaneF32})
+	d.SetCompute(Compute{Fast: true, Lane: tensor.LaneF64})
 	sc := d.ShadowClone()
 	if sc.W.Value != d.W.Value || sc.B.Value != d.B.Value {
 		t.Fatal("shadow clone must share parameter value matrices")
@@ -121,35 +121,30 @@ func TestFastShadowClone(t *testing.T) {
 // on both tiers and bounds the drift — the layer-level version of the
 // kernel ULP tests in internal/tensor.
 func TestFastDenseMatchesExactWithinTolerance(t *testing.T) {
-	for _, lane := range []tensor.Lane{tensor.LaneF64, tensor.LaneF32} {
-		rng := rand.New(rand.NewPCG(6, 6))
-		exact := NewDense("d", 48, 32, rng)
-		fast := exact.Clone().(*Dense)
-		fast.SetCompute(Compute{Fast: true, Lane: lane})
+	rng := rand.New(rand.NewPCG(6, 6))
+	exact := NewDense("d", 48, 32, rng)
+	fast := exact.Clone().(*Dense)
+	fast.SetCompute(Compute{Fast: true, Lane: tensor.LaneF64})
 
-		x := tensor.New(64, 48)
-		g := tensor.New(64, 32)
-		rng2 := rand.New(rand.NewPCG(7, 7))
-		for i := range x.Data {
-			x.Data[i] = rng2.NormFloat64()
-		}
-		for i := range g.Data {
-			g.Data[i] = rng2.NormFloat64()
-		}
-
-		tol := 1e-12
-		if lane == tensor.LaneF32 {
-			tol = 1e-3
-		}
-		outE := exact.Forward(x, true)
-		outF := fast.Forward(x, true)
-		assertClose(t, "forward", outE, outF, tol)
-		dxE := exact.Backward(g)
-		dxF := fast.Backward(g)
-		assertClose(t, "dx", dxE, dxF, tol)
-		assertClose(t, "dW", exact.W.Grad, fast.W.Grad, tol)
-		assertClose(t, "dB", exact.B.Grad, fast.B.Grad, tol)
+	x := tensor.New(64, 48)
+	g := tensor.New(64, 32)
+	rng2 := rand.New(rand.NewPCG(7, 7))
+	for i := range x.Data {
+		x.Data[i] = rng2.NormFloat64()
 	}
+	for i := range g.Data {
+		g.Data[i] = rng2.NormFloat64()
+	}
+
+	const tol = 1e-12
+	outE := exact.Forward(x, true)
+	outF := fast.Forward(x, true)
+	assertClose(t, "forward", outE, outF, tol)
+	dxE := exact.Backward(g)
+	dxF := fast.Backward(g)
+	assertClose(t, "dx", dxE, dxF, tol)
+	assertClose(t, "dW", exact.W.Grad, fast.W.Grad, tol)
+	assertClose(t, "dB", exact.B.Grad, fast.B.Grad, tol)
 }
 
 func assertClose(t *testing.T, what string, a, b *tensor.Matrix, tol float64) {

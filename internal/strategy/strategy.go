@@ -63,17 +63,12 @@ func WithSampledFidelity(frac float64, seed uint64) Option {
 
 // WithComputeTier selects the arithmetic tier ("", "exact" or "fast"): the
 // exact tier is the frozen bit-identical default, the fast tier runs the
-// blocked fast-math kernels with parallel gradient accumulation and batched
-// teacher labeling.
+// blocked fast-math kernels with parallel gradient accumulation.
 func WithComputeTier(tier string) Option { return func(c *core.Config) { c.ComputeTier = tier } }
-
-// WithComputeLane selects the fast tier's arithmetic width ("float64" or
-// "float32"). Ignored on the exact tier.
-func WithComputeLane(lane string) Option { return func(c *core.Config) { c.ComputeLane = lane } }
 
 // WithAccumWorkers sets how many workers execute the fast tier's fixed
 // gradient-accumulation shards (byte-identical results for every value).
-func WithAccumWorkers(n int) Option { return func(c *core.Config) { c.ComputeAccumWorkers = n } }
+func WithAccumWorkers(n int) Option { return func(c *core.Config) { c.Trainer.AccumWorkers = n } }
 
 // WithCycles sets the duration to n passes of the profile's scenario script.
 func WithCycles(n float64) Option {

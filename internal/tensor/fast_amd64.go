@@ -5,17 +5,11 @@ package tensor
 // kernels are only called when hasAVX2FMA reported support, so the package
 // works on any amd64 CPU.
 
-// gemmAccF64AVX2 is the float64-lane microkernel: 4 rows × 8 columns of
+// gemmAccF64AVX2 is the fast tier's microkernel: 4 rows × 8 columns of
 // fused VFMADD231PD accumulators, masked loads/stores for ragged edges.
 //
 //go:noescape
 func gemmAccF64AVX2(c, a, b *float64, m, k, n, ars, acs int)
-
-// gemmAccF32AVX2 is the float32-lane microkernel: 4 rows × 8 columns with
-// separate VMULPS/VADDPS roundings, masked loads/stores for ragged edges.
-//
-//go:noescape
-func gemmAccF32AVX2(c, a, b *float32, m, k, n, ars, acs int)
 
 // nzRowAVX is the exact tier's row kernel: for one compacted row,
 // dst[j] = (Σ_t val[t]·b[off[t]+j]) + bias[j] over j in [0, n), bit for bit

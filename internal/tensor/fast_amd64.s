@@ -1,14 +1,12 @@
 #include "textflag.h"
 
-// Fast-tier AVX2 microkernels. Both kernels compute the strided accumulating
-// gemm c[i*n+j] += Σ_t a[i*ars+t*acs]·b[t*n+j] (t ascending, one accumulator
-// per element) over a 4-row × 8-column register block, with masked loads and
+// Fast-tier AVX2 microkernel. It computes the strided accumulating gemm
+// c[i*n+j] += Σ_t a[i*ars+t*acs]·b[t*n+j] (t ascending, one accumulator per
+// element) over a 4-row × 8-column register block, with masked loads and
 // stores handling ragged edges so no shape restrictions leak to callers.
-// fast_kernel.go defines the reference semantics these must match bitwise:
-// the float64 kernel fuses each multiply-add (VFMADD231PD ≡ math.FMA), the
-// float32 kernel rounds multiply and add separately (VMULPS + VADDPS).
-// Both declare an 8-byte frame so the assembler preserves the caller's frame
-// pointer around the kernels' use of BP.
+// fast_kernel.go defines the reference semantics it must match bitwise: each
+// multiply-add is fused (VFMADD231PD ≡ math.FMA). It declares an 8-byte frame
+// so the assembler preserves the caller's frame pointer around its use of BP.
 
 // maskF64 provides VMASKMOVPD masks for 0..4 active float64 lanes.
 DATA maskF64<>+0x00(SB)/8, $0x0000000000000000
@@ -32,45 +30,6 @@ DATA maskF64<>+0x88(SB)/8, $0xffffffffffffffff
 DATA maskF64<>+0x90(SB)/8, $0xffffffffffffffff
 DATA maskF64<>+0x98(SB)/8, $0xffffffffffffffff
 GLOBL maskF64<>(SB), RODATA|NOPTR, $160
-
-// maskF32 provides VMASKMOVPS masks for 0..8 active float32 lanes.
-DATA maskF32<>+0x000(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x008(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x010(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x018(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x020(SB)/8, $0x00000000ffffffff
-DATA maskF32<>+0x028(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x030(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x038(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x040(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x048(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x050(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x058(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x060(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x068(SB)/8, $0x00000000ffffffff
-DATA maskF32<>+0x070(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x078(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x080(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x088(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x090(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x098(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x0a0(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x0a8(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x0b0(SB)/8, $0x00000000ffffffff
-DATA maskF32<>+0x0b8(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x0c0(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x0c8(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x0d0(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x0d8(SB)/8, $0x0000000000000000
-DATA maskF32<>+0x0e0(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x0e8(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x0f0(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x0f8(SB)/8, $0x00000000ffffffff
-DATA maskF32<>+0x100(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x108(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x110(SB)/8, $0xffffffffffffffff
-DATA maskF32<>+0x118(SB)/8, $0xffffffffffffffff
-GLOBL maskF32<>(SB), RODATA|NOPTR, $288
 
 // func gemmAccF64AVX2(c, a, b *float64, m, k, n, ars, acs int)
 // Microkernel: 4 rows x 8 cols (two masked ymm quads per row).
@@ -273,168 +232,6 @@ inext1:
 	JMP  iloop1check
 
 done:
-	VZEROUPPER
-	RET
-
-// func gemmAccF32AVX2(c, a, b *float32, m, k, n, ars, acs int)
-// Microkernel: 4 rows x 8 cols (one masked ymm per row). Multiply and add
-// are separate instructions on purpose — see fast_kernel.go.
-TEXT ·gemmAccF32AVX2(SB), NOSPLIT, $8-64
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ m+24(FP), R8
-	MOVQ k+32(FP), R9
-	MOVQ n+40(FP), R10
-	MOVQ ars+48(FP), R11
-	MOVQ acs+56(FP), R12
-	SHLQ $2, R11             // ars bytes
-	SHLQ $2, R12             // acs bytes
-	MOVQ R10, R13
-	SHLQ $2, R13             // n bytes (b row stride, c row stride)
-
-	XORQ AX, AX              // i = 0
-f32iloop4:
-	MOVQ R8, BX
-	SUBQ AX, BX
-	CMPQ BX, $4
-	JL   f32iloop1check
-
-	XORQ CX, CX              // j = 0
-f32jloop:
-	CMPQ CX, R10
-	JGE  f32inext4
-
-	// q = min(n-j, 8): mask Y11
-	MOVQ R10, R14
-	SUBQ CX, R14             // rem = n - j
-	CMPQ R14, $8
-	JLE  f32qok
-	MOVQ $8, R14
-f32qok:                      // R14 = q in 1..8
-	SHLQ $5, R14
-	LEAQ maskF32<>(SB), BX
-	VMOVDQU (BX)(R14*1), Y11
-
-	// c pointers for 4 rows at column j
-	MOVQ AX, R14
-	IMULQ R13, R14
-	LEAQ (DI)(R14*1), R14
-	LEAQ (R14)(CX*4), R14    // &c[i*n+j] (row 0)
-
-	// load accumulators (masked)
-	MOVQ R14, BX
-	VMASKMOVPS (BX), Y11, Y0
-	ADDQ R13, BX
-	VMASKMOVPS (BX), Y11, Y1
-	ADDQ R13, BX
-	VMASKMOVPS (BX), Y11, Y2
-	ADDQ R13, BX
-	VMASKMOVPS (BX), Y11, Y3
-
-	// a pointer for row i; b pointer at row 0, column j
-	MOVQ AX, R15
-	IMULQ R11, R15
-	LEAQ (SI)(R15*1), R15
-	LEAQ (DX)(CX*4), BP
-
-	MOVQ R9, BX              // t counter
-f32tloop:
-	VMASKMOVPS (BP), Y11, Y8
-	MOVQ R15, R14            // a row ptr
-	VBROADCASTSS (R14), Y10
-	VMULPS Y8, Y10, Y9
-	VADDPS Y9, Y0, Y0
-	ADDQ R11, R14
-	VBROADCASTSS (R14), Y10
-	VMULPS Y8, Y10, Y9
-	VADDPS Y9, Y1, Y1
-	ADDQ R11, R14
-	VBROADCASTSS (R14), Y10
-	VMULPS Y8, Y10, Y9
-	VADDPS Y9, Y2, Y2
-	ADDQ R11, R14
-	VBROADCASTSS (R14), Y10
-	VMULPS Y8, Y10, Y9
-	VADDPS Y9, Y3, Y3
-	ADDQ R12, R15            // a advance t
-	ADDQ R13, BP             // b advance row
-	DECQ BX
-	JNZ  f32tloop
-
-	// store accumulators
-	MOVQ AX, R14
-	IMULQ R13, R14
-	LEAQ (DI)(R14*1), R14
-	LEAQ (R14)(CX*4), R14
-	MOVQ R14, BX
-	VMASKMOVPS Y0, Y11, (BX)
-	ADDQ R13, BX
-	VMASKMOVPS Y1, Y11, (BX)
-	ADDQ R13, BX
-	VMASKMOVPS Y2, Y11, (BX)
-	ADDQ R13, BX
-	VMASKMOVPS Y3, Y11, (BX)
-
-	ADDQ $8, CX
-	JMP  f32jloop
-
-f32inext4:
-	ADDQ $4, AX
-	JMP  f32iloop4
-
-	// single-row remainder
-f32iloop1check:
-	CMPQ AX, R8
-	JGE  f32done
-	XORQ CX, CX
-f32jloop1:
-	CMPQ CX, R10
-	JGE  f32inext1
-	MOVQ R10, R14
-	SUBQ CX, R14
-	CMPQ R14, $8
-	JLE  f32qok1
-	MOVQ $8, R14
-f32qok1:
-	SHLQ $5, R14
-	LEAQ maskF32<>(SB), BX
-	VMOVDQU (BX)(R14*1), Y11
-
-	MOVQ AX, R14
-	IMULQ R13, R14
-	LEAQ (DI)(R14*1), R14
-	LEAQ (R14)(CX*4), R14
-	VMASKMOVPS (R14), Y11, Y0
-
-	MOVQ AX, R15
-	IMULQ R11, R15
-	LEAQ (SI)(R15*1), R15
-	LEAQ (DX)(CX*4), BP
-	MOVQ R9, BX
-f32tloop1:
-	VMASKMOVPS (BP), Y11, Y8
-	VBROADCASTSS (R15), Y10
-	VMULPS Y8, Y10, Y9
-	VADDPS Y9, Y0, Y0
-	ADDQ R12, R15
-	ADDQ R13, BP
-	DECQ BX
-	JNZ  f32tloop1
-
-	MOVQ AX, R14
-	IMULQ R13, R14
-	LEAQ (DI)(R14*1), R14
-	LEAQ (R14)(CX*4), R14
-	VMASKMOVPS Y0, Y11, (R14)
-
-	ADDQ $8, CX
-	JMP  f32jloop1
-f32inext1:
-	INCQ AX
-	JMP  f32iloop1check
-
-f32done:
 	VZEROUPPER
 	RET
 

@@ -2,18 +2,18 @@ package tensor
 
 import "math"
 
-// Strided accumulating gemm primitives of the fast tier. Both lanes compute
+// Strided accumulating gemm primitive of the fast tier. It computes
 //
 //	c[i*n+j] += Σ_t a[i*ars + t*acs] · b[t*n+j]   (t ascending)
 //
 // with one accumulator per output element, which lets a single kernel cover
 // every fast matmul: plain A·B (ars=k, acs=1), Aᵀ·B (ars=1, acs=a.Cols) and
-// — after staging bᵀ — A·Bᵀ. The portable kernels here define the tier's
-// bit-exact semantics; the AVX2 microkernels (fast_amd64.s) implement the
+// — after staging bᵀ — A·Bᵀ. The portable kernel here defines the tier's
+// bit-exact semantics; the AVX2 microkernel (fast_amd64.s) implements the
 // same semantics lane for lane, which the differential tests in fast_test.go
 // verify bitwise across random shapes and strides.
 
-// gemmAccF64 dispatches the float64-lane gemm. The multiply-add is fused
+// gemmAccF64 dispatches the gemm. The multiply-add is fused
 // (math.FMA / VFMADD231PD): one rounding per term.
 //
 //shoggoth:hotpath
@@ -28,23 +28,6 @@ func gemmAccF64(c, a, b []float64, m, k, n, ars, acs int) {
 	gemmAccF64Generic(c, a, b, m, k, n, ars, acs)
 }
 
-// gemmAccF32 dispatches the float32-lane gemm. Multiply and add round
-// separately (VMULPS + VADDPS): fusing them would need round-to-odd to stay
-// reproducible against a portable twin, so the f32 lane deliberately keeps
-// the two roundings.
-//
-//shoggoth:hotpath
-func gemmAccF32(c, a, b []float32, m, k, n, ars, acs int) {
-	if m == 0 || k == 0 || n == 0 {
-		return
-	}
-	if useAsm {
-		gemmAccF32AVX2(&c[0], &a[0], &b[0], m, k, n, ars, acs)
-		return
-	}
-	gemmAccF32Generic(c, a, b, m, k, n, ars, acs)
-}
-
 // gemmAccF64Generic is the portable float64 kernel: single fused accumulator
 // per element, ascending t. math.FMA guarantees the fused rounding on every
 // architecture, so the generic and AVX2 kernels are bit-equal.
@@ -57,28 +40,6 @@ func gemmAccF64Generic(c, a, b []float64, m, k, n, ars, acs int) {
 			bo := j
 			for t := 0; t < k; t++ {
 				s = math.FMA(a[ai], b[bo], s)
-				ai += acs
-				bo += n
-			}
-			crow[j] = s
-		}
-	}
-}
-
-// gemmAccF32Generic is the portable float32 kernel. The explicit float32
-// conversion around the product pins the two-rounding semantics: the Go spec
-// lets a compiler fuse a multiply-add across statements, but an explicit
-// conversion forces the product to round to float32 first, exactly matching
-// the VMULPS+VADDPS assembly.
-func gemmAccF32Generic(c, a, b []float32, m, k, n, ars, acs int) {
-	for i := 0; i < m; i++ {
-		crow := c[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			s := crow[j]
-			ai := i * ars
-			bo := j
-			for t := 0; t < k; t++ {
-				s += float32(a[ai] * b[bo])
 				ai += acs
 				bo += n
 			}

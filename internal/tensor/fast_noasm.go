@@ -12,10 +12,6 @@ func gemmAccF64AVX2(c, a, b *float64, m, k, n, ars, acs int) {
 	panic("tensor: gemmAccF64AVX2 called without AVX2 support")
 }
 
-func gemmAccF32AVX2(c, a, b *float32, m, k, n, ars, acs int) {
-	panic("tensor: gemmAccF32AVX2 called without AVX2 support")
-}
-
 func nzRowAVX(dst, b, bias, val *float64, off *int, nnz, n int) {
 	panic("tensor: nzRowAVX called without AVX support")
 }

@@ -219,8 +219,6 @@ var (
 	WithSampledFidelity = strategy.WithSampledFidelity
 	// WithComputeTier selects the arithmetic tier ("exact" or "fast").
 	WithComputeTier = strategy.WithComputeTier
-	// WithComputeLane selects the fast tier's width ("float64"/"float32").
-	WithComputeLane = strategy.WithComputeLane
 	// WithAccumWorkers sets the fast tier's accumulation worker count.
 	WithAccumWorkers = strategy.WithAccumWorkers
 )
