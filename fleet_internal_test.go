@@ -2,7 +2,6 @@ package shoggoth
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"testing"
 )
@@ -81,8 +80,8 @@ func TestStreamGroupRendersItsVideoOnce(t *testing.T) {
 	for _, r := range out {
 		processed += r.FramesTotal
 	}
-	// Stream.Time is the next frame's timestamp: frames rendered so far / FPS.
-	renders := int(math.Round(groups[0].stream.Time() * p.FPS))
+	// The next frame's index is the number of frames rendered so far.
+	renders := groups[0].stream.Next().Index
 	if want := int(40 * p.FPS); renders != want || processed != 4*want+int(25*p.FPS) {
 		t.Fatalf("%d renders for %d processed frames; want %d for %d", renders, processed, want, 4*want+int(25*p.FPS))
 	}

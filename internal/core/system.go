@@ -153,9 +153,8 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 	}
 	desc, _ := Lookup(cfg.Kind) // Validate rejected unregistered kinds
 	// Resolve the compute tier once: Trainer carries it to every strategy's
-	// trainer, the deployed student's inference kernels match it, and the
-	// workspace advertises it to diagnostics. An explicit Trainer.Compute
-	// wins when ComputeTier is unset.
+	// trainer and the deployed student's inference kernels match it. An
+	// explicit Trainer.Compute wins when ComputeTier is unset.
 	if cfg.ComputeTier != "" {
 		cfg.Trainer.Compute = cfg.Compute()
 	}
@@ -168,7 +167,7 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 		rng:       rand.New(rand.NewPCG(cfg.Seed, RNGStreamRun)),
 		sched:     sched,
 		collector: metrics.NewCollector(),
-		ws:        newWorkspace(cfg.PerfClock, cfg.Trainer.Compute),
+		ws:        newWorkspace(cfg.PerfClock),
 		fleet:     cfg.Fidelity == FidelityEvents,
 		uploads:   desc.Traits.Uploads,
 	}
@@ -294,8 +293,7 @@ func (s *System) fleetFrame(t float64) {
 		if len(s.sampleBuf) == 0 {
 			s.firstBuffered = t
 		}
-		// Metadata only: the analytic cloud never reads proposals, so the
-		// PCG proposal materialization of SparseStream.Frame is skipped.
+		// Metadata only: the analytic cloud never reads proposals.
 		s.sampleBuf = append(s.sampleBuf, s.sparse.Meta(s.frameIdx, t))
 		s.results.SampledFrames++
 	}
@@ -457,9 +455,6 @@ func (s *System) Scheduler() *sim.Scheduler { return s.sched }
 // (private by default; shared under a Cluster).
 func (s *System) CloudService() cloud.Backend { return s.cloudSvc }
 
-// CloudDevice exposes this deployment's registration on its cloud backend.
-func (s *System) CloudDevice() cloud.Device { return s.cloudDev }
-
 // NextFrameTime returns the stream time of the next camera frame and
 // whether any frames remain — what a multi-device runner needs to step
 // deployments in global time order on a shared scheduler.
@@ -475,9 +470,6 @@ func (s *System) Device() *edge.Device { return s.device }
 
 // Teacher exposes the cloud golden model.
 func (s *System) Teacher() *detect.Teacher { return s.teacher }
-
-// Sampler exposes the edge frame sampler.
-func (s *System) Sampler() *edge.Sampler { return s.sampler }
 
 // Usage exposes the network byte accounting.
 func (s *System) Usage() *netsim.Usage { return &s.usage }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"shoggoth/internal/detect"
-	"shoggoth/internal/nn"
 	"shoggoth/internal/tensor"
 )
 
@@ -20,14 +19,11 @@ import (
 type Workspace struct {
 	Pool *tensor.Pool
 	Perf *detect.PerfCounters
-	// Compute is the session's resolved kernel tier (read-only descriptor
-	// for diagnostics and harnesses; the zero value is the exact tier).
-	Compute nn.Compute
 }
 
 // newWorkspace creates an empty per-session workspace. clock, usually nil,
 // is the injected perf timestamp source (Config.PerfClock): nil keeps the
 // sim path free of machine-clock reads and the duration counters at zero.
-func newWorkspace(clock func() float64, compute nn.Compute) *Workspace {
-	return &Workspace{Pool: tensor.NewPool(), Perf: &detect.PerfCounters{Clock: clock}, Compute: compute}
+func newWorkspace(clock func() float64) *Workspace {
+	return &Workspace{Pool: tensor.NewPool(), Perf: &detect.PerfCounters{Clock: clock}}
 }

@@ -91,7 +91,7 @@ func TestDetectEmptyFrame(t *testing.T) {
 	if got := s.Detect(f); got != nil {
 		t.Fatalf("empty frame should produce no detections, got %v", got)
 	}
-	if got := s.Confidences(f); got != nil {
+	if got := s.Infer(f).Confidences; got != nil {
 		t.Fatal("empty frame should produce no confidences")
 	}
 }
@@ -326,7 +326,7 @@ func TestTrainerEmptyBatch(t *testing.T) {
 	if stats.Steps != 0 {
 		t.Fatal("empty batch must not step")
 	}
-	if tr.Sessions() != 1 {
+	if tr.sessions != 1 {
 		t.Fatal("session counter should still advance")
 	}
 }

@@ -201,12 +201,6 @@ func (s *Student) Detect(f *video.Frame) []Detection {
 	return s.Infer(f).Detections
 }
 
-// Confidences returns the per-proposal top softmax confidence (the α signal
-// of §III-C). Prefer Infer when detections are needed too.
-func (s *Student) Confidences(f *video.Frame) []float64 {
-	return s.Infer(f).Confidences
-}
-
 // Clone deep-copies the student (weights, statistics), sharing nothing.
 func (s *Student) Clone() *Student {
 	return &Student{

@@ -131,9 +131,6 @@ func (t *Trainer) AttachWorkspace(pool *tensor.Pool, perf *PerfCounters) {
 	t.perf = perf
 }
 
-// Sessions returns the number of completed training sessions.
-func (t *Trainer) Sessions() int { return t.sessions }
-
 // split returns the backbone index of the replay layer.
 func (t *Trainer) split() int {
 	idx := t.Config.Placement.Index()

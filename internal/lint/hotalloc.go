@@ -13,26 +13,13 @@ const hotpathDirective = "shoggoth:hotpath"
 // result, each mapped to the destination-passing or pooled discipline that
 // replaces it on the hot path (PR 2's zero-allocation contract).
 var tensorAllocFuncs = map[string]string{
-	"New":           "tensor.Ensure on a pinned buffer or Pool.Get/Put scratch",
-	"FromSlice":     "a pinned *Matrix reshaped with tensor.Ensure",
-	"FromSliceCopy": "tensor.Ensure plus copy into pinned scratch",
-	"FromRows":      "tensor.Ensure plus row copies into pinned scratch",
-	"MatMul":        "tensor.MulInto",
-	"MatMulT":       "tensor.MulABt",
-	"TMatMul":       "tensor.MulAtB",
-	"Add":           "tensor.AddInto",
-	"Sub":           "tensor.SubInto",
-	"Mul":           "tensor.MulInto",
-	"AddRowVector":  "tensor.AddRowVectorInto",
-	"SumRows":       "tensor.SumRowsInto",
-	"MeanRows":      "tensor.MeanRowsInto",
-	"VarRows":       "tensor.VarRowsInto",
-	"ConcatRows":    "tensor.Ensure plus copies",
-	"SelectRows":    "tensor.SelectRowsInto",
-	"SoftmaxRow":    "tensor.SoftmaxRowInto",
-	"Clone":         "tensor.Ensure plus copy",
-	"Transpose":     "tensor.TransposeInto",
-	"Scale":         "tensor.ScaleInto",
+	"New":        "tensor.Ensure on a pinned buffer or Pool.Get/Put scratch",
+	"FromSlice":  "a pinned *Matrix reshaped with tensor.Ensure",
+	"FromRows":   "tensor.Ensure plus row copies into pinned scratch",
+	"MeanRows":   "tensor.MeanRowsInto",
+	"VarRows":    "tensor.VarRowsInto",
+	"SelectRows": "tensor.SelectRowsInto",
+	"Clone":      "tensor.Ensure plus copy",
 }
 
 // HotAlloc enforces the zero-allocation contract on the train/inference hot

@@ -7,7 +7,9 @@ import "hotalloc/tensor"
 // Workspace pins the buffers the hot path reuses across calls.
 type Workspace struct {
 	weights *tensor.Matrix
+	bias    *tensor.Matrix
 	out     *tensor.Matrix
+	nz      tensor.NZScratch
 	history []float64
 	scratch []float64
 }
@@ -16,13 +18,13 @@ type Workspace struct {
 //
 //shoggoth:hotpath
 func Step(w *Workspace, in *tensor.Matrix) float64 {
-	prod := tensor.MatMul(in, w.weights) // want `tensor\.MatMul builds a fresh matrix`
-	tmp := make([]float64, 8)            // want `unguarded make runs every call`
+	mean := tensor.MeanRows(in) // want `tensor\.MeanRows builds a fresh matrix`
+	tmp := make([]float64, 8)   // want `unguarded make runs every call`
 	_ = tmp
 	ensureScratch(w, 16)
-	record(w, prod.At(0, 0))
+	record(w, mean.At(0, 0))
 	tensor.Ensure(w.out, in.Rows, w.weights.Cols)
-	tensor.MulInto(w.out, in, w.weights)
+	tensor.MulBiasIntoNZ(w.out, in, w.weights, w.bias, &w.nz)
 	return w.out.At(0, 0)
 }
 
@@ -50,11 +52,11 @@ type Layer interface {
 }
 
 // Dense allocates in Forward — reached only via the interface from Run.
-type Dense struct{ w *tensor.Matrix }
+type Dense struct{ keep []int }
 
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
-	return tensor.MatMul(x, d.w) // want `tensor\.MatMul builds a fresh matrix`
+	return tensor.SelectRows(x, d.keep) // want `tensor\.SelectRows builds a fresh matrix`
 }
 
 // Run drives the layers.

@@ -12,14 +12,22 @@ type Matrix struct {
 // New allocates a fresh matrix (hot-path finding).
 func New(r, c int) *Matrix { return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)} }
 
-// MatMul allocates the product (hot-path finding).
-func MatMul(a, b *Matrix) *Matrix { return New(a.Rows, b.Cols) }
+// MeanRows allocates the column means (hot-path finding).
+func MeanRows(m *Matrix) *Matrix { return New(1, m.Cols) }
+
+// SelectRows allocates a copy of the chosen rows (hot-path finding).
+func SelectRows(m *Matrix, idx []int) *Matrix { return New(len(idx), m.Cols) }
 
 // Clone allocates a copy (hot-path finding).
 func Clone(a *Matrix) *Matrix { return New(a.Rows, a.Cols) }
 
-// MulInto is the destination-passing form — always legal.
-func MulInto(dst, a, b *Matrix) {}
+// NZScratch pins the exact kernels' compaction buffers.
+type NZScratch struct {
+	Val []float64
+}
+
+// MulBiasIntoNZ is the destination-passing layer product — always legal.
+func MulBiasIntoNZ(dst, a, b, bias *Matrix, ws *NZScratch) {}
 
 // Ensure reshapes dst in place, growing only on first use — always legal.
 func Ensure(dst *Matrix, r, c int) {}
@@ -27,19 +35,17 @@ func Ensure(dst *Matrix, r, c int) {}
 // At reads one element.
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
-// Lane selects the fast kernels' arithmetic width (stub of the real Lane).
+// Lane names the fast kernels' arithmetic width (stub of the real Lane).
 type Lane int
 
-// The two lanes of the fast tier.
-const (
-	LaneF64 Lane = iota
-	LaneF32
-)
+// LaneF64 is the fast tier's one lane.
+const LaneF64 Lane = 0
 
-// FastScratch pins the fast kernels' conversion buffers.
+// FastScratch pins the fast kernels' staging buffers.
 type FastScratch struct {
-	A32 []float32
+	BT []float64
 }
 
-// FastMulInto is the fast tier's destination-passing matmul — always legal.
-func FastMulInto(dst, a, b *Matrix, lane Lane, ws *FastScratch) {}
+// FastMulBiasInto is the fast tier's destination-passing layer product —
+// always legal.
+func FastMulBiasInto(dst, a, b, bias *Matrix, lane Lane, ws *FastScratch) {}

@@ -178,19 +178,6 @@ func TestCollectorWindowedMAP(t *testing.T) {
 	}
 }
 
-func TestEmpiricalCDF(t *testing.T) {
-	pts := EmpiricalCDF([]float64{3, 1, 2})
-	if len(pts) != 3 {
-		t.Fatal("want 3 points")
-	}
-	if pts[0].X != 1 || pts[2].X != 3 {
-		t.Fatal("CDF must be sorted by x")
-	}
-	if math.Abs(pts[2].P-1) > 1e-12 || math.Abs(pts[0].P-1.0/3) > 1e-12 {
-		t.Fatalf("CDF probabilities wrong: %+v", pts)
-	}
-}
-
 func TestFractionBelow(t *testing.T) {
 	xs := []float64{-1, 0, 1, 2}
 	if got := FractionBelow(xs, 0); got != 0.25 {

@@ -17,28 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// CDF returns the empirical CDF of xs evaluated at each sorted sample:
-// pairs (x_i, P[X ≤ x_i]). The input is not modified.
-type CDFPoint struct {
-	X float64
-	P float64
-}
-
-// EmpiricalCDF computes the empirical CDF points of xs.
-func EmpiricalCDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, len(sorted))
-	n := float64(len(sorted))
-	for i, x := range sorted {
-		out[i] = CDFPoint{X: x, P: float64(i+1) / n}
-	}
-	return out
-}
-
 // FractionBelow returns P[X < threshold] under the empirical distribution.
 func FractionBelow(xs []float64, threshold float64) float64 {
 	if len(xs) == 0 {

@@ -2,7 +2,10 @@ package netsim
 
 // Link models one direction of the edge↔cloud connection at a constant
 // rate and latency. It doubles as the constant Trace (see trace.go), which
-// is what simulated deployments actually price transfers through.
+// is what simulated deployments actually price transfers through: the
+// package-level TransferSeconds. The method below is the closed form tests
+// hold that integral to, and its zero-bandwidth escape hatch holds for the
+// method alone: over the Trace path a non-positive rate is a dead link.
 type Link struct {
 	BandwidthBps float64 // bits per second
 	LatencySec   float64 // one-way propagation + queuing latency

@@ -57,9 +57,6 @@ func (d *Dense) Name() string { return d.name }
 // OutDim implements Layer.
 func (d *Dense) OutDim(int) int { return d.W.Value.Cols }
 
-// InDim returns the expected input feature dimension.
-func (d *Dense) InDim() int { return d.W.Value.Rows }
-
 // Forward implements Layer. The returned matrix is layer-owned scratch.
 //
 //shoggoth:hotpath
@@ -112,9 +109,6 @@ func (d *Dense) SetLRScale(s float64) {
 	d.W.LRScale = s
 	d.B.LRScale = s
 }
-
-// MACs returns multiply-accumulate operations per input row.
-func (d *Dense) MACs() int64 { return int64(d.W.Value.Rows) * int64(d.W.Value.Cols) }
 
 // Clone implements Layer. Scratch is not copied: the clone sizes its own on
 // first use, so clones share no state with the receiver. The compute tier is

@@ -191,17 +191,3 @@ func SmoothL1(pred, target *tensor.Matrix, mask []bool) (float64, *tensor.Matrix
 	var s LossScratch
 	return s.SmoothL1(pred, target, mask)
 }
-
-// Accuracy returns the fraction of rows whose argmax equals the label.
-func Accuracy(logits *tensor.Matrix, labels []int) float64 {
-	if logits.Rows == 0 {
-		return 0
-	}
-	correct := 0
-	for i := 0; i < logits.Rows; i++ {
-		if logits.ArgMaxRow(i) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(logits.Rows)
-}

@@ -24,16 +24,6 @@ func (s *Sequential) Len() int { return len(s.LayersList) }
 // Layer returns the i-th layer.
 func (s *Sequential) Layer(i int) Layer { return s.LayersList[i] }
 
-// LayerIndex returns the index of the layer with the given name, or -1.
-func (s *Sequential) LayerIndex(name string) int {
-	for i, l := range s.LayersList {
-		if l.Name() == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Forward runs the whole network.
 func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return s.ForwardRange(0, len(s.LayersList), x, train)
@@ -116,19 +106,6 @@ func (s *Sequential) OutDim(in, hi int) int {
 		in = s.LayersList[i].OutDim(in)
 	}
 	return in
-}
-
-// MACsRange returns the multiply-accumulate cost per sample of layers
-// [lo, hi) (dense layers only; activations and norms are negligible).
-func (s *Sequential) MACsRange(lo, hi int) int64 {
-	s.checkRange(lo, hi)
-	var macs int64
-	for i := lo; i < hi; i++ {
-		if d, ok := s.LayersList[i].(*Dense); ok {
-			macs += d.MACs()
-		}
-	}
-	return macs
 }
 
 // Clone deep-copies the network (weights and normalisation statistics, not

@@ -48,6 +48,3 @@ func (o *SGD) Step(params []*Param) {
 		p.Grad.Zero()
 	}
 }
-
-// Reset clears momentum state (e.g. when swapping in new model weights).
-func (o *SGD) Reset() { o.velocity = make(map[*Param]*tensor.Matrix) }

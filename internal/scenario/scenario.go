@@ -288,18 +288,6 @@ func ByName(name string) (*Scenario, error) {
 	return nil, fmt.Errorf("scenario: unknown scenario %q (want %s)", name, strings.Join(known, ", "))
 }
 
-// Names returns every registered scenario name in registration order (the
-// stock set first).
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, len(reg))
-	for i, sc := range reg {
-		out[i] = sc.Name
-	}
-	return out
-}
-
 // All returns a copy of every registered scenario in registration order.
 func All() []Scenario {
 	regMu.RLock()
@@ -309,14 +297,4 @@ func All() []Scenario {
 		out[i] = *sc.clone()
 	}
 	return out
-}
-
-// Summary returns the registered one-line description of a scenario.
-func Summary(name string) string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if i, ok := byName[strings.ToLower(name)]; ok {
-		return reg[i].Summary
-	}
-	return ""
 }

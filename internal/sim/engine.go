@@ -54,9 +54,6 @@ func (o *Outbox) At(t float64, fn func(now float64)) {
 	o.events = append(o.events, outEvent{at: t, fn: fn})
 }
 
-// Pending returns the number of buffered emissions.
-func (o *Outbox) Pending() int { return len(o.events) }
-
 // mergeEvent is one outbox emission tagged with its global merge key: the
 // clamped time (the value At would assign after its past-time clamp), the
 // owning device index, and the emission index within that device's outbox.

@@ -4,8 +4,8 @@ package tensor
 
 import "testing"
 
-// TestAliasAssertions runs only under -tags tensordebug: *Into matrix
-// products must panic when the destination overlaps a source, and the
+// TestAliasAssertions runs only under -tags tensordebug: matrix products
+// and reductions must panic when the destination overlaps a source, and the
 // permitted element-wise aliasing must stay silent.
 func TestAliasAssertions(t *testing.T) {
 	mustPanic := func(name string, f func()) {
@@ -20,10 +20,12 @@ func TestAliasAssertions(t *testing.T) {
 
 	a := New(4, 4)
 	b := New(4, 4)
-	mustPanic("MulInto dst==a", func() { MulInto(a, a, b) })
-	mustPanic("MulInto dst==b", func() { MulInto(b, a, b) })
-	mustPanic("MulABt dst==a", func() { MulABt(a, a, b, &NZScratch{}) })
-	mustPanic("MulAtB dst==b", func() { MulAtB(b, a, b) })
+	bias := New(1, 4)
+	var ws NZScratch
+	mustPanic("MulBiasIntoNZ dst==a", func() { MulBiasIntoNZ(a, a, b, bias, &ws) })
+	mustPanic("MulBiasIntoNZ dst==b", func() { MulBiasIntoNZ(b, a, b, bias, &ws) })
+	mustPanic("MulABt dst==a", func() { MulABt(a, a, b, &ws) })
+	mustPanic("MulAtBAddNZ dst==b", func() { MulAtBAddNZ(b, a, b, &ws) })
 	mustPanic("SumRowsInto overlap", func() {
 		row := &Matrix{Rows: 1, Cols: 4, Data: a.Data[:4]}
 		SumRowsInto(row, a)
@@ -33,11 +35,9 @@ func TestAliasAssertions(t *testing.T) {
 	backing := make([]float64, 32)
 	lo := FromSlice(4, 4, backing[:16])
 	hi := FromSlice(4, 4, backing[8:24])
-	mustPanic("MulInto partial overlap", func() { MulInto(hi, lo, b) })
+	mustPanic("MulBiasIntoNZ partial overlap", func() { MulBiasIntoNZ(hi, lo, b, bias, &ws) })
 
 	// Element-wise aliasing is legal and must not panic.
-	AddInto(a, a, b)
-	ScaleInto(a, a, 2)
-	v := New(1, 4)
-	AddRowVectorInto(a, a, v)
+	AddInPlace(a, a)
+	a.ScaleInPlace(2)
 }

@@ -46,20 +46,6 @@ func ensureF64(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// FastMulInto computes dst = a × b on the fast tier. dst must be
-// a.Rows×b.Cols and must not alias a or b.
-//
-//shoggoth:hotpath
-func FastMulInto(dst, a, b *Matrix, lane Lane, ws *FastScratch) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	checkDstShape("fastMulInto", dst, a.Rows, b.Cols)
-	checkNoAlias("fastMulInto", dst, a, b)
-	dst.Zero()
-	gemmAccF64(dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols, a.Cols, 1)
-}
-
 // FastMulBiasInto computes dst = a × b with the 1×b.Cols row vector bias
 // added to every row (the Dense forward) on the fast tier. dst must not
 // alias a, b or bias.

@@ -23,14 +23,13 @@ func TestFastAliasAssertions(t *testing.T) {
 	b := New(4, 4)
 	bias := New(1, 4)
 	var ws FastScratch
-	mustPanicFast(t, "FastMulInto dst==a", func() { FastMulInto(a, a, b, LaneF64, &ws) })
-	mustPanicFast(t, "FastMulInto dst==b", func() { FastMulInto(b, a, b, LaneF64, &ws) })
 	mustPanicFast(t, "FastMulBiasInto dst==a", func() { FastMulBiasInto(a, a, b, bias, LaneF64, &ws) })
+	mustPanicFast(t, "FastMulBiasInto dst==b", func() { FastMulBiasInto(b, a, b, bias, LaneF64, &ws) })
 	mustPanicFast(t, "FastMulABt dst==b", func() { FastMulABt(b, a, b, LaneF64, &ws) })
 	mustPanicFast(t, "FastMulAtBAdd dst==a", func() { FastMulAtBAdd(a, a, b, LaneF64, &ws) })
 	// Overlapping views, not just identical matrices.
 	view := &Matrix{Rows: 2, Cols: 4, Data: a.Data[4:12]}
-	mustPanicFast(t, "FastMulInto dst overlaps a", func() {
-		FastMulInto(view, &Matrix{Rows: 2, Cols: 2, Data: a.Data[:4]}, &Matrix{Rows: 2, Cols: 4, Data: a.Data[8:]}, LaneF64, &ws)
+	mustPanicFast(t, "FastMulBiasInto dst overlaps a", func() {
+		FastMulBiasInto(view, &Matrix{Rows: 2, Cols: 2, Data: a.Data[:4]}, &Matrix{Rows: 2, Cols: 4, Data: a.Data[8:]}, bias, LaneF64, &ws)
 	})
 }

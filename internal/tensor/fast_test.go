@@ -109,11 +109,7 @@ func TestFastMulMatchesExactWithinULP(t *testing.T) {
 		g := randMat(rng, m, n)  // upstream gradient for AtB: dst is k×n... use fresh shapes below
 
 		exact, fast := New(m, n), New(m, n)
-		MulInto(exact, a, b)
-		FastMulInto(fast, a, b, LaneF64, &ws)
-		checkFastClose(t, "FastMulInto", exact, fast)
-
-		MulBiasInto(exact, a, b, bias)
+		MulBiasIntoNZ(exact, a, b, bias, &nz)
 		FastMulBiasInto(fast, a, b, bias, LaneF64, &ws)
 		checkFastClose(t, "FastMulBiasInto", exact, fast)
 
@@ -176,22 +172,24 @@ func TestFastLaneString(t *testing.T) {
 	}
 }
 
-// BenchmarkFastMulInto compares the exact and fast tiers on the trainer's
-// dominant shape (64×48 · 48×48).
-func BenchmarkFastMulInto(b *testing.B) {
+// BenchmarkFastMulBiasInto compares the exact and fast tiers' layer
+// forward on the trainer's dominant shape (64×48 · 48×48).
+func BenchmarkFastMulBiasInto(b *testing.B) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	x := randMat(rng, 64, 48)
 	w := randMat(rng, 48, 48)
+	bias := randMat(rng, 1, 48)
 	dst := New(64, 48)
+	var nz NZScratch
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MulInto(dst, x, w)
+			MulBiasIntoNZ(dst, x, w, bias, &nz)
 		}
 	})
 	var ws FastScratch
 	b.Run("fast-f64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			FastMulInto(dst, x, w, LaneF64, &ws)
+			FastMulBiasInto(dst, x, w, bias, LaneF64, &ws)
 		}
 	})
 }

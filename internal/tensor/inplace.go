@@ -5,26 +5,18 @@ import (
 	"math"
 )
 
-// Destination-passing variants of the allocation-returning ops in matrix.go.
+// Destination-passing ops.
 //
-// Naming convention: an op named XxxInto writes its result into a
-// caller-owned destination matrix instead of allocating a fresh one. The
-// destination must already have the exact result shape (use Ensure to grow a
-// reusable scratch matrix); ops panic on shape mismatch.
+// Naming convention: an op named XxxInto (and the NZ matrix products) writes
+// its result into a caller-owned destination matrix instead of allocating a
+// fresh one. The destination must already have the exact result shape (use
+// Ensure to grow a reusable scratch matrix); ops panic on shape mismatch.
 //
-// Aliasing rules:
-//
-//   - Element-wise ops (AddInto, SubInto, ScaleInto, AddRowVectorInto) permit
-//     the destination to alias a source: element i of the result depends only
-//     on element i of the sources, so dst == a is safe and common.
-//   - Matrix products (MulInto, MulABt, MulAtB) and reductions (SumRowsInto,
-//     MeanRowsInto, VarRowsInto, SelectRowsInto, SoftmaxRowInto) must NOT
-//     receive a destination that overlaps any source: they read source
-//     elements after writing destination elements. Build with -tags
-//     tensordebug to assert this at runtime.
-//
-// Every *Into op performs the same float64 operations in the same order as
-// its allocating counterpart, so results are bit-identical.
+// Aliasing rule: the matrix products (MulBiasIntoNZ, MulAtBAddNZ, MulABt)
+// and the reductions (SumRowsInto, MeanRowsInto, VarRowsInto,
+// SelectRowsInto, SoftmaxRowInto) must NOT receive a destination that
+// overlaps any source: they read source elements after writing destination
+// elements. Build with -tags tensordebug to assert this at runtime.
 
 // Ensure returns a rows×cols matrix, reusing m's backing storage when its
 // capacity suffices and allocating otherwise. The contents are unspecified
@@ -54,42 +46,7 @@ func EnsureZero(m *Matrix, rows, cols int) *Matrix {
 	return m
 }
 
-// MulInto computes dst = a × b. dst must be a.Rows×b.Cols and must not alias
-// a or b.
-//
-// Each output element is the dot product Σ_k a[i,k]·b[k,j] accumulated in
-// ascending k with a[i,k]==0 terms skipped — exactly the float64 op sequence
-// of the classic zeroed-accumulator triple loop, but register-blocked four
-// columns at a time so the accumulators stay out of memory.
-func MulInto(dst, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	checkDstShape("mulInto", dst, a.Rows, b.Cols)
-	checkNoAlias("mulInto", dst, a, b)
-	mulInto(dst, a, b, nil)
-}
-
-// MulBiasInto computes dst = a × b with the 1×b.Cols row vector bias added
-// to every row: dst[i,j] = (Σ_k a[i,k]·b[k,j]) + bias[j]. This is the fused
-// form of MulInto followed by AddRowVectorInto — the bias is added to the
-// completed dot product exactly as the two-pass version does, so results
-// are bit-identical, without a second pass over dst. dst must not alias a
-// or b (it may not alias bias either).
-func MulBiasInto(dst, a, b, bias *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if bias.Rows != 1 || bias.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: mulBiasInto bias shape %dx%d, want 1x%d", bias.Rows, bias.Cols, b.Cols))
-	}
-	checkDstShape("mulBiasInto", dst, a.Rows, b.Cols)
-	checkNoAlias("mulBiasInto", dst, a, b)
-	checkNoAlias("mulBiasInto", dst, bias, nil)
-	mulInto(dst, a, b, bias.Data)
-}
-
-// The NZ kernels (MulIntoNZ, MulBiasIntoNZ, MulAtBAddNZ) have two lanes that
+// The NZ kernels (MulBiasIntoNZ, MulAtBAddNZ) have two lanes that
 // produce the same bits. The Go loops below are the definition: per output
 // element a zeroed accumulator, the compacted row's terms in ascending
 // order, each product rounded and then each sum, the bias (or the destination
@@ -141,22 +98,12 @@ func (ws *NZScratch) compactRow(row []float64, stride int) ([]float64, []int) {
 	return val[:n], off[:n]
 }
 
-// MulIntoNZ is MulInto with caller-owned compaction scratch: bit-identical
-// results, but a-side zero skipping costs no branches in the inner loop.
-// Hot paths that multiply ReLU-sparse activations (layer forwards, weight
-// gradients via the transposed input) should prefer it.
-func MulIntoNZ(dst, a, b *Matrix, ws *NZScratch) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	checkDstShape("mulIntoNZ", dst, a.Rows, b.Cols)
-	checkNoAlias("mulIntoNZ", dst, a, b)
-	checkDataLen("mulIntoNZ", dst)
-	checkDataLen("mulIntoNZ", b)
-	mulIntoNZ(dst, a, b, nil, ws)
-}
-
-// MulBiasIntoNZ is MulBiasInto with caller-owned compaction scratch.
+// MulBiasIntoNZ computes dst = a × b with the 1×b.Cols row vector bias
+// added to every row: dst[i,j] = (Σ_k a[i,k]·b[k,j]) + bias[j], the dot
+// product accumulated in ascending k with a[i,k]==0 terms skipped and the
+// bias added to the completed sum. ws owns the compacted rows of a, so the
+// zero skipping costs no branches in the inner loop. dst must not alias a,
+// b or bias.
 func MulBiasIntoNZ(dst, a, b, bias *Matrix, ws *NZScratch) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -175,12 +122,10 @@ func MulBiasIntoNZ(dst, a, b, bias *Matrix, ws *NZScratch) {
 
 // MulAtBAddNZ computes dst += aᵀ × b: each output element's inner product
 // Σ_r a[r,i]·b[r,j] is accumulated in a register in ascending r with
-// a[r,i]==0 terms skipped (MulAtB's exact op sequence), then added to dst
-// with one addition — the same single add that MulAtB followed by
-// AddInPlace performs, so gradient accumulation is bit-identical while
-// skipping both the staging matrix and the materialised transpose: column i
-// of a is compacted straight out of a. dst (a.Cols×b.Cols) must not alias
-// a or b.
+// a[r,i]==0 terms skipped, then added to dst with one addition — the sum a
+// staged aᵀ×b followed by AddInPlace would give, without the staging matrix
+// or the materialised transpose: column i of a is compacted straight out of
+// a. dst (a.Cols×b.Cols) must not alias a or b.
 func MulAtBAddNZ(dst, a, b *Matrix, ws *NZScratch) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: tmatmul shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -257,7 +202,8 @@ func MulAtBAddNZ(dst, a, b *Matrix, ws *NZScratch) {
 
 // mulIntoNZ computes dst = a×b (+bias per row when non-nil) through the
 // compacted-row representation. Per output element the accumulation order
-// and the skipped terms are identical to mulInto's.
+// and the skipped terms are those of the zeroed-accumulator triple loop
+// (referenceMatMul in inplace_test.go).
 func mulIntoNZ(dst, a, b *Matrix, bias []float64, ws *NZScratch) {
 	ac, bc := a.Cols, b.Cols
 	bd := b.Data
@@ -314,116 +260,6 @@ func mulIntoNZ(dst, a, b *Matrix, bias []float64, ws *NZScratch) {
 			var s float64
 			for t, av := range val {
 				s += av * bd[off[t]+j]
-			}
-			if bias != nil {
-				s += bias[j]
-			}
-			orow[j] = s
-		}
-	}
-}
-
-// mulInto is the shared kernel of MulInto and MulBiasInto; bias is nil for
-// the plain product.
-func mulInto(dst, a, b *Matrix, bias []float64) {
-	ac, bc := a.Cols, b.Cols
-	bd := b.Data
-	i := 0
-	for ; i+2 <= a.Rows; i += 2 {
-		arow0 := a.Data[i*ac : (i+1)*ac]
-		arow1 := a.Data[(i+1)*ac : (i+2)*ac]
-		arow1 = arow1[:len(arow0)] // ties the lengths so arow1[k] is check-free
-		orow0 := dst.Data[i*bc : (i+1)*bc]
-		orow1 := dst.Data[(i+1)*bc : (i+2)*bc]
-		j := 0
-		for ; j+4 <= bc; j += 4 {
-			var s00, s01, s02, s03, s10, s11, s12, s13 float64
-			o := j
-			for k, av0 := range arow0 {
-				bv3 := bd[o+3] // highest index first: the checks below fold away
-				bv2 := bd[o+2]
-				bv1 := bd[o+1]
-				bv0 := bd[o]
-				if av0 != 0 {
-					s00 += av0 * bv0
-					s01 += av0 * bv1
-					s02 += av0 * bv2
-					s03 += av0 * bv3
-				}
-				if av1 := arow1[k]; av1 != 0 {
-					s10 += av1 * bv0
-					s11 += av1 * bv1
-					s12 += av1 * bv2
-					s13 += av1 * bv3
-				}
-				o += bc
-			}
-			if bias != nil {
-				s00 += bias[j]
-				s01 += bias[j+1]
-				s02 += bias[j+2]
-				s03 += bias[j+3]
-				s10 += bias[j]
-				s11 += bias[j+1]
-				s12 += bias[j+2]
-				s13 += bias[j+3]
-			}
-			orow0[j], orow0[j+1], orow0[j+2], orow0[j+3] = s00, s01, s02, s03
-			orow1[j], orow1[j+1], orow1[j+2], orow1[j+3] = s10, s11, s12, s13
-		}
-		for ; j < bc; j++ {
-			var s0, s1 float64
-			o := j
-			for k, av0 := range arow0 {
-				bv := bd[o]
-				if av0 != 0 {
-					s0 += av0 * bv
-				}
-				if av1 := arow1[k]; av1 != 0 {
-					s1 += av1 * bv
-				}
-				o += bc
-			}
-			if bias != nil {
-				s0 += bias[j]
-				s1 += bias[j]
-			}
-			orow0[j] = s0
-			orow1[j] = s1
-		}
-	}
-	for ; i < a.Rows; i++ {
-		arow := a.Data[i*ac : (i+1)*ac]
-		orow := dst.Data[i*bc : (i+1)*bc]
-		j := 0
-		for ; j+4 <= bc; j += 4 {
-			var s0, s1, s2, s3 float64
-			o := j
-			for _, av := range arow {
-				if av != 0 {
-					s0 += av * bd[o]
-					s1 += av * bd[o+1]
-					s2 += av * bd[o+2]
-					s3 += av * bd[o+3]
-				}
-				o += bc
-			}
-			if bias != nil {
-				s0 += bias[j]
-				s1 += bias[j+1]
-				s2 += bias[j+2]
-				s3 += bias[j+3]
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < bc; j++ {
-			var s float64
-			o := j
-			for _, av := range arow {
-				if av != 0 {
-					s += av * bd[o]
-				}
-				o += bc
 			}
 			if bias != nil {
 				s += bias[j]
@@ -562,157 +398,6 @@ func mulABt(dst, a, b *Matrix, j0 int) {
 				s += av * brow[k]
 			}
 			orow[j] = s
-		}
-	}
-}
-
-// MulAtB computes dst = aᵀ × b without materialising the transpose. dst must
-// be a.Cols×b.Cols and must not alias a or b.
-// MulAtB accumulates each output element Σ_r a[r,i]·b[r,j] in ascending r
-// with a[r,i]==0 terms skipped — the float64 op sequence of the zeroed
-// r-outer loop — register-blocked four b-columns at a time.
-func MulAtB(dst, a, b *Matrix) {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: tmatmul shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	checkDstShape("mulAtB", dst, a.Cols, b.Cols)
-	checkNoAlias("mulAtB", dst, a, b)
-	ac, bc := a.Cols, b.Cols
-	ad, bd := a.Data, b.Data
-	i := 0
-	for ; i+2 <= ac; i += 2 {
-		orow0 := dst.Data[i*bc : (i+1)*bc]
-		orow1 := dst.Data[(i+1)*bc : (i+2)*bc]
-		j := 0
-		for ; j+4 <= bc; j += 4 {
-			var s00, s01, s02, s03, s10, s11, s12, s13 float64
-			oa, ob := i, j
-			for r := 0; r < a.Rows; r++ {
-				av1 := ad[oa+1] // highest index first: ad[oa] is then check-free
-				av0 := ad[oa]
-				bv3 := bd[ob+3]
-				bv2 := bd[ob+2]
-				bv1 := bd[ob+1]
-				bv0 := bd[ob]
-				if av0 != 0 {
-					s00 += av0 * bv0
-					s01 += av0 * bv1
-					s02 += av0 * bv2
-					s03 += av0 * bv3
-				}
-				if av1 != 0 {
-					s10 += av1 * bv0
-					s11 += av1 * bv1
-					s12 += av1 * bv2
-					s13 += av1 * bv3
-				}
-				oa += ac
-				ob += bc
-			}
-			orow0[j], orow0[j+1], orow0[j+2], orow0[j+3] = s00, s01, s02, s03
-			orow1[j], orow1[j+1], orow1[j+2], orow1[j+3] = s10, s11, s12, s13
-		}
-		for ; j < bc; j++ {
-			var s0, s1 float64
-			oa, ob := i, j
-			for r := 0; r < a.Rows; r++ {
-				bv := bd[ob]
-				if av0 := ad[oa]; av0 != 0 {
-					s0 += av0 * bv
-				}
-				if av1 := ad[oa+1]; av1 != 0 {
-					s1 += av1 * bv
-				}
-				oa += ac
-				ob += bc
-			}
-			orow0[j] = s0
-			orow1[j] = s1
-		}
-	}
-	for ; i < ac; i++ {
-		orow := dst.Data[i*bc : (i+1)*bc]
-		j := 0
-		for ; j+4 <= bc; j += 4 {
-			var s0, s1, s2, s3 float64
-			oa, ob := i, j
-			for r := 0; r < a.Rows; r++ {
-				if av := ad[oa]; av != 0 {
-					s0 += av * bd[ob]
-					s1 += av * bd[ob+1]
-					s2 += av * bd[ob+2]
-					s3 += av * bd[ob+3]
-				}
-				oa += ac
-				ob += bc
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < bc; j++ {
-			var s float64
-			oa, ob := i, j
-			for r := 0; r < a.Rows; r++ {
-				if av := ad[oa]; av != 0 {
-					s += av * bd[ob]
-				}
-				oa += ac
-				ob += bc
-			}
-			orow[j] = s
-		}
-	}
-}
-
-// TransposeInto writes mᵀ into dst (m.Cols×m.Rows). dst must not alias m.
-func TransposeInto(dst, m *Matrix) {
-	checkDstShape("transposeInto", dst, m.Cols, m.Rows)
-	checkNoAlias("transposeInto", dst, m, nil)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			dst.Data[j*m.Rows+i] = v
-		}
-	}
-}
-
-// AddInto computes dst = a + b element-wise. dst may alias a or b.
-func AddInto(dst, a, b *Matrix) {
-	checkSameShape("addInto", a, b)
-	checkDstShape("addInto", dst, a.Rows, a.Cols)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-}
-
-// SubInto computes dst = a − b element-wise. dst may alias a or b.
-func SubInto(dst, a, b *Matrix) {
-	checkSameShape("subInto", a, b)
-	checkDstShape("subInto", dst, a.Rows, a.Cols)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
-// ScaleInto computes dst = m · s element-wise. dst may alias m.
-func ScaleInto(dst, m *Matrix, s float64) {
-	checkDstShape("scaleInto", dst, m.Rows, m.Cols)
-	for i, v := range m.Data {
-		dst.Data[i] = v * s
-	}
-}
-
-// AddRowVectorInto computes dst = m + v (the 1×Cols row vector v added to
-// every row). dst may alias m.
-func AddRowVectorInto(dst, m, v *Matrix) {
-	if v.Rows != 1 || v.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: addRowVector shape mismatch %dx%d + %dx%d", m.Rows, m.Cols, v.Rows, v.Cols))
-	}
-	checkDstShape("addRowVectorInto", dst, m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		orow := dst.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, x := range row {
-			orow[j] = x + v.Data[j]
 		}
 	}
 }

@@ -88,7 +88,7 @@ func referenceMatMulT(a, b *Matrix) *Matrix {
 	return out
 }
 
-// TestKernelsBitIdenticalToReference drives every optimised matmul kernel
+// TestKernelsBitIdenticalToReference drives every exact matmul kernel
 // across shapes (including the narrow head shapes, odd tails and 1-row
 // fronts of the student) and sparsity levels, asserting bit-identical
 // results against the reference loops.
@@ -105,20 +105,9 @@ func TestKernelsBitIdenticalToReference(t *testing.T) {
 			b := sparseMatrix(k, n, sp/2, rng)
 			want := referenceMatMul(a, b)
 
-			got := New(m, n)
-			MulInto(got, a, b)
-			requireIdentical(t, "MulInto", got, want)
-
 			var ws NZScratch
-			got2 := New(m, n)
-			MulIntoNZ(got2, a, b, &ws)
-			requireIdentical(t, "MulIntoNZ", got2, want)
-
 			bias := sparseMatrix(1, n, 0, rng)
-			wantBias := Add(want, wantRowBroadcast(bias, m))
-			got3 := New(m, n)
-			MulBiasInto(got3, a, b, bias)
-			requireIdentical(t, "MulBiasInto", got3, wantBias)
+			wantBias := addMatrices(want, wantRowBroadcast(bias, m))
 			got4 := New(m, n)
 			MulBiasIntoNZ(got4, a, b, bias, &ws)
 			requireIdentical(t, "MulBiasIntoNZ", got4, wantBias)
@@ -126,12 +115,8 @@ func TestKernelsBitIdenticalToReference(t *testing.T) {
 			// aᵀ×b: reuse a as the k×m operand.
 			at := sparseMatrix(k, m, sp, rng)
 			wantT := referenceTMatMul(at, randomCompat(at, n, rng, &b))
-			gotT := New(at.Cols, b.Cols)
-			MulAtB(gotT, at, b)
-			requireIdentical(t, "MulAtB", gotT, wantT)
-
 			acc := sparseMatrix(at.Cols, b.Cols, 0, rng)
-			wantAcc := Add(acc, wantT)
+			wantAcc := addMatrices(acc, wantT)
 			MulAtBAddNZ(acc, at, b, &ws)
 			requireIdentical(t, "MulAtBAddNZ", acc, wantAcc)
 
@@ -150,6 +135,16 @@ func TestKernelsBitIdenticalToReference(t *testing.T) {
 func randomCompat(at *Matrix, n int, rng *rand.Rand, b **Matrix) *Matrix {
 	*b = sparseMatrix(at.Rows, n, 0.3, rng)
 	return *b
+}
+
+// addMatrices returns a + b element-wise, the oracle's bias and
+// accumulation step.
+func addMatrices(a, b *Matrix) *Matrix {
+	out := New(a.Rows, a.Cols)
+	for i := range a.Data {
+		out.Data[i] = a.Data[i] + b.Data[i]
+	}
+	return out
 }
 
 // wantRowBroadcast expands a 1×n row to rows×n for the bias oracle.
@@ -201,21 +196,5 @@ func TestPoolRecycles(t *testing.T) {
 	}
 	if m3 := p.Get(3, 5); &m3.Data[0] == backing {
 		t.Fatal("Pool handed out the same buffer twice")
-	}
-}
-
-// TestFromSliceCopy locks the copying alternative to FromSlice: mutating
-// the source afterwards must not affect the matrix.
-func TestFromSliceCopy(t *testing.T) {
-	src := []float64{1, 2, 3, 4}
-	m := FromSliceCopy(2, 2, src)
-	src[0] = 99
-	if m.Data[0] != 1 {
-		t.Fatal("FromSliceCopy must not alias the source slice")
-	}
-	aliased := FromSlice(2, 2, src)
-	src[1] = 42
-	if aliased.Data[1] != 42 {
-		t.Fatal("FromSlice documents aliasing; expected shared storage")
 	}
 }

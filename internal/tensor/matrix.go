@@ -2,14 +2,13 @@
 // neural-network substrate. Only the small set of operations needed for
 // mini-batch MLP training is implemented; everything is row-major float64.
 //
-// Every allocating op (MatMul, Add, SumRows, …) has a destination-passing
-// *Into twin (MulInto, AddInto, SumRowsInto, …) that writes into a
-// caller-owned matrix; inplace.go documents the naming convention and the
-// aliasing rules, Ensure grows reusable scratch, and Pool recycles buffers
-// by size. The hot training path is built entirely from the *Into forms so
-// its steady state performs zero heap allocations, while the allocating
-// forms remain for cold paths and tests. Both forms perform identical
-// float64 operations in identical order, so results are bit-for-bit equal.
+// The products and reductions are destination-passing (MulBiasIntoNZ,
+// MulABt, SumRowsInto, …): they write into a caller-owned matrix, and
+// inplace.go documents the naming convention and the aliasing rules. Ensure
+// grows reusable scratch and Pool recycles buffers by size, so the training
+// hot path's steady state performs zero heap allocations. The few
+// allocating constructors (New, FromRows, Clone, MeanRows, SelectRows, …)
+// serve cold paths and tests.
 package tensor
 
 import (
@@ -34,26 +33,12 @@ func New(rows, cols int) *Matrix {
 
 // FromSlice wraps data (length rows*cols, row-major) in a Matrix without
 // copying. The matrix aliases data: the caller must not write to data (or
-// hand it to a buffer pool) afterwards. Callers that keep using or recycling
-// the slice — e.g. feeding a reused staging buffer — must use FromSliceCopy
-// instead.
+// hand it to a buffer pool) afterwards.
 func FromSlice(rows, cols int, data []float64) *Matrix {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
-// FromSliceCopy builds a rows×cols matrix from a copy of data, leaving the
-// caller free to reuse the slice. This is the safe alternative to FromSlice
-// when the source buffer outlives the call.
-func FromSliceCopy(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
-	}
-	m := New(rows, cols)
-	copy(m.Data, data)
-	return m
 }
 
 // FromRows builds a matrix by copying the given equal-length rows.
@@ -120,74 +105,6 @@ func (m *Matrix) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
 }
 
-// MatMul returns a × b. Panics when inner dimensions disagree.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Cols)
-	MulInto(out, a, b)
-	return out
-}
-
-// MatMulT returns a × bᵀ, avoiding an explicit transpose of b.
-func MatMulT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Rows)
-	var ws NZScratch
-	MulABt(out, a, b, &ws)
-	return out
-}
-
-// TMatMul returns aᵀ × b, avoiding an explicit transpose of a.
-func TMatMul(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: tmatmul shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Cols, b.Cols)
-	MulAtB(out, a, b)
-	return out
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
-}
-
-// Add returns a + b element-wise.
-func Add(a, b *Matrix) *Matrix {
-	checkSameShape("add", a, b)
-	out := New(a.Rows, a.Cols)
-	AddInto(out, a, b)
-	return out
-}
-
-// Sub returns a − b element-wise.
-func Sub(a, b *Matrix) *Matrix {
-	checkSameShape("sub", a, b)
-	out := New(a.Rows, a.Cols)
-	SubInto(out, a, b)
-	return out
-}
-
-// Mul returns the element-wise (Hadamard) product a ⊙ b.
-func Mul(a, b *Matrix) *Matrix {
-	checkSameShape("mul", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
 // AddInPlace adds b into a element-wise.
 func AddInPlace(a, b *Matrix) {
 	checkSameShape("addInPlace", a, b)
@@ -196,36 +113,11 @@ func AddInPlace(a, b *Matrix) {
 	}
 }
 
-// Scale returns m scaled by s as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	ScaleInto(out, m, s)
-	return out
-}
-
 // ScaleInPlace multiplies every element by s.
 func (m *Matrix) ScaleInPlace(s float64) {
 	for i := range m.Data {
 		m.Data[i] *= s
 	}
-}
-
-// AddRowVector adds the 1×Cols row vector v to every row of m, returning a
-// new matrix.
-func AddRowVector(m, v *Matrix) *Matrix {
-	if v.Rows != 1 || v.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: addRowVector shape mismatch %dx%d + %dx%d", m.Rows, m.Cols, v.Rows, v.Cols))
-	}
-	out := New(m.Rows, m.Cols)
-	AddRowVectorInto(out, m, v)
-	return out
-}
-
-// SumRows returns a 1×Cols row vector with the column sums of m.
-func SumRows(m *Matrix) *Matrix {
-	out := New(1, m.Cols)
-	SumRowsInto(out, m)
-	return out
 }
 
 // MeanRows returns a 1×Cols row vector with the column means of m.
@@ -243,39 +135,12 @@ func VarRows(m, mean *Matrix) *Matrix {
 	return out
 }
 
-// ConcatRows stacks a on top of b (equal column counts).
-func ConcatRows(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols && a.Rows != 0 && b.Rows != 0 {
-		panic(fmt.Sprintf("tensor: concatRows col mismatch %d vs %d", a.Cols, b.Cols))
-	}
-	cols := a.Cols
-	if a.Rows == 0 {
-		cols = b.Cols
-	}
-	out := New(a.Rows+b.Rows, cols)
-	copy(out.Data, a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
-	return out
-}
-
 // SelectRows returns a new matrix whose rows are m's rows at the given
 // indices, in order.
 func SelectRows(m *Matrix, idx []int) *Matrix {
 	out := New(len(idx), m.Cols)
 	SelectRowsInto(out, m, idx)
 	return out
-}
-
-// ArgMaxRow returns the index of the largest value in row i.
-func (m *Matrix) ArgMaxRow(i int) int {
-	row := m.Row(i)
-	best, bi := math.Inf(-1), 0
-	for j, v := range row {
-		if v > best {
-			best, bi = v, j
-		}
-	}
-	return bi
 }
 
 // Norm2 returns the Frobenius norm of m.

@@ -42,10 +42,29 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 	FromRows([][]float64{{1, 2}, {3}})
 }
 
+// matMul is a × b through the exact tier's product kernel (zero bias).
+func matMul(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	var ws NZScratch
+	MulBiasIntoNZ(out, a, b, New(1, b.Cols), &ws)
+	return out
+}
+
+// transposed returns mᵀ as a new matrix.
+func transposed(m *Matrix) *Matrix {
+	t := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
+		}
+	}
+	return t
+}
+
 func TestMatMulKnown(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	b := FromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
-	got := MatMul(a, b)
+	got := matMul(a, b)
 	want := FromRows([][]float64{{58, 64}, {139, 154}})
 	if !got.Equal(want, 1e-12) {
 		t.Fatalf("matmul: got %v want %v", got.Data, want.Data)
@@ -58,17 +77,19 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Fatal("expected panic on shape mismatch")
 		}
 	}()
-	MatMul(New(2, 3), New(2, 3))
+	matMul(New(2, 3), New(2, 3))
 }
 
 func TestMatMulTMatchesExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	a := randomMatrix(rng, 4, 5)
 	b := randomMatrix(rng, 3, 5)
-	got := MatMulT(a, b)
-	want := MatMul(a, b.Transpose())
+	got := New(a.Rows, b.Rows)
+	var ws NZScratch
+	MulABt(got, a, b, &ws)
+	want := matMul(a, transposed(b))
 	if !got.Equal(want, 1e-9) {
-		t.Fatal("MatMulT disagrees with MatMul(a, bᵀ)")
+		t.Fatal("MulABt disagrees with a × bᵀ")
 	}
 }
 
@@ -76,48 +97,58 @@ func TestTMatMulMatchesExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	a := randomMatrix(rng, 6, 4)
 	b := randomMatrix(rng, 6, 3)
-	got := TMatMul(a, b)
-	want := MatMul(a.Transpose(), b)
+	got := New(a.Cols, b.Cols)
+	var ws NZScratch
+	MulAtBAddNZ(got, a, b, &ws)
+	want := matMul(transposed(a), b)
 	if !got.Equal(want, 1e-9) {
-		t.Fatal("TMatMul disagrees with MatMul(aᵀ, b)")
+		t.Fatal("MulAtBAddNZ onto zero disagrees with aᵀ × b")
 	}
 }
 
+// TestTransposeInvolution: MulABt's k-major weight copy is bᵀ with the
+// term offsets t·b.Rows, and copying that copy gives b back.
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	m := randomMatrix(rng, 3, 7)
-	if !m.Transpose().Transpose().Equal(m, 0) {
-		t.Fatal("transpose twice should be identity")
+	var ws NZScratch
+	bt, off := ws.kMajor(m)
+	tm := FromSlice(m.Cols, m.Rows, append([]float64(nil), bt...))
+	if !tm.Equal(transposed(m), 0) {
+		t.Fatal("kMajor is not the transpose")
+	}
+	for k, o := range off {
+		if o != k*m.Rows {
+			t.Fatalf("kMajor offset %d = %d, want %d", k, o, k*m.Rows)
+		}
+	}
+	var ws2 NZScratch
+	back, _ := ws2.kMajor(tm)
+	if !FromSlice(m.Rows, m.Cols, back).Equal(m, 0) {
+		t.Fatal("transposing twice should be identity")
 	}
 }
 
-func TestAddSubMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	if !Add(a, b).Equal(FromRows([][]float64{{6, 8}, {10, 12}}), 0) {
-		t.Fatal("add wrong")
-	}
-	if !Sub(b, a).Equal(FromRows([][]float64{{4, 4}, {4, 4}}), 0) {
-		t.Fatal("sub wrong")
-	}
-	if !Mul(a, b).Equal(FromRows([][]float64{{5, 12}, {21, 32}}), 0) {
-		t.Fatal("mul wrong")
-	}
-}
-
+// TestAddRowVector: the layer forward adds its bias row to every row of
+// the product — through an identity weight, exactly m + v.
 func TestAddRowVector(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}})
 	v := FromRows([][]float64{{10, 20}})
-	got := AddRowVector(m, v)
+	id := FromRows([][]float64{{1, 0}, {0, 1}})
+	got := New(2, 2)
+	var ws NZScratch
+	MulBiasIntoNZ(got, m, id, v, &ws)
 	want := FromRows([][]float64{{11, 22}, {13, 24}})
 	if !got.Equal(want, 0) {
-		t.Fatalf("addRowVector: got %v", got.Data)
+		t.Fatalf("bias row: got %v", got.Data)
 	}
 }
 
 func TestSumMeanVarRows(t *testing.T) {
 	m := FromRows([][]float64{{1, 10}, {3, 30}})
-	if !SumRows(m).Equal(FromRows([][]float64{{4, 40}}), 0) {
+	sum := New(1, 2)
+	SumRowsInto(sum, m)
+	if !sum.Equal(FromRows([][]float64{{4, 40}}), 0) {
 		t.Fatal("sumRows wrong")
 	}
 	mean := MeanRows(m)
@@ -130,20 +161,6 @@ func TestSumMeanVarRows(t *testing.T) {
 	}
 }
 
-func TestConcatRows(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
-	b := FromRows([][]float64{{3, 4}, {5, 6}})
-	got := ConcatRows(a, b)
-	want := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if !got.Equal(want, 0) {
-		t.Fatal("concatRows wrong")
-	}
-	empty := New(0, 0)
-	if !ConcatRows(empty, b).Equal(b, 0) {
-		t.Fatal("concat with empty should return b")
-	}
-}
-
 func TestSelectRows(t *testing.T) {
 	m := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	got := SelectRows(m, []int{2, 0})
@@ -153,18 +170,12 @@ func TestSelectRows(t *testing.T) {
 	}
 }
 
-func TestArgMaxRow(t *testing.T) {
-	m := FromRows([][]float64{{0.1, 0.9, 0.3}, {5, 1, 2}})
-	if m.ArgMaxRow(0) != 1 || m.ArgMaxRow(1) != 0 {
-		t.Fatal("argmax wrong")
-	}
-}
-
 func TestSoftmaxRowProperties(t *testing.T) {
 	f := func(a, b, c float64) bool {
 		// Bound inputs so exp doesn't produce Inf under quick's extremes.
 		row := []float64{clampT(a), clampT(b), clampT(c)}
-		sm := SoftmaxRow(row)
+		sm := make([]float64, len(row))
+		SoftmaxRowInto(sm, row)
 		var sum float64
 		for _, v := range sm {
 			if v < 0 || v > 1 || math.IsNaN(v) {
@@ -182,7 +193,9 @@ func TestSoftmaxRowProperties(t *testing.T) {
 func TestSoftmaxShiftInvariance(t *testing.T) {
 	row := []float64{1, 2, 3}
 	shifted := []float64{101, 102, 103}
-	a, b := SoftmaxRow(row), SoftmaxRow(shifted)
+	a, b := make([]float64, 3), make([]float64, 3)
+	SoftmaxRowInto(a, row)
+	SoftmaxRowInto(b, shifted)
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatal("softmax must be shift invariant")
@@ -190,28 +203,9 @@ func TestSoftmaxShiftInvariance(t *testing.T) {
 	}
 }
 
-func TestDotAXPY(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5, 6}
-	if Dot(a, b) != 32 {
-		t.Fatalf("dot: got %v", Dot(a, b))
-	}
-	y := []float64{1, 1, 1}
-	AXPY(2, a, y)
-	if y[0] != 3 || y[1] != 5 || y[2] != 7 {
-		t.Fatalf("axpy: got %v", y)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Fatal("clamp wrong")
-	}
-}
-
-func TestL2Distance(t *testing.T) {
-	if d := L2Distance([]float64{0, 0}, []float64{3, 4}); math.Abs(d-5) > 1e-12 {
-		t.Fatalf("l2: got %v", d)
 	}
 }
 
@@ -228,8 +222,8 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 		a := randomMatrix(rng, 3, 4)
 		b := randomMatrix(rng, 4, 2)
 		c := randomMatrix(rng, 2, 5)
-		left := MatMul(MatMul(a, b), c)
-		right := MatMul(a, MatMul(b, c))
+		left := matMul(matMul(a, b), c)
+		right := matMul(a, matMul(b, c))
 		if !left.Equal(right, 1e-9) {
 			t.Fatal("matmul not associative within tolerance")
 		}
@@ -238,12 +232,13 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 
 func TestScaleAndAddInPlace(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}})
-	s := m.Scale(3)
+	s := m.Clone()
+	s.ScaleInPlace(3)
 	if !s.Equal(FromRows([][]float64{{3, 6}}), 0) {
 		t.Fatal("scale wrong")
 	}
 	if !m.Equal(FromRows([][]float64{{1, 2}}), 0) {
-		t.Fatal("scale must not mutate")
+		t.Fatal("scaling a clone must not mutate the original")
 	}
 	AddInPlace(m, s)
 	if !m.Equal(FromRows([][]float64{{4, 8}}), 0) {

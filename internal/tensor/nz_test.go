@@ -89,7 +89,7 @@ func bothLanes(t *testing.T, what string, rows, cols int, init *Matrix, f func(d
 	requireSameBits(t, what, out[0], out[1])
 }
 
-// TestNZKernelMatchesGoLoops runs the three NZ entry points and MulABt twice — through
+// TestNZKernelMatchesGoLoops runs the two NZ entry points and MulABt twice — through
 // nzRowAVX and, with useAsm switched off, through the Go loops alone — and
 // requires identical bits. Every column count 1…100 (each pass width of the
 // kernel and each 1–3 column scalar tail) meets every inner dimension 0…50;
@@ -119,15 +119,14 @@ func TestNZKernelMatchesGoLoops(t *testing.T) {
 
 // checkExactKernels draws one case — every m×n output from an inner
 // dimension k, left operands with sparsity sp, all salted when salt is set
-// — and holds MulIntoNZ, MulBiasIntoNZ, MulAtBAddNZ and MulABt to their Go
-// loops through bothLanes.
+// — and holds MulBiasIntoNZ, MulAtBAddNZ and MulABt to their Go loops
+// through bothLanes.
 func checkExactKernels(t *testing.T, m, k, n int, sp float64, salt bool, rng *rand.Rand, ws *NZScratch) {
 	t.Helper()
 	shape := fmt.Sprintf(" %dx%d·%dx%d", m, k, k, n)
 	a := saltedMatrix(m, k, sp, salt, rng)
 	b := saltedMatrix(k, n, 0.1, salt, rng)
 	bias := saltedMatrix(1, n, 0.1, salt, rng)
-	bothLanes(t, "MulIntoNZ"+shape, m, n, nil, func(dst *Matrix) { MulIntoNZ(dst, a, b, ws) })
 	bothLanes(t, "MulBiasIntoNZ"+shape, m, n, nil, func(dst *Matrix) { MulBiasIntoNZ(dst, a, b, bias, ws) })
 
 	// dst (m×n) += atᵀ × g over k shared rows.
@@ -164,8 +163,6 @@ func TestNZShortOperandPanics(t *testing.T) {
 	}
 	var ws NZScratch
 	a, at := full(3, 5), full(5, 3)
-	mustPanic("MulIntoNZ weights", func() { MulIntoNZ(full(3, 8), a, short(5, 8), &ws) })
-	mustPanic("MulIntoNZ destination", func() { MulIntoNZ(short(3, 8), a, full(5, 8), &ws) })
 	mustPanic("MulBiasIntoNZ weights", func() { MulBiasIntoNZ(full(3, 8), a, short(5, 8), full(1, 8), &ws) })
 	mustPanic("MulBiasIntoNZ bias", func() { MulBiasIntoNZ(full(3, 8), a, full(5, 8), short(1, 8), &ws) })
 	mustPanic("MulBiasIntoNZ destination", func() { MulBiasIntoNZ(short(3, 8), a, full(5, 8), full(1, 8), &ws) })
@@ -189,7 +186,6 @@ func TestNZZeroAlloc(t *testing.T) {
 	MulAtBAddNZ(acc, a, g, &ws) // the larger of the two compaction sizes
 	MulABt(dx, a, wt, &ws)      // sizes the k-major weight copy
 	for name, f := range map[string]func(){
-		"MulIntoNZ":     func() { MulIntoNZ(dst, a, w, &ws) },
 		"MulBiasIntoNZ": func() { MulBiasIntoNZ(dst, a, w, bias, &ws) },
 		"MulAtBAddNZ":   func() { MulAtBAddNZ(acc, a, g, &ws) },
 		"MulABt":        func() { MulABt(dx, a, wt, &ws) },
@@ -202,8 +198,8 @@ func TestNZZeroAlloc(t *testing.T) {
 
 // FuzzExactKernelsMatchGoLoops is TestNZKernelMatchesGoLoops driven by the
 // fuzzer: a shape up to 65×49·49×100, a sparsity, a value stream and
-// whether to salt it choose one case, and MulIntoNZ, MulBiasIntoNZ,
-// MulAtBAddNZ and MulABt must give the same bits through nzRowAVX as
+// whether to salt it choose one case, and MulBiasIntoNZ, MulAtBAddNZ and
+// MulABt must give the same bits through nzRowAVX as
 // through the Go loops alone, writing nothing outside the destination.
 // Seeds are checked in under testdata/fuzz.
 func FuzzExactKernelsMatchGoLoops(f *testing.F) {

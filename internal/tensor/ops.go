@@ -1,46 +1,5 @@
 package tensor
 
-import "math"
-
-// SoftmaxRow computes the numerically-stable softmax of a single row slice,
-// returning a fresh slice.
-func SoftmaxRow(row []float64) []float64 {
-	out := make([]float64, len(row))
-	SoftmaxRowInto(out, row)
-	return out
-}
-
-// Softmax applies SoftmaxRow to every row of m, returning a new matrix.
-func Softmax(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		SoftmaxRowInto(out.Row(i), m.Row(i))
-	}
-	return out
-}
-
-// Dot returns the inner product of two equal-length slices.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("tensor: dot length mismatch")
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// AXPY computes y ← y + alpha*x for equal-length slices.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("tensor: axpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {
@@ -50,17 +9,4 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// L2Distance returns the Euclidean distance between two equal-length slices.
-func L2Distance(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("tensor: l2 length mismatch")
-	}
-	var s float64
-	for i, v := range a {
-		d := v - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
 }

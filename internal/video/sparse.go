@@ -1,108 +1,21 @@
 package video
 
-import (
-	"math"
-	"math/rand/v2"
-
-	"shoggoth/internal/geom"
-)
-
-// SparseStream generates frames of the same kind of drifting synthetic
-// world as Stream, but shaped for fleet-scale simulation:
-//
-//   - Random access: any frame is a pure function of (profile, seed, frame
-//     index) — no sequential population state — so a device that samples
-//     two frames a second materializes exactly two, never the 30/s the
-//     camera nominally produces.
-//   - No feature tensors: proposals carry track identity, anchor and
-//     ground-truth geometry (everything the cloud teacher and the φ drift
-//     signal consume) but Features stays nil. Nothing at events fidelity
-//     renders or trains on appearance vectors.
-//
-// The scene model is slot-based: the effective domain's object rate fixes
-// how many track slots are live at time t, and each slot regenerates on a
-// fixed cadence (the profile's mean object TTL, phase-shifted per slot so
-// the population never turns over all at once). A slot's occupant for a
-// given epoch — class, position, velocity, size — comes from a throwaway
-// PCG keyed by (slot, epoch), so any two frames agree on the objects they
-// both see regardless of generation order.
+// SparseStream is the events-fidelity view of a drifting synthetic world:
+// frame metadata only — index, time, effective domain and its complexity —
+// and the proposal count a rendered frame would carry. Nothing at events
+// fidelity renders proposals, trains on features or keeps population state,
+// so every answer is a pure function of (profile, time): a device that
+// samples two frames a second pays for two, never the 30/s the camera
+// nominally produces, and in any order.
 type SparseStream struct {
 	Profile *Profile
-
-	key     uint64 // mixes the profile seed with the run seed
-	meanTTL float64
 }
 
-// NewSparseStream creates a random-access sparse stream; like NewStream,
-// identical (profile, seed) pairs produce identical frames.
+// NewSparseStream creates a sparse stream over p. The metadata depends on
+// the profile and the frame time alone, so seed is unused; it stays in the
+// signature for the callers that pass a device's stream seed.
 func NewSparseStream(p *Profile, seed uint64) *SparseStream {
-	ttl := (p.ObjectTTL[0] + p.ObjectTTL[1]) / 2
-	if ttl <= 0 {
-		ttl = 1
-	}
-	return &SparseStream{Profile: p, key: p.Seed ^ (seed * 0x9E3779B97F4A7C15), meanTTL: ttl}
-}
-
-// sparse track-id layout: id = epoch·idStride + slot, with clutter slots
-// offset into the upper half so object and clutter ids never collide. The
-// teacher only hashes ids for temporally-correlated errors, so compactness
-// matters more than global uniqueness.
-const (
-	idStride    = 1 << 10
-	clutterBase = idStride / 2
-)
-
-// Frame materializes the frame with the given index and capture time
-// (t = idx/FPS for a camera-grid stream).
-func (s *SparseStream) Frame(idx int, t float64) *Frame {
-	p := s.Profile
-	eff := p.EffectiveDomain(t)
-
-	f := &Frame{
-		Index:      idx,
-		Time:       t,
-		Domain:     eff.Name,
-		DomainID:   p.DomainIndexAt(t),
-		Complexity: eff.Complexity,
-	}
-
-	// Per-frame jitter stream: anchor displacement noise is fresh every
-	// frame (matching Stream's per-frame draws) but reproducible from the
-	// frame index alone.
-	jrng := rand.New(rand.NewPCG(s.key, 0xF1A7^uint64(idx)*0x2545F4914F6CDD1D))
-
-	nObj := int(eff.ObjectRate + 0.5)
-	nClut := int(eff.DistractorRate + 0.5)
-	f.Proposals = make([]Proposal, 0, nObj+nClut)
-	f.NumGT = nObj
-
-	var speed float64
-	for slot := 0; slot < nObj; slot++ {
-		tr := s.occupant(slot, t, true)
-		speed += math.Hypot(tr.vx, tr.vy)
-		gtBox := tr.box()
-		jit := eff.BoxJitter
-		anchor := geom.FromCenter(
-			tr.cx+(eff.GeoBias[0]+jrng.NormFloat64()*jit)*tr.w,
-			tr.cy+(eff.GeoBias[1]+jrng.NormFloat64()*jit)*tr.h,
-			tr.w*math.Exp(eff.GeoBias[2]+jrng.NormFloat64()*jit*0.8),
-			tr.h*math.Exp(eff.GeoBias[3]+jrng.NormFloat64()*jit*0.8),
-		)
-		f.Proposals = append(f.Proposals, Proposal{
-			TrackID:    tr.id,
-			Anchor:     anchor,
-			GT:         &GT{TrackID: tr.id, Class: tr.class, Box: gtBox},
-			TrueOffset: geom.OffsetBetween(anchor, gtBox),
-		})
-	}
-	if nObj > 0 {
-		f.Motion = clamp01(speed / float64(nObj) * 12)
-	}
-	for slot := 0; slot < nClut; slot++ {
-		tr := s.occupant(slot, t, false)
-		f.Proposals = append(f.Proposals, Proposal{TrackID: tr.id, Anchor: tr.box()})
-	}
-	return f
+	return &SparseStream{Profile: p}
 }
 
 // Meta returns the frame's metadata — index, time, domain, complexity —
@@ -129,44 +42,4 @@ func (s *SparseStream) Meta(idx int, t float64) *Frame {
 func (s *SparseStream) Regions(t float64) int {
 	eff := s.Profile.EffectiveDomain(t)
 	return int(eff.ObjectRate+0.5) + int(eff.DistractorRate+0.5)
-}
-
-// occupant reconstructs the track occupying a slot at time t: the slot's
-// phase-shifted epoch picks which occupant, and a throwaway PCG keyed by
-// (slot, epoch, kind) regenerates its spawn draws. Position advances
-// linearly with the occupant's age, mirroring track.step.
-func (s *SparseStream) occupant(slot int, t float64, foreground bool) track {
-	p := s.Profile
-	kind := uint64(0)
-	base := 0
-	if !foreground {
-		kind = 1
-		base = clutterBase
-	}
-	phase := s.meanTTL * float64(uint64(slot)*0x9E3779B9%1024) / 1024
-	epoch := math.Floor((t + phase) / s.meanTTL)
-	spawnT := epoch*s.meanTTL - phase
-	age := t - spawnT
-
-	rng := rand.New(rand.NewPCG(s.key, uint64(int64(epoch))*idStride+uint64(base+slot)+kind<<62))
-	tr := track{id: int(epoch)*idStride + base + slot}
-	tr.cx = 0.1 + rng.Float64()*0.8
-	tr.cy = 0.1 + rng.Float64()*0.8
-	ang := rng.Float64() * 2 * math.Pi
-	sp := 0.01 + rng.Float64()*0.05
-	tr.vx, tr.vy = sp*math.Cos(ang), sp*math.Sin(ang)
-	if foreground {
-		spawnEff := p.EffectiveDomain(math.Max(spawnT, 0))
-		tr.class = sampleCategorical(rng, spawnEff.ClassMix)
-		sz := p.ClassSizes[tr.class]
-		tr.w = sz * (0.85 + 0.3*rng.Float64())
-		tr.h = sz * (0.7 + 0.3*rng.Float64())
-	} else {
-		tr.class = -1
-		side := 0.04 + rng.Float64()*0.12
-		tr.w, tr.h = side, side*(0.8+0.4*rng.Float64())
-	}
-	tr.cx += tr.vx * age
-	tr.cy += tr.vy * age
-	return tr
 }

@@ -6,101 +6,72 @@ import (
 )
 
 // TestSparseStreamRandomAccess locks the sparse stream's core contract:
-// a frame is a pure function of (profile, seed, index) — identical across
-// stream instances and independent of generation order.
+// metadata is a pure function of (profile, index, time) — identical across
+// stream instances and independent of query order.
 func TestSparseStreamRandomAccess(t *testing.T) {
 	p := DETRACProfile()
 	dt := 1 / p.FPS
 	a := NewSparseStream(p, 7)
 	b := NewSparseStream(p, 7)
 
-	// b generates out of order and interleaved with unrelated frames.
-	fb200 := b.Frame(200, 200*dt)
-	b.Frame(5000, 5000*dt)
-	fb10 := b.Frame(10, 10*dt)
+	// b answers out of order and interleaved with unrelated frames.
+	fb200 := b.Meta(200, 200*dt)
+	b.Meta(5000, 5000*dt)
+	fb10 := b.Meta(10, 10*dt)
 
-	if fa := a.Frame(10, 10*dt); !reflect.DeepEqual(fa, fb10) {
-		t.Error("frame 10 differs between in-order and out-of-order generation")
+	if fa := a.Meta(10, 10*dt); !reflect.DeepEqual(fa, fb10) {
+		t.Error("frame 10 differs between in-order and out-of-order queries")
 	}
-	if fa := a.Frame(200, 200*dt); !reflect.DeepEqual(fa, fb200) {
+	if fa := a.Meta(200, 200*dt); !reflect.DeepEqual(fa, fb200) {
 		t.Error("frame 200 differs between stream instances")
-	}
-
-	other := NewSparseStream(p, 8)
-	if reflect.DeepEqual(a.Frame(10, 10*dt), other.Frame(10, 10*dt)) {
-		t.Error("different seeds produced an identical frame")
 	}
 }
 
-// TestSparseStreamShape checks the frame invariants consumers rely on:
-// ground truth on the first NumGT proposals, clutter after, no feature
-// tensors anywhere, and plausible geometry.
+// TestSparseStreamShape checks what an events-fidelity frame is: the index
+// and time it was asked for, a positive complexity, and nothing rendered —
+// no proposals, no ground truth — while Regions still prices the proposals
+// a rendered frame would carry.
 func TestSparseStreamShape(t *testing.T) {
 	p := DETRACProfile()
 	s := NewSparseStream(p, 3)
 	dt := 1 / p.FPS
 	for _, idx := range []int{0, 100, 3000, 50000} {
-		f := s.Frame(idx, float64(idx)*dt)
-		if f.Index != idx {
-			t.Fatalf("frame index %d, want %d", f.Index, idx)
-		}
-		if f.NumGT <= 0 || f.NumGT > len(f.Proposals) {
-			t.Fatalf("frame %d: NumGT %d outside (0, %d]", idx, f.NumGT, len(f.Proposals))
+		tm := float64(idx) * dt
+		f := s.Meta(idx, tm)
+		if f.Index != idx || f.Time != tm {
+			t.Fatalf("frame (%d, %v) came back as (%d, %v)", idx, tm, f.Index, f.Time)
 		}
 		if f.Complexity <= 0 {
 			t.Errorf("frame %d: non-positive complexity", idx)
 		}
-		for i, pr := range f.Proposals {
-			if pr.Features != nil {
-				t.Fatalf("frame %d proposal %d carries features — sparse frames must not", idx, i)
-			}
-			if gt := pr.GT; (i < f.NumGT) != (gt != nil) {
-				t.Fatalf("frame %d proposal %d: GT presence does not match NumGT layout", idx, i)
-			}
-			if pr.GT != nil {
-				if pr.GT.Class < 0 || pr.GT.Class >= p.NumClasses() {
-					t.Fatalf("frame %d proposal %d: class %d out of range", idx, i, pr.GT.Class)
-				}
-				if !pr.GT.Box.Valid() {
-					t.Fatalf("frame %d proposal %d: invalid GT box", idx, i)
-				}
-			}
+		if f.Proposals != nil || f.NumGT != 0 {
+			t.Fatalf("frame %d carries %d proposals, %d ground truth — metadata frames render none", idx, len(f.Proposals), f.NumGT)
+		}
+		if s.Regions(tm) <= 0 {
+			t.Errorf("frame %d: Regions %d, want a positive proposal count", idx, s.Regions(tm))
 		}
 	}
 }
 
-// TestSparseStreamTemporalCoherence checks that tracks persist: two frames
-// a fraction of a second apart share most object track ids (the teacher's
-// correlated-error model and φ both depend on identity persisting), while
-// frames far apart share none.
-func TestSparseStreamTemporalCoherence(t *testing.T) {
-	p := DETRACProfile()
-	s := NewSparseStream(p, 11)
-	dt := 1 / p.FPS
-	ids := func(f *Frame) map[int]bool {
-		m := make(map[int]bool)
-		for _, pr := range f.Proposals {
-			if pr.GT != nil {
-				m[pr.TrackID] = true
+// TestSparseStreamMetaMatchesStream is the events-vs-full metadata
+// contract: over one script pass of every stock profile, Meta(f.Index,
+// f.Time) agrees with the rendered frame f of NewStream on everything an
+// events-fidelity device reads — index, time, domain and its id, and
+// complexity.
+func TestSparseStreamMetaMatchesStream(t *testing.T) {
+	for _, p := range StockProfiles() {
+		full := NewStream(p, 1)
+		sparse := NewSparseStream(p, 1)
+		n := int(p.ScriptDuration() * p.FPS)
+		for i := 0; i < n; i++ {
+			f := full.Next()
+			m := sparse.Meta(f.Index, f.Time)
+			if m.Index != f.Index || m.Time != f.Time || m.Domain != f.Domain ||
+				m.DomainID != f.DomainID || m.Complexity != f.Complexity {
+				t.Fatalf("%s frame %d: Meta gives (%d, %v, %q, %d, %v), the stream (%d, %v, %q, %d, %v)",
+					p.Name, i, m.Index, m.Time, m.Domain, m.DomainID, m.Complexity,
+					f.Index, f.Time, f.Domain, f.DomainID, f.Complexity)
 			}
-		}
-		return m
-	}
-	a := ids(s.Frame(1000, 1000*dt))
-	b := ids(s.Frame(1010, 1010*dt)) // ~0.33 s later
-	shared := 0
-	for id := range b {
-		if a[id] {
-			shared++
-		}
-	}
-	if shared == 0 {
-		t.Error("no track survived 10 frames — population churns every frame")
-	}
-	far := ids(s.Frame(100000, 100000*dt))
-	for id := range far {
-		if a[id] {
-			t.Errorf("track %d alive both at frame 1000 and frame 100000 — epochs never turn over", id)
 		}
 	}
 }

@@ -76,9 +76,6 @@ func NewStream(p *Profile, seed uint64) *Stream {
 	return &Stream{Profile: p, rng: rand.New(rand.NewPCG(p.Seed, seed))}
 }
 
-// Time returns the timestamp of the next frame to be generated.
-func (s *Stream) Time() float64 { return s.time }
-
 // Next generates the next frame and advances stream time by 1/FPS.
 func (s *Stream) Next() *Frame {
 	p := s.Profile
