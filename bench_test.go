@@ -132,19 +132,7 @@ func BenchmarkExtraAblations(b *testing.B) {
 // (The repo benchmark's fleet_fifo and fleet_policy workloads time it at
 // 20,000 devices: BENCHMARK.json, sim.engine.* rows.)
 func BenchmarkFleetEngine(b *testing.B) {
-	sc, err := shoggoth.ScenarioByName("rush-hour")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfgs, err := shoggoth.ScenarioConfigs(sc, shoggoth.Shoggoth, 1_000,
-		shoggoth.WithSeed(11), shoggoth.WithCycles(0.05),
-		shoggoth.WithFidelity(shoggoth.FidelityEvents))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range cfgs {
-		cfgs[i].UploadMaxWaitSec = 5
-	}
+	cfgs := scenarioFleet("rush-hour", 1_000, 5, shoggoth.WithSeed(11), shoggoth.WithCycles(0.05), atEvents)(b)
 	b.ResetTimer()
 	var events int64
 	for i := 0; i < b.N; i++ {

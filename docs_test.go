@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// The prose documents whose backticked names must keep existing.
-var checkedDocs = []string{"DESIGN.md", ".claude/skills/verify/SKILL.md"}
+// The documents whose backticked names and -run patterns must keep existing.
+var checkedDocs = []string{"DESIGN.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"}
 
 var (
 	fencedBlock = regexp.MustCompile("(?ms)^```.*?^```")
@@ -18,16 +18,20 @@ var (
 	testName    = regexp.MustCompile(`^(Test|Fuzz|Benchmark)\w*\*?$`)
 	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	pathIdent   = regexp.MustCompile(`\.[A-Za-z_]\w*$`)
+	runFlag     = regexp.MustCompile(`(?:^|\s)-run\s+('[^']*'|"[^"]*"|[^\s'"` + "`" + `]+)`)
 )
 
-// TestDocsNameOnlyWhatExists fails when DESIGN.md or the verify skill names,
-// in backticks, a test that no _test.go file defines or a repo path that is
-// gone. A test name ending in * matches any test with that prefix. A path
+// TestDocsNameOnlyWhatExists fails when DESIGN.md, the verify skill or the
+// CI workflow names, in backticks, a test that no _test.go file defines or a
+// repo path that is gone, or runs a go test -run pattern one of whose
+// |-alternatives at its top level (before the first unbracketed /) matches
+// no test. A test name ending in * matches any test with that prefix. A path
 // counts as repo-relative when its first element is an entry of the repo
 // root; a trailing .Ident (as in internal/core.System) is a Go name inside
 // the package and is stripped when the path itself does not exist.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	tests := map[string]bool{}
+	var names string // every test name, one per line, for -run patterns
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -44,6 +48,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 		for _, m := range testFunc.FindAllSubmatch(src, -1) {
 			tests[string(m[1])] = true
+			names += string(m[1]) + "\n"
 		}
 		return nil
 	})
@@ -72,6 +77,14 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, m := range runFlag.FindAllStringSubmatch(string(src), -1) {
+			for _, alt := range topAlternatives(strings.Trim(m[1], `'"`)) {
+				ok, err := regexp.MatchString("(?m)"+alt, names)
+				if alt != "^$" && (err != nil || !ok) {
+					t.Errorf("%s runs -run %s, whose %q matches no test", doc, m[1], alt)
+				}
+			}
+		}
 		prose := fencedBlock.ReplaceAllString(string(src), "")
 		for _, m := range codeSpan.FindAllStringSubmatch(prose, -1) {
 			name := m[1]
@@ -94,4 +107,23 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			}
 		}
 	}
+}
+
+// topAlternatives splits a -run pattern's top level, everything before its
+// first / outside brackets, at each | outside brackets.
+func topAlternatives(pattern string) (alts []string) {
+	depth, start := 0, 0
+	for i, c := range pattern + "/" {
+		switch {
+		case c == '(' || c == '[':
+			depth++
+		case c == ')' || c == ']':
+			depth--
+		case depth == 0 && c == '|':
+			alts, start = append(alts, pattern[start:i]), i+1
+		case depth == 0 && c == '/':
+			return append(alts, pattern[start:i])
+		}
+	}
+	return alts
 }

@@ -103,10 +103,6 @@ func (f *Fleet) cache() *StudentCache {
 	return &f.own
 }
 
-// Pretrained returns the fleet's cached offline-pretrained student for a
-// profile (exposed so harnesses can hand the identical model elsewhere).
-func (f *Fleet) Pretrained(p *Profile) *detect.Student { return f.cache().Get(p) }
-
 // Run executes the configs concurrently and returns results in input
 // order. Configs without an explicit Pretrained student get one from the
 // shared cache (identical to what they would pretrain themselves). The

@@ -59,7 +59,7 @@ func TestStreamGroupRendersItsVideoOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := &Fleet{}
+	fleet := &Fleet{Cache: &Students}
 	kinds := []StrategyKind{EdgeOnly, CloudOnly, Prompt, AMS, Shoggoth}
 	cfgs := Grid([]*Profile{p}, kinds, WithDuration(40), WithSeed(5))
 	cfgs[1].DurationSec = 25 // drops out early; the video plays on for the rest

@@ -10,9 +10,8 @@ import (
 )
 
 // runFrameStep is the differential oracle the event engine is checked
-// against (TestClusterEngineMatchesFrameStep,
-// TestClusterEventsFidelityMatchesFrameStep): every device on ONE
-// scheduler, stepped in global frame-time order (ties break by device
+// against (TestDeterminismMatrix's frame-step variants): every device on
+// ONE scheduler, stepped in global frame-time order (ties break by device
 // index, so simultaneous frames replay identically run to run). Each Step
 // advances the shared scheduler, executing every device's due
 // cloud/network/training events along the way. O(N) per frame. It models

@@ -25,11 +25,10 @@ package core
 // profile, so all see the identical scene):
 //
 //	(profile.Seed, cfg.Seed)        the video stream's population dynamics
-//	                                and feature rendering (video.NewStream);
-//	                                the sparse fleet stream derives all of
-//	                                its draws positionally from the same
-//	                                pair, so it is a pure function of
-//	                                (profile, seed, frame index).
+//	                                and feature rendering (video.NewStream).
+//	                                The sparse fleet stream draws nothing:
+//	                                its frame metadata is a pure function of
+//	                                (profile, frame time).
 //
 // Strategies needing more streams must claim a new constant here; ad-hoc
 // stream ids would silently collide.

@@ -1,7 +1,6 @@
 package shoggoth_test
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -13,23 +12,10 @@ import (
 // must bracket the true full-fidelity fleet aggregate — the number a (much
 // more expensive) all-devices-full run reports.
 func TestSampledFidelityBracketsTruth(t *testing.T) {
-	sc, err := shoggoth.ScenarioByName("rush-hour")
-	if err != nil {
-		t.Fatal(err)
-	}
 	const devices = 1000
-	var cache shoggoth.StudentCache
-	run := func(opts ...shoggoth.Option) *shoggoth.ClusterResults {
-		base := []shoggoth.Option{shoggoth.WithSeed(11), shoggoth.WithCycles(0.02)}
-		cfgs, err := shoggoth.ScenarioConfigs(sc, shoggoth.Shoggoth, devices, append(base, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := (&shoggoth.Cluster{Cache: &cache}).Run(context.Background(), cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	run := func(fidelity shoggoth.Option) *shoggoth.ClusterResults {
+		cfgs := scenarioFleet("rush-hour", devices, 0, shoggoth.WithSeed(11), shoggoth.WithCycles(0.02), fidelity)(t)
+		return onCluster(defaultTier(0))(t, cfgs)
 	}
 
 	truth := run(shoggoth.WithFidelity(shoggoth.FidelityFull))
@@ -65,47 +51,10 @@ func TestSampledFidelityBracketsTruth(t *testing.T) {
 	}
 }
 
-// TestSampledFidelityDeterministic: the sampled mode sits inside the same
-// determinism contract as everything else — identical configs give
-// byte-identical ClusterResults (subset draw, bootstrap and all), at any
-// engine worker count.
-func TestSampledFidelityDeterministic(t *testing.T) {
-	sc, err := shoggoth.ScenarioByName("rush-hour")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cache shoggoth.StudentCache
-	run := func(workers int) []byte {
-		cfgs, err := shoggoth.ScenarioConfigs(sc, shoggoth.Shoggoth, 40,
-			shoggoth.WithSeed(3), shoggoth.WithCycles(0.02), shoggoth.WithSampledFidelity(0.2, 5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := (&shoggoth.Cluster{Cache: &cache, EngineWorkers: workers}).Run(context.Background(), cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Sampled == nil || res.Sampled.SampledDevices != 8 || res.Sampled.Seed != 5 {
-			t.Fatalf("sampled stats wrong: %+v", res.Sampled)
-		}
-		return encodeJSON(t, res)
-	}
-	first := run(1)
-	if !bytes.Equal(first, run(1)) {
-		t.Fatal("two identical sampled runs produced different ClusterResults JSON")
-	}
-	if !bytes.Equal(first, run(8)) {
-		t.Fatal("EngineWorkers=8 changed the sampled ClusterResults")
-	}
-}
-
 // TestSampledFidelityRejections pins the mode's guard rails: mixed fleets
 // refuse it, and a Session cannot carry it.
 func TestSampledFidelityRejections(t *testing.T) {
-	p, err := shoggoth.ProfileByName(shoggoth.ProfileDETRAC)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := detrac(t)
 	mk := func(n int, opts ...shoggoth.Option) []shoggoth.Config {
 		cfgs := make([]shoggoth.Config, n)
 		for i := range cfgs {

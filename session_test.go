@@ -2,82 +2,27 @@ package shoggoth_test
 
 import (
 	"context"
-	"reflect"
-	"sync"
 	"testing"
 
 	"shoggoth"
 )
 
-var (
-	detracOnce sync.Once
-	detracPre  *shoggoth.Config // template with a shared pretrained student
-)
-
-// testConfig returns a short-run config with a cached pretrained student so
-// the suite pretrains once.
-func testConfig(t *testing.T, kind shoggoth.StrategyKind, duration float64) shoggoth.Config {
+// detrac returns the UA-DETRAC profile most root tests run on.
+func detrac(t testing.TB) *shoggoth.Profile {
 	t.Helper()
 	p, err := shoggoth.ProfileByName(shoggoth.ProfileDETRAC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	detracOnce.Do(func() {
-		cfg := shoggoth.NewConfig(shoggoth.EdgeOnly, p)
-		cfg.Pretrained = shoggoth.PretrainedStudent(p)
-		detracPre = &cfg
-	})
-	cfg := shoggoth.NewConfig(kind, p, shoggoth.WithDuration(duration))
-	cfg.Pretrained = detracPre.Pretrained
-	return cfg
+	return p
 }
 
-// TestRunMatchesSessionForEveryStockStrategy is the API-redesign identity
-// contract: the legacy blocking Run and the streaming Session (with an
-// observer attached) must produce identical Results for the same
-// (profile, strategy, seed).
-func TestRunMatchesSessionForEveryStockStrategy(t *testing.T) {
-	for _, kind := range []shoggoth.StrategyKind{
-		shoggoth.EdgeOnly, shoggoth.CloudOnly, shoggoth.Prompt, shoggoth.AMS, shoggoth.Shoggoth,
-	} {
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := testConfig(t, kind, 90)
-
-			legacy, err := shoggoth.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			sess, err := shoggoth.NewSession(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var windows []shoggoth.WindowScore
-			var rates, sessions int
-			sess.Observe(&shoggoth.ObserverFuncs{
-				WindowMAP:       func(w shoggoth.WindowScore) { windows = append(windows, w) },
-				RateCommand:     func(shoggoth.RatePoint) { rates++ },
-				TrainingSession: func(shoggoth.SessionRecord) { sessions++ },
-			})
-			streamed, err := sess.RunContext(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if !reflect.DeepEqual(legacy, streamed) {
-				t.Fatalf("Run and Session diverged for %s:\n run: %+v\nsess: %+v", kind, legacy, streamed)
-			}
-			if !reflect.DeepEqual(windows, streamed.WindowMAPs) {
-				t.Fatalf("streamed windows diverge from results:\nobs: %v\nres: %v", windows, streamed.WindowMAPs)
-			}
-			if rates != len(streamed.RateSeries) {
-				t.Fatalf("observer saw %d rate commands, results hold %d", rates, len(streamed.RateSeries))
-			}
-			if sessions != len(streamed.SessionTimes) {
-				t.Fatalf("observer saw %d training sessions, results hold %d", sessions, len(streamed.SessionTimes))
-			}
-		})
-	}
+// testConfig returns a short DETRAC run of a strategy with the suite's
+// pretrained student.
+func testConfig(t testing.TB, kind shoggoth.StrategyKind, duration float64) shoggoth.Config {
+	cfg := shoggoth.NewConfig(kind, detrac(t), shoggoth.WithDuration(duration))
+	cfg.Pretrained = shoggoth.Students.Get(cfg.Profile)
+	return cfg
 }
 
 func TestSessionStepAndResultsIdempotent(t *testing.T) {

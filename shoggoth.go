@@ -181,14 +181,6 @@ func Run(cfg Config) (*Results, error) {
 	return sess.Results(), nil
 }
 
-// PretrainedStudent pretrains the offline student for a profile
-// (deterministic in the profile seed). Hand it to Config.Pretrained to
-// share one model across runs; Fleet does this automatically through its
-// StudentCache.
-func PretrainedStudent(p *Profile) *detect.Student {
-	return detect.DefaultPretrainedStudent(p)
-}
-
 // WallClock returns a monotonic wall-time reader for Config.PerfClock: the
 // one sanctioned way for a binary to give PerfCounters real timestamps.
 // Library and sim code must never call it — leave PerfClock nil there, so

@@ -10,7 +10,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
-	"slices"
 	"sync"
 	"testing"
 
@@ -118,99 +117,27 @@ var stockKinds = []shoggoth.StrategyKind{
 	shoggoth.EdgeOnly, shoggoth.CloudOnly, shoggoth.Prompt, shoggoth.AMS, shoggoth.Shoggoth,
 }
 
-// resultsJSON is the whole of a Results as its stable JSON schema prints it.
-func resultsJSON(t *testing.T, r *shoggoth.Results) string {
-	t.Helper()
-	b, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// TestFleetRunsGridIdenticalToSerialRuns holds the Fleet's lockstep stepping
-// to the lone blocking Run, whole Results byte for byte: five strategies on
-// one video share its frames; riding along in the same call are a session
-// that ends early (it drops out of its group's rounds), one at another seed
-// (a video of its own) and one at events fidelity (no video at all). One
-// worker runs the groups whole, two run them side by side, and eight is more
-// workers than groups, so every group is split down to single sessions.
-func TestFleetRunsGridIdenticalToSerialRuns(t *testing.T) {
-	p, err := shoggoth.ProfileByName(shoggoth.ProfileDETRAC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := shoggoth.Grid([]*shoggoth.Profile{p}, stockKinds, shoggoth.WithDuration(200), shoggoth.WithSeed(3))
-	cfgs = slices.Insert(cfgs, 2,
-		shoggoth.NewConfig(shoggoth.Shoggoth, p, shoggoth.WithDuration(120), shoggoth.WithSeed(3)),
-		shoggoth.NewConfig(shoggoth.Prompt, p, shoggoth.WithDuration(200), shoggoth.WithSeed(4)))
-	cfgs = append(cfgs, shoggoth.NewConfig(shoggoth.Shoggoth, p, shoggoth.WithDuration(200), shoggoth.WithSeed(3),
-		shoggoth.WithFidelity(shoggoth.FidelityEvents)))
-	for i := range cfgs {
-		cfgs[i].BatchFrames = 20 // train within the short stream
-	}
-
-	var cache shoggoth.StudentCache
-	want := make([]string, len(cfgs))
-	trained := map[shoggoth.StrategyKind]bool{}
-	for i, cfg := range cfgs {
-		if cfg.Kind != shoggoth.CloudOnly {
-			cfg.Pretrained = cache.Get(p) // what the fleet auto-fills
-		}
-		res, err := shoggoth.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = resultsJSON(t, res)
-		trained[cfg.Kind] = trained[cfg.Kind] || res.Sessions > 0
-	}
-	if !trained[shoggoth.Prompt] || !trained[shoggoth.AMS] || !trained[shoggoth.Shoggoth] {
-		t.Fatalf("every training strategy was meant to complete a session: %v", trained)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		fleet := &shoggoth.Fleet{Workers: workers, Cache: &cache}
-		got, err := fleet.Run(context.Background(), cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(cfgs) {
-			t.Fatalf("workers %d: want %d results, got %d", workers, len(cfgs), len(got))
-		}
-		for i := range cfgs {
-			if g := resultsJSON(t, got[i]); g != want[i] {
-				t.Fatalf("workers %d: fleet diverged from the serial run of job %d (%s):\nfleet:  %s\nserial: %s",
-					workers, i, cfgs[i].Kind, g, want[i])
-			}
-		}
-	}
-}
-
+// TestFleetSharesOnePretrainedStudentPerProfile: the StudentCache that
+// Fleets and Clusters fill configs from hands every caller of a profile one
+// student, and each profile its own.
 func TestFleetSharesOnePretrainedStudentPerProfile(t *testing.T) {
-	p, err := shoggoth.ProfileByName(shoggoth.ProfileKITTI)
+	kitti, err := shoggoth.ProfileByName(shoggoth.ProfileKITTI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := &shoggoth.Fleet{}
-	if fleet.Pretrained(p) != fleet.Pretrained(p) {
-		t.Fatal("fleet cache must pretrain once per profile")
+	if shoggoth.Students.Get(kitti) != shoggoth.Students.Get(kitti) {
+		t.Fatal("the cache must pretrain once per profile")
 	}
-	var shared shoggoth.StudentCache
-	a := &shoggoth.Fleet{Cache: &shared}
-	b := &shoggoth.Fleet{Cache: &shared}
-	if a.Pretrained(p) != b.Pretrained(p) {
-		t.Fatal("fleets sharing a cache must share students")
+	if shoggoth.Students.Get(kitti) == shoggoth.Students.Get(detrac(t)) {
+		t.Fatal("two profiles share one student")
 	}
 }
 
 func TestFleetPropagatesErrorsAndCancellation(t *testing.T) {
-	p, err := shoggoth.ProfileByName(shoggoth.ProfileDETRAC)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := detrac(t)
 	bad := shoggoth.NewConfig(shoggoth.EdgeOnly, p)
 	bad.DurationSec = -1
-	var cache shoggoth.StudentCache
-	fleet := &shoggoth.Fleet{Cache: &cache}
+	fleet := &shoggoth.Fleet{Cache: &shoggoth.Students}
 	if _, err := fleet.Run(context.Background(), []shoggoth.Config{bad}); err == nil {
 		t.Fatal("invalid config must surface as a fleet error")
 	}
@@ -229,7 +156,7 @@ func TestFleetPropagatesErrorsAndCancellation(t *testing.T) {
 	cfgs = shoggoth.Grid([]*shoggoth.Profile{p},
 		[]shoggoth.StrategyKind{shoggoth.EdgeOnly, shoggoth.Prompt, shoggoth.CloudOnly}, shoggoth.WithDuration(30))
 	cfgs[1].DurationSec = -1
-	one := &shoggoth.Fleet{Workers: 1, Cache: &cache}
+	one := &shoggoth.Fleet{Workers: 1, Cache: &shoggoth.Students}
 	if res, err := one.Run(context.Background(), cfgs); err == nil || errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("invalid config inside a group: results %v, error %v", res, err)
 	}
