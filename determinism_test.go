@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -26,38 +25,41 @@ import (
 // matrix under -race too, engine worker pool and Fleet shared frames included.
 func TestDeterminismMatrix(t *testing.T) {
 	for _, row := range determinismRows() {
-		t.Run(row.name, func(t *testing.T) {
-			if row.long && testing.Short() {
-				t.Skip("seconds-long full-fidelity runs; skipped with -short")
-			}
-			base, variants := row.base, row.variants
-			if base == nil {
-				base = onCluster(row.cluster(1))
-			}
-			for _, w := range row.workers {
-				variants = append(variants, variant{fmt.Sprintf("engine-workers=%d", w), whole, onCluster(row.cluster(w))})
-			}
-			if row.frameStep {
-				variants = append(variants, variant{"frame-step", devicesAndCloud, onFrameStep(row.cluster(0))})
-			}
-			// Every run gets freshly built configs, which it may drop once
-			// consumed: a million configs held across runs would raise
-			// scale-1m's peak by their size.
-			baseline := base(t, row.configs(t))
-			row.work(t, baseline)
-			if row.pin != nil && runtime.GOARCH == "amd64" {
-				row.pin(t, baseline)
-			} else if row.pin != nil {
-				// Go may fuse multiply-adds off amd64, which moves low-order
-				// bits: hold the baseline to a repeat of itself instead.
-				variants = append(variants, variant{"repeat", whole, base})
-			}
-			for _, v := range variants {
-				t.Run(v.name, func(t *testing.T) {
-					if got, want := v.of(t, v.run(t, row.configs(t))), v.of(t, baseline); !bytes.Equal(got, want) {
-						t.Fatalf("diverged from the baseline:\ngot:  %.2000s\nwant: %.2000s", got, want)
-					}
-				})
+		t.Run(row.name, row.check)
+	}
+}
+
+// check runs a row: its baseline, work check and pin, then every variant.
+func (row determinismRow) check(t *testing.T) {
+	if row.long && testing.Short() {
+		t.Skip("seconds-long full-fidelity runs; skipped with -short")
+	}
+	base, variants := row.base, row.variants
+	if base == nil {
+		base = onCluster(row.cluster(1))
+	}
+	for _, w := range row.workers {
+		variants = append(variants, variant{fmt.Sprintf("engine-workers=%d", w), whole, onCluster(row.cluster(w))})
+	}
+	if row.frameStep {
+		variants = append(variants, variant{"frame-step", devicesAndCloud, onFrameStep(row.cluster(0))})
+	}
+	// Every run gets freshly built configs, which it may drop once
+	// consumed: a million configs held across runs would raise
+	// scale-1m's peak by their size.
+	baseline := base(t, row.configs(t))
+	row.work(t, baseline)
+	if row.pin != nil && runtime.GOARCH == "amd64" {
+		row.pin(t, baseline)
+	} else if row.pin != nil {
+		// Go may fuse multiply-adds off amd64, which moves low-order
+		// bits: hold the baseline to a repeat of itself instead.
+		variants = append(variants, variant{"repeat", whole, base})
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			if got, want := v.of(t, v.run(t, row.configs(t))), v.of(t, baseline); !bytes.Equal(got, want) {
+				t.Fatalf("diverged from the baseline:\ngot:  %.2000s\nwant: %.2000s", got, want)
 			}
 		})
 	}
@@ -149,8 +151,7 @@ func determinismRows() []determinismRow {
 			},
 		},
 		{
-			// Each stock strategy alone three ways: the blocking Run, a
-			// Session with an observer, and a Cluster of one.
+			// Each stock strategy as a Cluster of one, held to the blocking Run.
 			name: "lone-device",
 			configs: func(t testing.TB) []shoggoth.Config {
 				cfgs := make([]shoggoth.Config, len(stockKinds))
@@ -163,7 +164,6 @@ func determinismRows() []determinismRow {
 			base: serially,
 			work: uploaded,
 			variants: []variant{
-				{"session", devices, inSessions},
 				{"one-device-cluster", devices, inOneDeviceClusters},
 			},
 		},
@@ -245,38 +245,6 @@ func determinismRows() []determinismRow {
 				engineCounted(t, r)
 			},
 		},
-	}
-
-	// The engine lets an events-fidelity device sleep until the first frame
-	// that could upload; the frame stepper runs every device on every
-	// frame. Both cloud driving modes (the eager FIFO tier, the deferred
-	// wfq/least-loaded/coalescing one), with uploads flushed by a full
-	// buffer (default wait) and by the deadline (5 s), on a tier small
-	// enough that batches are both served and dropped.
-	for _, tier := range []struct {
-		name, policy, router string
-		coalesce             int
-	}{
-		{name: "fifo"},
-		{name: "wfq-least-loaded-coalesce4", policy: "wfq", router: "least-loaded", coalesce: 4},
-	} {
-		cluster := func(w int) *shoggoth.Cluster {
-			return &shoggoth.Cluster{Replicas: 2, Workers: 4, QueueCap: 64,
-				Policy: tier.policy, Router: tier.router, Coalesce: tier.coalesce, EngineWorkers: w}
-		}
-		for _, wait := range []float64{0, 5} {
-			rows = append(rows, determinismRow{
-				name:    fmt.Sprintf("events-oracle-%s-wait=%g", tier.name, wait),
-				configs: scenarioFleet("rush-hour", 300, wait, shoggoth.WithSeed(9), shoggoth.WithCycles(0.2), atEvents),
-				cluster: cluster, workers: []int{4}, frameStep: true,
-				work: func(t *testing.T, r *shoggoth.ClusterResults) {
-					if r.Cloud.Batches == 0 || r.Cloud.DroppedBatches == 0 {
-						t.Fatalf("tier served %d batches and dropped %d: want both paths exercised", r.Cloud.Batches, r.Cloud.DroppedBatches)
-					}
-					engineCounted(t, r)
-				},
-			})
-		}
 	}
 
 	// Shared uplink cells, which the frame stepper rejects and so cannot
@@ -493,29 +461,6 @@ func serially(t *testing.T, cfgs []shoggoth.Config) *shoggoth.ClusterResults {
 		res, err := shoggoth.Run(withStudent(cfg))
 		if err != nil {
 			t.Fatal(err)
-		}
-		out.Devices = append(out.Devices, res)
-	}
-	return out
-}
-
-// inSessions steps each config through a Session whose observer must hear
-// every window score, rate command and training session its Results hold.
-func inSessions(t *testing.T, cfgs []shoggoth.Config) *shoggoth.ClusterResults {
-	out := &shoggoth.ClusterResults{}
-	for _, cfg := range cfgs {
-		sess, err := shoggoth.NewSession(withStudent(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var heard observed
-		sess.Observe(heard.observer())
-		res, err := sess.RunContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := (observed{res.WindowMAPs, res.RateSeries, res.SessionTimes}); !reflect.DeepEqual(heard, want) {
-			t.Fatalf("%s: the observer heard\n%+v\nthe results hold\n%+v", cfg.Kind, heard, want)
 		}
 		out.Devices = append(out.Devices, res)
 	}

@@ -2,12 +2,46 @@ package shoggoth_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"shoggoth"
 )
+
+// TestClusterEventsFidelityMatchesFrameStep holds the engine, whose
+// events-fidelity devices sleep until the first frame that could upload, to
+// the frame stepper, which runs every device on every frame: both cloud
+// driving modes, uploads flushed by a full buffer (default wait) and by the
+// deadline (5 s), on a tier small enough that batches are both served and
+// dropped. Each case is a TestDeterminismMatrix row.
+func TestClusterEventsFidelityMatchesFrameStep(t *testing.T) {
+	for _, tier := range []struct {
+		name, policy, router string
+		coalesce             int
+	}{
+		{name: "fifo"},
+		{name: "wfq-least-loaded-coalesce4", policy: "wfq", router: "least-loaded", coalesce: 4},
+	} {
+		cluster := func(w int) *shoggoth.Cluster {
+			return &shoggoth.Cluster{Replicas: 2, Workers: 4, QueueCap: 64,
+				Policy: tier.policy, Router: tier.router, Coalesce: tier.coalesce, EngineWorkers: w}
+		}
+		for _, wait := range []float64{0, 5} {
+			t.Run(fmt.Sprintf("%s/wait=%g", tier.name, wait), determinismRow{
+				configs: scenarioFleet("rush-hour", 300, wait, shoggoth.WithSeed(9), shoggoth.WithCycles(0.2), atEvents),
+				cluster: cluster, workers: []int{4}, frameStep: true,
+				work: func(t *testing.T, r *shoggoth.ClusterResults) {
+					if r.Cloud.Batches == 0 || r.Cloud.DroppedBatches == 0 {
+						t.Fatalf("tier served %d batches and dropped %d: want both paths exercised", r.Cloud.Batches, r.Cloud.DroppedBatches)
+					}
+					engineCounted(t, r)
+				},
+			}.check)
+		}
+	}
+}
 
 // TestClusterEventsFidelityCellTowerTerminates is the liveness check for
 // the shared uplink: from 0.2 cycles up these runs meet transfers whose

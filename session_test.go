@@ -1,7 +1,9 @@
 package shoggoth_test
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"shoggoth"
@@ -23,6 +25,34 @@ func testConfig(t testing.TB, kind shoggoth.StrategyKind, duration float64) shog
 	cfg := shoggoth.NewConfig(kind, detrac(t), shoggoth.WithDuration(duration))
 	cfg.Pretrained = shoggoth.Students.Get(cfg.Profile)
 	return cfg
+}
+
+// TestRunMatchesSessionForEveryStockStrategy is the API-redesign identity
+// contract: for each stock strategy a Session, whose observer must hear
+// every window score, rate command and training session its Results hold,
+// returns the Results of the blocking Run.
+func TestRunMatchesSessionForEveryStockStrategy(t *testing.T) {
+	for _, kind := range stockKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := testConfig(t, kind, 90)
+			sess, err := shoggoth.NewSession(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var heard observed
+			sess.Observe(heard.observer())
+			res, err := sess.RunContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (observed{res.WindowMAPs, res.RateSeries, res.SessionTimes}); !reflect.DeepEqual(heard, want) {
+				t.Fatalf("the observer heard\n%+v\nthe results hold\n%+v", heard, want)
+			}
+			if got, want := encodeJSON(t, res), encodeJSON(t, serially(t, []shoggoth.Config{cfg}).Devices[0]); !bytes.Equal(got, want) {
+				t.Fatalf("Session diverged from Run:\nsess: %.2000s\nrun:  %.2000s", got, want)
+			}
+		})
+	}
 }
 
 func TestSessionStepAndResultsIdempotent(t *testing.T) {
