@@ -107,8 +107,8 @@ func simulate(specFile string, sets []string, printSpec, asJSON, verbose bool, s
 	}
 	if err == nil && perf != nil {
 		fmt.Fprintf(stderr,
-			"perf: %d frames inferred at %.0f frames/s wall, %d train steps at %.0f steps/s wall (%d sessions)\n",
-			perf.InferFrames, perf.InferFPS(), perf.TrainSteps, perf.TrainStepsPerSec(), perf.TrainSessions)
+			"perf: %d frames inferred (%d shared) at %.0f frames/s wall, %d train steps at %.0f steps/s wall (%d sessions)\n",
+			perf.InferFrames, perf.InferShared, perf.InferFPS(), perf.TrainSteps, perf.TrainStepsPerSec(), perf.TrainSessions)
 	}
 	return err
 }

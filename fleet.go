@@ -77,8 +77,11 @@ type Job struct {
 // one config per camera — on a bounded worker pool with a shared
 // pretrained-student cache. Full-fidelity sessions of one call that watch
 // the same video (same *Profile, same Seed) are stepped together on frames
-// rendered once; every session's Results equal its lone Run's, byte for
-// byte. The zero value is ready to use.
+// rendered once, and each frame is inferred once per model version among
+// them: students that still hold the same weights (every strategy's
+// pretrained student until its first update) share one forward pass.
+// Every session's Results equal its lone Run's, byte for byte. The zero
+// value is ready to use.
 type Fleet struct {
 	// Workers bounds the goroutines running sessions; 0 means GOMAXPROCS.
 	Workers int
@@ -183,14 +186,17 @@ func (f *Fleet) RunJobs(ctx context.Context, jobs []Job) ([]*Results, error) {
 // watching one video — the same *Profile and Seed — so that the worker
 // renders the video once for all of them. It is the FrameSource its sessions
 // share: the worker renders a frame into it, steps every session once, and
-// renders the next, so each session's k-th Step reads frame k. Nothing but
-// the sessions themselves (a sample buffer, a replay memory) keeps a frame
-// beyond its round. An events-fidelity job renders no video and is a group
-// of its own.
+// renders the next, so each session's k-th Step reads frame k. Its memo
+// holds the round's inferences, one per model version, so sessions whose
+// students hold the same weights infer the frame once. Nothing but the
+// sessions themselves (a sample buffer, a replay memory) keeps a frame
+// beyond its round; the memo keeps it for that round only. An
+// events-fidelity job renders no video and is a group of its own.
 type streamGroup struct {
-	jobs   []int         // indices into RunJobs' jobs, input order
-	stream *video.Stream // set by runGroup; stays nil at events fidelity
-	frame  *Frame        // the frame of the round being stepped
+	jobs   []int            // indices into RunJobs' jobs, input order
+	stream *video.Stream    // set by runGroup; stays nil at events fidelity
+	frame  *Frame           // the frame of the round being stepped
+	memo   detect.InferMemo // the round's inferences; reset with each frame
 }
 
 // Next implements core.FrameSource.
@@ -255,6 +261,7 @@ func (f *Fleet) runGroup(ctx context.Context, jobs []Job, g *streamGroup, out []
 	first := &jobs[g.jobs[0]].Config
 	if fullFidelity(first) {
 		opts.Frames = g
+		opts.InferMemo = &g.memo
 	}
 	systems := make([]*core.System, len(g.jobs))
 	for k, i := range g.jobs {
@@ -282,6 +289,7 @@ func (f *Fleet) runGroup(ctx context.Context, jobs []Job, g *streamGroup, out []
 			break
 		}
 		if g.stream != nil {
+			g.memo.Reset()
 			g.frame = g.stream.Next()
 		}
 		n := 0
@@ -294,6 +302,7 @@ func (f *Fleet) runGroup(ctx context.Context, jobs []Job, g *streamGroup, out []
 		live = live[:n]
 	}
 	g.frame = nil
+	g.memo.Reset()
 	for k, i := range g.jobs {
 		out[i] = systems[k].Finish()
 	}

@@ -86,3 +86,65 @@ func TestStreamGroupRendersItsVideoOnce(t *testing.T) {
 		t.Fatalf("%d renders for %d processed frames; want %d for %d", renders, processed, want, 4*want+int(25*p.FPS))
 	}
 }
+
+// TestStreamGroupInfersOncePerModelVersion counts inferences through the
+// group's memo. Three Edge-Only sessions never train, so they share every
+// frame and the group infers each rendered frame once. A Shoggoth session
+// beside an Edge-Only one shares exactly the frames it infers before its
+// first training session applies — a lone Session of it counts them — and
+// infers every later frame itself.
+func TestStreamGroupInfersOncePerModelVersion(t *testing.T) {
+	p, err := ProfileByName(ProfileDETRAC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	config := func(kind StrategyKind) Config {
+		cfg := NewConfig(kind, p, WithDuration(300), WithSeed(5))
+		cfg.BatchFrames = 20 // train within the short stream
+		cfg.Pretrained = Students.Get(p)
+		return cfg
+	}
+	// run steps one group of the kinds and returns its counters and the
+	// number of frames it rendered.
+	run := func(kinds ...StrategyKind) (*PerfCounters, int64) {
+		t.Helper()
+		fleet := &Fleet{Perf: &PerfCounters{}}
+		jobs := make([]Job, len(kinds))
+		for i, kind := range kinds {
+			jobs[i] = Job{Config: config(kind)}
+		}
+		groups := streamGroups(jobs, 1)
+		if err := fleet.runGroup(context.Background(), jobs, groups[0], make([]*Results, len(jobs))); err != nil {
+			t.Fatal(err)
+		}
+		return fleet.Perf, int64(groups[0].stream.Next().Index)
+	}
+
+	perf, renders := run(EdgeOnly, EdgeOnly, EdgeOnly)
+	if perf.InferFrames != 3*renders || perf.InferFrames-perf.InferShared != renders {
+		t.Errorf("three Edge-Only sessions inferred %d frames, %d of them shared, over %d rendered; want each rendered frame inferred once",
+			perf.InferFrames, perf.InferShared, renders)
+	}
+
+	lone, err := NewSession(config(Shoggoth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := false
+	lone.Observe(&ObserverFuncs{TrainingSession: func(SessionRecord) { applied = true }})
+	var pristine int64 // frames inferred before the first update applied
+	for more := true; more && !applied; {
+		more = lone.Step()
+		if !applied {
+			pristine = lone.System().Workspace().Perf.InferFrames
+		}
+	}
+	if !applied || pristine == 0 {
+		t.Fatalf("the lone Shoggoth session applied no update after inferring (applied=%v, %d frames inferred)", applied, pristine)
+	}
+	perf, renders = run(EdgeOnly, Shoggoth)
+	if own := perf.InferFrames - perf.InferShared - renders; perf.InferShared != pristine || own == 0 {
+		t.Errorf("Shoggoth took %d inferences from the memo and ran %d itself; want the %d it made before its first update applied, and the rest",
+			perf.InferShared, own, pristine)
+	}
+}

@@ -2,7 +2,13 @@
 
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+
+	"shoggoth/internal/detect"
+	"shoggoth/internal/video"
+)
 
 // wakeCheck holds the wake bound to its promise: an events-fidelity device
 // must not flush on a frame before the wake frame it last reported, unless a
@@ -21,4 +27,34 @@ func (w *wakeCheck) flushing(s *System) {
 		panic(fmt.Sprintf("core: device %q flushes on frame %d, before its wake frame %d, with no local event in between",
 			s.cfg.DeviceID, s.frameIdx, s.wakeFrame))
 	}
+}
+
+// checkSharedInfer holds a stream group's InferMemo to its promise: the
+// result it handed this student is the one the student computes itself,
+// bit for bit. CI runs the matrix's golden and fleet rows under the tag.
+func checkSharedInfer(st *detect.Student, f *video.Frame, got detect.InferResult) {
+	want := st.Infer(f)
+	same := len(got.Detections) == len(want.Detections) && sameBits(got.Confidences, want.Confidences)
+	for i := 0; same && i < len(want.Detections); i++ {
+		g, w := got.Detections[i], want.Detections[i]
+		same = g.ProposalIdx == w.ProposalIdx && g.Class == w.Class &&
+			sameBits([]float64{g.Confidence, g.Box.X1, g.Box.Y1, g.Box.X2, g.Box.Y2},
+				[]float64{w.Confidence, w.Box.X1, w.Box.Y1, w.Box.X2, w.Box.Y2})
+	}
+	if !same {
+		panic(fmt.Sprintf("core: frame %d's shared inference differs from the student's own", f.Index))
+	}
+}
+
+// sameBits reports whether a and b hold the same float64s, bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

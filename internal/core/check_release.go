@@ -2,10 +2,18 @@
 
 package core
 
-// wakeCheck is compiled out in release builds. Build with -tags
-// shoggothdebug to assert that no events-fidelity flush comes before the
-// wake frame the device reported (see check_debug.go).
+import (
+	"shoggoth/internal/detect"
+	"shoggoth/internal/video"
+)
+
+// wakeCheck and checkSharedInfer are compiled out in release builds. Build
+// with -tags shoggothdebug to assert that no events-fidelity flush comes
+// before the wake frame the device reported, and that every inference a
+// stream group shares matches the student's own (see check_debug.go).
 type wakeCheck struct{}
 
 func (wakeCheck) predicted(*System) {}
 func (wakeCheck) flushing(*System)  {}
+
+func checkSharedInfer(*detect.Student, *video.Frame, detect.InferResult) {}

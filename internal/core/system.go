@@ -83,6 +83,8 @@ type System struct {
 	// re-derives it on the way out, so it holds for a deployment driven
 	// through the Actor methods; Step neither reads nor maintains it.
 	wakeFrame int
+
+	infers *detect.InferMemo // nil: the student infers every frame itself
 }
 
 // adaptive reports whether the cloud controller drives the sampling rate.
@@ -131,6 +133,13 @@ type SystemOptions struct {
 	// frames are immutable (see video.Frame), so the sessions may all keep
 	// it. Events fidelity renders no frames and ignores it.
 	Frames FrameSource
+	// InferMemo, when set, is shared by the deployments stepped on one
+	// Frames source: a frame that a student with the same weights version,
+	// compute tier and MinConfidence already inferred is not inferred
+	// again. The owner resets it before each frame. The shared result is
+	// read-only: InferFrame's metric collection and α accumulators only
+	// read it.
+	InferMemo *detect.InferMemo
 }
 
 // NewSystem builds a deployment for the config. If cfg.Pretrained is nil the
@@ -222,6 +231,7 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 		// configured tier (NewTrainer re-applies the same tier for training
 		// strategies, so this also covers student-less inference paths).
 		s.student.SetCompute(cfg.Trainer.Compute)
+		s.infers = opts.InferMemo
 	}
 
 	rate := cfg.SampleRate
@@ -490,13 +500,18 @@ func (s *System) SeededRNG(stream uint64) *rand.Rand {
 }
 
 // InferFrame runs real-time student inference for one camera frame if the
-// device has cycles for it, recording detections and the α estimate.
+// device has cycles for it, recording detections and the α estimate. With
+// an InferMemo the result may be another deployment's; it is only read.
 func (s *System) InferFrame(f *video.Frame, t, dt float64) {
 	if !s.device.Tick(t, dt) {
 		return
 	}
 	started := s.ws.Perf.Now()
-	res := s.student.Infer(f)
+	res, shared := s.infers.Infer(s.student, f)
+	if shared {
+		s.ws.Perf.InferShared++
+		checkSharedInfer(s.student, f, res)
+	}
 	s.ws.Perf.InferFrames++
 	s.ws.Perf.InferSeconds += s.ws.Perf.Now() - started
 	s.RecordProcessedFrame(f, res.Detections)

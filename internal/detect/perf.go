@@ -6,7 +6,12 @@ package detect
 // virtual timeline executes — and are diagnostics only: nothing here feeds
 // back into Results, so enabling them cannot perturb a run.
 type PerfCounters struct {
-	InferFrames   int64   // frames pushed through Student.Infer
+	// InferFrames counts every frame a session inferred, shared ones
+	// included. InferShared counts the shared ones: frames whose result
+	// came from a stream group's InferMemo, because another session with
+	// the same weights inferred the frame first.
+	InferFrames   int64
+	InferShared   int64
 	InferSeconds  float64 // wall-clock seconds spent in Student.Infer
 	TrainSessions int64   // completed adaptive-training sessions
 	TrainSteps    int64   // SGD steps across all sessions
@@ -34,6 +39,7 @@ func (c *PerfCounters) Now() float64 {
 // Add accumulates o into c (used by fleet-level aggregation).
 func (c *PerfCounters) Add(o *PerfCounters) {
 	c.InferFrames += o.InferFrames
+	c.InferShared += o.InferShared
 	c.InferSeconds += o.InferSeconds
 	c.TrainSessions += o.TrainSessions
 	c.TrainSteps += o.TrainSteps

@@ -8,6 +8,7 @@ package detect
 
 import (
 	"math/rand/v2"
+	"sync/atomic"
 
 	"shoggoth/internal/geom"
 	"shoggoth/internal/nn"
@@ -86,6 +87,16 @@ type Student struct {
 	// MinConfidence is the output threshold for emitting a detection.
 	MinConfidence float64
 
+	// version names the student's weights and running statistics: two
+	// students with the same nonzero version hold identical ones (a Clone
+	// and its source, until either changes), so an InferMemo may hand one
+	// the other's result. Every method that can change them issues a fresh
+	// version; code outside the package that writes them must take Params
+	// first. Zero, a Student not built by NewStudent, never shares.
+	version uint64
+	// compute is the tier SetCompute last selected.
+	compute nn.Compute
+
 	// Inference scratch, sized on first use: the proposal feature matrix
 	// and the per-proposal softmax buffer. Per-student (and therefore
 	// per-session) state — Students are not safe for concurrent use.
@@ -127,8 +138,16 @@ func NewStudentWithNorm(featureDim, numClasses int, useBRN bool, rng *rand.Rand)
 		ClassHead:     nn.NewSequential(nn.NewDense("cls", 32, numClasses+1, rng)),
 		BoxHead:       nn.NewSequential(nn.NewDense("box", 32, 4, rng)),
 		MinConfidence: 0.30,
+		version:       versions.Add(1),
 	}
 }
+
+// versions issues weights versions; the first is 1, so 0 stays "none".
+var versions atomic.Uint64
+
+// renew issues the student a fresh weights version: call it whenever its
+// weights or running statistics may have changed.
+func (s *Student) renew() { s.version = versions.Add(1) }
 
 // BackgroundClass returns the label used for negatives.
 func (s *Student) BackgroundClass() int { return s.NumClasses }
@@ -201,7 +220,9 @@ func (s *Student) Detect(f *video.Frame) []Detection {
 	return s.Infer(f).Detections
 }
 
-// Clone deep-copies the student (weights, statistics), sharing nothing.
+// Clone deep-copies the student (weights, statistics), sharing nothing but
+// the weights version. It only reads the receiver, so several goroutines
+// may clone one student (a cached pretrained model) at once.
 func (s *Student) Clone() *Student {
 	return &Student{
 		NumClasses:    s.NumClasses,
@@ -210,6 +231,7 @@ func (s *Student) Clone() *Student {
 		ClassHead:     s.ClassHead.Clone(),
 		BoxHead:       s.BoxHead.Clone(),
 		MinConfidence: s.MinConfidence,
+		version:       s.version,
 	}
 }
 
@@ -219,6 +241,7 @@ func (s *Student) SetCompute(c nn.Compute) {
 	s.Backbone.SetCompute(c)
 	s.ClassHead.SetCompute(c)
 	s.BoxHead.SetCompute(c)
+	s.compute = c
 }
 
 // CopyWeightsFrom copies all weights and normalisation statistics from src.
@@ -226,12 +249,16 @@ func (s *Student) CopyWeightsFrom(src *Student) {
 	s.Backbone.CopyWeightsFrom(src.Backbone)
 	s.ClassHead.CopyWeightsFrom(src.ClassHead)
 	s.BoxHead.CopyWeightsFrom(src.BoxHead)
+	s.renew()
 }
 
-// Params returns all trainable parameters (trunk + both heads).
+// Params returns all trainable parameters (trunk + both heads). The caller
+// may write through them, so the student takes a fresh weights version; a
+// caller that keeps the list (Trainer) renews it after each later write.
 //
 //shoggoth:allow hotalloc -- runs once per trainer: Trainer.trainParams caches the result behind a nil guard
 func (s *Student) Params() []*nn.Param {
+	s.renew()
 	out := s.Backbone.Params()
 	out = append(out, s.ClassHead.Params()...)
 	out = append(out, s.BoxHead.Params()...)

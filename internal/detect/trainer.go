@@ -326,6 +326,7 @@ func (t *Trainer) RunSession(batch []LabeledRegion) SessionStats {
 	}
 
 	t.updateMemory(batch, newX, split)
+	s.renew() // the session wrote weights and running statistics
 	t.sessions++
 	if t.perf != nil {
 		t.perf.TrainSessions++
