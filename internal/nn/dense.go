@@ -16,8 +16,9 @@ type Dense struct {
 
 	// Scratch, sized on first use and reused across steps (see the Layer
 	// contract): the forward output, the backward input gradient, the bias
-	// gradient staging row, and the nonzero-compaction buffers of the NZ
-	// matmul kernels. Staging dB before accumulating keeps the float64 op
+	// gradient staging row, and the exact products' buffers (term offsets,
+	// the weight gradient's copy of a column of x, MulABt's k-major
+	// weights). Staging dB before accumulating keeps the float64 op
 	// order identical to the allocating implementation (compute the full
 	// column sums, then add element-wise); the weight gradient fuses the
 	// same two steps inside MulAtBAddNZ.

@@ -9,6 +9,8 @@ import (
 // The exact tier's kernels as they were before the backward pass was made
 // cheaper, kept as oracles: every rewrite since must give their bits, on
 // random and on salted inputs (both zeros, denormals, both infinities, NaN).
+// Their products are written float64(x*y), as the kernels' are, so that
+// arm64 rounds each one instead of fusing it into the add.
 
 // mulABtOracle is MulABt before it took an AVX lane, verbatim: the scalar
 // loops that define its bits. dst must be a.Rows×b.Rows and must not alias a
@@ -43,14 +45,14 @@ func mulABtOracle(dst, a, b *Matrix) {
 			for k, av0 := range arow0 {
 				av1 := arow1[k]
 				bv0, bv1, bv2, bv3 := b0[k], b1[k], b2[k], b3[k]
-				s00 += av0 * bv0
-				s01 += av0 * bv1
-				s02 += av0 * bv2
-				s03 += av0 * bv3
-				s10 += av1 * bv0
-				s11 += av1 * bv1
-				s12 += av1 * bv2
-				s13 += av1 * bv3
+				s00 += float64(av0 * bv0)
+				s01 += float64(av0 * bv1)
+				s02 += float64(av0 * bv2)
+				s03 += float64(av0 * bv3)
+				s10 += float64(av1 * bv0)
+				s11 += float64(av1 * bv1)
+				s12 += float64(av1 * bv2)
+				s13 += float64(av1 * bv3)
 			}
 			orow0[j], orow0[j+1], orow0[j+2], orow0[j+3] = s00, s01, s02, s03
 			orow1[j], orow1[j+1], orow1[j+2], orow1[j+3] = s10, s11, s12, s13
@@ -60,8 +62,8 @@ func mulABtOracle(dst, a, b *Matrix) {
 			var s0, s1 float64
 			for k, av0 := range arow0 {
 				bv := brow[k]
-				s0 += av0 * bv
-				s1 += arow1[k] * bv
+				s0 += float64(av0 * bv)
+				s1 += float64(arow1[k] * bv)
 			}
 			orow0[j] = s0
 			orow1[j] = s1
@@ -78,10 +80,10 @@ func mulABtOracle(dst, a, b *Matrix) {
 			b3 := b.Data[(j+3)*bc : (j+4)*bc]
 			var s0, s1, s2, s3 float64
 			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
+				s0 += float64(av * b0[k])
+				s1 += float64(av * b1[k])
+				s2 += float64(av * b2[k])
+				s3 += float64(av * b3[k])
 			}
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
@@ -89,7 +91,7 @@ func mulABtOracle(dst, a, b *Matrix) {
 			brow := b.Data[j*bc : (j+1)*bc]
 			var s float64
 			for k, av := range arow {
-				s += av * brow[k]
+				s += float64(av * brow[k])
 			}
 			orow[j] = s
 		}
@@ -124,7 +126,7 @@ func varRowsIntoOracle(dst, m, mean *Matrix) {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, x := range row {
 			d := x - mean.Data[j]
-			dst.Data[j] += d * d
+			dst.Data[j] += float64(d * d)
 		}
 	}
 	dst.ScaleInPlace(1 / float64(m.Rows))

@@ -15,3 +15,7 @@ func gemmAccF64AVX2(c, a, b *float64, m, k, n, ars, acs int) {
 func nzRowAVX(dst, b, bias, val *float64, off *int, nnz, n int) {
 	panic("tensor: nzRowAVX called without AVX support")
 }
+
+func nzNarrowAVX(dst, a, b, bias *float64, m, k, n, ars, acs, brs int) {
+	panic("tensor: nzNarrowAVX called without AVX2 support")
+}

@@ -7,7 +7,8 @@ import (
 
 // Destination-passing ops.
 //
-// Naming convention: an op named XxxInto (and the NZ matrix products) writes
+// Naming convention: an op named XxxInto (and the exact matrix products
+// MulBiasIntoNZ, MulAtBAddNZ and MulABt) writes
 // its result into a caller-owned destination matrix instead of allocating a
 // fresh one. The destination must already have the exact result shape (use
 // Ensure to grow a reusable scratch matrix); ops panic on shape mismatch.
@@ -46,64 +47,70 @@ func EnsureZero(m *Matrix, rows, cols int) *Matrix {
 	return m
 }
 
-// The NZ kernels (MulBiasIntoNZ, MulAtBAddNZ) have two lanes that
-// produce the same bits. The Go loops below are the definition: per output
-// element a zeroed accumulator, the compacted row's terms in ascending
-// order, each product rounded and then each sum, the bias (or the destination
-// being accumulated into) added last. Where useAsm holds — amd64 with AVX2 —
-// the leading cols&^3 columns of every compacted row go to nzRowAVX instead,
-// which runs that sequence in each ymm lane: the lanes lie across output
+// The exact products MulBiasIntoNZ and MulAtBAddNZ are one computation,
+// exactProducts, with two lanes that produce the same bits. The Go loops
+// (exactProductsGo) are the definition: per output element a zeroed
+// accumulator, every term in ascending k, each product rounded and then
+// added, the bias (or the destination being accumulated into) added last.
+// No term is skipped. Where useAsm holds — amd64 with AVX2 — the vector
+// lane runs that sequence in each ymm lane: the lanes lie across output
 // columns, so no element's order changes, and multiply and add are never
-// fused. The Go loops keep the 1–3 column tail and the rows without
-// nonzeros, are the only lane everywhere else, and are the reference
-// nz_test.go holds the kernel to.
+// fused. Outputs at least 8 wide go row by row to nzRowAVX; narrower ones
+// (the student's class and box heads) go to nzNarrowAVX, which blocks 4
+// rows so that the 1–2 column vectors of a row are not a lone add chain.
+// nz_test.go holds both lanes to the Go loops, and nz_oracle_test.go holds
+// them to the zero-skipping loops they replaced.
+//
+// Skipping a zero term never changed a bit while b is finite: the
+// accumulator starts at +0, a round-to-nearest sum is −0 only when both
+// addends are −0, so the accumulator is never −0, and adding a ±0 product to
+// it changes nothing. An infinite or NaN b[k,j] met by a zero a[i,k] is the
+// difference: 0·Inf is NaN, so non-finite weights now propagate where the
+// skip masked them. The NZ in the entry points' names (and NZScratch's) is
+// from the zero-skipping kernels; it stays only because the repo benchmark
+// calls them by it.
 
-// NZScratch holds the reusable compacted-row buffers of the NZ matmul
-// kernels and MulABt's k-major weight copy. One instance per owner (layer);
-// not safe for concurrent use. The zero value is ready.
+// NZScratch holds the reusable buffers of the exact products: the dense
+// term offsets nzRowAVX reads, MulAtBAddNZ's copy of one column of a and
+// MulABt's k-major weight copy. One instance per owner (layer); not safe for
+// concurrent use. The zero value is ready.
 type NZScratch struct {
-	val []float64
-	off []int
+	val []float64 // a strided row of a, made contiguous for nzRowAVX
+	off []int     // off[t] = t·n
 	bt  []float64 // MulABt's bᵀ
 }
 
-// grow makes val and off hold at least n elements each.
-func (ws *NZScratch) grow(n int) {
-	if cap(ws.val) < n {
-		ws.val = make([]float64, n)
-		ws.off = make([]int, n)
+// denseOffsets returns off[t] = t·n for t in [0, k): where term t's row
+// starts in a k×n right operand, the layout nzRowAVX reads.
+func (ws *NZScratch) denseOffsets(k, n int) []int {
+	if cap(ws.off) < k {
+		ws.off = make([]int, k)
 	}
+	off := ws.off[:k]
+	for t := range off {
+		off[t] = t * n
+	}
+	return off
 }
 
-// compactRow collects row's nonzero entries in order: val[t] holds the t-th
-// nonzero value and off[t] its index scaled by stride. The a[i,k]==0 skip of
-// the reference kernels becomes "not in the list", so the branch-free inner
-// loops below add exactly the same terms in exactly the same order — with no
-// data-dependent branch to mispredict on ReLU-sparse activations.
-// The write is unconditional and the cursor advances by a bit-computed 0/1,
-// so the scan has no data-dependent branch: ReLU activations are ~half
-// zeros in no predictable pattern, and a conditional append would eat a
-// branch mispredict on nearly every element.
-func (ws *NZScratch) compactRow(row []float64, stride int) ([]float64, []int) {
-	ws.grow(len(row))
-	val, off := ws.val[:len(row)], ws.off[:len(row)]
-	n := 0
-	o := 0
-	for _, v := range row {
-		val[n], off[n] = v, o
-		u := math.Float64bits(v) << 1 // drop the sign: ±0 are the only zeros
-		n += int((u | -u) >> 63)      // +1 iff v != 0
-		o += stride
+// stridedRow copies a[i·ars+t·acs], t in [0, k), into ws and returns it.
+func (ws *NZScratch) stridedRow(a []float64, i, k, ars, acs int) []float64 {
+	if cap(ws.val) < k {
+		ws.val = make([]float64, k)
 	}
-	return val[:n], off[:n]
+	val := ws.val[:k]
+	o := i * ars
+	for t := range val {
+		val[t] = a[o]
+		o += acs
+	}
+	return val
 }
 
 // MulBiasIntoNZ computes dst = a × b with the 1×b.Cols row vector bias
 // added to every row: dst[i,j] = (Σ_k a[i,k]·b[k,j]) + bias[j], the dot
-// product accumulated in ascending k with a[i,k]==0 terms skipped and the
-// bias added to the completed sum. ws owns the compacted rows of a, so the
-// zero skipping costs no branches in the inner loop. dst must not alias a,
-// b or bias.
+// product accumulated in ascending k and the bias added to the completed
+// sum. ws holds the kernel's term offsets. dst must not alias a, b or bias.
 func MulBiasIntoNZ(dst, a, b, bias *Matrix, ws *NZScratch) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -115,17 +122,17 @@ func MulBiasIntoNZ(dst, a, b, bias *Matrix, ws *NZScratch) {
 	checkNoAlias("mulBiasIntoNZ", dst, a, b)
 	checkNoAlias("mulBiasIntoNZ", dst, bias, nil)
 	checkDataLen("mulBiasIntoNZ", dst)
+	checkDataLen("mulBiasIntoNZ", a)
 	checkDataLen("mulBiasIntoNZ", b)
 	checkDataLen("mulBiasIntoNZ", bias)
-	mulIntoNZ(dst, a, b, bias.Data, ws)
+	exactProducts(dst.Data, a.Data, b.Data, bias.Data, a.Rows, a.Cols, b.Cols, a.Cols, 1, 0, ws)
 }
 
 // MulAtBAddNZ computes dst += aᵀ × b: each output element's inner product
-// Σ_r a[r,i]·b[r,j] is accumulated in a register in ascending r with
-// a[r,i]==0 terms skipped, then added to dst with one addition — the sum a
-// staged aᵀ×b followed by AddInPlace would give, without the staging matrix
-// or the materialised transpose: column i of a is compacted straight out of
-// a. dst (a.Cols×b.Cols) must not alias a or b.
+// Σ_r a[r,i]·b[r,j] is accumulated in a register in ascending r, then added
+// to dst with one addition — the sum a staged aᵀ×b followed by AddInPlace
+// would give, without the staging matrix or the materialised transpose.
+// dst (a.Cols×b.Cols) must not alias a or b.
 func MulAtBAddNZ(dst, a, b *Matrix, ws *NZScratch) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: tmatmul shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -133,138 +140,77 @@ func MulAtBAddNZ(dst, a, b *Matrix, ws *NZScratch) {
 	checkDstShape("mulAtBAddNZ", dst, a.Cols, b.Cols)
 	checkNoAlias("mulAtBAddNZ", dst, a, b)
 	checkDataLen("mulAtBAddNZ", dst)
+	checkDataLen("mulAtBAddNZ", a)
 	checkDataLen("mulAtBAddNZ", b)
-	ac, bc := a.Cols, b.Cols
-	ad, bd := a.Data, b.Data
-	vc := vectorCols(bc)
-	ws.grow(a.Rows)
-	for i := 0; i < ac; i++ {
-		// Compact column i of a: val[t] = a[r_t,i], off[t] = r_t·bc, with
-		// the same branch-free cursor trick as compactRow.
-		val, off := ws.val[:a.Rows], ws.off[:a.Rows]
-		n := 0
-		oa, ob := i, 0
-		for r := 0; r < a.Rows; r++ {
-			v := ad[oa]
-			val[n], off[n] = v, ob
-			u := math.Float64bits(v) << 1
-			n += int((u | -u) >> 63)
-			oa += ac
-			ob += bc
+	// dst doubles as the bias, one row per output row: dst[i,j] = s + dst[i,j].
+	exactProducts(dst.Data, a.Data, b.Data, dst.Data, a.Cols, a.Rows, b.Cols, 1, a.Cols, b.Cols, ws)
+}
+
+// exactProducts computes, for every i in [0, m) and j in [0, n),
+//
+//	dst[i·n+j] = (Σ_t a[i·ars+t·acs]·b[t·n+j]) + bias[i·brs+j]    t ascending in [0, k)
+//
+// — a×b when ars = k, acs = 1 (brs 0: one bias row for all), aᵀ×b when
+// ars = 1, acs = m. Where useAsm holds, an output at least 8 wide sends
+// the leading n&^3 columns of each row to nzRowAVX, the row of a whole (made
+// contiguous first when acs ≠ 1) against dense offsets; a narrower output
+// goes whole to nzNarrowAVX. The Go loops take the 1–3 column tail of a wide
+// output, empty products and everything off amd64 or without AVX2.
+func exactProducts(dst, a, b, bias []float64, m, k, n, ars, acs, brs int, ws *NZScratch) {
+	j0 := 0
+	if useAsm && m > 0 && k > 0 && n > 0 {
+		if n < 8 {
+			nzNarrowAVX(&dst[0], &a[0], &b[0], &bias[0], m, k, n, ars, acs, brs)
+			return
 		}
-		val, off = val[:n], off[:n]
-		off = off[:len(val)]
-		orow := dst.Data[i*bc : (i+1)*bc]
-		j := 0
-		if vc > 0 && len(val) > 0 {
-			// orow doubles as the bias row: orow[j] = s + orow[j], the one
-			// add of the loops below with its operands the other way round.
-			nzRowAVX(&orow[0], &bd[0], &orow[0], &val[0], &off[0], len(val), vc)
-			j = vc
-		}
-		for ; j+4 <= bc; j += 4 {
-			var s0, s1, s2, s3 float64
-			for t, av := range val {
-				o := off[t] + j
-				bv3 := bd[o+3]
-				bv2 := bd[o+2]
-				bv1 := bd[o+1]
-				bv0 := bd[o]
-				s0 += av * bv0
-				s1 += av * bv1
-				s2 += av * bv2
-				s3 += av * bv3
+		j0 = n &^ 3
+		off := ws.denseOffsets(k, n)
+		for i := 0; i < m; i++ {
+			var val []float64
+			if acs == 1 {
+				val = a[i*ars : i*ars+k]
+			} else {
+				val = ws.stridedRow(a, i, k, ars, acs)
 			}
-			orow[j] += s0
-			orow[j+1] += s1
-			orow[j+2] += s2
-			orow[j+3] += s3
+			nzRowAVX(&dst[i*n], &b[0], &bias[i*brs], &val[0], &off[0], k, j0)
 		}
-		for ; j+2 <= bc; j += 2 {
-			var s0, s1 float64
-			for t, av := range val {
-				o := off[t] + j
-				s1 += av * bd[o+1]
-				s0 += av * bd[o]
-			}
-			orow[j] += s0
-			orow[j+1] += s1
-		}
-		for ; j < bc; j++ {
-			var s float64
-			for t, av := range val {
-				s += av * bd[off[t]+j]
-			}
-			orow[j] += s
-		}
+	}
+	if j0 < n {
+		exactProductsGo(dst, a, b, bias, m, k, n, ars, acs, brs, j0)
 	}
 }
 
-// mulIntoNZ computes dst = a×b (+bias per row when non-nil) through the
-// compacted-row representation. Per output element the accumulation order
-// and the skipped terms are those of the zeroed-accumulator triple loop
-// (referenceMatMul in inplace_test.go).
-func mulIntoNZ(dst, a, b *Matrix, bias []float64, ws *NZScratch) {
-	ac, bc := a.Cols, b.Cols
-	bd := b.Data
-	vc := vectorCols(bc)
-	var biasp *float64
-	if vc > 0 && bias != nil {
-		biasp = &bias[0]
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*ac : (i+1)*ac]
-		val, off := ws.compactRow(arow, bc)
-		off = off[:len(val)]
-		orow := dst.Data[i*bc : (i+1)*bc]
-		j := 0
-		if vc > 0 && len(val) > 0 {
-			nzRowAVX(&orow[0], &bd[0], biasp, &val[0], &off[0], len(val), vc)
-			j = vc
-		}
-		for ; j+4 <= bc; j += 4 {
+// exactProductsGo is exactProducts' Go lane over output columns [j0, n).
+// Each product is written float64(x*y): the explicit conversion rounds it,
+// which keeps compilers that fuse x*y + z (arm64) from turning the
+// definition into fused multiply-adds.
+func exactProductsGo(dst, a, b, bias []float64, m, k, n, ars, acs, brs, j0 int) {
+	for i := 0; i < m; i++ {
+		orow := dst[i*n : (i+1)*n]
+		brow := bias[i*brs : i*brs+n]
+		j := j0
+		for ; j+4 <= n; j += 4 {
 			var s0, s1, s2, s3 float64
-			for t, av := range val {
-				o := off[t] + j
-				bv3 := bd[o+3]
-				bv2 := bd[o+2]
-				bv1 := bd[o+1]
-				bv0 := bd[o]
-				s0 += av * bv0
-				s1 += av * bv1
-				s2 += av * bv2
-				s3 += av * bv3
+			o := i * ars
+			for t := 0; t < k; t++ {
+				av := a[o]
+				bv := b[t*n+j:][:4]
+				s0 += float64(av * bv[0])
+				s1 += float64(av * bv[1])
+				s2 += float64(av * bv[2])
+				s3 += float64(av * bv[3])
+				o += acs
 			}
-			if bias != nil {
-				s0 += bias[j]
-				s1 += bias[j+1]
-				s2 += bias[j+2]
-				s3 += bias[j+3]
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0+brow[j], s1+brow[j+1], s2+brow[j+2], s3+brow[j+3]
 		}
-		for ; j+2 <= bc; j += 2 {
-			var s0, s1 float64
-			for t, av := range val {
-				o := off[t] + j
-				s1 += av * bd[o+1]
-				s0 += av * bd[o]
-			}
-			if bias != nil {
-				s0 += bias[j]
-				s1 += bias[j+1]
-			}
-			orow[j], orow[j+1] = s0, s1
-		}
-		for ; j < bc; j++ {
+		for ; j < n; j++ {
 			var s float64
-			for t, av := range val {
-				s += av * bd[off[t]+j]
+			o := i * ars
+			for t := 0; t < k; t++ {
+				s += float64(a[o] * b[t*n+j])
+				o += acs
 			}
-			if bias != nil {
-				s += bias[j]
-			}
-			orow[j] = s
+			orow[j] = s + brow[j]
 		}
 	}
 }
@@ -274,12 +220,11 @@ func mulIntoNZ(dst, a, b *Matrix, bias []float64, ws *NZScratch) {
 // zeroed accumulator with no term skipped. dst must be a.Rows×b.Rows and
 // must not alias a or b; ws owns the k-major copy of b the AVX lane reads.
 //
-// It has the NZ kernels' two lanes. The Go loops (mulABt) are the
+// It has the exact products' two lanes. The Go loops (mulABt) are the
 // definition. Where useAsm holds, the leading b.Rows&^3 columns of every
 // output row go to nzRowAVX instead, over bᵀ copied into ws once per call:
-// the row of a is passed whole as the "compacted" row (MulABt skips no
-// zeros, so neither does its kernel) and term k's offset into bᵀ is
-// k·b.Rows. The Go loops keep the 1–3 column tail.
+// the row of a is passed whole with dense offsets, term k's offset into bᵀ
+// being k·b.Rows, and no bias. The Go loops keep the 1–3 column tail.
 func MulABt(dst, a, b *Matrix, ws *NZScratch) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -310,23 +255,20 @@ func (ws *NZScratch) kMajor(b *Matrix) ([]float64, []int) {
 	if cap(ws.bt) < n*k {
 		ws.bt = make([]float64, n*k)
 	}
-	ws.grow(k)
-	bt, off := ws.bt[:n*k], ws.off[:k]
+	bt := ws.bt[:n*k]
 	for j := 0; j < n; j++ {
 		for t, v := range b.Data[j*k : (j+1)*k] {
 			bt[t*n+j] = v
 		}
 	}
-	for t := range off {
-		off[t] = t * n
-	}
-	return bt, off
+	return bt, ws.denseOffsets(k, n)
 }
 
 // mulABt is MulABt's Go lane over output columns [j0, b.Rows). Its inner
 // product runs four b-rows per pass; each output element still accumulates
 // Σ_k a[i,k]·b[j,k] in ascending k, independently per j, so results match
-// the one-row-at-a-time loop bit for bit.
+// the one-row-at-a-time loop bit for bit. Products are written float64(x*y)
+// for the reason exactProductsGo gives.
 func mulABt(dst, a, b *Matrix, j0 int) {
 	ac, bc := a.Cols, b.Cols
 	i := 0
@@ -349,14 +291,14 @@ func mulABt(dst, a, b *Matrix, j0 int) {
 			for k, av0 := range arow0 {
 				av1 := arow1[k]
 				bv0, bv1, bv2, bv3 := b0[k], b1[k], b2[k], b3[k]
-				s00 += av0 * bv0
-				s01 += av0 * bv1
-				s02 += av0 * bv2
-				s03 += av0 * bv3
-				s10 += av1 * bv0
-				s11 += av1 * bv1
-				s12 += av1 * bv2
-				s13 += av1 * bv3
+				s00 += float64(av0 * bv0)
+				s01 += float64(av0 * bv1)
+				s02 += float64(av0 * bv2)
+				s03 += float64(av0 * bv3)
+				s10 += float64(av1 * bv0)
+				s11 += float64(av1 * bv1)
+				s12 += float64(av1 * bv2)
+				s13 += float64(av1 * bv3)
 			}
 			orow0[j], orow0[j+1], orow0[j+2], orow0[j+3] = s00, s01, s02, s03
 			orow1[j], orow1[j+1], orow1[j+2], orow1[j+3] = s10, s11, s12, s13
@@ -366,8 +308,8 @@ func mulABt(dst, a, b *Matrix, j0 int) {
 			var s0, s1 float64
 			for k, av0 := range arow0 {
 				bv := brow[k]
-				s0 += av0 * bv
-				s1 += arow1[k] * bv
+				s0 += float64(av0 * bv)
+				s1 += float64(arow1[k] * bv)
 			}
 			orow0[j] = s0
 			orow1[j] = s1
@@ -384,10 +326,10 @@ func mulABt(dst, a, b *Matrix, j0 int) {
 			b3 := b.Data[(j+3)*bc : (j+4)*bc]
 			var s0, s1, s2, s3 float64
 			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
+				s0 += float64(av * b0[k])
+				s1 += float64(av * b1[k])
+				s2 += float64(av * b2[k])
+				s3 += float64(av * b3[k])
 			}
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
@@ -395,7 +337,7 @@ func mulABt(dst, a, b *Matrix, j0 int) {
 			brow := b.Data[j*bc : (j+1)*bc]
 			var s float64
 			for k, av := range arow {
-				s += av * brow[k]
+				s += float64(av * brow[k])
 			}
 			orow[j] = s
 		}
@@ -445,7 +387,7 @@ func VarRowsInto(dst, m, mean *Matrix) {
 		row := m.Data[i*n:][:n]
 		for j := 0; j < n; j++ {
 			d := row[j] - mu[j]
-			sum[j] += d * d
+			sum[j] += float64(d * d)
 		}
 	}
 	dst.ScaleInPlace(1 / float64(m.Rows))
@@ -489,17 +431,18 @@ func SoftmaxRowInto(dst, row []float64) {
 	}
 }
 
-// checkDataLen panics when m.Data is shorter than m's shape says. The NZ
-// entry points establish it once per call for every operand whose address
-// goes to nzRowAVX, which has no bounds checks of its own.
+// checkDataLen panics when m.Data is shorter than m's shape says.
+// MulBiasIntoNZ and MulAtBAddNZ establish it once per call for every operand
+// whose address goes to nzRowAVX or nzNarrowAVX, which have no bounds checks
+// of their own.
 func checkDataLen(op string, m *Matrix) {
 	if len(m.Data) < m.Rows*m.Cols {
 		panic(fmt.Sprintf("tensor: %s operand %dx%d holds %d elements", op, m.Rows, m.Cols, len(m.Data)))
 	}
 }
 
-// vectorCols returns how many leading columns of an n-wide output row go to
-// nzRowAVX: n rounded down to a multiple of 4 where the kernel runs, else 0.
+// vectorCols returns how many leading columns of an n-wide MulABt output row
+// go to nzRowAVX: n rounded down to a multiple of 4 where the kernel runs, else 0.
 func vectorCols(n int) int {
 	if useAsm {
 		return n &^ 3

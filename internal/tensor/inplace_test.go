@@ -6,8 +6,8 @@ import (
 )
 
 // sparseMatrix returns an m with values drawn from rng; sparsity in [0,1)
-// zeroes that fraction of entries (the ReLU-sparse case the NZ kernels are
-// built for).
+// zeroes that fraction of entries (the ReLU-sparse activations the exact
+// products see).
 func sparseMatrix(rows, cols int, sparsity float64, rng *rand.Rand) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
@@ -34,8 +34,10 @@ func requireIdentical(t *testing.T, op string, got, want *Matrix) {
 }
 
 // referenceMatMul is the seed repo's original zeroed-accumulator triple
-// loop, kept verbatim as the oracle every optimised kernel must match bit
-// for bit.
+// loop, kept as the oracle every optimised kernel must match bit for bit:
+// verbatim but for float64(x*y) around each product here and in the two
+// references below, which keeps arm64 from fusing them. Its zero skip gives
+// the kernels' dense sums while b is finite (nz_oracle_test.go says why).
 func referenceMatMul(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -47,7 +49,7 @@ func referenceMatMul(a, b *Matrix) *Matrix {
 			}
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -65,7 +67,7 @@ func referenceTMatMul(a, b *Matrix) *Matrix {
 			}
 			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -80,7 +82,7 @@ func referenceMatMulT(a, b *Matrix) *Matrix {
 			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
 			var s float64
 			for k, av := range arow {
-				s += av * brow[k]
+				s += float64(av * brow[k])
 			}
 			out.Data[i*out.Cols+j] = s
 		}

@@ -147,7 +147,7 @@ func SelectRows(m *Matrix, idx []int) *Matrix {
 func (m *Matrix) Norm2() float64 {
 	var s float64
 	for _, v := range m.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

@@ -89,12 +89,16 @@ func bothLanes(t *testing.T, what string, rows, cols int, init *Matrix, f func(d
 	requireSameBits(t, what, out[0], out[1])
 }
 
-// TestNZKernelMatchesGoLoops runs the two NZ entry points and MulABt twice — through
-// nzRowAVX and, with useAsm switched off, through the Go loops alone — and
+// TestNZKernelMatchesGoLoops runs MulBiasIntoNZ, MulAtBAddNZ and MulABt
+// twice — through the vector lane (nzRowAVX, or nzNarrowAVX for outputs under
+// 8 wide) and, with useAsm switched off, through the Go loops alone — and
 // requires identical bits. Every column count 1…100 (each pass width of the
-// kernel and each 1–3 column scalar tail) meets every inner dimension 0…50;
+// kernels and each 1–3 column scalar tail) meets every inner dimension 0…50;
 // row counts {0…5, 64} and sparsities {0, 0.5, 0.95, 1} cycle underneath so
-// that each column count sees all of them; every third case is salted.
+// that each column count sees all of them; every third case is salted. The
+// student's head shapes (headShapes) follow, salted and not, so that
+// nzNarrowAVX's 4-row pass and its 1–3-row remainder both meet them in the
+// forward and in the transposed weight-gradient form.
 func TestNZKernelMatchesGoLoops(t *testing.T) {
 	if !useAsm {
 		t.Skip("no AVX2 here: the Go loops are the only path, there is nothing to compare")
@@ -113,6 +117,13 @@ func TestNZKernelMatchesGoLoops(t *testing.T) {
 			c++
 
 			checkExactKernels(t, m, k, n, sp, salt, rng, &ws)
+		}
+	}
+	for _, sh := range headShapes() {
+		sp := sparsities[c%len(sparsities)]
+		c++
+		for _, salt := range []bool{false, true} {
+			checkExactKernels(t, sh[0], sh[1], sh[2], sp, salt, rng, &ws)
 		}
 	}
 }
@@ -163,6 +174,10 @@ func TestNZShortOperandPanics(t *testing.T) {
 	}
 	var ws NZScratch
 	a, at := full(3, 5), full(5, 3)
+	mustPanic("MulBiasIntoNZ input", func() { MulBiasIntoNZ(full(3, 8), short(3, 5), full(5, 8), full(1, 8), &ws) })
+	mustPanic("MulBiasIntoNZ narrow input", func() { MulBiasIntoNZ(full(3, 4), short(3, 5), full(5, 4), full(1, 4), &ws) })
+	mustPanic("MulAtBAddNZ input", func() { MulAtBAddNZ(full(3, 8), short(5, 3), full(5, 8), &ws) })
+	mustPanic("MulAtBAddNZ narrow input", func() { MulAtBAddNZ(full(3, 4), short(5, 3), full(5, 4), &ws) })
 	mustPanic("MulBiasIntoNZ weights", func() { MulBiasIntoNZ(full(3, 8), a, short(5, 8), full(1, 8), &ws) })
 	mustPanic("MulBiasIntoNZ bias", func() { MulBiasIntoNZ(full(3, 8), a, full(5, 8), short(1, 8), &ws) })
 	mustPanic("MulBiasIntoNZ destination", func() { MulBiasIntoNZ(short(3, 8), a, full(5, 8), full(1, 8), &ws) })
@@ -172,8 +187,9 @@ func TestNZShortOperandPanics(t *testing.T) {
 	mustPanic("MulABt destination", func() { MulABt(short(3, 8), a, full(8, 5), &ws) })
 }
 
-// TestNZZeroAlloc: on a warm scratch none of the NZ entry points (nor MulABt) allocates,
-// whichever path serves them.
+// TestNZZeroAlloc: on a warm scratch none of MulBiasIntoNZ, MulAtBAddNZ and
+// MulABt allocates, whichever path serves them — the wide one with its Go
+// tail, or the narrow one at a class head's shape.
 func TestNZZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(29, 31))
 	a := sparseMatrix(64, 48, 0.5, rng)
@@ -182,13 +198,21 @@ func TestNZZeroAlloc(t *testing.T) {
 	bias := sparseMatrix(1, 50, 0, rng)
 	wt := sparseMatrix(50, 48, 0, rng) // MulABt's weights: g × wtᵀ is 64×50
 	dst, acc, dx := New(64, 50), New(48, 50), New(64, 50)
+	h := sparseMatrix(14, 32, 0.5, rng) // a frame's proposals into a head
+	hw := sparseMatrix(32, 5, 0, rng)
+	hb := sparseMatrix(1, 5, 0, rng)
+	hx := sparseMatrix(64, 32, 0.5, rng) // a mini-batch into a head
+	hg := sparseMatrix(64, 5, 0, rng)
+	hdst, hacc := New(14, 5), New(32, 5)
 	var ws NZScratch
-	MulAtBAddNZ(acc, a, g, &ws) // the larger of the two compaction sizes
+	MulAtBAddNZ(acc, a, g, &ws) // sizes the strided-row copy and the offsets
 	MulABt(dx, a, wt, &ws)      // sizes the k-major weight copy
 	for name, f := range map[string]func(){
-		"MulBiasIntoNZ": func() { MulBiasIntoNZ(dst, a, w, bias, &ws) },
-		"MulAtBAddNZ":   func() { MulAtBAddNZ(acc, a, g, &ws) },
-		"MulABt":        func() { MulABt(dx, a, wt, &ws) },
+		"MulBiasIntoNZ":        func() { MulBiasIntoNZ(dst, a, w, bias, &ws) },
+		"MulAtBAddNZ":          func() { MulAtBAddNZ(acc, a, g, &ws) },
+		"MulABt":               func() { MulABt(dx, a, wt, &ws) },
+		"MulBiasIntoNZ narrow": func() { MulBiasIntoNZ(hdst, h, hw, hb, &ws) },
+		"MulAtBAddNZ narrow":   func() { MulAtBAddNZ(hacc, hx, hg, &ws) },
 	} {
 		if n := testing.AllocsPerRun(20, f); n != 0 {
 			t.Errorf("%s: %v allocs per call on a warm NZScratch, want 0", name, n)
@@ -197,11 +221,11 @@ func TestNZZeroAlloc(t *testing.T) {
 }
 
 // FuzzExactKernelsMatchGoLoops is TestNZKernelMatchesGoLoops driven by the
-// fuzzer: a shape up to 65×49·49×100, a sparsity, a value stream and
+// fuzzer: a shape up to 65×64·64×100, a sparsity, a value stream and
 // whether to salt it choose one case, and MulBiasIntoNZ, MulAtBAddNZ and
-// MulABt must give the same bits through nzRowAVX as
-// through the Go loops alone, writing nothing outside the destination.
-// Seeds are checked in under testdata/fuzz.
+// MulABt must give the same bits through the vector lane as through the Go
+// loops alone, writing nothing outside the destination. Seeds are checked in
+// under testdata/fuzz, the student's head shapes among them.
 func FuzzExactKernelsMatchGoLoops(f *testing.F) {
 	f.Fuzz(func(t *testing.T, mb, kb, nb, sparsity uint8, seed uint64, salt bool) {
 		if !useAsm {
@@ -209,6 +233,6 @@ func FuzzExactKernelsMatchGoLoops(f *testing.F) {
 		}
 		defer func() { useAsm = true }()
 		var ws NZScratch
-		checkExactKernels(t, int(mb)%66, int(kb)%50, 1+int(nb)%100, float64(sparsity)/256, salt, rand.New(rand.NewPCG(seed, 61)), &ws)
+		checkExactKernels(t, int(mb)%66, int(kb)%65, 1+int(nb)%100, float64(sparsity)/256, salt, rand.New(rand.NewPCG(seed, 61)), &ws)
 	})
 }
