@@ -86,6 +86,57 @@ func TestEveryCloudKeyReachesTheTier(t *testing.T) {
 	}
 }
 
+// wantList is what -list prints for the stock registries, in registration
+// order.
+const wantList = `strategies (strategy):
+  Edge-Only       offline-trained student on the edge, no adaptation, no network
+  Cloud-Only      every frame inferred by the cloud golden model; maximum accuracy, maximum bandwidth, low FPS
+  Prompt          Shoggoth without adaptive sampling: fixed 2 fps uploads, prompt regular retraining
+  AMS             adaptive model streaming: cloud-side fine-tuning, model updates streamed down
+  Shoggoth        decoupled distillation: cloud labels, edge latent-replay training, adaptive sampling
+
+profiles (profile):
+  ua-detrac       dense urban traffic cameras, four vehicle classes, strong day/weather/night drift (UA-DETRAC)
+  kitti           suburban driving, single car class, mild daylight-only drift (KITTI)
+  waymo           mixed urban scenes with pedestrians and cyclists, rapid scene changes (Waymo Open)
+
+cloud policies (cloud.service.policy):
+  fifo            serve batches in arrival order (the frozen default)
+  phi-priority    label the most-drifted device (highest last mean φ) first
+  wfq             weighted fair queueing: least attained teacher service per weight first
+
+cloud routers (cloud.router):
+  round-robin     cycle through replicas in index order (the frozen default)
+  least-loaded    shortest queue-delay estimate first (soonest-free worker, then fewest queued)
+  domain-affinity route to the replica warmest on the batch's video domain (least-loaded when cold)
+
+scenarios (scenario):
+  steady          the frozen default: unmodified workloads on constant calibrated links (the golden-results world)
+  rush-hour       three phase-staggered cameras under diurnal uplink congestion peaking mid-script
+  day-night       the script cut to its sunny and night segments only: hard drift flips with no twilight in between
+  lossy-uplink    30 s uplink blackouts every 2 min: uploads stall, bunch at recovery and contend for the teacher
+  degraded-cell   a weak fading cell: ~1 Mbps-class uplink with seeded LTE-like rate swings in both directions
+  cell-tower      a fleet multiplexed onto shared ~200 Mbps cell towers: concurrent uploads split each tower's diurnal aggregate rate (fleet event engine only)
+  hetero-fleet    one cloud serving three dissimilar cameras: ua-detrac, phase-shifted kitti, shuffled slow waymo
+  multi-cloud     six phase-staggered cameras in two SLO classes on a 3-replica tier: domain-affinity routing, token-bucket admission, 3-way teacher batching, cold-start pricing
+
+fidelities (fidelity):
+  full            real student SGD, every frame materialized — the golden-identical default
+  events          fleet-scale sparse mode: analytic costing, no student deployed, frames priced not executed
+  sampled         seeded device subset at full fidelity inside an events fleet; fleet accuracy extrapolated with a bootstrap error bound (sample_frac, sample_seed; cluster mode only)
+`
+
+// TestListPrintsEveryRegistry pins -list byte for byte.
+func TestListPrintsEveryRegistry(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 || stderr.Len() > 0 {
+		t.Fatalf("-list: exit %d, stderr %q", code, stderr.String())
+	}
+	if got := stdout.String(); got != wantList {
+		t.Fatalf("-list printed\n%s\nwant\n%s", got, wantList)
+	}
+}
+
 // TestBadSpecIsAnError: each value below is a usage error that names its
 // key — several of them were ignored without a word when they were flags.
 func TestBadSpecIsAnError(t *testing.T) {
@@ -101,6 +152,10 @@ func TestBadSpecIsAnError(t *testing.T) {
 		{[]string{"bogus=1"}, "bogus"},
 		{[]string{"cloud.servce.policy=wfq"}, "servce"},
 		{[]string{"devices=2", "fidelity=events", "cycles=0.05", "cloud.service.policy=bogus"}, `cloud: cloud: unknown scheduling policy "bogus" (want fifo, phi-priority, wfq)`},
+		{[]string{"strategy=bogus"}, `strategy: strategy: unknown strategy "bogus" (want ams, cloud-only, edge-only, prompt, shoggoth)`},
+		{[]string{"profile=bogus"}, `profile: video: unknown profile "bogus" (want kitti, ua-detrac, waymo)`},
+		{[]string{"scenario=bogus"}, `scenario: scenario: unknown scenario "bogus" (want cell-tower, day-night, degraded-cell, hetero-fleet, lossy-uplink, multi-cloud, rush-hour, steady)`},
+		{[]string{"cloud.router=bogus"}, `cloud: cloud: unknown replica router "bogus" (want domain-affinity, least-loaded, round-robin)`},
 		{[]string{"scenario=multi-cloud", "strategy=all"}, "strategy"},
 		{[]string{"sample_frac=0.5"}, "sample_frac"},
 		{[]string{"sample_seed=3"}, "sample_seed"},

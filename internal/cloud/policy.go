@@ -2,9 +2,8 @@ package cloud
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
+
+	"shoggoth/internal/registry"
 )
 
 // Pending is one waiting batch as a scheduling policy sees it: enough to
@@ -66,36 +65,18 @@ const (
 	PolicyWFQ = "wfq"
 )
 
-type policyEntry struct {
-	name    string
-	summary string
-	factory func() Policy
-}
-
-var (
-	policyMu     sync.RWMutex
-	policyReg    []policyEntry
-	policyByName map[string]int
-)
+// policies is the scheduling policy registry; each value builds a fresh
+// policy.
+var policies = registry.New[func() Policy]("cloud", "scheduling policy")
 
 // RegisterPolicy adds a scheduling policy to the registry. Names are
 // case-insensitive and must be unique.
 func RegisterPolicy(name, summary string, factory func() Policy) error {
-	if name == "" || factory == nil {
-		return fmt.Errorf("cloud: policy registration needs a name and a factory")
+	if factory == nil {
+		return fmt.Errorf("cloud: policy registration needs a factory")
 	}
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if policyByName == nil {
-		policyByName = make(map[string]int)
-	}
-	key := strings.ToLower(name)
-	if _, dup := policyByName[key]; dup {
-		return fmt.Errorf("cloud: policy %q already registered", name)
-	}
-	policyByName[key] = len(policyReg)
-	policyReg = append(policyReg, policyEntry{name: key, summary: summary, factory: factory})
-	return nil
+	_, err := policies.Add(registry.Entry[func() Policy]{Name: name, Summary: summary, Value: factory})
+	return err
 }
 
 // MustRegisterPolicy is RegisterPolicy for init blocks; it panics on
@@ -112,26 +93,9 @@ func NewPolicy(name string) (Policy, error) {
 	if name == "" {
 		name = PolicyFIFO
 	}
-	// Resolve under the lock, construct after releasing it: a factory is
-	// foreign code and must not run while the registry mutex is held
-	// (lockedcallback's deferred-dispatch rule — a factory that registers
-	// another policy would deadlock).
-	policyMu.RLock()
-	i, ok := policyByName[strings.ToLower(strings.TrimSpace(name))]
-	var factory func() Policy
-	var known []string
-	if ok {
-		factory = policyReg[i].factory
-	} else {
-		known = make([]string, 0, len(policyReg))
-		for _, e := range policyReg {
-			known = append(known, e.name)
-		}
-	}
-	policyMu.RUnlock()
-	if !ok {
-		sort.Strings(known)
-		return nil, fmt.Errorf("cloud: unknown scheduling policy %q (want %s)", name, strings.Join(known, ", "))
+	_, factory, err := policies.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return factory(), nil
 }
@@ -139,31 +103,16 @@ func NewPolicy(name string) (Policy, error) {
 // ValidatePolicy reports whether name resolves to a registered policy
 // (empty means the default and is always valid).
 func ValidatePolicy(name string) error {
-	_, err := NewPolicy(name)
+	if name == "" {
+		return nil
+	}
+	_, _, err := policies.Lookup(name)
 	return err
 }
 
-// PolicyNames returns every registered policy name in registration order
-// (the stock three first).
-func PolicyNames() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	out := make([]string, len(policyReg))
-	for i, e := range policyReg {
-		out[i] = e.name
-	}
-	return out
-}
-
-// PolicySummary returns the registered one-line description of a policy.
-func PolicySummary(name string) string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	if i, ok := policyByName[strings.ToLower(name)]; ok {
-		return policyReg[i].summary
-	}
-	return ""
-}
+// Policies returns every registered policy in registration order (the
+// stock three first).
+func Policies() []registry.Entry[func() Policy] { return policies.Entries() }
 
 func init() {
 	MustRegisterPolicy(PolicyFIFO,

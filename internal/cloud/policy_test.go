@@ -9,9 +9,9 @@ import (
 )
 
 func TestPolicyRegistry(t *testing.T) {
-	names := PolicyNames()
-	if len(names) < 3 || names[0] != PolicyFIFO || names[1] != PolicyPhiPriority || names[2] != PolicyWFQ {
-		t.Fatalf("stock policies missing or reordered: %v", names)
+	es := Policies()
+	if len(es) < 3 || es[0].Name != PolicyFIFO || es[1].Name != PolicyPhiPriority || es[2].Name != PolicyWFQ {
+		t.Fatalf("stock policies missing or reordered: %v", es)
 	}
 	if _, err := NewPolicy(""); err != nil {
 		t.Fatalf("empty name must resolve to the default: %v", err)
@@ -31,7 +31,7 @@ func TestPolicyRegistry(t *testing.T) {
 	if p, _ := NewPolicy(PolicyFIFO); !p.Immediate() {
 		t.Fatal("fifo must be the immediate (arrival-order) policy")
 	}
-	if PolicySummary(PolicyWFQ) == "" {
+	if es[2].Summary == "" {
 		t.Fatal("stock policies carry a summary for help text")
 	}
 }

@@ -2,9 +2,8 @@ package cloud
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
+
+	"shoggoth/internal/registry"
 )
 
 // ReplicaState is one teacher replica's load snapshot as a router sees it:
@@ -77,36 +76,18 @@ const (
 	RouterDomainAffinity = "domain-affinity"
 )
 
-type routerEntry struct {
-	name    string
-	summary string
-	factory func() Router
-}
-
-var (
-	routerMu     sync.RWMutex
-	routerReg    []routerEntry
-	routerByName map[string]int
-)
+// routers is the replica router registry; each value builds a fresh
+// router.
+var routers = registry.New[func() Router]("cloud", "replica router")
 
 // RegisterRouter adds a replica router to the registry. Names are
 // case-insensitive and must be unique.
 func RegisterRouter(name, summary string, factory func() Router) error {
-	if name == "" || factory == nil {
-		return fmt.Errorf("cloud: router registration needs a name and a factory")
+	if factory == nil {
+		return fmt.Errorf("cloud: router registration needs a factory")
 	}
-	routerMu.Lock()
-	defer routerMu.Unlock()
-	if routerByName == nil {
-		routerByName = make(map[string]int)
-	}
-	key := strings.ToLower(name)
-	if _, dup := routerByName[key]; dup {
-		return fmt.Errorf("cloud: router %q already registered", name)
-	}
-	routerByName[key] = len(routerReg)
-	routerReg = append(routerReg, routerEntry{name: key, summary: summary, factory: factory})
-	return nil
+	_, err := routers.Add(registry.Entry[func() Router]{Name: name, Summary: summary, Value: factory})
+	return err
 }
 
 // MustRegisterRouter is RegisterRouter for init blocks; it panics on
@@ -125,26 +106,9 @@ func NewRouter(name string) (Router, error) {
 	if name == "" {
 		name = RouterRoundRobin
 	}
-	// Resolve under the lock, construct after releasing it: a factory is
-	// foreign code and must not run while the registry mutex is held
-	// (lockedcallback's deferred-dispatch rule — a factory that registers
-	// another router would deadlock).
-	routerMu.RLock()
-	i, ok := routerByName[strings.ToLower(strings.TrimSpace(name))]
-	var factory func() Router
-	var known []string
-	if ok {
-		factory = routerReg[i].factory
-	} else {
-		known = make([]string, 0, len(routerReg))
-		for _, e := range routerReg {
-			known = append(known, e.name)
-		}
-	}
-	routerMu.RUnlock()
-	if !ok {
-		sort.Strings(known)
-		return nil, fmt.Errorf("cloud: unknown replica router %q (want %s)", name, strings.Join(known, ", "))
+	_, factory, err := routers.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return factory(), nil
 }
@@ -152,31 +116,16 @@ func NewRouter(name string) (Router, error) {
 // ValidateRouter reports whether name resolves to a registered router
 // (empty means the default and is always valid).
 func ValidateRouter(name string) error {
-	_, err := NewRouter(name)
+	if name == "" {
+		return nil
+	}
+	_, _, err := routers.Lookup(name)
 	return err
 }
 
-// RouterNames returns every registered router name in registration order
-// (the stock three first).
-func RouterNames() []string {
-	routerMu.RLock()
-	defer routerMu.RUnlock()
-	out := make([]string, len(routerReg))
-	for i, e := range routerReg {
-		out[i] = e.name
-	}
-	return out
-}
-
-// RouterSummary returns the registered one-line description of a router.
-func RouterSummary(name string) string {
-	routerMu.RLock()
-	defer routerMu.RUnlock()
-	if i, ok := routerByName[strings.ToLower(name)]; ok {
-		return routerReg[i].summary
-	}
-	return ""
-}
+// Routers returns every registered router in registration order (the stock
+// three first).
+func Routers() []registry.Entry[func() Router] { return routers.Entries() }
 
 func init() {
 	MustRegisterRouter(RouterRoundRobin,

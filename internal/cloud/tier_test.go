@@ -382,9 +382,9 @@ func TestDomainAffinityPrefersWarmth(t *testing.T) {
 }
 
 func TestRouterRegistry(t *testing.T) {
-	names := RouterNames()
-	if len(names) < 3 || names[0] != RouterRoundRobin || names[1] != RouterLeastLoaded || names[2] != RouterDomainAffinity {
-		t.Fatalf("stock routers must lead the registry in order: %v", names)
+	es := Routers()
+	if len(es) < 3 || es[0].Name != RouterRoundRobin || es[1].Name != RouterLeastLoaded || es[2].Name != RouterDomainAffinity {
+		t.Fatalf("stock routers must lead the registry in order: %v", es)
 	}
 	if err := ValidateRouter("ROUND-ROBIN"); err != nil {
 		t.Fatalf("names must be case-insensitive: %v", err)
@@ -399,7 +399,7 @@ func TestRouterRegistry(t *testing.T) {
 	if !strings.Contains(err.Error(), RouterRoundRobin) {
 		t.Fatalf("error must list known routers: %v", err)
 	}
-	if RouterSummary(RouterDomainAffinity) == "" {
+	if es[2].Summary == "" {
 		t.Fatal("stock routers must have summaries")
 	}
 }

@@ -28,10 +28,14 @@ func TestStockKindsMatchConstants(t *testing.T) {
 }
 
 func TestRegistryParseRoundTrips(t *testing.T) {
+	entries := Strategies()
 	for _, k := range StrategyKinds() {
 		d, ok := Lookup(k)
 		if !ok {
 			t.Fatalf("Lookup(%d) failed for a listed kind", k)
+		}
+		if e := entries[k]; e.Name != d.Name || e.Summary == "" || e.Summary != d.Summary {
+			t.Fatalf("kind %d lists as %q %q; want %q with a summary", k, e.Name, e.Summary, d.Name)
 		}
 		for _, name := range append([]string{d.Name, strings.ToUpper(d.Name)}, d.Aliases...) {
 			got, err := ParseStrategy(name)
@@ -44,6 +48,23 @@ func TestRegistryParseRoundTrips(t *testing.T) {
 		}
 	}
 	if _, err := ParseStrategy("no-such-strategy"); err == nil {
+		t.Fatal("unknown name must error")
+	}
+}
+
+func TestParseAllNamesAndAliases(t *testing.T) {
+	cases := map[string]StrategyKind{
+		"edge-only": EdgeOnly, "EdgeOnly": EdgeOnly, "edge": EdgeOnly,
+		"cloud-only": CloudOnly, "CLOUD": CloudOnly,
+		"prompt": Prompt, "ams": AMS, "Shoggoth": Shoggoth,
+	}
+	for name, want := range cases {
+		got, err := ParseStrategy(name)
+		if err != nil || got != want {
+			t.Fatalf("ParseStrategy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseStrategy("bogus"); err == nil {
 		t.Fatal("unknown name must error")
 	}
 }

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"shoggoth/internal/detect"
+	"shoggoth/internal/registry"
 	"shoggoth/internal/video"
 )
 
@@ -92,35 +90,17 @@ type Descriptor struct {
 	New func() Strategy
 }
 
-var (
-	regMu     sync.RWMutex
-	registry  []Descriptor
-	regByName map[string]StrategyKind
-)
+// strategies is the strategy registry; a kind is its registration index.
+var strategies = registry.New[Descriptor]("strategy", "strategy")
 
 // Register adds a strategy to the registry and returns its assigned kind.
 // Names and aliases are case-insensitive and must be unique.
 func Register(d Descriptor) (StrategyKind, error) {
-	if d.Name == "" || d.New == nil {
-		return 0, fmt.Errorf("core: strategy registration needs a Name and a New factory")
+	if d.New == nil {
+		return 0, fmt.Errorf("core: strategy registration needs a New factory")
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if regByName == nil {
-		regByName = make(map[string]StrategyKind)
-	}
-	names := append([]string{d.Name}, d.Aliases...)
-	for _, n := range names {
-		if _, dup := regByName[strings.ToLower(n)]; dup {
-			return 0, fmt.Errorf("core: strategy name %q already registered", n)
-		}
-	}
-	kind := StrategyKind(len(registry))
-	registry = append(registry, d)
-	for _, n := range names {
-		regByName[strings.ToLower(n)] = kind
-	}
-	return kind, nil
+	i, err := strategies.Add(registry.Entry[Descriptor]{Name: d.Name, Aliases: d.Aliases, Summary: d.Summary, Value: d})
+	return StrategyKind(i), err
 }
 
 // MustRegister is Register for package init blocks; it panics on conflicts.
@@ -133,48 +113,26 @@ func MustRegister(d Descriptor) StrategyKind {
 }
 
 // Lookup returns the descriptor registered for a kind.
-func Lookup(k StrategyKind) (Descriptor, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if k < 0 || int(k) >= len(registry) {
-		return Descriptor{}, false
-	}
-	return registry[int(k)], true
-}
+func Lookup(k StrategyKind) (Descriptor, bool) { return strategies.At(int(k)) }
 
 // ParseStrategy resolves a strategy name or alias, case-insensitively.
 func ParseStrategy(name string) (StrategyKind, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if k, ok := regByName[strings.ToLower(strings.TrimSpace(name))]; ok {
-		return k, nil
-	}
-	known := make([]string, 0, len(registry))
-	for _, d := range registry {
-		known = append(known, strings.ToLower(d.Name))
-	}
-	sort.Strings(known)
-	return 0, fmt.Errorf("strategy: unknown strategy %q (want %s)", name, strings.Join(known, ", "))
+	i, _, err := strategies.Lookup(name)
+	return StrategyKind(i), err
 }
 
 // StrategyKinds returns every registered strategy in registration order (the
 // paper's column order for the stock five).
 func StrategyKinds() []StrategyKind {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]StrategyKind, len(registry))
-	for i := range registry {
+	out := make([]StrategyKind, strategies.Len())
+	for i := range out {
 		out[i] = StrategyKind(i)
 	}
 	return out
 }
 
-// Descriptors returns a snapshot of the registry in registration order.
-func Descriptors() []Descriptor {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]Descriptor(nil), registry...)
-}
+// Strategies returns every registered strategy in registration order.
+func Strategies() []registry.Entry[Descriptor] { return strategies.Entries() }
 
 // String implements fmt.Stringer via the registry.
 func (k StrategyKind) String() string {

@@ -68,7 +68,8 @@ func RouterAblation(m Mode) (*RouterAblationResult, error) {
 		Coalesce: routerAblationCoalesce,
 	}
 
-	for _, router := range shoggoth.CloudRouters() {
+	for _, e := range shoggoth.CloudRouterEntries() {
+		router := e.Name
 		for _, replicas := range []int{1, 3} {
 			cfgs := make([]core.Config, routerAblationDevices)
 			for i := range cfgs {

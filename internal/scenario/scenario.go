@@ -2,10 +2,10 @@
 // composes a workload spec (a dataset profile plus script transforms), a
 // network model (constant links or time-varying traces) and a per-device
 // fleet layout into the Configs a Session, Fleet or Cluster runs. Scenarios
-// are registered by name — mirroring the strategy registry of
-// internal/core and the policy registry of internal/cloud — and custom
-// ones load from JSON, so the CLI, the experiment harness and tests all
-// resolve worlds from one table with zero hand-maintained lists.
+// are registered by name — in the same internal/registry table type as
+// strategies, profiles, cloud policies and routers — and custom ones load
+// from JSON, so the CLI, the experiment harness and tests all resolve
+// worlds from one table with zero hand-maintained lists.
 //
 // Determinism: a Scenario is pure data. Every stochastic ingredient it
 // names (script shuffles, LTE fading) is seeded, and network traces are
@@ -15,12 +15,10 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"shoggoth/internal/cloud"
 	"shoggoth/internal/netsim"
+	"shoggoth/internal/registry"
 	"shoggoth/internal/video"
 )
 
@@ -238,11 +236,9 @@ func (sc *Scenario) NaturalDevices() int {
 	return len(sc.Devices)
 }
 
-var (
-	regMu  sync.RWMutex
-	reg    []*Scenario
-	byName map[string]int
-)
+// scenarios is the scenario registry. Values are private copies: Register
+// stores a clone and every read hands out another.
+var scenarios = registry.New[*Scenario]("scenario", "scenario")
 
 // Register adds a scenario to the registry. Names are case-insensitive and
 // must be unique; the scenario is validated (profiles resolved, transforms
@@ -251,18 +247,8 @@ func Register(sc Scenario) error {
 	if err := sc.Validate(); err != nil {
 		return err
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if byName == nil {
-		byName = make(map[string]int)
-	}
-	key := strings.ToLower(sc.Name)
-	if _, dup := byName[key]; dup {
-		return fmt.Errorf("scenario: %q already registered", sc.Name)
-	}
-	byName[key] = len(reg)
-	reg = append(reg, sc.clone())
-	return nil
+	_, err := scenarios.Add(registry.Entry[*Scenario]{Name: sc.Name, Summary: sc.Summary, Value: sc.clone()})
+	return err
 }
 
 // MustRegister is Register for init blocks; it panics on conflicts.
@@ -275,26 +261,29 @@ func MustRegister(sc Scenario) {
 // ByName resolves a registered scenario, case-insensitively. The returned
 // copy is the caller's to mutate.
 func ByName(name string) (*Scenario, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if i, ok := byName[strings.ToLower(strings.TrimSpace(name))]; ok {
-		return reg[i].clone(), nil
+	_, sc, err := scenarios.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	known := make([]string, 0, len(reg))
-	for _, sc := range reg {
-		known = append(known, sc.Name)
+	return sc.clone(), nil
+}
+
+// Entries returns every registered scenario in registration order, each
+// value a copy the caller may mutate.
+func Entries() []registry.Entry[*Scenario] {
+	es := scenarios.Entries()
+	for i := range es {
+		es[i].Value = es[i].Value.clone()
 	}
-	sort.Strings(known)
-	return nil, fmt.Errorf("scenario: unknown scenario %q (want %s)", name, strings.Join(known, ", "))
+	return es
 }
 
 // All returns a copy of every registered scenario in registration order.
 func All() []Scenario {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Scenario, len(reg))
-	for i, sc := range reg {
-		out[i] = *sc.clone()
+	es := Entries()
+	out := make([]Scenario, len(es))
+	for i, e := range es {
+		out[i] = *e.Value
 	}
 	return out
 }

@@ -1,38 +1,14 @@
-// Package strategy names, describes and configures the registered
-// strategies (the paper's five plus anything added via core.Register),
-// providing the preset factory used by the CLI tools, the experiment
-// harness and the examples. It is a thin veneer over core's name-keyed
-// strategy registry: nothing here enumerates strategies by hand.
+// Package strategy configures the registered strategies (the paper's five
+// plus anything added via core.Register), providing the preset factory used
+// by the CLI tools, the experiment harness and the examples. Names resolve
+// in core's strategy registry (core.ParseStrategy); nothing here enumerates
+// strategies by hand.
 package strategy
 
 import (
 	"shoggoth/internal/core"
 	"shoggoth/internal/video"
 )
-
-// Descriptor summarises one strategy for help text and reports.
-type Descriptor struct {
-	Kind    core.StrategyKind
-	Name    string
-	Summary string
-}
-
-// All returns every registered strategy in registration order (the paper's
-// column order for the stock five).
-func All() []Descriptor {
-	descs := core.Descriptors()
-	out := make([]Descriptor, len(descs))
-	for i, d := range descs {
-		out[i] = Descriptor{Kind: core.StrategyKind(i), Name: d.Name, Summary: d.Summary}
-	}
-	return out
-}
-
-// Parse resolves a strategy name (case-insensitive, with the registered
-// aliases).
-func Parse(name string) (core.StrategyKind, error) {
-	return core.ParseStrategy(name)
-}
 
 // Option mutates a Config preset.
 type Option func(*core.Config)

@@ -7,33 +7,15 @@ import (
 	"shoggoth/internal/video"
 )
 
-func TestParseAllNamesAndAliases(t *testing.T) {
-	cases := map[string]core.StrategyKind{
-		"edge-only": core.EdgeOnly, "EdgeOnly": core.EdgeOnly, "edge": core.EdgeOnly,
-		"cloud-only": core.CloudOnly, "CLOUD": core.CloudOnly,
-		"prompt": core.Prompt, "ams": core.AMS, "Shoggoth": core.Shoggoth,
-	}
-	for name, want := range cases {
-		got, err := Parse(name)
-		if err != nil || got != want {
-			t.Fatalf("Parse(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := Parse("bogus"); err == nil {
-		t.Fatal("unknown name must error")
-	}
-}
-
 func TestAllDescriptorsCoverEveryKind(t *testing.T) {
-	seen := map[core.StrategyKind]bool{}
-	for _, d := range All() {
-		if d.Name == "" || d.Summary == "" {
+	entries := core.Strategies()
+	for _, e := range entries {
+		if e.Name == "" || e.Summary == "" {
 			t.Fatal("descriptor must have name and summary")
 		}
-		seen[d.Kind] = true
 	}
 	for _, k := range core.StrategyKinds() {
-		if !seen[k] {
+		if int(k) >= len(entries) || entries[k].Name != k.String() {
 			t.Fatalf("descriptor missing for %v", k)
 		}
 	}

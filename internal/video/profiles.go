@@ -2,9 +2,8 @@ package video
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
+
+	"shoggoth/internal/registry"
 )
 
 // Stock profile names.
@@ -14,23 +13,9 @@ const (
 	ProfileWaymo  = "waymo"
 )
 
-// ProfileInfo describes one registered profile for help text and reports.
-type ProfileInfo struct {
-	Name    string
-	Summary string
-}
-
-type profileEntry struct {
-	name    string
-	summary string
-	factory func() *Profile
-}
-
-var (
-	profileMu     sync.RWMutex
-	profileReg    []profileEntry
-	profileByName map[string]int
-)
+// profiles is the dataset profile registry; each value builds a fresh
+// profile.
+var profiles = registry.New[func() *Profile]("video", "profile")
 
 // RegisterProfile adds a dataset profile to the registry, mirroring the
 // strategy and cloud-policy registries: anything listing or resolving
@@ -38,23 +23,11 @@ var (
 // Names are case-insensitive and must be unique; the factory must return a
 // fresh profile per call.
 func RegisterProfile(name, summary string, factory func() *Profile) error {
-	if name == "" || factory == nil {
-		return fmt.Errorf("video: profile registration needs a name and a factory")
+	if factory == nil {
+		return fmt.Errorf("video: profile registration needs a factory")
 	}
-	profileMu.Lock()
-	defer profileMu.Unlock()
-	if profileByName == nil {
-		profileByName = make(map[string]int)
-	}
-	key := strings.ToLower(name)
-	if _, dup := profileByName[key]; dup {
-		return fmt.Errorf("video: profile %q already registered", name)
-	}
-	profileByName[key] = len(profileReg)
-	// The registered casing is preserved for listings (lookup stays
-	// case-insensitive), matching the scenario and policy registries.
-	profileReg = append(profileReg, profileEntry{name: name, summary: summary, factory: factory})
-	return nil
+	_, err := profiles.Add(registry.Entry[func() *Profile]{Name: name, Summary: summary, Value: factory})
+	return err
 }
 
 // MustRegisterProfile is RegisterProfile for init blocks; it panics on
@@ -68,35 +41,16 @@ func MustRegisterProfile(name, summary string, factory func() *Profile) {
 // ProfileByName returns a freshly-built registered profile
 // (case-insensitive).
 func ProfileByName(name string) (*Profile, error) {
-	profileMu.RLock()
-	i, ok := profileByName[strings.ToLower(strings.TrimSpace(name))]
-	var entry profileEntry
-	if ok {
-		entry = profileReg[i]
-	} else {
-		known := make([]string, 0, len(profileReg))
-		for _, e := range profileReg {
-			known = append(known, e.name)
-		}
-		profileMu.RUnlock()
-		sort.Strings(known)
-		return nil, fmt.Errorf("video: unknown profile %q (want %s)", name, strings.Join(known, ", "))
+	_, factory, err := profiles.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	profileMu.RUnlock()
-	return entry.factory(), nil
+	return factory(), nil
 }
 
-// ProfileInfos returns every registered profile's name and one-line summary
-// in registration order (the paper's three datasets first).
-func ProfileInfos() []ProfileInfo {
-	profileMu.RLock()
-	defer profileMu.RUnlock()
-	out := make([]ProfileInfo, len(profileReg))
-	for i, e := range profileReg {
-		out[i] = ProfileInfo{Name: e.name, Summary: e.summary}
-	}
-	return out
-}
+// Profiles returns every registered profile in registration order (the
+// paper's three datasets first).
+func Profiles() []registry.Entry[func() *Profile] { return profiles.Entries() }
 
 // StockProfiles returns the paper's three dataset profiles in paper order.
 // The registry may hold more (that is the point of it); the paper's

@@ -214,7 +214,7 @@ func TestTransformSharesWorldData(t *testing.T) {
 }
 
 func TestRegisteredProfileInfos(t *testing.T) {
-	infos := ProfileInfos()
+	infos := Profiles()
 	if len(infos) < 3 {
 		t.Fatalf("expected at least the three stock profiles, got %d", len(infos))
 	}

@@ -2,9 +2,10 @@ package shoggoth
 
 import (
 	"shoggoth/internal/cloud"
+	"shoggoth/internal/core"
 	"shoggoth/internal/netsim"
+	"shoggoth/internal/registry"
 	"shoggoth/internal/scenario"
-	"shoggoth/internal/strategy"
 	"shoggoth/internal/video"
 )
 
@@ -82,53 +83,28 @@ type RegistryEntry struct {
 }
 
 // StrategyEntries lists every registered strategy with its summary.
-func StrategyEntries() []RegistryEntry {
-	descs := strategy.All()
-	out := make([]RegistryEntry, len(descs))
-	for i, d := range descs {
-		out[i] = RegistryEntry{Name: d.Name, Summary: d.Summary}
-	}
-	return out
-}
+func StrategyEntries() []RegistryEntry { return entries(core.Strategies()) }
 
 // ProfileEntries lists every registered dataset profile with its summary.
-func ProfileEntries() []RegistryEntry {
-	infos := video.ProfileInfos()
-	out := make([]RegistryEntry, len(infos))
-	for i, p := range infos {
-		out[i] = RegistryEntry{Name: p.Name, Summary: p.Summary}
-	}
-	return out
-}
+func ProfileEntries() []RegistryEntry { return entries(video.Profiles()) }
 
 // CloudPolicyEntries lists every registered cloud scheduling policy with
-// its summary.
-func CloudPolicyEntries() []RegistryEntry {
-	names := cloud.PolicyNames()
-	out := make([]RegistryEntry, len(names))
-	for i, n := range names {
-		out[i] = RegistryEntry{Name: n, Summary: cloud.PolicySummary(n)}
-	}
-	return out
-}
+// its summary — the valid values of Config.Cloud.Service.Policy and
+// Cluster.Policy.
+func CloudPolicyEntries() []RegistryEntry { return entries(cloud.Policies()) }
 
 // CloudRouterEntries lists every registered cloud replica router with its
-// summary.
-func CloudRouterEntries() []RegistryEntry {
-	names := cloud.RouterNames()
-	out := make([]RegistryEntry, len(names))
-	for i, n := range names {
-		out[i] = RegistryEntry{Name: n, Summary: cloud.RouterSummary(n)}
-	}
-	return out
-}
+// summary — the valid values of Config.Cloud.Router and Cluster.Router.
+func CloudRouterEntries() []RegistryEntry { return entries(cloud.Routers()) }
 
 // ScenarioEntries lists every registered scenario with its summary.
-func ScenarioEntries() []RegistryEntry {
-	all := scenario.All()
-	out := make([]RegistryEntry, len(all))
-	for i, sc := range all {
-		out[i] = RegistryEntry{Name: sc.Name, Summary: sc.Summary}
+func ScenarioEntries() []RegistryEntry { return entries(scenario.Entries()) }
+
+// entries drops the values of a registry listing, keeping its order.
+func entries[V any](es []registry.Entry[V]) []RegistryEntry {
+	out := make([]RegistryEntry, len(es))
+	for i, e := range es {
+		out[i] = RegistryEntry{Name: e.Name, Summary: e.Summary}
 	}
 	return out
 }

@@ -142,21 +142,9 @@ func Profiles() []*Profile { return video.StockProfiles() }
 // (the paper's column order for the stock five).
 func StrategyKinds() []StrategyKind { return core.StrategyKinds() }
 
-// CloudPolicies returns every registered cloud scheduling policy name in
-// registration order ("fifo", "phi-priority", "wfq", plus any registered
-// via cloud.RegisterPolicy) — the valid values of
-// Config.Cloud.Service.Policy and Cluster.Policy.
-func CloudPolicies() []string { return cloud.PolicyNames() }
-
-// CloudRouters returns every registered cloud replica router name in
-// registration order ("round-robin", "least-loaded", "domain-affinity",
-// plus any registered via cloud.RegisterRouter) — the valid values of
-// Config.Cloud.Router and Cluster.Router.
-func CloudRouters() []string { return cloud.RouterNames() }
-
 // ParseStrategy resolves a strategy name such as "shoggoth" or "edge-only"
 // (case-insensitive, including registered aliases).
-func ParseStrategy(name string) (StrategyKind, error) { return strategy.Parse(name) }
+func ParseStrategy(name string) (StrategyKind, error) { return core.ParseStrategy(name) }
 
 // RegisterStrategy adds a strategy to the registry and returns its assigned
 // kind; registered strategies configure, parse and run exactly like the
