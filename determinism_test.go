@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"shoggoth"
+	"shoggoth/internal/cloud"
 )
 
 // TestDeterminismMatrix is the repo's byte-identity contract in one table.
@@ -274,7 +275,48 @@ func determinismRows() []determinismRow {
 		})
 	}
 
+	// The deferred dispatch path: a reordering policy behind a small queue,
+	// so batches wait unassigned, the policy reorders them and some drop.
+	// The digests are what commit cf2a360 produced, when each pick scanned
+	// every waiting batch.
+	for _, pin := range []struct {
+		name    string
+		cluster func(w int) *shoggoth.Cluster
+		digest  string
+	}{
+		{"wfq-coalesce", func(w int) *shoggoth.Cluster {
+			return &shoggoth.Cluster{Policy: "wfq", Router: "least-loaded", Replicas: 2, Workers: 2, Coalesce: 4, QueueCap: 24, EngineWorkers: w}
+		}, "766899b95ede464081699c26639a2fe73370c86cf29e85739525ee4120c667f7"},
+		{"phi-priority", func(w int) *shoggoth.Cluster {
+			return &shoggoth.Cluster{Policy: "phi-priority", Workers: 8, QueueCap: 32, EngineWorkers: w}
+		}, "3661d77e8b68b6214e633d044b8447db2c321e87c74742341c64bbb836e7a340"},
+	} {
+		rows = append(rows, determinismRow{
+			name:    "events-rush-hour-" + pin.name,
+			configs: scenarioFleet("rush-hour", 300, 5, shoggoth.WithSeed(13), shoggoth.WithCycles(0.1), atEvents),
+			cluster: pin.cluster,
+			workers: []int{4},
+			work:    queuedAndDropped,
+			pin:     hashesTo(pin.digest, devicesAndCloud),
+		})
+	}
+
 	return append(rows,
+		determinismRow{
+			// FIFO through the deferred path: a policy that orders by Seq
+			// but does not claim Immediate, so every batch waits for a
+			// dispatch event, must serve exactly what eager FIFO serves.
+			// Only the engine's event count may differ.
+			name:    "events-rush-hour-deferred-fifo",
+			configs: scenarioFleet("rush-hour", 120, 5, shoggoth.WithSeed(17), shoggoth.WithCycles(0.1), atEvents),
+			cluster: func(w int) *shoggoth.Cluster {
+				return &shoggoth.Cluster{Workers: 2, QueueCap: 8, EngineWorkers: w}
+			},
+			work: queuedAndDropped,
+			variants: []variant{
+				{"deferred-fifo", devicesAndCloud, onCluster(&shoggoth.Cluster{Policy: deferredFIFO, Workers: 2, QueueCap: 8})},
+			},
+		},
 		determinismRow{
 			// A 5 s upload deadline makes the short horizon exercise the
 			// cloud path: queueing, labeling, training pricing.
@@ -502,6 +544,38 @@ func hashesTo(digest string, of projection) func(*testing.T, *shoggoth.ClusterRe
 			t.Fatalf("outputs digest %s, want %s (%d batches, %d dropped)", got, digest, r.Cloud.Batches, r.Cloud.DroppedBatches)
 		}
 	}
+}
+
+// queuedAndDropped checks that batches waited for a teacher worker and that
+// the admission bound dropped some.
+func queuedAndDropped(t *testing.T, r *shoggoth.ClusterResults) {
+	served(t, r)
+	if r.Cloud.QueueDelayMaxSec == 0 || r.Cloud.DroppedBatches == 0 {
+		t.Fatalf("the queue never built: max delay %v, %d dropped", r.Cloud.QueueDelayMaxSec, r.Cloud.DroppedBatches)
+	}
+}
+
+// deferredFIFO is a test-only policy: arrival order, but not Immediate, so
+// the service queues every batch and serves it from a dispatch event.
+const deferredFIFO = "fifo-deferred-test"
+
+type deferredFIFOPolicy struct{}
+
+func (deferredFIFOPolicy) Immediate() bool { return false }
+
+func (deferredFIFOPolicy) Next(eligible []cloud.Pending, _ float64) int {
+	best := 0
+	for i := range eligible {
+		if eligible[i].Seq < eligible[best].Seq {
+			best = i
+		}
+	}
+	return best
+}
+
+func init() {
+	cloud.MustRegisterPolicy(deferredFIFO, "test-only: arrival order through the deferred dispatch path",
+		func() cloud.Policy { return deferredFIFOPolicy{} })
 }
 
 func served(t *testing.T, r *shoggoth.ClusterResults) {

@@ -9,7 +9,7 @@ import (
 	"shoggoth/internal/video"
 )
 
-func newAnalyticDevice(t *testing.T, svc *Service, id string, seed uint64) *ServiceDevice {
+func newAnalyticDevice(t testing.TB, svc *Service, id string, seed uint64) *ServiceDevice {
 	t.Helper()
 	p := video.DETRACProfile()
 	teacher := detect.NewTeacher(p, rand.New(rand.NewPCG(seed, 2)))

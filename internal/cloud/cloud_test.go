@@ -178,7 +178,7 @@ func sanitize(v float64) float64 {
 	return math.Mod(v, 10)
 }
 
-func serviceFrames(t *testing.T, n int) []*video.Frame {
+func serviceFrames(t testing.TB, n int) []*video.Frame {
 	t.Helper()
 	p := video.DETRACProfile()
 	stream := video.NewStream(p, 1)

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -198,9 +199,10 @@ func TestOccupancyMatchesLinearScanDeferred(t *testing.T) {
 }
 
 // TestDeferredDispatchAllocsBounded guards the dispatch scratch: at steady
-// state a wfq + Coalesce 4 round allocates two objects per batch — the queue
-// entry made at Enqueue and the φ slice that escapes to the batch callback —
-// and nothing per selection, group or dispatch event.
+// state a wfq + Coalesce 4 round allocates at most two objects per batch —
+// today one, the φ slice that escapes to the batch callback, since a batch
+// waits by value in its device's queue — and nothing per selection, heap
+// operation, group or dispatch event.
 func TestDeferredDispatchAllocsBounded(t *testing.T) {
 	svc := NewService(ServiceConfig{Policy: PolicyWFQ, Workers: 2, Coalesce: 4, QueueCap: 64})
 	sched := sim.NewScheduler()
@@ -237,5 +239,45 @@ func TestDeferredDispatchAllocsBounded(t *testing.T) {
 	}
 	if fwd, rode := svc.coalesceCounts(); fwd == 0 || rode <= fwd {
 		t.Fatalf("coalescing never fused a group (%d forwards, %d batches)", fwd, rode)
+	}
+}
+
+// BenchmarkDeferredDispatch times one batch through the deferred path —
+// Enqueue, the policy's pick, worker assignment and the analytic labeling
+// of its dispatch event — under wfq with Coalesce 4, with a fixed number of
+// devices each holding one waiting batch: every served device queues its
+// next batch from its callback. One op is one batch.
+func BenchmarkDeferredDispatch(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("waiting=%d", n), func(b *testing.B) {
+			svc := NewService(ServiceConfig{Policy: PolicyWFQ, Coalesce: 4})
+			sched := sim.NewScheduler()
+			svc.Bind(sched)
+			frames := serviceFrames(b, 3)
+			served := 0
+			devs := make([]*ServiceDevice, n)
+			cbs := make([]func(BatchResult), n)
+			for i := range devs {
+				devs[i] = newAnalyticDevice(b, svc, fmt.Sprintf("d%d", i), uint64(i+1))
+				d := devs[i]
+				cbs[i] = func(BatchResult) {
+					served++
+					d.Enqueue(frames, sched.Now(), cbs[i])
+				}
+			}
+			for i, d := range devs {
+				d.Enqueue(frames, 0, cbs[i])
+			}
+			step := func(until int) {
+				for served < until {
+					next, _ := sched.NextTime()
+					sched.AdvanceTo(next)
+				}
+			}
+			step(4 * n) // every device served a few times: scratch at its high-water size
+			b.ReportAllocs()
+			b.ResetTimer()
+			step(served + b.N)
+		})
 	}
 }

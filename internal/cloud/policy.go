@@ -36,9 +36,15 @@ type Pending struct {
 // new policy — including one registered from a test — needs zero engine
 // edits.
 //
-// Implementations must be deterministic: Next may depend only on its
-// arguments, and ties must break on Pending.Seq so identical runs replay
-// identically.
+// Next must return the least entry of one strict total order over Pending
+// values, and that order may depend only on each entry's own fields: not on
+// now, not on the other entries, not on their order in the slice. Ties on a
+// policy's key must break on Pending.Seq, which is unique, so the order is
+// total and identical runs replay identically. The engine relies on this:
+// it keeps the devices with a waiting batch in a heap and compares two
+// heads at a time by calling Next on a two-entry slice, so a pick costs
+// O(log d) for d waiting devices. A key a policy ranks by that is not in
+// Pending would leave that heap out of order.
 type Policy interface {
 	// Immediate reports that service order equals arrival order. The engine
 	// then assigns every batch to a worker at admission time (the FIFO fast
@@ -46,9 +52,11 @@ type Policy interface {
 	// Next is only consulted by tests. Reordering policies return false and
 	// are driven through the deferred dispatch path instead.
 	Immediate() bool
-	// Next returns the index into eligible of the batch to serve when a
-	// worker frees at virtual time now. eligible is never empty and holds at
-	// most one batch per device (its head-of-line batch), ordered by Seq.
+	// Next returns the index into eligible of the batch to serve first:
+	// the least entry under the policy's order. eligible is never empty and
+	// holds at most one batch per device (its head-of-line batch). now is
+	// the service's latest virtual time and must not change the answer.
+	// An index out of range counts as the entry with the smaller Seq.
 	Next(eligible []Pending, now float64) int
 }
 

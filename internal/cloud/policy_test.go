@@ -1,7 +1,9 @@
 package cloud
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"shoggoth/internal/sim"
@@ -176,11 +178,6 @@ func TestPhiPriorityReordersCongestedQueue(t *testing.T) {
 // the stock set (here: serve the NEWEST batch first) drives the engine with
 // zero engine changes — the registry contract.
 func TestRegisteredPolicyNeedsNoEngineEdits(t *testing.T) {
-	if err := RegisterPolicy("lifo-test", "newest batch first (test-only)", func() Policy {
-		return lifoTestPolicy{}
-	}); err != nil {
-		t.Fatal(err)
-	}
 	svc, sched := deferredService(t, "lifo-test", 1, 0)
 	a := newServiceDevice(t, svc, "a", 1, false)
 	b := newServiceDevice(t, svc, "b", 2, false)
@@ -202,7 +199,13 @@ func TestRegisteredPolicyNeedsNoEngineEdits(t *testing.T) {
 	}
 }
 
+// lifoTestPolicy serves the newest batch first. It is registered for the
+// whole test binary, so every table of policies can include it.
 type lifoTestPolicy struct{}
+
+func init() {
+	MustRegisterPolicy("lifo-test", "newest batch first (test-only)", func() Policy { return lifoTestPolicy{} })
+}
 
 func (lifoTestPolicy) Immediate() bool { return false }
 func (lifoTestPolicy) Next(eligible []Pending, now float64) int {
@@ -213,6 +216,60 @@ func (lifoTestPolicy) Next(eligible []Pending, now float64) int {
 		}
 	}
 	return best
+}
+
+// TestPolicyNextIsAStrictTotalOrder holds every policy to the Policy
+// contract the service's heap of device heads relies on: Next returns the
+// least entry of one strict total order over the entries' own fields, so
+// its pick does not move when the entries are shuffled or now changes, and
+// a tournament of two-entry calls finds the same winner.
+func TestPolicyNextIsAStrictTotalOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 29))
+	for _, name := range []string{PolicyFIFO, PolicyPhiPriority, PolicyWFQ, "lifo-test"} {
+		p, err := NewPolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pick := func(eligible []Pending) Pending {
+			i := p.Next(eligible, rng.Float64()*100)
+			if i < 0 || i >= len(eligible) {
+				t.Fatalf("%s: Next returned %d for %d entries", name, i, len(eligible))
+			}
+			return eligible[i]
+		}
+		for trial := 0; trial < 500; trial++ {
+			// Keys come from small sets, so ties are common and the Seq
+			// tie-break decides.
+			eligible := make([]Pending, 1+rng.IntN(12))
+			for i, seq := range rng.Perm(4 * len(eligible))[:len(eligible)] {
+				eligible[i] = Pending{
+					Device:    fmt.Sprintf("d%d", i),
+					Arrival:   float64(seq) / 100,
+					Seq:       seq + 1,
+					Frames:    1 + rng.IntN(4),
+					Phi:       float64(rng.IntN(4)) / 4,
+					ServedSec: float64(rng.IntN(4)) / 2,
+					Weight:    []float64{0, 0.5, 1, 2}[rng.IntN(4)],
+				}
+			}
+			want := pick(eligible).Seq
+			rng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
+			if got := pick(eligible).Seq; got != want {
+				t.Fatalf("%s trial %d: shuffling the entries moved the pick from seq %d to %d", name, trial, want, got)
+			}
+			champ := eligible[0]
+			for _, e := range eligible[1:] {
+				pair := []Pending{champ, e}
+				if rng.IntN(2) == 0 {
+					pair[0], pair[1] = e, champ
+				}
+				champ = pick(pair)
+			}
+			if champ.Seq != want {
+				t.Fatalf("%s trial %d: the pairwise tournament picks seq %d, Next over all picks %d", name, trial, champ.Seq, want)
+			}
+		}
+	}
 }
 
 // TestWorkerPoolParallelService: with two workers, two simultaneous batches

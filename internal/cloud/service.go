@@ -1,8 +1,10 @@
 package cloud
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"shoggoth/internal/detect"
@@ -112,7 +114,8 @@ func (a *queueAccum) snapshot() QueueStats {
 }
 
 // pendingBatch is one admitted-but-unassigned batch on the deferred
-// dispatch path (reordering policies only).
+// dispatch path. It is held by value: in its device's queue while it waits,
+// then in the dispatch scratch until its callback has run.
 type pendingBatch struct {
 	dev     *ServiceDevice
 	frames  []*video.Frame
@@ -148,9 +151,10 @@ type Service struct {
 	policy    Policy
 	immediate bool
 
-	// mu guards the scheduling state below (horizons, outstanding, pending,
-	// accumulators, registry). The virtual-time path is single-threaded and
-	// pays only an uncontended lock; the rpc path genuinely contends.
+	// mu guards the scheduling state below (horizons, outstanding, waiting
+	// batches, accumulators, registry). The virtual-time path is
+	// single-threaded and pays only an uncontended lock; the rpc path
+	// genuinely contends.
 	mu sync.Mutex
 	// workers holds each teacher worker's busyUntil horizon. A batch is
 	// assigned to the free worker with the smallest horizon, ties broken by
@@ -158,13 +162,19 @@ type Service struct {
 	workers []float64
 	// outstanding is a min-heap of the completion times of assigned batches
 	// still in the system; occupancyLocked pops the ones that have completed
-	// as time advances. Its length plus the pending queue is the queue
-	// occupancy QueueCap bounds.
+	// as time advances. Its length plus waiting is the queue occupancy
+	// QueueCap bounds.
 	outstanding doneHeap
 	// occNow is the latest time occupancy has been asked at (see
 	// occupancyLocked).
-	occNow  float64
-	pending []*pendingBatch
+	occNow float64
+	// waiting counts the admitted batches not yet on a worker: the sum of
+	// the device queues' lengths.
+	waiting int
+	// heads holds the devices with a waiting batch, as a binary min-heap in
+	// the policy's order over their head-of-line batches (see
+	// rekeyLocked); each device records its position in heapIdx.
+	heads   []*ServiceDevice
 	seq     int
 	agg     queueAccum
 	devices map[string]*ServiceDevice
@@ -182,22 +192,19 @@ type Service struct {
 	dispatchAt  float64
 
 	// Deferred-dispatch scratch, grown once and reused so a dispatch in
-	// steady state allocates nothing of its own: the policy's view of the
-	// queue (eligible, idx; selEpoch stamps the devices already offered),
-	// the coalesced group with its prices, and the batches assigned by one
-	// dispatch event.
-	eligible []Pending
-	idx      []int
-	selEpoch uint64
-	group    []*pendingBatch
-	costs    []float64
-	ready    []assigned
+	// steady state allocates nothing of its own: the two heads a heap
+	// comparison offers the policy, the coalesced group with its prices, and
+	// the batches assigned by one dispatch event.
+	pair  [2]Pending
+	group []pendingBatch
+	costs []float64
+	ready []assigned
 }
 
 // assigned is one batch a dispatch event put on a worker, held until the
 // engine lock is released and its callback may run.
 type assigned struct {
-	b   *pendingBatch
+	b   pendingBatch
 	adm Admission
 }
 
@@ -291,7 +298,12 @@ type ServiceDevice struct {
 	weight   float64
 	analytic bool    // price labeling instead of executing it (events fidelity)
 	lastPhi  float64 // most recent batch mean φ — the drift signal policies rank by
-	selEpoch uint64  // the selection that last offered this device's head-of-line batch
+	// queue[qHead:] holds the device's waiting batches in arrival order;
+	// heapIdx is the device's position in its service's heads, -1 while
+	// nothing waits.
+	queue   []pendingBatch
+	qHead   int
+	heapIdx int
 }
 
 // Register adds a device to the service. Each device brings its own teacher
@@ -312,7 +324,7 @@ func (s *Service) register(id string, teacher *detect.Teacher, labelerCfg Labele
 	if _, dup := s.devices[id]; dup {
 		return nil, fmt.Errorf("cloud: device %q already registered", id)
 	}
-	d := &ServiceDevice{svc: s, id: id, labeler: NewLabeler(teacher, labelerCfg), weight: 1, analytic: analytic}
+	d := &ServiceDevice{svc: s, id: id, labeler: NewLabeler(teacher, labelerCfg), weight: 1, analytic: analytic, heapIdx: -1}
 	if ctrlCfg != nil {
 		d.ctrl = NewController(*ctrlCfg)
 	}
@@ -360,14 +372,14 @@ func (s *Service) RetryAfterSec(now float64) float64 {
 	if len(s.outstanding) > 0 {
 		earliest = s.outstanding[0]
 	}
-	if len(s.pending) > 0 {
-		// Replay the pending queue over a copy of the worker horizons in
+	if s.waiting > 0 {
+		// Replay the waiting batches over a copy of the worker horizons in
 		// arrival order (a conservative estimate: reordering policies and
 		// coalescing can only finish a first batch sooner). The first
 		// simulated completion frees a queue slot.
 		horizons := make([]float64, len(s.workers))
 		copy(horizons, s.workers)
-		for _, b := range s.pending {
+		for _, b := range s.waitingBySeqLocked() {
 			w := 0
 			for i := 1; i < len(horizons); i++ {
 				if horizons[i] < horizons[w] {
@@ -440,7 +452,7 @@ func (s *Service) occupancyLocked(now float64) int {
 	for len(s.outstanding) > 0 && s.outstanding[0] <= s.occNow {
 		s.outstanding.popMin()
 	}
-	return len(s.outstanding) + len(s.pending)
+	return len(s.outstanding) + s.waiting
 }
 
 // fullLocked reports whether a batch arriving at now finds the admission
@@ -487,6 +499,7 @@ func (s *Service) assignLocked(d *ServiceDevice, n int, now, arrival, extra floa
 
 	delay := start - arrival
 	d.acc.admit(delay, service)
+	s.rekeyLocked(d) // d may have a next batch waiting, keyed on its busy time before this one
 	s.agg.admit(delay, service)
 	return Admission{Start: start, Done: done, QueueDelaySec: delay, ServiceSec: service}
 }
@@ -612,7 +625,9 @@ func (d *ServiceDevice) enqueueOpts(frames []*video.Frame, now, extra float64, c
 		return false
 	}
 	s.seq++
-	s.pending = append(s.pending, &pendingBatch{dev: d, frames: frames, arrival: now, seq: s.seq, extra: extra, cb: cb})
+	d.push(pendingBatch{dev: d, frames: frames, arrival: now, seq: s.seq, extra: extra, cb: cb})
+	s.waiting++
+	s.rekeyLocked(d)
 	s.ensureDispatchLocked(now)
 	s.mu.Unlock()
 	return true
@@ -622,7 +637,7 @@ func (d *ServiceDevice) enqueueOpts(frames []*video.Frame, now, extra float64, c
 // time a worker frees (no earlier than now). Horizons only grow, so an
 // already-scheduled earlier-or-equal event covers this request.
 func (s *Service) ensureDispatchLocked(now float64) {
-	if len(s.pending) == 0 {
+	if s.waiting == 0 {
 		return
 	}
 	t := s.workers[s.freeWorkerLocked()]
@@ -637,7 +652,7 @@ func (s *Service) ensureDispatchLocked(now float64) {
 	s.sched.At(t, s.dispatchFn)
 }
 
-// onDispatch assigns every free worker a pending batch in policy order —
+// onDispatch assigns every free worker a waiting batch in policy order —
 // or, with coalescing enabled, a policy-ordered GROUP of compatible batches
 // fused into one priced teacher forward — then labels the assigned batches
 // and delivers their callbacks in assignment order. Selection and labeling
@@ -650,7 +665,12 @@ func (s *Service) onDispatch(now float64) {
 
 	for k := range ready {
 		a := &ready[k]
-		labels, phis, phiMean := a.b.dev.LabelFrames(a.b.frames)
+		d := a.b.dev
+		labels, phis, phiMean := d.LabelFrames(a.b.frames)
+		// Labeling moved d's φ, which a policy may rank its next batch by.
+		s.mu.Lock()
+		s.rekeyLocked(d)
+		s.mu.Unlock()
 		a.b.cb(BatchResult{
 			Labels:        labels,
 			Phis:          phis,
@@ -659,7 +679,7 @@ func (s *Service) onDispatch(now float64) {
 			Done:          a.adm.Done,
 			QueueDelaySec: a.adm.QueueDelaySec,
 		})
-		a.b = nil // the scratch must not pin a delivered batch's frames
+		a.b = pendingBatch{} // the scratch must not pin a delivered batch's frames
 	}
 }
 
@@ -672,12 +692,12 @@ func (s *Service) onDispatch(now float64) {
 //shoggoth:hotpath
 func (s *Service) dispatchLocked(now float64, ready []assigned) []assigned {
 	s.dispatchSet = false
-	for len(s.pending) > 0 && s.workers[s.freeWorkerLocked()] <= now {
+	for s.waiting > 0 && s.workers[s.freeWorkerLocked()] <= now {
 		if s.cfg.Coalesce >= 2 {
-			ready = s.assignGroupLocked(ready, s.selectGroupLocked(now), now)
+			ready = s.assignGroupLocked(ready, s.selectGroupLocked(), now)
 			continue
 		}
-		b := s.takeLocked(s.selectLocked(now))
+		b := s.popLocked()
 		//shoggoth:allow hotalloc -- grows to the most batches one dispatch event has assigned, then reused
 		ready = append(ready, assigned{b: b, adm: s.assignLocked(b.dev, len(b.frames), now, b.arrival, b.extra)})
 	}
@@ -685,40 +705,30 @@ func (s *Service) dispatchLocked(now float64, ready []assigned) []assigned {
 	return ready
 }
 
-// takeLocked removes and returns pending[i], keeping arrival order.
-func (s *Service) takeLocked(i int) *pendingBatch {
-	b := s.pending[i]
-	n := len(s.pending) - 1
-	copy(s.pending[i:], s.pending[i+1:])
-	s.pending[n] = nil
-	s.pending = s.pending[:n]
-	return b
-}
-
-// selectGroupLocked pulls up to Coalesce pending batches for one fused
-// teacher forward, each chosen by the policy in turn (so the primary — and
-// every rider — is still the policy's pick among eligible heads). Selection
-// stops early at an incompatible batch: riders must share the primary's
-// per-frame teacher latency, or the fused forward's pricing would mix
-// models. The returned group is service scratch, valid until the next call.
+// selectGroupLocked pulls up to Coalesce waiting batches for one fused
+// teacher forward, each the policy's pick in turn (so the primary — and
+// every rider — is still the policy's pick among eligible heads). A device
+// whose batch joined the group is offered again on its next batch, at the
+// busy time it had before the group. Selection stops early at an
+// incompatible batch: riders must share the primary's per-frame teacher
+// latency, or the fused forward's pricing would mix models. The returned
+// group is service scratch, valid until the next call.
 //
 //shoggoth:hotpath
-func (s *Service) selectGroupLocked(now float64) []*pendingBatch {
+func (s *Service) selectGroupLocked() []pendingBatch {
 	if cap(s.group) < s.cfg.Coalesce {
-		s.group = make([]*pendingBatch, 0, s.cfg.Coalesce)
+		s.group = make([]pendingBatch, 0, s.cfg.Coalesce)
 		s.costs = make([]float64, s.cfg.Coalesce)
 	}
-	first := s.takeLocked(s.selectLocked(now))
 	group := s.group[:1]
-	group[0] = first
-	lat := first.dev.labeler.Config.TeacherLatencySec
-	for len(group) < s.cfg.Coalesce && len(s.pending) > 0 {
-		j := s.selectLocked(now)
-		if s.pending[j].dev.labeler.Config.TeacherLatencySec != lat {
+	group[0] = s.popLocked()
+	lat := group[0].dev.labeler.Config.TeacherLatencySec
+	for len(group) < s.cfg.Coalesce && s.waiting > 0 {
+		if s.heads[0].labeler.Config.TeacherLatencySec != lat {
 			break
 		}
 		group = group[:len(group)+1]
-		group[len(group)-1] = s.takeLocked(j)
+		group[len(group)-1] = s.popLocked()
 	}
 	return group
 }
@@ -733,12 +743,13 @@ func (s *Service) selectGroupLocked(now float64) []*pendingBatch {
 // meaning WFQ's attained-service counter advances less for piggybacked
 // work — riders are cheap by construction). The assignments are appended to
 // ready in selection order.
-func (s *Service) assignGroupLocked(ready []assigned, group []*pendingBatch, now float64) []assigned {
+func (s *Service) assignGroupLocked(ready []assigned, group []pendingBatch, now float64) []assigned {
 	w := s.freeWorkerLocked()
 	start := math.Max(now, s.workers[w])
 	costs := s.costs[:len(group)]
 	var total float64
-	for k, b := range group {
+	for k := range group {
+		b := &group[k]
 		lat := b.dev.labeler.Config.TeacherLatencySec
 		if k > 0 {
 			lat *= coalesceMarginal
@@ -755,14 +766,16 @@ func (s *Service) assignGroupLocked(ready []assigned, group []*pendingBatch, now
 	}
 	done := start + total
 	s.workers[w] = done
-	for k, b := range group {
+	for k := range group {
+		b := &group[k]
 		s.outstanding.push(done)
 		delay := start - b.arrival
 		b.dev.acc.admit(delay, costs[k])
+		s.rekeyLocked(b.dev)
 		s.agg.admit(delay, costs[k])
 		//shoggoth:allow hotalloc -- grows to the most batches one dispatch event has assigned, then reused
-		ready = append(ready, assigned{b: b, adm: Admission{Start: start, Done: done, QueueDelaySec: delay, ServiceSec: costs[k]}})
-		group[k] = nil
+		ready = append(ready, assigned{b: *b, adm: Admission{Start: start, Done: done, QueueDelaySec: delay, ServiceSec: costs[k]}})
+		*b = pendingBatch{}
 	}
 	if len(group) > 1 {
 		s.coalescedForwards++
@@ -771,46 +784,156 @@ func (s *Service) assignGroupLocked(ready []assigned, group []*pendingBatch, now
 	return ready
 }
 
-// selectLocked asks the policy for the next batch among each device's
-// head-of-line batch and returns its index in s.pending. A policy returning
-// an out-of-range index falls back to the head of the queue. The policy's
-// view is built in service scratch, and a device is marked as already
-// offered by stamping it with this selection's number, so a selection
-// allocates nothing once the scratch has reached the queue's size.
+// push appends b to the device's queue, first moving the waiting batches
+// to the front when the backing array is full, so a device that never
+// drains reuses its queue's memory instead of growing it.
+func (d *ServiceDevice) push(b pendingBatch) {
+	if d.qHead > 0 && len(d.queue) == cap(d.queue) {
+		n := copy(d.queue, d.queue[d.qHead:])
+		clear(d.queue[n:])
+		d.queue, d.qHead = d.queue[:n], 0
+	}
+	d.queue = append(d.queue, b)
+}
+
+// popLocked removes and returns the policy's pick: the head-of-line batch
+// of the device at the root of heads. The device is re-keyed on its next
+// batch, or leaves the heap when none waits.
 //
 //shoggoth:hotpath
-func (s *Service) selectLocked(now float64) int {
-	if cap(s.eligible) < len(s.pending) {
-		n := len(s.pending) + len(s.pending)/2
-		s.eligible = make([]Pending, 0, n)
-		s.idx = make([]int, 0, n)
+func (s *Service) popLocked() pendingBatch {
+	d := s.heads[0]
+	b := d.queue[d.qHead]
+	d.queue[d.qHead] = pendingBatch{}
+	if d.qHead++; d.qHead == len(d.queue) {
+		d.queue, d.qHead = d.queue[:0], 0
 	}
-	eligible, idx := s.eligible[:0], s.idx[:0]
-	s.selEpoch++
-	for i, b := range s.pending { // pending is in arrival (seq) order
-		d := b.dev
-		if d.selEpoch == s.selEpoch {
-			continue
+	s.waiting--
+	s.rekeyLocked(d)
+	return b
+}
+
+// waitingBySeqLocked returns every waiting batch in arrival order. It is
+// the slow path of RetryAfterSec's replay; no pick uses it.
+func (s *Service) waitingBySeqLocked() []*pendingBatch {
+	all := make([]*pendingBatch, 0, s.waiting)
+	for _, d := range s.heads {
+		for i := d.qHead; i < len(d.queue); i++ {
+			all = append(all, &d.queue[i])
 		}
-		d.selEpoch = s.selEpoch
-		n := len(eligible)
-		eligible, idx = eligible[:n+1], idx[:n+1]
-		eligible[n] = Pending{
-			Device:    d.id,
-			Arrival:   b.arrival,
-			Seq:       b.seq,
-			Frames:    len(b.frames),
-			Phi:       d.lastPhi,
-			ServedSec: d.acc.busySec,
-			Weight:    d.weight,
+	}
+	slices.SortFunc(all, func(a, b *pendingBatch) int { return cmp.Compare(a.seq, b.seq) })
+	return all
+}
+
+// headLocked is the policy's view of the device's head-of-line batch.
+func (d *ServiceDevice) headLocked() Pending {
+	b := &d.queue[d.qHead]
+	return Pending{
+		Device:    d.id,
+		Arrival:   b.arrival,
+		Seq:       b.seq,
+		Frames:    len(b.frames),
+		Phi:       d.lastPhi,
+		ServedSec: d.acc.busySec,
+		Weight:    d.weight,
+	}
+}
+
+// beforeLocked reports whether the policy serves a's head-of-line batch
+// before b's. The pair is offered in arrival order, as the policy contract
+// allows, so an answer out of range falls back to the earlier arrival.
+//
+//shoggoth:hotpath
+func (s *Service) beforeLocked(a, b *ServiceDevice) bool {
+	pa, pb := a.headLocked(), b.headLocked()
+	aFirst := pa.Seq < pb.Seq
+	if aFirst {
+		s.pair[0], s.pair[1] = pa, pb
+	} else {
+		s.pair[0], s.pair[1] = pb, pa
+	}
+	return (s.policy.Next(s.pair[:], s.occNow) == 1) != aFirst
+}
+
+// rekeyLocked restores the heap order of heads after anything a policy may
+// rank d by changed: d's head-of-line batch (a batch queued or taken), its
+// attained service (a batch assigned), its φ (a batch labeled) or its
+// weight. It inserts d when its first batch waits, removes it when its last
+// one left, and otherwise sifts it to its new place, in O(log d) for d
+// devices with a waiting batch.
+//
+//shoggoth:hotpath
+func (s *Service) rekeyLocked(d *ServiceDevice) {
+	waits := d.qHead < len(d.queue)
+	switch {
+	case waits && d.heapIdx < 0:
+		d.heapIdx = len(s.heads)
+		//shoggoth:allow hotalloc -- grows to the most devices ever waiting at once, then reused
+		s.heads = append(s.heads, d)
+		s.siftUpLocked(d.heapIdx)
+	case !waits && d.heapIdx >= 0:
+		i, n := d.heapIdx, len(s.heads)-1
+		s.swapLocked(i, n)
+		s.heads[n] = nil
+		s.heads = s.heads[:n]
+		d.heapIdx = -1
+		if i < n {
+			s.fixLocked(i)
 		}
-		idx[n] = i
+	case waits:
+		s.fixLocked(d.heapIdx)
 	}
-	choice := s.policy.Next(eligible, now)
-	if choice < 0 || choice >= len(idx) {
-		choice = 0
+}
+
+// fixLocked moves the entry at i up or down to its place in heads.
+//
+//shoggoth:hotpath
+func (s *Service) fixLocked(i int) {
+	if !s.siftDownLocked(i) {
+		s.siftUpLocked(i)
 	}
-	return idx[choice]
+}
+
+//shoggoth:hotpath
+func (s *Service) siftUpLocked(j int) {
+	for j > 0 {
+		parent := (j - 1) / 2
+		if !s.beforeLocked(s.heads[j], s.heads[parent]) {
+			break
+		}
+		s.swapLocked(j, parent)
+		j = parent
+	}
+}
+
+// siftDownLocked reports whether the entry at i moved.
+//
+//shoggoth:hotpath
+func (s *Service) siftDownLocked(i int) bool {
+	j, n := i, len(s.heads)
+	for {
+		child := 2*j + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s.beforeLocked(s.heads[r], s.heads[child]) {
+			child = r
+		}
+		if !s.beforeLocked(s.heads[child], s.heads[j]) {
+			break
+		}
+		s.swapLocked(j, child)
+		j = child
+	}
+	return j > i
+}
+
+func (s *Service) swapLocked(i, j int) {
+	h := s.heads
+	h[i], h[j] = h[j], h[i]
+	h[i].heapIdx = i
+	h[j].heapIdx = j
 }
 
 // ID returns the device's registration id.
@@ -825,6 +948,7 @@ func (d *ServiceDevice) SetWeight(w float64) {
 		w = 1
 	}
 	d.weight = w
+	d.svc.rekeyLocked(d)
 }
 
 // Adaptive reports whether this device has a sampling-rate controller.
