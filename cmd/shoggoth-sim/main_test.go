@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"shoggoth"
+	"shoggoth/internal/cloud"
 )
 
 // specConfigs decodes -set edits over the default spec, validates it and
@@ -76,7 +77,7 @@ func TestEveryCloudKeyReachesTheTier(t *testing.T) {
 		"admit_rate_per_sec": 6, "admit_burst": 8, "cold_start_sec": 0.3}`)
 	want := shoggoth.CloudTier{
 		Replicas: 5, Router: "least-loaded",
-		Service:         shoggoth.CloudService{QueueCap: 4, Policy: "phi-priority", Workers: 2, Coalesce: 3},
+		Service:         cloud.ServiceConfig{QueueCap: 4, Policy: "phi-priority", Workers: 2, Coalesce: 3},
 		AdmitRatePerSec: 6, AdmitBurst: 8, ColdStartSec: 0.3,
 	}
 	for i, cfg := range cfgs {
@@ -183,28 +184,46 @@ func TestBadSpecIsAnError(t *testing.T) {
 }
 
 // TestPrintedSpecReplays: -print-spec's output, run with -spec, prints
-// what the direct run prints, byte for byte, and prints itself back.
+// what the direct run prints, byte for byte, and prints itself back. The
+// rows cover a scenario's multi-replica tier, a deferred coalescing tier
+// over a plain fleet, and a heterogeneous full-fidelity fleet under wfq.
 func TestPrintedSpecReplays(t *testing.T) {
-	args := []string{"-set", "devices=2", "-set", "fidelity=events", "-set", "cycles=0.05", "-set", "cloud.service.policy=wfq"}
-	file := filepath.Join(t.TempDir(), "run.json")
-	var spec, direct, replay, again bytes.Buffer
-	if code := run(append(args, "-print-spec"), &spec, os.Stderr); code != 0 {
-		t.Fatalf("-print-spec: exit %d", code)
-	}
-	if err := os.WriteFile(file, spec.Bytes(), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if code := run(args, &direct, os.Stderr); code != 0 {
-		t.Fatalf("direct run: exit %d", code)
-	}
-	if code := run([]string{"-spec", file}, &replay, os.Stderr); code != 0 {
-		t.Fatalf("replay: exit %d", code)
-	}
-	if direct.String() != replay.String() {
-		t.Fatalf("replay differs from the direct run:\n%s\nvs\n%s", replay.String(), direct.String())
-	}
-	if code := run([]string{"-spec", file, "-print-spec"}, &again, os.Stderr); code != 0 || again.String() != spec.String() {
-		t.Fatalf("printed spec does not print itself back (exit %d):\n%s\nvs\n%s", code, again.String(), spec.String())
+	for _, tc := range []struct {
+		name string
+		sets []string
+	}{
+		{"events-wfq", []string{"devices=2", "fidelity=events", "cycles=0.05", "cloud.service.policy=wfq"}},
+		{"multi-cloud", []string{"scenario=multi-cloud", "fidelity=events", "cycles=0.1"}},
+		{"wfq-workers-coalesce", []string{"devices=3", "fidelity=events", "cycles=0.1",
+			"cloud.service.policy=wfq", "cloud.service.workers=2", "cloud.service.coalesce=2"}},
+		{"hetero-fleet", []string{"scenario=hetero-fleet", "cloud.service.queue_cap=4", "cloud.service.policy=wfq", "cycles=0.1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var args []string
+			for _, set := range tc.sets {
+				args = append(args, "-set", set)
+			}
+			file := filepath.Join(t.TempDir(), "run.json")
+			var spec, direct, replay, again bytes.Buffer
+			if code := run(append(args, "-print-spec"), &spec, os.Stderr); code != 0 {
+				t.Fatalf("-print-spec: exit %d", code)
+			}
+			if err := os.WriteFile(file, spec.Bytes(), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			if code := run(args, &direct, os.Stderr); code != 0 || direct.Len() == 0 {
+				t.Fatalf("direct run: exit %d, %d bytes", code, direct.Len())
+			}
+			if code := run([]string{"-spec", file}, &replay, os.Stderr); code != 0 {
+				t.Fatalf("replay: exit %d", code)
+			}
+			if direct.String() != replay.String() {
+				t.Fatalf("replay differs from the direct run:\n%s\nvs\n%s", replay.String(), direct.String())
+			}
+			if code := run([]string{"-spec", file, "-print-spec"}, &again, os.Stderr); code != 0 || again.String() != spec.String() {
+				t.Fatalf("printed spec does not print itself back (exit %d):\n%s\nvs\n%s", code, again.String(), spec.String())
+			}
+		})
 	}
 }
 

@@ -18,18 +18,18 @@ var checkedDocs = []string{"DESIGN.md", ".claude/skills/verify/SKILL.md", ".gith
 var (
 	fencedBlock = regexp.MustCompile("(?ms)^```.*?^```")
 	codeSpan    = regexp.MustCompile("`([^`]+)`")
-	testName    = regexp.MustCompile(`^(Test|Fuzz|Benchmark)\w*\*?$`)
-	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	testName    = regexp.MustCompile(`^(Test|Fuzz|Benchmark|Example)\w*\*?$`)
+	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
 	pathIdent   = regexp.MustCompile(`\.[A-Za-z_]\w*$`)
 	qualified   = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*(?:\.\w+)?)(?:\(.*\))?$`)
 	runFlag     = regexp.MustCompile(`(?:^|\s)-run\s+('[^']*'|"[^"]*"|[^\s'"` + "`" + `]+)`)
 )
 
 // TestDocsNameOnlyWhatExists fails when DESIGN.md, the verify skill or the
-// CI workflow names, in backticks, a test that no _test.go file defines or a
-// repo path that is gone, or runs a go test -run pattern one of whose
-// |-alternatives at its top level (before the first unbracketed /) matches
-// no test. A test name ending in * matches any test with that prefix. A path
+// CI workflow names, in backticks, a test (an Example function counts) that
+// no _test.go file defines or a repo path that is gone, or runs a go test
+// -run pattern one of whose |-alternatives at its top level (before the
+// first unbracketed /) matches no test. A test name ending in * matches any test with that prefix. A path
 // counts as repo-relative when its first element is an entry of the repo
 // root; a trailing .Ident (as in internal/core.System) is a Go name inside
 // the package and is stripped when the path itself does not exist. A

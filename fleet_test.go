@@ -72,7 +72,7 @@ func TestFleetObserversSeeWhatALoneSessionShows(t *testing.T) {
 // base's video.
 func TestFleetGroupsByProfileIdentityNotName(t *testing.T) {
 	base := testConfig(t, shoggoth.EdgeOnly, 60)
-	variant, err := video.ApplyScriptTransform(base.Profile, shoggoth.ScriptTransform{PhaseSec: 200})
+	variant, err := video.ApplyScriptTransform(base.Profile, video.ScriptTransform{PhaseSec: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

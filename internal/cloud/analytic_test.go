@@ -85,8 +85,8 @@ func TestAnalyticPricingMatchesExecuted(t *testing.T) {
 	da := newAnalyticDevice(t, an, "d", 1)
 
 	for _, arrival := range []float64{0, 0.2, 7.5} {
-		re := de.Label(frames, arrival)
-		ra := da.Label(frames, arrival)
+		re := label(de, frames, arrival)
+		ra := label(da, frames, arrival)
 		if re.Start != ra.Start || re.Done != ra.Done || re.QueueDelaySec != ra.QueueDelaySec {
 			t.Fatalf("arrival %v: analytic pricing diverged: executed (%v,%v,%v) vs analytic (%v,%v,%v)",
 				arrival, re.Start, re.Done, re.QueueDelaySec, ra.Start, ra.Done, ra.QueueDelaySec)

@@ -208,6 +208,17 @@ func newServiceDevice(t *testing.T, svc *Service, id string, seed uint64, withCt
 	return d
 }
 
+// label runs one batch through d.Enqueue under an arrival-order policy,
+// where the callback fires before Enqueue returns; a dropped batch comes
+// back as BatchResult{Dropped: true}.
+func label(d *ServiceDevice, frames []*video.Frame, now float64) BatchResult {
+	res, called := BatchResult{Dropped: true}, false
+	if d.Enqueue(frames, now, func(r BatchResult) { res, called = r, true }) && !called {
+		panic("label: the service deferred the batch; use Enqueue under a reordering policy")
+	}
+	return res
+}
+
 // TestServiceSerialisesSharedTeacher: batches from different devices queue
 // on the one teacher pipeline; a batch arriving mid-service starts when the
 // previous one finishes, and the delay is attributed to the right device.
@@ -218,14 +229,14 @@ func TestServiceSerialisesSharedTeacher(t *testing.T) {
 	frames := serviceFrames(t, 5)
 	lat := DefaultLabelerConfig().TeacherLatencySec
 
-	ra := a.Label(frames, 10)
+	ra := label(a, frames, 10)
 	if ra.QueueDelaySec != 0 || ra.Start != 10 {
 		t.Fatalf("idle service must start immediately: %+v", ra)
 	}
 	if want := 10 + 5*lat; math.Abs(ra.Done-want) > 1e-12 {
 		t.Fatalf("done %v, want %v", ra.Done, want)
 	}
-	rb := b.Label(frames, 10.01) // arrives while a's batch is in service
+	rb := label(b, frames, 10.01) // arrives while a's batch is in service
 	if rb.Start != ra.Done {
 		t.Fatalf("contending batch must wait: start %v, want %v", rb.Start, ra.Done)
 	}
@@ -248,11 +259,11 @@ func TestServiceQueueCapDrops(t *testing.T) {
 	b := newServiceDevice(t, svc, "b", 2, true)
 	frames := serviceFrames(t, 5)
 
-	ra := a.Label(frames, 0)
+	ra := label(a, frames, 0)
 	if ra.Dropped {
 		t.Fatal("first batch must be admitted")
 	}
-	rb := b.Label(frames, 0.01) // the first batch is still outstanding
+	rb := label(b, frames, 0.01) // the first batch is still outstanding
 	if !rb.Dropped || rb.Labels != nil {
 		t.Fatalf("over-cap batch must be dropped: %+v", rb)
 	}
@@ -260,7 +271,7 @@ func TestServiceQueueCapDrops(t *testing.T) {
 		t.Fatalf("device b drops = %d, want 1", got)
 	}
 	// After the first batch completes, capacity frees up again.
-	rb2 := b.Label(frames, ra.Done+0.01)
+	rb2 := label(b, frames, ra.Done+0.01)
 	if rb2.Dropped {
 		t.Fatal("batch after the queue drained must be admitted")
 	}
@@ -274,15 +285,15 @@ func TestServiceQueueCapDrops(t *testing.T) {
 func TestServicePerDevicePhiContinuity(t *testing.T) {
 	shared := NewService(ServiceConfig{})
 	a := newServiceDevice(t, shared, "a", 1, false)
-	newServiceDevice(t, shared, "b", 2, false).Label(serviceFrames(t, 3), 0)
+	label(newServiceDevice(t, shared, "b", 2, false), serviceFrames(t, 3), 0)
 
 	private := NewService(ServiceConfig{})
 	solo := newServiceDevice(t, private, "solo", 1, false)
 
 	frames := serviceFrames(t, 6)
 	for i := 0; i < 2; i++ {
-		got := a.Label(frames[i*3:(i+1)*3], float64(100*i))
-		want := solo.Label(frames[i*3:(i+1)*3], float64(100*i))
+		got := label(a, frames[i*3:(i+1)*3], float64(100*i))
+		want := label(solo, frames[i*3:(i+1)*3], float64(100*i))
 		for j := range got.Phis {
 			if got.Phis[j] != want.Phis[j] {
 				t.Fatalf("φ stream polluted by another device: batch %d frame %d: %v != %v",
@@ -318,7 +329,7 @@ func TestServiceDeviceWithoutController(t *testing.T) {
 	if r, ok := d.UpdateRate(0.5, 0.5, 0.5); ok || r != 0 {
 		t.Fatalf("UpdateRate without a controller: %v %v", r, ok)
 	}
-	res := d.Label(serviceFrames(t, 2), 0)
+	res := label(d, serviceFrames(t, 2), 0)
 	if res.Dropped || len(res.Labels) != 2 {
 		t.Fatalf("labeling failed without controller: %+v", res)
 	}

@@ -166,9 +166,9 @@ func TestPhiPriorityReordersCongestedQueue(t *testing.T) {
 	fsvc := NewService(ServiceConfig{})
 	fc := newServiceDevice(t, fsvc, "calm", 1, false)
 	fd := newServiceDevice(t, fsvc, "drift", 2, false)
-	fc.Label(filler, 100)
-	rc := fc.Label(framesAtStride(t, 4, 4, 15), 100.01)
-	rd := fd.Label(framesAtStride(t, 5, 4, 150), 100.02)
+	label(fc, filler, 100)
+	rc := label(fc, framesAtStride(t, 4, 4, 15), 100.01)
+	rd := label(fd, framesAtStride(t, 5, 4, 150), 100.02)
 	if rc.Start >= rd.Start {
 		t.Fatalf("FIFO control should serve in arrival order: calm %.3f drift %.3f", rc.Start, rd.Start)
 	}
@@ -286,12 +286,12 @@ func TestWorkerPoolParallelService(t *testing.T) {
 	frames := serviceFrames(t, 5)
 	lat := DefaultLabelerConfig().TeacherLatencySec
 
-	ra := a.Label(frames, 10)
-	rb := b.Label(frames, 10)
+	ra := label(a, frames, 10)
+	rb := label(b, frames, 10)
 	if ra.QueueDelaySec != 0 || rb.QueueDelaySec != 0 {
 		t.Fatalf("two workers must serve two simultaneous batches at once: %+v %+v", ra, rb)
 	}
-	rc := c.Label(frames, 10)
+	rc := label(c, frames, 10)
 	if want := 10 + 5*lat; math.Abs(rc.Start-want) > 1e-12 {
 		t.Fatalf("third batch must queue behind the earliest horizon: start %v want %v", rc.Start, want)
 	}
@@ -325,19 +325,6 @@ func TestDeferredQueueCapDrops(t *testing.T) {
 	if got := svc.Stats(); got.Batches != 1 || got.DroppedBatches != 1 {
 		t.Fatalf("aggregate stats wrong: %+v", got)
 	}
-}
-
-// TestLabelPanicsUnderReorderingPolicy: the synchronous Label would bypass
-// a reordering policy, so the engine refuses it loudly.
-func TestLabelPanicsUnderReorderingPolicy(t *testing.T) {
-	svc, _ := deferredService(t, PolicyPhiPriority, 1, 0)
-	d := newServiceDevice(t, svc, "a", 1, false)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Label under a reordering policy must panic")
-		}
-	}()
-	d.Label(serviceFrames(t, 2), 0)
 }
 
 // TestUnknownPolicyPanicsAtConstruction: NewService is post-validation;

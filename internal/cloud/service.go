@@ -562,36 +562,6 @@ func (d *ServiceDevice) LabelFrames(frames []*video.Frame) ([][]detect.TeacherLa
 	return labels, phis, mean
 }
 
-// Label runs the teacher over one uploaded batch arriving at virtual time
-// now, synchronously: admission, worker assignment and labeling in one
-// call. It requires an arrival-order (Immediate) policy — under a
-// reordering policy a synchronous result would bypass the policy, so Label
-// panics there; use Enqueue instead.
-func (d *ServiceDevice) Label(frames []*video.Frame, now float64) BatchResult {
-	return d.labelExtra(frames, now, 0)
-}
-
-// labelExtra is Label carrying one-off extra service time.
-func (d *ServiceDevice) labelExtra(frames []*video.Frame, now, extra float64) BatchResult {
-	if !d.svc.immediate {
-		panic(fmt.Sprintf("cloud: Label requires an arrival-order policy without coalescing; %q (coalesce %d) defers — use Enqueue",
-			d.svc.Policy(), d.svc.cfg.Coalesce))
-	}
-	adm, ok := d.admitExtra(len(frames), now, extra)
-	if !ok {
-		return BatchResult{Dropped: true}
-	}
-	labels, phis, phiMean := d.LabelFrames(frames)
-	return BatchResult{
-		Labels:        labels,
-		Phis:          phis,
-		PhiMean:       phiMean,
-		Start:         adm.Start,
-		Done:          adm.Done,
-		QueueDelaySec: adm.QueueDelaySec,
-	}
-}
-
 // Enqueue admits one uploaded batch at virtual time now and arranges for cb
 // to be invoked exactly once with the labeled result — synchronously under
 // an arrival-order policy (the FIFO fast path), or from a deferred dispatch
@@ -607,11 +577,21 @@ func (d *ServiceDevice) Enqueue(frames []*video.Frame, now float64, cb func(Batc
 func (d *ServiceDevice) enqueueOpts(frames []*video.Frame, now, extra float64, cb func(BatchResult)) bool {
 	s := d.svc
 	if s.immediate {
-		res := d.labelExtra(frames, now, extra)
-		if res.Dropped {
+		// Arrival order: admission, worker assignment and labeling in one
+		// call, the callback before Enqueue returns.
+		adm, ok := d.admitExtra(len(frames), now, extra)
+		if !ok {
 			return false
 		}
-		cb(res)
+		labels, phis, phiMean := d.LabelFrames(frames)
+		cb(BatchResult{
+			Labels:        labels,
+			Phis:          phis,
+			PhiMean:       phiMean,
+			Start:         adm.Start,
+			Done:          adm.Done,
+			QueueDelaySec: adm.QueueDelaySec,
+		})
 		return true
 	}
 	if s.sched == nil {

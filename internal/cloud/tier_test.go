@@ -92,7 +92,7 @@ func TestTierOneReplicaPassThrough(t *testing.T) {
 	frames := serviceFrames(t, 5)
 	// Includes a mid-service arrival that both sides must drop at QueueCap 1.
 	for _, now := range []float64{0, 0.01, 10, 10.2} {
-		want := sd.Label(frames, now)
+		want := label(sd, frames, now)
 		var got BatchResult
 		ok := td.Enqueue(frames, now, func(r BatchResult) { got = r })
 		if ok == want.Dropped {

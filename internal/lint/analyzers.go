@@ -81,7 +81,7 @@ func pkgPathOf(obj types.Object) string {
 }
 
 // isBinaryPkg reports whether the package path belongs to the module's
-// binaries or examples, which run in wall-clock reality by design.
+// binaries, which run in wall-clock reality by design.
 func isBinaryPkg(path string) bool {
-	return strings.HasPrefix(path, "shoggoth/cmd/") || strings.HasPrefix(path, "shoggoth/examples/")
+	return strings.HasPrefix(path, "shoggoth/cmd/")
 }

@@ -30,12 +30,12 @@ func TestLockedCallbackFixture(t *testing.T) {
 // TestWallClockSkipsBinaries pins the package exemption: the same offending
 // code is silent under a cmd/ import path.
 func TestWallClockSkipsBinaries(t *testing.T) {
-	for _, path := range []string{"shoggoth/cmd/shoggoth-sim", "shoggoth/examples/demo"} {
+	for _, path := range []string{"shoggoth/cmd/shoggoth-sim", "shoggoth/cmd/shoggoth-edge"} {
 		if !isBinaryPkg(path) {
 			t.Errorf("isBinaryPkg(%q) = false, want true", path)
 		}
 	}
-	for _, path := range []string{"shoggoth/internal/core", "shoggoth", "shoggoth/internal/lint"} {
+	for _, path := range []string{"shoggoth/internal/core", "shoggoth", "shoggoth/internal/lint", "shoggoth/examples/demo"} {
 		if isBinaryPkg(path) {
 			t.Errorf("isBinaryPkg(%q) = true, want false", path)
 		}

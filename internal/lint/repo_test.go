@@ -38,14 +38,14 @@ func TestRepoIsClean(t *testing.T) {
 }
 
 // withoutACaller lists the internal functions that nothing the module ships
-// reaches (see unreachedInternal for the roots) and that stay anyway, each
-// with the reason. Everything else without a caller is deleted, not listed.
+// reaches (see reachRoot for the roots) and that stay anyway, each with the
+// reason. Everything else without a caller is deleted, not listed; root
+// package code is never listed.
 var withoutACaller = map[string]string{
 	"(*shoggoth/internal/cloud.Service).Devices":                          "test accessor: cloud and rpc tests read a bare Service's registrations",
 	"(*shoggoth/internal/cloud.Service).Register":                         "test driver: cloud tests register devices on a bare Service",
 	"(*shoggoth/internal/cloud.Service).Workers":                          "test accessor: policy and tier tests read the resolved worker count",
 	"(*shoggoth/internal/cloud.ServiceDevice).Admit":                      "test driver: occupancy_test.go drives admission on a bare Service",
-	"(*shoggoth/internal/cloud.ServiceDevice).Label":                      "test driver: cloud tests label through a bare Service's device",
 	"(*shoggoth/internal/cloud.Tier).Devices":                             "test accessor: tier_test.go reads the tier's registrations",
 	"(*shoggoth/internal/cloud.Tier).Replicas":                            "test accessor: tier_test.go reads the replica count",
 	"(*shoggoth/internal/cloud.Tier).Router":                              "test accessor: tier_test.go reads the resolved router",
@@ -83,22 +83,30 @@ var withoutACaller = map[string]string{
 
 // TestNoInternalCodeWithoutACaller keeps the module from carrying code that
 // only its own tests call: every function or method of an internal package
-// must be reached from a binary, an example, the benchmark runner, the root
-// package's API, an initializer or an interface method — or be listed in
-// withoutACaller with its reason. A listed name that was deleted or gained a
-// caller must leave the list.
+// or the root package, and every exported type, alias, var and const group
+// of the root package, must be reached from a binary, the benchmark runner,
+// a root-package Example, an initializer or an interface method. An
+// internal function may instead be listed in withoutACaller with its
+// reason; root package code is deleted. A listed name that was deleted or
+// gained a caller must leave the list.
 func TestNoInternalCodeWithoutACaller(t *testing.T) {
 	pkgs := loadRepo(t)
-	unreached, declared := unreachedInternal(pkgs)
+	unreached, declared := unreachedCode(pkgs)
 	for _, name := range sortedNames(unreached) {
-		if _, ok := withoutACaller[name]; !ok {
-			u := unreached[name]
+		u := unreached[name]
+		switch _, listed := withoutACaller[name]; {
+		case u.Root:
+			t.Errorf("%s:%d: %s (%d lines) is used by no binary, benchmark or Example: delete it",
+				u.Pos.Filename, u.Pos.Line, name, u.Lines)
+		case !listed:
 			t.Errorf("%s:%d: %s (%d lines) has no caller outside tests: delete it, or list it in withoutACaller with the reason it stays",
 				u.Pos.Filename, u.Pos.Line, name, u.Lines)
 		}
 	}
 	for _, name := range sortedNames(withoutACaller) {
-		switch _, stillUnreached := unreached[name]; {
+		switch u, stillUnreached := unreached[name]; {
+		case u.Root:
+			t.Errorf("withoutACaller lists %s, which the root package declares: delete it instead", name)
 		case !declared[name]:
 			t.Errorf("withoutACaller lists %s, which no longer exists: drop the entry", name)
 		case !stillUnreached:

@@ -24,7 +24,7 @@ var wallClockFuncs = map[string]bool{
 // simulated quantity must be a function of the virtual clock (sim.Scheduler
 // time threaded through the event loop) so that runs are bit-reproducible
 // and a one-hour stream evaluates in seconds; wall time is only legal in
-// cmd/ binaries and examples, or behind an injected clock such as
+// cmd/ binaries, or behind an injected clock such as
 // detect.PerfCounters.Clock, or under a justified //shoggoth:allow on the
 // live (rpc) boundary.
 var WallClock = &Analyzer{

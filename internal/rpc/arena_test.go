@@ -188,7 +188,7 @@ func TestConcurrentArenasStayApart(t *testing.T) {
 		"edge-small": collectFrames(p, 3, 3, 15),
 	}
 	reference := func(id string) []*LabelResponse {
-		srv := httptest.NewServer(NewServer(p, 7).Handler())
+		srv := httptest.NewServer(NewServerOpts(p, 7, ServerOptions{}).Handler())
 		defer srv.Close()
 		client := NewClient(srv.URL, id)
 		var out []*LabelResponse
@@ -203,7 +203,7 @@ func TestConcurrentArenasStayApart(t *testing.T) {
 	}
 	want := map[string][]*LabelResponse{"edge-big": reference("edge-big"), "edge-small": reference("edge-small")}
 
-	srv := httptest.NewServer(NewServer(p, 7).Handler())
+	srv := httptest.NewServer(NewServerOpts(p, 7, ServerOptions{}).Handler())
 	defer srv.Close()
 	bad := AppendLabelRequest(nil, &LabelRequest{DeviceID: "edge-bad", Frames: batches["edge-big"]})
 	refused := [][]byte{

@@ -19,7 +19,7 @@ import (
 func newTestServer(t *testing.T) (*httptest.Server, *video.Profile) {
 	t.Helper()
 	p := video.DETRACProfile()
-	srv := httptest.NewServer(NewServer(p, 7).Handler())
+	srv := httptest.NewServer(NewServerOpts(p, 7, ServerOptions{}).Handler())
 	t.Cleanup(srv.Close)
 	return srv, p
 }
@@ -53,7 +53,7 @@ func TestLabelRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: %d labels for %d proposals", i, len(ls), len(frames[i].Proposals))
 		}
 	}
-	cfg := NewServer(p, 7).ctrlCfg
+	cfg := NewServerOpts(p, 7, ServerOptions{}).ctrlCfg
 	if resp.NewRate < cfg.RMin || resp.NewRate > cfg.RMax {
 		t.Fatalf("rate out of bounds: %v", resp.NewRate)
 	}
@@ -145,7 +145,7 @@ func TestMissingDeviceIDRejected(t *testing.T) {
 // (teacher + controller) — arbitrary status scans used to bloat the server.
 func TestStatusUnknownDeviceNotFound(t *testing.T) {
 	p := video.DETRACProfile()
-	server := NewServer(p, 7)
+	server := NewServerOpts(p, 7, ServerOptions{})
 	srv := httptest.NewServer(server.Handler())
 	t.Cleanup(srv.Close)
 

@@ -90,14 +90,10 @@ type deviceState struct {
 	labeled int64
 }
 
-// NewServer creates the cloud server for a profile with an unbounded
-// labeling queue.
-func NewServer(p *video.Profile, seed uint64) *Server {
-	return NewServerOpts(p, seed, ServerOptions{})
-}
-
-// NewServerOpts is NewServer with engine options. It panics on an
-// unregistered router — check user input with ServerOptions.Validate first.
+// NewServerOpts creates the cloud server for a profile; the zero
+// ServerOptions is one replica with an unbounded labeling queue. It panics
+// on an unregistered router — check user input with ServerOptions.Validate
+// first.
 func NewServerOpts(p *video.Profile, seed uint64, opts ServerOptions) *Server {
 	return &Server{
 		profile:    p,

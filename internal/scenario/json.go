@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Load decodes and validates one custom scenario spec from JSON. Unknown
@@ -38,18 +37,4 @@ func Load(r io.Reader) (*Scenario, error) {
 		return nil, err
 	}
 	return &sc, nil
-}
-
-// LoadFile is Load over a JSON file on disk.
-func LoadFile(path string) (*Scenario, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	defer f.Close()
-	sc, err := Load(f)
-	if err != nil {
-		return nil, fmt.Errorf("%w (in %s)", err, path)
-	}
-	return sc, nil
 }

@@ -277,13 +277,3 @@ func Entries() []registry.Entry[*Scenario] {
 	}
 	return es
 }
-
-// All returns a copy of every registered scenario in registration order.
-func All() []Scenario {
-	es := Entries()
-	out := make([]Scenario, len(es))
-	for i, e := range es {
-		out[i] = *e.Value
-	}
-	return out
-}

@@ -16,8 +16,8 @@ import (
 func TestStockScenariosRegisteredAndValid(t *testing.T) {
 	want := []string{"steady", "rush-hour", "day-night", "lossy-uplink", "degraded-cell", "cell-tower", "hetero-fleet", "multi-cloud"}
 	var names []string
-	for _, sc := range All() {
-		names = append(names, sc.Name)
+	for _, e := range Entries() {
+		names = append(names, e.Name)
 	}
 	if len(names) < len(want) {
 		t.Fatalf("expected at least %d stock scenarios, got %v", len(want), names)

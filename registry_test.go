@@ -6,6 +6,8 @@ import (
 
 	"shoggoth"
 	"shoggoth/internal/cloud"
+	"shoggoth/internal/scenario"
+	"shoggoth/internal/video"
 )
 
 // TestRegistriesRejectBlankAndPaddedNames: lookups trim spaces, so a blank
@@ -31,9 +33,9 @@ func TestRegistriesRejectBlankAndPaddedNames(t *testing.T) {
 		{"strategy with a blank alias", strategy("Blanky", "")},
 		{"strategy with a padded alias", strategy("Padded-Alias", " padded ")},
 		{"strategy with a padded name", strategy(" Padded-Name ")},
-		{"blank profile", func() error { return shoggoth.RegisterProfile("", "test-only", kitti) }},
-		{"padded profile", func() error { return shoggoth.RegisterProfile(" kitti2 ", "test-only", kitti) }},
-		{"padded scenario", func() error { return shoggoth.RegisterScenario(shoggoth.Scenario{Name: " steady2 "}) }},
+		{"blank profile", func() error { return video.RegisterProfile("", "test-only", kitti) }},
+		{"padded profile", func() error { return video.RegisterProfile(" kitti2 ", "test-only", kitti) }},
+		{"padded scenario", func() error { return scenario.Register(scenario.Scenario{Name: " steady2 "}) }},
 		{"blank policy", func() error { return cloud.RegisterPolicy("", "test-only", fifo) }},
 		{"padded policy", func() error { return cloud.RegisterPolicy(" lifo2 ", "test-only", fifo) }},
 		{"padded router", func() error { return cloud.RegisterRouter(" pin2 ", "test-only", roundRobin) }},

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"shoggoth"
+	"shoggoth/internal/netsim"
 )
 
 // TestStepOutageChangesQueueBehaviour: a time-varying trace must actually
@@ -35,8 +36,8 @@ func TestStepOutageChangesQueueBehaviour(t *testing.T) {
 	outage := run(func(c *shoggoth.Config) {
 		// 80 s blackout every 120 s: multiple flushes stall inside each
 		// blackout and arrive together at recovery.
-		tr, err := shoggoth.NewStepTrace(c.Uplink,
-			[]shoggoth.TraceWindow{{StartSec: 30, EndSec: 110, RateBps: 0}}, 120)
+		tr, err := netsim.NewStepTrace(c.Uplink,
+			[]netsim.Window{{StartSec: 30, EndSec: 110, RateBps: 0}}, 120)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,21 +11,16 @@
 // neural network, so data drift, catastrophic forgetting and replay
 // benefits emerge from optimisation dynamics rather than being scripted.
 //
-// Quick start:
-//
-//	profile, _ := shoggoth.ProfileByName(shoggoth.ProfileDETRAC)
-//	cfg := shoggoth.NewConfig(shoggoth.Shoggoth, profile)
-//	cfg.DurationSec = 720
-//	results, err := shoggoth.Run(cfg)
+// Quick start: ExampleRun configures the Shoggoth strategy on a profile
+// with NewConfig and runs it with Run.
 //
 // Beyond the blocking Run there is a streaming Session (frame-stepped, with
 // Observer hooks and context cancellation), a Fleet that runs many
 // (profile, strategy, seed) sessions on a bounded worker pool, a Cluster
-// that steps N devices against one shared cloud, and registries for
-// strategies (RegisterStrategy), cloud scheduling policies, dataset
-// profiles and scenarios — composed worlds of workload variants and
-// time-varying network traces (ScenarioByName, LoadScenarioFile,
-// ScenarioConfigs). See DESIGN.md for the system inventory and the
+// that steps N devices against one shared cloud, a strategy registry
+// (RegisterStrategy) and scenarios — composed worlds of workload variants
+// and time-varying network traces (ScenarioByName, ScenarioConfigs). Each
+// has an Example. See DESIGN.md for the system inventory and the
 // Strategy/Session/Fleet API; cmd/shoggoth-bench regenerates the
 // paper-vs-measured record of every table and figure.
 package shoggoth
@@ -94,9 +89,6 @@ type (
 	// admission control, cold-start pricing and each replica's service.
 	// A run carries it as Config.Cloud and a scenario as Scenario.Cloud.
 	CloudTier = cloud.TierConfig
-	// CloudService describes one replica of a tier: queue bound,
-	// scheduling policy, worker pool and cross-device coalescing.
-	CloudService = cloud.ServiceConfig
 
 	// Strategy is the pluggable per-run behaviour dispatched by the
 	// deployment loop; implement it and RegisterStrategy to add a sixth
@@ -108,14 +100,10 @@ type (
 	StrategyInfo = core.Descriptor
 	// Traits declare the substrate behaviour around a strategy's hooks.
 	Traits = core.Traits
-	// System is one running deployment, handed to Strategy.Init.
-	System = core.System
 	// Frame is one camera frame of a drifting stream.
 	Frame = video.Frame
 	// TeacherLabel is one cloud-labeled region (Strategy.OnCloudBatch).
 	TeacherLabel = detect.TeacherLabel
-	// LabeledRegion is one training sample (Strategy.OnTrainDue).
-	LabeledRegion = detect.LabeledRegion
 
 	// PerfCounters are the per-session workspace counters: wall-clock
 	// inference and training throughput, diagnostics-only (never part of

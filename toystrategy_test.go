@@ -10,6 +10,8 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"log"
 	"sync"
 	"testing"
 
@@ -60,6 +62,37 @@ func registerTortoise() (shoggoth.StrategyKind, error) {
 		})
 	})
 	return tortoiseKind, tortoiseErr
+}
+
+// Add a sixth strategy without touching the deployment loop: a type that
+// embeds BaseStrategy and overrides the hooks it needs (tortoiseStrategy,
+// above) registers with its name, aliases, traits and factory
+// (registerTortoise), then parses, configures and runs like a stock one.
+func ExampleRegisterStrategy() {
+	kind, err := registerTortoise()
+	if err != nil {
+		log.Fatal(err)
+	}
+	parsed, err := shoggoth.ParseStrategy("toy")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(parsed, parsed == kind)
+
+	profile, err := shoggoth.ProfileByName(shoggoth.ProfileDETRAC)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := shoggoth.NewConfig(kind, profile, shoggoth.WithCycles(0.05))
+	cfg.Pretrained = cache.Get(profile)
+	res, err := shoggoth.Run(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(res)
+	// Output:
+	// Tortoise true
+	// Tortoise on ua-detrac: mAP@0.5=91.1% IoU=0.741 up=0Kbps down=0Kbps fps=30.0 sessions=0
 }
 
 func TestSixthStrategyRegistersAndRuns(t *testing.T) {
