@@ -1,13 +1,17 @@
 package shoggoth_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -200,4 +204,140 @@ func topAlternatives(pattern string) (alts []string) {
 		}
 	}
 	return alts
+}
+
+// benchLine is one line of BENCH_history.jsonl: one claimed metric of one
+// change on one workload and seed, measured as alternating parent/change
+// pairs of the repo benchmark. Commit is empty on the line that the
+// measured change itself adds (its hash does not exist yet); Runs, when
+// given, holds every pair's readings in pair order.
+type benchLine struct {
+	PR       int    `json:"pr"`
+	Commit   string `json:"commit"`
+	Parent   string `json:"parent"`
+	Workload string `json:"workload"`
+	Seed     int    `json:"seed"`
+	Metric   string `json:"metric"`
+	Host     string `json:"host"`
+	Pairs    int    `json:"pairs"`
+	Medians  *struct {
+		Parent *float64 `json:"parent"`
+		Change *float64 `json:"change"`
+	} `json:"medians"`
+	Wins *int `json:"wins"`
+	Runs *struct {
+		Parent []float64 `json:"parent"`
+		Change []float64 `json:"change"`
+	} `json:"runs"`
+}
+
+var commitHash = regexp.MustCompile(`^[0-9a-f]{7,40}$`)
+
+// TestBenchHistorySchema checks BENCH_history.jsonl, the perf trajectory:
+// every line decodes with no unknown field and names a PR, a parent commit,
+// a workload and a metric that BENCHMARK.json declares, a seed, the host,
+// the pair count, both medians and the wins; lines run in PR order. Where
+// the runs are listed, there is one per pair on each side, each median is
+// theirs to the three decimals it is written with, and wins counts the
+// pairs the change won in the metric's declared direction.
+func TestBenchHistorySchema(t *testing.T) {
+	var bench struct {
+		Workloads []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
+		EndToEnd []struct {
+			Name   string `json:"name"`
+			Better string `json:"better"`
+		} `json:"end_to_end"`
+		PerLayer []struct {
+			Name   string `json:"name"`
+			Better string `json:"better"`
+		} `json:"per_layer"`
+	}
+	src, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(src, &bench); err != nil {
+		t.Fatal(err)
+	}
+	workloads, better := map[string]bool{}, map[string]string{}
+	for _, w := range bench.Workloads {
+		workloads[w.Name] = true
+	}
+	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
+		better[m.Name] = m.Better
+	}
+
+	src, err = os.ReadFile("BENCH_history.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastPR := 0
+	for i, raw := range strings.Split(strings.TrimSuffix(string(src), "\n"), "\n") {
+		at := fmt.Sprintf("BENCH_history.jsonl:%d", i+1)
+		var l benchLine
+		dec := json.NewDecoder(strings.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&l); err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		if err := l.check(lastPR, workloads, better); err != nil {
+			t.Errorf("%s: %v", at, err)
+			continue
+		}
+		lastPR = l.PR
+		if l.Runs == nil {
+			continue
+		}
+		p, c := l.Runs.Parent, l.Runs.Change
+		if len(p) != l.Pairs || len(c) != l.Pairs {
+			t.Errorf("%s: %d parent and %d change runs for %d pairs", at, len(p), len(c), l.Pairs)
+			continue
+		}
+		if math.Abs(median(p)-*l.Medians.Parent) > 0.0005+1e-9 || math.Abs(median(c)-*l.Medians.Change) > 0.0005+1e-9 {
+			t.Errorf("%s: medians %v → %v, the runs give %v → %v", at, *l.Medians.Parent, *l.Medians.Change, median(p), median(c))
+		}
+		wins := 0
+		for k := range p {
+			if better[l.Metric] == "lower" && c[k] < p[k] || better[l.Metric] == "higher" && c[k] > p[k] {
+				wins++
+			}
+		}
+		if wins != *l.Wins {
+			t.Errorf("%s: wins %d, the runs give %d", at, *l.Wins, wins)
+		}
+	}
+}
+
+// check reports the first required field of l that is missing or names
+// something BENCHMARK.json does not declare.
+func (l *benchLine) check(lastPR int, workloads map[string]bool, better map[string]string) error {
+	switch {
+	case l.PR <= 0 || l.PR < lastPR:
+		return fmt.Errorf("pr %d after pr %d", l.PR, lastPR)
+	case l.Commit != "" && !commitHash.MatchString(l.Commit), !commitHash.MatchString(l.Parent):
+		return fmt.Errorf("commit %q, parent %q: want hex hashes (commit may be empty on its own PR's line)", l.Commit, l.Parent)
+	case !workloads[l.Workload]:
+		return fmt.Errorf("workload %q is not in BENCHMARK.json", l.Workload)
+	case better[l.Metric] == "":
+		return fmt.Errorf("metric %q is not in BENCHMARK.json", l.Metric)
+	case l.Seed <= 0 || l.Host == "" || l.Pairs <= 0:
+		return fmt.Errorf("seed %d, host %q, pairs %d: all three are required", l.Seed, l.Host, l.Pairs)
+	case l.Medians == nil || l.Medians.Parent == nil || l.Medians.Change == nil:
+		return fmt.Errorf("needs medians.parent and medians.change")
+	case l.Wins == nil || *l.Wins < 0 || *l.Wins > l.Pairs:
+		return fmt.Errorf("wins must be given, between 0 and pairs")
+	}
+	return nil
+}
+
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }

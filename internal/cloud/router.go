@@ -60,6 +60,16 @@ type Router interface {
 	Pick(replicas []ReplicaState, r RouteInfo, now float64) int
 }
 
+// LoadBlind is the optional declaration of a Router whose Pick reads
+// neither ReplicaState.QueueLen nor ReplicaState.FreeInSec. NewTier asks it
+// once: a tier whose router reports true takes no per-replica load snapshot
+// on the dispatch path and hands Pick those two fields as zero (Index,
+// QueueCap and Warmth are filled as always). A router that does not
+// implement it is assumed to read loads.
+type LoadBlind interface {
+	LoadBlind() bool
+}
+
 // Stock router names.
 const (
 	// RouterRoundRobin cycles through replicas in index order — the frozen
@@ -145,6 +155,9 @@ func init() {
 type roundRobinRouter struct {
 	next int
 }
+
+// LoadBlind reports true: the cursor is all round-robin reads.
+func (*roundRobinRouter) LoadBlind() bool { return true }
 
 func (r *roundRobinRouter) Pick(replicas []ReplicaState, _ RouteInfo, _ float64) int {
 	i := r.next % len(replicas)

@@ -197,6 +197,9 @@ type Tier struct {
 	cfg      TierConfig // resolved: Router and Replicas name what runs
 	router   Router
 	replicas []*Service
+	// loads reports that the router reads replica loads (it does not
+	// declare itself LoadBlind), so route snapshots every replica.
+	loads bool
 
 	// mu guards routing state (bucket, warmth, seq, devices, classes). It
 	// nests OUTSIDE replica locks: tier.mu → svc.mu is the only order.
@@ -225,9 +228,11 @@ func NewTier(cfg TierConfig) *Tier {
 		panic(err)
 	}
 	n := cfg.Replicas
+	blind, _ := router.(LoadBlind)
 	t := &Tier{
 		cfg:      cfg,
 		router:   router,
+		loads:    blind == nil || !blind.LoadBlind(),
 		replicas: make([]*Service, n),
 		warm:     make([]map[int]float64, n),
 		targets:  make([]ReplicaState, n),
@@ -237,6 +242,7 @@ func NewTier(cfg TierConfig) *Tier {
 	for i := range t.replicas {
 		t.replicas[i] = NewService(cfg.Service)
 		t.warm[i] = make(map[int]float64)
+		t.targets[i] = ReplicaState{Index: i, QueueCap: cfg.Service.QueueCap}
 	}
 	if cfg.AdmitRatePerSec > 0 {
 		t.bucket = newTokenBucket(cfg.AdmitRatePerSec, cfg.AdmitBurst)
@@ -341,6 +347,13 @@ func (t *Tier) classLocked(name string) *classAccum {
 // Called under t.mu for every uploaded batch — the tier's dispatch hot
 // path, so it (and every Router.Pick it reaches) must not allocate.
 //
+// A LoadBlind router gets no load snapshots. Skipping one is bit-neutral:
+// besides reading, a snapshot only raises the replica's occupancy clock
+// (occNow) to now and pops the batches done by then, and the next
+// admission on that replica does both at its own now, which is no earlier
+// in virtual time — so it drains to the same state either way, and no
+// Policy may read occNow (Policy.Next must not depend on now).
+//
 //shoggoth:hotpath
 func (t *Tier) route(td *TierDevice, frames []*video.Frame, now float64) (int, float64) {
 	domain := -1
@@ -348,17 +361,13 @@ func (t *Tier) route(td *TierDevice, frames []*video.Frame, now float64) (int, f
 		domain = frames[0].DomainID
 	}
 	for i, svc := range t.replicas {
-		qlen, free := svc.loadSnapshot(now)
-		warmth := 0.0
-		if domain >= 0 {
-			warmth = t.warm[i][domain]
+		st := &t.targets[i]
+		if t.loads {
+			st.QueueLen, st.FreeInSec = svc.loadSnapshot(now)
 		}
-		t.targets[i] = ReplicaState{
-			Index:     i,
-			QueueLen:  qlen,
-			QueueCap:  t.cfg.Service.QueueCap,
-			FreeInSec: free,
-			Warmth:    warmth,
+		st.Warmth = 0
+		if domain >= 0 {
+			st.Warmth = t.warm[i][domain]
 		}
 	}
 	ri := t.router.Pick(t.targets, RouteInfo{

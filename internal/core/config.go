@@ -284,30 +284,22 @@ func (c *Config) Compute() nn.Compute {
 	return nn.Compute{Fast: c.ComputeTier == "fast"}
 }
 
-// uplink returns the effective uplink network model.
-func (c *Config) uplink() netsim.Trace {
-	if c.UplinkTrace != nil {
-		return c.UplinkTrace
-	}
-	return c.Uplink
-}
-
-// downlink returns the effective downlink network model.
-func (c *Config) downlink() netsim.Trace {
-	if c.DownlinkTrace != nil {
-		return c.DownlinkTrace
-	}
-	return c.Downlink
-}
-
 // UplinkTransfer returns the uplink delivery time of a message sent at
-// virtual time now (time-varying under a trace; constant otherwise).
+// virtual time now (time-varying under a trace; constant otherwise). The
+// constant link is priced as a Link, not boxed into a Trace, so a transfer
+// allocates nothing.
 func (c *Config) UplinkTransfer(bytes int, now float64) float64 {
-	return netsim.TransferSeconds(c.uplink(), bytes, now)
+	if c.UplinkTrace != nil {
+		return netsim.TransferSeconds(c.UplinkTrace, bytes, now)
+	}
+	return netsim.TransferSeconds(c.Uplink, bytes, now)
 }
 
 // DownlinkTransfer returns the downlink delivery time of a message sent at
-// virtual time now.
+// virtual time now, priced like UplinkTransfer.
 func (c *Config) DownlinkTransfer(bytes int, now float64) float64 {
-	return netsim.TransferSeconds(c.downlink(), bytes, now)
+	if c.DownlinkTrace != nil {
+		return netsim.TransferSeconds(c.DownlinkTrace, bytes, now)
+	}
+	return netsim.TransferSeconds(c.Downlink, bytes, now)
 }

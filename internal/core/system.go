@@ -199,7 +199,15 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 	// The teacher is seeded from the run seed only, so every strategy on
 	// the same (profile, seed) sees identical teacher behaviour.
 	s.teacher = detect.NewTeacher(cfg.Profile, s.SeededRNG(RNGStreamTeacher))
-	s.device = edge.NewDevice(cfg.Device)
+	s.dt = 1 / cfg.Profile.FPS
+	s.nFrames = int(cfg.DurationSec * cfg.Profile.FPS)
+	// Frame k runs at k·dt, so the frames span whole seconds 0 through
+	// int((nFrames−1)·dt): the FPS telemetry is sized for them once.
+	seconds := 0
+	if s.nFrames > 0 {
+		seconds = int(float64(s.nFrames-1)*s.dt) + 1
+	}
+	s.device = edge.NewSizedDevice(cfg.Device, seconds)
 
 	s.cloudSvc = opts.Cloud
 	if s.cloudSvc == nil {
@@ -240,8 +248,6 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 	}
 	s.sampler = edge.NewSampler(rate)
 
-	s.dt = 1 / cfg.Profile.FPS
-	s.nFrames = int(cfg.DurationSec * cfg.Profile.FPS)
 	s.nextWindowEnd = windowSec
 
 	s.strategy = desc.New()
@@ -300,12 +306,8 @@ func (s *System) fleetFrame(t float64) {
 		return
 	}
 	if s.sampler.Sample(t) {
-		if len(s.sampleBuf) == 0 {
-			s.firstBuffered = t
-		}
 		// Metadata only: the analytic cloud never reads proposals.
-		s.sampleBuf = append(s.sampleBuf, s.sparse.Meta(s.frameIdx, t))
-		s.results.SampledFrames++
+		s.bufferSample(s.sparse.Meta(s.frameIdx, t), t)
 	}
 	if len(s.sampleBuf) > 0 &&
 		(len(s.sampleBuf) >= s.cfg.UploadFrames || t-s.firstBuffered >= s.cfg.UploadMaxWaitSec) {
@@ -530,16 +532,24 @@ func (s *System) InferFrame(f *video.Frame, t, dt float64) {
 func (s *System) SampleForUpload(f *video.Frame, t float64) {
 	cfg := s.cfg
 	if s.sampler.Sample(t) {
-		if len(s.sampleBuf) == 0 {
-			s.firstBuffered = t
-		}
-		s.sampleBuf = append(s.sampleBuf, f)
-		s.results.SampledFrames++
+		s.bufferSample(f, t)
 	}
 	if len(s.sampleBuf) > 0 &&
 		(len(s.sampleBuf) >= cfg.UploadFrames || t-s.firstBuffered >= cfg.UploadMaxWaitSec) {
 		s.flushBuffer(t)
 	}
+}
+
+// bufferSample adds a sampled frame to the upload buffer. The upload keeps
+// the buffer it flushes, so each batch starts a fresh one with room for a
+// full upload.
+func (s *System) bufferSample(f *video.Frame, t float64) {
+	if len(s.sampleBuf) == 0 {
+		s.firstBuffered = t
+		s.sampleBuf = make([]*video.Frame, 0, s.cfg.UploadFrames)
+	}
+	s.sampleBuf = append(s.sampleBuf, f)
+	s.results.SampledFrames++
 }
 
 // flushBuffer encodes and uploads the buffered sample frames together with

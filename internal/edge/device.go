@@ -50,9 +50,15 @@ type Device struct {
 	usageN   int
 }
 
-// NewDevice creates a device with the given configuration.
-func NewDevice(cfg DeviceConfig) *Device {
-	return &Device{Config: cfg, fps: NewFPSTracker()}
+// NewDevice creates a device with the given configuration; its FPS
+// telemetry grows as the run goes (NewSizedDevice sizes it once).
+func NewDevice(cfg DeviceConfig) *Device { return NewSizedDevice(cfg, 0) }
+
+// NewSizedDevice creates a device whose FPS telemetry holds seconds whole
+// seconds of stream time without growing: a run that knows its length
+// sizes it once.
+func NewSizedDevice(cfg DeviceConfig, seconds int) *Device {
+	return &Device{Config: cfg, fps: NewFPSTracker(seconds)}
 }
 
 // BeginTraining marks a training session occupying the device until the
@@ -92,6 +98,8 @@ func (d *Device) EffectiveFPS(t float64) float64 {
 // Tick is called once per incoming camera frame (at the camera's frame
 // interval dt). It returns whether the device processes this frame, and
 // records FPS and λ telemetry.
+//
+//shoggoth:hotpath
 func (d *Device) Tick(t, dt float64) bool {
 	eff := d.EffectiveFPS(t)
 	d.fps.Record(t, eff)
@@ -135,18 +143,23 @@ func (d *Device) FPS() *FPSTracker { return d.fps }
 // FPSTracker aggregates effective FPS per whole second of stream time.
 type FPSTracker struct {
 	sums   []float64
-	counts []int
+	counts []int32
 }
 
-// NewFPSTracker creates an empty tracker.
-func NewFPSTracker() *FPSTracker { return &FPSTracker{} }
+// NewFPSTracker creates an empty tracker with room for seconds whole
+// seconds; Record grows it past that.
+func NewFPSTracker(seconds int) *FPSTracker {
+	return &FPSTracker{sums: make([]float64, 0, seconds), counts: make([]int32, 0, seconds)}
+}
 
 // Record adds one FPS observation at time t.
 func (f *FPSTracker) Record(t, fps float64) {
 	sec := int(t)
-	for len(f.sums) <= sec {
-		f.sums = append(f.sums, 0)
-		f.counts = append(f.counts, 0)
+	if len(f.sums) <= sec { // a tracker sized for the run never grows
+		for len(f.sums) <= sec {
+			f.sums = append(f.sums, 0)
+			f.counts = append(f.counts, 0)
+		}
 	}
 	f.sums[sec] += fps
 	f.counts[sec]++
@@ -169,7 +182,7 @@ func (f *FPSTracker) Average() float64 {
 	var n int
 	for i := range f.sums {
 		s += f.sums[i]
-		n += f.counts[i]
+		n += int(f.counts[i])
 	}
 	if n == 0 {
 		return 0

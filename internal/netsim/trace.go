@@ -44,7 +44,10 @@ const maxTraceSegments = 1 << 20
 // the transfer spans. For a constant trace (Link) it reduces to exactly
 // Link.TransferSeconds' latency + bits/rate — bit-identical, which is what
 // lets the constant default reproduce the golden results byte for byte.
-func TransferSeconds(tr Trace, bytes int, now float64) float64 {
+//
+// It is generic so that a caller holding a concrete trace passes it
+// without boxing: a Link priced on every upload costs no allocation.
+func TransferSeconds[T Trace](tr T, bytes int, now float64) float64 {
 	lat := tr.LatencyAt(now)
 	remaining := float64(bytes) * 8
 	t := now

@@ -74,34 +74,46 @@ func lerpDomain(a, b *Domain, t float64) *Domain {
 	if t >= 1 {
 		return b
 	}
-	l := func(x, y float64) float64 { return x + (y-x)*t }
 	out := &Domain{
 		Name:           dominantName(a, b, t),
-		IllumScale:     l(a.IllumScale, b.IllumScale),
-		NoiseStd:       l(a.NoiseStd, b.NoiseStd),
-		ObjectRate:     l(a.ObjectRate, b.ObjectRate),
-		DistractorRate: l(a.DistractorRate, b.DistractorRate),
-		BoxJitter:      l(a.BoxJitter, b.BoxJitter),
-		GeoGain:        l(a.GeoGain, b.GeoGain),
-		Complexity:     l(a.Complexity, b.Complexity),
+		IllumScale:     lerp(a.IllumScale, b.IllumScale, t),
+		NoiseStd:       lerp(a.NoiseStd, b.NoiseStd, t),
+		ObjectRate:     lerp(a.ObjectRate, b.ObjectRate, t),
+		DistractorRate: lerp(a.DistractorRate, b.DistractorRate, t),
+		BoxJitter:      lerp(a.BoxJitter, b.BoxJitter, t),
+		GeoGain:        lerp(a.GeoGain, b.GeoGain, t),
+		Complexity:     lerp(a.Complexity, b.Complexity, t),
 	}
 	out.Shift = make([]float64, len(a.Shift))
 	for i := range out.Shift {
-		out.Shift[i] = l(a.Shift[i], b.Shift[i])
+		out.Shift[i] = lerp(a.Shift[i], b.Shift[i], t)
 	}
 	out.ClassMix = make([]float64, len(a.ClassMix))
 	var sum float64
 	for i := range out.ClassMix {
-		out.ClassMix[i] = l(a.ClassMix[i], b.ClassMix[i])
+		out.ClassMix[i] = lerp(a.ClassMix[i], b.ClassMix[i], t)
 		sum += out.ClassMix[i]
 	}
 	for i := range out.ClassMix {
 		out.ClassMix[i] /= sum
 	}
 	for i := 0; i < 4; i++ {
-		out.GeoBias[i] = l(a.GeoBias[i], b.GeoBias[i])
+		out.GeoBias[i] = lerp(a.GeoBias[i], b.GeoBias[i], t)
 	}
 	return out
+}
+
+// lerp is one parameter of lerpDomain(a, b, t): x (a's value) at t ≤ 0, y
+// (b's) at t ≥ 1, x + (y−x)·t between. The events-fidelity stream reads
+// single parameters through it, so it never builds a blended Domain.
+func lerp(x, y, t float64) float64 {
+	if t <= 0 {
+		return x
+	}
+	if t >= 1 {
+		return y
+	}
+	return x + (y-x)*t
 }
 
 func dominantName(a, b *Domain, t float64) string {

@@ -130,10 +130,21 @@ func (p *Profile) segmentAt(t float64) (idx int, offset float64) {
 // EffectiveDomain returns the domain parameters in force at stream time t,
 // blending across TransitionSec at segment boundaries.
 func (p *Profile) EffectiveDomain(t float64) *Domain {
+	_, a, b, blend := p.blendAt(t)
+	return lerpDomain(a, b, blend)
+}
+
+// blendAt resolves the script at stream time t: the index into Domains of
+// the active segment's domain, and the two domains EffectiveDomain(t)
+// blends with their blend — lerpDomain(a, b, blend) is the effective
+// domain. Outside a transition window a and b are both the active domain
+// and blend is 0.
+func (p *Profile) blendAt(t float64) (dom int, a, b *Domain, blend float64) {
 	idx, offset := p.segmentAt(t)
-	cur := &p.Domains[p.Script[idx].DomainIndex]
+	dom = p.Script[idx].DomainIndex
+	cur := &p.Domains[dom]
 	if p.TransitionSec <= 0 || offset >= p.TransitionSec {
-		return cur
+		return dom, cur, cur, 0
 	}
 	prevIdx := idx - 1
 	if prevIdx < 0 {
@@ -141,10 +152,9 @@ func (p *Profile) EffectiveDomain(t float64) *Domain {
 	}
 	prev := &p.Domains[p.Script[prevIdx].DomainIndex]
 	if prev == cur {
-		return cur
+		return dom, cur, cur, 0
 	}
-	blend := offset / p.TransitionSec
-	return lerpDomain(prev, cur, blend)
+	return dom, prev, cur, offset / p.TransitionSec
 }
 
 // DomainIndexAt returns the index (into Domains) of the dominant domain at t.

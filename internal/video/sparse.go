@@ -24,22 +24,27 @@ func NewSparseStream(p *Profile, seed uint64) *SparseStream {
 // from byte counts (Complexity), routes on DomainID and derives φ from
 // elapsed time, so fleet devices never need the proposal geometry a full
 // Frame carries.
+//
+// The fields are EffectiveDomain(t)'s, blended one at a time (lerp), so no
+// blended Domain is built inside a transition window.
 func (s *SparseStream) Meta(idx int, t float64) *Frame {
-	p := s.Profile
-	eff := p.EffectiveDomain(t)
+	dom, a, b, blend := s.Profile.blendAt(t)
 	return &Frame{
 		Index:      idx,
 		Time:       t,
-		Domain:     eff.Name,
-		DomainID:   p.DomainIndexAt(t),
-		Complexity: eff.Complexity,
+		Domain:     dominantName(a, b, blend),
+		DomainID:   dom,
+		Complexity: lerp(a.Complexity, b.Complexity, blend),
 	}
 }
 
 // Regions returns the proposal count a materialized frame at time t would
 // carry (objects plus clutter) — the analytic stand-in for len(Proposals)
-// when pricing label-downlink bytes without building the proposals.
+// when pricing label-downlink bytes without building the proposals. The
+// rates are EffectiveDomain(t)'s, blended one at a time as in Meta.
+//
+//shoggoth:hotpath
 func (s *SparseStream) Regions(t float64) int {
-	eff := s.Profile.EffectiveDomain(t)
-	return int(eff.ObjectRate+0.5) + int(eff.DistractorRate+0.5)
+	_, a, b, blend := s.Profile.blendAt(t)
+	return int(lerp(a.ObjectRate, b.ObjectRate, blend)+0.5) + int(lerp(a.DistractorRate, b.DistractorRate, blend)+0.5)
 }

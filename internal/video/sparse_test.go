@@ -1,6 +1,7 @@
 package video
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -72,6 +73,45 @@ func TestSparseStreamMetaMatchesStream(t *testing.T) {
 					p.Name, i, m.Index, m.Time, m.Domain, m.DomainID, m.Complexity,
 					f.Index, f.Time, f.Domain, f.DomainID, f.Complexity)
 			}
+		}
+	}
+}
+
+// TestSparseStreamMatchesEffectiveDomain is the oracle for the blended
+// fields: Meta and Regions read name, complexity and rates one parameter at
+// a time, and must agree bit for bit with the whole Domain that
+// EffectiveDomain builds. Every script segment of every stock profile is
+// probed at its first instant (blend 0), mid-blend, just below blend 1 and
+// past the window, on the second pass of the script, so segment 0 blends in
+// from the last segment (the wrap).
+func TestSparseStreamMatchesEffectiveDomain(t *testing.T) {
+	for _, p := range StockProfiles() {
+		s := NewSparseStream(p, 1)
+		tr := p.TransitionSec
+		start := p.ScriptDuration() // the second pass: segment 0 follows the last one
+		for i, seg := range p.Script {
+			prev := p.Script[(i+len(p.Script)-1)%len(p.Script)].DomainIndex
+			for k, off := range []float64{0, tr / 2, tr * (1 - 1e-12), tr + 1} {
+				tm := start + off
+				// The probes must land where they claim: the blend itself is
+				// what the oracle is about.
+				if _, _, _, blend := p.blendAt(tm); prev != seg.DomainIndex &&
+					(k == 1 && !(blend > 0 && blend < 1) || k == 2 && !(blend > 0.999 && blend < 1)) {
+					t.Fatalf("%s segment %d at +%v s: blend %v", p.Name, i, off, blend)
+				}
+				eff := p.EffectiveDomain(tm)
+				m := s.Meta(7, tm)
+				if m.Domain != eff.Name || m.DomainID != p.DomainIndexAt(tm) ||
+					math.Float64bits(m.Complexity) != math.Float64bits(eff.Complexity) {
+					t.Fatalf("%s segment %d at +%v s: Meta gives (%q, %d, %v), EffectiveDomain (%q, %d, %v)",
+						p.Name, i, off, m.Domain, m.DomainID, m.Complexity, eff.Name, p.DomainIndexAt(tm), eff.Complexity)
+				}
+				want := int(eff.ObjectRate+0.5) + int(eff.DistractorRate+0.5)
+				if got := s.Regions(tm); got != want {
+					t.Fatalf("%s segment %d at +%v s: Regions %d, EffectiveDomain gives %d", p.Name, i, off, got, want)
+				}
+			}
+			start += seg.Duration
 		}
 	}
 }
