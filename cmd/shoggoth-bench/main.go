@@ -7,7 +7,7 @@
 //
 //	shoggoth-bench                 # all experiments, quick mode (1 cycle)
 //	shoggoth-bench -full           # paper-scale mode (2 cycles)
-//	shoggoth-bench -exp table3     # one experiment: table1 fig4 table2 table3 fig5 extra policy router scenario tier
+//	shoggoth-bench -exp table3     # one experiment: table1 fig4 table2 table3 fig5 extra policy router scenario
 //	shoggoth-bench -seed 7         # run seed
 //	shoggoth-bench -workers 2      # concurrent sessions per experiment
 package main
@@ -67,7 +67,6 @@ func experimentTable() []experiment {
 		entry("policy", experiments.PolicyAblation),
 		entry("router", experiments.RouterAblation),
 		entry("scenario", experiments.ScenarioAblation),
-		entry("tier", experiments.TierAblation),
 	}
 }
 

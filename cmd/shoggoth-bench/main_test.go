@@ -36,7 +36,7 @@ func TestUnknownExperimentIsAnError(t *testing.T) {
 	if err == nil {
 		t.Fatal("-exp tabel1 was accepted")
 	}
-	for _, want := range []string{`"tabel1"`, "table1", "tier"} {
+	for _, want := range []string{`"tabel1"`, "table1", "scenario"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %s", err, want)
 		}
@@ -49,7 +49,7 @@ func TestUnknownExperimentIsAnError(t *testing.T) {
 // TestAllVisitsEveryExperimentOnceInOrder pins the order `-exp all` prints
 // in, and that a single name runs that entry alone.
 func TestAllVisitsEveryExperimentOnceInOrder(t *testing.T) {
-	order := []string{"table1", "fig4", "table2", "table3", "fig5", "extra", "policy", "router", "scenario", "tier"}
+	order := []string{"table1", "fig4", "table2", "table3", "fig5", "extra", "policy", "router", "scenario"}
 	var visited []string
 	var out bytes.Buffer
 	if err := runExperiments(&out, fakeTable(&visited), "all", experiments.Quick()); err != nil {

@@ -29,9 +29,6 @@ type runSpec struct {
 	// SampleFrac 0 is the default fraction, SampleSeed 0 the run seed.
 	SampleFrac float64 `json:"sample_frac"`
 	SampleSeed uint64  `json:"sample_seed"`
-	// Empty and 0 keep the exact, golden-identical arithmetic.
-	ComputeTier  string `json:"compute_tier"`
-	AccumWorkers int    `json:"accum_workers"`
 	// Cloud is a cloud.TierConfig fragment: the keys it names override
 	// every device's tier, the rest keep the scenario's.
 	Cloud json.RawMessage `json:"cloud,omitempty"`
@@ -164,20 +161,6 @@ func (s *runSpec) Validate() (r resolved, err error) {
 	if err != nil {
 		return r, fmt.Errorf("spec key cloud: %w", err)
 	}
-	// Config.Validate owns the compute checks; a config that differs from
-	// the default in one compute key lets the error name that key.
-	for _, c := range []struct {
-		key string
-		opt shoggoth.Option
-	}{
-		{"compute_tier", shoggoth.WithComputeTier(s.ComputeTier)},
-		{"accum_workers", shoggoth.WithAccumWorkers(s.AccumWorkers)},
-	} {
-		cfg := shoggoth.NewConfig(r.kinds[0], r.profile, c.opt)
-		if err := cfg.Validate(); err != nil {
-			return r, fmt.Errorf("spec key %s: %w", c.key, err)
-		}
-	}
 	for _, kind := range r.kinds {
 		cfg := shoggoth.NewConfig(kind, r.profile, s.options()...)
 		if err := cfg.Validate(); err != nil {
@@ -190,8 +173,7 @@ func (s *runSpec) Validate() (r resolved, err error) {
 // options turns the run keys into config options.
 func (s *runSpec) options() []shoggoth.Option {
 	opts := []shoggoth.Option{shoggoth.WithSeed(s.Seed), shoggoth.WithCycles(s.Cycles),
-		shoggoth.WithFidelity(shoggoth.Fidelity(s.Fidelity)), shoggoth.WithComputeTier(s.ComputeTier),
-		shoggoth.WithAccumWorkers(s.AccumWorkers)}
+		shoggoth.WithFidelity(shoggoth.Fidelity(s.Fidelity))}
 	if s.Fidelity == string(shoggoth.FidelitySampled) {
 		opts = append(opts, shoggoth.WithSampledFidelity(s.SampleFrac, s.SampleSeed))
 	}

@@ -14,6 +14,7 @@ import (
 
 	"shoggoth"
 	"shoggoth/internal/cloud"
+	"shoggoth/internal/nn"
 )
 
 // TestDeterminismMatrix is the repo's byte-identity contract in one table.
@@ -144,7 +145,6 @@ func determinismRows() []determinismRow {
 					c.Cloud.Service.Policy = "fifo"
 					c.Cloud.Service.Workers = 1
 				})},
-				{"exact-tier", devices, mutated(onFleet(0), func(c *shoggoth.Config) { c.ComputeTier = "exact" })},
 				{"constant-trace", devices, mutated(onFleet(0), func(c *shoggoth.Config) {
 					c.UplinkTrace = c.Uplink
 					c.DownlinkTrace = c.Downlink
@@ -244,6 +244,18 @@ func determinismRows() []determinismRow {
 			work: func(t *testing.T, r *shoggoth.ClusterResults) {
 				sampledAndServed(t, r)
 				engineCounted(t, r)
+			},
+		},
+		{
+			// A session's price does not depend on the compute tier, so a
+			// fast-tier trainer repeats every byte, session times included.
+			// A whole pass of the script gives the devices time to train.
+			name:    "events-priced-training",
+			configs: scenarioFleet("rush-hour", 24, 0, shoggoth.WithSeed(5), shoggoth.WithCycles(1), atEvents),
+			cluster: defaultTier,
+			work:    priced,
+			variants: []variant{
+				{"fast-tier", whole, mutated(onCluster(defaultTier(1)), func(c *shoggoth.Config) { c.Trainer.Compute = nn.Compute{Fast: true} })},
 			},
 		},
 	}
@@ -609,6 +621,16 @@ func uploaded(t *testing.T, r *shoggoth.ClusterResults) {
 		}
 	}
 	t.Fatal("no device had a batch labeled")
+}
+
+// priced checks that some device's training sessions were priced.
+func priced(t *testing.T, r *shoggoth.ClusterResults) {
+	for _, d := range r.Devices {
+		if len(d.SessionTimes) > 0 {
+			return
+		}
+	}
+	t.Fatal("no device recorded a training session time")
 }
 
 // trained checks that every strategy that trains on the edge trained.

@@ -10,8 +10,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -27,6 +29,7 @@ var (
 	pathIdent   = regexp.MustCompile(`\.[A-Za-z_]\w*$`)
 	qualified   = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*(?:\.\w+)?)(?:\(.*\))?$`)
 	runFlag     = regexp.MustCompile(`(?:^|\s)-run\s+('[^']*'|"[^"]*"|[^\s'"` + "`" + `]+)`)
+	snakeCase   = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)+$`)
 )
 
 // TestDocsNameOnlyWhatExists fails when DESIGN.md, the verify skill or the
@@ -38,9 +41,19 @@ var (
 // root; a trailing .Ident (as in internal/core.System) is a Go name inside
 // the package and is stripped when the path itself does not exist. A
 // qualified Go name pkg.Name or pkg.Type.Member, where pkg is the name of a
-// repo package, must be declared in that package (_test.go files count).
+// repo package, must be declared in that package (_test.go files count). A
+// snake_case name must be a json tag of a struct field in non-test Go (a
+// spec key, a results field) or a workload or metric of BENCHMARK.json.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	tests := map[string]bool{}
+	keys := map[string]bool{} // json tags and BENCHMARK.json names
+	bench := readBenchmark(t)
+	for _, w := range bench.Workloads {
+		keys[w.Name] = true
+	}
+	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
+		keys[m.Name] = true
+	}
 	var names string // every test name, one per line, for -run patterns
 	pkgs, decls := map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
@@ -67,6 +80,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			declare(decls, pkg, f)
 		}
 		if !strings.HasSuffix(path, "_test.go") {
+			jsonTags(keys, f)
 			return nil
 		}
 		for _, m := range testFunc.FindAllSubmatch(src, -1) {
@@ -118,6 +132,10 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			case testName.MatchString(name):
 				if !defined(name) {
 					t.Errorf("%s names %s, which no _test.go file defines", doc, name)
+				}
+			case snakeCase.MatchString(name):
+				if !keys[name] {
+					t.Errorf("%s names %s, which is no json tag and no BENCHMARK.json name", doc, name)
 				}
 			case strings.Contains(name, "/"):
 				first, _, _ := strings.Cut(strings.TrimSuffix(name, "/"), "/")
@@ -187,6 +205,19 @@ func declare(decls map[string]bool, pkg string, f *ast.File) {
 	}
 }
 
+// jsonTags records in keys the json name of every tagged struct field of f.
+func jsonTags(keys map[string]bool, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if fl, ok := n.(*ast.Field); ok && fl.Tag != nil {
+			tag, _ := strconv.Unquote(fl.Tag.Value)
+			if name, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ","); name != "" {
+				keys[name] = true
+			}
+		}
+		return true
+	})
+}
+
 // topAlternatives splits a -run pattern's top level, everything before its
 // first / outside brackets, at each | outside brackets.
 func topAlternatives(pattern string) (alts []string) {
@@ -233,6 +264,35 @@ type benchLine struct {
 
 var commitHash = regexp.MustCompile(`^[0-9a-f]{7,40}$`)
 
+// benchmarkDecl is what BENCHMARK.json declares: workloads and metrics.
+type benchmarkDecl struct {
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []struct {
+		Name   string `json:"name"`
+		Better string `json:"better"`
+	} `json:"end_to_end"`
+	PerLayer []struct {
+		Name   string `json:"name"`
+		Better string `json:"better"`
+	} `json:"per_layer"`
+}
+
+// readBenchmark decodes BENCHMARK.json.
+func readBenchmark(t *testing.T) benchmarkDecl {
+	t.Helper()
+	var bench benchmarkDecl
+	src, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(src, &bench); err != nil {
+		t.Fatal(err)
+	}
+	return bench
+}
+
 // TestBenchHistorySchema checks BENCH_history.jsonl, the perf trajectory:
 // every line decodes with no unknown field and names a PR, a parent commit,
 // a workload and a metric that BENCHMARK.json declares, a seed, the host,
@@ -241,26 +301,7 @@ var commitHash = regexp.MustCompile(`^[0-9a-f]{7,40}$`)
 // theirs to the three decimals it is written with, and wins counts the
 // pairs the change won in the metric's declared direction.
 func TestBenchHistorySchema(t *testing.T) {
-	var bench struct {
-		Workloads []struct {
-			Name string `json:"name"`
-		} `json:"workloads"`
-		EndToEnd []struct {
-			Name   string `json:"name"`
-			Better string `json:"better"`
-		} `json:"end_to_end"`
-		PerLayer []struct {
-			Name   string `json:"name"`
-			Better string `json:"better"`
-		} `json:"per_layer"`
-	}
-	src, err := os.ReadFile("BENCHMARK.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(src, &bench); err != nil {
-		t.Fatal(err)
-	}
+	bench := readBenchmark(t)
 	workloads, better := map[string]bool{}, map[string]string{}
 	for _, w := range bench.Workloads {
 		workloads[w.Name] = true
@@ -269,7 +310,7 @@ func TestBenchHistorySchema(t *testing.T) {
 		better[m.Name] = m.Better
 	}
 
-	src, err = os.ReadFile("BENCH_history.jsonl")
+	src, err := os.ReadFile("BENCH_history.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,24 +8,22 @@ import (
 	"testing"
 
 	"shoggoth"
+	"shoggoth/internal/nn"
 )
 
 // TestGoldenFastTierWithinTolerance is the fast tier's accuracy contract at
-// whole-system scale: the all-strategy quick-mode run on the fast tier, at
-// four accumulation workers, must reproduce every Results number within a
-// 2% relative tolerance of the exact golden capture, and non-numeric fields
-// exactly. The fast kernels only reassociate float64 sums (FMA, blocking,
-// sharded accumulation), so losses drift at the 1e-9 level per session; the
-// tolerance absorbs how discontinuous metrics (threshold crossings in mAP
-// windows) amplify that drift over a full deployment.
+// whole-system scale: the all-strategy quick-mode run with every trainer on
+// the fast kernels must reproduce every Results number within a 2% relative
+// tolerance of the exact golden capture, and non-numeric fields exactly.
+// The fast kernels only reassociate float64 sums (FMA, blocking), so losses
+// drift at the 1e-9 level per session; the tolerance absorbs how
+// discontinuous metrics (threshold crossings in mAP windows) amplify that
+// drift over a full deployment.
 func TestGoldenFastTierWithinTolerance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode deployment run is seconds-long; skipped with -short")
 	}
-	fastTier := mutated(onFleet(0), func(c *shoggoth.Config) {
-		c.ComputeTier = "fast"
-		c.Trainer.AccumWorkers = 4
-	})
+	fastTier := mutated(onFleet(0), func(c *shoggoth.Config) { c.Trainer.Compute = nn.Compute{Fast: true} })
 	fast := devices(t, fastTier(t, goldenConfigs(t)))
 	golden, err := os.ReadFile("testdata/golden_results.json")
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"shoggoth/internal/detect"
 	"shoggoth/internal/edge"
 	"shoggoth/internal/netsim"
-	"shoggoth/internal/nn"
 	"shoggoth/internal/video"
 )
 
@@ -109,15 +108,6 @@ type Config struct {
 	// SLOClass names this device's service-level class for the cloud
 	// tier's per-class latency/drop metrics. Empty means "standard".
 	SLOClass string
-
-	// ComputeTier selects the arithmetic tier the run's models execute on:
-	// "" or "exact" is the frozen default (float64 op order bit-identical
-	// to the golden captures); "fast" switches edge training to the blocked
-	// fast-math kernels with parallel gradient accumulation
-	// (tolerance-bounded on losses, byte-deterministic — see DESIGN.md
-	// §13). The cloud labels the same way on either tier.
-	// The fast tier's shard-worker count is Trainer.AccumWorkers.
-	ComputeTier string
 
 	// SampleRate fixes the frame sampling rate (fps). 0 means adaptive
 	// (the cloud controller drives it). Prompt uses the fixed maximum
@@ -240,14 +230,6 @@ func (c *Config) Validate() error {
 	if c.UplinkCell < 0 {
 		return fmt.Errorf("core: negative uplink cell id %d", c.UplinkCell)
 	}
-	switch c.ComputeTier {
-	case "", "exact", "fast":
-	default:
-		return fmt.Errorf("core: unknown compute tier %q (want exact or fast)", c.ComputeTier)
-	}
-	if c.Trainer.AccumWorkers < 0 {
-		return fmt.Errorf("core: negative accumulation worker count %d", c.Trainer.AccumWorkers)
-	}
 	if err := c.Cloud.Validate(); err != nil {
 		return err
 	}
@@ -276,12 +258,6 @@ func (c *Config) validateLink(dir string, l netsim.Link, trace netsim.Trace) err
 		return fmt.Errorf("core: negative %s latency %g s", dir, l.LatencySec)
 	}
 	return nil
-}
-
-// Compute resolves the compute tier into the kernel descriptor trainers and
-// students run on. Only meaningful after Validate.
-func (c *Config) Compute() nn.Compute {
-	return nn.Compute{Fast: c.ComputeTier == "fast"}
 }
 
 // UplinkTransfer returns the uplink delivery time of a message sent at

@@ -161,12 +161,6 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 		return nil, fmt.Errorf("core: fidelity %q is a fleet-level mode; run it through a Cluster's event engine", cfg.Fidelity)
 	}
 	desc, _ := Lookup(cfg.Kind) // Validate rejected unregistered kinds
-	// Resolve the compute tier once: Trainer carries it to every strategy's
-	// trainer and the deployed student's inference kernels match it. An
-	// explicit Trainer.Compute wins when ComputeTier is unset.
-	if cfg.ComputeTier != "" {
-		cfg.Trainer.Compute = cfg.Compute()
-	}
 	sched := opts.Scheduler
 	if sched == nil {
 		sched = sim.NewScheduler()
@@ -695,7 +689,8 @@ func (s *System) subsample(regions []detect.LabeledRegion) []detect.LabeledRegio
 // canonical batch sizes and consumes the session slot: the first claim is
 // priced as the cold session (no replay images yet), every later one at
 // full replay. Call it exactly once per session actually scheduled — a
-// price-only query would eat the cold-session discount.
+// price-only query would eat the cold-session discount. The price is the
+// same on both compute tiers, at full and at events fidelity.
 func (s *System) ClaimSessionCost(tc detect.TrainerConfig) edge.SessionCost {
 	first := s.sessionsSched == 0
 	s.sessionsSched++
@@ -703,16 +698,7 @@ func (s *System) ClaimSessionCost(tc detect.TrainerConfig) edge.SessionCost {
 	if first {
 		replayVirtual = 0
 	}
-	cost := s.cfg.Cost.Session(tc, first, canonicalBatch, replayVirtual)
-	if s.fleet {
-		// Events fidelity prices training instead of running it, so the
-		// configured compute tier must show up in the price: the measured
-		// exact/fast step ratio scales the whole session. Full fidelity is
-		// untouched — there the tier's speed manifests as real wall time,
-		// and virtual session durations stay tier-independent by contract.
-		cost = cost.Scaled(edge.TierSpeedup(tc.Compute))
-	}
-	return cost
+	return s.cfg.Cost.Session(tc, first, canonicalBatch, replayVirtual)
 }
 
 // AnalyticRegions estimates the total label-region count of a batch of

@@ -35,14 +35,8 @@ type TrainerConfig struct {
 	// the default) or FIFO (recency-biased ablation baseline).
 	ReplayPolicy replay.Policy
 
-	// Compute selects the kernel tier (zero value: exact). On the fast tier
-	// every mini-batch additionally splits into accumShards fixed row shards
-	// whose gradients reduce in a deterministic tree (see accum.go).
+	// Compute selects the kernel tier (zero value: exact).
 	Compute nn.Compute
-	// AccumWorkers caps the goroutines executing shards on the fast tier;
-	// 0 and 1 run shards inline. The shard count and reduction order never
-	// depend on it, so every worker count trains byte-identically.
-	AccumWorkers int
 }
 
 // DefaultTrainerConfig returns the paper's configuration.
@@ -100,7 +94,6 @@ type Trainer struct {
 	permBuf            []int
 	replayBuf          []replay.Sample
 	memSamples         []replay.Sample // reusable staging for updateMemory
-	shards             shardState      // fast-tier parallel accumulation state
 }
 
 // NewTrainer creates a trainer bound to a student.
@@ -218,15 +211,6 @@ func (t *Trainer) RunSession(batch []LabeledRegion) SessionStats {
 		kNew, kRep = minInt(cfg.MiniBatch, len(batch)), 0
 	}
 
-	// The fast tier shards the mini-batch once the front is frozen (the
-	// sharded backward has no path into the front). When the placement's
-	// tail cannot shard, shards.ok stays false and the serial path below
-	// runs on fast kernels instead.
-	if cfg.Compute.Fast && !frontTrain {
-		t.buildShards(split)
-	}
-	useShards := cfg.Compute.Fast && !frontTrain && t.shards.ok
-
 	var sumCls, sumBox float64
 	// frontPassTrain: true unless the front is completely frozen — BRN
 	// moments adapt to the current scene statistics on every pass.
@@ -279,16 +263,6 @@ func (t *Trainer) RunSession(batch []LabeledRegion) SessionStats {
 				if rs.HasBox {
 					copy(boxTargets.Row(row), rs.BoxTarget[:])
 				}
-			}
-
-			if useShards {
-				lossC, lossB := t.shardedStep(concat, labels, boxTargets, mask)
-				sumCls += lossC
-				sumBox += lossB
-				stats.Steps++
-				t.opt.Step(t.trainParams())
-				t.pool.Put(sel)
-				continue
 			}
 
 			z := s.Backbone.ForwardRange(split, s.Backbone.Len(), concat, true)

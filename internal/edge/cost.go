@@ -5,10 +5,7 @@
 // virtual cost model that reproduces Table II's training times.
 package edge
 
-import (
-	"shoggoth/internal/detect"
-	"shoggoth/internal/nn"
-)
+import "shoggoth/internal/detect"
 
 // CostModel assigns virtual wall-clock costs (seconds on the TX2-class
 // device) to training work. Costs are expressed for the *virtual*
@@ -54,39 +51,6 @@ type SessionCost struct {
 
 // TotalSec returns the session wall-clock duration.
 func (c SessionCost) TotalSec() float64 { return c.ForwardSec + c.BackwardSec }
-
-// Scaled returns the cost divided by a step-rate multiplier (1 is a no-op).
-// Events fidelity uses it to price a session on the configured compute tier.
-func (c SessionCost) Scaled(speedup float64) SessionCost {
-	if speedup <= 0 || speedup == 1 {
-		return c
-	}
-	return SessionCost{ForwardSec: c.ForwardSec / speedup, BackwardSec: c.BackwardSec / speedup}
-}
-
-// Whole-step training costs of the two compute tiers as once measured on
-// the reference machine (go1.24 linux/amd64, Intel Xeon @ 2.10GHz,
-// AVX2+FMA); the repo benchmark measures the same steps today as
-// detect.train_step_exact_ns and detect.train_step_fast_ns (BENCHMARK.json).
-// Their ratio is the only thing the cost model consumes, so drift in
-// absolute machine speed cancels. The values are frozen: they price
-// events-fidelity training sessions, so changing either moves result bytes.
-const (
-	ExactStepNs = 82021.6
-	FastStepNs  = 38055.3
-)
-
-// TierSpeedup returns the modeled step-rate multiplier of the configured
-// compute tier over the exact tier: 1 for exact, the measured exact/fast
-// step-cost ratio (≈2.16) for the fast tier. Events fidelity scales priced
-// training sessions by this factor so the deployed tier shows up in fleet
-// economics without executing a single step.
-func TierSpeedup(c nn.Compute) float64 {
-	if c.Fast {
-		return ExactStepNs / FastStepNs
-	}
-	return 1
-}
 
 // Session computes the virtual duration of a training session.
 //

@@ -33,31 +33,3 @@ func (s *Sequential) SetCompute(c Compute) {
 		}
 	}
 }
-
-// ShadowClone returns a network sharing the receiver's parameter values but
-// owning private gradient accumulators and scratch, or ok=false when a layer
-// does not support shadow cloning (batch-statistics layers couple rows across
-// the whole minibatch, so a row shard cannot reproduce their math). Shadow
-// clones are the per-shard workers of parallel minibatch gradient
-// accumulation: shards forward/backward concurrently against the shared
-// weights, then their gradients reduce deterministically into the primary's.
-func (s *Sequential) ShadowClone() (*Sequential, bool) {
-	return s.ShadowCloneRange(0, len(s.LayersList))
-}
-
-// ShadowCloneRange shadow-clones layers [lo, hi) into a new network.
-func (s *Sequential) ShadowCloneRange(lo, hi int) (*Sequential, bool) {
-	s.checkRange(lo, hi)
-	c := &Sequential{LayersList: make([]Layer, 0, hi-lo)}
-	for i := lo; i < hi; i++ {
-		switch l := s.LayersList[i].(type) {
-		case *Dense:
-			c.LayersList = append(c.LayersList, l.ShadowClone())
-		case *ReLU:
-			c.LayersList = append(c.LayersList, &ReLU{name: l.name})
-		default:
-			return nil, false
-		}
-	}
-	return c, true
-}

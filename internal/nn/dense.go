@@ -29,12 +29,6 @@ type Dense struct {
 	// scratch (unused on the exact tier).
 	compute Compute
 	fs      tensor.FastScratch
-
-	// skipInputGrad makes Backward return nil instead of computing dx.
-	// Set only on shadow clones whose input gradient provably has no
-	// consumer (fast-tier shard heads over an empty tail with a frozen
-	// front); parameter gradients are unaffected.
-	skipInputGrad bool
 }
 
 // NewDense creates an in×out dense layer with He-style initialisation drawn
@@ -90,9 +84,6 @@ func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	d.dB = tensor.Ensure(d.dB, 1, grad.Cols)
 	tensor.SumRowsInto(d.dB, grad)
 	tensor.AddInPlace(d.B.Grad, d.dB)
-	if d.skipInputGrad {
-		return nil
-	}
 	if d.compute.Fast {
 		tensor.FastMulABt(d.dx, grad, d.W.Value, d.compute.Lane, &d.fs)
 	} else {
@@ -125,21 +116,3 @@ func (d *Dense) Clone() Layer {
 
 // SetCompute implements ComputeSetter.
 func (d *Dense) SetCompute(c Compute) { d.compute = c }
-
-// SetSkipInputGrad elides the dx computation in Backward (which then
-// returns nil). Only valid when the caller can prove the input gradient has
-// no consumer; parameter gradients are computed either way.
-func (d *Dense) SetSkipInputGrad(skip bool) { d.skipInputGrad = skip }
-
-// ShadowClone returns a Dense sharing the receiver's parameter values
-// (Param.Value is the same matrix) but owning private gradient accumulators
-// and scratch, so a minibatch shard can forward/backward concurrently with
-// its siblings and its gradients can be tree-reduced into the primary's.
-// Shadow params must never be handed to an optimizer: stepping them would
-// double-apply updates to the shared values.
-func (d *Dense) ShadowClone() *Dense {
-	c := &Dense{name: d.name, lrScale: d.lrScale, compute: d.compute}
-	c.W = &Param{Name: d.W.Name, Value: d.W.Value, Grad: tensor.New(d.W.Grad.Rows, d.W.Grad.Cols), LRScale: d.W.LRScale}
-	c.B = &Param{Name: d.B.Name, Value: d.B.Value, Grad: tensor.New(d.B.Grad.Rows, d.B.Grad.Cols), LRScale: d.B.LRScale}
-	return c
-}

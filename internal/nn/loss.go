@@ -96,88 +96,6 @@ func (s *LossScratch) SmoothL1(pred, target *tensor.Matrix, mask []bool) (float6
 	return loss * inv, grad
 }
 
-// SoftmaxCrossEntropyShard is the row-shard form of SoftmaxCrossEntropy for
-// parallel minibatch gradient accumulation: logits/labels cover one
-// contiguous shard of the minibatch, while invB is the GLOBAL gradient
-// normaliser 1/totalRows, so per-row gradients come out exactly as the
-// whole-batch computation would produce them. The returned loss is the
-// UNSCALED sum of per-row −log p_y; the caller reduces shard sums in a fixed
-// tree order and multiplies by invB once, keeping the loss scalar
-// byte-deterministic for every worker count.
-//
-//shoggoth:hotpath
-func (s *LossScratch) SoftmaxCrossEntropyShard(logits *tensor.Matrix, labels []int, invB float64) (float64, *tensor.Matrix) {
-	if len(labels) != logits.Rows {
-		panic("nn: label count != batch size")
-	}
-	s.ceGrad = tensor.Ensure(s.ceGrad, logits.Rows, logits.Cols)
-	grad := s.ceGrad
-	if logits.Rows == 0 {
-		return 0, grad
-	}
-	s.probs = ensureFloats(s.probs, logits.Cols)
-	p := s.probs
-	var loss float64
-	for i := 0; i < logits.Rows; i++ {
-		tensor.SoftmaxRowInto(p, logits.Row(i))
-		y := labels[i]
-		if y < 0 || y >= logits.Cols {
-			panic("nn: label out of range")
-		}
-		loss += -math.Log(math.Max(p[y], 1e-12))
-		grow := grad.Row(i)
-		for j, pj := range p {
-			grow[j] = pj * invB
-		}
-		grow[y] -= invB
-	}
-	return loss, grad
-}
-
-// SmoothL1Shard is the row-shard form of SmoothL1: inv is the GLOBAL
-// normaliser 1/(activeTotal·Cols) computed by the caller over the whole
-// minibatch's mask (pass 0 when no row is active anywhere — the shard then
-// contributes nothing, mirroring SmoothL1's empty-mask early return). The
-// returned loss is the unscaled sum; the caller reduces and scales.
-//
-//shoggoth:hotpath
-func (s *LossScratch) SmoothL1Shard(pred, target *tensor.Matrix, mask []bool, inv float64) (float64, *tensor.Matrix) {
-	if pred.Rows != target.Rows || pred.Cols != target.Cols {
-		panic("nn: smoothL1 shape mismatch")
-	}
-	if len(mask) != pred.Rows {
-		panic("nn: smoothL1 mask length mismatch")
-	}
-	s.l1Grad = tensor.EnsureZero(s.l1Grad, pred.Rows, pred.Cols)
-	grad := s.l1Grad
-	if inv == 0 {
-		return 0, grad
-	}
-	var loss float64
-	for i := 0; i < pred.Rows; i++ {
-		if !mask[i] {
-			continue
-		}
-		prow, trow, grow := pred.Row(i), target.Row(i), grad.Row(i)
-		for j := range prow {
-			d := prow[j] - trow[j]
-			ad := math.Abs(d)
-			if ad < 1 {
-				loss += 0.5 * d * d
-				grow[j] = d * inv
-			} else {
-				loss += ad - 0.5
-				if d > 0 {
-					grow[j] = inv
-				} else {
-					grow[j] = -inv
-				}
-			}
-		}
-	}
-	return loss, grad
-}
-
 // SoftmaxCrossEntropy is the allocating form of LossScratch.SoftmaxCrossEntropy
 // (a fresh gradient per call; identical math).
 func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.Matrix) {

@@ -21,9 +21,6 @@ func NewSequential(layers ...Layer) *Sequential {
 // Len returns the number of layers.
 func (s *Sequential) Len() int { return len(s.LayersList) }
 
-// Layer returns the i-th layer.
-func (s *Sequential) Layer(i int) Layer { return s.LayersList[i] }
-
 // Forward runs the whole network.
 func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return s.ForwardRange(0, len(s.LayersList), x, train)

@@ -228,7 +228,7 @@ func TestLRScaleZeroFreezesLayer(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	net := NewSequential(NewDense("front", 2, 4, rng), NewReLU("r"), NewDense("head", 4, 2, rng))
 	net.SetLRScaleRange(0, 1, 0) // freeze front dense
-	frozen := net.Layer(0).(*Dense).W.Value.Clone()
+	frozen := net.LayersList[0].(*Dense).W.Value.Clone()
 	opt := NewSGD(0.5, 0.9)
 	x := tensor.FromRows([][]float64{{1, 2}, {3, 4}})
 	for it := 0; it < 20; it++ {
@@ -237,10 +237,10 @@ func TestLRScaleZeroFreezesLayer(t *testing.T) {
 		net.Backward(g)
 		opt.Step(net.Params())
 	}
-	if !net.Layer(0).(*Dense).W.Value.Equal(frozen, 0) {
+	if !net.LayersList[0].(*Dense).W.Value.Equal(frozen, 0) {
 		t.Fatal("frozen layer weights must not change")
 	}
-	head := net.Layer(2).(*Dense)
+	head := net.LayersList[2].(*Dense)
 	if head.W.Grad.Norm2() != 0 {
 		t.Fatal("grads should be cleared after Step")
 	}
@@ -280,11 +280,11 @@ func TestBackwardRangeStopsAtReplayLayer(t *testing.T) {
 	out := net.ForwardRange(2, 3, act, true)
 	_, g := SoftmaxCrossEntropy(out, []int{0, 1, 0, 1})
 	net.BackwardRange(2, 3, g)
-	front := net.Layer(0).(*Dense)
+	front := net.LayersList[0].(*Dense)
 	if front.W.Grad.Norm2() != 0 {
 		t.Fatal("front layer must receive no gradient when backward stops at replay layer")
 	}
-	head := net.Layer(2).(*Dense)
+	head := net.LayersList[2].(*Dense)
 	if head.W.Grad.Norm2() == 0 {
 		t.Fatal("head layer should receive gradient")
 	}
@@ -294,13 +294,13 @@ func TestCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	net := NewSequential(NewDense("d", 2, 3, rng), NewBatchRenorm("n", 3))
 	c := net.Clone()
-	net.Layer(0).(*Dense).W.Value.Data[0] = 999
-	if c.Layer(0).(*Dense).W.Value.Data[0] == 999 {
+	net.LayersList[0].(*Dense).W.Value.Data[0] = 999
+	if c.LayersList[0].(*Dense).W.Value.Data[0] == 999 {
 		t.Fatal("clone must not share weight storage")
 	}
 	// Cloned BRN must preserve running stats but not share them.
-	brn := net.Layer(1).(*BatchRenorm)
-	cbrn := c.Layer(1).(*BatchRenorm)
+	brn := net.LayersList[1].(*BatchRenorm)
+	cbrn := c.LayersList[1].(*BatchRenorm)
 	brn.RunMean.Data[0] = 123
 	if cbrn.RunMean.Data[0] == 123 {
 		t.Fatal("clone must not share running stats")
@@ -334,11 +334,11 @@ func TestSGDWeightDecayShrinksWeights(t *testing.T) {
 	net := NewSequential(NewDense("d", 2, 2, rng))
 	opt := NewSGD(0.1, 0)
 	opt.WeightDecay = 0.5
-	before := net.Layer(0).(*Dense).W.Value.Norm2()
+	before := net.LayersList[0].(*Dense).W.Value.Norm2()
 	// Zero gradient step: only decay applies.
 	net.ZeroGrads()
 	opt.Step(net.Params())
-	after := net.Layer(0).(*Dense).W.Value.Norm2()
+	after := net.LayersList[0].(*Dense).W.Value.Norm2()
 	if after >= before {
 		t.Fatalf("weight decay should shrink weights: %v -> %v", before, after)
 	}

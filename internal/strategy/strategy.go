@@ -37,15 +37,6 @@ func WithSampledFidelity(frac float64, seed uint64) Option {
 	}
 }
 
-// WithComputeTier selects the arithmetic tier ("", "exact" or "fast"): the
-// exact tier is the frozen bit-identical default, the fast tier runs the
-// blocked fast-math kernels with parallel gradient accumulation.
-func WithComputeTier(tier string) Option { return func(c *core.Config) { c.ComputeTier = tier } }
-
-// WithAccumWorkers sets how many workers execute the fast tier's fixed
-// gradient-accumulation shards (byte-identical results for every value).
-func WithAccumWorkers(n int) Option { return func(c *core.Config) { c.Trainer.AccumWorkers = n } }
-
 // WithCycles sets the duration to n passes of the profile's scenario script.
 func WithCycles(n float64) Option {
 	return func(c *core.Config) { c.DurationSec = n * c.Profile.ScriptDuration() }

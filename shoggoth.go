@@ -185,8 +185,4 @@ var (
 	// WithSampledFidelity selects sampled fidelity with an explicit device
 	// fraction and subset seed (0 seed: the run seed stands in).
 	WithSampledFidelity = strategy.WithSampledFidelity
-	// WithComputeTier selects the arithmetic tier ("exact" or "fast").
-	WithComputeTier = strategy.WithComputeTier
-	// WithAccumWorkers sets the fast tier's accumulation worker count.
-	WithAccumWorkers = strategy.WithAccumWorkers
 )
