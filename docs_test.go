@@ -299,7 +299,8 @@ func readBenchmark(t *testing.T) benchmarkDecl {
 // the pair count, both medians and the wins; lines run in PR order. Where
 // the runs are listed, there is one per pair on each side, each median is
 // theirs to the three decimals it is written with, and wins counts the
-// pairs the change won in the metric's declared direction.
+// pairs the change won in the metric's declared direction. Every
+// CHANGES.md entry tagged perf_opt from PR 35 on has a line of its own.
 func TestBenchHistorySchema(t *testing.T) {
 	bench := readBenchmark(t)
 	workloads, better := map[string]bool{}, map[string]string{}
@@ -314,7 +315,7 @@ func TestBenchHistorySchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastPR := 0
+	lastPR, recorded := 0, map[int]bool{}
 	for i, raw := range strings.Split(strings.TrimSuffix(string(src), "\n"), "\n") {
 		at := fmt.Sprintf("BENCH_history.jsonl:%d", i+1)
 		var l benchLine
@@ -327,7 +328,7 @@ func TestBenchHistorySchema(t *testing.T) {
 			t.Errorf("%s: %v", at, err)
 			continue
 		}
-		lastPR = l.PR
+		lastPR, recorded[l.PR] = l.PR, true
 		if l.Runs == nil {
 			continue
 		}
@@ -349,7 +350,42 @@ func TestBenchHistorySchema(t *testing.T) {
 			t.Errorf("%s: wins %d, the runs give %d", at, *l.Wins, wins)
 		}
 	}
+
+	const sample = "PR 34 (`perf_opt`): before the rule\nPR 35 (`perf_opt`): recorded\n" +
+		"PR 36: [simplicity] no tag; `perf_opt` named after the colon\nPR 37 [perf_opt]: not recorded\n"
+	if got := perfOptWithoutHistory(sample, map[int]bool{35: true}); !slices.Equal(got, []int{37}) {
+		t.Fatalf("perfOptWithoutHistory on a sample: %v, want [37]", got)
+	}
+	changes, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range perfOptWithoutHistory(string(changes), recorded) {
+		t.Errorf("CHANGES.md: PR %d is tagged perf_opt but BENCH_history.jsonl has no line for it", pr)
+	}
 }
+
+// perfOptWithoutHistory returns the PRs, from PR 35 on, whose CHANGES.md
+// entry carries the perf_opt tag in its heading (the text before the first
+// colon) and that recorded lacks.
+func perfOptWithoutHistory(changes string, recorded map[int]bool) []int {
+	var missing []int
+	for _, line := range strings.Split(changes, "\n") {
+		m := changesEntry.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		pr, _ := strconv.Atoi(m[1])
+		if pr >= 35 && strings.Contains(m[2], "perf_opt") && !recorded[pr] {
+			missing = append(missing, pr)
+		}
+	}
+	return missing
+}
+
+// changesEntry matches a CHANGES.md entry's heading: its PR number, and
+// the rest of the text up to the first colon.
+var changesEntry = regexp.MustCompile(`^PR (\d+)([^:]*):`)
 
 // check reports the first required field of l that is missing or names
 // something BENCHMARK.json does not declare.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -253,10 +254,38 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 
 // Run executes the deployment for the configured duration and returns the
 // aggregated results.
-func (s *System) Run() (*Results, error) {
-	for s.Step() {
+func (s *System) Run() (*Results, error) { return s.RunContext(context.Background()) }
+
+// RunContext plays the whole stream, honouring context cancellation between
+// plays, and returns the aggregated results. A play is one frame at full
+// fidelity. At events fidelity it runs up to the next upload, with the
+// frames between local events played as spans, so a blocking run does not
+// pay a one-frame span per frame as a Step loop does. Both play the same
+// frames and events in the same order (TestRunContextMatchesStepLoop).
+func (s *System) RunContext(ctx context.Context) (*Results, error) {
+	for s.play() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return s.Finish(), nil
+}
+
+// play advances the deployment by one play (see RunContext) and reports
+// whether frames remain. Its limit lies just past the last frame, so events
+// due after it wait for Finish, as they do after the last Step.
+func (s *System) play() bool {
+	if !s.fleet {
+		return s.Step()
+	}
+	if _, ok := s.NextFrameTime(); !ok {
+		return false
+	}
+	s.advanceTo(math.Nextafter(float64(s.nFrames-1)*s.dt, math.Inf(1)))
+	return s.frameIdx < s.nFrames
 }
 
 // Step advances the deployment by one camera frame (plus every cloud,
@@ -268,45 +297,95 @@ func (s *System) Step() bool {
 		return false
 	}
 	s.sched.AdvanceTo(t)
-	s.processFrame(t)
-	s.emitWindows(t)
+	if s.fleet {
+		s.fleetSpan(s.frameIdx + 1)
+	} else {
+		s.fullFrame(t)
+	}
 	return s.frameIdx < s.nFrames
 }
 
-// processFrame runs one camera frame at its due time: the full-fidelity
-// path renders the frame and dispatches the strategy's OnFrame hook; the
-// events fidelity runs the compute/sampling model directly.
-func (s *System) processFrame(t float64) {
+// fullFrame runs one full-fidelity camera frame at its due time: it renders
+// the frame and dispatches the strategy's OnFrame hook.
+func (s *System) fullFrame(t float64) {
 	s.results.FramesTotal++
-	if s.fleet {
-		s.fleetFrame(t)
-	} else {
-		f := s.frames.Next()
-		s.strategy.OnFrame(f, t, s.dt)
-	}
+	f := s.frames.Next()
+	s.strategy.OnFrame(f, t, s.dt)
 	s.frameIdx++
+	s.emitWindows(t)
 }
 
-// fleetFrame is the events-fidelity frame step: the device compute model
-// ticks, the sampler decides, and only sampled frames are materialized —
-// sparsely, without feature tensors — for upload. The strategy's OnFrame
-// hook is bypassed (its cloud-batch and train-due hooks still fire), so
-// every events-fidelity strategy shares this canonical tick+sample path.
-func (s *System) fleetFrame(t float64) {
-	if s.device.Tick(t, s.dt) {
-		s.results.FramesProcessed++
+// fleetSpan is the events-fidelity frame step. It plays frames frameIdx …
+// end−1, which no local event separates, as one span, and stops early after
+// a frame that flushes: the device compute model ticks, the sampler
+// decides, and only sampled frames are materialized — sparsely, without
+// feature tensors — for upload. The strategy's OnFrame hook is bypassed
+// (its cloud-batch and train-due hooks still fire), so every
+// events-fidelity strategy shares this canonical tick+sample path.
+//
+// Within a span a frame's tick and its sample touch disjoint state, and
+// only the frame the sampler stops at (an acceptance or an expired wait)
+// can change the buffer or flush. So TickFrames and Scan play the frames up
+// to that stop, each holding its running sums in locals, and the stop frame
+// then runs the buffer and flush steps one frame at a time. The scheduler
+// clock follows the frames played: it reads the stop frame's time when the
+// flush posts, and the last frame's when the span ends.
+func (s *System) fleetSpan(end int) {
+	for s.frameIdx < end {
+		first := s.frameIdx
+		stop, accepted := end, false
+		if s.uploads {
+			wait := math.Inf(1) // an empty buffer has no deadline
+			if len(s.sampleBuf) > 0 {
+				wait = s.cfg.UploadMaxWaitSec
+			}
+			stop, accepted = s.sampler.Scan(first, end, s.dt, s.firstBuffered, wait)
+		}
+		played := min(stop+1, end)
+		s.results.FramesProcessed += s.device.TickFrames(first, played-first, s.dt)
+		s.results.FramesTotal += played - first
+		s.frameIdx = played
+		if stop == end {
+			break
+		}
+		t := float64(stop) * s.dt
+		if accepted {
+			// Metadata only: the analytic cloud never reads proposals.
+			s.bufferSample(s.sparse.Meta(stop, t), t)
+		}
+		if len(s.sampleBuf) > 0 &&
+			(len(s.sampleBuf) >= s.cfg.UploadFrames || t-s.firstBuffered >= s.cfg.UploadMaxWaitSec) {
+			s.frameIdx = stop // the wake check reads the flushing frame
+			s.sched.AdvanceTo(t)
+			s.flushBuffer(t)
+			s.frameIdx = played
+			s.emitWindows(t)
+			return
+		}
 	}
-	if !s.uploads {
-		return
+	last := float64(s.frameIdx-1) * s.dt
+	s.sched.AdvanceTo(last)
+	s.emitWindows(last)
+}
+
+// spanEnd returns the index of the first frame from frameIdx on that is
+// due at or after bound: float64(k)·dt ≥ bound, the comparison
+// NextFrameTime's times make. It is never past the stream's end and never
+// before frameIdx+1, since the caller has checked that frame frameIdx is
+// due before bound.
+func (s *System) spanEnd(bound float64) int {
+	end := s.nFrames
+	if c := math.Ceil(bound / s.dt); c < float64(end) {
+		end = max(int(c), s.frameIdx+1)
 	}
-	if s.sampler.Sample(t) {
-		// Metadata only: the analytic cloud never reads proposals.
-		s.bufferSample(s.sparse.Meta(s.frameIdx, t), t)
+	// The division rounds: step to the first frame time at or past bound.
+	for end > s.frameIdx+1 && float64(end-1)*s.dt >= bound {
+		end--
 	}
-	if len(s.sampleBuf) > 0 &&
-		(len(s.sampleBuf) >= s.cfg.UploadFrames || t-s.firstBuffered >= s.cfg.UploadMaxWaitSec) {
-		s.flushBuffer(t)
+	for end < s.nFrames && float64(end)*s.dt < bound {
+		end++
 	}
+	return end
 }
 
 // NextEventTime implements the fleet engine's Actor contract: a lower bound
@@ -353,8 +432,17 @@ func (s *System) advanceTo(limit float64) {
 		ft, fok := s.NextFrameTime()
 		if fok && ft < limit {
 			s.sched.AdvanceTo(ft)
-			s.processFrame(ft)
-			s.emitWindows(ft)
+			if s.fleet {
+				// Every frame before the next local event and the limit
+				// plays as one span.
+				bound := limit
+				if et, ok := s.sched.NextTime(); ok && et < bound {
+					bound = et
+				}
+				s.fleetSpan(s.spanEnd(bound))
+			} else {
+				s.fullFrame(ft)
+			}
 			if s.emitted {
 				s.emitted = false
 				return
@@ -374,13 +462,14 @@ func (s *System) advanceTo(limit float64) {
 }
 
 // predictWake returns the index of a frame that is never later than the
-// first frame, from frameIdx on, on which fleetFrame can flush the sample
+// first frame, from frameIdx on, on which fleetSpan can flush the sample
 // buffer — and never later than the last frame, so the engine still runs
 // the whole stream before Finish. It reads device-local state only (sampler
 // credit and rate, the buffer and its first capture time): whatever the
 // cloud does to that state arrives as a local scheduler event, which
 // NextEventTime reports beside the wake. A bound that is early costs one
-// extra visit; fleetFrame decides every flush itself, frame by frame.
+// extra visit; fleetSpan decides every flush itself, at the frame it
+// happens on.
 //
 // A flush needs a full buffer or an expired wait. The buffer cannot fill
 // before the sampler has accepted the frames it lacks. A buffer that holds

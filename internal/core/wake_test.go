@@ -18,7 +18,7 @@ type wakeCase struct {
 	accrued  float64 // credit the last Sample call before the state was offered (0…2: the cap included)
 	buffered int     // frames in the sample buffer, < upload
 	age      float64 // share of wait the oldest buffered frame has already spent
-	aligned  bool    // the oldest buffered frame was captured on a frame time, as fleetFrame's are
+	aligned  bool    // the oldest buffered frame was captured on a frame time, as fleetSpan's are
 	fromEnd  int     // frames left in the stream, the next one included
 }
 
@@ -40,7 +40,7 @@ func eventsSystem(t *testing.T, fps, duration float64, upload int, wait float64)
 }
 
 // firstFlush puts a fresh deployment into the case's state, asks for the
-// wake frame, then steps fleetFrame forward to the first flush. flush is -1
+// wake frame, then plays fleetSpan forward to the first flush. flush is -1
 // when the stream ends without one.
 func firstFlush(t *testing.T, c wakeCase) (next, wake, flush, last int) {
 	t.Helper()
@@ -74,12 +74,10 @@ func firstFlush(t *testing.T, c wakeCase) (next, wake, flush, last int) {
 	}
 
 	wake = s.predictWake()
-	s.wakeFrame = wake // arms the shoggothdebug assertion in flushBuffer
-	for k := next; k <= last; k++ {
-		s.processFrame(at(k))
-		if s.emitted {
-			return next, wake, k, last
-		}
+	s.wakeFrame = wake    // arms the shoggothdebug assertion in flushBuffer
+	s.fleetSpan(last + 1) // stops after the flushing frame
+	if s.emitted {
+		return next, wake, s.frameIdx - 1, last
 	}
 	return next, wake, -1, last
 }

@@ -69,9 +69,6 @@ func (d *Device) BeginTraining(until float64) {
 	}
 }
 
-// Training reports whether a session is active at time t.
-func (d *Device) Training(t float64) bool { return t < d.trainingUntil }
-
 // BeginEncoding marks a software-encode window until the given time.
 func (d *Device) BeginEncoding(until float64) {
 	if until > d.encodingUntil {
@@ -79,20 +76,30 @@ func (d *Device) BeginEncoding(until float64) {
 	}
 }
 
-// Encoding reports whether the encoder is active at time t.
-func (d *Device) Encoding(t float64) bool { return t < d.encodingUntil }
+// frameLoad returns the effective inference rate and the instantaneous λ
+// resource usage in [0, 1] of a frame at time t, given the competing load:
+// a training session until trainUntil and a software encode until
+// encUntil.
+func (c *DeviceConfig) frameLoad(t, trainUntil, encUntil float64) (fps, usage float64) {
+	fps, usage = c.MaxFPS, c.IdleLoad
+	if t < trainUntil {
+		fps *= c.TrainFPSFactor
+		usage += c.TrainLoad
+	}
+	if t < encUntil {
+		fps *= c.EncodeFPSFactor
+		usage += c.EncodeLoad
+	}
+	return fps, tensor.Clamp(usage, 0, 1)
+}
 
-// EffectiveFPS returns the inference rate available at time t given the
-// competing load.
-func (d *Device) EffectiveFPS(t float64) float64 {
-	fps := d.Config.MaxFPS
-	if d.Training(t) {
-		fps *= d.Config.TrainFPSFactor
+// spend takes one frame's worth off a credit accumulator that has reached
+// it, and reports whether it had.
+func spend(credit float64) (float64, bool) {
+	if credit >= 1 {
+		return credit - 1, true
 	}
-	if d.Encoding(t) {
-		fps *= d.Config.EncodeFPSFactor
-	}
-	return fps
+	return credit, false
 }
 
 // Tick is called once per incoming camera frame (at the camera's frame
@@ -101,28 +108,56 @@ func (d *Device) EffectiveFPS(t float64) float64 {
 //
 //shoggoth:hotpath
 func (d *Device) Tick(t, dt float64) bool {
-	eff := d.EffectiveFPS(t)
-	d.fps.Record(t, eff)
-	d.usageSum += d.Usage(t)
+	fps, usage := d.Config.frameLoad(t, d.trainingUntil, d.encodingUntil)
+	d.fps.Record(t, fps)
+	d.usageSum += usage
 	d.usageN++
-	d.credit += eff * dt
-	if d.credit >= 1 {
-		d.credit -= 1
-		return true
-	}
-	return false
+	var processed bool
+	d.credit, processed = spend(d.credit + fps*dt)
+	return processed
 }
 
-// Usage returns the instantaneous λ resource usage in [0, 1].
-func (d *Device) Usage(t float64) float64 {
-	u := d.Config.IdleLoad
-	if d.Training(t) {
-		u += d.Config.TrainLoad
+// TickFrames makes the n Tick calls for camera frames first … first+n−1,
+// frame k at time float64(k)·dt, and returns how many of them the device
+// processes. It is those calls with the running values held in locals for
+// the span: the credit, the λ sum and the current second's FPS sum and
+// count, written back when the second changes and when the span ends.
+// Every addition happens in the order Tick makes it, so every bit is the
+// same.
+//
+//shoggoth:hotpath
+func (d *Device) TickFrames(first, n int, dt float64) int {
+	check := replayTicks(d)
+	cfg, train, enc := d.Config, d.trainingUntil, d.encodingUntil
+	credit, usageSum := d.credit, d.usageSum
+	f := d.fps
+	sec, secSum, secN := -1, 0.0, int32(0)
+	processed := 0
+	for k := first; k < first+n; k++ {
+		t := float64(k) * dt
+		fps, usage := cfg.frameLoad(t, train, enc)
+		if s := int(t); s != sec {
+			if sec >= 0 {
+				f.sums[sec], f.counts[sec] = secSum, secN
+			}
+			f.cover(s)
+			sec, secSum, secN = s, f.sums[s], f.counts[s]
+		}
+		secSum += fps
+		secN++
+		usageSum += usage
+		var ok bool
+		if credit, ok = spend(credit + fps*dt); ok {
+			processed++
+		}
 	}
-	if d.Encoding(t) {
-		u += d.Config.EncodeLoad
+	if sec >= 0 {
+		f.sums[sec], f.counts[sec] = secSum, secN
 	}
-	return tensor.Clamp(u, 0, 1)
+	d.credit, d.usageSum = credit, usageSum
+	d.usageN += n
+	check.matches(d, first, n, dt, processed)
+	return processed
 }
 
 // DrainUsageReport returns the mean λ since the previous report and resets
@@ -155,14 +190,19 @@ func NewFPSTracker(seconds int) *FPSTracker {
 // Record adds one FPS observation at time t.
 func (f *FPSTracker) Record(t, fps float64) {
 	sec := int(t)
+	f.cover(sec)
+	f.sums[sec] += fps
+	f.counts[sec]++
+}
+
+// cover makes room for whole second sec.
+func (f *FPSTracker) cover(sec int) {
 	if len(f.sums) <= sec { // a tracker sized for the run never grows
 		for len(f.sums) <= sec {
 			f.sums = append(f.sums, 0)
 			f.counts = append(f.counts, 0)
 		}
 	}
-	f.sums[sec] += fps
-	f.counts[sec]++
 }
 
 // Series returns the per-second mean FPS series.

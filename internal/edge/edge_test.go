@@ -78,16 +78,26 @@ func TestCostModelEmptyBatch(t *testing.T) {
 	}
 }
 
+func effectiveFPS(d *Device, t float64) float64 {
+	fps, _ := d.Config.frameLoad(t, d.trainingUntil, d.encodingUntil)
+	return fps
+}
+
+func usage(d *Device, t float64) float64 {
+	_, u := d.Config.frameLoad(t, d.trainingUntil, d.encodingUntil)
+	return u
+}
+
 func TestDeviceFPSDropsDuringTraining(t *testing.T) {
 	d := NewDevice(DefaultDeviceConfig())
-	if got := d.EffectiveFPS(0); got != 30 {
+	if got := effectiveFPS(d, 0); got != 30 {
 		t.Fatalf("idle FPS should be 30, got %v", got)
 	}
 	d.BeginTraining(10)
-	if got := d.EffectiveFPS(5); got != 15 {
+	if got := effectiveFPS(d, 5); got != 15 {
 		t.Fatalf("training FPS should be 15, got %v", got)
 	}
-	if got := d.EffectiveFPS(11); got != 30 {
+	if got := effectiveFPS(d, 11); got != 30 {
 		t.Fatalf("FPS should recover after training, got %v", got)
 	}
 }
@@ -95,11 +105,11 @@ func TestDeviceFPSDropsDuringTraining(t *testing.T) {
 func TestDeviceEncodingReducesFPS(t *testing.T) {
 	d := NewDevice(DefaultDeviceConfig())
 	d.BeginEncoding(2)
-	if got := d.EffectiveFPS(1); got >= 30 {
+	if got := effectiveFPS(d, 1); got >= 30 {
 		t.Fatalf("encoding should reduce FPS, got %v", got)
 	}
 	d.BeginTraining(2)
-	combined := d.EffectiveFPS(1)
+	combined := effectiveFPS(d, 1)
 	if combined >= 15 {
 		t.Fatalf("training+encoding should stack, got %v", combined)
 	}
@@ -124,11 +134,11 @@ func TestDeviceTickProcessesAtEffectiveRate(t *testing.T) {
 
 func TestDeviceUsageMonotoneWithLoad(t *testing.T) {
 	d := NewDevice(DefaultDeviceConfig())
-	idle := d.Usage(0)
+	idle := usage(d, 0)
 	d.BeginTraining(10)
-	training := d.Usage(5)
+	training := usage(d, 5)
 	d.BeginEncoding(10)
-	both := d.Usage(5)
+	both := usage(d, 5)
 	if !(idle < training && training < both) {
 		t.Fatalf("usage must grow with load: %v %v %v", idle, training, both)
 	}
@@ -176,7 +186,7 @@ func TestDrainUsageReportMatchesRunningMean(t *testing.T) {
 				t.Fatalf("frame %d: empty interval reports %v, want 0", i, got)
 			}
 		}
-		ref.Add(d.Usage(now))
+		ref.Add(usage(d, now))
 		d.Tick(now, dt)
 	}
 }

@@ -39,22 +39,56 @@ func (s *Sampler) SetRate(r float64) {
 // accumulates fractional credit so any rate below the camera FPS is honored
 // exactly on average.
 func (s *Sampler) Sample(t float64) bool {
+	credit := 1.0 // sample the first frame: bootstrap labeling quickly
+	if s.started {
+		credit = accrue(s.credit, s.lastT, t, s.rate)
+	}
+	s.started, s.lastT = true, t
+	var ok bool
+	s.credit, ok = spend(credit)
+	return ok
+}
+
+// accrue is a started sampler's credit step: the credit earned at rate
+// from the previous frame's time lastT to t, capped at maxCredit.
+func accrue(credit, lastT, t, rate float64) float64 {
+	credit += (t - lastT) * rate
+	if credit > maxCredit {
+		credit = maxCredit
+	}
+	return credit
+}
+
+// Scan makes the Sample calls for camera frames from … to−1, frame k at
+// time float64(k)·dt, up to the first frame that is accepted or whose time
+// t has t−since ≥ wait (a buffer captured at since has waited its limit).
+// It returns that frame's index and whether it was accepted, or to and
+// false when no frame stops it. It is those calls with the credit and the
+// previous frame's time held in locals for the span, so every bit is the
+// same.
+//
+//shoggoth:hotpath
+func (s *Sampler) Scan(from, to int, dt, since, wait float64) (stop int, accepted bool) {
+	if from >= to {
+		return to, false
+	}
 	if !s.started {
-		s.started = true
-		s.lastT = t
-		s.credit = 1 // sample the first frame: bootstrap labeling quickly
-	} else {
-		s.credit += (t - s.lastT) * s.rate
-		if s.credit > maxCredit {
-			s.credit = maxCredit
+		return from, s.Sample(float64(from) * dt)
+	}
+	check := replayScan(s)
+	credit, lastT, rate := s.credit, s.lastT, s.rate
+	stop = from
+	for ; stop < to; stop++ {
+		t := float64(stop) * dt
+		credit, accepted = spend(accrue(credit, lastT, t, rate))
+		lastT = t
+		if accepted || t-since >= wait {
+			break
 		}
-		s.lastT = t
 	}
-	if s.credit >= 1 {
-		s.credit -= 1
-		return true
-	}
-	return false
+	s.credit, s.lastT = credit, lastT
+	check.matches(s, from, to, dt, since, wait, stop, accepted)
+	return stop, accepted
 }
 
 // creditSlack is taken off the credit SkipBefore still needs before it

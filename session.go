@@ -46,18 +46,9 @@ func (s *Session) Results() *Results { return s.sys.Finish() }
 func (s *Session) System() *core.System { return s.sys }
 
 // RunContext plays the whole stream, honouring context cancellation
-// between frames, and returns the aggregated results.
-func (s *Session) RunContext(ctx context.Context) (*Results, error) {
-	for s.sys.Step() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.sys.Finish(), nil
-}
+// between frames at full fidelity and between uploads at events fidelity,
+// and returns the aggregated results.
+func (s *Session) RunContext(ctx context.Context) (*Results, error) { return s.sys.RunContext(ctx) }
 
 // Observer receives streaming events from a running Session: per-window
 // accuracy, controller rate commands and training sessions.

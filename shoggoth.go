@@ -26,6 +26,7 @@
 package shoggoth
 
 import (
+	"context"
 	"time"
 
 	"shoggoth/internal/cloud"
@@ -152,9 +153,7 @@ func Run(cfg Config) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	for sess.Step() {
-	}
-	return sess.Results(), nil
+	return sess.RunContext(context.Background())
 }
 
 // WallClock returns a monotonic wall-time reader for Config.PerfClock: the
