@@ -1,6 +1,11 @@
 package edge
 
-import "shoggoth/internal/tensor"
+import (
+	"math"
+	"math/bits"
+
+	"shoggoth/internal/tensor"
+)
 
 // DeviceConfig models the edge board's real-time behaviour.
 type DeviceConfig struct {
@@ -122,8 +127,14 @@ func (d *Device) Tick(t, dt float64) bool {
 // processes. It is those calls with the running values held in locals for
 // the span: the credit, the λ sum and the current second's FPS sum and
 // count, written back when the second changes and when the span ends.
-// Every addition happens in the order Tick makes it, so every bit is the
-// same.
+//
+// The frames under a training or encoding window play one at a time, each
+// addition in the order Tick makes it. From the first frame at or after
+// both windows to the end of the span every frame has the same rate and λ,
+// so that idle tail plays in closed form with the same bits: the credit
+// per frame until a frame leaves it unchanged (every later frame then
+// repeats that frame), the λ sum in one addRepeated, and the FPS sum and
+// count in one addRepeated per whole second the tail covers.
 //
 //shoggoth:hotpath
 func (d *Device) TickFrames(first, n int, dt float64) int {
@@ -133,8 +144,12 @@ func (d *Device) TickFrames(first, n int, dt float64) int {
 	f := d.fps
 	sec, secSum, secN := -1, 0.0, int32(0)
 	processed := 0
-	for k := first; k < first+n; k++ {
+	k, end := first, first+n
+	for ; k < end; k++ {
 		t := float64(k) * dt
+		if !(t < train) && !(t < enc) {
+			break
+		}
 		fps, usage := cfg.frameLoad(t, train, enc)
 		if s := int(t); s != sec {
 			if sec >= 0 {
@@ -151,6 +166,28 @@ func (d *Device) TickFrames(first, n int, dt float64) int {
 			processed++
 		}
 	}
+	if k < end { // the idle tail: frames k … end−1
+		fps, usage := cfg.frameLoad(float64(k)*dt, train, enc)
+		var tail int
+		credit, tail = spendRun(credit, fps, dt, end-k)
+		processed += tail
+		usageSum = addRepeated(usageSum, usage, end-k)
+		perSec := 1 / dt
+		for k < end {
+			s := int(float64(k) * dt)
+			next := secondEnd(k, end, s, dt, perSec)
+			if s != sec {
+				if sec >= 0 {
+					f.sums[sec], f.counts[sec] = secSum, secN
+				}
+				f.cover(s)
+				sec, secSum, secN = s, f.sums[s], f.counts[s]
+			}
+			secSum = addRepeated(secSum, fps, next-k)
+			secN += int32(next - k)
+			k = next
+		}
+	}
 	if sec >= 0 {
 		f.sums[sec], f.counts[sec] = secSum, secN
 	}
@@ -158,6 +195,117 @@ func (d *Device) TickFrames(first, n int, dt float64) int {
 	d.usageN += n
 	check.matches(d, first, n, dt, processed)
 	return processed
+}
+
+// spendRun plays m frames at the constant rate fps on the credit and
+// returns the credit they leave and how many of them are processed. It
+// plays them one at a time until a frame leaves the credit unchanged, bit
+// for bit: each later frame then starts from the same credit, so it ends
+// the same way, and the rest are counted at once. At a rate of exactly
+// one frame per camera frame that happens by the second frame; a credit
+// that never repeats plays every frame.
+func spendRun(credit, fps, dt float64, m int) (float64, int) {
+	processed := 0
+	for i := 0; i < m; i++ {
+		next, ok := spend(credit + fps*dt)
+		if ok {
+			processed++
+		}
+		if math.Float64bits(next) == math.Float64bits(credit) {
+			if ok {
+				processed += m - 1 - i
+			}
+			break
+		}
+		credit = next
+	}
+	return credit, processed
+}
+
+// secondEnd returns the first frame after k, at most end, that lies past
+// whole second s, the second frame k lies in: the first k' with
+// int(float64(k')·dt) ≠ s, the predicate the per-frame loop splits seconds
+// by. It starts from ⌈(s+1)·perSec⌉, perSec being 1/dt, and corrects that
+// guess with the predicate itself, which grows with k' because the frame
+// times do.
+func secondEnd(k, end, s int, dt, perSec float64) int {
+	next := end
+	if guess := math.Ceil(float64(s+1) * perSec); guess < float64(end) {
+		next = max(int(guess), k+1)
+	}
+	for next > k+1 && int(float64(next-1)*dt) != s {
+		next--
+	}
+	for next < end && int(float64(next)*dt) == s {
+		next++
+	}
+	return next
+}
+
+// addRepeated returns what n sequential sum += x return, bit for bit.
+//
+// While sum and x are both multiples of 2^q and every partial sum stays
+// below 2^(53+q), every partial sum is a float64 and each addition is
+// exact, so a run of them is one exact multiply-add. With sum and x
+// non-negative the partial sums grow, so the run is whole when the last
+// one stays below. Otherwise the addition that crosses 2^(53+q) may round;
+// it is made as a real +=, and the sum it leaves has a coarser lowest bit,
+// so q grows until it meets x's lowest bit. From there each addition
+// rounds, and the rest are made one at a time, as they are for a zero,
+// negative or non-finite operand.
+func addRepeated(sum, x float64, n int) float64 {
+	for n > 0 {
+		if !(x > 0 && x <= math.MaxFloat64 && sum >= 0 && sum <= math.MaxFloat64) {
+			break
+		}
+		q := lowBit(x)
+		if sum != 0 {
+			q = min(q, lowBit(sum))
+		}
+		if q > 970 { // 2^(53+q) would not be finite
+			break
+		}
+		limit := math.Float64frombits(uint64(53+q+1023) << 52)
+		if sum >= limit {
+			break
+		}
+		// Below limit a multiple of 2^q is exact, and rounding keeps a
+		// value at or past limit there, so this comparison decides on the
+		// exact last partial sum. The multiplies are converted: a fused
+		// multiply-add would round once.
+		if last := sum + float64(float64(n)*x); last < limit {
+			return last
+		}
+		// j is the longest exact run, the most additions whose partial
+		// sums stay below limit: ⌈room/x⌉−1, fewer than n since the last
+		// does not. The quotient's rounding cannot move its ceiling: room
+		// and x are multiples of 2^q and room ≤ 2^(53+q), so a quotient
+		// that is not whole lies at least 2^q/x ≥ room/x·2^-53, half its
+		// ulp or more, past the whole number below it.
+		room := limit - sum
+		j := max(int(math.Ceil(room/x))-1, 0)
+		if j > 0 {
+			sum += float64(float64(j) * x)
+			n -= j
+		}
+		sum += x // the crossing addition, rounded as the loop rounds it
+		n--
+	}
+	for ; n > 0; n-- {
+		sum += x
+	}
+	return sum
+}
+
+// lowBit returns the exponent of the lowest set bit of a positive finite
+// x: the largest q with x a multiple of 2^q.
+func lowBit(x float64) int {
+	b := math.Float64bits(x)
+	exp, mant := int(b>>52&0x7ff), b&(1<<52-1)
+	if exp == 0 { // subnormal: no implicit bit
+		return -1074 + bits.TrailingZeros64(mant)
+	}
+	return exp - 1075 + bits.TrailingZeros64(mant|1<<52)
 }
 
 // DrainUsageReport returns the mean λ since the previous report and resets

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -37,14 +38,45 @@ func sameDevice(a, b *Device) string {
 	return ""
 }
 
+// checkTickFrames plays frames first … first+n−1 through TickFrames on d
+// and through n Tick calls on a copy, and fails unless both process the
+// same frames and leave every accumulator with the same bits.
+func checkTickFrames(t *testing.T, name string, d *Device, first, n int, dt float64) {
+	t.Helper()
+	want := cloneDevice(d)
+	wantProcessed := 0
+	for k := first; k < first+n; k++ {
+		if want.Tick(float64(k)*dt, dt) {
+			wantProcessed++
+		}
+	}
+	if processed := d.TickFrames(first, n, dt); processed != wantProcessed {
+		t.Fatalf("%s (frames %d…%d, dt %v): TickFrames processed %d frames, Tick %d", name, first, first+n-1, dt, processed, wantProcessed)
+	}
+	if diff := sameDevice(d, want); diff != "" {
+		t.Fatalf("%s (frames %d…%d, dt %v): TickFrames and Tick leave different %s", name, first, first+n-1, dt, diff)
+	}
+}
+
 // TestTickFramesMatchesTicks is the oracle for the span's device half:
 // TickFrames(first, n, dt) leaves every accumulator, and the FPS sums and
 // counts, where n calls of Tick leave them, bit for bit, and counts the
-// frames those calls process. The generated states put training and
-// encoding windows that start before and end inside the span, spans that
-// cross second boundaries or stay inside one, sized and growing trackers
-// that already hold part of the current second, effective rates below, at
-// and above the camera FPS, and empty spans.
+// frames those calls process.
+//
+// The first generator draws every load at random: training and encoding
+// windows that start before and end inside the span, spans that cross
+// second boundaries or stay inside one, sized and growing trackers that
+// already hold part of the current second, effective rates below, at and
+// above the camera FPS, and empty spans. Its random λ almost never lets an
+// idle tail add in closed form.
+//
+// The second generator aims at the closed form: the default loads with
+// MaxFPS at a camera rate of 10, 25 or 30, idle tails up to a minute long,
+// λ sums preset just below a power of two, and credit at 0 and near 1. A
+// quarter of its cases must be refused part of the way — a 29.97 camera
+// under a 30 fps device, a λ that is not dyadic, MaxFPS above the camera
+// rate — so a closed form taken where it does not hold shows as a bit
+// difference.
 func TestTickFramesMatchesTicks(t *testing.T) {
 	rng := rand.New(rand.NewPCG(39, 1))
 	pick := func(xs ...float64) float64 { return xs[rng.IntN(len(xs))] }
@@ -87,22 +119,147 @@ func TestTickFramesMatchesTicks(t *testing.T) {
 		if rng.IntN(2) == 0 {
 			d.BeginEncoding(start + (end-start+1)*rng.Float64())
 		}
+		checkTickFrames(t, fmt.Sprintf("random case %d at %v fps", i, camera), d, first, n, dt)
+	}
 
-		want := cloneDevice(d)
-		wantProcessed := 0
-		for k := first; k < first+n; k++ {
-			if want.Tick(float64(k)*dt, dt) {
-				wantProcessed++
+	for i := 0; i < 3000; i++ {
+		camera := pick(10, 25, 30)
+		cfg := DefaultDeviceConfig()
+		cfg.MaxFPS = camera
+		refuse := ""
+		switch rng.IntN(12) {
+		case 0:
+			camera, cfg.MaxFPS, refuse = 29.97, 30, "29.97 fps camera"
+		case 1:
+			cfg.IdleLoad, refuse = pick(0.38, 0.1, 1.0/3), "non-dyadic λ"
+		case 2:
+			cfg.MaxFPS, refuse = pick(camera+1, 1.5*camera, 2*camera), "MaxFPS above the camera"
+		}
+		dt := 1 / camera
+		first := rng.IntN(int(600 * camera))
+		n := rng.IntN(int(60*camera) + 1)
+		end := float64(first+n) * dt
+		var d *Device
+		if rng.IntN(2) == 0 {
+			d = NewSizedDevice(cfg, int(end)+1)
+		} else {
+			d = NewDevice(cfg)
+		}
+		// Part of the current second already ticked, then the presets.
+		for k := first - rng.IntN(int(camera)); k < first; k++ {
+			if k >= 0 {
+				d.Tick(float64(k)*dt, dt)
 			}
 		}
-		processed := d.TickFrames(first, n, dt)
-		if processed != wantProcessed {
-			t.Fatalf("case %d (frames %d…%d at %v fps): TickFrames processed %d frames, Tick %d", i, first, first+n-1, camera, processed, wantProcessed)
+		pow := math.Ldexp(1, rng.IntN(60)-4)
+		d.usageSum = pick(0, pow-0.5, pow-0.5*float64(rng.IntN(n+1)), math.Nextafter(pow, 0), 1<<52-float64(rng.IntN(n+1)), 1e4*rng.Float64())
+		d.credit = pick(0, 0, 1-0x1p-52, 0.999999, 1-0x1p-30, rng.Float64())
+		start := float64(first) * dt
+		switch rng.IntN(4) {
+		case 0: // a training window that ends inside the span
+			d.BeginTraining(start + (end-start)*rng.Float64())
+		case 1: // an encoding window that ends inside the span
+			d.BeginEncoding(start + (end-start)*rng.Float64())
+		case 2: // windows long over
+			d.BeginTraining(start * rng.Float64())
+			d.BeginEncoding(start * rng.Float64())
 		}
-		if diff := sameDevice(d, want); diff != "" {
-			t.Fatalf("case %d (frames %d…%d at %v fps): TickFrames and Tick leave different %s", i, first, first+n-1, camera, diff)
+		name := fmt.Sprintf("idle case %d at %v fps", i, camera)
+		if refuse != "" {
+			name += " (" + refuse + ")"
+		}
+		checkTickFrames(t, name, d, first, n, dt)
+	}
+}
+
+// TestAddRepeatedMatchesLoop holds addRepeated(sum, x, n) to n sequential
+// sum += x by Float64bits: sums of ±0, just below and above powers of two
+// (one to several binade crossings), near 2^52 and 2^53 where 0.5 and 1
+// stop being exact, and arbitrary ones; addends on and off the grid of the
+// sum's last bit, subnormal, negative and non-finite.
+func TestAddRepeatedMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewPCG(40, 1))
+	pick := func(xs ...float64) float64 { return xs[rng.IntN(len(xs))] }
+	for i := 0; i < 20000; i++ {
+		n := rng.IntN(3000)
+		if rng.IntN(10) == 0 {
+			n = rng.IntN(3)
+		}
+		pow := math.Ldexp(1, rng.IntN(120)-60)
+		x := pick(0.5, 30, 25, 0.25, 0.0625, 1, 3, 1.0/3, 0.38, 0.1, 29.97, 0x1p-1074, 0x1p-1060, math.Nextafter(1, 0), 0x1.ffffffffffffdp-3,
+			math.Ldexp(1+float64(rng.IntN(16))/16, rng.IntN(40)-20), rng.Float64(), 1e300, 0x1p1000, 0, math.Copysign(0, -1),
+			-0.5, math.Inf(1), math.NaN())
+		sum := pick(0, math.Copysign(0, -1), pow, pow-x, pow-x*float64(rng.IntN(n+1)), math.Nextafter(pow, 0),
+			math.Nextafter(pow, 0)*0.75, 1<<52-x*float64(rng.IntN(n+1)), 1<<53-3, 1e4*rng.Float64(),
+			math.Ldexp(rng.Float64(), rng.IntN(60)), math.MaxFloat64/2, 0x1p-1073, -3)
+		want := sum
+		for range n {
+			want += x
+		}
+		if got := addRepeated(sum, x, n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("case %d: addRepeated(%v, %v, %d) = %v (%#x), %d additions give %v (%#x)",
+				i, sum, x, n, got, math.Float64bits(got), n, want, math.Float64bits(want))
 		}
 	}
+}
+
+// TestSecondEndMatchesScan holds secondEnd to a frame-by-frame scan of
+// the predicate the per-frame loop splits seconds by, at camera rates that
+// are whole, NTSC-like and arbitrary, from any frame of a second. A fifth
+// of the cases pass a frame rate a few percent off, so the predicate must
+// correct the first guess in both directions.
+func TestSecondEndMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(40, 2))
+	for i := 0; i < 20000; i++ {
+		camera := []float64{10, 25, 29.97, 30, 59.94, 0.7, 1000 * rng.Float64(), 7 + rng.Float64()}[rng.IntN(8)]
+		dt := 1 / camera
+		k := rng.IntN(1 << 22)
+		end := k + 1 + rng.IntN(int(3*camera)+2)
+		s := int(float64(k) * dt)
+		want := k + 1
+		for want < end && int(float64(want)*dt) == s {
+			want++
+		}
+		perSec := camera
+		if rng.IntN(5) == 0 {
+			perSec *= 0.95 + 0.1*rng.Float64()
+		}
+		if got := secondEnd(k, end, s, dt, perSec); got != want {
+			t.Fatalf("case %d: secondEnd(%d, %d, %d, 1/%v) = %d, the scan stops at %d", i, k, end, s, camera, got, want)
+		}
+	}
+}
+
+// FuzzTickFramesMatchesTicks is TestTickFramesMatchesTicks' differential
+// check with every load, preset and window drawn by the fuzzer; its seeds
+// are under testdata/fuzz. A camera
+// rate outside (0, 1000] fps or a non-finite window bound is skipped:
+// Tick itself is not defined there.
+func FuzzTickFramesMatchesTicks(f *testing.F) {
+	f.Fuzz(func(t *testing.T, camera, maxFPS, trainFactor, encFactor, idle, trainLoad, encLoad float64,
+		first uint32, n uint16, ticked uint8, credit, usageSum, trainUntil, encUntil float64, sized bool) {
+		if !(camera > 0 && camera <= 1000) || math.IsInf(trainUntil, 0) || math.IsInf(encUntil, 0) {
+			t.Skip()
+		}
+		dt := 1 / camera
+		cfg := DeviceConfig{maxFPS, trainFactor, encFactor, idle, trainLoad, encLoad}
+		k0 := int(first % (1 << 20))
+		end := float64(k0+int(n)) * dt
+		if end > 1<<16 { // a tracker of at most 2^16 seconds
+			t.Skip()
+		}
+		d := NewDevice(cfg)
+		if sized {
+			d = NewSizedDevice(cfg, int(end)+1)
+		}
+		for k := max(k0-int(ticked), 0); k < k0; k++ {
+			d.Tick(float64(k)*dt, dt)
+		}
+		d.credit, d.usageSum = credit, usageSum
+		d.BeginTraining(trainUntil)
+		d.BeginEncoding(encUntil)
+		checkTickFrames(t, "fuzz", d, k0, int(n), dt)
+	})
 }
 
 // TestScanMatchesSampleLoop is the oracle for the span's sampler half: Scan

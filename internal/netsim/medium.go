@@ -107,6 +107,9 @@ func (m *SharedMedium) advance(target float64) {
 		m.drain(segEnd-m.now, perShare)
 		m.now = segEnd
 	}
+	if m.now < target && len(m.active) > 0 { // the loop reached maxTraceSegments
+		gaveUp("SharedMedium.advance", m.now, m.remainingBits())
+	}
 	if m.now < target {
 		m.now = target
 	}
@@ -136,6 +139,15 @@ func (m *SharedMedium) minRemaining() float64 {
 		}
 	}
 	return min
+}
+
+// remainingBits returns the bits still to move, over every transfer.
+func (m *SharedMedium) remainingBits() float64 {
+	bits := 0.0
+	for _, t := range m.active {
+		bits += t.remaining
+	}
+	return bits
 }
 
 // drain moves dt seconds of per-share bandwidth out of every transfer.

@@ -33,9 +33,10 @@ type Trace interface {
 	NextChange(t float64) float64
 }
 
-// maxTraceSegments bounds the TransferSeconds integration loop so a
-// malformed Trace (NextChange not advancing, or an unbounded outage) cannot
-// hang the simulation.
+// maxTraceSegments bounds the TransferSeconds and SharedMedium.advance
+// integration loops so a malformed Trace (NextChange not advancing, or an
+// unbounded outage) cannot hang the simulation. A loop that gives up says
+// so under -tags shoggothdebug (gaveUp).
 const maxTraceSegments = 1 << 20
 
 // TransferSeconds returns the time to deliver a message of the given size
@@ -68,6 +69,7 @@ func TransferSeconds[T Trace](tr T, bytes int, now float64) float64 {
 	// Unreachable for traces built by this package's constructors; a
 	// pathological trace prices the remainder as if the transfer never
 	// completes rather than stalling the virtual clock.
+	gaveUp("TransferSeconds", t, remaining)
 	return math.Inf(1)
 }
 
