@@ -174,10 +174,14 @@ type Service struct {
 	// heads holds the devices with a waiting batch, as a binary min-heap in
 	// the policy's order over their head-of-line batches (see
 	// rekeyLocked); each device records its position in heapIdx.
-	heads   []*ServiceDevice
-	seq     int
-	agg     queueAccum
+	heads []*ServiceDevice
+	seq   int
+	agg   queueAccum
+	// devices holds the devices Register and RegisterDevice added, by id,
+	// so a duplicate is rejected; routed counts those a tier registered on
+	// this replica (registerRouted), which need no lookup.
 	devices map[string]*ServiceDevice
+	routed  int
 	// coalescedForwards counts multi-batch teacher forwards; coalescedBatches
 	// counts the batches that rode in them (primaries included).
 	coalescedForwards int
@@ -324,19 +328,36 @@ func (s *Service) register(id string, teacher *detect.Teacher, labelerCfg Labele
 	if _, dup := s.devices[id]; dup {
 		return nil, fmt.Errorf("cloud: device %q already registered", id)
 	}
+	d := s.newDevice(id, teacher, labelerCfg, ctrlCfg, analytic)
+	s.devices[id] = d
+	return d, nil
+}
+
+// registerRouted registers a tier's device on this replica, the first time
+// the tier routes one of its batches here. The tier has rejected duplicate
+// ids already and registers a device on a replica once, so no lookup by id
+// guards it; Devices counts it.
+func (s *Service) registerRouted(id string, teacher *detect.Teacher, labelerCfg LabelerConfig, analytic bool) *ServiceDevice {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.routed++
+	return s.newDevice(id, teacher, labelerCfg, nil, analytic)
+}
+
+// newDevice returns a device's fresh cloud-side state.
+func (s *Service) newDevice(id string, teacher *detect.Teacher, labelerCfg LabelerConfig, ctrlCfg *ControllerConfig, analytic bool) *ServiceDevice {
 	d := &ServiceDevice{svc: s, id: id, labeler: NewLabeler(teacher, labelerCfg), weight: 1, analytic: analytic, heapIdx: -1}
 	if ctrlCfg != nil {
 		d.ctrl = NewController(*ctrlCfg)
 	}
-	s.devices[id] = d
-	return d, nil
+	return d
 }
 
 // Devices returns the number of registered devices.
 func (s *Service) Devices() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.devices)
+	return len(s.devices) + s.routed
 }
 
 // Stats returns the service-wide queue statistics.

@@ -408,12 +408,7 @@ func (t *Tier) admitRoute(td *TierDevice, frames []*video.Frame, now float64) (r
 	ri, ex := t.route(td, frames, now)
 	reg = td.regs[ri]
 	if reg == nil {
-		var err error
-		reg, err = t.replicas[ri].register(td.id, td.teacher, td.labelerCfg, nil, td.analytic)
-		if err != nil {
-			// Unreachable: regs[ri] guards one registration per replica.
-			panic(err)
-		}
+		reg = t.replicas[ri].registerRouted(td.id, td.teacher, td.labelerCfg, td.analytic)
 		if td.weight != 1 {
 			reg.SetWeight(td.weight)
 		}

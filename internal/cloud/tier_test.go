@@ -311,6 +311,28 @@ func TestTierDuplicateRegistrationRejected(t *testing.T) {
 	}
 }
 
+// TestReplicaCountsRoutedRegistrations holds a replica's Devices to the
+// registrations the tier mints on it lazily: none before a batch is routed
+// there, one per device after, however many batches follow.
+func TestReplicaCountsRoutedRegistrations(t *testing.T) {
+	tier := NewTier(TierConfig{Replicas: 2, Router: "round-robin"})
+	a := newTierDevice(t, tier, "a", 1, DeviceOptions{})
+	b := newTierDevice(t, tier, "b", 2, DeviceOptions{})
+	count := func() [2]int { return [2]int{tier.replicas[0].Devices(), tier.replicas[1].Devices()} }
+	if got := count(); got != [2]int{0, 0} {
+		t.Fatalf("replica registrations before any batch: %v, want [0 0]", got)
+	}
+	for i, d := range []*TierDevice{a, a, b, b, a} {
+		if !d.Enqueue(serviceFrames(t, 1), float64(i), func(BatchResult) {}) {
+			t.Fatalf("batch %d rejected", i)
+		}
+	}
+	// Round-robin sends a to 0, 1 and 0 again, and b to 1 and 0.
+	if got := count(); got != [2]int{2, 2} {
+		t.Fatalf("replica registrations: %v, want [2 2]", got)
+	}
+}
+
 func TestRoundRobinCycles(t *testing.T) {
 	r, err := NewRouter("round-robin")
 	if err != nil {

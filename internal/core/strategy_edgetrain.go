@@ -41,7 +41,7 @@ func (st *edgeTrainStrategy) OnFrame(f *video.Frame, t, dt float64) {
 // accumulates once they arrive.
 func (st *edgeTrainStrategy) OnCloudBatch(frames []*video.Frame, labels [][]detect.TeacherLabel, done float64) {
 	sys := st.Sys
-	cfg := sys.Config()
+	cfg := &sys.cfg // Config() would copy it for every labeled batch
 	nRegions := 0
 	for _, ls := range labels {
 		nRegions += len(ls)

@@ -639,7 +639,7 @@ func (s *System) bufferSample(f *video.Frame, t float64) {
 // the edge telemetry (α since last report, λ usage).
 func (s *System) flushBuffer(t float64) {
 	s.wakeCheck.flushing(s)
-	cfg := s.cfg
+	cfg := &s.cfg
 	frames := s.sampleBuf
 	s.sampleBuf = nil
 
@@ -688,7 +688,7 @@ func (s *System) cloudReceive(frames []*video.Frame, alpha, lambda, now float64)
 // update are shared substrate; the labels are then handed to the strategy's
 // OnCloudBatch hook.
 func (s *System) onBatchLabeled(frames []*video.Frame, alpha, lambda float64, batch cloud.BatchResult) {
-	cfg := s.cfg
+	cfg := &s.cfg
 	for _, p := range batch.Phis {
 		s.phiAll.Add(p)
 	}

@@ -262,24 +262,74 @@ func FuzzTickFramesMatchesTicks(f *testing.F) {
 	})
 }
 
+// checkScan plays frames from … to−1 through Scan on s, again from the
+// frame after each stop, as a span does, and the same frames through the
+// Sample loop each Scan stands for on a copy. It fails unless every Scan
+// stops at the loop's frame with the loop's acceptance and leaves the
+// credit, the previous time and the started flag with the loop's bits. It
+// returns how many scans stopped before to.
+func checkScan(t *testing.T, name string, s *Sampler, from, to int, dt, since, wait float64) (stops int) {
+	t.Helper()
+	want := *s
+	for from < to || from == to && stops == 0 {
+		stop, accepted := s.Scan(from, to, dt, since, wait)
+		wantStop, wantAccepted := from, false
+		for ; wantStop < to; wantStop++ {
+			tm := float64(wantStop) * dt
+			if wantAccepted = want.Sample(tm); wantAccepted || tm-since >= wait {
+				break
+			}
+		}
+		if stop != wantStop || accepted != wantAccepted {
+			t.Fatalf("%s (rate %v, dt %v, frames %d…%d, since %v, wait %v): Scan stops at %d (accepted %t), the Sample loop at %d (accepted %t)",
+				name, want.rate, dt, from, to-1, since, wait, stop, accepted, wantStop, wantAccepted)
+		}
+		if s.started != want.started || math.Float64bits(s.credit) != math.Float64bits(want.credit) ||
+			math.Float64bits(s.lastT) != math.Float64bits(want.lastT) {
+			t.Fatalf("%s (rate %v, dt %v, frames %d…%d, since %v, wait %v): Scan leaves %+v, the Sample loop %+v",
+				name, want.rate, dt, from, to-1, since, wait, *s, want)
+		}
+		if stop >= to {
+			break
+		}
+		stops++
+		from = stop + 1
+	}
+	return stops
+}
+
 // TestScanMatchesSampleLoop is the oracle for the span's sampler half: Scan
 // stops at the frame the Sample loop it stands for stops at — the first
 // accepted one, or the first whose t−since reaches wait — with the same
 // acceptance and the same credit, previous time and started flag, bit for
 // bit. A case then scans on from the stop, as a span does, to the end of
-// its frames. Rates run from 0 through below, at and above the camera FPS,
-// where the credit cap binds; some samplers have not started, some spans
-// are empty, and wait is +Inf for a buffer that holds nothing.
+// its frames.
+//
+// The first generator draws spans up to five minutes long anywhere in the
+// first ten minutes of a stream. Rates run from 0 through R_min and
+// dyadic rates below the camera FPS, to at and above it, where the
+// credit cap binds; some samplers have not started, some read a previous
+// time two frames back, some spans are empty, and wait is +Inf for a
+// buffer that holds nothing. Most frames of a long span play in closed
+// form, so a wrong credit, stop or crossing shows as a bit difference.
+// Each sampler then scans a second span after a rate command, under
+// another frame step, or from an earlier frame.
+//
+// The second aims at the closed form's edges: a 32 fps camera, whose
+// frame times are exact, with rates that put an increment exactly half a
+// credit ulp past a whole number; spans that cross a power of two of
+// time; and waits that end on the first frame past such a crossing.
 func TestScanMatchesSampleLoop(t *testing.T) {
 	rng := rand.New(rand.NewPCG(39, 2))
 	pick := func(xs ...float64) float64 { return xs[rng.IntN(len(xs))] }
 	stops := 0
-	for i := 0; i < 4000; i++ {
-		camera := pick(10, 25, 29.97, 30)
+	for i := 0; i < 1500; i++ {
+		camera := pick(10, 12, 15, 25, 29.97, 30)
 		dt := 1 / camera
-		rate := pick(0, 0.05, 0.5, 2, camera*0.999, camera, camera*1.5, 4*camera, camera*rng.Float64())
-		first := 2 + rng.IntN(int(20*camera))
-		to := first + rng.IntN(int(30*camera))
+		dyadic := float64(1+rng.IntN(1<<12)) / (1 << 14)
+		rate := pick(0, 0.05, 0.1, 0.5, 2, dyadic, camera*0.999, camera, camera*1.5, 4*camera, camera*rng.Float64())
+		first := 2 + rng.IntN(int(600*camera))
+		to := first + rng.IntN(int(300*camera))
 		if rng.IntN(8) == 0 {
 			to = first
 		}
@@ -290,33 +340,72 @@ func TestScanMatchesSampleLoop(t *testing.T) {
 			s.credit = pick(0, 0.3, 0.999999, 1, 1.5, 2, 2*rng.Float64())
 		}
 		since := float64(first-rng.IntN(int(10*camera))) * dt
-		wait := pick(math.Inf(1), math.Inf(1), 0, 0.1, 5, 25, 10*rng.Float64())
+		wait := pick(math.Inf(1), math.Inf(1), 0, 0.1, 5, 25, 100*rng.Float64())
+		stops += checkScan(t, fmt.Sprintf("case %d", i), s, first, to, dt, since, wait)
 
-		want := *s
-		for from := first; from < to || from == first; {
-			stop, accepted := s.Scan(from, to, dt, since, wait)
-			wantStop, wantAccepted := from, false
-			for ; wantStop < to; wantStop++ {
-				tm := float64(wantStop) * dt
-				if wantAccepted = want.Sample(tm); wantAccepted || tm-since >= wait {
-					break
-				}
-			}
-			if stop != wantStop || accepted != wantAccepted {
-				t.Fatalf("case %d (rate %v, frames %d…%d, since %v, wait %v): Scan stops at %d (accepted %t), the Sample loop at %d (accepted %t)",
-					i, rate, from, to-1, since, wait, stop, accepted, wantStop, wantAccepted)
-			}
-			if s.started != want.started || math.Float64bits(s.credit) != math.Float64bits(want.credit) ||
-				math.Float64bits(s.lastT) != math.Float64bits(want.lastT) {
-				t.Fatalf("case %d (rate %v, frames %d…%d): Scan leaves %+v, the Sample loop %+v", i, rate, from, to-1, *s, want)
-			}
-			if stop < to {
-				stops++
-			}
-			from = stop + 1
+		// The same sampler scans on under a new rate command, a new frame
+		// step, or from an earlier frame: the grid it keeps between spans
+		// must not outlive what it was built for.
+		switch rng.IntN(4) {
+		case 0:
+			s.SetRate(pick(0.1, 0.5, camera*rng.Float64()))
+		case 1:
+			camera = pick(10, 25, 29.97, 30)
+			dt = 1 / camera
+		case 2:
+			to = first
+			first = max(2, first-rng.IntN(int(60*camera)))
 		}
+		if to < first+int(60*camera) {
+			to = first + rng.IntN(int(120*camera))
+		}
+		checkScan(t, fmt.Sprintf("case %d, second span", i), s, first, to, dt, since, math.Inf(1))
 	}
 	if stops == 0 {
 		t.Fatal("no generated span stopped early: the cases test nothing but whole spans")
 	}
+
+	for i := 0; i < 1500; i++ {
+		camera := pick(32, 30, 29.97)
+		dt := 1 / camera
+		// A rate of b/2^j puts frame steps of whole ulps of time onto odd
+		// multiples of a power of two, half a credit ulp in some binade.
+		rate := float64(1|rng.IntN(1<<10)) / float64(int(1)<<(8+rng.IntN(8)))
+		if rng.IntN(4) == 0 {
+			rate = pick(0.1, 0.28125, 0.1*rng.Float64())
+		}
+		pow := 1 << (1 + rng.IntN(10)) // a power-of-two second
+		cross := int(math.Ceil(float64(pow) * camera))
+		first := max(2, cross-rng.IntN(int(120*camera)))
+		to := cross + rng.IntN(int(120*camera))
+		s := NewSampler(rate)
+		s.started = true
+		s.lastT = float64(first-1-rng.IntN(2)) * dt
+		s.credit = pick(0, 0.5, 1-0x1p-53, rng.Float64())
+		since := float64(first) * dt
+		wait := pick(math.Inf(1), float64(cross)*dt-since, float64(cross+1)*dt-since, float64(pow)-since, 30*rng.Float64())
+		stops += checkScan(t, fmt.Sprintf("edge case %d", i), s, first, to, dt, since, wait)
+	}
+}
+
+// FuzzScanMatchesSampleLoop is TestScanMatchesSampleLoop's differential
+// check with the rate, the sampler's state, the span and the wait drawn by
+// the fuzzer; its seeds are under testdata/fuzz. A camera rate outside
+// (0, 1000] fps is skipped: frames do not advance there.
+func FuzzScanMatchesSampleLoop(f *testing.F) {
+	f.Fuzz(func(t *testing.T, camera, rate, credit float64, first uint32, n uint16, back uint8,
+		since, wait float64, started bool) {
+		if !(camera > 0 && camera <= 1000) {
+			t.Skip()
+		}
+		dt := 1 / camera
+		k0 := int(first % (1 << 24))
+		s := NewSampler(rate)
+		if started {
+			s.started = true
+			s.credit = credit
+			s.lastT = float64(k0-1-int(back%3)) * dt
+		}
+		checkScan(t, "fuzz", s, k0, k0+int(n), dt, since, wait)
+	})
 }
