@@ -9,9 +9,18 @@ package shoggoth_test
 //
 // reproduces the entire evaluation. Benchmarks run the quick mode (one
 // scenario cycle per run; use cmd/shoggoth-bench -full for paper-scale).
+//
+// Two fleet contracts too large for `go test` run here as benchmarks:
+// BenchmarkFleetEngineMillion holds a million-device cluster to the same
+// bytes at 1 and 8 engine workers, and peaks near 5 GB RSS, so -bench=.
+// needs a box with room for it; BenchmarkSampledFidelity holds the
+// sampled estimator's interval to a 1k-device full-fidelity truth run.
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"shoggoth"
@@ -144,4 +153,53 @@ func BenchmarkFleetEngine(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkFleetEngineMillion runs a million rush-hour devices at events
+// fidelity through the hierarchical merge tree, analytic cloud costing and
+// the streaming fleet fold, at 1 and 8 engine workers, and fails unless both
+// report the same bytes. AggregateOnly keeps the results at the fleet
+// aggregate, and the tight QueueCap keeps the teacher queue O(cap) while
+// every upload, admitted or dropped, still crosses the outbox merge and the
+// shared timeline. Each worker count reports its own events/s.
+func BenchmarkFleetEngineMillion(b *testing.B) {
+	const devices = 1_000_000
+	configs := scenarioFleet("rush-hour", devices, 5, shoggoth.WithSeed(11), shoggoth.WithCycles(0.01), atEvents)
+	got := map[int][]byte{}
+	for _, workers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			c := &shoggoth.Cluster{EngineWorkers: workers, AggregateOnly: true, QueueCap: 64, Cache: &shoggoth.Students}
+			var events int64
+			for i := 0; i < b.N; i++ {
+				// Fresh configs for every run, which the run may drop
+				// once consumed.
+				b.StopTimer()
+				cfgs := configs(b)
+				b.StartTimer()
+				res, err := c.Run(context.Background(), cfgs)
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Devices != nil || res.Fleet == nil || res.Fleet.Devices != devices {
+					b.Fatalf("want only a %d-device fleet aggregate, got %d device results and %+v", devices, len(res.Devices), res.Fleet)
+				}
+				if res.Fleet.SampledFrames.Mean == 0 || res.Cloud.Batches == 0 || res.Cloud.DroppedBatches == 0 {
+					b.Fatalf("fleet did no cloud work (sampled mean=%v batches=%d dropped=%d)",
+						res.Fleet.SampledFrames.Mean, res.Cloud.Batches, res.Cloud.DroppedBatches)
+				}
+				events += res.Engine.Events
+				got[workers] = encodeJSON(b, res)
+				// A run holds ~4 GB at its peak. Returning it to the OS
+				// resets the GC's heap goal, which would otherwise let
+				// the next run grow past that high-water mark.
+				debug.FreeOSMemory()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+		})
+	}
+	if got[1] != nil && got[8] != nil && !bytes.Equal(got[1], got[8]) {
+		b.Fatalf("8 engine workers diverged from 1:\ngot:  %.2000s\nwant: %.2000s", got[8], got[1])
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -47,8 +46,7 @@ func (row determinismRow) check(t *testing.T) {
 		variants = append(variants, variant{"frame-step", devicesAndCloud, onFrameStep(row.cluster(0))})
 	}
 	// Every run gets freshly built configs, which it may drop once
-	// consumed: a million configs held across runs would raise
-	// scale-1m's peak by their size.
+	// consumed.
 	baseline := base(t, row.configs(t))
 	row.work(t, baseline)
 	if row.pin != nil && runtime.GOARCH == "amd64" {
@@ -114,12 +112,28 @@ func devicesAndCloud(t *testing.T, r *shoggoth.ClusterResults) []byte {
 	return append(encodeJSON(t, r.Devices), encodeJSON(t, r.Cloud)...)
 }
 
+// aggregate is what an AggregateOnly run reports: the fleet aggregate,
+// the cloud and the engine. A run that kept its Devices must have folded
+// every one of them into its aggregate.
+func aggregate(t *testing.T, r *shoggoth.ClusterResults) []byte {
+	if r.Devices != nil {
+		var frames int64
+		for _, d := range r.Devices {
+			frames += int64(d.FramesTotal)
+		}
+		if f := r.Fleet; f == nil || f.Devices != len(r.Devices) || f.SampledFrames.N != len(r.Devices) || f.FramesTotal != frames {
+			t.Fatalf("the fleet aggregate does not fold the %d devices' %d frames: %+v", len(r.Devices), frames, r.Fleet)
+		}
+	}
+	return encodeJSON(t, []any{r.Fleet, r.Cloud, r.Engine})
+}
+
 // devices is the per-device Results alone: the JSON array that
 // `shoggoth-sim -json` prints and testdata/golden_results.json holds.
 func devices(t *testing.T, r *shoggoth.ClusterResults) []byte { return encodeJSON(t, r.Devices) }
 
 // encodeJSON is the one encoding the root tests compare results in.
-func encodeJSON(t *testing.T, v any) []byte {
+func encodeJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -331,7 +345,9 @@ func determinismRows() []determinismRow {
 		},
 		determinismRow{
 			// A 5 s upload deadline makes the short horizon exercise the
-			// cloud path: queueing, labeling, training pricing.
+			// cloud path: queueing, labeling, training pricing. The
+			// AggregateOnly variant keeps no per-device results, the mode
+			// BenchmarkFleetEngineMillion runs a million devices in.
 			name:    "scale-10k",
 			configs: scenarioFleet("rush-hour", 10_000, 5, shoggoth.WithSeed(11), shoggoth.WithCycles(0.05), atEvents),
 			cluster: defaultTier, workers: []int{1, 8, 8},
@@ -340,6 +356,9 @@ func determinismRows() []determinismRow {
 					t.Fatalf("want 10000 device results, got %d", len(r.Devices))
 				}
 				sampledAndServed(t, r)
+			},
+			variants: []variant{
+				{"aggregate-only", aggregate, onCluster(&shoggoth.Cluster{EngineWorkers: 8, AggregateOnly: true})},
 			},
 		},
 		determinismRow{
@@ -360,29 +379,6 @@ func determinismRows() []determinismRow {
 				if r.Sampled == nil || r.Sampled.SampledDevices != 8 || r.Sampled.Seed != 5 {
 					t.Fatalf("sampled stats wrong: %+v", r.Sampled)
 				}
-			},
-		},
-		determinismRow{
-			// A million devices (50k under -race: determinism_scale_test.go)
-			// through the hierarchical merge tree, analytic cloud costing and
-			// streaming Welford aggregation. AggregateOnly keeps the results
-			// at the fleet aggregate, and the tight QueueCap keeps the
-			// teacher queue O(cap) while every upload, admitted or dropped,
-			// still crosses the outbox merge and the shared timeline.
-			name:    "scale-1m",
-			configs: scenarioFleet("rush-hour", megaFleetDevices, 5, shoggoth.WithSeed(11), shoggoth.WithCycles(0.01), atEvents),
-			base:    freeingOS(onCluster(&shoggoth.Cluster{EngineWorkers: 1, AggregateOnly: true, QueueCap: 64})),
-			work: func(t *testing.T, r *shoggoth.ClusterResults) {
-				if r.Devices != nil || r.Fleet == nil || r.Fleet.Devices != megaFleetDevices {
-					t.Fatalf("want only a %d-device fleet aggregate, got %d device results and %+v", megaFleetDevices, len(r.Devices), r.Fleet)
-				}
-				if r.Fleet.SampledFrames.Mean == 0 || r.Cloud.Batches == 0 || r.Cloud.DroppedBatches == 0 {
-					t.Fatalf("fleet did no cloud work (sampled mean=%v batches=%d dropped=%d)",
-						r.Fleet.SampledFrames.Mean, r.Cloud.Batches, r.Cloud.DroppedBatches)
-				}
-			},
-			variants: []variant{
-				{"engine-workers=8", whole, freeingOS(onCluster(&shoggoth.Cluster{EngineWorkers: 8, AggregateOnly: true, QueueCap: 64}))},
 			},
 		},
 	)
@@ -483,17 +479,6 @@ func mutated(run runner, mutate func(*shoggoth.Config)) runner {
 		for i := range cfgs {
 			mutate(&cfgs[i])
 		}
-		return run(t, cfgs)
-	}
-}
-
-// freeingOS returns a run's memory to the OS after it. A million-device run
-// holds ~4 GB live at its peak; without this the GC's heap goal stays sized
-// for it, and the runs and tests after it grow the process past that
-// high-water mark instead of collecting.
-func freeingOS(run runner) runner {
-	return func(t *testing.T, cfgs []shoggoth.Config) *shoggoth.ClusterResults {
-		defer debug.FreeOSMemory()
 		return run(t, cfgs)
 	}
 }

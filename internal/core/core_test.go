@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"sync"
@@ -27,6 +28,20 @@ func testConfig(kind StrategyKind, duration float64) Config {
 	return cfg
 }
 
+// runSystem builds a System for cfg and plays it to the end.
+func runSystem(t *testing.T, cfg Config) *Results {
+	t.Helper()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestConfigValidation(t *testing.T) {
 	cfg := testConfig(Shoggoth, 10)
 	cfg.Profile = nil
@@ -50,10 +65,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestEdgeOnlyRun(t *testing.T) {
-	res, err := RunExperiment(testConfig(EdgeOnly, 60))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSystem(t, testConfig(EdgeOnly, 60))
 	if res.UpBytes != 0 || res.DownBytes != 0 {
 		t.Fatalf("Edge-Only must use no network: %d/%d", res.UpBytes, res.DownBytes)
 	}
@@ -72,10 +84,7 @@ func TestEdgeOnlyRun(t *testing.T) {
 }
 
 func TestCloudOnlyRun(t *testing.T) {
-	res, err := RunExperiment(testConfig(CloudOnly, 60))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSystem(t, testConfig(CloudOnly, 60))
 	if res.UpBytes == 0 || res.DownBytes == 0 {
 		t.Fatal("Cloud-Only must stream both ways")
 	}
@@ -94,10 +103,7 @@ func TestCloudOnlyRun(t *testing.T) {
 }
 
 func TestShoggothRunTrainsAndControls(t *testing.T) {
-	res, err := RunExperiment(testConfig(Shoggoth, 600))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSystem(t, testConfig(Shoggoth, 600))
 	if res.Sessions == 0 {
 		t.Fatal("Shoggoth should run training sessions in 300s")
 	}
@@ -122,10 +128,7 @@ func TestShoggothRunTrainsAndControls(t *testing.T) {
 }
 
 func TestPromptFixedRate(t *testing.T) {
-	res, err := RunExperiment(testConfig(Prompt, 120))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSystem(t, testConfig(Prompt, 120))
 	if len(res.RateSeries) != 0 {
 		t.Fatal("Prompt must not receive rate commands")
 	}
@@ -136,18 +139,12 @@ func TestPromptFixedRate(t *testing.T) {
 }
 
 func TestAMSStreamsModels(t *testing.T) {
-	res, err := RunExperiment(testConfig(AMS, 600))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSystem(t, testConfig(AMS, 600))
 	if res.Sessions == 0 {
 		t.Fatal("AMS should train in the cloud")
 	}
 	// Downlink carries model updates: far larger than a label-only downlink.
-	labelOnly, err := RunExperiment(testConfig(Shoggoth, 600))
-	if err != nil {
-		t.Fatal(err)
-	}
+	labelOnly := runSystem(t, testConfig(Shoggoth, 600))
 	if res.DownBytes < 5*labelOnly.DownBytes {
 		t.Fatalf("AMS downlink (%d) should dwarf label downlink (%d)", res.DownBytes, labelOnly.DownBytes)
 	}
@@ -158,14 +155,8 @@ func TestAMSStreamsModels(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := RunExperiment(testConfig(Shoggoth, 150))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunExperiment(testConfig(Shoggoth, 150))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runSystem(t, testConfig(Shoggoth, 150))
+	b := runSystem(t, testConfig(Shoggoth, 150))
 	if a.MAP50 != b.MAP50 || a.UpBytes != b.UpBytes || a.Sessions != b.Sessions {
 		t.Fatalf("identical configs must produce identical results: %+v vs %+v", a, b)
 	}
@@ -173,25 +164,16 @@ func TestDeterminism(t *testing.T) {
 
 func TestSeedChangesOutcome(t *testing.T) {
 	cfg := testConfig(Shoggoth, 150)
-	a, err := RunExperiment(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runSystem(t, cfg)
 	cfg.Seed = 99
-	b, err := RunExperiment(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := runSystem(t, cfg)
 	if a.MAP50 == b.MAP50 && a.UpBytes == b.UpBytes {
 		t.Fatal("different seeds should change the run")
 	}
 }
 
 func TestFPSDipsDuringTraining(t *testing.T) {
-	res, err := RunExperiment(testConfig(Prompt, 240))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSystem(t, testConfig(Prompt, 240))
 	if res.Sessions == 0 {
 		t.Skip("no sessions in this short run")
 	}
@@ -208,24 +190,15 @@ func TestFPSDipsDuringTraining(t *testing.T) {
 }
 
 func TestWindowedMAPsPopulated(t *testing.T) {
-	res, err := RunExperiment(testConfig(EdgeOnly, 60))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSystem(t, testConfig(EdgeOnly, 60))
 	if len(res.WindowMAPs) < 4 {
 		t.Fatalf("expected ≥4 windows for 60s at 10s windows, got %d", len(res.WindowMAPs))
 	}
 }
 
 func TestMAPGainSeriesAlignment(t *testing.T) {
-	a, err := RunExperiment(testConfig(EdgeOnly, 60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunExperiment(testConfig(Shoggoth, 60))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runSystem(t, testConfig(EdgeOnly, 60))
+	b := runSystem(t, testConfig(Shoggoth, 60))
 	gains := MAPGainSeries(b, a)
 	if len(gains) == 0 {
 		t.Fatal("gain series empty")
@@ -259,10 +232,7 @@ func TestStrategyKindStrings(t *testing.T) {
 func TestTableIIIFixedRateDisablesController(t *testing.T) {
 	cfg := testConfig(Shoggoth, 120)
 	cfg.SampleRate = 0.4
-	res, err := RunExperiment(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSystem(t, cfg)
 	if len(res.RateSeries) != 0 {
 		t.Fatal("fixed-rate run must not receive controller commands")
 	}

@@ -252,10 +252,6 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 	return s, nil
 }
 
-// Run executes the deployment for the configured duration and returns the
-// aggregated results.
-func (s *System) Run() (*Results, error) { return s.RunContext(context.Background()) }
-
 // RunContext plays the whole stream, honouring context cancellation between
 // plays, and returns the aggregated results. A play is one frame at full
 // fidelity. At events fidelity it runs up to the next upload, with the
@@ -879,12 +875,3 @@ func (s *System) finalize(end float64) *Results {
 
 // Student exposes the deployed edge model (nil for strategies without one).
 func (s *System) Student() *detect.Student { return s.student }
-
-// RunExperiment is the one-call convenience API: build a system and run it.
-func RunExperiment(cfg Config) (*Results, error) {
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sys.Run()
-}

@@ -49,8 +49,6 @@ var withoutACaller = map[string]string{
 	"(*shoggoth/internal/cloud.Tier).Devices":                             "test accessor: tier_test.go reads the tier's registrations",
 	"(*shoggoth/internal/cloud.Tier).Replicas":                            "test accessor: tier_test.go reads the replica count",
 	"(*shoggoth/internal/cloud.Tier).Router":                              "test accessor: tier_test.go reads the resolved router",
-	"(*shoggoth/internal/core.System).Run":                                "test driver: the blocking loop of RunExperiment",
-	"shoggoth/internal/core.RunExperiment":                                "test driver: core_test.go runs a System without the root package's Session",
 	"(*shoggoth/internal/experiments.Table1Result).OrderingHolds":         "paper claim, held by experiments_test.go; ROADMAP 6 sweeps it over seeds",
 	"(*shoggoth/internal/experiments.Table3Result).AdaptiveBeatsAllFixed": "paper claim, held by experiments_test.go; ROADMAP 6 sweeps it over seeds",
 	"shoggoth/internal/experiments.PretrainedStudent":                     "test fixture: experiments_test.go shares the suite's pretrained students",
