@@ -1,6 +1,8 @@
 // Command shoggoth-cloud runs the cloud half of the Shoggoth protocol as a
 // real HTTP service: online labeling by the shared teacher model plus the
-// per-device sampling-rate controller. Pair it with cmd/shoggoth-edge.
+// per-device sampling-rate controller. Each shoggoth-edge that uploads to
+// it is a simulator edge (a core.System of any strategy) and gets its own
+// teacher, controller and φ chain, keyed by its device id.
 //
 //	shoggoth-cloud -addr :8700 -profile ua-detrac
 //

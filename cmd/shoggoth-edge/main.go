@@ -1,141 +1,101 @@
 // Command shoggoth-edge runs the edge half of the Shoggoth protocol against
-// a shoggoth-cloud server: real-time inference over a drifting synthetic
-// stream, adaptive frame sampling at the cloud-commanded rate, and
-// latent-replay fine-tuning on the labels the cloud returns.
+// a shoggoth-cloud server. The edge is the simulator's own: a core.System of
+// any registered strategy, on the simulator's virtual clock, whose cloud is
+// the live server (rpc.Backend). It uploads each sample batch and waits for
+// the reply, so the stream plays as fast as the round trips allow, and it
+// prints the run's Results as JSON.
 //
-//	shoggoth-edge -cloud http://localhost:8700 -profile ua-detrac -duration 480
+//	shoggoth-edge -cloud http://localhost:8700 -strategy shoggoth -profile ua-detrac -duration 180
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"log"
-	"math/rand/v2"
-	"time"
+	"io"
+	"os"
 
-	"shoggoth/internal/detect"
-	"shoggoth/internal/edge"
-	"shoggoth/internal/metrics"
+	"shoggoth"
+	"shoggoth/internal/core"
 	"shoggoth/internal/rpc"
-	"shoggoth/internal/video"
+	"shoggoth/internal/sim"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("shoggoth-edge: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	cloudURL := flag.String("cloud", "http://localhost:8700", "cloud server base URL")
-	profileName := flag.String("profile", video.ProfileDETRAC, "dataset profile to stream")
-	device := flag.String("device", "edge-1", "device id")
-	duration := flag.Float64("duration", 480, "stream seconds to process")
-	seed := flag.Uint64("seed", 1, "stream seed")
-	batchFrames := flag.Int("batch", 40, "labeled frames per training session")
-	flag.Parse()
-
-	profile, err := video.ProfileByName(*profileName)
+// run is the whole command: it returns the exit status for args — 0 on
+// success, 1 for a bad config or a failed run, 2 for bad flags. A failed
+// run prints no Results.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("shoggoth-edge", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cloudURL := fs.String("cloud", "http://localhost:8700", "cloud server base URL")
+	device := fs.String("device", "edge-1", "device id on the cloud")
+	strategyName := fs.String("strategy", "shoggoth", "strategy to run (any registered one; shoggoth-sim -list names them)")
+	profileName := fs.String("profile", shoggoth.ProfileDETRAC, "dataset profile to stream")
+	seed := fs.Uint64("seed", 1, "run seed")
+	duration := fs.Float64("duration", 0, "stream seconds (0: two passes of the profile's scenario script)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	kind, err := shoggoth.ParseStrategy(*strategyName)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "shoggoth-edge: %v\n", err)
+		return 1
 	}
-	log.Printf("pretraining student for %s…", profile.Name)
-	// The canonical offline pretraining path: a live edge deploys exactly
-	// the model the simulation's deployments start from. The trainer gets
-	// the same seed stream the sim's edge trainers use (run seed, stream 4).
-	student := detect.DefaultPretrainedStudent(profile)
-	trainer := detect.NewTrainer(student, detect.DefaultTrainerConfig(), rand.New(rand.NewPCG(*seed, 4)))
-	sampler := edge.NewSampler(0.5)
-	client := rpc.NewClient(*cloudURL, *device)
+	profile, err := shoggoth.ProfileByName(*profileName)
+	if err != nil {
+		fmt.Fprintf(stderr, "shoggoth-edge: %v\n", err)
+		return 1
+	}
+	opts := []shoggoth.Option{shoggoth.WithSeed(*seed)}
+	if *duration > 0 {
+		opts = append(opts, shoggoth.WithDuration(*duration))
+	}
+	cfg := shoggoth.NewConfig(kind, profile, opts...)
+	cfg.DeviceID = *device
+	res, err := live(cfg, *cloudURL)
+	if err != nil {
+		fmt.Fprintf(stderr, "shoggoth-edge: %v\n", err)
+		return 1
+	}
+	enc := json.NewEncoder(stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res); err != nil {
+		fmt.Fprintf(stderr, "shoggoth-edge: %v\n", err)
+		return 1
+	}
+	return 0
+}
 
-	stream := video.NewStream(profile, *seed)
-	col := metrics.NewCollector()
-	var alphaAcc metrics.Running
-	var buffer []video.Frame
-	var pending []detect.LabeledRegion
-	pendingFrames, sessions := 0, 0
-
-	frames := int(*duration * profile.FPS)
-	// Backpressure deadline in WALL time: the cloud's queue drains in real
-	// seconds (its service model runs on time.Since(start)), while this loop
-	// burns through stream time much faster than wall time — a stream-time
-	// pause would retry into a still-full queue.
-	var retryUntil time.Time
-	dropped := 0 // samples aged out of the buffer while paused
-	log.Printf("streaming %d frames to %s as %q", frames, *cloudURL, *device)
-	for i := 0; i < frames; i++ {
-		f := stream.Next()
-		inf := student.Infer(f)
-		col.BeginFrame(f.Index, f.Time)
-		for _, pr := range f.Proposals {
-			if pr.GT != nil {
-				col.AddGT(metrics.GT{Frame: f.Index, Class: pr.GT.Class, Box: pr.GT.Box})
-			}
-		}
-		for _, d := range inf.Detections {
-			col.AddDet(metrics.Det{Frame: f.Index, Class: d.Class, Confidence: d.Confidence, Box: d.Box})
-		}
-		for _, c := range inf.Confidences {
-			if c >= 0.5 {
-				alphaAcc.Add(1)
-			} else {
-				alphaAcc.Add(0)
-			}
-		}
-
-		if sampler.Sample(f.Time) {
-			buffer = append(buffer, *f)
-			// Under sustained backpressure the buffer must not grow without
-			// bound, and the eventual retry must not be one giant batch
-			// whose modeled service time re-overloads the queue: keep only
-			// the freshest 60 samples (3 uploads' worth), dropping the
-			// oldest — stale frames carry the least adaptation value anyway.
-			if len(buffer) > 60 {
-				dropped += len(buffer) - 60
-				buffer = buffer[len(buffer)-60:]
-			}
-		}
-		if len(buffer) >= 20 && !time.Now().Before(retryUntil) {
-			resp, err := client.Label(buffer, alphaAcc.Mean(), 0.55)
-			var bp *rpc.BackpressureError
-			if errors.As(err, &bp) {
-				// The cloud's labeling queue is full: keep the buffer and
-				// honour the Retry-After hint before attempting again —
-				// backpressure is load, not failure, and re-sending every
-				// frame would only feed the overload.
-				wait := bp.RetryAfter
-				if wait < time.Second {
-					wait = time.Second
-				}
-				retryUntil = time.Now().Add(wait)
-				log.Printf("t=%5.1fs cloud backpressure, pausing uploads %v", f.Time, wait)
-				continue
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
-			alphaAcc.Reset()
-			for j := range buffer {
-				pending = append(pending,
-					detect.BuildTrainingBatch(&buffer[j], resp.Labels[j], profile.BackgroundClass())...)
-			}
-			uploaded := len(buffer)
-			pendingFrames += uploaded
-			buffer = buffer[:0]
-			sampler.SetRate(resp.NewRate)
-			log.Printf("t=%5.1fs labeled %d frames, φ=%.2f, rate → %.2f fps", f.Time, uploaded, resp.PhiMean, resp.NewRate)
-		}
-		if pendingFrames >= *batchFrames {
-			stats := trainer.RunSession(pending)
-			sessions++
-			log.Printf("t=%5.1fs training session %d: %d samples, loss %.3f",
-				f.Time, sessions, stats.NewSamples, stats.AvgClassLoss)
-			pending = nil
-			pendingFrames = 0
+// live runs cfg on a core.System whose cloud is the server at cloudURL. The
+// first upload that fails for any reason but backpressure ends the run. It
+// refuses a fleet fidelity: events fidelity uploads no frames to label,
+// and sampled fidelity is a Cluster's.
+func live(cfg core.Config, cloudURL string) (*core.Results, error) {
+	sched := sim.NewScheduler()
+	be, err := rpc.NewBackend(cloudURL, cfg.Cloud, sched)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := core.NewSystemOpts(cfg, core.SystemOptions{Scheduler: sched, Cloud: be})
+	if err != nil {
+		return nil, err
+	}
+	for sys.Step() {
+		if err := be.Err(); err != nil {
+			return nil, err
 		}
 	}
-
-	if dropped > 0 {
-		log.Printf("dropped %d stale samples while the cloud was backpressured", dropped)
+	res := sys.Finish() // delivers the uploads still in flight
+	if err := be.Err(); err != nil {
+		return nil, err
 	}
-	fmt.Printf("device %s: mAP@0.5 %.1f%% over %d frames, %d sessions\n",
-		*device, col.MAP50()*100, col.Frames(), sessions)
+	return res, nil
 }

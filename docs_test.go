@@ -30,6 +30,8 @@ var (
 	qualified   = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*(?:\.\w+)?)(?:\(.*\))?$`)
 	runFlag     = regexp.MustCompile(`(?:^|\s)-run\s+('[^']*'|"[^"]*"|[^\s'"` + "`" + `]+)`)
 	snakeCase   = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)+$`)
+	goRun       = regexp.MustCompile("go run \\./cmd/([\\w-]+)([^`&|;<>()\\n]*)")
+	flagToken   = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(=.*)?$`)
 )
 
 // TestDocsNameOnlyWhatExists fails when DESIGN.md, the verify skill or the
@@ -43,8 +45,14 @@ var (
 // qualified Go name pkg.Name or pkg.Type.Member, where pkg is the name of a
 // repo package, must be declared in that package (_test.go files count). A
 // snake_case name must be a json tag of a struct field in non-test Go (a
-// spec key, a results field) or a workload or metric of BENCHMARK.json.
+// spec key, a results field) or a workload or metric of BENCHMARK.json. A
+// command go run ./cmd/<bin> may pass only flags that <bin> defines.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
+	binFlags := binaryFlags(t)
+	const sample = "run `go run ./cmd/a -x 1\n  -y=2` then\ngo run ./cmd/b --z > -w"
+	if got, want := goRunFlags(sample, sample), []binFlag{{"a", "x"}, {"b", "z"}, {"a", "y"}}; !slices.Equal(got, want) {
+		t.Fatalf("goRunFlags on a sample: %v, want %v", got, want)
+	}
 	tests := map[string]bool{}
 	keys := map[string]bool{} // json tags and BENCHMARK.json names
 	bench := readBenchmark(t)
@@ -123,6 +131,13 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			}
 		}
 		prose := fencedBlock.ReplaceAllString(string(src), "")
+		for _, c := range goRunFlags(string(src), prose) {
+			if flags, ok := binFlags[c.bin]; !ok {
+				t.Errorf("%s runs go run ./cmd/%s, which is no binary", doc, c.bin)
+			} else if !flags[c.flag] && c.flag != "h" && c.flag != "help" {
+				t.Errorf("%s runs go run ./cmd/%s with -%s, which %s does not define", doc, c.bin, c.flag, c.bin)
+			}
+		}
 		for _, m := range codeSpan.FindAllStringSubmatch(prose, -1) {
 			name := m[1]
 			if strings.ContainsAny(name, " \n\t") {
@@ -152,6 +167,96 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			}
 		}
 	}
+}
+
+// binFlag is one flag a document passes to go run ./cmd/<bin>.
+type binFlag struct{ bin, flag string }
+
+// goRunFlags returns every flag that doc passes to a go run ./cmd/<bin>
+// command, up to the first shell operator, closing backtick or line end.
+// A code span of prose (doc without its fenced blocks) may wrap its
+// command across lines, so each is also read with its lines joined.
+func goRunFlags(doc, prose string) []binFlag {
+	texts := []string{doc}
+	for _, m := range codeSpan.FindAllStringSubmatch(prose, -1) {
+		texts = append(texts, strings.Join(strings.Fields(m[1]), " "))
+	}
+	var out []binFlag
+	seen := map[binFlag]bool{}
+	for _, text := range texts {
+		for _, m := range goRun.FindAllStringSubmatch(text, -1) {
+			for _, tok := range strings.Fields(m[2]) {
+				if f := flagToken.FindStringSubmatch(tok); f != nil {
+					c := binFlag{m[1], f[1]}
+					if !seen[c] {
+						seen[c] = true
+						out = append(out, c)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// flagDefiners are the flag package's defining functions and FlagSet
+// methods; those ending in Var take the flag's name second.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolFunc": true, "BoolVar": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "Int64": true,
+	"Int64Var": true, "IntVar": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "Uint64": true, "Uint64Var": true, "UintVar": true, "Var": true,
+}
+
+// binaryFlags returns, for each binary under cmd/, the flags its non-test
+// files define: the string-literal name of every flag-defining call.
+func binaryFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		flags := map[string]bool{}
+		files, _ := filepath.Glob(filepath.Join("cmd", d.Name(), "*.go"))
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !flagDefiners[sel.Sel.Name] {
+					return true
+				}
+				at := 0
+				if strings.HasSuffix(sel.Sel.Name, "Var") {
+					at = 1
+				}
+				if at < len(call.Args) {
+					if lit, ok := call.Args[at].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						name, _ := strconv.Unquote(lit.Value)
+						flags[name] = true
+					}
+				}
+				return true
+			})
+		}
+		out[d.Name()] = flags
+	}
+	return out
 }
 
 // declare records in decls every top-level name of f as pkg.Name, and every

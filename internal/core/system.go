@@ -53,6 +53,9 @@ type System struct {
 	// sampling-rate controller).
 	cloudSvc cloud.Backend
 	cloudDev cloud.Device
+	// reporter is cloudDev when it takes the telemetry with the upload (a
+	// live cloud's device); nil for the simulator's devices.
+	reporter reporter
 
 	usage     netsim.Usage
 	collector *metrics.Collector
@@ -100,6 +103,18 @@ func (c *Config) adaptive() bool {
 // in-flight transfers as devices join and leave the medium.
 type UplinkSender interface {
 	Send(bytes int, start float64, deliver func(now float64))
+}
+
+// reporter is a cloud.Device that takes the edge's telemetry with the
+// upload itself. A live cloud runs its controller when a batch arrives, so
+// the (α, λ̄) report has to travel with the frames; the simulator's devices
+// take it at delivery, through UpdateRate. A System whose registration is
+// a reporter uploads through EnqueueReport and still calls UpdateRate at
+// delivery, with the same α and λ̄, so that the device can hand back the
+// rate its cloud sent.
+type reporter interface {
+	// EnqueueReport is Enqueue with the telemetry the batch carries.
+	EnqueueReport(frames []*video.Frame, alpha, lambda, now float64, cb func(cloud.BatchResult)) bool
 }
 
 // FrameSource hands a full-fidelity deployment its camera frames: one call
@@ -223,6 +238,7 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 		return nil, err
 	}
 	s.cloudDev = dev
+	s.reporter, _ = dev.(reporter)
 
 	if desc.Traits.Student && !s.fleet {
 		if cfg.Pretrained != nil {
@@ -673,11 +689,16 @@ func (s *System) flushBuffer(t float64) {
 // eventually labels it and calls back into onBatchLabeled. Under the
 // default arrival-order policy the callback runs synchronously at arrival;
 // a reordering policy defers it to the dispatch event that serves the
-// batch.
+// batch. A reporter device gets the batch's telemetry with it.
 func (s *System) cloudReceive(frames []*video.Frame, alpha, lambda, now float64) {
-	s.cloudDev.Enqueue(frames, now, func(batch cloud.BatchResult) {
+	cb := func(batch cloud.BatchResult) {
 		s.onBatchLabeled(frames, alpha, lambda, batch)
-	})
+	}
+	if s.reporter != nil {
+		s.reporter.EnqueueReport(frames, alpha, lambda, now, cb)
+		return
+	}
+	s.cloudDev.Enqueue(frames, now, cb)
 }
 
 // onBatchLabeled handles one labeled batch: φ accounting and the controller

@@ -58,6 +58,7 @@ var withoutACaller = map[string]string{
 	"(*shoggoth/internal/lint.fixtureLoader).lookupExport":                "analyzer fixture harness that lint_test.go drives",
 	"(*shoggoth/internal/lint.wantSet).claim":                             "analyzer fixture harness that lint_test.go drives",
 	"(*shoggoth/internal/lint.wantSet).reportUnclaimed":                   "analyzer fixture harness that lint_test.go drives",
+	"(*shoggoth/internal/metrics.Collector).Frames":                       "test accessor: collector tests hold the frame count to the oracle's",
 	"shoggoth/internal/metrics.AverageIoU":                                "one-shot entry to the scorer the Collector runs; collector_test.go holds it to the map-based oracle",
 	"(*shoggoth/internal/netsim.SharedMedium).Active":                     "test accessor: medium_test.go reads the medium's transfer counts",
 	"(*shoggoth/internal/netsim.SharedMedium).Completed":                  "test accessor: medium_test.go reads the medium's transfer counts",
@@ -67,7 +68,6 @@ var withoutACaller = map[string]string{
 	"(*shoggoth/internal/replay.Memory).Runs":                             "test accessor: memory_test.go reads the run counter",
 	"(*shoggoth/internal/replay.Memory).Sample":                           "oracle: SampleInto must consume the randomness Sample does",
 	"(*shoggoth/internal/replay.Memory).Samples":                          "test accessor: replay and detect tests read the stored samples",
-	"(*shoggoth/internal/rpc.BackpressureError).Unwrap":                   "errors.Is and errors.As call it through an interface the errors package does not export",
 	"shoggoth/internal/rpc.DecodeLabelRequest":                            "oracle: the fresh-memory decoder the pooled arena decode is fuzzed against",
 	"(*shoggoth/internal/sim.Engine).heapErr":                             "shoggothdebug only: check_debug.go asserts the heap after every batch",
 	"(*shoggoth/internal/sim.Scheduler).After":                            "test driver: scheduler, medium and fidelity tests schedule relative events",

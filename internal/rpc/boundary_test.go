@@ -41,12 +41,12 @@ func TestForeignBodyGets400NamingVersion(t *testing.T) {
 	if err := gob.NewEncoder(&gobBody).Encode(&req); err != nil {
 		t.Fatal(err)
 	}
-	v2 := AppendLabelRequest(nil, &req)
-	v2[3] = 2
-	for name, body := range map[string][]byte{"gob": gobBody.Bytes(), "version 2": v2, "empty": nil} {
+	v1 := AppendLabelRequest(nil, &req)
+	v1[3] = 1
+	for name, body := range map[string][]byte{"gob": gobBody.Bytes(), "version 1": v1, "empty": nil} {
 		code, text := postLabel(t, srv.URL, bytes.NewReader(body))
-		if code != http.StatusBadRequest || !strings.Contains(text, "wire version 1") {
-			t.Fatalf("%s body: want 400 naming wire version 1, got %d %q", name, code, text)
+		if code != http.StatusBadRequest || !strings.Contains(text, "wire version 2") {
+			t.Fatalf("%s body: want 400 naming wire version 2, got %d %q", name, code, text)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -16,32 +15,12 @@ import (
 )
 
 // DefaultTimeout bounds one label/status round trip. A hung cloud must
-// surface as an error at the edge, never stall its real-time loop forever.
+// surface as an error at the edge, never stall its run forever.
 const DefaultTimeout = 30 * time.Second
 
 // ErrBackpressure reports the cloud rejected a batch at a full labeling
-// queue (HTTP 429). Match it with errors.Is, or errors.As against
-// *BackpressureError for the retry hint.
+// queue or at its admission control (HTTP 429). Match it with errors.Is.
 var ErrBackpressure = errors.New("rpc: cloud labeling queue full")
-
-// BackpressureError is the typed form of a 429 rejection: the cloud's
-// admission queue was full, and RetryAfter carries the server's estimate of
-// when a slot frees (zero if it sent none). An edge should hold its sample
-// buffer and try again rather than treat this as a dead cloud.
-type BackpressureError struct {
-	RetryAfter time.Duration
-}
-
-// Error implements error.
-func (e *BackpressureError) Error() string {
-	if e.RetryAfter > 0 {
-		return fmt.Sprintf("%v (retry after %v)", ErrBackpressure, e.RetryAfter)
-	}
-	return ErrBackpressure.Error()
-}
-
-// Unwrap lets errors.Is(err, ErrBackpressure) match.
-func (e *BackpressureError) Unwrap() error { return ErrBackpressure }
 
 // Client is the edge side of the Shoggoth protocol.
 type Client struct {
@@ -130,13 +109,18 @@ func errorText(body io.Reader) []byte {
 }
 
 // Label uploads a sample buffer with telemetry and returns the teacher
-// labels plus the new sampling rate.
+// labels, each frame's φ and the new sampling rate.
 func (c *Client) Label(frames []video.Frame, alpha, lambda float64) (*LabelResponse, error) {
-	req := LabelRequest{DeviceID: c.DeviceID, Frames: frames, Alpha: alpha, Lambda: lambda}
+	return c.label(&LabelRequest{DeviceID: c.DeviceID, Frames: frames, Alpha: alpha, Lambda: lambda})
+}
+
+// label uploads one request and returns its reply, checked to carry one
+// label set and one φ per uploaded frame.
+func (c *Client) label(req *LabelRequest) (*LabelResponse, error) {
 	up := &upload{buf: getBuffer()}
 	up.refs.Store(1)
 	defer up.release()
-	*up.buf = AppendLabelRequest((*up.buf)[:0], &req)
+	*up.buf = AppendLabelRequest((*up.buf)[:0], req)
 	if n := len(*up.buf); n > MaxLabelRequestBytes {
 		return nil, fmt.Errorf("rpc: label: request of %d bytes exceeds the %d-byte cap; upload fewer frames", n, MaxLabelRequestBytes)
 	}
@@ -154,11 +138,7 @@ func (c *Client) Label(frames []video.Frame, alpha, lambda float64) (*LabelRespo
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode == http.StatusTooManyRequests {
 		drain(httpResp.Body)
-		var retry time.Duration
-		if secs, err := strconv.Atoi(httpResp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			retry = time.Duration(secs) * time.Second
-		}
-		return nil, &BackpressureError{RetryAfter: retry}
+		return nil, ErrBackpressure
 	}
 	if httpResp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("rpc: label: %s: %s", httpResp.Status, errorText(httpResp.Body))
@@ -175,8 +155,8 @@ func (c *Client) Label(frames []video.Frame, alpha, lambda float64) (*LabelRespo
 	if err := DecodeLabelResponse(*reply, &resp); err != nil {
 		return nil, fmt.Errorf("rpc: label: decode reply: %w", err)
 	}
-	if len(resp.Labels) != len(frames) {
-		return nil, fmt.Errorf("rpc: label count mismatch: %d responses for %d frames", len(resp.Labels), len(frames))
+	if n := len(req.Frames); len(resp.Labels) != n || len(resp.Phis) != n {
+		return nil, fmt.Errorf("rpc: label count mismatch: %d label sets and %d φs for %d frames", len(resp.Labels), len(resp.Phis), n)
 	}
 	return &resp, nil
 }

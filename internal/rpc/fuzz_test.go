@@ -7,9 +7,9 @@ import (
 // The fuzz targets hold the decoders to three properties on arbitrary
 // bytes: they return (never panic); whatever they allocate is bounded by a
 // constant times the input — the worst ratios are a frame (88 bytes decoded
-// from 29 on the wire) and an empty label set (a 24-byte slice header from
-// 1), so 4× and 25× plus a flat allowance for the error value and whatever
-// else the process allocates meanwhile; and an input they accept re-encodes
+// from 29 on the wire) and an empty label set (a 24-byte slice header and
+// its 8-byte φ from 9), so 4× for both plus a flat allowance for the error
+// value and whatever else the process allocates meanwhile; and an input they accept re-encodes
 // to a message that decodes to the same value, bit for bit. The request
 // target also decodes every input into one arena carried from input to
 // input, as the server's pooled arenas are carried from upload to upload,
@@ -53,7 +53,7 @@ func FuzzDecodeLabelResponse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var resp LabelResponse
 		var err error
-		if n := allocatedBy(func() { err = DecodeLabelResponse(data, &resp) }); n > uint64(25*len(data)+fuzzAllocSlack) {
+		if n := allocatedBy(func() { err = DecodeLabelResponse(data, &resp) }); n > uint64(4*len(data)+fuzzAllocSlack) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 		}
 		if err != nil {

@@ -1,0 +1,103 @@
+package rpc_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
+	"testing"
+
+	"shoggoth"
+	"shoggoth/internal/core"
+	"shoggoth/internal/detect"
+	"shoggoth/internal/rpc"
+	"shoggoth/internal/sim"
+)
+
+// TestLiveEdgeMatchesSession is DESIGN.md §8's sim/live parity contract:
+// a core.System on the rpc backend, against a live cloud server on
+// loopback whose teachers are seeded as the simulator's, gives Results
+// that encode to the bytes a simulator Session of the same Config gives,
+// for every registered strategy. Edge-Only and Cloud-Only never reach the
+// backend (Cloud-Only labels through System.Teacher, on the edge), so the
+// server must see no upload from them.
+func TestLiveEdgeMatchesSession(t *testing.T) {
+	p, err := shoggoth.ProfileByName(shoggoth.ProfileDETRAC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	student := detect.DefaultPretrainedStudent(p)
+	for _, kind := range shoggoth.StrategyKinds() {
+		cfg := shoggoth.NewConfig(kind, p, shoggoth.WithSeed(1), shoggoth.WithCycles(0.5))
+		cfg.DeviceID = "edge-1"
+		cfg.Pretrained = student
+		t.Run(kind.String(), func(t *testing.T) {
+			sess, err := shoggoth.NewSession(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sess.RunContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, uploads := runLive(t, cfg)
+			wantJSON, _ := json.Marshal(want) // Results always encode
+			gotJSON, _ := json.Marshal(got)
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Fatalf("live Results differ from the Session's:\n live %s\n  sim %s", gotJSON, wantJSON)
+			}
+			switch kind {
+			case shoggoth.EdgeOnly, shoggoth.CloudOnly:
+				if uploads != 0 {
+					t.Fatalf("%s uploaded %d batches; it never reaches the backend", kind, uploads)
+				}
+			default:
+				if uploads != int64(got.CloudBatches) || got.CloudDroppedBatches != 0 {
+					t.Fatalf("%d uploads for %d cloud batches and %d drops", uploads, got.CloudBatches, got.CloudDroppedBatches)
+				}
+			}
+			if kind == shoggoth.Shoggoth && (got.CloudBatches < 10 || len(got.SessionTimes) == 0) {
+				t.Fatalf("Shoggoth ran %d cloud batches and applied %d training sessions; the check needs at least 10 and 1",
+					got.CloudBatches, len(got.SessionTimes))
+			}
+		})
+	}
+}
+
+// runLive runs cfg as shoggoth-edge does, against a fresh in-process cloud
+// whose teachers are seeded as cfg's simulator run seeds its teacher, and
+// returns the Results and the number of label uploads the cloud answered.
+func runLive(t *testing.T, cfg core.Config) (*core.Results, int64) {
+	t.Helper()
+	server := rpc.NewServerOpts(cfg.Profile, cfg.Seed, rpc.ServerOptions{})
+	rpc.SeedTeachersAsSimulator(server, core.RNGStreamTeacher)
+	var uploads atomic.Int64
+	handler := server.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/label" {
+			uploads.Add(1)
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	sched := sim.NewScheduler()
+	be, err := rpc.NewBackend(srv.URL, cfg.Cloud, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystemOpts(cfg, core.SystemOptions{Scheduler: sched, Cloud: be})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := be.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return res, uploads.Load()
+}

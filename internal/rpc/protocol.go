@@ -1,9 +1,9 @@
 // Package rpc provides a real network transport for the Shoggoth protocol:
 // a cloud HTTP server offering online labeling plus sampling-rate control,
 // and an edge client. It exists to demonstrate that the architecture runs as
-// an actual distributed system, not only inside the virtual-time simulation;
-// cmd/shoggoth-cloud and cmd/shoggoth-edge deploy it across processes, and
-// the livecollab example runs it in-process over loopback.
+// an actual distributed system, not only inside the virtual-time simulation:
+// cmd/shoggoth-cloud serves it, and cmd/shoggoth-edge runs a core.System
+// whose cloud is a Backend of this package (backend.go).
 //
 // Two endpoints over net/http:
 //
@@ -52,6 +52,8 @@ type LabelRequest struct {
 type LabelResponse struct {
 	// Labels holds one label set per uploaded frame.
 	Labels [][]detect.TeacherLabel
+	// Phis holds each uploaded frame's label-change loss φ, in frame order.
+	Phis []float64
 	// PhiMean is the mean label-change loss over the buffer.
 	PhiMean float64
 	// NewRate is the controller's sampling-rate command (fps).

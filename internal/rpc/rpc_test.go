@@ -1,12 +1,14 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -229,9 +231,9 @@ func TestNonFiniteTelemetryRejected(t *testing.T) {
 }
 
 // TestQueueCapBackpressure: with the engine's QueueCap the live path sees
-// exactly the simulation's admission control — a full queue answers 429,
-// and the client surfaces it as a typed backpressure error with the
-// server's Retry-After hint.
+// exactly the simulation's admission control — a full queue answers 429
+// with the server's Retry-After hint, and the client surfaces it as
+// ErrBackpressure.
 func TestQueueCapBackpressure(t *testing.T) {
 	p := video.DETRACProfile()
 	srv := httptest.NewServer(NewServerOpts(p, 7, ServerOptions{QueueCap: 1}).Handler())
@@ -251,12 +253,17 @@ func TestQueueCapBackpressure(t *testing.T) {
 	if !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("want ErrBackpressure, got: %v", err)
 	}
-	var bp *BackpressureError
-	if !errors.As(err, &bp) {
-		t.Fatalf("want *BackpressureError, got %T: %v", err, err)
+	body := AppendLabelRequest(nil, &LabelRequest{DeviceID: "edge-bp", Frames: frames, Alpha: 0.9, Lambda: 0.5})
+	reply, err := http.Post(srv.URL+"/v1/label", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if bp.RetryAfter <= 0 {
-		t.Fatalf("backpressure must carry a Retry-After hint, got %v", bp.RetryAfter)
+	reply.Body.Close()
+	if reply.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("third batch: %s, want 429", reply.Status)
+	}
+	if secs, err := strconv.Atoi(reply.Header.Get("Retry-After")); err != nil || secs <= 0 {
+		t.Fatalf("backpressure must carry a Retry-After hint in whole seconds, got %q", reply.Header.Get("Retry-After"))
 	}
 
 	// The drop is visible in the engine's queue statistics.
@@ -264,7 +271,7 @@ func TestQueueCapBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Queue.DroppedBatches != 1 || st.Cloud.DroppedBatches != 1 {
+	if st.Queue.DroppedBatches != 2 || st.Cloud.DroppedBatches != 2 {
 		t.Fatalf("drop not counted: device %+v cloud %+v", st.Queue, st.Cloud)
 	}
 

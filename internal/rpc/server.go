@@ -73,8 +73,12 @@ type Server struct {
 	labelerCfg cloud.LabelerConfig
 	ctrlCfg    cloud.ControllerConfig
 	seed       uint64
-	tier       *cloud.Tier
-	start      time.Time
+	// stream picks the PCG stream of a device's teacher, keyed by the server
+	// seed: a hash of the device id. Only export_test.go changes it, to seed
+	// teachers as a simulator run of the same seed does.
+	stream func(id string) uint64
+	tier   *cloud.Tier
+	start  time.Time
 
 	mu      sync.Mutex // guards the devices map only
 	devices map[string]*deviceState
@@ -100,6 +104,7 @@ func NewServerOpts(p *video.Profile, seed uint64, opts ServerOptions) *Server {
 		labelerCfg: cloud.DefaultLabelerConfig(),
 		ctrlCfg:    cloud.DefaultControllerConfig(),
 		seed:       seed,
+		stream:     idStream,
 		tier:       cloud.NewTier(opts.TierConfig()),
 		//shoggoth:allow wallclock -- live boundary: the HTTP server's epoch; real devices arrive in real time, wall time IS the engine clock here
 		start:   time.Now(),
@@ -128,16 +133,13 @@ func (s *Server) now() float64 { return time.Since(s.start).Seconds() }
 // class sticks from that first registration; later requests cannot move a
 // device between classes.
 func (s *Server) device(id, sloClass string) (*deviceState, error) {
+	stream := s.stream(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d, ok := s.devices[id]; ok {
 		return d, nil
 	}
-	h := uint64(0)
-	for _, c := range id {
-		h = h*131 + uint64(c)
-	}
-	teacher := detect.NewTeacher(s.profile, rand.New(rand.NewPCG(s.seed, h)))
+	teacher := detect.NewTeacher(s.profile, rand.New(rand.NewPCG(s.seed, stream)))
 	dev, err := s.tier.Register(id, teacher, s.labelerCfg, &s.ctrlCfg, cloud.DeviceOptions{SLOClass: sloClass})
 	if err != nil {
 		return nil, err
@@ -145,6 +147,15 @@ func (s *Server) device(id, sloClass string) (*deviceState, error) {
 	d := &deviceState{dev: dev}
 	s.devices[id] = d
 	return d, nil
+}
+
+// idStream hashes a device id into its teacher's PCG stream.
+func idStream(id string) uint64 {
+	h := uint64(0)
+	for _, c := range id {
+		h = h*131 + uint64(c)
+	}
+	return h
 }
 
 // lookup returns the device state if the device has ever labeled, without
@@ -230,13 +241,14 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 		s.rejectFull(w)
 		return
 	}
-	labels, _, phiMean := reg.LabelFrames(frames)
+	labels, phis, phiMean := reg.LabelFrames(frames)
 	d.labeled += int64(len(req.Frames))
 	rate, _ := d.dev.UpdateRate(phiMean, req.Alpha, req.Lambda)
 	d.mu.Unlock()
 
 	resp := LabelResponse{
 		Labels:        labels,
+		Phis:          phis,
 		PhiMean:       phiMean,
 		NewRate:       rate,
 		QueueDelaySec: adm.QueueDelaySec,

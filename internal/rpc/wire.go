@@ -11,11 +11,11 @@ import (
 	"shoggoth/internal/video"
 )
 
-// The /v1/label wire format, version 1 (the table is in DESIGN.md §8).
+// The /v1/label wire format, version 2 (the table is in DESIGN.md §8).
 //
 // A message is a 4-byte header — three magic bytes naming the message kind
-// and one version byte — followed by the fields of the Go struct in
-// declaration order with nothing optional and nothing skippable:
+// and one version byte — followed by the fields of the Go struct in a fixed
+// order (DESIGN.md §8 lists it) with nothing optional and nothing skippable:
 //
 //	string   uvarint byte count, then the bytes
 //	int      zig-zag varint (encoding/binary's Varint)
@@ -26,7 +26,8 @@ import (
 //
 // Ahead of its frames a request carries the totals the decoder allocates
 // from — frames, proposals, feature floats, GTs — and a reply carries its
-// label total ahead of the label sets. The decoder charges every total
+// label total ahead of the label sets, which its φs follow, one per set.
+// The decoder charges every total
 // against the bytes that remain at the element's true minimum encoded size
 // before it allocates, so a hostile count can never make it allocate more
 // than a small constant times the body it was handed; the per-frame counts
@@ -41,12 +42,11 @@ import (
 // error that names the version this side speaks; nothing is negotiated.
 const (
 	// WireVersion is the fourth header byte of every label message.
-	WireVersion = 1
+	WireVersion = 2
 
 	// MaxLabelRequestBytes caps one /v1/label upload. The server answers 413
 	// beyond it (by declared Content-Length or by bytes actually read) and
-	// the client refuses to send one. A 20-frame DETRAC batch is ~100 KB;
-	// shoggoth-edge never holds more than 60 frames.
+	// the client refuses to send one. A 20-frame DETRAC batch is ~100 KB.
 	MaxLabelRequestBytes = 16 << 20
 	// MaxLabelResponseBytes caps the reply the client will read. A label is
 	// about a ninth the size of the proposal it answers, so any request
@@ -65,7 +65,7 @@ const (
 	minFrameBytes    = 1 + 8 + 1 + 1 + 1 + 8 + 8 + 1 // Index Time Domain DomainID NumGT Complexity Motion nProposals
 	minProposalBytes = 1 + 32 + 32 + 1 + 1           // TrackID Anchor TrueOffset hasGT nFeatures
 	minGTBytes       = 1 + 1 + 32                    // TrackID Class Box
-	minLabelSetBytes = 1                             // nLabels
+	minLabelSetBytes = 1 + 8                         // nLabels, and the set's φ in Phis
 	minLabelBytes    = 1 + 1 + 32 + 8                // ProposalIdx Class Box Confidence
 )
 
@@ -180,7 +180,7 @@ func AppendLabelResponse(dst []byte, resp *LabelResponse) []byte {
 		nLabels += len(set)
 	}
 	const maxVarint = binary.MaxVarintLen64
-	b := reserve(dst, headerBytes+24+2*maxVarint+len(resp.Labels)*maxVarint+nLabels*(2*maxVarint+40))
+	b := reserve(dst, headerBytes+24+3*maxVarint+len(resp.Labels)*maxVarint+len(resp.Phis)*8+nLabels*(2*maxVarint+40))
 
 	b = putBytes(b, responseMagic+versionByte)
 	b = putF64(b, resp.PhiMean)
@@ -197,6 +197,10 @@ func AppendLabelResponse(dst []byte, resp *LabelResponse) []byte {
 			b = putBox(b, l.Box)
 			b = putF64(b, l.Confidence)
 		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(resp.Phis)))
+	for _, v := range resp.Phis {
+		b = putF64(b, v)
 	}
 	return b
 }
@@ -509,7 +513,8 @@ func (a *requestArena) decode(b []byte, req *LabelRequest) error {
 
 // DecodeLabelResponse decodes one wire-format reply into *resp, replacing
 // every field. Nothing in *resp aliases b afterwards. Zero-length label sets
-// decode as nil. On error *resp is left zero.
+// decode as nil. A reply must carry one φ per label set. On error *resp is
+// left zero.
 //
 //shoggoth:hotpath
 func DecodeLabelResponse(b []byte, resp *LabelResponse) error {
@@ -551,6 +556,16 @@ func DecodeLabelResponse(b []byte, resp *LabelResponse) error {
 		if r.err != nil {
 			return r.err
 		}
+	}
+	// Every set's φ was charged with the set, so the slab below is bounded
+	// by that charge once the count matches.
+	if n := r.uvarint(); r.err == nil && n != uint64(nSets) {
+		return fmt.Errorf("rpc: wire: reply carries %d φs for %d label sets", n, nSets)
+	}
+	if nSets > 0 {
+		//shoggoth:allow hotalloc -- the per-frame φs are the message's payload; one slab per reply
+		out.Phis = make([]float64, nSets)
+		r.f64s(out.Phis)
 	}
 	if err := r.finish(len(labels)); err != nil {
 		return err

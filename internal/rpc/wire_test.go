@@ -159,6 +159,7 @@ func (g *gen) response() *LabelResponse {
 			set = append(set, detect.TeacherLabel{ProposalIdx: g.int(), Class: g.int(), Box: g.box(), Confidence: g.float()})
 		}
 		resp.Labels = append(resp.Labels, set)
+		resp.Phis = append(resp.Phis, g.float())
 	}
 	return resp
 }
@@ -233,7 +234,7 @@ func TestWireRoundTripRealFrames(t *testing.T) {
 	}
 }
 
-// TestWireLayoutPinned pins the byte layout of version 1: a change here
+// TestWireLayoutPinned pins the byte layout of version 2: a change here
 // without a WireVersion bump breaks deployed peers silently.
 func TestWireLayoutPinned(t *testing.T) {
 	req := &LabelRequest{
@@ -251,7 +252,7 @@ func TestWireLayoutPinned(t *testing.T) {
 		return hex.EncodeToString(AppendLabelResponse(nil, &LabelResponse{PhiMean: v})[4:12])
 	}
 	zero4 := strings.Repeat(f64(0), 4)
-	want := "534751" + "01" + // "SGQ", version
+	want := "534751" + "02" + // "SGQ", version
 		"026531" + "00" + // DeviceID, SLOClass
 		f64(1) + f64(-2) + // Alpha, Lambda
 		"01" + "01" + "01" + "01" + // totals: frames, proposals, features, GTs
@@ -266,11 +267,13 @@ func TestWireLayoutPinned(t *testing.T) {
 		t.Fatalf("float64 is not 8 little-endian IEEE-754 bytes: %s", f64(1))
 	}
 	resp := &LabelResponse{PhiMean: 1, NewRate: 2, QueueDelaySec: 0.5,
-		Labels: [][]detect.TeacherLabel{nil, {{ProposalIdx: 1, Class: -1, Confidence: 1}}}}
-	wantResp := "534752" + "01" + f64(1) + f64(2) + f64(0.5) +
+		Labels: [][]detect.TeacherLabel{nil, {{ProposalIdx: 1, Class: -1, Confidence: 1}}},
+		Phis:   []float64{0, 2}}
+	wantResp := "534752" + "02" + f64(1) + f64(2) + f64(0.5) +
 		"02" + "01" + // totals: sets, labels
 		"00" + // empty set
-		"01" + "02" + "01" + zero4 + f64(1) // one label: ProposalIdx Class Box Confidence
+		"01" + "02" + "01" + zero4 + f64(1) + // one label: ProposalIdx Class Box Confidence
+		"02" + f64(0) + f64(2) // Phis
 	if got := hex.EncodeToString(AppendLabelResponse(nil, resp)); got != wantResp {
 		t.Fatalf("reply layout moved:\n got %s\nwant %s", got, wantResp)
 	}
@@ -321,19 +324,24 @@ func TestWireRejectsOtherFormats(t *testing.T) {
 	if err := gob.NewEncoder(&gobBody).Encode(&LabelRequest{DeviceID: "edge-1"}); err != nil {
 		t.Fatal(err)
 	}
-	v2 := AppendLabelRequest(nil, &LabelRequest{DeviceID: "edge-1"})
-	v2[3] = 2
+	v1 := AppendLabelRequest(nil, &LabelRequest{DeviceID: "edge-1"})
+	v1[3] = 1
 	reply := AppendLabelResponse(nil, &LabelResponse{})
 	var req LabelRequest
-	for name, body := range map[string][]byte{"gob": gobBody.Bytes(), "version 2": v2, "a reply": reply, "empty": nil} {
+	for name, body := range map[string][]byte{"gob": gobBody.Bytes(), "version 1": v1, "a reply": reply, "empty": nil} {
 		err := DecodeLabelRequest(body, &req)
-		if err == nil || !strings.Contains(err.Error(), "version 1") {
-			t.Fatalf("%s body: want an error naming wire version 1, got %v", name, err)
+		if err == nil || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("%s body: want an error naming wire version 2, got %v", name, err)
 		}
 	}
 	var resp LabelResponse
-	if err := DecodeLabelResponse(v2, &resp); err == nil || !strings.Contains(err.Error(), "version 1") {
+	if err := DecodeLabelResponse(v1, &resp); err == nil || !strings.Contains(err.Error(), "version 2") {
 		t.Fatalf("request handed to the reply decoder: %v", err)
+	}
+	label := []detect.TeacherLabel{{Confidence: 1}}
+	oneOver := AppendLabelResponse(nil, &LabelResponse{Labels: [][]detect.TeacherLabel{label, label}, Phis: []float64{1, 2, 3}})
+	if err := DecodeLabelResponse(oneOver, &resp); err == nil || !strings.Contains(err.Error(), "3 φs for 2 label sets") {
+		t.Fatalf("a reply with a φ too many: %v", err)
 	}
 }
 
@@ -389,7 +397,7 @@ func TestWireHostileCountsFailFast(t *testing.T) {
 
 	var resp LabelResponse
 	reply := AppendLabelResponse(nil, &LabelResponse{})
-	reply = append(reply[:len(reply)-2], 0xff, 0xff, 0xff, 0xff, 0x0f, 0)
+	reply = append(reply[:len(reply)-3], 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0) // totals, then no φs
 	if n := allocatedBy(func() { err = DecodeLabelResponse(reply, &resp) }); err == nil || n > 16<<10 {
 		t.Fatalf("2^32 claimed label sets: err %v after allocating %d bytes", err, n)
 	}
@@ -411,6 +419,7 @@ func realUpload(t testing.TB, dup int) (*LabelRequest, *LabelResponse) {
 			set[j] = detect.TeacherLabel{ProposalIdx: j, Class: j % 4, Box: f.Proposals[j].Anchor, Confidence: 0.75}
 		}
 		resp.Labels = append(resp.Labels, set)
+		resp.Phis = append(resp.Phis, 0.25)
 	}
 	return req, resp
 }
@@ -445,8 +454,8 @@ func TestWireAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if n > 2 {
-			t.Errorf("×%d proposals: reply decode allocates %v times, want ≤ 2 (the two slabs)", dup, n)
+		if n > 3 {
+			t.Errorf("×%d proposals: reply decode allocates %v times, want ≤ 3 (the three slabs)", dup, n)
 		}
 	}
 }
