@@ -2,9 +2,12 @@
 // real HTTP service: online labeling by the shared teacher model plus the
 // per-device sampling-rate controller. Each shoggoth-edge that uploads to
 // it is a simulator edge (a core.System of any strategy) and gets its own
-// teacher, controller and φ chain, keyed by its device id.
+// teacher, controller and φ chain, keyed by its device id. The flags shape
+// the tier only: each device registers its profile, seed and configs
+// before it uploads. A client that uploads without registering gets a
+// ua-detrac teacher seeded on fallbackSeed and its id, and default configs.
 //
-//	shoggoth-cloud -addr :8700 -profile ua-detrac
+//	shoggoth-cloud -addr :8700 -replicas 2 -queue-cap 8
 //
 // The listener gives a client readHeaderTimeout to finish its request
 // headers and closes a keep-alive connection idle for idleTimeout, so a peer
@@ -41,8 +44,6 @@ func main() {
 // one; nothing listens until the caller says so.
 func newServer(fs *flag.FlagSet, args []string) (*http.Server, error) {
 	addr := fs.String("addr", ":8700", "listen address")
-	profileName := fs.String("profile", video.ProfileDETRAC, "dataset profile the edges stream")
-	seed := fs.Uint64("seed", 7, "teacher seed")
 	queueCap := fs.Int("queue-cap", 0, "per-replica labeling queue capacity in batches; overflow answers 429 (0 = unbounded)")
 	workers := fs.Int("workers", 1, "modeled teacher pipeline workers per replica")
 	replicas := fs.Int("replicas", 1, "teacher replicas in the routing tier")
@@ -53,10 +54,6 @@ func newServer(fs *flag.FlagSet, args []string) (*http.Server, error) {
 		return nil, err
 	}
 
-	profile, err := video.ProfileByName(*profileName)
-	if err != nil {
-		return nil, err
-	}
 	opts := rpc.ServerOptions{
 		QueueCap:        *queueCap,
 		Workers:         *workers,
@@ -68,12 +65,16 @@ func newServer(fs *flag.FlagSet, args []string) (*http.Server, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	srv := rpc.NewServerOpts(profile, *seed, opts)
+	srv := rpc.NewServerOpts(video.DETRACProfile(), fallbackSeed, opts)
 	tc := opts.TierConfig().Resolved()
-	log.Printf("serving %s labeling + rate control on %s (%d replica(s), router %s, queue cap %d, %d workers)",
-		profile.Name, *addr, tc.Replicas, tc.Router, tc.Service.QueueCap, tc.Service.Workers)
+	log.Printf("serving labeling + rate control on %s (%d replica(s), router %s, queue cap %d, %d workers)",
+		*addr, tc.Replicas, tc.Router, tc.Service.QueueCap, tc.Service.Workers)
 	return newHTTPServer(*addr, srv.Handler()), nil
 }
+
+// fallbackSeed seeds the teachers of clients that upload without
+// registering.
+const fallbackSeed = 7
 
 const (
 	readHeaderTimeout = 10 * time.Second

@@ -83,8 +83,9 @@ func TestServerDropsStalledHeadersNotSlowBodies(t *testing.T) {
 }
 
 // TestBadTierFlagsFailBeforeListening: a tier the flags describe but the
-// server cannot run is an error from newServer, which never listens; good
-// flags build a server on the requested address.
+// server cannot run is an error from newServer, which never listens, and so
+// is a profile or seed, which each device registers; good flags build a
+// server on the requested address.
 func TestBadTierFlagsFailBeforeListening(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -95,8 +96,12 @@ func TestBadTierFlagsFailBeforeListening(t *testing.T) {
 		{[]string{"-replicas", "-1"}, "replicas -1"},
 		{[]string{"-admit-rate", "-2"}, "admit rate -2"},
 		{[]string{"-router", "warp"}, "round-robin"},
+		{[]string{"-profile", "kitti"}, "-profile"},
+		{[]string{"-seed", "3"}, "-seed"},
 	} {
-		hs, err := newServer(flag.NewFlagSet("shoggoth-cloud", flag.ContinueOnError), tc.args)
+		fs := flag.NewFlagSet("shoggoth-cloud", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		hs, err := newServer(fs, tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%v: got server %v, error %v; want an error containing %q", tc.args, hs, err, tc.want)
 		}

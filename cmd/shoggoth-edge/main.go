@@ -1,11 +1,14 @@
 // Command shoggoth-edge runs the edge half of the Shoggoth protocol against
 // a shoggoth-cloud server. The edge is the simulator's own: a core.System of
 // any registered strategy, on the simulator's virtual clock, whose cloud is
-// the live server (rpc.Backend). It uploads each sample batch and waits for
-// the reply, so the stream plays as fast as the round trips allow, and it
-// prints the run's Results as JSON.
+// the live server (rpc.Backend). The run is shoggoth-sim's run spec (-spec
+// loads a file, each -set path=value edits one key), resolved to exactly
+// one full-fidelity device. The device registers the run's cloud-facing
+// half with the server, uploads each sample batch and waits for the reply,
+// so the stream plays as fast as the round trips allow; it prints the run's
+// Results as JSON.
 //
-//	shoggoth-edge -cloud http://localhost:8700 -strategy shoggoth -profile ua-detrac -duration 180
+//	shoggoth-edge -cloud http://localhost:8700 -set strategy=shoggoth -set profile=ua-detrac -set duration=180
 package main
 
 import (
@@ -19,6 +22,7 @@ import (
 	"shoggoth"
 	"shoggoth/internal/core"
 	"shoggoth/internal/rpc"
+	"shoggoth/internal/runspec"
 	"shoggoth/internal/sim"
 )
 
@@ -27,51 +31,70 @@ func main() {
 }
 
 // run is the whole command: it returns the exit status for args — 0 on
-// success, 1 for a bad config or a failed run, 2 for bad flags. A failed
+// success, 1 for a bad spec or a failed run, 2 for bad flags. A failed
 // run prints no Results.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("shoggoth-edge", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	cloudURL := fs.String("cloud", "http://localhost:8700", "cloud server base URL")
 	device := fs.String("device", "edge-1", "device id on the cloud")
-	strategyName := fs.String("strategy", "shoggoth", "strategy to run (any registered one; shoggoth-sim -list names them)")
-	profileName := fs.String("profile", shoggoth.ProfileDETRAC, "dataset profile to stream")
-	seed := fs.Uint64("seed", 1, "run seed")
-	duration := fs.Float64("duration", 0, "stream seconds (0: two passes of the profile's scenario script)")
+	specFile := fs.String("spec", "", "JSON run spec file, as shoggoth-sim's (default: every key at its default)")
+	var sets []string
+	fs.Func("set", "edit one spec key by dot path, e.g. strategy=prompt (repeatable; the value is JSON if it parses, else a string)",
+		func(kv string) error { sets = append(sets, kv); return nil })
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
 	}
-	kind, err := shoggoth.ParseStrategy(*strategyName)
+	cfg, err := oneDevice(*specFile, sets)
+	if err == nil {
+		cfg.DeviceID = *device
+		var res *core.Results
+		if res, err = live(cfg, *cloudURL); err == nil {
+			enc := json.NewEncoder(stdout)
+			enc.SetIndent("", "  ")
+			err = enc.Encode(res)
+		}
+	}
 	if err != nil {
-		fmt.Fprintf(stderr, "shoggoth-edge: %v\n", err)
-		return 1
-	}
-	profile, err := shoggoth.ProfileByName(*profileName)
-	if err != nil {
-		fmt.Fprintf(stderr, "shoggoth-edge: %v\n", err)
-		return 1
-	}
-	opts := []shoggoth.Option{shoggoth.WithSeed(*seed)}
-	if *duration > 0 {
-		opts = append(opts, shoggoth.WithDuration(*duration))
-	}
-	cfg := shoggoth.NewConfig(kind, profile, opts...)
-	cfg.DeviceID = *device
-	res, err := live(cfg, *cloudURL)
-	if err != nil {
-		fmt.Fprintf(stderr, "shoggoth-edge: %v\n", err)
-		return 1
-	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
 		fmt.Fprintf(stderr, "shoggoth-edge: %v\n", err)
 		return 1
 	}
 	return 0
+}
+
+// oneDevice resolves the spec to the config of the one full-fidelity
+// device an edge runs, naming the key of a spec that resolves to another
+// run.
+func oneDevice(specFile string, sets []string) (shoggoth.Config, error) {
+	spec, err := runspec.Load(specFile, sets)
+	if err != nil {
+		return shoggoth.Config{}, err
+	}
+	r, err := spec.Validate()
+	if err != nil {
+		return shoggoth.Config{}, err
+	}
+	if len(r.Kinds) != 1 {
+		return shoggoth.Config{}, fmt.Errorf("spec key strategy: %s runs %d strategies; an edge runs one", spec.Strategy, len(r.Kinds))
+	}
+	cfgs, err := spec.Configs(r)
+	if err != nil {
+		return shoggoth.Config{}, err
+	}
+	if len(cfgs) != 1 {
+		key := "devices"
+		if spec.Devices == 0 {
+			key = "scenario"
+		}
+		return shoggoth.Config{}, fmt.Errorf("spec key %s: the run has %d devices; an edge runs one", key, len(cfgs))
+	}
+	if f := cfgs[0].Fidelity; f != "" && f != shoggoth.FidelityFull {
+		return shoggoth.Config{}, fmt.Errorf("spec key fidelity: %s; a live cloud labels uploaded frames, so an edge runs full fidelity", f)
+	}
+	return cfgs[0], nil
 }
 
 // live runs cfg on a core.System whose cloud is the server at cloudURL. The
@@ -80,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // and sampled fidelity is a Cluster's.
 func live(cfg core.Config, cloudURL string) (*core.Results, error) {
 	sched := sim.NewScheduler()
-	be, err := rpc.NewBackend(cloudURL, cfg.Cloud, sched)
+	be, err := rpc.NewBackend(cloudURL, cfg, sched)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,19 +12,25 @@ import (
 
 	"shoggoth"
 	"shoggoth/internal/rpc"
+	"shoggoth/internal/runspec"
 )
 
-// TestBackpressuredCloudDropsBatchesAndPlaysOn: a cloud that answers every
-// upload with 429 costs the edge its batches, which Results counts as
-// dropped, and the run still plays the whole stream.
+// TestBackpressuredCloudDropsBatchesAndPlaysOn: a cloud that takes the
+// registration and answers every upload with 429 costs the edge its
+// batches, which Results counts as dropped, and the run still plays the
+// whole stream.
 func TestBackpressuredCloudDropsBatchesAndPlaysOn(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/register" {
+			w.WriteHeader(http.StatusCreated)
+			return
+		}
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "labeling queue full", http.StatusTooManyRequests)
 	}))
 	defer srv.Close()
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-cloud", srv.URL, "-duration", "120"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-cloud", srv.URL, "-set", "duration=120"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 	var res shoggoth.Results
@@ -52,7 +59,7 @@ func TestGoneCloudFailsNamingURL(t *testing.T) {
 	srv.Close()
 	var stdout, stderr bytes.Buffer
 	start := time.Now()
-	if code := run([]string{"-cloud", url, "-duration", "120"}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-cloud", url, "-set", "duration=120"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit %d, want 1; stderr %q", code, stderr.String())
 	}
 	if elapsed := time.Since(start); elapsed >= rpc.DefaultTimeout {
@@ -86,10 +93,91 @@ func TestEdgeRefusesFleetFidelities(t *testing.T) {
 // TestEdgeRejectsBadNames: an unknown strategy or profile is an error that
 // names it.
 func TestEdgeRejectsBadNames(t *testing.T) {
-	for _, args := range [][]string{{"-strategy", "bogus"}, {"-profile", "bogus"}} {
+	for _, args := range [][]string{{"-set", "strategy=bogus"}, {"-set", "profile=bogus"}} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "bogus") {
 			t.Fatalf("%v: exit %d, stderr %q", args, code, stderr.String())
 		}
+	}
+}
+
+// TestEdgeRunsOneFullFidelityDevice: a spec that resolves to anything but
+// one full-fidelity device exits 1 naming the key, before it contacts the
+// cloud.
+func TestEdgeRunsOneFullFidelityDevice(t *testing.T) {
+	for _, tc := range []struct {
+		sets []string
+		key  string
+	}{
+		{[]string{"strategy=all"}, "spec key strategy"},
+		{[]string{"devices=2"}, "spec key devices"},
+		{[]string{"scenario=rush-hour"}, "spec key scenario"},
+		{[]string{"fidelity=events"}, "spec key fidelity"},
+		{[]string{"devices=2", "fidelity=sampled"}, "spec key devices"},
+	} {
+		args := []string{"-cloud", "http://127.0.0.1:1"}
+		for _, kv := range tc.sets {
+			args = append(args, "-set", kv)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), tc.key) || stdout.Len() > 0 {
+			t.Errorf("%v: exit %d, stderr %q, stdout %d bytes; want exit 1 naming %q", tc.sets, code, stderr.String(), stdout.Len(), tc.key)
+		}
+	}
+}
+
+// TestEdgeMatchesSimulatorOnStockCloud: the edge against a stock cloud
+// built for another profile and seed prints the Results the simulator
+// gives for the same spec and device id, byte for byte: the device's
+// registration, not the server's flags, builds its teacher and controller.
+func TestEdgeMatchesSimulatorOnStockCloud(t *testing.T) {
+	p, err := shoggoth.ProfileByName(shoggoth.ProfileDETRAC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(rpc.NewServerOpts(p, 1, rpc.ServerOptions{}).Handler())
+	defer srv.Close()
+	sets := []string{"strategy=shoggoth", "profile=kitti", "seed=7", "cycles=0.5"}
+	args := []string{"-cloud", srv.URL, "-device", "edge-7"}
+	for _, kv := range sets {
+		args = append(args, "-set", kv)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+
+	spec, err := runspec.Decode([]byte("{}"), sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := spec.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs, err := spec.Configs(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs[0].DeviceID = "edge-7"
+	sess, err := shoggoth.NewSession(cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sess.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	if stdout.String() != buf.String() {
+		t.Fatalf("the edge printed\n%s\nthe simulator gives\n%s", stdout.String(), buf.String())
+	}
+	if want.CloudBatches < 10 {
+		t.Fatalf("%d cloud batches: the check needs at least 10 round trips", want.CloudBatches)
 	}
 }

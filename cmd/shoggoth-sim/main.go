@@ -1,7 +1,7 @@
 // Command shoggoth-sim runs one strategy, or all of them side by side, on a
 // dataset profile, a scenario world or a cluster of devices sharing one
 // cloud tier, and prints the paper's metrics (mAP@0.5, up/down bandwidth,
-// average FPS). A run is one JSON spec with runSpec's keys: -spec loads a
+// average FPS). A run is one JSON spec with runspec.Spec's keys: -spec loads a
 // file, each -set path=value edits one key by dot path (the value is JSON
 // if it parses, else a string), and -print-spec prints the result, which
 // -spec replays:
@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"shoggoth"
+	"shoggoth/internal/runspec"
 )
 
 func main() {
@@ -60,14 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // simulate loads and validates the spec, then prints it or runs it.
 func simulate(specFile string, sets []string, printSpec, asJSON, verbose bool, stdout, stderr io.Writer) error {
-	doc := []byte("{}")
-	if specFile != "" {
-		var err error
-		if doc, err = os.ReadFile(specFile); err != nil {
-			return err
-		}
-	}
-	spec, err := decodeSpec(doc, sets)
+	spec, err := runspec.Load(specFile, sets)
 	if err != nil {
 		return err
 	}
@@ -78,7 +72,7 @@ func simulate(specFile string, sets []string, printSpec, asJSON, verbose bool, s
 	if printSpec {
 		return emitJSON(stdout, spec)
 	}
-	cfgs, err := spec.configs(r)
+	cfgs, err := spec.Configs(r)
 	if err != nil {
 		return err
 	}
@@ -92,13 +86,13 @@ func simulate(specFile string, sets []string, printSpec, asJSON, verbose bool, s
 		}
 	}
 	// One strategy on several devices shares a cloud tier.
-	cluster := len(r.kinds) == 1 && len(cfgs) > 1
-	header := "profile=" + r.profile.Name
-	if r.scen != nil {
-		header = "scenario=" + r.scen.Name
+	cluster := len(r.Kinds) == 1 && len(cfgs) > 1
+	header := "profile=" + r.Profile.Name
+	if r.Scenario != nil {
+		header = "scenario=" + r.Scenario.Name
 	}
-	if r.scen != nil || cluster {
-		header += " strategy=" + r.kinds[0].String()
+	if r.Scenario != nil || cluster {
+		header += " strategy=" + r.Kinds[0].String()
 	}
 	if cluster {
 		err = runCluster(stdout, cfgs, spec, perf, asJSON, header)
@@ -143,7 +137,7 @@ func printRegistries(w io.Writer) {
 
 // runFleet runs independent sessions on a worker pool, each strategy on the
 // same pretrained student, and prints the strategy table.
-func runFleet(w io.Writer, cfgs []shoggoth.Config, spec runSpec, perf *shoggoth.PerfCounters, asJSON bool, header string) error {
+func runFleet(w io.Writer, cfgs []shoggoth.Config, spec runspec.Spec, perf *shoggoth.PerfCounters, asJSON bool, header string) error {
 	all, err := (&shoggoth.Fleet{Workers: spec.Workers, Perf: perf}).Run(context.Background(), cfgs)
 	if err != nil {
 		return err
@@ -163,7 +157,7 @@ func runFleet(w io.Writer, cfgs []shoggoth.Config, spec runSpec, perf *shoggoth.
 
 // runCluster runs the devices on one shared cloud tier and prints
 // per-device results plus the tier's contention statistics.
-func runCluster(w io.Writer, cfgs []shoggoth.Config, spec runSpec, perf *shoggoth.PerfCounters, asJSON bool, header string) error {
+func runCluster(w io.Writer, cfgs []shoggoth.Config, spec runspec.Spec, perf *shoggoth.PerfCounters, asJSON bool, header string) error {
 	res, err := (&shoggoth.Cluster{EngineWorkers: spec.Workers, Perf: perf}).Run(context.Background(), cfgs)
 	if err != nil {
 		return err

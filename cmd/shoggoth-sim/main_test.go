@@ -10,13 +10,14 @@ import (
 
 	"shoggoth"
 	"shoggoth/internal/cloud"
+	"shoggoth/internal/runspec"
 )
 
 // specConfigs decodes -set edits over the default spec, validates it and
 // builds its device configs.
 func specConfigs(t *testing.T, sets ...string) []shoggoth.Config {
 	t.Helper()
-	spec, err := decodeSpec([]byte("{}"), sets)
+	spec, err := runspec.Decode([]byte("{}"), sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func specConfigs(t *testing.T, sets ...string) []shoggoth.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs, err := spec.configs(r)
+	cfgs, err := spec.Configs(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +229,9 @@ func TestPrintedSpecReplays(t *testing.T) {
 }
 
 // FuzzRunSpec feeds arbitrary spec bytes and -set edits (one per line)
-// through decode and Validate, which must never panic. An accepted spec
-// must print as JSON that decodes back to an equal spec. Configs are not
+// through runspec.Decode and Validate, which must never panic. An accepted
+// spec must print as -print-spec prints it, as JSON that decodes back to an
+// equal spec. Configs are not
 // built: devices is the user's to size. The inline scenario key carries
 // scenario JSON through scenario.Load, so this fuzzes that format too.
 // Seeds are checked in under testdata/fuzz; CI fuzzes it for 20 s.
@@ -239,7 +241,7 @@ func FuzzRunSpec(f *testing.F) {
 		if sets != "" {
 			edits = strings.Split(sets, "\n")
 		}
-		spec, err := decodeSpec(doc, edits)
+		spec, err := runspec.Decode(doc, edits)
 		if err != nil {
 			return
 		}
@@ -250,7 +252,7 @@ func FuzzRunSpec(f *testing.F) {
 		if err := emitJSON(&printed, spec); err != nil {
 			t.Fatal(err)
 		}
-		back, err := decodeSpec(printed.Bytes(), nil)
+		back, err := runspec.Decode(printed.Bytes(), nil)
 		if err != nil {
 			t.Fatalf("printed spec does not decode: %v\n%s", err, printed.String())
 		}

@@ -16,6 +16,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"shoggoth/internal/runspec"
 )
 
 // The documents whose backticked names and -run patterns must keep existing.
@@ -50,8 +52,18 @@ var (
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	binFlags := binaryFlags(t)
 	const sample = "run `go run ./cmd/a -x 1\n  -y=2` then\ngo run ./cmd/b --z > -w"
-	if got, want := goRunFlags(sample, sample), []binFlag{{"a", "x"}, {"b", "z"}, {"a", "y"}}; !slices.Equal(got, want) {
+	if got, want := goRunFlags(goRunCommands(sample, sample)), []binFlag{{"a", "x"}, {"b", "z"}, {"a", "y"}}; !slices.Equal(got, want) {
 		t.Fatalf("goRunFlags on a sample: %v, want %v", got, want)
+	}
+	const setSample = "`go run ./cmd/shoggoth-sim -set strategy=all -set 'cloud.service.policy=wfq'\n  -set=seed=3 -json` and\n" +
+		"go run ./cmd/shoggoth-edge --set duration=1 -cloud u; go run ./cmd/a -set x.y=1"
+	if got, want := goRunSetKeys(goRunCommands(setSample, setSample)), []binFlag{{"shoggoth-sim", "strategy"}, {"shoggoth-sim", "cloud"}, {"shoggoth-edge", "duration"}, {"shoggoth-sim", "seed"}}; !slices.Equal(got, want) {
+		t.Fatalf("goRunSetKeys on a sample: %v, want %v", got, want)
+	}
+	specKeys := map[string]bool{}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(runspec.Spec{})) {
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		specKeys[name] = true
 	}
 	tests := map[string]bool{}
 	keys := map[string]bool{} // json tags and BENCHMARK.json names
@@ -131,11 +143,17 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			}
 		}
 		prose := fencedBlock.ReplaceAllString(string(src), "")
-		for _, c := range goRunFlags(string(src), prose) {
+		cmds := goRunCommands(string(src), prose)
+		for _, c := range goRunFlags(cmds) {
 			if flags, ok := binFlags[c.bin]; !ok {
 				t.Errorf("%s runs go run ./cmd/%s, which is no binary", doc, c.bin)
 			} else if !flags[c.flag] && c.flag != "h" && c.flag != "help" {
 				t.Errorf("%s runs go run ./cmd/%s with -%s, which %s does not define", doc, c.bin, c.flag, c.bin)
+			}
+		}
+		for _, c := range goRunSetKeys(cmds) {
+			if !specKeys[c.flag] {
+				t.Errorf("%s runs go run ./cmd/%s with -set %s…, which is no run-spec key", doc, c.bin, c.flag)
 			}
 		}
 		for _, m := range codeSpan.FindAllStringSubmatch(prose, -1) {
@@ -169,30 +187,78 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 }
 
-// binFlag is one flag a document passes to go run ./cmd/<bin>.
-type binFlag struct{ bin, flag string }
+// goRunCommand is one go run ./cmd/<bin> command of a document: the binary
+// and its arguments, up to the first shell operator, closing backtick or
+// line end.
+type goRunCommand struct {
+	bin  string
+	args []string
+}
 
-// goRunFlags returns every flag that doc passes to a go run ./cmd/<bin>
-// command, up to the first shell operator, closing backtick or line end.
-// A code span of prose (doc without its fenced blocks) may wrap its
-// command across lines, so each is also read with its lines joined.
-func goRunFlags(doc, prose string) []binFlag {
+// goRunCommands returns every go run ./cmd/<bin> command of doc. A code
+// span of prose (doc without its fenced blocks) may wrap its command
+// across lines, so each is also read with its lines joined.
+func goRunCommands(doc, prose string) []goRunCommand {
 	texts := []string{doc}
 	for _, m := range codeSpan.FindAllStringSubmatch(prose, -1) {
 		texts = append(texts, strings.Join(strings.Fields(m[1]), " "))
 	}
-	var out []binFlag
-	seen := map[binFlag]bool{}
+	var out []goRunCommand
 	for _, text := range texts {
 		for _, m := range goRun.FindAllStringSubmatch(text, -1) {
-			for _, tok := range strings.Fields(m[2]) {
-				if f := flagToken.FindStringSubmatch(tok); f != nil {
-					c := binFlag{m[1], f[1]}
-					if !seen[c] {
-						seen[c] = true
-						out = append(out, c)
-					}
+			out = append(out, goRunCommand{m[1], strings.Fields(m[2])})
+		}
+	}
+	return out
+}
+
+// binFlag is one flag, or the first key of one -set edit, that a document
+// passes to go run ./cmd/<bin>.
+type binFlag struct{ bin, flag string }
+
+// goRunFlags returns every flag that cmds pass, once each.
+func goRunFlags(cmds []goRunCommand) []binFlag {
+	var out []binFlag
+	seen := map[binFlag]bool{}
+	for _, c := range cmds {
+		for _, tok := range c.args {
+			if f := flagToken.FindStringSubmatch(tok); f != nil {
+				if bf := (binFlag{c.bin, f[1]}); !seen[bf] {
+					seen[bf] = true
+					out = append(out, bf)
 				}
+			}
+		}
+	}
+	return out
+}
+
+// specBinaries take a run spec, so their -set edits name run-spec keys.
+var specBinaries = map[string]bool{"shoggoth-sim": true, "shoggoth-edge": true}
+
+// goRunSetKeys returns, once each, the first element of the dot path of
+// every -set path=value edit that cmds pass to a binary of specBinaries.
+func goRunSetKeys(cmds []goRunCommand) []binFlag {
+	var out []binFlag
+	seen := map[binFlag]bool{}
+	for _, c := range cmds {
+		if !specBinaries[c.bin] {
+			continue
+		}
+		for i, tok := range c.args {
+			f := flagToken.FindStringSubmatch(tok)
+			if f == nil || f[1] != "set" {
+				continue
+			}
+			edit := strings.TrimPrefix(f[2], "=")
+			if edit == "" && i+1 < len(c.args) {
+				edit = c.args[i+1]
+			}
+			key, _, _ := strings.Cut(strings.TrimLeft(edit, `'"`), "=")
+			key, _, _ = strings.Cut(key, ".")
+			if bf := (binFlag{c.bin, key}); key != "" && !seen[bf] {
+				seen[bf] = true
+				out = append(out, bf)
 			}
 		}
 	}
@@ -405,7 +471,9 @@ func readBenchmark(t *testing.T) benchmarkDecl {
 // the runs are listed, there is one per pair on each side, each median is
 // theirs to the three decimals it is written with, and wins counts the
 // pairs the change won in the metric's declared direction. Every
-// CHANGES.md entry tagged perf_opt from PR 35 on has a line of its own.
+// CHANGES.md entry tagged perf_opt from PR 35 on has a line of its own,
+// and only the lines of the last PR that CHANGES.md records leave their
+// commit empty.
 func TestBenchHistorySchema(t *testing.T) {
 	bench := readBenchmark(t)
 	workloads, better := map[string]bool{}, map[string]string{}
@@ -414,6 +482,21 @@ func TestBenchHistorySchema(t *testing.T) {
 	}
 	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
 		better[m.Name] = m.Better
+	}
+
+	changes, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	latest := latestChangesPR(string(changes))
+	const sample = `{"pr": 42, "commit": "", "parent": "e4bd18d", "workload": "fleet_fifo", "seed": 1, "metric": "cpu_s",` +
+		` "host": "h", "pairs": 1, "medians": {"parent": 2, "change": 1}, "wins": 1}`
+	var own benchLine
+	if err := json.Unmarshal([]byte(sample), &own); err != nil {
+		t.Fatal(err)
+	}
+	if own.check(0, 42, workloads, better) != nil || own.check(0, 44, workloads, better) == nil {
+		t.Fatal("check on a sample: an empty commit must pass on the latest PR's line and fail on an earlier PR's")
 	}
 
 	src, err := os.ReadFile("BENCH_history.jsonl")
@@ -429,7 +512,7 @@ func TestBenchHistorySchema(t *testing.T) {
 		if err := dec.Decode(&l); err != nil {
 			t.Fatalf("%s: %v", at, err)
 		}
-		if err := l.check(lastPR, workloads, better); err != nil {
+		if err := l.check(lastPR, latest, workloads, better); err != nil {
 			t.Errorf("%s: %v", at, err)
 			continue
 		}
@@ -456,14 +539,13 @@ func TestBenchHistorySchema(t *testing.T) {
 		}
 	}
 
-	const sample = "PR 34 (`perf_opt`): before the rule\nPR 35 (`perf_opt`): recorded\n" +
+	const changesSample = "PR 34 (`perf_opt`): before the rule\nPR 35 (`perf_opt`): recorded\n" +
 		"PR 36: [simplicity] no tag; `perf_opt` named after the colon\nPR 37 [perf_opt]: not recorded\n"
-	if got := perfOptWithoutHistory(sample, map[int]bool{35: true}); !slices.Equal(got, []int{37}) {
+	if got := perfOptWithoutHistory(changesSample, map[int]bool{35: true}); !slices.Equal(got, []int{37}) {
 		t.Fatalf("perfOptWithoutHistory on a sample: %v, want [37]", got)
 	}
-	changes, err := os.ReadFile("CHANGES.md")
-	if err != nil {
-		t.Fatal(err)
+	if got := latestChangesPR(changesSample); got != 37 {
+		t.Fatalf("latestChangesPR on a sample: %d, want 37", got)
 	}
 	for _, pr := range perfOptWithoutHistory(string(changes), recorded) {
 		t.Errorf("CHANGES.md: PR %d is tagged perf_opt but BENCH_history.jsonl has no line for it", pr)
@@ -488,16 +570,31 @@ func perfOptWithoutHistory(changes string, recorded map[int]bool) []int {
 	return missing
 }
 
+// latestChangesPR returns the highest PR number among the CHANGES.md
+// entries in changes.
+func latestChangesPR(changes string) int {
+	latest := 0
+	for _, m := range changesEntry.FindAllStringSubmatch(changes, -1) {
+		pr, _ := strconv.Atoi(m[1])
+		latest = max(latest, pr)
+	}
+	return latest
+}
+
 // changesEntry matches a CHANGES.md entry's heading: its PR number, and
 // the rest of the text up to the first colon.
-var changesEntry = regexp.MustCompile(`^PR (\d+)([^:]*):`)
+var changesEntry = regexp.MustCompile(`(?m)^PR (\d+)([^:\n]*):`)
 
 // check reports the first required field of l that is missing or names
-// something BENCHMARK.json does not declare.
-func (l *benchLine) check(lastPR int, workloads map[string]bool, better map[string]string) error {
+// something BENCHMARK.json does not declare. Only a line of latest, the
+// last PR CHANGES.md records, may leave its commit empty: a later PR knows
+// the hash and fills it in.
+func (l *benchLine) check(lastPR, latest int, workloads map[string]bool, better map[string]string) error {
 	switch {
 	case l.PR <= 0 || l.PR < lastPR:
 		return fmt.Errorf("pr %d after pr %d", l.PR, lastPR)
+	case l.Commit == "" && l.PR != latest:
+		return fmt.Errorf("pr %d: commit is empty, but PR %d is recorded after it; fill in its hash", l.PR, latest)
 	case l.Commit != "" && !commitHash.MatchString(l.Commit), !commitHash.MatchString(l.Parent):
 		return fmt.Errorf("commit %q, parent %q: want hex hashes (commit may be empty on its own PR's line)", l.Commit, l.Parent)
 	case !workloads[l.Workload]:

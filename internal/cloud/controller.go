@@ -9,20 +9,51 @@
 package cloud
 
 import (
+	"fmt"
 	"math"
 
 	"shoggoth/internal/tensor"
 )
 
-// ControllerConfig holds the Eq. (2)–(3) parameters.
+// ControllerConfig holds the Eq. (2)–(3) parameters. The JSON keys are a
+// device's registration on a live cloud (internal/rpc).
 type ControllerConfig struct {
-	PhiTarget   float64 // φ_target: desired label change rate per sample
-	AlphaTarget float64 // α_target: desired estimated accuracy
-	EtaR        float64 // ηr: φ step size
-	EtaAlpha    float64 // ηα: α step size
-	RMin        float64 // paper: 0.1 fps
-	RMax        float64 // paper: 2.0 fps
-	InitialRate float64
+	PhiTarget   float64 `json:"phi_target"`   // φ_target: desired label change rate per sample
+	AlphaTarget float64 `json:"alpha_target"` // α_target: desired estimated accuracy
+	EtaR        float64 `json:"eta_r"`        // ηr: φ step size
+	EtaAlpha    float64 `json:"eta_alpha"`    // ηα: α step size
+	RMin        float64 `json:"r_min"`        // paper: 0.1 fps
+	RMax        float64 `json:"r_max"`        // paper: 2.0 fps
+	InitialRate float64 `json:"initial_rate"`
+}
+
+// Validate rejects a controller the rate loop cannot run: every field must
+// be finite and ≥ 0, and RMin ≤ RMax. The error names the field by its
+// JSON key.
+func (c ControllerConfig) Validate() error {
+	for _, f := range []struct {
+		key string
+		v   float64
+	}{
+		{"phi_target", c.PhiTarget}, {"alpha_target", c.AlphaTarget}, {"eta_r", c.EtaR}, {"eta_alpha", c.EtaAlpha},
+		{"r_min", c.RMin}, {"r_max", c.RMax}, {"initial_rate", c.InitialRate},
+	} {
+		if err := nonNegative("controller", f.key, f.v); err != nil {
+			return err
+		}
+	}
+	if c.RMin > c.RMax {
+		return fmt.Errorf("cloud: controller r_min %g exceeds r_max %g", c.RMin, c.RMax)
+	}
+	return nil
+}
+
+// nonNegative is the rule for every cloud config parameter: finite and ≥ 0.
+func nonNegative(config, key string, v float64) error {
+	if !IsFinite(v) || v < 0 {
+		return fmt.Errorf("cloud: %s %s %v: want a finite value ≥ 0", config, key, v)
+	}
+	return nil
 }
 
 // DefaultControllerConfig returns the calibrated controller parameters with

@@ -6,11 +6,18 @@ import (
 	"shoggoth/internal/video"
 )
 
-// LabelerConfig models the cloud inference service.
+// LabelerConfig models the cloud inference service. The JSON key is a
+// device's registration on a live cloud (internal/rpc).
 type LabelerConfig struct {
 	// TeacherLatencySec is the golden model's per-frame inference time on
 	// the V100-class server.
-	TeacherLatencySec float64
+	TeacherLatencySec float64 `json:"teacher_latency_sec"`
+}
+
+// Validate rejects a latency the service cannot price: it must be finite
+// and ≥ 0. The error names the field by its JSON key.
+func (c LabelerConfig) Validate() error {
+	return nonNegative("labeler", "teacher_latency_sec", c.TeacherLatencySec)
 }
 
 // DefaultLabelerConfig returns the calibrated V100-class latency.

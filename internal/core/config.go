@@ -233,6 +233,12 @@ func (c *Config) Validate() error {
 	if err := c.Cloud.Validate(); err != nil {
 		return err
 	}
+	if err := c.Controller.Validate(); err != nil {
+		return err
+	}
+	if err := c.Labeler.Validate(); err != nil {
+		return err
+	}
 	if err := c.validateLink("uplink", c.Uplink, c.UplinkTrace); err != nil {
 		return err
 	}

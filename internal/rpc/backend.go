@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"shoggoth/internal/cloud"
+	"shoggoth/internal/core"
 	"shoggoth/internal/detect"
 	"shoggoth/internal/sim"
 	"shoggoth/internal/video"
@@ -25,27 +26,36 @@ import (
 // From the server come the labels, the per-frame φs and the new rate; a
 // 429 is a dropped batch.
 //
+// Each device registers with the server before its first upload, with the
+// run's cloud-facing half: the profile and seed its teacher runs on, its
+// SLO class and its labeler and controller configs. So the server labels
+// and rate-controls it as the simulator's tier would.
+//
 // A Backend and its devices are driven from one event loop, as the
 // simulator's backends are.
 type Backend struct {
 	baseURL string
+	profile string
+	seed    uint64
 	priced  *cloud.Tier
 	drops   int   // batches the server refused with 429, all devices
 	err     error // the first failed upload; nothing is sent after it
 }
 
 // NewBackend returns a backend whose devices upload to the cloud at
-// baseURL. tc is the run's tier (core.Config.Cloud) and tl the run's
-// scheduler, on which the private pricing tier dispatches.
-func NewBackend(baseURL string, tc cloud.TierConfig, tl sim.Timeline) (*Backend, error) {
-	if err := tc.Validate(); err != nil {
+// baseURL. cfg is the run: its tier prices the uploads, its profile and seed
+// go into each registration. tl is the run's scheduler, on which the
+// private pricing tier dispatches.
+func NewBackend(baseURL string, cfg core.Config, tl sim.Timeline) (*Backend, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	tc := cfg.Cloud
 	tc.Service.QueueCap = 0
 	tc.AdmitRatePerSec, tc.AdmitBurst = 0, 0
 	priced := cloud.NewTier(tc)
 	priced.Bind(tl)
-	return &Backend{baseURL: baseURL, priced: priced}, nil
+	return &Backend{baseURL: baseURL, profile: cfg.Profile.Name, seed: cfg.Seed, priced: priced}, nil
 }
 
 // Err returns the first upload that failed for any reason but
@@ -60,10 +70,11 @@ func (b *Backend) fail(err error) {
 	}
 }
 
-// RegisterDevice implements cloud.Backend. It contacts no one: the server
-// registers a device on its first upload. The teacher is only the pricing
-// tier's (its analytic φ is replaced by the server's); an events-fidelity
-// device, which has no frames to upload, is refused.
+// RegisterDevice implements cloud.Backend: it registers the device on the
+// pricing tier, then with the server (Client.Register). The teacher is only
+// the pricing tier's (its analytic φ is replaced by the server's); an
+// events-fidelity device, which has no frames to upload, is refused before
+// the server hears of it.
 func (b *Backend) RegisterDevice(id string, teacher *detect.Teacher, labelerCfg cloud.LabelerConfig, ctrlCfg *cloud.ControllerConfig, opts cloud.DeviceOptions) (cloud.Device, error) {
 	if opts.Analytic {
 		return nil, errors.New("rpc: a live cloud labels uploaded frames; events fidelity uploads metadata only, so run the edge at full fidelity")
@@ -76,7 +87,12 @@ func (b *Backend) RegisterDevice(id string, teacher *detect.Teacher, labelerCfg 
 	if err != nil {
 		return nil, err
 	}
-	d := &device{be: b, client: NewClient(b.baseURL, id), slo: opts.SLOClass, priced: priced}
+	client := NewClient(b.baseURL, id)
+	reg := Registration{DeviceID: id, Profile: b.profile, Seed: b.seed, SLOClass: opts.SLOClass, Labeler: labelerCfg, Controller: ctrlCfg}
+	if err := client.Register(&reg); err != nil {
+		return nil, err
+	}
+	d := &device{be: b, client: client, slo: opts.SLOClass, priced: priced}
 	if ctrlCfg != nil {
 		d.adaptive = true
 		d.rate = cloud.NewController(*ctrlCfg).Rate()

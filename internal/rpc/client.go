@@ -161,6 +161,29 @@ func (c *Client) label(req *LabelRequest) (*LabelResponse, error) {
 	return &resp, nil
 }
 
+// Register sends a device's registration, checked first by the rule the
+// server applies. The server builds the device from it; a second
+// registration of the same id is an error.
+func (c *Client) Register(reg *Registration) error {
+	if err := reg.Validate(); err != nil {
+		return fmt.Errorf("rpc: register: %w", err)
+	}
+	body, err := json.Marshal(reg)
+	if err != nil {
+		return fmt.Errorf("rpc: register: %w", err)
+	}
+	httpResp, err := c.HTTP.Post(c.BaseURL+"/v1/register", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return describe("register", err)
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusCreated {
+		return fmt.Errorf("rpc: register: %s: %s", httpResp.Status, errorText(httpResp.Body))
+	}
+	drain(httpResp.Body)
+	return nil
+}
+
 // maxStatusBytes caps the /v1/status reply the client will read.
 const maxStatusBytes = 1 << 20
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"shoggoth"
+	"shoggoth/internal/cloud"
 	"shoggoth/internal/core"
 	"shoggoth/internal/detect"
 	"shoggoth/internal/rpc"
@@ -17,14 +18,21 @@ import (
 )
 
 // TestLiveEdgeMatchesSession is DESIGN.md §8's sim/live parity contract:
-// a core.System on the rpc backend, against a live cloud server on
-// loopback whose teachers are seeded as the simulator's, gives Results
-// that encode to the bytes a simulator Session of the same Config gives,
-// for every registered strategy. Edge-Only and Cloud-Only never reach the
-// backend (Cloud-Only labels through System.Teacher, on the edge), so the
-// server must see no upload from them.
+// a core.System on the rpc backend, against a stock live cloud server on
+// loopback, gives Results that encode to the bytes a simulator Session of
+// the same Config gives, for every registered strategy. The server is built
+// for another profile and seed than the run's, and the run's controller and
+// labeler are not the defaults, so the bytes match only if the device's
+// registration builds its teacher, labeler and controller. Edge-Only and
+// Cloud-Only never reach the backend past registering (Cloud-Only labels
+// through System.Teacher, on the edge), so the server must see no upload
+// from them.
 func TestLiveEdgeMatchesSession(t *testing.T) {
 	p, err := shoggoth.ProfileByName(shoggoth.ProfileDETRAC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := shoggoth.ProfileByName(shoggoth.ProfileKITTI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +41,11 @@ func TestLiveEdgeMatchesSession(t *testing.T) {
 		cfg := shoggoth.NewConfig(kind, p, shoggoth.WithSeed(1), shoggoth.WithCycles(0.5))
 		cfg.DeviceID = "edge-1"
 		cfg.Pretrained = student
+		cfg.Controller.PhiTarget, cfg.Controller.InitialRate = 0.9, 0.6
+		cfg.Labeler.TeacherLatencySec = 0.05
+		if cfg.Controller == cloud.DefaultControllerConfig() || cfg.Labeler == cloud.DefaultLabelerConfig() {
+			t.Fatal("the run's controller and labeler must differ from the server's defaults")
+		}
 		t.Run(kind.String(), func(t *testing.T) {
 			sess, err := shoggoth.NewSession(cfg)
 			if err != nil {
@@ -42,7 +55,7 @@ func TestLiveEdgeMatchesSession(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, uploads := runLive(t, cfg)
+			got, uploads := runLive(t, cfg, other, 7)
 			wantJSON, _ := json.Marshal(want) // Results always encode
 			gotJSON, _ := json.Marshal(got)
 			if !bytes.Equal(gotJSON, wantJSON) {
@@ -66,13 +79,12 @@ func TestLiveEdgeMatchesSession(t *testing.T) {
 	}
 }
 
-// runLive runs cfg as shoggoth-edge does, against a fresh in-process cloud
-// whose teachers are seeded as cfg's simulator run seeds its teacher, and
-// returns the Results and the number of label uploads the cloud answered.
-func runLive(t *testing.T, cfg core.Config) (*core.Results, int64) {
+// runLive runs cfg as shoggoth-edge does, against a fresh in-process stock
+// cloud built for profile p and seed, and returns the Results and the
+// number of label uploads the cloud answered.
+func runLive(t *testing.T, cfg core.Config, p *shoggoth.Profile, seed uint64) (*core.Results, int64) {
 	t.Helper()
-	server := rpc.NewServerOpts(cfg.Profile, cfg.Seed, rpc.ServerOptions{})
-	rpc.SeedTeachersAsSimulator(server, core.RNGStreamTeacher)
+	server := rpc.NewServerOpts(p, seed, rpc.ServerOptions{})
 	var uploads atomic.Int64
 	handler := server.Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -84,7 +96,7 @@ func runLive(t *testing.T, cfg core.Config) (*core.Results, int64) {
 	defer srv.Close()
 
 	sched := sim.NewScheduler()
-	be, err := rpc.NewBackend(srv.URL, cfg.Cloud, sched)
+	be, err := rpc.NewBackend(srv.URL, cfg, sched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,22 @@
 // cmd/shoggoth-cloud serves it, and cmd/shoggoth-edge runs a core.System
 // whose cloud is a Backend of this package (backend.go).
 //
-// Two endpoints over net/http:
+// Three endpoints over net/http:
 //
+//   - POST /v1/register carries one Registration as JSON (register.go): a
+//     run's cloud-facing half — device id, profile, seed, SLO class, labeler
+//     and controller configs — from which the server builds the device as
+//     the simulator builds it from its Config. It answers 201, or 400 naming
+//     the field it cannot honour, 409 for an id it already knows, and 413
+//     beyond MaxRegistrationBytes. A device that uploads without
+//     registering gets the server's profile and seed and default configs.
 //   - POST /v1/label carries one LabelRequest and answers one LabelResponse
 //     in the package's own binary format (wire.go; the table is in DESIGN.md
 //     §8): positional, length-checked, float64s as their raw bits so the
 //     labels the edge trains on are the teacher's to the last bit. There is
-//     one format and one version of it — a body in anything else is a 400
-//     naming the version expected. Bodies move whole through pooled buffers
+//     one format and one version of it, WireVersion 2 (registration is
+//     JSON, outside it) — a body in anything else is a 400 naming the
+//     version expected. Bodies move whole through pooled buffers
 //     with Content-Length set on both legs (buffer.go has the ownership
 //     rule), under hard caps: MaxLabelRequestBytes (413 beyond it) and
 //     MaxLabelResponseBytes.

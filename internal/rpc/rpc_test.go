@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"shoggoth/internal/cloud"
 	"shoggoth/internal/detect"
 	"shoggoth/internal/video"
 )
@@ -55,7 +56,7 @@ func TestLabelRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: %d labels for %d proposals", i, len(ls), len(frames[i].Proposals))
 		}
 	}
-	cfg := NewServerOpts(p, 7, ServerOptions{}).ctrlCfg
+	cfg := cloud.DefaultControllerConfig() // an unregistered device's
 	if resp.NewRate < cfg.RMin || resp.NewRate > cfg.RMax {
 		t.Fatalf("rate out of bounds: %v", resp.NewRate)
 	}

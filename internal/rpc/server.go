@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"shoggoth/internal/cloud"
+	"shoggoth/internal/core"
 	"shoggoth/internal/detect"
 	"shoggoth/internal/video"
 )
@@ -69,16 +70,12 @@ func (o ServerOptions) Validate() error { return o.TierConfig().Validate() }
 // already fixed it, so the engine contributes admission control, replica
 // routing, worker horizons and statistics rather than reordering.
 type Server struct {
-	profile    *video.Profile
-	labelerCfg cloud.LabelerConfig
-	ctrlCfg    cloud.ControllerConfig
-	seed       uint64
-	// stream picks the PCG stream of a device's teacher, keyed by the server
-	// seed: a hash of the device id. Only export_test.go changes it, to seed
-	// teachers as a simulator run of the same seed does.
-	stream func(id string) uint64
-	tier   *cloud.Tier
-	start  time.Time
+	// profile and seed build the teacher of a device that uploads without
+	// registering; a registered device brings its own.
+	profile *video.Profile
+	seed    uint64
+	tier    *cloud.Tier
+	start   time.Time
 
 	mu      sync.Mutex // guards the devices map only
 	devices map[string]*deviceState
@@ -94,18 +91,18 @@ type deviceState struct {
 	labeled int64
 }
 
-// NewServerOpts creates the cloud server for a profile; the zero
-// ServerOptions is one replica with an unbounded labeling queue. It panics
-// on an unregistered router — check user input with ServerOptions.Validate
-// first.
+// NewServerOpts creates the cloud server; the zero ServerOptions is one
+// replica with an unbounded labeling queue. A device that registers
+// (/v1/register) is built from its registration. p and seed serve only a
+// device that uploads without registering: its teacher streams p, seeded
+// on seed and a hash of its id, and it gets the default labeler and
+// controller configs. It panics on an unregistered router — check user
+// input with ServerOptions.Validate first.
 func NewServerOpts(p *video.Profile, seed uint64, opts ServerOptions) *Server {
 	return &Server{
-		profile:    p,
-		labelerCfg: cloud.DefaultLabelerConfig(),
-		ctrlCfg:    cloud.DefaultControllerConfig(),
-		seed:       seed,
-		stream:     idStream,
-		tier:       cloud.NewTier(opts.TierConfig()),
+		profile: p,
+		seed:    seed,
+		tier:    cloud.NewTier(opts.TierConfig()),
 		//shoggoth:allow wallclock -- live boundary: the HTTP server's epoch; real devices arrive in real time, wall time IS the engine clock here
 		start:   time.Now(),
 		devices: make(map[string]*deviceState),
@@ -115,6 +112,7 @@ func NewServerOpts(p *video.Profile, seed uint64, opts ServerOptions) *Server {
 // Handler returns the HTTP handler exposing the Shoggoth cloud API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/register", s.handleRegister)
 	mux.HandleFunc("POST /v1/label", s.handleLabel)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
 	return mux
@@ -126,21 +124,28 @@ func (s *Server) Handler() http.Handler {
 //shoggoth:allow wallclock -- live boundary: serves real HTTP clients, so elapsed wall time is the scheduling-engine time axis
 func (s *Server) now() float64 { return time.Since(s.start).Seconds() }
 
-// device returns (creating on first use) the per-device state. Each device
-// gets its own teacher error stream and controller, like the paper's shared
-// cloud serving many edge devices. Devices register on the engine lazily on
-// their first label upload — never from a status probe (lookup). The SLO
-// class sticks from that first registration; later requests cannot move a
-// device between classes.
+// device returns the per-device state, creating it on the first upload of
+// a device that never registered. Each device gets its own teacher error
+// stream and controller, like the paper's shared cloud serving many edge
+// devices. An unregistered device registers on the engine lazily on its
+// first label upload — never from a status probe (lookup) — with the
+// server's profile, its seed and default configs. The SLO class sticks from
+// that first registration; later requests cannot move a device between
+// classes.
 func (s *Server) device(id, sloClass string) (*deviceState, error) {
-	stream := s.stream(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d, ok := s.devices[id]; ok {
 		return d, nil
 	}
-	teacher := detect.NewTeacher(s.profile, rand.New(rand.NewPCG(s.seed, stream)))
-	dev, err := s.tier.Register(id, teacher, s.labelerCfg, &s.ctrlCfg, cloud.DeviceOptions{SLOClass: sloClass})
+	ctrl := cloud.DefaultControllerConfig()
+	teacher := detect.NewTeacher(s.profile, rand.New(rand.NewPCG(s.seed, idStream(id))))
+	return s.addLocked(id, teacher, cloud.DefaultLabelerConfig(), &ctrl, sloClass)
+}
+
+// addLocked registers a new device on the engine; s.mu must be held.
+func (s *Server) addLocked(id string, teacher *detect.Teacher, labelerCfg cloud.LabelerConfig, ctrlCfg *cloud.ControllerConfig, sloClass string) (*deviceState, error) {
+	dev, err := s.tier.Register(id, teacher, labelerCfg, ctrlCfg, cloud.DeviceOptions{SLOClass: sloClass})
 	if err != nil {
 		return nil, err
 	}
@@ -158,8 +163,46 @@ func idStream(id string) uint64 {
 	return h
 }
 
-// lookup returns the device state if the device has ever labeled, without
-// creating anything — the read-only path of handleStatus.
+// handleRegister builds a device from its registration, as the simulator
+// builds one from the run's Config: the teacher streams the registered
+// profile on (seed, core.RNGStreamTeacher), and the labeler and controller
+// take the registered configs. A body the server cannot honour is a 400
+// naming the field, an oversize one a 413, and an id the server already
+// knows — registered or uploading — a 409. Registration is not admission:
+// it never answers 429.
+func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if err := readBody(r.Body, buf, r.ContentLength, MaxRegistrationBytes); err != nil {
+		if errors.Is(err, errBodyTooLarge) {
+			http.Error(w, fmt.Sprintf("registration exceeds the %d-byte cap", MaxRegistrationBytes), http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, fmt.Sprintf("read body: %v", err), http.StatusBadRequest)
+		}
+		return
+	}
+	reg, err := DecodeRegistration(*buf)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	p, _ := video.ProfileByName(reg.Profile) // DecodeRegistration looked it up
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.devices[reg.DeviceID]; ok {
+		http.Error(w, fmt.Sprintf("device %q is already registered", reg.DeviceID), http.StatusConflict)
+		return
+	}
+	teacher := detect.NewTeacher(p, rand.New(rand.NewPCG(reg.Seed, core.RNGStreamTeacher)))
+	if _, err := s.addLocked(reg.DeviceID, teacher, reg.Labeler, reg.Controller, reg.SLOClass); err != nil {
+		http.Error(w, fmt.Sprintf("register: %v", err), http.StatusInternalServerError)
+		return
+	}
+	w.WriteHeader(http.StatusCreated)
+}
+
+// lookup returns the device state if the device has registered or ever
+// labeled, without creating anything — the read-only path of handleStatus.
 func (s *Server) lookup(id string) *deviceState {
 	s.mu.Lock()
 	defer s.mu.Unlock()

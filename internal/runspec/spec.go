@@ -1,19 +1,24 @@
-package main
+// Package runspec is one run as data: the JSON spec that shoggoth-sim and
+// shoggoth-edge load with -spec and edit with -set, and that shoggoth-sim's
+// -print-spec prints. A spec resolves to the core.Configs its runners take,
+// so the simulator and the live edge read a run the same way.
+package runspec
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 
 	"shoggoth"
 	"shoggoth/internal/scenario"
 )
 
-// runSpec is one run as data: what a -spec file holds, -set edits and
+// Spec is one run as data: what a -spec file holds, -set edits and
 // -print-spec prints.
-type runSpec struct {
+type Spec struct {
 	// Scenario is a registered name or an inline scenario in scenario.Load's
 	// format; absent, the run uses Profile.
 	Scenario json.RawMessage `json:"scenario,omitempty"`
@@ -34,18 +39,31 @@ type runSpec struct {
 	Cloud json.RawMessage `json:"cloud,omitempty"`
 }
 
-// decodeSpec applies the path=value edits to the JSON object doc and
-// decodes it strictly over the defaults. json.Unmarshal refuses trailing
-// data; re-encoding compacts, so a printed spec decodes back to itself.
-func decodeSpec(doc []byte, sets []string) (runSpec, error) {
+// Load reads the spec file (empty: every key at its default) and applies
+// the path=value edits, as Decode does.
+func Load(file string, sets []string) (Spec, error) {
+	doc := []byte("{}")
+	if file != "" {
+		var err error
+		if doc, err = os.ReadFile(file); err != nil {
+			return Spec{}, err
+		}
+	}
+	return Decode(doc, sets)
+}
+
+// Decode applies the path=value edits to the JSON object doc and decodes
+// it strictly over the defaults. json.Unmarshal refuses trailing data;
+// re-encoding compacts, so a printed spec decodes back to itself.
+func Decode(doc []byte, sets []string) (Spec, error) {
 	var keys map[string]json.RawMessage
 	if err := json.Unmarshal(doc, &keys); err != nil {
-		return runSpec{}, fmt.Errorf("spec: %w", err)
+		return Spec{}, fmt.Errorf("spec: %w", err)
 	}
 	for _, kv := range sets {
 		path, val, ok := strings.Cut(kv, "=")
 		if !ok {
-			return runSpec{}, fmt.Errorf("-set %q: want path=value", kv)
+			return Spec{}, fmt.Errorf("-set %q: want path=value", kv)
 		}
 		v := json.RawMessage(val)
 		if !json.Valid(v) {
@@ -53,13 +71,13 @@ func decodeSpec(doc []byte, sets []string) (runSpec, error) {
 		}
 		var err error
 		if keys, err = setKey(keys, strings.Split(path, "."), v); err != nil {
-			return runSpec{}, fmt.Errorf("-set %s: %w", path, err)
+			return Spec{}, fmt.Errorf("-set %s: %w", path, err)
 		}
 	}
 	doc, _ = json.Marshal(keys) // every value is valid JSON
-	spec := runSpec{Profile: shoggoth.ProfileDETRAC, Strategy: "shoggoth", Seed: 1, Cycles: 2, Fidelity: "full"}
+	spec := Spec{Profile: shoggoth.ProfileDETRAC, Strategy: "shoggoth", Seed: 1, Cycles: 2, Fidelity: "full"}
 	if err := decodeStrict(doc, &spec); err != nil {
-		return runSpec{}, fmt.Errorf("spec: %w", err)
+		return Spec{}, fmt.Errorf("spec: %w", err)
 	}
 	return spec, nil
 }
@@ -91,41 +109,41 @@ func decodeStrict(data []byte, v any) error {
 	return dec.Decode(v)
 }
 
-// resolved is a validated spec's names in the runners' types.
-type resolved struct {
-	kinds   []shoggoth.StrategyKind
-	profile *shoggoth.Profile
-	scen    *shoggoth.Scenario // nil: the plain profile
-	tier    shoggoth.CloudTier // the scenario's tier under the cloud key
+// Resolved is a validated spec's names in the runners' types.
+type Resolved struct {
+	Kinds    []shoggoth.StrategyKind
+	Profile  *shoggoth.Profile
+	Scenario *shoggoth.Scenario // nil: the plain profile
+	Tier     shoggoth.CloudTier // the scenario's tier under the cloud key
 }
 
 // Validate checks every key, naming the first bad one, and resolves the
 // spec's names. A trial config per strategy checks fidelity.
-func (s *runSpec) Validate() (r resolved, err error) {
-	if r.kinds = shoggoth.StrategyKinds(); !strings.EqualFold(s.Strategy, "all") {
+func (s *Spec) Validate() (r Resolved, err error) {
+	if r.Kinds = shoggoth.StrategyKinds(); !strings.EqualFold(s.Strategy, "all") {
 		kind, err := shoggoth.ParseStrategy(s.Strategy)
 		if err != nil {
 			return r, fmt.Errorf("spec key strategy: %w", err)
 		}
-		r.kinds = []shoggoth.StrategyKind{kind}
+		r.Kinds = []shoggoth.StrategyKind{kind}
 	}
-	if r.profile, err = shoggoth.ProfileByName(s.Profile); err != nil {
+	if r.Profile, err = shoggoth.ProfileByName(s.Profile); err != nil {
 		return r, fmt.Errorf("spec key profile: %w", err)
 	}
 	var name string
 	switch {
 	case len(s.Scenario) == 0 || string(s.Scenario) == "null":
 	case s.Scenario[0] == '{':
-		r.scen, err = scenario.Load(bytes.NewReader(s.Scenario))
+		r.Scenario, err = scenario.Load(bytes.NewReader(s.Scenario))
 	case json.Unmarshal(s.Scenario, &name) == nil:
-		r.scen, err = shoggoth.ScenarioByName(name)
+		r.Scenario, err = shoggoth.ScenarioByName(name)
 	default:
 		err = errors.New("want a registered name or an inline scenario object")
 	}
 	if err != nil {
 		return r, fmt.Errorf("spec key scenario: %w", err)
 	}
-	oneDevice := s.Devices == 1 || s.Devices == 0 && (r.scen == nil || r.scen.NaturalDevices() == 1)
+	oneDevice := s.Devices == 1 || s.Devices == 0 && (r.Scenario == nil || r.Scenario.NaturalDevices() == 1)
 	sampled := s.Fidelity == string(shoggoth.FidelitySampled)
 	for _, c := range []struct {
 		key string
@@ -133,7 +151,7 @@ func (s *runSpec) Validate() (r resolved, err error) {
 		val any
 		why string
 	}{
-		{"strategy", len(r.kinds) > 1 && (r.scen != nil || !oneDevice), s.Strategy, "needs the plain profile on one device"},
+		{"strategy", len(r.Kinds) > 1 && (r.Scenario != nil || !oneDevice), s.Strategy, "needs the plain profile on one device"},
 		{"cycles", !(s.Cycles > 0), s.Cycles, "is not positive"},
 		{"duration", s.Duration < 0, s.Duration, "is negative"},
 		{"rate", s.Rate < 0, s.Rate, "is negative"},
@@ -149,20 +167,20 @@ func (s *runSpec) Validate() (r resolved, err error) {
 		}
 	}
 	// The fragment decodes onto the scenario's tier, overriding what it names.
-	if r.scen != nil && r.scen.Cloud != nil {
-		r.tier = *r.scen.Cloud
+	if r.Scenario != nil && r.Scenario.Cloud != nil {
+		r.Tier = *r.Scenario.Cloud
 	}
 	if len(s.Cloud) > 0 {
-		err = decodeStrict(s.Cloud, &r.tier)
+		err = decodeStrict(s.Cloud, &r.Tier)
 	}
 	if err == nil {
-		err = r.tier.Validate()
+		err = r.Tier.Validate()
 	}
 	if err != nil {
 		return r, fmt.Errorf("spec key cloud: %w", err)
 	}
-	for _, kind := range r.kinds {
-		cfg := shoggoth.NewConfig(kind, r.profile, s.options()...)
+	for _, kind := range r.Kinds {
+		cfg := shoggoth.NewConfig(kind, r.Profile, s.options()...)
 		if err := cfg.Validate(); err != nil {
 			return r, fmt.Errorf("spec: %w", err)
 		}
@@ -171,7 +189,7 @@ func (s *runSpec) Validate() (r resolved, err error) {
 }
 
 // options turns the run keys into config options.
-func (s *runSpec) options() []shoggoth.Option {
+func (s *Spec) options() []shoggoth.Option {
 	opts := []shoggoth.Option{shoggoth.WithSeed(s.Seed), shoggoth.WithCycles(s.Cycles),
 		shoggoth.WithFidelity(shoggoth.Fidelity(s.Fidelity))}
 	if s.Fidelity == string(shoggoth.FidelitySampled) {
@@ -186,21 +204,21 @@ func (s *runSpec) options() []shoggoth.Option {
 	return opts
 }
 
-// configs builds the run's device configs on the resolved tier. A plain
+// Configs builds the run's device configs on the resolved tier. A plain
 // profile keeps DeviceID empty unless it clusters.
-func (s *runSpec) configs(r resolved) (cfgs []shoggoth.Config, err error) {
-	sc := r.scen
+func (s *Spec) Configs(r Resolved) (cfgs []shoggoth.Config, err error) {
+	sc := r.Scenario
 	if sc == nil && s.Devices > 1 {
 		// A plain-profile cluster is a one-slice scenario.
-		sc = &shoggoth.Scenario{Name: r.profile.Name, Profile: r.profile.Name}
+		sc = &shoggoth.Scenario{Name: r.Profile.Name, Profile: r.Profile.Name}
 	}
 	if sc == nil {
-		cfgs = shoggoth.Grid([]*shoggoth.Profile{r.profile}, r.kinds, s.options()...)
-	} else if cfgs, err = shoggoth.ScenarioConfigs(sc, r.kinds[0], s.Devices, s.options()...); err != nil {
+		cfgs = shoggoth.Grid([]*shoggoth.Profile{r.Profile}, r.Kinds, s.options()...)
+	} else if cfgs, err = shoggoth.ScenarioConfigs(sc, r.Kinds[0], s.Devices, s.options()...); err != nil {
 		return nil, err
 	}
 	for i := range cfgs {
-		cfgs[i].Cloud = r.tier
+		cfgs[i].Cloud = r.Tier
 	}
 	return cfgs, nil
 }
