@@ -158,8 +158,11 @@ type Service struct {
 	mu sync.Mutex
 	// workers holds each teacher worker's busyUntil horizon. A batch is
 	// assigned to the free worker with the smallest horizon, ties broken by
-	// the lowest worker index — part of the determinism contract.
+	// the lowest worker index — part of the determinism contract. free
+	// holds the worker indices as a binary min-heap on that order, so the
+	// free worker is its root (see freeWorkerLocked).
 	workers []float64
+	free    []int
 	// outstanding is a min-heap of the completion times of assigned batches
 	// still in the system; occupancyLocked pops the ones that have completed
 	// as time advances. Its length plus waiting is the queue occupancy
@@ -273,7 +276,11 @@ func NewService(cfg ServiceConfig) *Service {
 		// deferred dispatch path even under an arrival-order policy.
 		immediate: policy.Immediate() && cfg.Coalesce < 2,
 		workers:   make([]float64, cfg.Workers),
+		free:      make([]int, cfg.Workers),
 		devices:   make(map[string]*ServiceDevice),
+	}
+	for w := range s.free { // equal horizons: index order is a heap
+		s.free[w] = w
 	}
 	s.dispatchFn = s.onDispatch
 	return s
@@ -484,15 +491,33 @@ func (s *Service) fullLocked(now float64) bool {
 }
 
 // freeWorkerLocked returns the worker with the smallest busyUntil horizon,
-// ties broken by the lowest index (the deterministic tie-break rule).
-func (s *Service) freeWorkerLocked() int {
-	best := 0
-	for i := 1; i < len(s.workers); i++ {
-		if s.workers[i] < s.workers[best] {
-			best = i
+// ties broken by the lowest index (the deterministic tie-break rule): the
+// root of the free heap.
+func (s *Service) freeWorkerLocked() int { return s.free[0] }
+
+// occupyFreeWorkerLocked moves the free worker's horizon to done, no
+// earlier than it was, and sifts the worker down the free heap. Only the
+// free worker is ever given a batch, so this is the heap's one update.
+func (s *Service) occupyFreeWorkerLocked(done float64) {
+	h, at := s.free, s.workers
+	w := h[0]
+	at[w] = done
+	j := 0
+	for {
+		c := 2*j + 1
+		if c >= len(h) {
+			break
 		}
+		if r := c + 1; r < len(h) && (at[h[r]] < at[h[c]] || at[h[r]] == at[h[c]] && h[r] < h[c]) {
+			c = r
+		}
+		if !(at[h[c]] < done || at[h[c]] == done && h[c] < w) {
+			break
+		}
+		h[j] = h[c]
+		j = c
 	}
-	return best
+	h[j] = w
 }
 
 // assignLocked schedules one batch of n frames from d onto the best worker,
@@ -515,7 +540,7 @@ func (s *Service) assignLocked(d *ServiceDevice, n int, now, arrival, extra floa
 		service += extra
 	}
 	done := start + service
-	s.workers[w] = done
+	s.occupyFreeWorkerLocked(done)
 	s.outstanding.push(done)
 
 	delay := start - arrival
@@ -766,7 +791,7 @@ func (s *Service) assignGroupLocked(ready []assigned, group []pendingBatch, now 
 		total += c
 	}
 	done := start + total
-	s.workers[w] = done
+	s.occupyFreeWorkerLocked(done)
 	for k := range group {
 		b := &group[k]
 		s.outstanding.push(done)

@@ -211,13 +211,7 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 	s.teacher = detect.NewTeacher(cfg.Profile, s.SeededRNG(RNGStreamTeacher))
 	s.dt = 1 / cfg.Profile.FPS
 	s.nFrames = int(cfg.DurationSec * cfg.Profile.FPS)
-	// Frame k runs at k·dt, so the frames span whole seconds 0 through
-	// int((nFrames−1)·dt): the FPS telemetry is sized for them once.
-	seconds := 0
-	if s.nFrames > 0 {
-		seconds = int(float64(s.nFrames-1)*s.dt) + 1
-	}
-	s.device = edge.NewSizedDevice(cfg.Device, seconds)
+	s.device = edge.NewDevice(cfg.Device)
 
 	s.cloudSvc = opts.Cloud
 	if s.cloudSvc == nil {

@@ -18,7 +18,7 @@ type tickReplay struct{ before Device }
 
 func replayTicks(d *Device) tickReplay {
 	c := *d
-	c.fps = &FPSTracker{sums: slices.Clone(d.fps.sums), counts: slices.Clone(d.fps.counts)}
+	c.fps.runs = slices.Clone(d.fps.runs)
 	return tickReplay{before: c}
 }
 
@@ -30,8 +30,7 @@ func (r tickReplay) matches(d *Device, first, n int, dt float64, processed int) 
 		}
 	}
 	if processed != wantProcessed || !sameBits(d.credit, want.credit) || !sameBits(d.usageSum, want.usageSum) ||
-		d.usageN != want.usageN || !slices.EqualFunc(d.fps.sums, want.fps.sums, sameBits) ||
-		!slices.Equal(d.fps.counts, want.fps.counts) {
+		d.usageN != want.usageN || !sameRuns(&d.fps, &want.fps) {
 		panic(fmt.Sprintf("edge: TickFrames(%d, %d, %v) ends in another state than %d Tick calls", first, n, dt, n))
 	}
 }
@@ -60,3 +59,12 @@ func (r scanReplay) matches(s *Sampler, from, to int, dt, since, wait float64, s
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sameRuns reports whether two trackers hold the same runs and the same
+// open second, every sum bit for bit.
+func sameRuns(a, b *FPSTracker) bool {
+	return a.sec == b.sec && a.n == b.n && sameBits(a.sum, b.sum) &&
+		slices.EqualFunc(a.runs, b.runs, func(x, y fpsRun) bool {
+			return x.count == y.count && x.seconds == y.seconds && sameBits(x.sum, y.sum)
+		})
+}

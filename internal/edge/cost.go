@@ -81,6 +81,8 @@ func (m CostModel) Session(cfg detect.TrainerConfig, firstSession bool, nNew, nR
 	// keeps the constant new:replay proportion, so steps ≈ epochs·total/k.
 	steps := epochs * total / k
 
+	// A product added to another is converted, float64(x*y), so that arm64
+	// does not fuse the pair and the cost keeps amd64's bits.
 	var fwd, params float64
 	switch {
 	case cfg.NoReplay:
@@ -93,19 +95,19 @@ func (m CostModel) Session(cfg detect.TrainerConfig, firstSession bool, nNew, nR
 	case cfg.Placement == detect.PlacementConv54:
 		front := m.FullForwardSec - m.Conv54HeadSec
 		if firstSession && !cfg.CompletelyFrozen {
-			fwd = epochs*float64(nNew)*front + epochs*total*m.Conv54HeadSec
+			fwd = float64(epochs*float64(nNew)*front) + float64(epochs*total*m.Conv54HeadSec)
 			params = m.FullParamsM
 		} else {
-			fwd = float64(nNew)*front + epochs*total*m.Conv54HeadSec
+			fwd = float64(float64(nNew)*front) + float64(epochs*total*m.Conv54HeadSec)
 			params = m.Conv54HeadParamsM
 		}
 	default: // PlacementPool, the paper's baseline
 		front := m.FullForwardSec - m.PoolHeadSec
 		if firstSession && !cfg.CompletelyFrozen {
-			fwd = epochs*float64(nNew)*front + epochs*total*m.PoolHeadSec
+			fwd = float64(epochs*float64(nNew)*front) + float64(epochs*total*m.PoolHeadSec)
 			params = m.FullParamsM
 		} else {
-			fwd = float64(nNew)*front + epochs*total*m.PoolHeadSec
+			fwd = float64(float64(nNew)*front) + float64(epochs*total*m.PoolHeadSec)
 			params = m.PoolHeadParamsM
 		}
 	}

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -47,7 +48,7 @@ type Device struct {
 
 	credit float64 // fractional frame-processing budget accumulator
 
-	fps *FPSTracker
+	fps FPSTracker
 
 	// λ samples since the last report: the report is their mean, so a sum
 	// and a count are all Tick has to keep on every frame.
@@ -55,16 +56,8 @@ type Device struct {
 	usageN   int
 }
 
-// NewDevice creates a device with the given configuration; its FPS
-// telemetry grows as the run goes (NewSizedDevice sizes it once).
-func NewDevice(cfg DeviceConfig) *Device { return NewSizedDevice(cfg, 0) }
-
-// NewSizedDevice creates a device whose FPS telemetry holds seconds whole
-// seconds of stream time without growing: a run that knows its length
-// sizes it once.
-func NewSizedDevice(cfg DeviceConfig, seconds int) *Device {
-	return &Device{Config: cfg, fps: NewFPSTracker(seconds)}
-}
+// NewDevice creates a device with the given configuration.
+func NewDevice(cfg DeviceConfig) *Device { return &Device{Config: cfg} }
 
 // BeginTraining marks a training session occupying the device until the
 // given virtual time.
@@ -118,15 +111,17 @@ func (d *Device) Tick(t, dt float64) bool {
 	d.usageSum += usage
 	d.usageN++
 	var processed bool
-	d.credit, processed = spend(d.credit + fps*dt)
+	// A product added to a sum is converted, float64(x*y), here and in the
+	// span code: arm64 would fuse the pair and round once.
+	d.credit, processed = spend(d.credit + float64(fps*dt))
 	return processed
 }
 
 // TickFrames makes the n Tick calls for camera frames first … first+n−1,
 // frame k at time float64(k)·dt, and returns how many of them the device
 // processes. It is those calls with the running values held in locals for
-// the span: the credit, the λ sum and the current second's FPS sum and
-// count, written back when the second changes and when the span ends.
+// the span: the credit, the λ sum and the open second's FPS sum and count,
+// handed to the tracker when the second changes and when the span ends.
 //
 // The frames under a training or encoding window play one at a time, each
 // addition in the order Tick makes it. From the first frame at or after
@@ -141,8 +136,8 @@ func (d *Device) TickFrames(first, n int, dt float64) int {
 	check := replayTicks(d)
 	cfg, train, enc := d.Config, d.trainingUntil, d.encodingUntil
 	credit, usageSum := d.credit, d.usageSum
-	f := d.fps
-	sec, secSum, secN := -1, 0.0, int32(0)
+	f := &d.fps
+	sec, secSum, secN := f.sec, f.sum, f.n
 	processed := 0
 	k, end := first, first+n
 	for ; k < end; k++ {
@@ -152,17 +147,15 @@ func (d *Device) TickFrames(first, n int, dt float64) int {
 		}
 		fps, usage := cfg.frameLoad(t, train, enc)
 		if s := int(t); s != sec {
-			if sec >= 0 {
-				f.sums[sec], f.counts[sec] = secSum, secN
-			}
-			f.cover(s)
-			sec, secSum, secN = s, f.sums[s], f.counts[s]
+			f.sum, f.n = secSum, secN
+			f.open(s)
+			sec, secSum, secN = s, 0, 0
 		}
 		secSum += fps
 		secN++
 		usageSum += usage
 		var ok bool
-		if credit, ok = spend(credit + fps*dt); ok {
+		if credit, ok = spend(credit + float64(fps*dt)); ok {
 			processed++
 		}
 	}
@@ -177,20 +170,16 @@ func (d *Device) TickFrames(first, n int, dt float64) int {
 			s := int(float64(k) * dt)
 			next := secondEnd(k, end, s, dt, perSec)
 			if s != sec {
-				if sec >= 0 {
-					f.sums[sec], f.counts[sec] = secSum, secN
-				}
-				f.cover(s)
-				sec, secSum, secN = s, f.sums[s], f.counts[s]
+				f.sum, f.n = secSum, secN
+				f.open(s)
+				sec, secSum, secN = s, 0, 0
 			}
 			secSum = addRepeated(secSum, fps, next-k)
 			secN += int32(next - k)
 			k = next
 		}
 	}
-	if sec >= 0 {
-		f.sums[sec], f.counts[sec] = secSum, secN
-	}
+	f.sum, f.n = secSum, secN
 	d.credit, d.usageSum = credit, usageSum
 	d.usageN += n
 	check.matches(d, first, n, dt, processed)
@@ -207,7 +196,7 @@ func (d *Device) TickFrames(first, n int, dt float64) int {
 func spendRun(credit, fps, dt float64, m int) (float64, int) {
 	processed := 0
 	for i := 0; i < m; i++ {
-		next, ok := spend(credit + fps*dt)
+		next, ok := spend(credit + float64(fps*dt))
 		if ok {
 			processed++
 		}
@@ -321,57 +310,108 @@ func (d *Device) DrainUsageReport() float64 {
 }
 
 // FPS exposes the tracker for reporting (Figure 4).
-func (d *Device) FPS() *FPSTracker { return d.fps }
+func (d *Device) FPS() *FPSTracker { return &d.fps }
 
-// FPSTracker aggregates effective FPS per whole second of stream time.
+// FPSTracker aggregates effective FPS per whole second of stream time. It
+// keeps the closed seconds as runs of equal ones and the last second it
+// was given, the open one, as a sum and a count still being added to. A
+// device's seconds are almost all alike — MaxFPS on every frame but those
+// under a training or encoding window — so a stream of any length holds a
+// few runs per window, not a pair of numbers per second. The zero value is
+// an empty tracker: second 0 open, with no observation.
 type FPSTracker struct {
-	sums   []float64
-	counts []int32
+	runs []fpsRun
+	sec  int     // the open second; every second before it is in runs
+	sum  float64 // the open second's FPS sum
+	n    int32   // the open second's observation count, 0 only while empty
 }
 
-// NewFPSTracker creates an empty tracker with room for seconds whole
-// seconds; Record grows it past that.
-func NewFPSTracker(seconds int) *FPSTracker {
-	return &FPSTracker{sums: make([]float64, 0, seconds), counts: make([]int32, 0, seconds)}
+// fpsRun is a run of consecutive closed seconds with the same FPS sum, bit
+// for bit, and the same count; seconds with no observation are runs of
+// (0, 0).
+type fpsRun struct {
+	sum     float64
+	count   int32
+	seconds int32
 }
 
-// Record adds one FPS observation at time t.
+// Record adds one FPS observation at time t. Observations come in
+// nondecreasing order of their second: one into a second before the open
+// one panics.
 func (f *FPSTracker) Record(t, fps float64) {
-	sec := int(t)
-	f.cover(sec)
-	f.sums[sec] += fps
-	f.counts[sec]++
-}
-
-// cover makes room for whole second sec.
-func (f *FPSTracker) cover(sec int) {
-	if len(f.sums) <= sec { // a tracker sized for the run never grows
-		for len(f.sums) <= sec {
-			f.sums = append(f.sums, 0)
-			f.counts = append(f.counts, 0)
-		}
+	if s := int(t); s != f.sec {
+		f.open(s)
 	}
+	f.sum += fps
+	f.n++
 }
 
-// Series returns the per-second mean FPS series.
+// open closes the open second, and any seconds between it and s with no
+// observation, and opens whole second s, which must lie past it.
+func (f *FPSTracker) open(s int) {
+	if s < f.sec {
+		panic(fmt.Sprintf("edge: FPS observation in second %d, before the open second %d: seconds must not go back", s, f.sec))
+	}
+	if s >= math.MaxInt32 {
+		panic(fmt.Sprintf("edge: FPS observation in second %d, past the tracker's 2^31−1 seconds", s))
+	}
+	f.push(f.sum, f.n, 1)
+	if gap := s - f.sec - 1; gap > 0 {
+		f.push(0, 0, gap)
+	}
+	f.sec, f.sum, f.n = s, 0, 0
+}
+
+// push adds that many closed seconds of the given sum and count to the
+// runs: it extends the last run when they match it, bit for bit, and
+// starts a run otherwise.
+func (f *FPSTracker) push(sum float64, count int32, seconds int) {
+	r := f.runs
+	if len(r) == 0 || r[len(r)-1].count != count || math.Float64bits(r[len(r)-1].sum) != math.Float64bits(sum) {
+		f.runs = append(r, fpsRun{sum: sum, count: count, seconds: int32(seconds)})
+		return
+	}
+	r[len(r)-1].seconds += int32(seconds)
+}
+
+// Series returns the per-second mean FPS series, 0 for a second with no
+// observation.
 func (f *FPSTracker) Series() []float64 {
-	out := make([]float64, len(f.sums))
-	for i := range out {
-		if f.counts[i] > 0 {
-			out[i] = f.sums[i] / float64(f.counts[i])
+	if f.n == 0 { // nothing recorded
+		return []float64{}
+	}
+	out := make([]float64, f.sec+1)
+	i := 0
+	for _, r := range f.runs {
+		v := mean(r.sum, r.count)
+		for range r.seconds {
+			out[i] = v
+			i++
 		}
 	}
+	out[i] = mean(f.sum, f.n)
 	return out
 }
 
-// Average returns the overall mean FPS.
+// mean is a second's mean FPS: its sum over its count, 0 with no count.
+func mean(sum float64, count int32) float64 {
+	if count > 0 {
+		return sum / float64(count)
+	}
+	return 0
+}
+
+// Average returns the overall mean FPS: the seconds' sums added in order,
+// over their counts.
 func (f *FPSTracker) Average() float64 {
 	var s float64
 	var n int
-	for i := range f.sums {
-		s += f.sums[i]
-		n += int(f.counts[i])
+	for _, r := range f.runs {
+		s = addRepeated(s, r.sum, int(r.seconds))
+		n += int(r.count) * int(r.seconds)
 	}
+	s += f.sum
+	n += int(f.n)
 	if n == 0 {
 		return 0
 	}

@@ -192,7 +192,7 @@ func TestDrainUsageReportMatchesRunningMean(t *testing.T) {
 }
 
 func TestFPSTrackerSeriesAndAverage(t *testing.T) {
-	f := NewFPSTracker(0)
+	f := &FPSTracker{}
 	for i := 0; i < 30; i++ {
 		f.Record(0.5, 30)
 	}
@@ -211,51 +211,15 @@ func TestFPSTrackerSeriesAndAverage(t *testing.T) {
 	}
 }
 
-// TestSizedFPSTrackerMatchesGrowing: sizing the tracker up front changes
-// where its memory comes from, not what it reports. A sized tracker and one
-// that grows from empty take the same observations — in order, with gaps
-// of unvisited seconds, ending short of the sized length or past it, as
-// Cloud-Only's direct Record can go — and give the same Series and Average
-// bits.
-func TestSizedFPSTrackerMatchesGrowing(t *testing.T) {
-	const sized = 40
-	for _, end := range []float64{sized / 4, sized + 25} {
-		rng := rand.New(rand.NewPCG(5, 6))
-		grown, fixed := NewFPSTracker(0), NewFPSTracker(sized)
-		tm := 0.0
-		for tm < end {
-			fps := 30 * rng.Float64()
-			grown.Record(tm, fps)
-			fixed.Record(tm, fps)
-			tm += rng.Float64() / 4
-			if rng.IntN(20) == 0 {
-				tm += 3 // leave whole seconds unvisited
-			}
-		}
-		gs, fs := grown.Series(), fixed.Series()
-		if len(gs) != len(fs) {
-			t.Fatalf("recording to %v s: series lengths %d (growing) and %d (sized %d)", end, len(gs), len(fs), sized)
-		}
-		for i := range gs {
-			if math.Float64bits(gs[i]) != math.Float64bits(fs[i]) {
-				t.Fatalf("recording to %v s, second %d: growing %v, sized %v", end, i, gs[i], fs[i])
-			}
-		}
-		if a, b := grown.Average(), fixed.Average(); math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("recording to %v s: average growing %v, sized %v", end, a, b)
-		}
-	}
-}
-
 // TestDeviceFrameStepAllocatesNothing holds the events-fidelity frame step
 // — Device.Tick then Sampler.Sample, once per camera frame — to zero
-// allocations on a device whose FPS telemetry was sized for the run. The
-// first half of the run warms it up; the second half is counted as one run,
-// since AllocsPerRun rounds a per-run average down and a tracker that grew
-// would allocate only every few dozen seconds.
+// allocations once warmed up: an idle device's FPS telemetry is one run
+// that every second extends. The first half of the run warms it up; the
+// second half is counted as one run, since AllocsPerRun rounds a per-run
+// average down and a tracker that grew would allocate only now and then.
 func TestDeviceFrameStepAllocatesNothing(t *testing.T) {
 	const fps, seconds = 30, 100
-	d := NewSizedDevice(DefaultDeviceConfig(), seconds)
+	d := NewDevice(DefaultDeviceConfig())
 	s := NewSampler(2)
 	dt := 1.0 / fps
 	frame := 0

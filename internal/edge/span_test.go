@@ -8,14 +8,10 @@ import (
 	"testing"
 )
 
-// cloneDevice copies a device and its FPS telemetry, capacity included, so
-// a sized tracker stays sized and a growing one grows.
+// cloneDevice copies a device and its FPS telemetry.
 func cloneDevice(d *Device) *Device {
 	c := *d
-	c.fps = &FPSTracker{
-		sums:   append(make([]float64, 0, cap(d.fps.sums)), d.fps.sums...),
-		counts: append(make([]int32, 0, cap(d.fps.counts)), d.fps.counts...),
-	}
+	c.fps.runs = slices.Clone(d.fps.runs)
 	return &c
 }
 
@@ -28,10 +24,12 @@ func sameDevice(a, b *Device) string {
 		return "credit"
 	case bits(a.usageSum) != bits(b.usageSum) || a.usageN != b.usageN:
 		return "λ sum or count"
-	case !slices.EqualFunc(a.fps.sums, b.fps.sums, func(x, y float64) bool { return bits(x) == bits(y) }):
-		return "FPS sums"
-	case !slices.Equal(a.fps.counts, b.fps.counts):
-		return "FPS counts"
+	case !slices.EqualFunc(a.fps.runs, b.fps.runs, func(x, y fpsRun) bool {
+		return bits(x.sum) == bits(y.sum) && x.count == y.count && x.seconds == y.seconds
+	}):
+		return "FPS runs"
+	case a.fps.sec != b.fps.sec || bits(a.fps.sum) != bits(b.fps.sum) || a.fps.n != b.fps.n:
+		return "FPS open second"
 	case a.trainingUntil != b.trainingUntil || a.encodingUntil != b.encodingUntil:
 		return "load windows"
 	}
@@ -59,15 +57,15 @@ func checkTickFrames(t *testing.T, name string, d *Device, first, n int, dt floa
 }
 
 // TestTickFramesMatchesTicks is the oracle for the span's device half:
-// TickFrames(first, n, dt) leaves every accumulator, and the FPS sums and
-// counts, where n calls of Tick leave them, bit for bit, and counts the
-// frames those calls process.
+// TickFrames(first, n, dt) leaves every accumulator, and the FPS runs and
+// open second, where n calls of Tick leave them, bit for bit, and counts
+// the frames those calls process.
 //
 // The first generator draws every load at random: training and encoding
 // windows that start before and end inside the span, spans that cross
-// second boundaries or stay inside one, sized and growing trackers that
-// already hold part of the current second, effective rates below, at and
-// above the camera FPS, and empty spans. Its random λ almost never lets an
+// second boundaries or stay inside one, trackers that already hold part of
+// the current second, effective rates below, at and above the camera FPS,
+// and empty spans. Its random λ almost never lets an
 // idle tail add in closed form.
 //
 // The second generator aims at the closed form: the default loads with
@@ -97,12 +95,7 @@ func TestTickFramesMatchesTicks(t *testing.T) {
 			n = 1
 		}
 		end := float64(first+n) * dt
-		var d *Device
-		if rng.IntN(2) == 0 {
-			d = NewSizedDevice(cfg, int(end)+1)
-		} else {
-			d = NewDevice(cfg)
-		}
+		d := NewDevice(cfg)
 		// Telemetry from the frames before the span, the current second's
 		// included, and a λ report half drained.
 		for k := 0; k < first; k += 1 + rng.IntN(5) {
@@ -139,12 +132,7 @@ func TestTickFramesMatchesTicks(t *testing.T) {
 		first := rng.IntN(int(600 * camera))
 		n := rng.IntN(int(60*camera) + 1)
 		end := float64(first+n) * dt
-		var d *Device
-		if rng.IntN(2) == 0 {
-			d = NewSizedDevice(cfg, int(end)+1)
-		} else {
-			d = NewDevice(cfg)
-		}
+		d := NewDevice(cfg)
 		// Part of the current second already ticked, then the presets.
 		for k := first - rng.IntN(int(camera)); k < first; k++ {
 			if k >= 0 {
@@ -233,25 +221,22 @@ func TestSecondEndMatchesScan(t *testing.T) {
 // FuzzTickFramesMatchesTicks is TestTickFramesMatchesTicks' differential
 // check with every load, preset and window drawn by the fuzzer; its seeds
 // are under testdata/fuzz. A camera
-// rate outside (0, 1000] fps or a non-finite window bound is skipped:
-// Tick itself is not defined there.
+// rate outside (0, 1000] fps, a non-finite window bound or a span that
+// ends past the 2^31−1 seconds a tracker holds is skipped: Tick itself is
+// not defined there.
 func FuzzTickFramesMatchesTicks(f *testing.F) {
 	f.Fuzz(func(t *testing.T, camera, maxFPS, trainFactor, encFactor, idle, trainLoad, encLoad float64,
-		first uint32, n uint16, ticked uint8, credit, usageSum, trainUntil, encUntil float64, sized bool) {
+		first uint32, n uint16, ticked uint8, credit, usageSum, trainUntil, encUntil float64) {
 		if !(camera > 0 && camera <= 1000) || math.IsInf(trainUntil, 0) || math.IsInf(encUntil, 0) {
 			t.Skip()
 		}
 		dt := 1 / camera
 		cfg := DeviceConfig{maxFPS, trainFactor, encFactor, idle, trainLoad, encLoad}
 		k0 := int(first % (1 << 20))
-		end := float64(k0+int(n)) * dt
-		if end > 1<<16 { // a tracker of at most 2^16 seconds
+		if end := float64(k0+int(n)) * dt; !(end < math.MaxInt32) {
 			t.Skip()
 		}
 		d := NewDevice(cfg)
-		if sized {
-			d = NewSizedDevice(cfg, int(end)+1)
-		}
 		for k := max(k0-int(ticked), 0); k < k0; k++ {
 			d.Tick(float64(k)*dt, dt)
 		}
