@@ -31,8 +31,11 @@ type DeviceOptions struct {
 //
 // Frame ownership: a backend reads the frames a Device is handed from
 // Enqueue (or Admit) until their labeling ends — for Enqueue, until cb has
-// been called or false returned — and never afterwards; it writes to none,
-// and it keeps no reference to the label sets it delivers.
+// returned or Enqueue has returned false — and never afterwards; it writes
+// to none, and it keeps no reference to the label sets it delivers. The
+// caller may then reuse the frames and the slice holding them: a simulated
+// edge recycles both for its next upload. The BatchResult's Phis are
+// borrowed for the callback only (see BatchResult).
 type Backend interface {
 	// RegisterDevice adds one edge device and returns its handle. Duplicate
 	// ids are rejected.
@@ -49,7 +52,8 @@ type Device interface {
 	// Enqueue admits one uploaded batch at virtual time now; cb is invoked
 	// exactly once with the labeled result unless the batch is dropped
 	// (admission control or a full queue), in which case Enqueue returns
-	// false and cb never runs.
+	// false and cb never runs. The frames stay the caller's: it may reuse
+	// them once cb has returned or Enqueue has returned false.
 	Enqueue(frames []*video.Frame, now float64, cb func(BatchResult)) bool
 	// Adaptive reports whether the device has a sampling-rate controller.
 	Adaptive() bool

@@ -1,6 +1,8 @@
 package cloud
 
 import (
+	"slices"
+
 	"shoggoth/internal/detect"
 	"shoggoth/internal/geom"
 	"shoggoth/internal/video"
@@ -100,17 +102,23 @@ func (l *Labeler) LabelBatch(frames []*video.Frame) []LabelResult {
 // device's first labeled frame scores 0, and state rolls forward per frame
 // in batch order — so an analytic device's φ stream has the same shape
 // (first-frame zero, per-frame progression) as an executed one.
-func (l *Labeler) PhiAnalytic(frames []*video.Frame) []float64 {
-	phis := make([]float64, len(frames))
-	for i, f := range frames {
+//
+// The φs are appended to dst, frame by frame, and the extended slice is
+// returned: a caller that passes its previous result back as dst[:0]
+// labels without allocating.
+func (l *Labeler) PhiAnalytic(dst []float64, frames []*video.Frame) []float64 {
+	dst = slices.Grow(dst, len(frames))
+	for _, f := range frames {
+		phi := 0.0
 		if l.anHavePrev {
-			phis[i] = l.Teacher.AnalyticPhi(f.Index, f.Time-l.anPrevTime, f.DomainID != l.anPrevDomain)
+			phi = l.Teacher.AnalyticPhi(f.Index, f.Time-l.anPrevTime, f.DomainID != l.anPrevDomain)
 		}
+		dst = append(dst, phi)
 		l.anPrevTime = f.Time
 		l.anPrevDomain = f.DomainID
 		l.anHavePrev = true
 	}
-	return phis
+	return dst
 }
 
 // finishFrame computes φ for a freshly labeled frame and rolls the device's

@@ -206,6 +206,11 @@ type Service struct {
 	group []pendingBatch
 	costs []float64
 	ready []assigned
+	// phis holds the φs of the analytic batch being delivered. The
+	// virtual-time paths label and deliver one batch at a time, so a
+	// batch's φs are read (BatchResult.Phis is borrowed) before the next
+	// batch's overwrite them.
+	phis []float64
 }
 
 // assigned is one batch a dispatch event put on a worker, held until the
@@ -309,6 +314,9 @@ type ServiceDevice struct {
 	weight   float64
 	analytic bool    // price labeling instead of executing it (events fidelity)
 	lastPhi  float64 // most recent batch mean φ — the drift signal policies rank by
+	// routed is the tier device this registration serves (nil on a bare
+	// Service): a labeled batch is recorded on it before its callback runs.
+	routed *TierDevice
 	// queue[qHead:] holds the device's waiting batches in arrival order;
 	// heapIdx is the device's position in its service's heads, -1 while
 	// nothing waits.
@@ -344,11 +352,13 @@ func (s *Service) register(id string, teacher *detect.Teacher, labelerCfg Labele
 // the tier routes one of its batches here. The tier has rejected duplicate
 // ids already and registers a device on a replica once, so no lookup by id
 // guards it; Devices counts it.
-func (s *Service) registerRouted(id string, teacher *detect.Teacher, labelerCfg LabelerConfig, analytic bool) *ServiceDevice {
+func (s *Service) registerRouted(td *TierDevice) *ServiceDevice {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.routed++
-	return s.newDevice(id, teacher, labelerCfg, nil, analytic)
+	d := s.newDevice(td.id, td.teacher, td.labelerCfg, nil, td.analytic)
+	d.routed = td
+	return d
 }
 
 // newDevice returns a device's fresh cloud-side state.
@@ -434,7 +444,10 @@ type BatchResult struct {
 	// Labels holds one teacher label set per admitted frame (nil if the
 	// batch was dropped).
 	Labels [][]detect.TeacherLabel
-	// Phis are the per-frame φ label-change losses, in frame order.
+	// Phis are the per-frame φ label-change losses, in frame order. They are
+	// borrowed: an analytic batch's are the service's scratch, overwritten
+	// by the next batch it labels, so they are valid only while the batch
+	// callback runs, and a callback that keeps them copies them.
 	Phis []float64
 	// PhiMean is the mean φ over the batch.
 	PhiMean float64
@@ -580,12 +593,20 @@ func (d *ServiceDevice) admitExtra(nFrames int, now, extra float64) (Admission, 
 // calls per device (the virtual-time event loop, or the rpc server's
 // per-device lock) so the labeler's φ continuity sees frames in order.
 func (d *ServiceDevice) LabelFrames(frames []*video.Frame) ([][]detect.TeacherLabel, []float64, float64) {
+	var phis []float64 // fresh: devices label concurrently on the real-time path
+	return d.label(frames, &phis)
+}
+
+// label is LabelFrames with an analytic device's φs written over *scratch,
+// which it grows as needed. The virtual-time paths pass the service's phis.
+func (d *ServiceDevice) label(frames []*video.Frame, scratch *[]float64) ([][]detect.TeacherLabel, []float64, float64) {
 	if d.analytic {
 		// Events-fidelity pricing: the batch was queued, assigned a worker
 		// horizon and charged its full (or coalesced-rider) service time by
 		// the scheduling layer above — but the teacher itself never runs.
 		// Labels are nil by contract; φ is the deterministic drift model.
-		phis := d.labeler.PhiAnalytic(frames)
+		*scratch = d.labeler.PhiAnalytic((*scratch)[:0], frames)
+		phis := *scratch
 		var phi metrics.Running
 		for _, p := range phis {
 			phi.Add(p)
@@ -629,8 +650,8 @@ func (d *ServiceDevice) enqueueOpts(frames []*video.Frame, now, extra float64, c
 		if !ok {
 			return false
 		}
-		labels, phis, phiMean := d.LabelFrames(frames)
-		cb(BatchResult{
+		labels, phis, phiMean := d.label(frames, &s.phis)
+		d.deliver(cb, now, BatchResult{
 			Labels:        labels,
 			Phis:          phis,
 			PhiMean:       phiMean,
@@ -692,12 +713,12 @@ func (s *Service) onDispatch(now float64) {
 	for k := range ready {
 		a := &ready[k]
 		d := a.b.dev
-		labels, phis, phiMean := d.LabelFrames(a.b.frames)
+		labels, phis, phiMean := d.label(a.b.frames, &s.phis)
 		// Labeling moved d's φ, which a policy may rank its next batch by.
 		s.mu.Lock()
 		s.rekeyLocked(d)
 		s.mu.Unlock()
-		a.b.cb(BatchResult{
+		d.deliver(a.b.cb, a.b.arrival, BatchResult{
 			Labels:        labels,
 			Phis:          phis,
 			PhiMean:       phiMean,
@@ -707,6 +728,15 @@ func (s *Service) onDispatch(now float64) {
 		})
 		a.b = pendingBatch{} // the scratch must not pin a delivered batch's frames
 	}
+}
+
+// deliver hands a labeled batch that arrived at arrival to its callback,
+// recording it on the tier first when the device is a tier's routed one.
+func (d *ServiceDevice) deliver(cb func(BatchResult), arrival float64, res BatchResult) {
+	if td := d.routed; td != nil {
+		td.tier.record(td, arrival, res.Done)
+	}
+	cb(res)
 }
 
 // dispatchLocked is the scheduling half of a dispatch event: selection and

@@ -408,7 +408,7 @@ func (t *Tier) admitRoute(td *TierDevice, frames []*video.Frame, now float64) (r
 	ri, ex := t.route(td, frames, now)
 	reg = td.regs[ri]
 	if reg == nil {
-		reg = t.replicas[ri].registerRouted(td.id, td.teacher, td.labelerCfg, td.analytic)
+		reg = t.replicas[ri].registerRouted(td)
 		if td.weight != 1 {
 			reg.SetWeight(td.weight)
 		}
@@ -418,14 +418,15 @@ func (t *Tier) admitRoute(td *TierDevice, frames []*video.Frame, now float64) (r
 }
 
 // record accounts one labeled batch: the device's served count (the Jain
-// numerator) and its class's label-latency sample (arrival → done).
-func (t *Tier) record(td *TierDevice, arrival float64, res BatchResult) {
+// numerator) and its class's label-latency sample (arrival → done). A
+// replica records its routed batches itself, before their callbacks run.
+func (t *Tier) record(td *TierDevice, arrival, done float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	td.served++
 	c := t.classLocked(td.class)
 	c.batches++
-	c.lat = append(c.lat, res.Done-arrival)
+	c.lat = append(c.lat, done-arrival)
 }
 
 // recordQueueDrop accounts a queue-full drop against the device's class
@@ -449,11 +450,7 @@ func (td *TierDevice) Enqueue(frames []*video.Frame, now float64, cb func(BatchR
 	if !ok {
 		return false
 	}
-	arrival := now
-	ok = reg.enqueueOpts(frames, now, extra, func(res BatchResult) {
-		t.record(td, arrival, res)
-		cb(res)
-	})
+	ok = reg.enqueueOpts(frames, now, extra, cb)
 	if !ok {
 		t.recordQueueDrop(td.class)
 	}
@@ -477,7 +474,7 @@ func (td *TierDevice) Admit(frames []*video.Frame, now float64) (Admission, *Ser
 		t.recordQueueDrop(td.class)
 		return Admission{}, nil, false
 	}
-	t.record(td, now, BatchResult{Done: adm.Done})
+	t.record(td, now, adm.Done)
 	return adm, reg, true
 }
 

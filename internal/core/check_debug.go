@@ -29,6 +29,17 @@ func (w *wakeCheck) flushing(s *System) {
 	}
 }
 
+// poisonFrames marks the frames of an upload being released: a read of them
+// after release then sees an impossible frame (index −1, time NaN, domain
+// −1), which moves a run's bytes, so the determinism rows under this tag
+// catch any reader that outlives the upload.
+func poisonFrames(frames []video.Frame) {
+	for i := range frames {
+		f := &frames[i]
+		f.Index, f.Time, f.DomainID = -1, math.NaN(), -1
+	}
+}
+
 // checkSharedInfer holds a stream group's InferMemo to its promise: the
 // result it handed this student is the one the student computes itself,
 // bit for bit. CI runs the matrix's golden and fleet rows under the tag.

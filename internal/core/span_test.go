@@ -26,10 +26,10 @@ func (s *System) fleetFrame(t float64) {
 	}
 	if s.sampler.Sample(t) {
 		// Metadata only: the analytic cloud never reads proposals.
-		s.bufferSample(s.sparse.Meta(s.frameIdx, t), t)
+		s.bufferMeta(s.frameIdx, t)
 	}
-	if len(s.sampleBuf) > 0 &&
-		(len(s.sampleBuf) >= s.cfg.UploadFrames || t-s.firstBuffered >= s.cfg.UploadMaxWaitSec) {
+	if u := s.buf; u != nil &&
+		(len(u.frames) >= s.cfg.UploadFrames || t-u.first >= s.cfg.UploadMaxWaitSec) {
 		s.flushBuffer(t)
 	}
 }
@@ -81,7 +81,7 @@ func advanceState(s *System) string {
 	return fmt.Sprintf("frame %d, clock %x, events run %d pending %d, next %x %t, wake %d, frames %d/%d, sampled %d, buffered %d",
 		s.frameIdx, math.Float64bits(s.sched.Now()), s.sched.Executed(), s.sched.Pending(),
 		math.Float64bits(next), ok, s.wakeFrame, s.results.FramesProcessed, s.results.FramesTotal,
-		s.results.SampledFrames, len(s.sampleBuf))
+		s.results.SampledFrames, s.buffered())
 }
 
 // spanSetup is one private events-fidelity deployment the span tests play.

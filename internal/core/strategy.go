@@ -36,7 +36,11 @@ type Strategy interface {
 	OnFrame(f *video.Frame, t, dt float64)
 	// OnCloudBatch fires when the cloud labeler finishes an uploaded sample
 	// batch at virtual time done. Implementations route the labels: schedule
-	// a download to the edge, or feed a cloud-side trainer.
+	// a download to the edge, or feed a cloud-side trainer. The frames slice
+	// — and, at events fidelity, the frames themselves — belong to the
+	// upload, which is reused once the hook returns: a hook that keeps them
+	// for later copies what it needs (a full-fidelity frame is the
+	// renderer's and immutable, so copying the slice is enough).
 	OnCloudBatch(frames []*video.Frame, labels [][]detect.TeacherLabel, done float64)
 	// OnTrainDue fires when a full training batch of labeled regions has
 	// accumulated (System.DepositLabels tracks the threshold).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"shoggoth/internal/detect"
 	"shoggoth/internal/netsim"
@@ -38,25 +39,31 @@ func (st *edgeTrainStrategy) OnFrame(f *video.Frame, t, dt float64) {
 }
 
 // OnCloudBatch sends the label sets down to the edge; the training batch
-// accumulates once they arrive.
+// accumulates once they arrive. The frames are the upload's, reused once
+// this returns, so the deposit keeps what it needs of them: their count at
+// events fidelity, a copy of the slice of the renderer's frames at full.
 func (st *edgeTrainStrategy) OnCloudBatch(frames []*video.Frame, labels [][]detect.TeacherLabel, done float64) {
 	sys := st.Sys
 	cfg := &sys.cfg // Config() would copy it for every labeled batch
-	nRegions := 0
-	for _, ls := range labels {
-		nRegions += len(ls)
-	}
+	var nRegions int
+	var deposit func(float64)
 	if labels == nil {
 		// Analytic labeling (events fidelity) returns no label sets; price
 		// the downlink from the expected region count instead.
 		nRegions = sys.AnalyticRegions(frames)
+		n := len(frames)
+		deposit = func(labNow float64) { sys.depositCount(n, labNow) }
+	} else {
+		for _, ls := range labels {
+			nRegions += len(ls)
+		}
+		kept := slices.Clone(frames)
+		deposit = func(labNow float64) { sys.DepositLabels(kept, labels, labNow) }
 	}
 	lb := netsim.LabelSetBytes(nRegions)
 	sys.Usage().AddDown(lb)
 	at := done + cfg.DownlinkTransfer(lb, done)
-	sys.Scheduler().At(at, func(labNow float64) {
-		sys.DepositLabels(frames, labels, labNow)
-	})
+	sys.Scheduler().At(at, deposit)
 }
 
 // OnTrainDue schedules an adaptive-training session on the edge device.

@@ -63,8 +63,7 @@ type System struct {
 	alphaAll  metrics.Running
 	phiAll    metrics.Running
 
-	sampleBuf     []*video.Frame
-	firstBuffered float64
+	buf           *upload // the next upload's frames so far; nil while none is buffered
 	pendingBatch  []detect.LabeledRegion
 	batchFrames   int
 	sessionsSched int
@@ -341,11 +340,11 @@ func (s *System) fleetSpan(end int) {
 		first := s.frameIdx
 		stop, accepted := end, false
 		if s.uploads {
-			wait := math.Inf(1) // an empty buffer has no deadline
-			if len(s.sampleBuf) > 0 {
-				wait = s.cfg.UploadMaxWaitSec
+			since, wait := 0.0, math.Inf(1) // an empty buffer has no deadline
+			if s.buf != nil {
+				since, wait = s.buf.first, s.cfg.UploadMaxWaitSec
 			}
-			stop, accepted = s.sampler.Scan(first, end, s.dt, s.firstBuffered, wait)
+			stop, accepted = s.sampler.Scan(first, end, s.dt, since, wait)
 		}
 		played := min(stop+1, end)
 		s.results.FramesProcessed += s.device.TickFrames(first, played-first, s.dt)
@@ -356,11 +355,9 @@ func (s *System) fleetSpan(end int) {
 		}
 		t := float64(stop) * s.dt
 		if accepted {
-			// Metadata only: the analytic cloud never reads proposals.
-			s.bufferSample(s.sparse.Meta(stop, t), t)
+			s.bufferMeta(stop, t)
 		}
-		if len(s.sampleBuf) > 0 &&
-			(len(s.sampleBuf) >= s.cfg.UploadFrames || t-s.firstBuffered >= s.cfg.UploadMaxWaitSec) {
+		if s.flushDue(t) {
 			s.frameIdx = stop // the wake check reads the flushing frame
 			s.sched.AdvanceTo(t)
 			s.flushBuffer(t)
@@ -479,8 +476,9 @@ func (s *System) advanceTo(limit float64) {
 //
 // A flush needs a full buffer or an expired wait. The buffer cannot fill
 // before the sampler has accepted the frames it lacks. A buffer that holds
-// a frame expires at the first frame time t with t−firstBuffered ≥
-// UploadMaxWaitSec, which is frame ⌈(firstBuffered+wait)/dt⌉ up to rounding;
+// a frame expires at the first frame time t with t−first ≥ UploadMaxWaitSec
+// (first is buf.first, its oldest frame's capture time), which is frame
+// ⌈(first+wait)/dt⌉ up to rounding;
 // an empty one starts that clock at the next accepted frame. Each bound
 // stops a frame short of the floor where exact arithmetic has the ceiling.
 //
@@ -491,11 +489,11 @@ func (s *System) predictWake() int {
 		return last
 	}
 	next := float64(s.frameIdx)
-	lacks := s.cfg.UploadFrames - len(s.sampleBuf)
+	lacks := s.cfg.UploadFrames - s.buffered()
 	wake := next + s.sampler.SkipBefore(lacks, s.dt)
 	var expiry float64
-	if len(s.sampleBuf) > 0 {
-		expiry = math.Floor((s.firstBuffered+s.cfg.UploadMaxWaitSec)/s.dt) - 1
+	if s.buf != nil {
+		expiry = math.Floor((s.buf.first+s.cfg.UploadMaxWaitSec)/s.dt) - 1
 	} else {
 		expiry = next + s.sampler.SkipBefore(1, s.dt) + math.Floor(s.cfg.UploadMaxWaitSec/s.dt) - 1
 	}
@@ -515,6 +513,18 @@ func (s *System) predictWake() int {
 // partway, then finished) settles at the elapsed stream time, so Duration
 // and bandwidth rates describe what actually ran. It is idempotent.
 func (s *System) Finish() *Results {
+	r := s.FinishScalars()
+	if r.FPSSeries == nil { // Series is never nil once built
+		r.FPSSeries = s.device.FPS().Series()
+	}
+	return r
+}
+
+// FinishScalars is Finish for a caller that folds the Results into an
+// aggregate and keeps nothing else of them, as an AggregateOnly Cluster
+// does: it leaves FPSSeries, one float64 per second of stream, unbuilt. A
+// later Finish builds it.
+func (s *System) FinishScalars() *Results {
 	if s.final != nil {
 		return s.final
 	}
@@ -619,26 +629,12 @@ func (s *System) InferFrame(f *video.Frame, t, dt float64) {
 // SampleForUpload offers one frame to the sampler and flushes the sample
 // buffer to the cloud when it is full (or has waited too long).
 func (s *System) SampleForUpload(f *video.Frame, t float64) {
-	cfg := s.cfg
 	if s.sampler.Sample(t) {
 		s.bufferSample(f, t)
 	}
-	if len(s.sampleBuf) > 0 &&
-		(len(s.sampleBuf) >= cfg.UploadFrames || t-s.firstBuffered >= cfg.UploadMaxWaitSec) {
+	if s.flushDue(t) {
 		s.flushBuffer(t)
 	}
-}
-
-// bufferSample adds a sampled frame to the upload buffer. The upload keeps
-// the buffer it flushes, so each batch starts a fresh one with room for a
-// full upload.
-func (s *System) bufferSample(f *video.Frame, t float64) {
-	if len(s.sampleBuf) == 0 {
-		s.firstBuffered = t
-		s.sampleBuf = make([]*video.Frame, 0, s.cfg.UploadFrames)
-	}
-	s.sampleBuf = append(s.sampleBuf, f)
-	s.results.SampledFrames++
 }
 
 // flushBuffer encodes and uploads the buffered sample frames together with
@@ -646,33 +642,30 @@ func (s *System) bufferSample(f *video.Frame, t float64) {
 func (s *System) flushBuffer(t float64) {
 	s.wakeCheck.flushing(s)
 	cfg := &s.cfg
-	frames := s.sampleBuf
-	s.sampleBuf = nil
+	u := s.buf
+	s.buf = nil
 
-	encSec := cfg.Codec.EncodeSeconds(len(frames))
+	encSec := cfg.Codec.EncodeSeconds(len(u.frames))
 	s.device.BeginEncoding(t + encSec)
 
 	bytes := netsim.TelemetryBytes()
-	for _, f := range frames {
+	for _, f := range u.frames {
 		bytes += cfg.Codec.SampledFrameBytes(f.Complexity)
 	}
 	s.usage.AddUp(bytes)
 
-	alpha := s.drainAlpha()
-	lambda := s.device.DrainUsageReport()
+	u.alpha = s.drainAlpha()
+	u.lambda = s.device.DrainUsageReport()
 	// The upload hits the network once encoding finishes; a time-varying
 	// uplink trace (or the shared medium) prices it at that moment, not at
 	// the flush. Delivery lands on the shared timeline: privately that is
 	// the local scheduler (bit-identical to the classic path); under the
 	// fleet engine it is this device's Outbox.
 	start := t + encSec
-	deliver := func(now float64) {
-		s.cloudReceive(frames, alpha, lambda, now)
-	}
 	if s.uplink != nil {
-		s.uplink.Send(bytes, start, deliver)
+		s.uplink.Send(bytes, start, u.deliver)
 	} else {
-		s.shared.At(start+cfg.UplinkTransfer(bytes, start), deliver)
+		s.shared.At(start+cfg.UplinkTransfer(bytes, start), u.deliver)
 	}
 	s.emitted = true
 }
@@ -683,21 +676,23 @@ func (s *System) flushBuffer(t float64) {
 // eventually labels it and calls back into onBatchLabeled. Under the
 // default arrival-order policy the callback runs synchronously at arrival;
 // a reordering policy defers it to the dispatch event that serves the
-// batch. A reporter device gets the batch's telemetry with it.
-func (s *System) cloudReceive(frames []*video.Frame, alpha, lambda, now float64) {
-	cb := func(batch cloud.BatchResult) {
-		s.onBatchLabeled(frames, alpha, lambda, batch)
-	}
+// batch. A reporter device gets the batch's telemetry with it. A dropped
+// upload is free at once; a labeled one once its callback has returned.
+func (s *System) cloudReceive(u *upload, now float64) {
+	var ok bool
 	if s.reporter != nil {
-		s.reporter.EnqueueReport(frames, alpha, lambda, now, cb)
-		return
+		ok = s.reporter.EnqueueReport(u.frames, u.alpha, u.lambda, now, u.labeled)
+	} else {
+		ok = s.cloudDev.Enqueue(u.frames, now, u.labeled)
 	}
-	s.cloudDev.Enqueue(frames, now, cb)
+	if !ok {
+		u.release()
+	}
 }
 
 // onBatchLabeled handles one labeled batch: φ accounting and the controller
 // update are shared substrate; the labels are then handed to the strategy's
-// OnCloudBatch hook.
+// OnCloudBatch hook. The frames are the upload's, reused once it returns.
 func (s *System) onBatchLabeled(frames []*video.Frame, alpha, lambda float64, batch cloud.BatchResult) {
 	cfg := &s.cfg
 	for _, p := range batch.Phis {
@@ -723,7 +718,19 @@ func (s *System) onBatchLabeled(frames []*video.Frame, alpha, lambda float64, ba
 // DepositLabels converts labeled frames into training regions and fires the
 // strategy's OnTrainDue hook once a full batch has accumulated.
 func (s *System) DepositLabels(frames []*video.Frame, labels [][]detect.TeacherLabel, now float64) {
-	s.accumulateBatch(frames, labels)
+	if !s.fleet {
+		s.accumulateBatch(frames, labels)
+	}
+	s.depositCount(len(frames), now)
+}
+
+// depositCount counts n labeled frames toward the next training batch and
+// fires OnTrainDue once a full batch has accumulated. Events fidelity trains
+// nothing and deposits only this count, so the session cadence stays
+// faithful without any regions — sparse frames carry no features to train
+// on.
+func (s *System) depositCount(n int, now float64) {
+	s.batchFrames += n
 	if s.batchFrames < s.cfg.BatchFrames {
 		return
 	}
@@ -736,19 +743,11 @@ func (s *System) DepositLabels(frames []*video.Frame, labels [][]detect.TeacherL
 // accumulateBatch converts labeled frames into training regions, applying
 // the per-frame subsample that keeps region batches at the paper's scale.
 func (s *System) accumulateBatch(frames []*video.Frame, labels [][]detect.TeacherLabel) {
-	if s.fleet {
-		// Events fidelity trains nothing: count the frames so the session
-		// cadence (OnTrainDue) stays faithful, but build no regions —
-		// sparse frames carry no features to train on.
-		s.batchFrames += len(frames)
-		return
-	}
 	bg := s.cfg.Profile.BackgroundClass()
 	for i, f := range frames {
 		all := detect.BuildTrainingBatch(f, labels[i], bg)
 		s.pendingBatch = append(s.pendingBatch, s.subsample(all)...)
 	}
-	s.batchFrames += len(frames)
 }
 
 // subsample picks up to trainRegionsPerFrame regions, preferring positives
@@ -874,7 +873,6 @@ func (s *System) finalize(end float64) *Results {
 	r.UpBytes = s.usage.UpBytes
 	r.DownBytes = s.usage.DownBytes
 	r.AvgFPS = s.device.FPS().Average()
-	r.FPSSeries = s.device.FPS().Series()
 	r.WindowMAPs = s.collector.WindowedMAP50(windowSec)
 	r.PhiMean = s.phiAll.Mean()
 	r.AlphaMean = s.alphaAll.Mean()

@@ -59,18 +59,19 @@ func firstFlush(t *testing.T, c wakeCase) (next, wake, flush, last int) {
 	s.sampler.SetRate(c.rate)
 	s.frameIdx = next
 	for i := 0; i < c.buffered; i++ {
-		s.sampleBuf = append(s.sampleBuf, s.sparse.Meta(next-1, at(next-1)))
+		s.bufferMeta(next-1, at(next-1))
 	}
 	if c.buffered > 0 {
 		// Still inside its wait on the last frame played, or it would have
 		// flushed there.
-		s.firstBuffered = at(next-1) - c.age*math.Min(c.wait, at(next-1))
+		first := at(next-1) - c.age*math.Min(c.wait, at(next-1))
 		if c.aligned {
-			s.firstBuffered = at(int(math.Ceil(s.firstBuffered / s.dt)))
+			first = at(int(math.Ceil(first / s.dt)))
 		}
-		if s.firstBuffered > at(next-1) || at(next-1)-s.firstBuffered >= c.wait {
-			s.firstBuffered = at(next - 1)
+		if first > at(next-1) || at(next-1)-first >= c.wait {
+			first = at(next - 1)
 		}
+		s.buf.first = first
 	}
 
 	wake = s.predictWake()

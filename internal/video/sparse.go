@@ -28,14 +28,24 @@ func NewSparseStream(p *Profile, seed uint64) *SparseStream {
 // The fields are EffectiveDomain(t)'s, blended one at a time (lerp), so no
 // blended Domain is built inside a transition window.
 func (s *SparseStream) Meta(idx int, t float64) *Frame {
+	f := new(Frame)
+	s.MetaInto(f, idx, t)
+	return f
+}
+
+// MetaInto is Meta writing into dst, which it overwrites whole: a caller
+// that keeps its frames by value materializes them without allocating.
+// It sets every field in turn rather than assigning a composite literal,
+// which the compiler builds aside and then copies with write barriers;
+// TestMetaIntoOverwritesWhole catches a field added to Frame and not here.
+//
+//shoggoth:hotpath
+func (s *SparseStream) MetaInto(dst *Frame, idx int, t float64) {
 	dom, a, b, blend := s.Profile.blendAt(t)
-	return &Frame{
-		Index:      idx,
-		Time:       t,
-		Domain:     dominantName(a, b, blend),
-		DomainID:   dom,
-		Complexity: lerp(a.Complexity, b.Complexity, blend),
-	}
+	dst.Index, dst.Time = idx, t
+	dst.Domain, dst.DomainID = dominantName(a, b, blend), dom
+	dst.Proposals, dst.NumGT = nil, 0
+	dst.Complexity, dst.Motion = lerp(a.Complexity, b.Complexity, blend), 0
 }
 
 // Regions returns the proposal count a materialized frame at time t would

@@ -28,6 +28,39 @@ func TestSparseStreamRandomAccess(t *testing.T) {
 	}
 }
 
+// TestMetaIntoOverwritesWhole: MetaInto over a frame whose every field is
+// set leaves exactly Meta's frame, so a reused frame carries nothing of the
+// one before it. The dirty frame is built field by field through
+// reflection, so a field added to Frame is dirtied too.
+func TestMetaIntoOverwritesWhole(t *testing.T) {
+	p := DETRACProfile()
+	s := NewSparseStream(p, 3)
+	dt := 1 / p.FPS
+	for _, idx := range []int{0, 100, 3000, 50000} {
+		var dirty Frame
+		v := reflect.ValueOf(&dirty).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Int:
+				f.SetInt(-7)
+			case reflect.Float64:
+				f.SetFloat(math.NaN())
+			case reflect.String:
+				f.SetString("stale")
+			case reflect.Slice:
+				f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+			default:
+				t.Fatalf("Frame.%s: no dirty value for a %s field; add one", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+		tm := float64(idx) * dt
+		s.MetaInto(&dirty, idx, tm)
+		if want := s.Meta(idx, tm); !reflect.DeepEqual(&dirty, want) {
+			t.Fatalf("frame %d: MetaInto over a used frame left %+v, Meta gives %+v", idx, dirty, *want)
+		}
+	}
+}
+
 // TestSparseStreamShape checks what an events-fidelity frame is: the index
 // and time it was asked for, a positive complexity, and nothing rendered —
 // no proposals, no ground truth — while Regions still prices the proposals
