@@ -294,7 +294,7 @@ func (c *Cluster) runEvents(ctx context.Context, cfgs []Config, cache *StudentCa
 			}
 			uplink = &cellUplink{medium: m, out: out}
 		}
-		sys, err := core.NewSystemOpts(cfg, core.SystemOptions{Scheduler: local, Cloud: tier, Shared: out, Uplink: uplink})
+		sys, err := core.NewSystemOpts(cfg, core.SystemOptions{Scheduler: local, Cloud: tier, Shared: out, Uplink: uplink, NoSeries: c.AggregateOnly})
 		if err != nil {
 			return nil, fmt.Errorf("shoggoth: cluster device %d: %w", i, err)
 		}

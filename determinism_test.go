@@ -301,6 +301,38 @@ func determinismRows() []determinismRow {
 		})
 	}
 
+	// Rate rises. A rate command that raises a device's sampling rate is
+	// the one cloud reply that can bring its next upload forward, so it is
+	// posted eager and wakes the device; every other one waits quiet for
+	// the device's next visit. Uploads here wait for a full buffer of 4
+	// frames (the 600 s deadline never binds), so a device woken late for a
+	// rise uploads late and moves bytes. A φ target of 0.3 makes the
+	// controller raise rates; 0.6 makes it raise and cut. The frame stepper
+	// never reads an engine key.
+	for _, phi := range []float64{0.3, 0.6} {
+		rows = append(rows, determinismRow{
+			name: fmt.Sprintf("rate-rises-phi=%g", phi),
+			configs: func(t testing.TB) []shoggoth.Config {
+				cfgs := scenarioFleet("rush-hour", 120, 600, shoggoth.WithSeed(3), shoggoth.WithCycles(0.1), atEvents)(t)
+				for i := range cfgs {
+					cfgs[i].UploadFrames = 4
+					cfgs[i].Controller.PhiTarget = phi
+				}
+				return cfgs
+			},
+			cluster: func(w int) *shoggoth.Cluster { return &shoggoth.Cluster{Replicas: 2, EngineWorkers: w} },
+			workers: []int{1, 2, 8}, frameStep: true,
+			work: func(t *testing.T, r *shoggoth.ClusterResults) {
+				served(t, r)
+				rises, cuts := rateMoves(r)
+				if rises == 0 || phi > 0.5 && cuts == 0 {
+					t.Fatalf("the devices' rates rose %d times and fell %d times", rises, cuts)
+				}
+				t.Logf("%d rate rises, %d cuts", rises, cuts)
+			},
+		})
+	}
+
 	// The deferred dispatch path: a reordering policy behind a small queue,
 	// so batches wait unassigned, the policy reorders them and some drop.
 	// The digests are what commit cf2a360 produced, when each pick scanned
@@ -591,6 +623,22 @@ func sampledAndServed(t *testing.T, r *shoggoth.ClusterResults) {
 	if sampled == 0 || processed == 0 {
 		t.Fatalf("the devices ran no workload: sampled=%d processed=%d", sampled, processed)
 	}
+}
+
+// rateMoves counts the rate commands, over every device, that raised or cut
+// the rate the one before them set.
+func rateMoves(r *shoggoth.ClusterResults) (rises, cuts int) {
+	for _, d := range r.Devices {
+		for i := 1; i < len(d.RateSeries); i++ {
+			switch prev, rate := d.RateSeries[i-1].Rate, d.RateSeries[i].Rate; {
+			case rate > prev:
+				rises++
+			case rate < prev:
+				cuts++
+			}
+		}
+	}
+	return rises, cuts
 }
 
 func engineCounted(t *testing.T, r *shoggoth.ClusterResults) {

@@ -11,23 +11,28 @@ import (
 )
 
 // wakeCheck holds the wake bound to its promise: an events-fidelity device
-// must not flush on a frame before the wake frame it last reported, unless a
-// local scheduler event ran since — those are in the engine's key beside
-// the wake, and may change the rate the bound was derived from. The release
-// build compiles it away (check_release.go); CI runs the core tests and the
+// must not flush on a frame before the wake frame it last reported, unless
+// an eager local event ran since — those are in the engine's key beside the
+// wake, and may raise the rate the bound was derived from. A quiet event
+// (a label deposit, a training session, a rate command that raises no
+// rate) excuses nothing: it cannot move an upload. The release build
+// compiles it away (check_release.go); CI runs the core tests and the
 // events-fidelity cluster tests with -tags shoggothdebug.
 type wakeCheck struct {
-	executed int64 // local events executed when wakeFrame was derived
+	eager int64 // eager local events executed when wakeFrame was derived
 }
 
-func (w *wakeCheck) predicted(s *System) { w.executed = s.sched.Executed() }
+func (w *wakeCheck) predicted(s *System) { w.eager = eagerRun(s) }
 
 func (w *wakeCheck) flushing(s *System) {
-	if s.fleet && s.frameIdx < s.wakeFrame && s.sched.Executed() == w.executed {
-		panic(fmt.Sprintf("core: device %q flushes on frame %d, before its wake frame %d, with no local event in between",
+	if s.fleet && s.frameIdx < s.wakeFrame && eagerRun(s) == w.eager {
+		panic(fmt.Sprintf("core: device %q flushes on frame %d, before its wake frame %d, with no eager local event in between",
 			s.cfg.DeviceID, s.frameIdx, s.wakeFrame))
 	}
 }
+
+// eagerRun returns the eager events the device's scheduler has executed.
+func eagerRun(s *System) int64 { return s.sched.Executed() - s.sched.ExecutedQuiet() }
 
 // poisonFrames marks the frames of an upload being released: a read of them
 // after release then sees an impossible frame (index −1, time NaN, domain

@@ -5,6 +5,7 @@ import (
 
 	"shoggoth/internal/detect"
 	"shoggoth/internal/netsim"
+	"shoggoth/internal/sim"
 	"shoggoth/internal/video"
 )
 
@@ -59,7 +60,9 @@ func (st *amsStrategy) OnTrainDue(batch []detect.LabeledRegion, now float64) {
 	start := math.Max(now, st.busyTil)
 	end := start + dur
 	st.busyTil = end
-	sys.Scheduler().At(end, func(endNow float64) {
+	// The round and the update's arrival touch the student, not the
+	// sampler, so neither can move an upload: both are quiet.
+	sys.Scheduler().Quiet(end, sim.Func(func(endNow float64) {
 		if st.trainer != nil {
 			st.trainer.RunSession(batch)
 		}
@@ -67,13 +70,13 @@ func (st *amsStrategy) OnTrainDue(batch []detect.LabeledRegion, now float64) {
 		bytes := netsim.ModelUpdateBytes()
 		sys.Usage().AddDown(bytes)
 		arrive := endNow + cfg.DownlinkTransfer(bytes, endNow)
-		sys.Scheduler().At(arrive, func(applyNow float64) {
+		sys.Scheduler().Quiet(arrive, sim.Func(func(applyNow float64) {
 			if st.trainer != nil {
 				st.applyUpdate()
 			}
 			sys.RecordSession(SessionRecord{Start: start, End: endNow, Applied: applyNow})
-		})
-	})
+		}), 0)
+	}), 0)
 }
 
 // applyUpdate installs the streamed model on the edge, with the quantization

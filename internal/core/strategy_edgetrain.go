@@ -6,6 +6,7 @@ import (
 
 	"shoggoth/internal/detect"
 	"shoggoth/internal/netsim"
+	"shoggoth/internal/sim"
 	"shoggoth/internal/video"
 )
 
@@ -46,24 +47,26 @@ func (st *edgeTrainStrategy) OnCloudBatch(frames []*video.Frame, labels [][]dete
 	sys := st.Sys
 	cfg := &sys.cfg // Config() would copy it for every labeled batch
 	var nRegions int
-	var deposit func(float64)
 	if labels == nil {
 		// Analytic labeling (events fidelity) returns no label sets; price
 		// the downlink from the expected region count instead.
 		nRegions = sys.AnalyticRegions(frames)
-		n := len(frames)
-		deposit = func(labNow float64) { sys.depositCount(n, labNow) }
 	} else {
 		for _, ls := range labels {
 			nRegions += len(ls)
 		}
-		kept := slices.Clone(frames)
-		deposit = func(labNow float64) { sys.DepositLabels(kept, labels, labNow) }
 	}
 	lb := netsim.LabelSetBytes(nRegions)
 	sys.Usage().AddDown(lb)
 	at := done + cfg.DownlinkTransfer(lb, done)
-	sys.Scheduler().At(at, deposit)
+	// The deposit is quiet: it counts toward the next training session,
+	// which cannot move an upload either.
+	if labels == nil {
+		sys.Scheduler().Quiet(at, (*labelDeposit)(sys), float64(len(frames)))
+		return
+	}
+	kept := slices.Clone(frames)
+	sys.Scheduler().Quiet(at, sim.Func(func(labNow float64) { sys.DepositLabels(kept, labels, labNow) }), 0)
 }
 
 // OnTrainDue schedules an adaptive-training session on the edge device.
@@ -75,12 +78,14 @@ func (st *edgeTrainStrategy) OnTrainDue(batch []detect.LabeledRegion, now float6
 	start := math.Max(now, st.busyTil)
 	end := start + cost.TotalSec()
 	st.busyTil = end
-	sys.Scheduler().At(start, func(float64) { sys.Device().BeginTraining(end) })
-	sys.Scheduler().At(end, func(endNow float64) {
+	// A session loads the device, which changes the frames it infers but
+	// not the frames it samples: both events are quiet.
+	sys.Scheduler().Quiet(start, sim.Func(func(float64) { sys.Device().BeginTraining(end) }), 0)
+	sys.Scheduler().Quiet(end, sim.Func(func(endNow float64) {
 		if st.trainer != nil {
 			st.trainer.RunSession(batch)
 		}
 		sys.AddSession()
 		sys.RecordSession(SessionRecord{Start: start, End: endNow, Applied: endNow})
-	})
+	}), 0)
 }

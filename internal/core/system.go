@@ -40,6 +40,13 @@ type System struct {
 	fleet   bool // cfg.Fidelity == FidelityEvents
 	uploads bool // strategy trait: samples frames for upload
 	emitted bool // a flush posted to shared since the last AdvanceTo check
+	// noSeries: keep no RateSeries or SessionTimes (SystemOptions.NoSeries).
+	noSeries bool
+	// quietRates counts the quiet rate commands posted and not yet run, and
+	// quietRate is the highest of them (0 once none is left): predictWake
+	// predicts with it whenever it beats the sampler's rate.
+	quietRates int32
+	quietRate  float64
 
 	student *detect.Student
 	teacher *detect.Teacher
@@ -148,6 +155,11 @@ type SystemOptions struct {
 	// frames are immutable (see video.Frame), so the sessions may all keep
 	// it. Events fidelity renders no frames and ignores it.
 	Frames FrameSource
+	// NoSeries, when set, keeps no Results.RateSeries or SessionTimes: the
+	// owner folds each Results into an aggregate that reads neither, as an
+	// AggregateOnly Cluster does. The observer still sees every rate
+	// command and session.
+	NoSeries bool
 	// InferMemo, when set, is shared by the deployments stepped on one
 	// Frames source: a frame that a student with the same weights version,
 	// compute tier and MinConfidence already inferred is not inferred
@@ -188,6 +200,7 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 		ws:        newWorkspace(cfg.PerfClock),
 		fleet:     cfg.Fidelity == FidelityEvents,
 		uploads:   desc.Traits.Uploads,
+		noSeries:  opts.NoSeries,
 	}
 	s.shared = opts.Shared
 	if s.shared == nil {
@@ -393,17 +406,23 @@ func (s *System) spanEnd(bound float64) int {
 
 // NextEventTime implements the fleet engine's Actor contract: a lower bound
 // on the virtual time at which this deployment next posts to the shared
-// timeline or runs a local scheduler event. At full fidelity that is the
-// next camera frame or local event, whichever is first. An events-fidelity
+// timeline or runs an eager local event. At full fidelity that is the next
+// camera frame or eager event, whichever is first. An events-fidelity
 // deployment reports its wake frame instead of its next frame, so the engine
 // leaves it asleep across the frames that cannot upload; AdvanceTo replays
-// them when the device is next selected. ok is false once nothing remains.
+// them when the device is next selected. Quiet events (label deposits,
+// training sessions, rate commands that raise no rate; see postRate) wait
+// for that visit, and only once no frame and no eager event is left is the
+// next of them the key. ok is false once nothing remains.
 func (s *System) NextEventTime() (float64, bool) {
 	ft, fok := s.NextFrameTime()
 	if fok && s.fleet {
 		ft = float64(s.wakeFrame) * s.dt
 	}
-	et, eok := s.sched.NextTime()
+	et, eok := s.sched.NextEagerTime()
+	if !fok && !eok {
+		et, eok = s.sched.NextTime()
+	}
 	switch {
 	case fok && (!eok || ft <= et):
 		return ft, true
@@ -469,10 +488,12 @@ func (s *System) advanceTo(limit float64) {
 // buffer — and never later than the last frame, so the engine still runs
 // the whole stream before Finish. It reads device-local state only (sampler
 // credit and rate, the buffer and its first capture time): whatever the
-// cloud does to that state arrives as a local scheduler event, which
-// NextEventTime reports beside the wake. A bound that is early costs one
-// extra visit; fleetSpan decides every flush itself, at the frame it
-// happens on.
+// cloud does to that state arrives as a local scheduler event. An eager one
+// is in NextEventTime beside the wake; a quiet rate command is not, so the
+// bound takes the sampler at the highest rate still to come (wakeRate),
+// which accepts no frame later than any lower rate would. A bound that is
+// early costs one extra visit; fleetSpan decides every flush itself, at the
+// frame it happens on.
 //
 // A flush needs a full buffer or an expired wait. The buffer cannot fill
 // before the sampler has accepted the frames it lacks. A buffer that holds
@@ -489,13 +510,14 @@ func (s *System) predictWake() int {
 		return last
 	}
 	next := float64(s.frameIdx)
+	rate := s.wakeRate()
 	lacks := s.cfg.UploadFrames - s.buffered()
-	wake := next + s.sampler.SkipBefore(lacks, s.dt)
+	wake := next + s.sampler.SkipBefore(lacks, s.dt, rate)
 	var expiry float64
 	if s.buf != nil {
 		expiry = math.Floor((s.buf.first+s.cfg.UploadMaxWaitSec)/s.dt) - 1
 	} else {
-		expiry = next + s.sampler.SkipBefore(1, s.dt) + math.Floor(s.cfg.UploadMaxWaitSec/s.dt) - 1
+		expiry = next + s.sampler.SkipBefore(1, s.dt, rate) + math.Floor(s.cfg.UploadMaxWaitSec/s.dt) - 1
 	}
 	wake = math.Min(wake, expiry)
 	// Clamp before converting: wake is +Inf for a device that never uploads.
@@ -507,6 +529,12 @@ func (s *System) predictWake() int {
 	}
 	return s.frameIdx
 }
+
+// wakeRate is the sampling rate predictWake predicts with: the sampler's,
+// or the highest quiet rate command still to run if that is higher.
+// Between two predictions the device runs no event, so it is also the rate
+// the current wake frame was predicted with.
+func (s *System) wakeRate() float64 { return max(s.sampler.Rate(), s.quietRate) }
 
 // Finish drains the scheduler and assembles the Results. A fully-played
 // stream settles at the configured duration; a truncated one (stepped
@@ -559,7 +587,11 @@ func (s *System) SetObserver(o Observer) { s.obs = o }
 // Config returns the run configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Scheduler exposes the virtual-time event scheduler.
+// Scheduler exposes the virtual-time event scheduler. What a strategy
+// posts with At is eager: under the fleet engine the device is woken for
+// it. Quiet is for an event that cannot bring the device's next upload
+// forward, as the stock strategies post label deposits and training
+// sessions.
 func (s *System) Scheduler() *sim.Scheduler { return s.sched }
 
 // CloudService exposes the labeling backend this deployment uploads to
@@ -701,18 +733,51 @@ func (s *System) onBatchLabeled(frames []*video.Frame, alpha, lambda float64, ba
 
 	if rate, ok := s.cloudDev.UpdateRate(batch.PhiMean, alpha, lambda); ok {
 		s.usage.AddDown(netsim.RateCommandBytes())
-		at := batch.Done + cfg.DownlinkTransfer(netsim.RateCommandBytes(), batch.Done)
-		s.sched.At(at, func(cmdNow float64) {
-			s.sampler.SetRate(rate)
-			pt := RatePoint{Time: cmdNow, Rate: rate}
-			s.results.RateSeries = append(s.results.RateSeries, pt)
-			if s.obs != nil {
-				s.obs.OnRateCommand(pt)
-			}
-		})
+		s.postRate(batch.Done+cfg.DownlinkTransfer(netsim.RateCommandBytes(), batch.Done), rate)
 	}
 
 	s.strategy.OnCloudBatch(frames, batch.Labels, batch.Done)
+}
+
+// postRate posts a rate command that reaches the device at t. A command
+// whose rate is at most wakeRate cannot bring the device's next upload
+// forward, so it is posted quiet: at a rate no higher the sampler accepts
+// no frame sooner (Sampler.SkipBefore is monotone in the rate), and an
+// empty buffer's wait starts no sooner. predictWake counts it until it has
+// run, so no later prediction outruns it either. A rise is eager: the
+// engine wakes the device when it lands and the device predicts again.
+func (s *System) postRate(t, rate float64) {
+	if rate > s.wakeRate() {
+		s.sched.At(t, func(now float64) { s.applyRate(now, rate) })
+		return
+	}
+	s.quietRates++
+	s.quietRate = max(s.quietRate, rate)
+	s.sched.Quiet(t, (*rateCommand)(s), rate)
+}
+
+// rateCommand is a System as the handler of its quiet rate commands, which
+// carry the rate as their argument.
+type rateCommand System
+
+func (c *rateCommand) Handle(now, rate float64) {
+	s := (*System)(c)
+	if s.quietRates--; s.quietRates == 0 {
+		s.quietRate = 0
+	}
+	s.applyRate(now, rate)
+}
+
+// applyRate applies a rate command that reached the device at now.
+func (s *System) applyRate(now, rate float64) {
+	s.sampler.SetRate(rate)
+	pt := RatePoint{Time: now, Rate: rate}
+	if !s.noSeries {
+		s.results.RateSeries = append(s.results.RateSeries, pt)
+	}
+	if s.obs != nil {
+		s.obs.OnRateCommand(pt)
+	}
 }
 
 // DepositLabels converts labeled frames into training regions and fires the
@@ -723,6 +788,12 @@ func (s *System) DepositLabels(frames []*video.Frame, labels [][]detect.TeacherL
 	}
 	s.depositCount(len(frames), now)
 }
+
+// labelDeposit is a System as the handler of its events-fidelity label
+// deposits, which carry the labeled frame count as their argument.
+type labelDeposit System
+
+func (d *labelDeposit) Handle(now, frames float64) { (*System)(d).depositCount(int(frames), now) }
 
 // depositCount counts n labeled frames toward the next training batch and
 // fires OnTrainDue once a full batch has accumulated. Events fidelity trains
@@ -820,7 +891,9 @@ func (s *System) AddSession() { s.results.Sessions++ }
 
 // RecordSession logs a training-session record once its weights applied.
 func (s *System) RecordSession(rec SessionRecord) {
-	s.results.SessionTimes = append(s.results.SessionTimes, rec)
+	if !s.noSeries {
+		s.results.SessionTimes = append(s.results.SessionTimes, rec)
+	}
 	if s.obs != nil {
 		s.obs.OnTrainingSession(rec)
 	}

@@ -200,3 +200,53 @@ func TestWakeFrameSparesVisits(t *testing.T) {
 	}
 	t.Logf("%d AdvanceTo calls for %d frames, %d sampled, %d batches", calls, nFrames, r.SampledFrames, r.CloudBatches)
 }
+
+// TestWakeCountsPendingQuietRates: a quiet rate command is in no engine key,
+// so the wake frame must already allow for it. After a cut from the
+// predicted 10 fps to 1 fps has run, a pending quiet command back to 10 fps
+// still bounds the wake, and the upload it brings forward must not come
+// before the wake frame.
+func TestWakeCountsPendingQuietRates(t *testing.T) {
+	s := eventsSystem(t, 30, 60, 20, 600) // the wait never bounds the wake
+	s.sampler.SetRate(10)
+	s.AdvanceTo(0.5) // starts the sampler and predicts at 10 fps
+	s.postRate(1, 1)
+	s.postRate(2, 10)
+	if next, ok := s.sched.NextEagerTime(); ok {
+		t.Fatalf("a rate command no higher than the predicted rate was posted eager, due at %v", next)
+	}
+	s.AdvanceTo(1.5) // runs the cut
+	if s.sampler.Rate() != 1 || s.wakeRate() != 10 {
+		t.Fatalf("after the cut: sampler at %v fps, wake predicted at %v fps; want 1 and 10", s.sampler.Rate(), s.wakeRate())
+	}
+	wake, up := s.wakeFrame, s.usage.UpBytes
+	for s.usage.UpBytes == up && s.frameIdx < s.nFrames {
+		s.AdvanceTo(s.cfg.DurationSec)
+	}
+	flush := s.frameIdx - 1 // AdvanceTo stops right after the flushing frame
+	if s.usage.UpBytes == up || float64(flush)*s.dt > 4 {
+		t.Fatalf("the first upload left on frame %d (%v s): the rise back to 10 fps did not bring it forward, so the case proves nothing",
+			flush, float64(flush)*s.dt)
+	}
+	if flush < wake {
+		t.Fatalf("flushed on frame %d, before the wake frame %d predicted after the cut", flush, wake)
+	}
+	if s.quietRates != 0 || s.quietRate != 0 {
+		t.Fatalf("%d quiet rate commands (highest %v) still counted after both ran", s.quietRates, s.quietRate)
+	}
+}
+
+// TestRateRiseIsEager: a rate command above the predicted rate is in the
+// engine's key, so the device is woken when it lands.
+func TestRateRiseIsEager(t *testing.T) {
+	s := eventsSystem(t, 30, 60, 20, 600)
+	s.sampler.SetRate(1)
+	s.AdvanceTo(0.5)
+	s.postRate(3, 2)
+	if next, ok := s.NextEventTime(); !ok || next != 3 {
+		t.Fatalf("NextEventTime = %v, %v after a rise due at 3; want 3, true", next, ok)
+	}
+	if s.quietRates != 0 {
+		t.Fatalf("a rise counted as %d quiet rate commands", s.quietRates)
+	}
+}

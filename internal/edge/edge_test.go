@@ -331,7 +331,7 @@ func TestSamplerSkipBefore(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 1))
 	const dt = 1.0 / 30
 	rates := []float64{0, 1e-6, 0.05, 0.5, 2, 10, 29.97, 30, 45, 120}
-	if got := NewSampler(1).SkipBefore(1, dt); got != 0 {
+	if got := NewSampler(1).SkipBefore(1, dt, 1); got != 0 {
 		t.Fatalf("sampler not started: SkipBefore = %v, want 0", got)
 	}
 	for i := 0; i < 4000; i++ {
@@ -341,7 +341,7 @@ func TestSamplerSkipBefore(t *testing.T) {
 		}
 		n := 1 + rng.IntN(20)
 		state := *s
-		skip := s.SkipBefore(n, dt)
+		skip := s.SkipBefore(n, dt, s.Rate())
 		const horizon = 3000
 		accepted, at := 0, -1
 		for call := 1; call <= horizon && at < 0; call++ {

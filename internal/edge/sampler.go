@@ -309,22 +309,24 @@ func waitFrame(k, to int, dt, since, wait float64) int {
 const creditSlack = 1e-9
 
 // SkipBefore returns how many of the coming Sample calls, made dt apart at
-// the current rate, are certain to come before the one that accepts the
-// n-th frame from now: a lower bound, +Inf when no number of calls gets
-// there, 0 when nothing can be promised (a sampler that has not started
-// accepts at once). That acceptance needs n−credit more credit and a call
-// adds dt·rate, so with x = (n−credit)/(dt·rate) it is call ⌈x⌉ at the
-// earliest and ⌈x⌉−1 calls come first. The bound promises ⌊x⌋−1 of them,
-// which holds while x is off by less than a whole call — rounding in this
-// division and in Sample's running sum together stay far below that. The
-// credit cap is ignored: it only ever delays an acceptance.
-func (s *Sampler) SkipBefore(n int, dt float64) float64 {
+// the given rate from the current credit, are certain to come before the
+// one that accepts the n-th frame from now: a lower bound, +Inf when no
+// number of calls gets there, 0 when nothing can be promised (a sampler
+// that has not started accepts at once). That acceptance needs n−credit
+// more credit and a call adds dt·rate, so with x = (n−credit)/(dt·rate) it
+// is call ⌈x⌉ at the earliest and ⌈x⌉−1 calls come first. The bound
+// promises ⌊x⌋−1 of them, which holds while x is off by less than a whole
+// call — rounding in this division and in Sample's running sum together
+// stay far below that. The credit cap is ignored: it only ever delays an
+// acceptance. The bound falls as the rate rises, so it also holds for calls
+// made at any rates at most rate, which add no more credit.
+func (s *Sampler) SkipBefore(n int, dt, rate float64) float64 {
 	need := float64(n) - s.credit
 	if !s.started || need <= 0 {
 		return 0
 	}
-	if s.rate <= 0 {
+	if rate <= 0 {
 		return math.Inf(1) // credit no longer moves
 	}
-	return math.Max(0, math.Floor((need-creditSlack)/(dt*s.rate))-1)
+	return math.Max(0, math.Floor((need-creditSlack)/(dt*rate))-1)
 }

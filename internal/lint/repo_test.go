@@ -70,6 +70,7 @@ var withoutACaller = map[string]string{
 	"(*shoggoth/internal/replay.Memory).Samples":                          "test accessor: replay and detect tests read the stored samples",
 	"shoggoth/internal/rpc.DecodeLabelRequest":                            "oracle: the fresh-memory decoder the pooled arena decode is fuzzed against",
 	"(*shoggoth/internal/sim.Engine).heapErr":                             "shoggothdebug only: check_debug.go asserts the heap after every batch",
+	"(*shoggoth/internal/sim.Scheduler).ExecutedQuiet":                    "shoggothdebug only: core's wake check excuses an early flush only after an eager event",
 	"(*shoggoth/internal/sim.Scheduler).After":                            "test driver: scheduler, medium and fidelity tests schedule relative events",
 	"(*shoggoth/internal/sim.Scheduler).Pending":                          "test accessor: scheduler and occupancy tests read the queue length",
 	"(*shoggoth/internal/tensor.Matrix).Equal":                            "fixture: tests across packages compare matrices with it",

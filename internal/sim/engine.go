@@ -11,23 +11,31 @@ import (
 
 // Actor is a simulated component the fleet Engine advances in virtual time.
 // Its key, NextEventTime, is a lower bound on the time of its next outbox
-// emission or local event — not necessarily its next frame: an actor whose
-// coming frames cannot emit may name a later time and be left asleep, and
-// AdvanceTo then replays what it slept through. The engine runs a shared
-// event only once every key is at or after it, so an actor whose key is
-// late would emit behind the shared clock and break the global order; one
-// whose key is early only costs an extra visit. Sleeping is sound because an
-// actor only ever lags the shared clock: what shared events do to it arrives
-// as local events at or after their own time, which the key covers. An
-// actor advancing inside a parallel shard may touch only its own state;
-// anything destined for shared state must be posted to its Outbox, and the
-// actor must stop advancing as soon as it has emitted (the emission-halt
-// contract) so the engine can merge and re-price the global timeline before
-// any later local work observes it.
+// emission, or of its next local event that can move that emission — not
+// necessarily its next frame: an actor whose coming frames cannot emit may
+// name a later time and be left asleep, and AdvanceTo then replays what it
+// slept through. The engine runs a shared event only once every key is at
+// or after it, so an actor whose key is late would emit behind the shared
+// clock and break the global order; one whose key is early only costs an
+// extra visit. Sleeping is sound because an actor only ever lags the shared
+// clock: what shared events do to it arrives as local events at or after
+// their own time.
+//
+// A local event that cannot make the next emission earlier need not be in
+// the key at all. Posted with Scheduler.Quiet, it wakes nobody and waits
+// on the actor's timeline until the actor next advances, which runs it in
+// its (time, seq) place among the others. Whatever else a local event
+// does, including every Scheduler.At, is eager: the waker re-keys the
+// actor and the key covers it. An actor advancing inside a parallel shard
+// may touch only its own state; anything destined for shared state must be
+// posted to its Outbox, and the actor must stop advancing as soon as it has
+// emitted (the emission-halt contract) so the engine can merge and re-price
+// the global timeline before any later local work observes it.
 type Actor interface {
 	// NextEventTime returns a time at or before the actor's next emission
-	// or local event; ok is false once the actor has nothing left to do. The
-	// engine re-reads it after AdvanceTo and after MarkDirty, never otherwise.
+	// and its next local event that can move it; ok is false once the actor
+	// has nothing left to do. The engine re-reads it after AdvanceTo and
+	// after MarkDirty, never otherwise.
 	NextEventTime() (t float64, ok bool)
 	// AdvanceTo executes the actor's work strictly before limit, stopping
 	// early if it posts to its Outbox.

@@ -75,12 +75,79 @@ type Timeline interface {
 	At(t float64, fn func(now float64))
 }
 
-// Scheduler executes events in virtual-time order.
+// Handler runs a quiet event: Handle is called at the event's time with
+// the argument it was posted with. A poster whose receiver outlives its
+// events (a *T, or a type converted from one) posts a typed value without
+// allocating a closure for it.
+type Handler interface {
+	Handle(now, arg float64)
+}
+
+// Func adapts a plain event callback to a Handler that ignores its
+// argument.
+type Func func(now float64)
+
+// Handle calls f(now).
+func (f Func) Handle(now, _ float64) { f(now) }
+
+// quietEvent is a scheduled quiet event (see Quiet).
+type quietEvent struct {
+	at  float64
+	seq int64
+	h   Handler
+	arg float64
+}
+
+// quietHeap is eventHeap's min-heap for quiet events, in the same order.
+type quietHeap []quietEvent
+
+func (h quietHeap) before(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h quietHeap) siftUp(j int) {
+	for j > 0 {
+		parent := (j - 1) / 2
+		if !h.before(j, parent) {
+			break
+		}
+		h[j], h[parent] = h[parent], h[j]
+		j = parent
+	}
+}
+
+func (h quietHeap) siftDown(j int) {
+	for {
+		child := 2*j + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h.before(r, child) {
+			child = r
+		}
+		if !h.before(child, j) {
+			break
+		}
+		h[j], h[child] = h[child], h[j]
+		j = child
+	}
+}
+
+// Scheduler executes events in virtual-time order. It holds two kinds of
+// event. An eager one, posted by At, calls the waker and counts in
+// NextEagerTime. A quiet one, posted by Quiet, does neither: it runs only
+// when the clock is advanced past it. Both kinds share one sequence
+// counter and run in one (time, seq) order.
 type Scheduler struct {
 	now      float64
 	seq      int64
 	heap     eventHeap
+	quiet    quietHeap
 	executed int64
+	quietRun int64
 	waker    func()
 }
 
@@ -102,6 +169,52 @@ func (s *Scheduler) At(t float64, fn func(now float64)) {
 	if s.waker != nil {
 		s.waker()
 	}
+}
+
+// Quiet schedules h.Handle(now, arg) at virtual time t as a quiet event,
+// clamped to the current time as At clamps. It calls no waker and does not
+// count in NextEagerTime, so an owner that sleeps until its next eager
+// event runs it only when it next advances; post quiet only what cannot
+// move the owner's next emission (see Actor).
+func (s *Scheduler) Quiet(t float64, h Handler, arg float64) {
+	if t < s.now {
+		t = s.now
+	}
+	s.seq++
+	s.quiet = append(s.quiet, quietEvent{at: t, seq: s.seq, h: h, arg: arg})
+	s.quiet.siftUp(len(s.quiet) - 1)
+}
+
+// quietFirst reports whether the next quiet event is due by t and runs
+// before the next eager event.
+func (s *Scheduler) quietFirst(t float64) bool {
+	q := &s.quiet[0]
+	if q.at > t {
+		return false
+	}
+	if len(s.heap) == 0 {
+		return true
+	}
+	e := &s.heap[0]
+	return q.at < e.at || q.at == e.at && q.seq < e.seq
+}
+
+// runQuiet removes and runs the next quiet event. The vacated tail slot is
+// zeroed so the queue never pins an executed handler.
+func (s *Scheduler) runQuiet() {
+	h := s.quiet
+	n := len(h) - 1
+	q := h[0]
+	h[0] = h[n]
+	h[n] = quietEvent{}
+	s.quiet = h[:n]
+	if n > 1 {
+		s.quiet.siftDown(0)
+	}
+	s.now = q.at
+	s.executed++
+	s.quietRun++
+	q.h.Handle(s.now, q.arg)
 }
 
 // pop removes and returns the earliest event. The vacated tail slot is
@@ -173,10 +286,18 @@ func (s *Scheduler) After(delay float64, fn func(now float64)) {
 	s.At(s.now+delay, fn)
 }
 
-// AdvanceTo moves virtual time to t, executing every due event in order.
-// Events may schedule further events, including at times ≤ t.
+// AdvanceTo moves virtual time to t, executing every due event, eager and
+// quiet, in (time, seq) order. Events may schedule further events,
+// including at times ≤ t.
 func (s *Scheduler) AdvanceTo(t float64) {
-	for len(s.heap) > 0 && s.heap[0].at <= t {
+	for {
+		if len(s.quiet) > 0 && s.quietFirst(t) {
+			s.runQuiet()
+			continue
+		}
+		if len(s.heap) == 0 || s.heap[0].at > t {
+			break
+		}
 		e := s.pop()
 		s.now = e.at
 		s.executed++
@@ -187,24 +308,39 @@ func (s *Scheduler) AdvanceTo(t float64) {
 	}
 }
 
-// Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.heap) }
+// Pending returns the number of queued events of both kinds.
+func (s *Scheduler) Pending() int { return len(s.heap) + len(s.quiet) }
 
-// NextTime reports the virtual time of the earliest queued event; ok is
-// false when the queue is empty.
+// NextTime reports the virtual time of the earliest queued event of either
+// kind; ok is false when the queue is empty.
 func (s *Scheduler) NextTime() (t float64, ok bool) {
+	t, ok = s.NextEagerTime()
+	if len(s.quiet) > 0 && (!ok || s.quiet[0].at < t) {
+		return s.quiet[0].at, true
+	}
+	return t, ok
+}
+
+// NextEagerTime reports the virtual time of the earliest queued eager
+// event; ok is false when none is queued. Quiet events do not count: it is
+// the part of NextTime an owner that sleeps between eager events must
+// wake for.
+func (s *Scheduler) NextEagerTime() (t float64, ok bool) {
 	if len(s.heap) == 0 {
 		return 0, false
 	}
 	return s.heap[0].at, true
 }
 
-// Executed returns the number of events this scheduler has run so far —
-// the raw count behind the fleet engine's events/sec figure.
+// Executed returns the number of events of both kinds this scheduler has
+// run so far — the raw count behind the fleet engine's events/sec figure.
 func (s *Scheduler) Executed() int64 { return s.executed }
 
+// ExecutedQuiet returns how many of the events Executed counts were quiet.
+func (s *Scheduler) ExecutedQuiet() int64 { return s.quietRun }
+
 // SetWaker registers fn to be invoked on every At (including clamped
-// past-time posts). The fleet Engine uses it to learn that a callback
-// executing on the shared timeline scheduled fresh device-local work, so
-// only dirtied devices need their queue keys recomputed.
+// past-time posts), never on Quiet. The fleet Engine uses it to learn that
+// a callback executing on the shared timeline scheduled fresh device-local
+// work, so only dirtied devices need their queue keys recomputed.
 func (s *Scheduler) SetWaker(fn func()) { s.waker = fn }
