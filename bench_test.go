@@ -203,3 +203,60 @@ func BenchmarkFleetEngineMillion(b *testing.B) {
 		b.Fatalf("8 engine workers diverged from 1:\ngot:  %.2000s\nwant: %.2000s", got[8], got[1])
 	}
 }
+
+// BenchmarkFleetEngineAdaptive times the fleet engine where the devices
+// adapt, which the other fleet measurements do not: 5,000 rush-hour
+// devices at events fidelity for one cycle, with the controller's φ target
+// at 0.6. That target is an operating point at which rates both rise and
+// fall and devices complete training sessions, not a tuned result. The
+// timed runs are AggregateOnly, as the repo benchmark's fleets are, and
+// report events/s and epochs. After them one run with per-device results
+// checks the work, as shares of devices: rates rise on at least 90% and
+// fall on at least 90%, and at least 90% complete a training session. Its
+// fleet aggregate must equal the timed runs'.
+func BenchmarkFleetEngineAdaptive(b *testing.B) {
+	const devices, minShare = 5_000, 0.9
+	cfgs := scenarioFleet("rush-hour", devices, 0, shoggoth.WithSeed(11), shoggoth.WithCycles(1), atEvents)(b)
+	for i := range cfgs {
+		cfgs[i].Controller.PhiTarget = 0.6
+	}
+	c := &shoggoth.Cluster{AggregateOnly: true, Replicas: 8, Workers: 32, QueueCap: 4096, Cache: &shoggoth.Students}
+	var res *shoggoth.ClusterResults
+	var events, epochs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = c.Run(context.Background(), cfgs); err != nil {
+			b.Fatal(err)
+		}
+		events += res.Engine.Events
+		epochs += res.Engine.Epochs
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(epochs)/float64(b.N), "epochs/op")
+
+	full, err := (&shoggoth.Cluster{Replicas: 8, Workers: 32, QueueCap: 4096, Cache: &shoggoth.Students}).Run(context.Background(), cfgs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got, want := encodeJSON(b, res.Fleet), encodeJSON(b, full.Fleet); !bytes.Equal(got, want) {
+		b.Fatalf("the timed runs' fleet aggregate differs from the checked run's:\ngot:  %s\nwant: %s", got, want)
+	}
+	var rose, fell, trained int
+	for _, d := range full.Devices {
+		rises, cuts := rateMoves(&shoggoth.ClusterResults{Devices: []*shoggoth.Results{d}})
+		rose += min(rises, 1)
+		fell += min(cuts, 1)
+		trained += min(d.Sessions, 1)
+	}
+	share := func(n int) float64 { return float64(n) / devices }
+	b.ReportMetric(share(rose), "rose_share")
+	b.ReportMetric(share(fell), "fell_share")
+	b.ReportMetric(share(trained), "trained_share")
+	if share(rose) < minShare || share(fell) < minShare || share(trained) < minShare {
+		b.Fatalf("the fleet did not adapt: rates rose on %d, fell on %d and sessions completed on %d of %d devices, want %.0f%% each",
+			rose, fell, trained, devices, 100*minShare)
+	}
+}

@@ -243,7 +243,7 @@ func (c *Cluster) runEvents(ctx context.Context, cfgs []Config, cache *StudentCa
 	if sampled {
 		// Rewrite a private copy: the chosen subset runs full fidelity
 		// inside the events-fidelity fleet, and the caller's configs stay
-		// untouched.
+		// untouched. The loop below may rewrite this copy in place.
 		cfgs = append([]Config(nil), cfgs...)
 		for i := range cfgs {
 			if chosen[i] {
@@ -265,17 +265,28 @@ func (c *Cluster) runEvents(ctx context.Context, cfgs []Config, cache *StudentCa
 	mediums := make(map[int]*netsim.SharedMedium)
 	systems := make([]*core.System, len(cfgs))
 	locals := make([]*sim.Scheduler, len(cfgs))
-	for i, cfg := range cfgs {
+	for i := range cfgs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if cfg.DeviceID == "" {
-			cfg.DeviceID = fmt.Sprintf("edge-%d", i+1)
-		}
-		if cfg.Fidelity != core.FidelityEvents {
-			// Events fidelity deploys no student, so skip the (cached but
-			// still seconds-per-profile) pretraining entirely.
-			defaultPretrained(&cfg, cache)
+		cfg := &cfgs[i]
+		// Events fidelity deploys no student, so it skips the (cached but
+		// still seconds-per-profile) pretraining entirely.
+		pretrain := cfg.Fidelity != core.FidelityEvents && needsPretrained(cfg)
+		if cfg.DeviceID == "" || pretrain {
+			// The System borrows its config for the run. One that has to be
+			// rewritten is rewritten in the sampled copy, or else in a
+			// private copy, never in the caller's.
+			if !sampled {
+				own := *cfg
+				cfg = &own
+			}
+			if cfg.DeviceID == "" {
+				cfg.DeviceID = fmt.Sprintf("edge-%d", i+1)
+			}
+			if pretrain {
+				defaultPretrained(cfg, cache)
+			}
 		}
 		local := sim.NewScheduler()
 		out := &sim.Outbox{}

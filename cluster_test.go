@@ -2,6 +2,8 @@ package shoggoth_test
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -189,5 +191,47 @@ func TestClusterUtilizationSemantics(t *testing.T) {
 	overloaded.Cloud.BusySeconds = 150
 	if u := overloaded.Utilization(); u != 1.5 {
 		t.Fatalf("overloaded run utilization = %v, want 1.5 (>1 = backlog past the horizon)", u)
+	}
+}
+
+// TestClusterLeavesCallerConfigs: a Cluster lends each device its config
+// for the run and rewrites only a private copy of one it has to change, so
+// the caller's configs come back deep-equal. The fleets hold every config
+// the Cluster rewrites: devices with no DeviceID, full-fidelity devices
+// with no Pretrained student (both filled in for the run) and a
+// sampled-fidelity fleet, whose chosen devices run full fidelity.
+func TestClusterLeavesCallerConfigs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("deployment runs are seconds-long; skipped with -short")
+	}
+	p := detrac(t)
+	mk := func(n int, opts ...shoggoth.Option) []shoggoth.Config {
+		cfgs := make([]shoggoth.Config, n)
+		for i := range cfgs {
+			cfgs[i] = shoggoth.NewConfig(shoggoth.Shoggoth, p,
+				append([]shoggoth.Option{shoggoth.WithSeed(uint64(i + 1)), shoggoth.WithCycles(0.01)}, opts...)...)
+		}
+		return cfgs
+	}
+	full := mk(2)
+	full[1].DeviceID = "cam-2"
+	fleets := []struct {
+		name string
+		cfgs []shoggoth.Config
+	}{
+		{"events", mk(3, shoggoth.WithFidelity(shoggoth.FidelityEvents))},
+		{"full", full},
+		{"sampled", mk(4, shoggoth.WithSampledFidelity(0.5, 0))},
+	}
+	for _, f := range fleets {
+		before := slices.Clone(f.cfgs)
+		if _, err := (&shoggoth.Cluster{Cache: &shoggoth.Students}).Run(context.Background(), f.cfgs); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		for i := range before {
+			if !reflect.DeepEqual(f.cfgs[i], before[i]) {
+				t.Errorf("%s fleet: Cluster.Run wrote the caller's config %d", f.name, i)
+			}
+		}
 	}
 }

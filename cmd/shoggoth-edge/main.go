@@ -107,7 +107,7 @@ func live(cfg core.Config, cloudURL string) (*core.Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.NewSystemOpts(cfg, core.SystemOptions{Scheduler: sched, Cloud: be})
+	sys, err := core.NewSystemOpts(&cfg, core.SystemOptions{Scheduler: sched, Cloud: be})
 	if err != nil {
 		return nil, err
 	}

@@ -58,12 +58,18 @@ func (c *StudentCache) Get(p *Profile) *detect.Student {
 // deploys a student — the one rule both Fleet and Cluster apply, so every
 // runner hands identical models to identical configs.
 func defaultPretrained(cfg *Config, cache *StudentCache) {
-	if cfg.Pretrained != nil || cfg.Profile == nil {
-		return
-	}
-	if d, ok := core.Lookup(cfg.Kind); ok && d.Traits.Student {
+	if needsPretrained(cfg) {
 		cfg.Pretrained = cache.Get(cfg.Profile)
 	}
+}
+
+// needsPretrained reports whether defaultPretrained would rewrite cfg.
+func needsPretrained(cfg *Config) bool {
+	if cfg.Pretrained != nil || cfg.Profile == nil {
+		return false
+	}
+	d, ok := core.Lookup(cfg.Kind)
+	return ok && d.Traits.Student
 }
 
 // Job is one session a Fleet runs: a config plus an optional per-session
@@ -268,7 +274,7 @@ func (f *Fleet) runGroup(ctx context.Context, jobs []Job, g *streamGroup, out []
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		sys, err := core.NewSystemOpts(jobs[i].Config, opts)
+		sys, err := core.NewSystemOpts(&jobs[i].Config, opts)
 		if err != nil {
 			return err
 		}

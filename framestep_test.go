@@ -37,7 +37,7 @@ func (c *Cluster) runFrameStep(ctx context.Context, cfgs []Config, cache *Studen
 		if cfg.Fidelity != core.FidelityEvents {
 			defaultPretrained(&cfg, cache)
 		}
-		sys, err := core.NewSystemOpts(cfg, core.SystemOptions{Scheduler: sched, Cloud: tier})
+		sys, err := core.NewSystemOpts(&cfg, core.SystemOptions{Scheduler: sched, Cloud: tier})
 		if err != nil {
 			return nil, fmt.Errorf("shoggoth: cluster device %d: %w", i, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"shoggoth/internal/detect"
 	"shoggoth/internal/video"
@@ -61,6 +62,26 @@ func TestConfigValidation(t *testing.T) {
 	cfg.BatchFrames = 0
 	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("zero batch frames must fail for training strategies")
+	}
+}
+
+// TestSystemBorrowsItsConfig is the footprint guard for a fleet device: a
+// System keeps the config its runner lends it, not a copy. Config returns
+// the very config NewSystemOpts was given, and a System stays inside the
+// 896 B allocation size class. One that held its own Config (608 B) would
+// take the 1,408 B class, 10 MB more on a 20,000-device fleet.
+func TestSystemBorrowsItsConfig(t *testing.T) {
+	cfg := testConfig(Shoggoth, 10)
+	cfg.Fidelity = FidelityEvents
+	sys, err := NewSystemOpts(&cfg, SystemOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Config() != &cfg {
+		t.Fatal("NewSystemOpts kept a copy of the config it was lent")
+	}
+	if size := unsafe.Sizeof(System{}); size > 896 {
+		t.Fatalf("a System is %d B, past the 896 B size class: does it hold a copy of its Config again?", size)
 	}
 }
 

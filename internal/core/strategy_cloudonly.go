@@ -12,21 +12,19 @@ import (
 // round-trip pipeline.
 type cloudOnlyStrategy struct {
 	BaseStrategy
-	cfg           Config // cached in Init: OnFrame is per-frame hot path
 	lastRoundTrip float64
 	cloudFreeAt   float64
 }
 
 func (st *cloudOnlyStrategy) Init(sys *System) error {
 	st.Sys = sys
-	st.cfg = sys.Config()
 	st.lastRoundTrip = 0.2 // pipeline warm-up estimate before the first echo
 	return nil
 }
 
 func (st *cloudOnlyStrategy) OnFrame(f *video.Frame, t, dt float64) {
 	sys := st.Sys
-	cfg := &st.cfg
+	cfg := sys.Config()
 	up := cfg.Codec.StreamFrameBytes(f.Complexity, f.Motion)
 	down := cfg.Codec.AnnotatedFrameBytes(f.Complexity, f.Motion)
 	sys.Usage().AddUp(up)

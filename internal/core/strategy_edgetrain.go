@@ -45,7 +45,7 @@ func (st *edgeTrainStrategy) OnFrame(f *video.Frame, t, dt float64) {
 // events fidelity, a copy of the slice of the renderer's frames at full.
 func (st *edgeTrainStrategy) OnCloudBatch(frames []*video.Frame, labels [][]detect.TeacherLabel, done float64) {
 	sys := st.Sys
-	cfg := &sys.cfg // Config() would copy it for every labeled batch
+	cfg := sys.Config()
 	var nRegions int
 	if labels == nil {
 		// Analytic labeling (events fidelity) returns no label sets; price

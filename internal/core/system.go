@@ -22,7 +22,9 @@ import (
 // to the configured Strategy's hooks wherever behaviour differs. The
 // deployment loop itself knows no strategy by name.
 type System struct {
-	cfg      Config
+	// cfg is borrowed from the runner for the run and read only: NewSystem
+	// keeps its own copy, a Cluster or Fleet lends its configs in place.
+	cfg      *Config
 	strategy Strategy
 
 	rng    *rand.Rand
@@ -40,7 +42,8 @@ type System struct {
 	fleet   bool // cfg.Fidelity == FidelityEvents
 	uploads bool // strategy trait: samples frames for upload
 	emitted bool // a flush posted to shared since the last AdvanceTo check
-	// noSeries: keep no RateSeries or SessionTimes (SystemOptions.NoSeries).
+	// noSeries: keep no RateSeries, SessionTimes or FPS runs
+	// (SystemOptions.NoSeries).
 	noSeries bool
 	// quietRates counts the quiet rate commands posted and not yet run, and
 	// quietRate is the highest of them (0 once none is left): predictWake
@@ -155,10 +158,11 @@ type SystemOptions struct {
 	// frames are immutable (see video.Frame), so the sessions may all keep
 	// it. Events fidelity renders no frames and ignores it.
 	Frames FrameSource
-	// NoSeries, when set, keeps no Results.RateSeries or SessionTimes: the
-	// owner folds each Results into an aggregate that reads neither, as an
-	// AggregateOnly Cluster does. The observer still sees every rate
-	// command and session.
+	// NoSeries, when set, keeps no Results.RateSeries, SessionTimes or
+	// FPSSeries: the owner folds each Results into an aggregate that reads
+	// none of them, as an AggregateOnly Cluster does. The FPS tracker
+	// folds its average and keeps no runs. The observer still sees every
+	// rate command and session.
 	NoSeries bool
 	// InferMemo, when set, is shared by the deployments stepped on one
 	// Frames source: a frame that a student with the same weights version,
@@ -173,11 +177,14 @@ type SystemOptions struct {
 // student is pretrained from the profile's offline dataset (deterministic in
 // the profile seed, so all strategies deploy the identical model).
 func NewSystem(cfg Config) (*System, error) {
-	return NewSystemOpts(cfg, SystemOptions{})
+	return NewSystemOpts(&cfg, SystemOptions{})
 }
 
-// NewSystemOpts is NewSystem with shared-infrastructure options.
-func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
+// NewSystemOpts is NewSystem with shared-infrastructure options, on a
+// borrowed config: the System keeps cfg for the whole run and only reads
+// it, and the caller must not write it until the run is over. A fleet of
+// devices lends its configs in place, so no device holds a copy.
+func NewSystemOpts(cfg *Config, opts SystemOptions) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -224,6 +231,9 @@ func NewSystemOpts(cfg Config, opts SystemOptions) (*System, error) {
 	s.dt = 1 / cfg.Profile.FPS
 	s.nFrames = int(cfg.DurationSec * cfg.Profile.FPS)
 	s.device = edge.NewDevice(cfg.Device)
+	if s.noSeries {
+		s.device.FPS().DropSeries()
+	}
 
 	s.cloudSvc = opts.Cloud
 	if s.cloudSvc == nil {
@@ -542,7 +552,7 @@ func (s *System) wakeRate() float64 { return max(s.sampler.Rate(), s.quietRate) 
 // and bandwidth rates describe what actually ran. It is idempotent.
 func (s *System) Finish() *Results {
 	r := s.FinishScalars()
-	if r.FPSSeries == nil { // Series is never nil once built
+	if r.FPSSeries == nil && !s.noSeries { // Series is never nil once built
 		r.FPSSeries = s.device.FPS().Series()
 	}
 	return r
@@ -551,7 +561,7 @@ func (s *System) Finish() *Results {
 // FinishScalars is Finish for a caller that folds the Results into an
 // aggregate and keeps nothing else of them, as an AggregateOnly Cluster
 // does: it leaves FPSSeries, one float64 per second of stream, unbuilt. A
-// later Finish builds it.
+// later Finish builds it, unless SystemOptions.NoSeries kept no runs.
 func (s *System) FinishScalars() *Results {
 	if s.final != nil {
 		return s.final
@@ -584,8 +594,10 @@ func (s *System) emitWindows(t float64) {
 // SetObserver attaches a streaming observer; call it before the first Step.
 func (s *System) SetObserver(o Observer) { s.obs = o }
 
-// Config returns the run configuration.
-func (s *System) Config() Config { return s.cfg }
+// Config returns the run configuration. It is the config the runner lent
+// the System (see NewSystemOpts), so it is read-only: a strategy that
+// wrote it would write its caller's.
+func (s *System) Config() *Config { return s.cfg }
 
 // Scheduler exposes the virtual-time event scheduler. What a strategy
 // posts with At is eager: under the fleet engine the device is woken for
@@ -673,7 +685,7 @@ func (s *System) SampleForUpload(f *video.Frame, t float64) {
 // the edge telemetry (α since last report, λ usage).
 func (s *System) flushBuffer(t float64) {
 	s.wakeCheck.flushing(s)
-	cfg := &s.cfg
+	cfg := s.cfg
 	u := s.buf
 	s.buf = nil
 
@@ -726,7 +738,7 @@ func (s *System) cloudReceive(u *upload, now float64) {
 // update are shared substrate; the labels are then handed to the strategy's
 // OnCloudBatch hook. The frames are the upload's, reused once it returns.
 func (s *System) onBatchLabeled(frames []*video.Frame, alpha, lambda float64, batch cloud.BatchResult) {
-	cfg := &s.cfg
+	cfg := s.cfg
 	for _, p := range batch.Phis {
 		s.phiAll.Add(p)
 	}

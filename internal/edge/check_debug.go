@@ -30,7 +30,7 @@ func (r tickReplay) matches(d *Device, first, n int, dt float64, processed int) 
 		}
 	}
 	if processed != wantProcessed || !sameBits(d.credit, want.credit) || !sameBits(d.usageSum, want.usageSum) ||
-		d.usageN != want.usageN || !sameRuns(&d.fps, &want.fps) {
+		d.usageN != want.usageN || !sameFPS(&d.fps, &want.fps) {
 		panic(fmt.Sprintf("edge: TickFrames(%d, %d, %v) ends in another state than %d Tick calls", first, n, dt, n))
 	}
 }
@@ -60,10 +60,11 @@ func (r scanReplay) matches(s *Sampler, from, to int, dt, since, wait float64, s
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// sameRuns reports whether two trackers hold the same runs and the same
-// open second, every sum bit for bit.
-func sameRuns(a, b *FPSTracker) bool {
+// sameFPS reports whether two trackers hold the same folded sum and count,
+// the same runs and the same open second, every sum bit for bit.
+func sameFPS(a, b *FPSTracker) bool {
 	return a.sec == b.sec && a.n == b.n && sameBits(a.sum, b.sum) &&
+		a.closedN == b.closedN && sameBits(a.closedSum, b.closedSum) &&
 		slices.EqualFunc(a.runs, b.runs, func(x, y fpsRun) bool {
 			return x.count == y.count && x.seconds == y.seconds && sameBits(x.sum, y.sum)
 		})

@@ -240,9 +240,14 @@ func secondEnd(k, end, s int, dt, perSec float64) int {
 // one stays below. Otherwise the addition that crosses 2^(53+q) may round;
 // it is made as a real +=, and the sum it leaves has a coarser lowest bit,
 // so q grows until it meets x's lowest bit. From there each addition
-// rounds, and the rest are made one at a time, as they are for a zero,
-// negative or non-finite operand.
+// rounds, and the rest are made one at a time, as they are for a
+// negative or non-finite operand. A lone addition, or one of a zero, is
+// made once: every addition of a zero after the first returns its sum
+// unchanged (only the first can turn a −0 sum into +0).
 func addRepeated(sum, x float64, n int) float64 {
+	if n == 1 || n > 1 && x == 0 {
+		return sum + x
+	}
 	for n > 0 {
 		if !(x > 0 && x <= math.MaxFloat64 && sum >= 0 && sum <= math.MaxFloat64) {
 			break
@@ -313,17 +318,25 @@ func (d *Device) DrainUsageReport() float64 {
 func (d *Device) FPS() *FPSTracker { return &d.fps }
 
 // FPSTracker aggregates effective FPS per whole second of stream time. It
-// keeps the closed seconds as runs of equal ones and the last second it
-// was given, the open one, as a sum and a count still being added to. A
-// device's seconds are almost all alike — MaxFPS on every frame but those
-// under a training or encoding window — so a stream of any length holds a
-// few runs per window, not a pair of numbers per second. The zero value is
-// an empty tracker: second 0 open, with no observation.
+// keeps the last second it was given, the open one, as a sum and a count
+// still being added to, and folds each second into the average's sum and
+// count as it closes. For Series it also keeps the closed seconds as runs
+// of equal ones. A device's seconds are almost all alike — MaxFPS on every
+// frame but those under a training or encoding window — so a stream of any
+// length holds a few runs per window, not a pair of numbers per second,
+// and a tracker that DropSeries told to keep none holds a fixed size. The
+// zero value is an empty tracker that keeps runs: second 0 open, with no
+// observation.
 type FPSTracker struct {
-	runs []fpsRun
-	sec  int     // the open second; every second before it is in runs
-	sum  float64 // the open second's FPS sum
-	n    int32   // the open second's observation count, 0 only while empty
+	runs   []fpsRun // the closed seconds, in order; nil after DropSeries
+	sec    int      // the open second; every second before it is closed
+	sum    float64  // the open second's FPS sum
+	n      int32    // the open second's observation count, 0 only while empty
+	noRuns bool     // DropSeries was called: keep no runs, refuse Series
+	// closedSum and closedN fold every closed second: its sum added in
+	// order of the seconds, and its count.
+	closedSum float64
+	closedN   int
 }
 
 // fpsRun is a run of consecutive closed seconds with the same FPS sum, bit
@@ -362,10 +375,16 @@ func (f *FPSTracker) open(s int) {
 	f.sec, f.sum, f.n = s, 0, 0
 }
 
-// push adds that many closed seconds of the given sum and count to the
-// runs: it extends the last run when they match it, bit for bit, and
-// starts a run otherwise.
+// push closes that many seconds of the given sum and count. It folds them
+// into the average, the sum added once per second in order, and unless the
+// tracker keeps no runs it adds them to the runs: it extends the last run
+// when they match it, bit for bit, and starts a run otherwise.
 func (f *FPSTracker) push(sum float64, count int32, seconds int) {
+	f.closedSum = addRepeated(f.closedSum, sum, seconds)
+	f.closedN += int(count) * seconds
+	if f.noRuns {
+		return
+	}
 	r := f.runs
 	if len(r) == 0 || r[len(r)-1].count != count || math.Float64bits(r[len(r)-1].sum) != math.Float64bits(sum) {
 		f.runs = append(r, fpsRun{sum: sum, count: count, seconds: int32(seconds)})
@@ -374,9 +393,18 @@ func (f *FPSTracker) push(sum float64, count int32, seconds int) {
 	r[len(r)-1].seconds += int32(seconds)
 }
 
+// DropSeries makes the tracker keep only what Average reads: it lets go of
+// its runs and keeps none from then on, so Series panics. An owner that
+// reads only the average calls it, as a System built with
+// SystemOptions.NoSeries does.
+func (f *FPSTracker) DropSeries() { f.runs, f.noRuns = nil, true }
+
 // Series returns the per-second mean FPS series, 0 for a second with no
-// observation.
+// observation. It panics on a tracker told to DropSeries.
 func (f *FPSTracker) Series() []float64 {
+	if f.noRuns {
+		panic("edge: Series on an FPS tracker that keeps no runs: DropSeries was called, so it folds only the average")
+	}
 	if f.n == 0 { // nothing recorded
 		return []float64{}
 	}
@@ -402,18 +430,12 @@ func mean(sum float64, count int32) float64 {
 }
 
 // Average returns the overall mean FPS: the seconds' sums added in order,
-// over their counts.
+// over their counts. The closed seconds are folded already, so it adds
+// only the open one.
 func (f *FPSTracker) Average() float64 {
-	var s float64
-	var n int
-	for _, r := range f.runs {
-		s = addRepeated(s, r.sum, int(r.seconds))
-		n += int(r.count) * int(r.seconds)
-	}
-	s += f.sum
-	n += int(f.n)
+	n := f.closedN + int(f.n)
 	if n == 0 {
 		return 0
 	}
-	return s / float64(n)
+	return (f.closedSum + f.sum) / float64(n)
 }

@@ -52,9 +52,17 @@ func (f *denseFPS) Average() float64 {
 	return s / float64(n)
 }
 
-// checkFPS fails unless got's Series and Average have want's bits.
-func checkFPS(t *testing.T, name string, got *FPSTracker, want *denseFPS) {
+// checkFPS fails unless got's Series and Average, and the Average of
+// lean, a tracker that took the same observations after DropSeries, have
+// want's bits.
+func checkFPS(t *testing.T, name string, got, lean *FPSTracker, want *denseFPS) {
 	t.Helper()
+	if len(lean.runs) != 0 {
+		t.Fatalf("%s: a tracker told to DropSeries holds %d runs", name, len(lean.runs))
+	}
+	if a, b := lean.Average(), want.Average(); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("%s: average %v from the tracker that keeps no runs, %v from the dense tracker", name, a, b)
+	}
 	gs, ws := got.Series(), want.Series()
 	if len(gs) != len(ws) {
 		t.Fatalf("%s: series of %d seconds, the dense tracker's of %d", name, len(gs), len(ws))
@@ -69,10 +77,12 @@ func checkFPS(t *testing.T, name string, got *FPSTracker, want *denseFPS) {
 	}
 }
 
-// TestFPSTrackerMatchesDense: keeping runs of equal seconds changes what
-// the telemetry costs, not what it reports. A tracker and the dense one it
+// TestFPSTrackerMatchesDense: keeping runs of equal seconds, or folding
+// the average as seconds close and keeping no runs, changes what the
+// telemetry costs, not what it reports. A tracker and the dense one it
 // replaced take the same observations and give the same Series and
-// Average, bit for bit.
+// Average, bit for bit, and a tracker told to DropSeries gives the same
+// Average.
 //
 // The first generator is Cloud-Only's direct Record: rates that repeat and
 // rates that do not, several observations per second or one, with whole
@@ -87,12 +97,14 @@ func TestFPSTrackerMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	pick := func(xs ...float64) float64 { return xs[rng.IntN(len(xs))] }
 	for i := 0; i < 300; i++ {
-		var got FPSTracker
+		var got, lean FPSTracker
+		lean.DropSeries()
 		var want denseFPS
 		end := pick(0, 0.5, 3, 40, 400*rng.Float64())
 		for tm := rng.Float64(); tm < end; {
 			fps := pick(30, 30, 15, 1/(0.3+rng.Float64()), 30*rng.Float64(), 0)
 			got.Record(tm, fps)
+			lean.Record(tm, fps)
 			want.Record(tm, fps)
 			switch rng.IntN(20) {
 			case 0:
@@ -102,7 +114,7 @@ func TestFPSTrackerMatchesDense(t *testing.T) {
 				tm += rng.Float64() / pick(1, 4, 30)
 			}
 		}
-		checkFPS(t, fmt.Sprintf("Record case %d (to %v s)", i, end), &got, &want)
+		checkFPS(t, fmt.Sprintf("Record case %d (to %v s)", i, end), &got, &lean, &want)
 	}
 
 	var midSecond, leftOpen, onBoundary, empty int
@@ -111,7 +123,8 @@ func TestFPSTrackerMatchesDense(t *testing.T) {
 		dt := 1 / camera
 		cfg := DefaultDeviceConfig()
 		cfg.MaxFPS = pick(30, camera, 30*rng.Float64())
-		d := NewDevice(cfg)
+		d, ld := NewDevice(cfg), NewDevice(cfg)
+		ld.fps.DropSeries()
 		var want denseFPS
 		frames := int(pick(20, 200, 600) * camera)
 		second := func(k int) int { return int(float64(k) * dt) }
@@ -138,20 +151,27 @@ func TestFPSTrackerMatchesDense(t *testing.T) {
 				fps, _ := d.Config.frameLoad(tm, d.trainingUntil, d.encodingUntil)
 				want.Record(tm, fps)
 			}
-			if rng.IntN(4) == 0 {
-				for j := k; j < k+n; j++ {
-					d.Tick(float64(j)*dt, dt)
+			byTick := rng.IntN(4) == 0
+			for _, dev := range []*Device{d, ld} {
+				if byTick {
+					for j := k; j < k+n; j++ {
+						dev.Tick(float64(j)*dt, dt)
+					}
+				} else {
+					dev.TickFrames(k, n, dt)
 				}
-			} else {
-				d.TickFrames(k, n, dt)
 			}
 			k += n
 			now := float64(k) * dt
 			switch rng.IntN(8) {
 			case 0:
-				d.BeginEncoding(now + 2*rng.Float64())
+				until := now + 2*rng.Float64()
+				d.BeginEncoding(until)
+				ld.BeginEncoding(until)
 			case 1:
-				d.BeginTraining(now + 10*rng.Float64())
+				until := now + 10*rng.Float64()
+				d.BeginTraining(until)
+				ld.BeginTraining(until)
 			}
 		}
 		for _, c := range want.counts {
@@ -159,7 +179,7 @@ func TestFPSTrackerMatchesDense(t *testing.T) {
 				empty++
 			}
 		}
-		checkFPS(t, fmt.Sprintf("device case %d (%v fps camera)", i, camera), &d.fps, &want)
+		checkFPS(t, fmt.Sprintf("device case %d (%v fps camera)", i, camera), &d.fps, &ld.fps, &want)
 	}
 	if midSecond == 0 || leftOpen == 0 || onBoundary == 0 || empty == 0 {
 		t.Fatalf("spans from mid-second %d, into an open second %d, ending on a boundary %d; seconds with no frame %d: each must be > 0",
@@ -181,6 +201,24 @@ func TestFPSTrackerRefusesEarlierSecond(t *testing.T) {
 		}
 	}()
 	f.Record(3.2, 30)
+}
+
+// TestSeriesRefusedWithoutRuns: a tracker told to DropSeries cannot give a
+// series, so Series panics and says why rather than report a wrong one.
+func TestSeriesRefusedWithoutRuns(t *testing.T) {
+	var f FPSTracker
+	f.DropSeries()
+	f.Record(0.5, 30)
+	f.Record(2.5, 15)
+	if a := f.Average(); a != 22.5 {
+		t.Fatalf("average %v, want 22.5", a)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "DropSeries") {
+			t.Fatalf("Series on a tracker with no runs panicked with %q, want it to name DropSeries", msg)
+		}
+	}()
+	f.Series()
 }
 
 // TestIdleDeviceHoldsOneRun is the telemetry's footprint guard: a device

@@ -30,6 +30,8 @@ func sameDevice(a, b *Device) string {
 		return "FPS runs"
 	case a.fps.sec != b.fps.sec || bits(a.fps.sum) != bits(b.fps.sum) || a.fps.n != b.fps.n:
 		return "FPS open second"
+	case bits(a.fps.closedSum) != bits(b.fps.closedSum) || a.fps.closedN != b.fps.closedN:
+		return "FPS folded sum or count"
 	case a.trainingUntil != b.trainingUntil || a.encodingUntil != b.encodingUntil:
 		return "load windows"
 	}
@@ -223,7 +225,10 @@ func TestSecondEndMatchesScan(t *testing.T) {
 // are under testdata/fuzz. A camera
 // rate outside (0, 1000] fps, a non-finite window bound or a span that
 // ends past the 2^31−1 seconds a tracker holds is skipped: Tick itself is
-// not defined there.
+// not defined there. A second device, told to DropSeries, plays the same
+// frames and must match its own Tick replay too; when the stream is under
+// 2^16 seconds, short enough for the dense tracker's arrays, both must
+// report the dense tracker's FPS Average, and the first its Series.
 func FuzzTickFramesMatchesTicks(f *testing.F) {
 	f.Fuzz(func(t *testing.T, camera, maxFPS, trainFactor, encFactor, idle, trainLoad, encLoad float64,
 		first uint32, n uint16, ticked uint8, credit, usageSum, trainUntil, encUntil float64) {
@@ -233,17 +238,39 @@ func FuzzTickFramesMatchesTicks(f *testing.F) {
 		dt := 1 / camera
 		cfg := DeviceConfig{maxFPS, trainFactor, encFactor, idle, trainLoad, encLoad}
 		k0 := int(first % (1 << 20))
-		if end := float64(k0+int(n)) * dt; !(end < math.MaxInt32) {
+		end := float64(k0+int(n)) * dt
+		if !(end < math.MaxInt32) {
 			t.Skip()
 		}
-		d := NewDevice(cfg)
-		for k := max(k0-int(ticked), 0); k < k0; k++ {
-			d.Tick(float64(k)*dt, dt)
+		d, lean := NewDevice(cfg), NewDevice(cfg)
+		lean.fps.DropSeries()
+		var want denseFPS
+		dense := end < 1<<16
+		record := func(k int) {
+			if dense {
+				tm := float64(k) * dt
+				fps, _ := d.Config.frameLoad(tm, d.trainingUntil, d.encodingUntil)
+				want.Record(tm, fps)
+			}
 		}
-		d.credit, d.usageSum = credit, usageSum
-		d.BeginTraining(trainUntil)
-		d.BeginEncoding(encUntil)
+		for k := max(k0-int(ticked), 0); k < k0; k++ {
+			record(k)
+			d.Tick(float64(k)*dt, dt)
+			lean.Tick(float64(k)*dt, dt)
+		}
+		for _, dev := range []*Device{d, lean} {
+			dev.credit, dev.usageSum = credit, usageSum
+			dev.BeginTraining(trainUntil)
+			dev.BeginEncoding(encUntil)
+		}
+		for k := k0; k < k0+int(n); k++ {
+			record(k)
+		}
 		checkTickFrames(t, "fuzz", d, k0, int(n), dt)
+		checkTickFrames(t, "fuzz, no runs", lean, k0, int(n), dt)
+		if dense {
+			checkFPS(t, "fuzz", &d.fps, &lean.fps, &want)
+		}
 	})
 }
 

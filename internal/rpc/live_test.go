@@ -100,7 +100,7 @@ func runLive(t *testing.T, cfg core.Config, p *shoggoth.Profile, seed uint64) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.NewSystemOpts(cfg, core.SystemOptions{Scheduler: sched, Cloud: be})
+	sys, err := core.NewSystemOpts(&cfg, core.SystemOptions{Scheduler: sched, Cloud: be})
 	if err != nil {
 		t.Fatal(err)
 	}
