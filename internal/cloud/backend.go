@@ -32,10 +32,13 @@ type DeviceOptions struct {
 // Frame ownership: a backend reads the frames a Device is handed from
 // Enqueue (or Admit) until their labeling ends — for Enqueue, until cb has
 // returned or Enqueue has returned false — and never afterwards; it writes
-// to none, and it keeps no reference to the label sets it delivers. The
-// caller may then reuse the frames and the slice holding them: a simulated
-// edge recycles both for its next upload. The BatchResult's Phis are
-// borrowed for the callback only (see BatchResult).
+// to none, and it keeps no reference to the label sets it delivers. For an
+// analytic device labeling ends inside Enqueue: a batch that waits keeps the
+// φs it was priced at, not its frames, so the backend reads them only
+// during Enqueue. The caller may then reuse the frames and the slice
+// holding them: a simulated edge recycles both, and an events-fidelity edge
+// builds its frames for the length of the call only. The BatchResult's Phis
+// are borrowed for the callback only (see BatchResult).
 type Backend interface {
 	// RegisterDevice adds one edge device and returns its handle. Duplicate
 	// ids are rejected.
@@ -53,7 +56,8 @@ type Device interface {
 	// exactly once with the labeled result unless the batch is dropped
 	// (admission control or a full queue), in which case Enqueue returns
 	// false and cb never runs. The frames stay the caller's: it may reuse
-	// them once cb has returned or Enqueue has returned false.
+	// them once cb has returned or Enqueue has returned false, and an
+	// analytic device's once Enqueue has returned.
 	Enqueue(frames []*video.Frame, now float64, cb func(BatchResult)) bool
 	// Adaptive reports whether the device has a sampling-rate controller.
 	Adaptive() bool

@@ -51,7 +51,7 @@ func (o *scanDispatch) enqueue(d *ServiceDevice, frames []*video.Frame, now floa
 	}
 	s.seq++
 	s.waiting++ // what occupancy counts
-	o.pending = append(o.pending, &pendingBatch{dev: d, frames: frames, arrival: now, seq: s.seq, cb: cb})
+	o.pending = append(o.pending, &pendingBatch{dev: d, n: len(frames), frames: frames, arrival: now, seq: s.seq, cb: cb})
 	o.ensureDispatchLocked(now)
 	return true
 }

@@ -115,10 +115,15 @@ func (a *queueAccum) snapshot() QueueStats {
 
 // pendingBatch is one admitted-but-unassigned batch on the deferred
 // dispatch path. It is held by value: in its device's queue while it waits,
-// then in the dispatch scratch until its callback has run.
+// then in the dispatch scratch until its callback has run. An executed
+// device's batch holds its frames, which its labeling reads at dispatch; an
+// analytic device's holds the φs its labeling computed at admission, and
+// no frame.
 type pendingBatch struct {
 	dev     *ServiceDevice
+	n       int // the batch's frame count
 	frames  []*video.Frame
+	phis    []float64
 	arrival float64
 	seq     int
 	// extra is additional one-off service time the batch carries (a tier's
@@ -206,11 +211,16 @@ type Service struct {
 	group []pendingBatch
 	costs []float64
 	ready []assigned
-	// phis holds the φs of the analytic batch being delivered. The
-	// virtual-time paths label and deliver one batch at a time, so a
-	// batch's φs are read (BatchResult.Phis is borrowed) before the next
-	// batch's overwrite them.
+	// phis holds the φs of the analytic batch the arrival-order path is
+	// delivering. It labels and delivers one batch at a time, so a batch's
+	// φs are read (BatchResult.Phis is borrowed) before the next batch's
+	// overwrite them.
 	phis []float64
+	// phiFree holds the emptied φ slices of delivered analytic batches on
+	// the deferred path, for the next admitted ones. Like the rest of the
+	// deferred scratch it is touched only from the one virtual-time event
+	// loop, so the lock does not guard it.
+	phiFree [][]float64
 }
 
 // assigned is one batch a dispatch event put on a worker, held until the
@@ -425,7 +435,7 @@ func (s *Service) RetryAfterSec(now float64) float64 {
 				}
 			}
 			start := math.Max(now, horizons[w])
-			service := float64(len(b.frames))*b.dev.labeler.Config.TeacherLatencySec + b.extra
+			service := float64(b.n)*b.dev.labeler.Config.TeacherLatencySec + b.extra
 			done := start + service
 			horizons[w] = done
 			if done > now && done < earliest {
@@ -606,14 +616,7 @@ func (d *ServiceDevice) label(frames []*video.Frame, scratch *[]float64) ([][]de
 		// the scheduling layer above — but the teacher itself never runs.
 		// Labels are nil by contract; φ is the deterministic drift model.
 		*scratch = d.labeler.PhiAnalytic((*scratch)[:0], frames)
-		phis := *scratch
-		var phi metrics.Running
-		for _, p := range phis {
-			phi.Add(p)
-		}
-		mean := phi.Mean()
-		d.lastPhi = mean
-		return nil, phis, mean
+		return nil, *scratch, d.settle(*scratch)
 	}
 	labels := make([][]detect.TeacherLabel, len(frames))
 	phis := make([]float64, len(frames))
@@ -627,6 +630,17 @@ func (d *ServiceDevice) label(frames []*video.Frame, scratch *[]float64) ([][]de
 	mean := phi.Mean()
 	d.lastPhi = mean
 	return labels, phis, mean
+}
+
+// settle returns the mean of an analytic batch's φs and makes it the
+// device's drift signal, as labeling the batch does.
+func (d *ServiceDevice) settle(phis []float64) float64 {
+	var phi metrics.Running
+	for _, p := range phis {
+		phi.Add(p)
+	}
+	d.lastPhi = phi.Mean()
+	return d.lastPhi
 }
 
 // Enqueue admits one uploaded batch at virtual time now and arranges for cb
@@ -672,7 +686,17 @@ func (d *ServiceDevice) enqueueOpts(frames []*video.Frame, now, extra float64, c
 		return false
 	}
 	s.seq++
-	d.push(pendingBatch{dev: d, frames: frames, arrival: now, seq: s.seq, extra: extra, cb: cb})
+	b := pendingBatch{dev: d, n: len(frames), arrival: now, seq: s.seq, extra: extra, cb: cb}
+	if d.analytic {
+		// The device's queue is served in arrival order, so its φ chain
+		// sees the same frames in the same order now as at dispatch, and
+		// the batch need not keep its frames. lastPhi, which a policy ranks
+		// by, still moves at dispatch (settle).
+		b.phis = d.labeler.PhiAnalytic(s.takePhis(), frames)
+	} else {
+		b.frames = frames
+	}
+	d.push(b)
 	s.waiting++
 	s.rekeyLocked(d)
 	s.ensureDispatchLocked(now)
@@ -713,7 +737,13 @@ func (s *Service) onDispatch(now float64) {
 	for k := range ready {
 		a := &ready[k]
 		d := a.b.dev
-		labels, phis, phiMean := d.label(a.b.frames, &s.phis)
+		var labels [][]detect.TeacherLabel
+		phis, phiMean := a.b.phis, 0.0
+		if d.analytic {
+			phiMean = d.settle(phis)
+		} else {
+			labels, phis, phiMean = d.label(a.b.frames, &s.phis)
+		}
 		// Labeling moved d's φ, which a policy may rank its next batch by.
 		s.mu.Lock()
 		s.rekeyLocked(d)
@@ -726,8 +756,24 @@ func (s *Service) onDispatch(now float64) {
 			Done:          a.adm.Done,
 			QueueDelaySec: a.adm.QueueDelaySec,
 		})
+		if a.b.phis != nil {
+			s.phiFree = append(s.phiFree, a.b.phis[:0])
+		}
 		a.b = pendingBatch{} // the scratch must not pin a delivered batch's frames
 	}
+}
+
+// takePhis returns an empty φ slice from phiFree, or nil when none is left
+// (PhiAnalytic grows it).
+func (s *Service) takePhis() []float64 {
+	n := len(s.phiFree) - 1
+	if n < 0 {
+		return nil
+	}
+	p := s.phiFree[n]
+	s.phiFree[n] = nil
+	s.phiFree = s.phiFree[:n]
+	return p
 }
 
 // deliver hands a labeled batch that arrived at arrival to its callback,
@@ -755,7 +801,7 @@ func (s *Service) dispatchLocked(now float64, ready []assigned) []assigned {
 		}
 		b := s.popLocked()
 		//shoggoth:allow hotalloc -- grows to the most batches one dispatch event has assigned, then reused
-		ready = append(ready, assigned{b: b, adm: s.assignLocked(b.dev, len(b.frames), now, b.arrival, b.extra)})
+		ready = append(ready, assigned{b: b, adm: s.assignLocked(b.dev, b.n, now, b.arrival, b.extra)})
 	}
 	s.ensureDispatchLocked(now)
 	return ready
@@ -811,7 +857,7 @@ func (s *Service) assignGroupLocked(ready []assigned, group []pendingBatch, now 
 			lat *= coalesceMarginal
 		}
 		var c float64
-		for i := 0; i < len(b.frames); i++ {
+		for i := 0; i < b.n; i++ {
 			c += lat
 		}
 		if b.extra != 0 {
@@ -889,7 +935,7 @@ func (d *ServiceDevice) headLocked() Pending {
 		Device:    d.id,
 		Arrival:   b.arrival,
 		Seq:       b.seq,
-		Frames:    len(b.frames),
+		Frames:    b.n,
 		Phi:       d.lastPhi,
 		ServedSec: d.acc.busySec,
 		Weight:    d.weight,

@@ -29,7 +29,7 @@ func (s *System) fleetFrame(t float64) {
 		s.bufferMeta(s.frameIdx, t)
 	}
 	if u := s.buf; u != nil &&
-		(len(u.frames) >= s.cfg.UploadFrames || t-u.first >= s.cfg.UploadMaxWaitSec) {
+		(u.size() >= s.cfg.UploadFrames || t-u.first >= s.cfg.UploadMaxWaitSec) {
 		s.flushBuffer(t)
 	}
 }

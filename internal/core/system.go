@@ -689,12 +689,15 @@ func (s *System) flushBuffer(t float64) {
 	u := s.buf
 	s.buf = nil
 
-	encSec := cfg.Codec.EncodeSeconds(len(u.frames))
+	encSec := cfg.Codec.EncodeSeconds(u.size())
 	s.device.BeginEncoding(t + encSec)
 
 	bytes := netsim.TelemetryBytes()
 	for _, f := range u.frames {
 		bytes += cfg.Codec.SampledFrameBytes(f.Complexity)
+	}
+	for _, m := range u.metas {
+		bytes += cfg.Codec.SampledFrameBytes(m.Complexity)
 	}
 	s.usage.AddUp(bytes)
 
@@ -722,12 +725,28 @@ func (s *System) flushBuffer(t float64) {
 // a reordering policy defers it to the dispatch event that serves the
 // batch. A reporter device gets the batch's telemetry with it. A dropped
 // upload is free at once; a labeled one once its callback has returned.
+//
+// A packed (events-fidelity) batch is unpacked into a scratch block for the
+// length of the call: the cloud reads an analytic device's frames only
+// during Enqueue. If the callback ran inside the call, it released the
+// upload, and only the block is left to give back.
 func (s *System) cloudReceive(u *upload, now float64) {
+	frames, blk := u.frames, (*frameBlock)(nil)
+	if u.packed() {
+		blk = s.unpack(u.metas)
+		frames, u.blk = blk.frames, blk
+	}
 	var ok bool
 	if s.reporter != nil {
-		ok = s.reporter.EnqueueReport(u.frames, u.alpha, u.lambda, now, u.labeled)
+		ok = s.reporter.EnqueueReport(frames, u.alpha, u.lambda, now, u.labeled)
 	} else {
-		ok = s.cloudDev.Enqueue(u.frames, now, u.labeled)
+		ok = s.cloudDev.Enqueue(frames, now, u.labeled)
+	}
+	if blk != nil {
+		if !blk.delivered {
+			u.blk = nil
+		}
+		blk.put()
 	}
 	if !ok {
 		u.release()

@@ -19,8 +19,9 @@ import (
 // hooks — allocates only what is left by design: the two closures each
 // training session schedules and the closure of a rate command that raises
 // the rate; nothing a frame, and nothing for the label deposit or any other
-// rate command, which carry their frame count and rate. The uploads, their
-// frames, their callbacks and the φ slice are all reused. The bound leaves
+// rate command, which carry their frame count and rate. The uploads, the
+// blocks their packed frames are unpacked into, their callbacks and the φ
+// slice are all reused. The bound leaves
 // room for the few times the run's kept series (rate commands, sessions,
 // label latencies) double.
 func TestUploadCycleAllocsBounded(t *testing.T) {

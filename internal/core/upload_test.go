@@ -25,9 +25,12 @@ func runEvents(s *System, limit float64) {
 
 // lifetimeDevice wraps a deployment's cloud registration and holds every
 // upload to its lifetime: the frames the cloud is handed are intact sparse
-// metadata, and they are still exactly those frames when the batch's
+// metadata, and the batch's hooks see frames equal to them when its
 // callback runs — however long the batch waited, and whatever the device
-// uploaded meanwhile.
+// uploaded meanwhile. The cloud itself may read the frames it is handed
+// only during Enqueue: once Enqueue returns with the batch still waiting,
+// the wrapper overwrites them with an impossible frame, which a later read
+// would carry into the run's results.
 type lifetimeDevice struct {
 	cloud.Device
 	t      *testing.T
@@ -37,6 +40,7 @@ type lifetimeDevice struct {
 	// cloud was handed them.
 	labeled  []video.Frame
 	uploaded int
+	waited   int // batches whose frames were overwritten while they waited
 }
 
 // intact fails the test unless f is the sparse metadata of a camera frame.
@@ -58,19 +62,20 @@ func (d *lifetimeDevice) Enqueue(frames []*video.Frame, now float64, cb func(clo
 		sent[i] = *f
 	}
 	d.uploaded++
-	return d.Device.Enqueue(frames, now, func(res cloud.BatchResult) {
-		if len(frames) != len(sent) {
-			d.t.Fatalf("labeled batch holds %d frames, %d were uploaded", len(frames), len(sent))
-		}
-		for i, f := range frames {
-			if !reflect.DeepEqual(*f, sent[i]) {
-				d.t.Fatalf("labeled frame %d is %+v, the upload sent %+v: the upload was reused before its callback", i, *f, sent[i])
-			}
-		}
+	called := false
+	ok := d.Device.Enqueue(frames, now, func(res cloud.BatchResult) {
+		called = true
 		d.labeled = sent
 		cb(res)
 		d.labeled = nil
 	})
+	if ok && !called {
+		d.waited++
+		for _, f := range frames {
+			f.Index, f.Time, f.DomainID, f.Complexity = -1, math.NaN(), -1, math.NaN()
+		}
+	}
+	return ok
 }
 
 // lifetimeStrategy wraps the deployment's strategy: OnCloudBatch must see
@@ -112,12 +117,14 @@ func (st *lifetimeStrategy) OnCloudBatch(frames []*video.Frame, labels [][]detec
 	})
 }
 
-// TestUploadLifetime holds the upload cycle to its ownership contract:
-// an upload is reused only once its labeled callback has returned or the
-// cloud dropped it, and the events-fidelity label deposit, which fires
-// later, reads nothing of it. On an arrival-order tier the callback runs
-// inside Enqueue; on a wfq tier with a slow teacher each batch waits while
-// the device samples, flushes and reuses uploads.
+// TestUploadLifetime holds the upload cycle to its ownership contract: the
+// strategy hook sees frames equal to the uploaded ones, the cloud reads an
+// analytic batch's frames only during Enqueue, and the events-fidelity label
+// deposit, which fires later, reads nothing of the upload. On an
+// arrival-order tier the callback runs inside Enqueue; on a wfq tier with a
+// slow teacher each batch waits while the device samples, flushes and
+// reuses uploads, and the run must still match one whose frames nobody
+// overwrote.
 func TestUploadLifetime(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -147,11 +154,19 @@ func TestUploadLifetime(t *testing.T) {
 			if r.CloudBatches < 20 || st.deposits < 20 || r.Sessions == 0 {
 				t.Fatalf("%d batches labeled, %d deposits, %d sessions: the run proves nothing", r.CloudBatches, st.deposits, r.Sessions)
 			}
-			if tc.latency > 0 && r.CloudQueueDelayMaxSec < 10 {
-				t.Fatalf("longest queueing delay %.1f s: no batch waited while the device uploaded more", r.CloudQueueDelayMaxSec)
+			if tc.latency > 0 && (r.CloudQueueDelayMaxSec < 10 || dev.waited < 20) {
+				t.Fatalf("longest queueing delay %.1f s, %d batches waited: too few waited while the device uploaded more", r.CloudQueueDelayMaxSec, dev.waited)
 			}
-			t.Logf("%d uploads, %d labeled, %d deposits, %d sessions, max queueing %.1f s",
-				dev.uploaded, r.CloudBatches, st.deposits, r.Sessions, r.CloudQueueDelayMaxSec)
+			plain, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runEvents(plain, cfg.DurationSec)
+			if want := plain.Finish(); !reflect.DeepEqual(r, want) {
+				t.Fatal("the wrapped run's results differ from a plain run's: the cloud read frames after Enqueue returned")
+			}
+			t.Logf("%d uploads, %d waited, %d labeled, %d deposits, %d sessions, max queueing %.1f s",
+				dev.uploaded, dev.waited, r.CloudBatches, st.deposits, r.Sessions, r.CloudQueueDelayMaxSec)
 		})
 	}
 }

@@ -130,31 +130,29 @@ func (p *Profile) segmentAt(t float64) (idx int, offset float64) {
 // EffectiveDomain returns the domain parameters in force at stream time t,
 // blending across TransitionSec at segment boundaries.
 func (p *Profile) EffectiveDomain(t float64) *Domain {
-	_, a, b, blend := p.blendAt(t)
-	return lerpDomain(a, b, blend)
+	from, to, blend := p.blendAt(t)
+	return lerpDomain(&p.Domains[from], &p.Domains[to], blend)
 }
 
-// blendAt resolves the script at stream time t: the index into Domains of
-// the active segment's domain, and the two domains EffectiveDomain(t)
-// blends with their blend — lerpDomain(a, b, blend) is the effective
-// domain. Outside a transition window a and b are both the active domain
-// and blend is 0.
-func (p *Profile) blendAt(t float64) (dom int, a, b *Domain, blend float64) {
+// blendAt resolves the script at stream time t into the two indices into
+// Domains that EffectiveDomain(t) blends, and their blend:
+// lerpDomain(&Domains[from], &Domains[to], blend) is the effective domain.
+// to is the active segment's domain; from is the one before it inside a
+// transition window, and to with blend 0 outside one.
+func (p *Profile) blendAt(t float64) (from, to int, blend float64) {
 	idx, offset := p.segmentAt(t)
-	dom = p.Script[idx].DomainIndex
-	cur := &p.Domains[dom]
+	to = p.Script[idx].DomainIndex
 	if p.TransitionSec <= 0 || offset >= p.TransitionSec {
-		return dom, cur, cur, 0
+		return to, to, 0
 	}
 	prevIdx := idx - 1
 	if prevIdx < 0 {
 		prevIdx = len(p.Script) - 1
 	}
-	prev := &p.Domains[p.Script[prevIdx].DomainIndex]
-	if prev == cur {
-		return dom, cur, cur, 0
+	if from = p.Script[prevIdx].DomainIndex; from == to {
+		return to, to, 0
 	}
-	return dom, prev, cur, offset / p.TransitionSec
+	return from, to, offset / p.TransitionSec
 }
 
 // DomainIndexAt returns the index (into Domains) of the dominant domain at t.

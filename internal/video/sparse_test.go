@@ -28,35 +28,48 @@ func TestSparseStreamRandomAccess(t *testing.T) {
 	}
 }
 
-// TestMetaIntoOverwritesWhole: MetaInto over a frame whose every field is
-// set leaves exactly Meta's frame, so a reused frame carries nothing of the
-// one before it. The dirty frame is built field by field through
-// reflection, so a field added to Frame is dirtied too.
+// dirtyFrame returns a frame whose every field is set to a value no frame
+// carries. It is built field by field through reflection, so a field added
+// to Frame is dirtied too.
+func dirtyFrame(t testing.TB) Frame {
+	var dirty Frame
+	v := reflect.ValueOf(&dirty).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(-7)
+		case reflect.Float64:
+			f.SetFloat(math.NaN())
+		case reflect.String:
+			f.SetString("stale")
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		default:
+			t.Fatalf("Frame.%s: no dirty value for a %s field; add one", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return dirty
+}
+
+// TestMetaIntoOverwritesWhole: MetaInto, and Unpack of what Pack returns,
+// over a frame whose every field is set leave exactly Meta's frame, so a
+// reused frame carries nothing of the one before it.
 func TestMetaIntoOverwritesWhole(t *testing.T) {
 	p := DETRACProfile()
 	s := NewSparseStream(p, 3)
 	dt := 1 / p.FPS
 	for _, idx := range []int{0, 100, 3000, 50000} {
-		var dirty Frame
-		v := reflect.ValueOf(&dirty).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			switch f := v.Field(i); f.Kind() {
-			case reflect.Int:
-				f.SetInt(-7)
-			case reflect.Float64:
-				f.SetFloat(math.NaN())
-			case reflect.String:
-				f.SetString("stale")
-			case reflect.Slice:
-				f.Set(reflect.MakeSlice(f.Type(), 1, 1))
-			default:
-				t.Fatalf("Frame.%s: no dirty value for a %s field; add one", v.Type().Field(i).Name, f.Kind())
-			}
-		}
 		tm := float64(idx) * dt
+		want := s.Meta(idx, tm)
+		dirty := dirtyFrame(t)
 		s.MetaInto(&dirty, idx, tm)
-		if want := s.Meta(idx, tm); !reflect.DeepEqual(&dirty, want) {
+		if !reflect.DeepEqual(&dirty, want) {
 			t.Fatalf("frame %d: MetaInto over a used frame left %+v, Meta gives %+v", idx, dirty, *want)
+		}
+		dirty = dirtyFrame(t)
+		s.Unpack(&dirty, s.Pack(idx, tm), dt)
+		if !reflect.DeepEqual(&dirty, want) {
+			t.Fatalf("frame %d: Unpack over a used frame left %+v, Meta gives %+v", idx, dirty, *want)
 		}
 	}
 }
@@ -128,7 +141,7 @@ func TestSparseStreamMatchesEffectiveDomain(t *testing.T) {
 				tm := start + off
 				// The probes must land where they claim: the blend itself is
 				// what the oracle is about.
-				if _, _, _, blend := p.blendAt(tm); prev != seg.DomainIndex &&
+				if _, _, blend := p.blendAt(tm); prev != seg.DomainIndex &&
 					(k == 1 && !(blend > 0 && blend < 1) || k == 2 && !(blend > 0.999 && blend < 1)) {
 					t.Fatalf("%s segment %d at +%v s: blend %v", p.Name, i, off, blend)
 				}
@@ -147,4 +160,48 @@ func TestSparseStreamMatchesEffectiveDomain(t *testing.T) {
 			start += seg.Duration
 		}
 	}
+}
+
+// FuzzPackedMetaMatchesMetaInto holds the packed form to the frame it
+// stands for: over a stock profile, or a three-segment script of two
+// domains with fuzzed frame rate, transition window, segment lengths and
+// complexities, Unpack(Pack(idx, t)) must overwrite a dirty frame with
+// exactly what MetaInto(idx, t) writes, floats compared by Float64bits, at
+// t = float64(idx)·dt. The script holds a transition between the two
+// domains, one from a domain into itself (no blend) and the wrap from the
+// last segment into the first. The checked-in seeds land at a window's
+// first frame (blend 0, named for the domain blended from), at a blend of
+// exactly 0.5 (named for the domain blended into), just below blend 1 and
+// past the window.
+func FuzzPackedMetaMatchesMetaInto(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stock uint8, fps, transition, seg0, seg1, c0, c1 float64, idx uint32) {
+		p := &Profile{
+			FPS:           fps,
+			TransitionSec: transition,
+			Domains:       []Domain{{Name: "d0", Complexity: c0}, {Name: "d1", Complexity: c1}},
+			Script:        []Segment{{0, seg0}, {1, seg1}, {1, seg0}},
+		}
+		if stocks := StockProfiles(); int(stock) < len(stocks) {
+			p = stocks[stock]
+		}
+		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+		if !(p.FPS >= 1 && p.FPS <= 1000) || !finite(p.TransitionSec) || !(seg0 > 0 && seg0 <= 1e6) ||
+			!(seg1 > 0 && seg1 <= 1e6) || !finite(c0) || !finite(c1) || idx > math.MaxInt32 {
+			t.Skip()
+		}
+		s := NewSparseStream(p, 1)
+		dt := 1 / p.FPS
+		k := int(idx)
+		tm := float64(k) * dt
+		var want Frame
+		s.MetaInto(&want, k, tm)
+		got := dirtyFrame(t)
+		s.Unpack(&got, s.Pack(k, tm), dt)
+		bits := math.Float64bits
+		if !reflect.DeepEqual(got, want) || bits(got.Time) != bits(want.Time) ||
+			bits(got.Complexity) != bits(want.Complexity) || bits(got.Motion) != bits(want.Motion) {
+			_, _, blend := p.blendAt(tm)
+			t.Fatalf("frame %d at %v s (blend %v): unpacked %+v, MetaInto %+v", k, tm, blend, got, want)
+		}
+	})
 }
