@@ -32,6 +32,8 @@ var (
 	qualified   = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*(?:\.\w+)?)(?:\(.*\))?$`)
 	runFlag     = regexp.MustCompile(`(?:^|\s)-run\s+('[^']*'|"[^"]*"|[^\s'"` + "`" + `]+)`)
 	snakeCase   = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)+$`)
+	dottedName  = regexp.MustCompile(`^([a-z][a-z0-9_]*)(?:\.[a-z0-9_-]+)+$`)
+	fileName    = regexp.MustCompile(`\.(go|s|md|json|jsonl|yml|txt|sh)$`)
 	goRun       = regexp.MustCompile("go run \\./cmd/([\\w-]+)([^`&|;<>()\\n]*)")
 	flagToken   = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(=.*)?$`)
 )
@@ -48,6 +50,8 @@ var (
 // repo package, must be declared in that package (_test.go files count). A
 // snake_case name must be a json tag of a struct field in non-test Go (a
 // spec key, a results field) or a workload or metric of BENCHMARK.json. A
+// dotted lower-case name whose first segment is that of some BENCHMARK.json
+// metric (sim.engine.serial_s, cloud.batches) must be a declared metric. A
 // command go run ./cmd/<bin> may pass only flags that <bin> defines.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	binFlags := binaryFlags(t)
@@ -60,6 +64,15 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	if got, want := goRunSetKeys(goRunCommands(setSample, setSample)), []binFlag{{"shoggoth-sim", "strategy"}, {"shoggoth-sim", "cloud"}, {"shoggoth-edge", "duration"}, {"shoggoth-sim", "seed"}}; !slices.Equal(got, want) {
 		t.Fatalf("goRunSetKeys on a sample: %v, want %v", got, want)
 	}
+	sampleMetrics := map[string]bool{"sim.engine.serial_s": true, "cloud.batches": true}
+	for name, want := range map[string]bool{
+		"sim.engine.serial_s": false, "sim.engine.serial_ss": true, "cloud.batchs": true,
+		"sim.go": false, "fleet.go": false, "upload.done": false, "cloud.Labeler": false,
+	} {
+		if got := misnamedMetric(name, sampleMetrics, nil); got != want {
+			t.Fatalf("misnamedMetric(%q) on a sample: %v, want %v", name, got, want)
+		}
+	}
 	specKeys := map[string]bool{}
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(runspec.Spec{})) {
 		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
@@ -67,12 +80,13 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 	tests := map[string]bool{}
 	keys := map[string]bool{} // json tags and BENCHMARK.json names
+	metrics := map[string]bool{}
 	bench := readBenchmark(t)
 	for _, w := range bench.Workloads {
 		keys[w.Name] = true
 	}
 	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
-		keys[m.Name] = true
+		keys[m.Name], metrics[m.Name] = true, true
 	}
 	var names string // every test name, one per line, for -run patterns
 	pkgs, decls := map[string]bool{}, map[string]bool{}
@@ -170,6 +184,10 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				if !keys[name] {
 					t.Errorf("%s names %s, which is no json tag and no BENCHMARK.json name", doc, name)
 				}
+			case dottedName.MatchString(name):
+				if misnamedMetric(name, metrics, decls) {
+					t.Errorf("%s names %s, which reads as a metric but BENCHMARK.json declares no such name", doc, name)
+				}
 			case strings.Contains(name, "/"):
 				first, _, _ := strings.Cut(strings.TrimSuffix(name, "/"), "/")
 				if first == "" || !exists(first) || exists(name) {
@@ -185,6 +203,23 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			}
 		}
 	}
+}
+
+// misnamedMetric reports whether name reads as a metric name — a dotted
+// lower-case token whose first segment begins some metric of metrics — but
+// is none of them. A file name, or a Go name that decls holds, reads as no
+// metric.
+func misnamedMetric(name string, metrics, decls map[string]bool) bool {
+	m := dottedName.FindStringSubmatch(name)
+	if m == nil || metrics[name] || decls[name] || fileName.MatchString(name) {
+		return false
+	}
+	for metric := range metrics {
+		if strings.HasPrefix(metric, m[1]+".") {
+			return true
+		}
+	}
+	return false
 }
 
 // goRunCommand is one go run ./cmd/<bin> command of a document: the binary

@@ -30,42 +30,25 @@ func sameDecoded(got, want *LabelRequest) error {
 		if (g.Proposals == nil) != (w.Proposals == nil) || cap(g.Proposals) != len(g.Proposals) {
 			return fmt.Errorf("Frames[%d].Proposals: nil %v vs %v, cap %d len %d", i, g.Proposals == nil, w.Proposals == nil, cap(g.Proposals), len(g.Proposals))
 		}
-		for j := range w.Proposals {
-			gf, wf := g.Proposals[j].Features, w.Proposals[j].Features
-			if (gf == nil) != (wf == nil) || cap(gf) != len(gf) {
-				return fmt.Errorf("Frames[%d].Proposals[%d].Features: nil %v vs %v, cap %d len %d", i, j, gf == nil, wf == nil, cap(gf), len(gf))
-			}
-		}
 	}
 	return nil
 }
 
 // TestArenaDecodeMatchesFreshDecode: one arena, a sequence of uploads chosen
 // so that each could show the one before through it — large then small,
-// GT-heavy then GT-free, features then none, a decode that fails half way
-// then a good one — and every result is what DecodeLabelRequest makes of the
-// same bytes on fresh memory.
+// GT-heavy then GT-free, a decode that fails half way then a good one — and
+// every result is what DecodeLabelRequest makes of the same bytes on fresh
+// memory.
 func TestArenaDecodeMatchesFreshDecode(t *testing.T) {
 	large, _ := realUpload(t, 4)
 	small := &LabelRequest{DeviceID: "edge-2", SLOClass: "gold", Frames: collectFrames(video.DETRACProfile(), 5, 2, 15)}
-	strip := func(req *LabelRequest, gt, features bool) *LabelRequest {
-		out := *req
-		out.Frames = make([]video.Frame, len(req.Frames))
-		for i, f := range req.Frames {
-			f.Proposals = append([]video.Proposal(nil), f.Proposals...)
-			for j := range f.Proposals {
-				if gt {
-					f.Proposals[j].GT = nil
-				}
-				if features {
-					f.Proposals[j].Features = nil
-				}
-			}
-			out.Frames[i] = f
+	gtFree := onWire(large)
+	for i := range gtFree.Frames {
+		for j := range gtFree.Frames[i].Proposals {
+			gtFree.Frames[i].Proposals[j].GT = nil
 		}
-		return &out
 	}
-	gtHeavy := strip(large, false, false)
+	gtHeavy := onWire(large)
 	for i := range gtHeavy.Frames {
 		for j := range gtHeavy.Frames[i].Proposals {
 			pr := &gtHeavy.Frames[i].Proposals[j]
@@ -74,7 +57,7 @@ func TestArenaDecodeMatchesFreshDecode(t *testing.T) {
 			}
 		}
 	}
-	empty := strip(small, true, true)
+	empty := onWire(small)
 	for i := range empty.Frames {
 		empty.Frames[i].Proposals = nil
 	}
@@ -87,9 +70,7 @@ func TestArenaDecodeMatchesFreshDecode(t *testing.T) {
 		{"large", largeMsg},
 		{"small after large", enc(small)},
 		{"GT-heavy", enc(gtHeavy)},
-		{"GT-free", enc(strip(large, true, false))},
-		{"features", largeMsg},
-		{"no features", enc(strip(large, false, true))},
+		{"GT-free", enc(gtFree)},
 		{"cut half way", largeMsg[:len(largeMsg)/2]},
 		{"good after a failure", enc(small)},
 		{"trailing byte", append(bytes.Clone(largeMsg), 0)},
@@ -139,7 +120,7 @@ func TestArenaDecodeMatchesFreshDecode(t *testing.T) {
 		}
 	}
 	for _, p := range arena.proposals[:cap(arena.proposals)] {
-		if p.GT != nil || p.Features != nil {
+		if p.GT != nil {
 			t.Fatal("reset left a proposal's pointers behind")
 		}
 	}

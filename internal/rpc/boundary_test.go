@@ -45,8 +45,8 @@ func TestForeignBodyGets400NamingVersion(t *testing.T) {
 	v1[3] = 1
 	for name, body := range map[string][]byte{"gob": gobBody.Bytes(), "version 1": v1, "empty": nil} {
 		code, text := postLabel(t, srv.URL, bytes.NewReader(body))
-		if code != http.StatusBadRequest || !strings.Contains(text, "wire version 2") {
-			t.Fatalf("%s body: want 400 naming wire version 2, got %d %q", name, code, text)
+		if code != http.StatusBadRequest || !strings.Contains(text, "wire version 3") {
+			t.Fatalf("%s body: want 400 naming wire version 3, got %d %q", name, code, text)
 		}
 	}
 }
@@ -132,12 +132,18 @@ func TestClientRefusesOversizeReply(t *testing.T) {
 }
 
 // TestClientRefusesOversizeRequest: an upload the server is bound to answer
-// 413 is not sent at all.
+// 413 is not sent at all. It is one frame of zero-valued proposals, each
+// with a GT, so each encodes at exactly minProposalBytes+minGTBytes.
 func TestClientRefusesOversizeRequest(t *testing.T) {
 	var hits atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { hits.Add(1) }))
 	defer srv.Close()
-	huge := []video.Frame{{Proposals: []video.Proposal{{Features: make([]float64, MaxLabelRequestBytes/8+1)}}}}
+	gt := &video.GT{}
+	proposals := make([]video.Proposal, MaxLabelRequestBytes/(minProposalBytes+minGTBytes)+1)
+	for i := range proposals {
+		proposals[i].GT = gt
+	}
+	huge := []video.Frame{{Proposals: proposals}}
 	_, err := NewClient(srv.URL, "edge-1").Label(huge, 0.9, 0.5)
 	if err == nil || !strings.Contains(err.Error(), "cap") || hits.Load() != 0 {
 		t.Fatalf("want the upload refused locally, got %v after %d requests", err, hits.Load())

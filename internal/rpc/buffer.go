@@ -17,8 +17,8 @@ import (
 // The server's decoded requests follow the same rule one level up. A
 // handler takes a requestArena with getArena, decodes the upload into it and
 // gives it back with putArena when it returns; between the two, the
-// request's Frames — and every *video.Frame, Proposals, Features and GT
-// reached through them — belong to that handler alone. It lends them to the
+// request's Frames — and every *video.Frame, Proposals and GT reached
+// through them — belong to that handler alone. It lends them to the
 // cloud for the length of the Admit and LabelFrames calls and to no one for
 // longer: cloud keeps no frame past LabelFrames (see its doc), and the reply
 // is built from the teacher's own label slices, never from arena memory, so

@@ -18,7 +18,7 @@
 //     in the package's own binary format (wire.go; the table is in DESIGN.md
 //     §8): positional, length-checked, float64s as their raw bits so the
 //     labels the edge trains on are the teacher's to the last bit. There is
-//     one format and one version of it, WireVersion 2 (registration is
+//     one format and one version of it, WireVersion 3 (registration is
 //     JSON, outside it) — a body in anything else is a 400 naming the
 //     version expected. Bodies move whole through pooled buffers
 //     with Content-Length set on both legs (buffer.go has the ownership
@@ -27,9 +27,11 @@
 //   - GET /v1/status?device=ID answers a StatusResponse as JSON, for
 //     operators and Client.Status alike.
 //
-// One honesty note: requests carry full frame descriptions including ground
-// truth, because the teacher is a simulated oracle (see DESIGN.md §2). A
-// production system would upload encoded images instead.
+// One honesty note: a request carries each frame's header and, per
+// proposal, its track id, anchor box and ground truth, because the teacher
+// is a simulated oracle (see DESIGN.md §2). It leaves out the student's
+// feature vectors and true offsets, which the edge keeps for its own
+// training. A production system would upload encoded images instead.
 package rpc
 
 import (

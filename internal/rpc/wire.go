@@ -11,7 +11,7 @@ import (
 	"shoggoth/internal/video"
 )
 
-// The /v1/label wire format, version 2 (the table is in DESIGN.md §8).
+// The /v1/label wire format, version 3 (the table is in DESIGN.md §8).
 //
 // A message is a 4-byte header — three magic bytes naming the message kind
 // and one version byte — followed by the fields of the Go struct in a fixed
@@ -24,9 +24,14 @@ import (
 //	slice    uvarint element count, then the elements
 //	*GT      one byte, 0 (nil) or 1, then the GT when 1
 //
+// A request carries what the cloud reads of a frame: its header and, per
+// proposal, the track id, the anchor box and the GT. A proposal's student
+// features and TrueOffset stay on the edge, which trains on its own copy of
+// the frame; a decoded proposal has nil Features and a zero TrueOffset.
+//
 // Ahead of its frames a request carries the totals the decoder allocates
-// from — frames, proposals, feature floats, GTs — and a reply carries its
-// label total ahead of the label sets, which its φs follow, one per set.
+// from — frames, proposals, GTs — and a reply carries its label total ahead
+// of the label sets, which its φs follow, one per set.
 // The decoder charges every total
 // against the bytes that remain at the element's true minimum encoded size
 // before it allocates, so a hostile count can never make it allocate more
@@ -42,15 +47,18 @@ import (
 // error that names the version this side speaks; nothing is negotiated.
 const (
 	// WireVersion is the fourth header byte of every label message.
-	WireVersion = 2
+	WireVersion = 3
 
 	// MaxLabelRequestBytes caps one /v1/label upload. The server answers 413
 	// beyond it (by declared Content-Length or by bytes actually read) and
-	// the client refuses to send one. A 20-frame DETRAC batch is ~100 KB.
+	// the client refuses to send one. A 20-frame DETRAC batch is ~17 KB.
 	MaxLabelRequestBytes = 16 << 20
-	// MaxLabelResponseBytes caps the reply the client will read. A label is
-	// about a ninth the size of the proposal it answers, so any request
-	// under its cap draws a reply well under this one.
+	// MaxLabelResponseBytes caps the reply the client will read. A label
+	// (at least 42 B) is about the size of the proposal it answers (34 B,
+	// 68 with a GT), so a request of more than about 100,000 proposals —
+	// thousands of frames, far beyond any batch an edge uploads — draws a
+	// reply past this cap, which the client refuses. A 20-frame DETRAC
+	// reply is ~12 KB.
 	MaxLabelResponseBytes = 4 << 20
 )
 
@@ -63,7 +71,7 @@ const (
 	// Minimum encoded sizes (every varint one byte, every string and slice
 	// empty): what a claimed count is charged per element.
 	minFrameBytes    = 1 + 8 + 1 + 1 + 1 + 8 + 8 + 1 // Index Time Domain DomainID NumGT Complexity Motion nProposals
-	minProposalBytes = 1 + 32 + 32 + 1 + 1           // TrackID Anchor TrueOffset hasGT nFeatures
+	minProposalBytes = 1 + 32 + 1                    // TrackID Anchor hasGT
 	minGTBytes       = 1 + 1 + 32                    // TrackID Class Box
 	minLabelSetBytes = 1 + 8                         // nLabels, and the set's φ in Phis
 	minLabelBytes    = 1 + 1 + 32 + 8                // ProposalIdx Class Box Confidence
@@ -109,13 +117,12 @@ func putBox(b []byte, x geom.Box) []byte {
 //
 //shoggoth:hotpath
 func AppendLabelRequest(dst []byte, req *LabelRequest) []byte {
-	var nProposals, nFeatures, nGT, domainBytes int
+	var nProposals, nGT, domainBytes int
 	for i := range req.Frames {
 		f := &req.Frames[i]
 		nProposals += len(f.Proposals)
 		domainBytes += len(f.Domain)
 		for j := range f.Proposals {
-			nFeatures += len(f.Proposals[j].Features)
 			if f.Proposals[j].GT != nil {
 				nGT++
 			}
@@ -123,9 +130,9 @@ func AppendLabelRequest(dst []byte, req *LabelRequest) []byte {
 	}
 	// Upper bound: every varint at its 10-byte maximum.
 	const maxVarint = binary.MaxVarintLen64
-	b := reserve(dst, headerBytes+2*maxVarint+len(req.DeviceID)+len(req.SLOClass)+16+4*maxVarint+
+	b := reserve(dst, headerBytes+2*maxVarint+len(req.DeviceID)+len(req.SLOClass)+16+3*maxVarint+
 		len(req.Frames)*(5*maxVarint+24)+domainBytes+
-		nProposals*(2*maxVarint+65)+nGT*(2*maxVarint+32)+nFeatures*8)
+		nProposals*(maxVarint+33)+nGT*(2*maxVarint+32))
 
 	b = putBytes(b, requestMagic+versionByte)
 	b = putString(b, req.DeviceID)
@@ -134,7 +141,6 @@ func AppendLabelRequest(dst []byte, req *LabelRequest) []byte {
 	b = putF64(b, req.Lambda)
 	b = binary.AppendUvarint(b, uint64(len(req.Frames)))
 	b = binary.AppendUvarint(b, uint64(nProposals))
-	b = binary.AppendUvarint(b, uint64(nFeatures))
 	b = binary.AppendUvarint(b, uint64(nGT))
 	for i := range req.Frames {
 		f := &req.Frames[i]
@@ -150,9 +156,6 @@ func AppendLabelRequest(dst []byte, req *LabelRequest) []byte {
 			p := &f.Proposals[j]
 			b = putInt(b, p.TrackID)
 			b = putBox(b, p.Anchor)
-			for _, v := range p.TrueOffset {
-				b = putF64(b, v)
-			}
 			if p.GT == nil {
 				b = putBytes(b, "\x00")
 			} else {
@@ -160,10 +163,6 @@ func AppendLabelRequest(dst []byte, req *LabelRequest) []byte {
 				b = putInt(b, p.GT.TrackID)
 				b = putInt(b, p.GT.Class)
 				b = putBox(b, p.GT.Box)
-			}
-			b = binary.AppendUvarint(b, uint64(len(p.Features)))
-			for _, v := range p.Features {
-				b = putF64(b, v)
 			}
 		}
 	}
@@ -384,13 +383,12 @@ func DecodeLabelRequest(b []byte, req *LabelRequest) error {
 //
 // Invariant: beyond their current length the two slabs that hold pointers —
 // frames and proposals — and the view are all zero, so a carve from them
-// starts empty and no Proposals, Features or GT of an earlier request can
-// show through a later one. features and gts hold no pointers, and every
-// element a request carves from them is overwritten before it is exposed.
+// starts empty and no Proposals or GT of an earlier request can show
+// through a later one. gts holds no pointers, and every element a request
+// carves from it is overwritten before it is exposed.
 type requestArena struct {
 	frames    []video.Frame
 	proposals []video.Proposal
-	features  []float64
 	gts       []video.GT
 	view      []*video.Frame
 }
@@ -439,20 +437,18 @@ func (a *requestArena) decode(b []byte, req *LabelRequest) error {
 		Alpha:    r.f64(),
 		Lambda:   r.f64(),
 	}
-	totals := [4]uint64{r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()}
+	totals := [3]uint64{r.uvarint(), r.uvarint(), r.uvarint()}
 	budget := uint64(r.remaining())
 	nFrames := r.claim(&budget, totals[0], minFrameBytes, "frames")
 	nProposals := r.claim(&budget, totals[1], minProposalBytes, "proposals")
-	nFeatures := r.claim(&budget, totals[2], 8, "feature values")
-	nGT := r.claim(&budget, totals[3], minGTBytes, "ground truths")
+	nGT := r.claim(&budget, totals[2], minGTBytes, "ground truths")
 	if r.err != nil {
 		return r.err
 	}
-	// The four slabs below are the decoded message itself, each bounded by
+	// The three slabs below are the decoded message itself, each bounded by
 	// the charge its total just passed.
 	var (
 		proposals []video.Proposal
-		features  []float64
 		gts       []video.GT
 	)
 	if nFrames > 0 {
@@ -460,9 +456,6 @@ func (a *requestArena) decode(b []byte, req *LabelRequest) error {
 	}
 	if nProposals > 0 {
 		proposals = slab(&a.proposals, nProposals)
-	}
-	if nFeatures > 0 {
-		features = slab(&a.features, nFeatures)
 	}
 	if nGT > 0 {
 		gts = slab(&a.gts, nGT)
@@ -485,7 +478,6 @@ func (a *requestArena) decode(b []byte, req *LabelRequest) error {
 			p := &f.Proposals[j]
 			p.TrackID = r.int()
 			p.Anchor = r.box()
-			r.f64s(p.TrueOffset[:])
 			if r.flag() {
 				if len(gts) == 0 {
 					return errors.New("rpc: wire: ground-truth counts exceed the message's declared total")
@@ -495,16 +487,12 @@ func (a *requestArena) decode(b []byte, req *LabelRequest) error {
 				p.GT.Class = r.int()
 				p.GT.Box = r.box()
 			}
-			if n := r.carve(len(features), "feature"); n > 0 {
-				p.Features, features = features[:n:n], features[n:]
-				r.f64s(p.Features)
-			}
 		}
 		if r.err != nil {
 			return r.err
 		}
 	}
-	if err := r.finish(len(proposals) + len(features) + len(gts)); err != nil {
+	if err := r.finish(len(proposals) + len(gts)); err != nil {
 		return err
 	}
 	*req = out

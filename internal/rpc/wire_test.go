@@ -10,9 +10,11 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"shoggoth/internal/cloud"
 	"shoggoth/internal/detect"
 	"shoggoth/internal/geom"
 	"shoggoth/internal/video"
@@ -164,6 +166,21 @@ func (g *gen) response() *LabelResponse {
 	return resp
 }
 
+// onWire is what a request decodes to: req with every proposal's Features
+// nil and TrueOffset zero, the two fields the edge keeps to itself.
+func onWire(req *LabelRequest) *LabelRequest {
+	out := *req
+	out.Frames = make([]video.Frame, len(req.Frames))
+	for i, f := range req.Frames {
+		f.Proposals = slices.Clone(f.Proposals)
+		for j := range f.Proposals {
+			f.Proposals[j].Features, f.Proposals[j].TrueOffset = nil, [4]float64{}
+		}
+		out.Frames[i] = f
+	}
+	return &out
+}
+
 // gobRoundTrip is the codec this package used to run, kept as the oracle.
 func gobRoundTrip(t *testing.T, in, out any) {
 	t.Helper()
@@ -177,8 +194,10 @@ func gobRoundTrip(t *testing.T, in, out any) {
 }
 
 // TestWireRoundTripProperty: decode(encode(x)) is x, bit for bit, over
-// generated requests and replies; on the values gob can carry it also
-// matches what the gob round trip used to deliver.
+// generated replies, and x's projection onWire over generated requests
+// (whose proposals carry features and offsets the encoder must leave out);
+// on the values gob can carry it also matches what the gob round trip of
+// that projection delivers.
 func TestWireRoundTripProperty(t *testing.T) {
 	for _, gobSafe := range []bool{false, true} {
 		g := &gen{rng: rand.New(rand.NewPCG(14, 1)), gobSafe: gobSafe}
@@ -188,7 +207,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 			if err := DecodeLabelRequest(AppendLabelRequest(nil, req), &got); err != nil {
 				t.Fatalf("request %d: %v", i, err)
 			}
-			if err := sameValue(req, &got); err != nil {
+			if err := sameValue(onWire(req), &got); err != nil {
 				t.Fatalf("request %d changed in flight: %v", i, err)
 			}
 			resp := g.response()
@@ -203,7 +222,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 				continue
 			}
 			var viaGob LabelRequest
-			gobRoundTrip(t, req, &viaGob)
+			gobRoundTrip(t, onWire(req), &viaGob)
 			if err := sameValue(&viaGob, &got); err != nil {
 				t.Fatalf("request %d: gob and wire disagree: %v", i, err)
 			}
@@ -216,17 +235,21 @@ func TestWireRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestWireRoundTripRealFrames: the frames the edge really uploads and the
-// labels the teacher really returns survive, against gob as well.
+// TestWireRoundTripRealFrames: what the cloud reads of the frames the edge
+// really uploads survives, against gob as well, and the features and
+// offsets the edge keeps are really there to leave out.
 func TestWireRoundTripRealFrames(t *testing.T) {
 	p := video.DETRACProfile()
 	req := &LabelRequest{DeviceID: "edge-1", Frames: collectFrames(p, 1, 20, 15), Alpha: 0.9, Lambda: 0.5}
+	if len(req.Frames[0].Proposals) == 0 || len(req.Frames[0].Proposals[0].Features) == 0 {
+		t.Fatal("the first real frame carries no proposal features")
+	}
 	var got, viaGob LabelRequest
 	if err := DecodeLabelRequest(AppendLabelRequest(nil, req), &got); err != nil {
 		t.Fatal(err)
 	}
-	gobRoundTrip(t, req, &viaGob)
-	if err := sameValue(req, &got); err != nil {
+	gobRoundTrip(t, onWire(req), &viaGob)
+	if err := sameValue(onWire(req), &got); err != nil {
 		t.Fatal(err)
 	}
 	if err := sameValue(&viaGob, &got); err != nil {
@@ -234,15 +257,79 @@ func TestWireRoundTripRealFrames(t *testing.T) {
 	}
 }
 
-// TestWireLayoutPinned pins the byte layout of version 2: a change here
-// without a WireVersion bump breaks deployed peers silently.
+// TestCloudReadsNothingTheWireDrops: the cloud labels what the wire keeps.
+// For each stock profile, three consecutive real 20-frame batches run
+// through one labeler chain on the edge's full frames, with every field the
+// wire drops poisoned (NaN features, random true offsets), and through a
+// second chain on the frames a request decodes to. Labels, φ and service
+// time agree bit for bit, and so do the analytic φs of an events-fidelity
+// device.
+func TestCloudReadsNothingTheWireDrops(t *testing.T) {
+	rng := rand.New(rand.NewPCG(53, 3))
+	for _, p := range video.StockProfiles() {
+		newLabeler := func() *cloud.Labeler {
+			return cloud.NewLabeler(detect.NewTeacher(p, rand.New(rand.NewPCG(7, 8))), cloud.DefaultLabelerConfig())
+		}
+		full, wire := newLabeler(), newLabeler()
+		frames := collectFrames(p, 1, 60, 15)
+		var labeled, moved int
+		for start := 0; start < len(frames); start += 20 {
+			batch := frames[start : start+20]
+			var decoded LabelRequest
+			if err := DecodeLabelRequest(AppendLabelRequest(nil, &LabelRequest{DeviceID: "edge-1", Frames: batch}), &decoded); err != nil {
+				t.Fatal(err)
+			}
+			poisoned := make([]*video.Frame, len(batch))
+			wireFrames := make([]*video.Frame, len(batch))
+			for i := range batch {
+				f := batch[i]
+				f.Proposals = slices.Clone(f.Proposals)
+				for j := range f.Proposals {
+					pr := &f.Proposals[j]
+					if len(pr.Features) == 0 {
+						t.Fatalf("%s frame %d proposal %d carries no features to poison", p.Name, f.Index, j)
+					}
+					pr.Features = make([]float64, len(pr.Features))
+					for k := range pr.Features {
+						pr.Features[k] = math.NaN()
+					}
+					for k := range pr.TrueOffset {
+						pr.TrueOffset[k] = rng.NormFloat64()
+					}
+				}
+				poisoned[i], wireFrames[i] = &f, &decoded.Frames[i]
+			}
+			for i := range batch {
+				got, want := wire.LabelFrame(wireFrames[i]), full.LabelFrame(poisoned[i])
+				if err := sameValue(&got, &want); err != nil {
+					t.Fatalf("%s frame %d: the decoded frame labels differently: %v", p.Name, batch[i].Index, err)
+				}
+				labeled += len(want.Labels)
+				if want.Phi != 0 {
+					moved++
+				}
+			}
+			gotPhis, wantPhis := wire.PhiAnalytic(nil, wireFrames), full.PhiAnalytic(nil, poisoned)
+			if err := sameValue(&gotPhis, &wantPhis); err != nil {
+				t.Fatalf("%s batch at frame %d: analytic φs differ: %v", p.Name, batch[0].Index, err)
+			}
+		}
+		if labeled == 0 || moved == 0 {
+			t.Fatalf("%s: the run exercised too little: %d labels, %d non-zero φ", p.Name, labeled, moved)
+		}
+	}
+}
+
+// TestWireLayoutPinned pins the byte layout of version 3: a change here
+// without a WireVersion bump breaks deployed peers silently. The proposal's
+// TrueOffset and Features are set and must not reach the wire.
 func TestWireLayoutPinned(t *testing.T) {
 	req := &LabelRequest{
 		DeviceID: "e1", Alpha: 1, Lambda: -2,
 		Frames: []video.Frame{{
 			Index: -1, Time: 0.5, Domain: "d", DomainID: 2, NumGT: 1,
 			Proposals: []video.Proposal{{
-				TrackID: 3, Anchor: geom.Box{X2: 1},
+				TrackID: 3, Anchor: geom.Box{X2: 1}, TrueOffset: [4]float64{5, 6, 7, 8},
 				GT:       &video.GT{TrackID: 3, Class: 4},
 				Features: []float64{2},
 			}},
@@ -252,14 +339,13 @@ func TestWireLayoutPinned(t *testing.T) {
 		return hex.EncodeToString(AppendLabelResponse(nil, &LabelResponse{PhiMean: v})[4:12])
 	}
 	zero4 := strings.Repeat(f64(0), 4)
-	want := "534751" + "02" + // "SGQ", version
+	want := "534751" + "03" + // "SGQ", version
 		"026531" + "00" + // DeviceID, SLOClass
 		f64(1) + f64(-2) + // Alpha, Lambda
-		"01" + "01" + "01" + "01" + // totals: frames, proposals, features, GTs
+		"01" + "01" + "01" + // totals: frames, proposals, GTs
 		"01" + f64(0.5) + "0164" + "04" + "02" + f64(0) + f64(0) + "01" + // frame: Index Time Domain DomainID NumGT Complexity Motion nProposals
-		"06" + f64(0) + f64(0) + f64(1) + f64(0) + zero4 + // proposal: TrackID Anchor TrueOffset
-		"01" + "06" + "08" + zero4 + // GT present: TrackID Class Box
-		"01" + f64(2) // Features
+		"06" + f64(0) + f64(0) + f64(1) + f64(0) + // proposal: TrackID Anchor
+		"01" + "06" + "08" + zero4 // GT present: TrackID Class Box
 	if got := hex.EncodeToString(AppendLabelRequest(nil, req)); got != want {
 		t.Fatalf("request layout moved:\n got %s\nwant %s", got, want)
 	}
@@ -269,7 +355,7 @@ func TestWireLayoutPinned(t *testing.T) {
 	resp := &LabelResponse{PhiMean: 1, NewRate: 2, QueueDelaySec: 0.5,
 		Labels: [][]detect.TeacherLabel{nil, {{ProposalIdx: 1, Class: -1, Confidence: 1}}},
 		Phis:   []float64{0, 2}}
-	wantResp := "534752" + "02" + f64(1) + f64(2) + f64(0.5) +
+	wantResp := "534752" + "03" + f64(1) + f64(2) + f64(0.5) +
 		"02" + "01" + // totals: sets, labels
 		"00" + // empty set
 		"01" + "02" + "01" + zero4 + f64(1) + // one label: ProposalIdx Class Box Confidence
@@ -326,16 +412,18 @@ func TestWireRejectsOtherFormats(t *testing.T) {
 	}
 	v1 := AppendLabelRequest(nil, &LabelRequest{DeviceID: "edge-1"})
 	v1[3] = 1
+	v2 := bytes.Clone(v1)
+	v2[3] = 2
 	reply := AppendLabelResponse(nil, &LabelResponse{})
 	var req LabelRequest
-	for name, body := range map[string][]byte{"gob": gobBody.Bytes(), "version 1": v1, "a reply": reply, "empty": nil} {
+	for name, body := range map[string][]byte{"gob": gobBody.Bytes(), "version 1": v1, "version 2": v2, "a reply": reply, "empty": nil} {
 		err := DecodeLabelRequest(body, &req)
-		if err == nil || !strings.Contains(err.Error(), "version 2") {
-			t.Fatalf("%s body: want an error naming wire version 2, got %v", name, err)
+		if err == nil || !strings.Contains(err.Error(), "version 3") {
+			t.Fatalf("%s body: want an error naming wire version 3, got %v", name, err)
 		}
 	}
 	var resp LabelResponse
-	if err := DecodeLabelResponse(v1, &resp); err == nil || !strings.Contains(err.Error(), "version 2") {
+	if err := DecodeLabelResponse(v1, &resp); err == nil || !strings.Contains(err.Error(), "version 3") {
 		t.Fatalf("request handed to the reply decoder: %v", err)
 	}
 	label := []detect.TeacherLabel{{Confidence: 1}}
@@ -349,7 +437,7 @@ func TestWireRejectsOtherFormats(t *testing.T) {
 // 2^60 frames in a body a few dozen bytes long.
 func hostileCount() []byte {
 	msg := AppendLabelRequest(nil, &LabelRequest{DeviceID: "x"})
-	msg = msg[:len(msg)-4]                                                  // drop the four zero totals
+	msg = msg[:len(msg)-3]                                                  // drop the three zero totals
 	msg = append(msg, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10) // uvarint 1<<60
 	return append(msg, 0, 0, 0)
 }
@@ -379,7 +467,7 @@ func TestWireHostileCountsFailFast(t *testing.T) {
 	// 2^40 is refused before anything is allocated for it.
 	p := video.DETRACProfile()
 	valid := AppendLabelRequest(nil, &LabelRequest{DeviceID: "x", Frames: collectFrames(p, 3, 2, 15)})
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		at := headerBytes + 2 + 1 + 16 // past DeviceID "x", the empty SLOClass, Alpha, Lambda
 		for j := 0; j < i; j++ {
 			_, n := binary.Uvarint(valid[at:])
@@ -444,9 +532,9 @@ func TestWireAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// Four slabs, DeviceID, and one string per run of frames sharing a Domain.
-		if n > 8 {
-			t.Errorf("×%d proposals: request decode allocates %v times, want ≤ 8", dup, n)
+		// Three slabs, DeviceID, and one string per run of frames sharing a Domain.
+		if n > 7 {
+			t.Errorf("×%d proposals: request decode allocates %v times, want ≤ 7", dup, n)
 		}
 		var gotResp LabelResponse
 		n = testing.AllocsPerRun(20, func() {
