@@ -77,6 +77,9 @@ func oneDevice(specFile string, sets []string) (shoggoth.Config, error) {
 	if err != nil {
 		return shoggoth.Config{}, err
 	}
+	if len(r.Experiments) > 0 {
+		return shoggoth.Config{}, fmt.Errorf("spec key exp: %s runs the paper's experiments; an edge runs one device", spec.Exp)
+	}
 	if len(r.Kinds) != 1 {
 		return shoggoth.Config{}, fmt.Errorf("spec key strategy: %s runs %d strategies; an edge runs one", spec.Strategy, len(r.Kinds))
 	}

@@ -114,6 +114,7 @@ func TestEdgeRunsOneFullFidelityDevice(t *testing.T) {
 		{[]string{"scenario=rush-hour"}, "spec key scenario"},
 		{[]string{"fidelity=events"}, "spec key fidelity"},
 		{[]string{"devices=2", "fidelity=sampled"}, "spec key devices"},
+		{[]string{"exp=table1"}, "spec key exp"},
 	} {
 		args := []string{"-cloud", "http://127.0.0.1:1"}
 		for _, kv := range tc.sets {

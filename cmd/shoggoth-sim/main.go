@@ -1,14 +1,15 @@
 // Command shoggoth-sim runs one strategy, or all of them side by side, on a
 // dataset profile, a scenario world or a cluster of devices sharing one
 // cloud tier, and prints the paper's metrics (mAP@0.5, up/down bandwidth,
-// average FPS). A run is one JSON spec with runspec.Spec's keys: -spec loads a
-// file, each -set path=value edits one key by dot path (the value is JSON
-// if it parses, else a string), and -print-spec prints the result, which
-// -spec replays:
+// average FPS), or with its exp key the paper's tables and figures. A run
+// is one JSON spec with runspec.Spec's keys: -spec loads a file, each -set
+// path=value edits one key by dot path (the value is JSON if it parses,
+// else a string), and -print-spec prints the result, which -spec replays:
 //
 //	shoggoth-sim -set strategy=all -set duration=300 -set seed=7
 //	shoggoth-sim -set scenario=hetero-fleet -set cloud.service.policy=wfq -print-spec > run.json
 //	shoggoth-sim -spec run.json -json
+//	shoggoth-sim -set exp=table3 -set cycles=1
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"sort"
 
 	"shoggoth"
+	"shoggoth/internal/experiments"
 	"shoggoth/internal/runspec"
 )
 
@@ -40,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		func(kv string) error { sets = append(sets, kv); return nil })
 	printSpec := fs.Bool("print-spec", false, "print the resolved spec and exit")
 	asJSON := fs.Bool("json", false, "emit JSON instead of text")
-	list := fs.Bool("list", false, "list registered strategies, profiles, cloud policies and scenarios, then exit")
+	list := fs.Bool("list", false, "list registered strategies, profiles, cloud policies, scenarios and experiments, then exit")
 	verbose := fs.Bool("v", false, "print a wall-clock perf summary from the per-session workspace counters")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -71,6 +73,12 @@ func simulate(specFile string, sets []string, printSpec, asJSON, verbose bool, s
 	}
 	if printSpec {
 		return emitJSON(stdout, spec)
+	}
+	if len(r.Experiments) > 0 {
+		if asJSON || verbose {
+			return errors.New("-json and -v: the experiments (spec key exp) print text tables, no JSON and no perf summary")
+		}
+		return experiments.Run(stdout, r.Experiments, r.Mode, shoggoth.WallClock())
 	}
 	cfgs, err := spec.Configs(r)
 	if err != nil {
@@ -118,6 +126,7 @@ func printRegistries(w io.Writer) {
 		{"cloud policies (cloud.service.policy)", shoggoth.CloudPolicyEntries()},
 		{"cloud routers (cloud.router)", shoggoth.CloudRouterEntries()},
 		{"scenarios (scenario)", shoggoth.ScenarioEntries()},
+		{"experiments (exp)", experimentEntries()},
 		{"fidelities (fidelity)", []shoggoth.RegistryEntry{
 			{Name: "full", Summary: "real student SGD, every frame materialized — the golden-identical default"},
 			{Name: "events", Summary: "fleet-scale sparse mode: analytic costing, no student deployed, frames priced not executed"},
@@ -133,6 +142,17 @@ func printRegistries(w io.Writer) {
 			fmt.Fprintf(w, "  %-15s %s\n", e.Name, e.Summary)
 		}
 	}
+}
+
+// experimentEntries lists the registered experiments, in the order exp=all
+// runs them.
+func experimentEntries() []shoggoth.RegistryEntry {
+	all, _ := experiments.Select("all") // "all" always resolves
+	var out []shoggoth.RegistryEntry
+	for _, e := range all {
+		out = append(out, shoggoth.RegistryEntry{Name: e.Name, Summary: e.Summary})
+	}
+	return out
 }
 
 // runFleet runs independent sessions on a worker pool, each strategy on the

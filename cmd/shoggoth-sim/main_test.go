@@ -5,11 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
 	"shoggoth"
 	"shoggoth/internal/cloud"
+	"shoggoth/internal/experiments"
 	"shoggoth/internal/runspec"
 )
 
@@ -122,6 +124,17 @@ scenarios (scenario):
   hetero-fleet    one cloud serving three dissimilar cameras: ua-detrac, phase-shifted kitti, shuffled slow waymo
   multi-cloud     six phase-staggered cameras in two SLO classes on a 3-replica tier: domain-affinity routing, token-bucket admission, 3-way teacher batching, cold-start pricing
 
+experiments (exp):
+  table1          Table I: up/down bandwidth and mAP@0.5 of the five strategies on three datasets
+  fig4            Figure 4: average FPS per strategy and Shoggoth's FPS over time
+  table2          Table II: the adaptive-training ablation (replay placement, freezing, no replay)
+  table3          Table III: uplink and IoU of fixed sampling rates against the adaptive controller
+  fig5            Figure 5: CDF of per-window mAP gain over Edge-Only, scored on table1's runs
+  extra           ablations beyond the paper: BRN vs BN, reservoir vs FIFO replay, controller signals
+  policy          cloud scheduling ablation: policies × teacher workers on one contended queue
+  router          cloud routing ablation: routers × replicas with cross-device teacher batching
+  scenario        scenario ablation: strategies × network traces (steady, lossy-uplink, degraded-cell)
+
 fidelities (fidelity):
   full            real student SGD, every frame materialized — the golden-identical default
   events          fleet-scale sparse mode: analytic costing, no student deployed, frames priced not executed
@@ -184,10 +197,17 @@ func TestBadSpecIsAnError(t *testing.T) {
 	}
 }
 
+// untimed drops the wall-clock lines an experiment run prints after each
+// result.
+func untimed(out string) string {
+	return regexp.MustCompile(`(?m)^\(\w+ took \d+s\)$`).ReplaceAllString(out, "")
+}
+
 // TestPrintedSpecReplays: -print-spec's output, run with -spec, prints
-// what the direct run prints, byte for byte, and prints itself back. The
-// rows cover a scenario's multi-replica tier, a deferred coalescing tier
-// over a plain fleet, and a heterogeneous full-fidelity fleet under wfq.
+// what the direct run prints, byte for byte but for an experiment's
+// timings, and prints itself back. The rows cover a scenario's
+// multi-replica tier, a deferred coalescing tier over a plain fleet, a
+// heterogeneous full-fidelity fleet under wfq and an experiment.
 func TestPrintedSpecReplays(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -198,6 +218,7 @@ func TestPrintedSpecReplays(t *testing.T) {
 		{"wfq-workers-coalesce", []string{"devices=3", "fidelity=events", "cycles=0.1",
 			"cloud.service.policy=wfq", "cloud.service.workers=2", "cloud.service.coalesce=2"}},
 		{"hetero-fleet", []string{"scenario=hetero-fleet", "cloud.service.queue_cap=4", "cloud.service.policy=wfq", "cycles=0.1"}},
+		{"exp-fig4", []string{"exp=Fig4", "cycles=0.02", "seed=3"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var args []string
@@ -218,13 +239,119 @@ func TestPrintedSpecReplays(t *testing.T) {
 			if code := run([]string{"-spec", file}, &replay, os.Stderr); code != 0 {
 				t.Fatalf("replay: exit %d", code)
 			}
-			if direct.String() != replay.String() {
+			if untimed(direct.String()) != untimed(replay.String()) {
 				t.Fatalf("replay differs from the direct run:\n%s\nvs\n%s", replay.String(), direct.String())
 			}
 			if code := run([]string{"-spec", file, "-print-spec"}, &again, os.Stderr); code != 0 || again.String() != spec.String() {
 				t.Fatalf("printed spec does not print itself back (exit %d):\n%s\nvs\n%s", code, again.String(), spec.String())
 			}
 		})
+	}
+}
+
+// TestUnknownExperimentIsAnError: a typo in exp names the valid
+// experiments and runs nothing.
+func TestUnknownExperimentIsAnError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-set", "exp=tabel1"}, &stdout, &stderr); code != 1 || stdout.Len() > 0 {
+		t.Fatalf("exp=tabel1: exit %d, stdout %q; want exit 1 and nothing run", code, stdout.String())
+	}
+	for _, want := range []string{"spec key exp", `"tabel1"`, "table1", "scenario", "or all"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr %q does not mention %s", stderr.String(), want)
+		}
+	}
+}
+
+type rendered string
+
+func (r rendered) Render() string { return string(r) }
+
+// TestAllVisitsEveryExperimentOnceInOrder pins the order exp=all runs in,
+// that a single name, in any case, runs that experiment alone, and that
+// every experiment runs under the spec's cycles, seed and workers.
+func TestAllVisitsEveryExperimentOnceInOrder(t *testing.T) {
+	order := []string{"table1", "fig4", "table2", "table3", "fig5", "extra", "policy", "router", "scenario"}
+	for _, tc := range []struct {
+		exp  string
+		want []string
+	}{{"all", order}, {"Fig5", []string{"fig5"}}} {
+		spec, err := runspec.Decode([]byte("{}"), []string{"exp=" + tc.exp, "cycles=0.5", "seed=7", "workers=3"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := spec.Validate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var visited []string
+		for i := range r.Experiments {
+			name := r.Experiments[i].Name
+			r.Experiments[i].Value = func(s *experiments.Suite) (experiments.Renderer, error) {
+				if want := (experiments.Mode{Cycles: 0.5, Seed: 7, Workers: 3}); s.Mode != want {
+					t.Errorf("%s ran in mode %+v, want %+v", name, s.Mode, want)
+				}
+				visited = append(visited, name)
+				return rendered("<" + name + ">"), nil
+			}
+		}
+		var out bytes.Buffer
+		if err := experiments.Run(&out, r.Experiments, r.Mode, shoggoth.WallClock()); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(visited, tc.want) {
+			t.Fatalf("exp=%s visited %v, want %v", tc.exp, visited, tc.want)
+		}
+		at := 0
+		for _, name := range tc.want {
+			i := strings.Index(out.String()[at:], "<"+name+">\n("+name+" took ")
+			if i < 0 {
+				t.Fatalf("exp=%s: output lacks %s's result after offset %d:\n%s", tc.exp, name, at, out.String())
+			}
+			at += i
+		}
+	}
+}
+
+// TestExpRefusesWhatItIgnores: with exp set, every run key the
+// experiments do not read, set off its default, and the -json and -v
+// flags exit 1 naming themselves, before anything runs.
+func TestExpRefusesWhatItIgnores(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		name string
+	}{
+		{[]string{"-set", "scenario=steady"}, "spec key scenario"},
+		{[]string{"-set", `scenario={"name": "x"}`}, "spec key scenario"},
+		{[]string{"-set", "strategy=ams"}, "spec key strategy"},
+		{[]string{"-set", "strategy=all"}, "spec key strategy"},
+		{[]string{"-set", "profile=kitti"}, "spec key profile"},
+		{[]string{"-set", "devices=2"}, "spec key devices"},
+		{[]string{"-set", "fidelity=events"}, "spec key fidelity"},
+		{[]string{"-set", "rate=1"}, "spec key rate"},
+		{[]string{"-set", "duration=60"}, "spec key duration"},
+		{[]string{"-set", "sample_frac=0.5"}, "spec key sample_frac"},
+		{[]string{"-set", "sample_seed=3"}, "spec key sample_seed"},
+		{[]string{"-set", "cloud.router=least-loaded"}, "spec key cloud"},
+		{[]string{"-json"}, "-json"},
+		{[]string{"-v"}, "-v"},
+	} {
+		args := append([]string{"-set", "exp=table1", "-set", "cycles=0.01"}, tc.args...)
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		if msg := stderr.String(); code != 1 || !strings.Contains(msg, tc.name) || stdout.Len() > 0 {
+			t.Errorf("%v: exit %d, stderr %q, stdout %d bytes; want exit 1 naming %q and nothing on stdout",
+				tc.args, code, msg, stdout.Len(), tc.name)
+		}
+	}
+	// Keys at their defaults, spelled out, are no conflict.
+	spec, err := runspec.Decode([]byte("{}"), []string{"exp=table1", "strategy=shoggoth", "profile=ua-detrac",
+		"fidelity=full", "devices=0", "rate=0", "duration=0", "sample_frac=0", "sample_seed=0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.Validate(); err != nil {
+		t.Fatalf("an exp spec with every ignored key at its default: %v", err)
 	}
 }
 

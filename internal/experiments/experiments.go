@@ -2,9 +2,10 @@
 // evaluation section (Table I, Figure 4, Table II, Table III, Figure 5) on
 // the simulated substrate. Each generator returns a result struct with a
 // Render method that prints the measurement next to the paper's reported
-// values, and is shared by cmd/shoggoth-bench and the root bench_test.go.
-// All generators run their configs through the public shoggoth.Fleet, which
-// bounds concurrency and shares one pretrained student per profile.
+// values, and is registered by name for shoggoth-sim's exp spec key (Run).
+// All generators run their configs through the public shoggoth.Fleet or
+// Cluster, which bound concurrency and share one pretrained student per
+// profile.
 package experiments
 
 import (
@@ -26,12 +27,6 @@ type Mode struct {
 	Seed    uint64
 	Workers int
 }
-
-// Quick returns the fast preset (one scenario cycle).
-func Quick() Mode { return Mode{Cycles: 1, Seed: 1} }
-
-// Full returns the paper-scale preset (two scenario cycles).
-func Full() Mode { return Mode{Cycles: 2, Seed: 1} }
 
 // sharedCache hands every run on a profile the identical deployed model,
 // across all experiments in a process.

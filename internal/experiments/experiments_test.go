@@ -9,12 +9,6 @@ import (
 	"shoggoth/internal/video"
 )
 
-func TestModes(t *testing.T) {
-	if Quick().Cycles != 1 || Full().Cycles != 2 {
-		t.Fatal("mode presets wrong")
-	}
-}
-
 func TestPretrainedStudentCached(t *testing.T) {
 	p := video.KITTIProfile()
 	a := PretrainedStudent(p)

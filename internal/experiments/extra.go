@@ -15,7 +15,6 @@ import (
 // (DESIGN.md §5): BatchRenorm vs plain BatchNorm, reservoir vs FIFO replay
 // replacement, and the contribution of each controller signal.
 type ExtraResult struct {
-	Mode Mode
 
 	// BRN vs BN under the full Shoggoth pipeline on UA-DETRAC.
 	BRNMap float64
@@ -37,7 +36,7 @@ type ExtraResult struct {
 // Extra runs the three additional ablations.
 func Extra(m Mode) (*ExtraResult, error) {
 	p := video.DETRACProfile()
-	out := &ExtraResult{Mode: m}
+	out := &ExtraResult{}
 
 	// The BN variant needs its own pretrained model (different architecture).
 	bnStudent := detect.NewStudentWithNorm(p.FeatureDim(), p.NumClasses(), false, rand.New(rand.NewPCG(p.Seed, 3)))

@@ -11,7 +11,6 @@ import (
 // Figure4Result reproduces Figure 4: average FPS per strategy (left) and
 // Shoggoth's per-second FPS over the first 1000 s (right).
 type Figure4Result struct {
-	Mode       Mode
 	AvgFPS     map[string]float64
 	FPSSeries  []float64 // Shoggoth, per second
 	SeriesSecs int
@@ -33,7 +32,7 @@ func Figure4(m Mode) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Figure4Result{Mode: m, AvgFPS: map[string]float64{}}
+	out := &Figure4Result{AvgFPS: map[string]float64{}}
 	for _, r := range results {
 		out.AvgFPS[r.Strategy] = r.AvgFPS
 		if r.Strategy == core.Shoggoth.String() {

@@ -12,7 +12,6 @@ import (
 // Figure5Result reproduces Figure 5: the CDF of per-window mAP gain over
 // Edge-Only for the four non-trivial strategies on UA-DETRAC.
 type Figure5Result struct {
-	Mode  Mode
 	Gains map[string][]float64 // strategy -> per-window mAP deltas vs Edge-Only
 
 	// Headline fractions mirrored from the paper's discussion.
@@ -21,31 +20,15 @@ type Figure5Result struct {
 	PromptAboveEdgeFrac    float64 // paper: ≈ 0.78
 }
 
-// Figure5 computes windowed mAP gains, reusing runs when a Table1Result is
-// supplied (pass nil to run the five DETRAC strategies fresh).
-func Figure5(m Mode, t1 *Table1Result) (*Figure5Result, error) {
-	var runs []*core.Results
-	if t1 != nil {
-		runs = t1.ByProfile[video.ProfileDETRAC]
-	}
-	if len(runs) == 0 {
-		p := video.DETRACProfile()
-		var cfgs []core.Config
-		for _, kind := range paperKinds() {
-			cfgs = append(cfgs, configFor(kind, p, m))
-		}
-		var err error
-		runs, err = runAll(m, cfgs)
-		if err != nil {
-			return nil, err
-		}
-	}
+// Figure5 computes windowed mAP gains on Table I's UA-DETRAC runs.
+func Figure5(t1 *Table1Result) *Figure5Result {
+	runs := t1.ByProfile[video.ProfileDETRAC]
 	byName := map[string]*core.Results{}
 	for _, r := range runs {
 		byName[r.Strategy] = r
 	}
 	base := byName[core.EdgeOnly.String()]
-	out := &Figure5Result{Mode: m, Gains: map[string][]float64{}}
+	out := &Figure5Result{Gains: map[string][]float64{}}
 	for _, name := range []string{"Cloud-Only", "Shoggoth", "AMS", "Prompt"} {
 		out.Gains[name] = core.MAPGainSeries(byName[name], base)
 	}
@@ -54,7 +37,7 @@ func Figure5(m Mode, t1 *Table1Result) (*Figure5Result, error) {
 	out.ShoggothBeatsCloudFrac = fracGreater(byName["Shoggoth"], byName["Cloud-Only"])
 	out.ShoggothBeatsAMSFrac = fracGreater(byName["Shoggoth"], byName["AMS"])
 	out.PromptAboveEdgeFrac = 1 - metrics.FractionBelow(out.Gains["Prompt"], 0)
-	return out, nil
+	return out
 }
 
 // fracGreater returns the fraction of matched windows where a's mAP exceeds

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"shoggoth"
+	"shoggoth/internal/cloud"
 	"shoggoth/internal/core"
 	"shoggoth/internal/video"
 )
@@ -35,7 +36,6 @@ type PolicyAblationRow struct {
 // scheduling counterpart of Table III: where that table sweeps how much
 // the fleet uploads, this sweeps how the cloud serves it.
 type PolicyAblationResult struct {
-	Mode     Mode
 	Devices  int
 	QueueCap int
 	Rows     []PolicyAblationRow
@@ -54,22 +54,18 @@ const (
 // reproduces every row value bit for bit.
 func PolicyAblation(m Mode) (*PolicyAblationResult, error) {
 	p := video.DETRACProfile()
-	out := &PolicyAblationResult{Mode: m, Devices: policyAblationDevices, QueueCap: policyAblationQueueCap}
+	out := &PolicyAblationResult{Devices: policyAblationDevices, QueueCap: policyAblationQueueCap}
 
 	for _, policy := range []string{"fifo", "phi-priority", "wfq"} {
 		for _, workers := range []int{1, 2} {
+			tier := cloud.TierConfig{Service: cloud.ServiceConfig{QueueCap: policyAblationQueueCap, Policy: policy, Workers: workers}}
 			cfgs := make([]core.Config, policyAblationDevices)
 			for i := range cfgs {
 				cfgs[i] = configFor(core.Shoggoth, p, m)
 				cfgs[i].DeviceID = fmt.Sprintf("edge-%d", i+1)
+				cfgs[i].Cloud = tier
 			}
-			cluster := &shoggoth.Cluster{
-				QueueCap: policyAblationQueueCap,
-				Policy:   policy,
-				Workers:  workers,
-				Cache:    &sharedCache,
-			}
-			res, err := cluster.Run(context.Background(), cfgs)
+			res, err := (&shoggoth.Cluster{Cache: &sharedCache}).Run(context.Background(), cfgs)
 			if err != nil {
 				return nil, fmt.Errorf("policy ablation %s x %d workers: %w", policy, workers, err)
 			}

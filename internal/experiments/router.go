@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"shoggoth"
+	"shoggoth/internal/cloud"
 	"shoggoth/internal/core"
 	"shoggoth/internal/video"
 )
@@ -40,7 +41,6 @@ type RouterAblationRow struct {
 // counterpart of the scheduling ablation: where that table sweeps how one
 // replica serves its queue, this sweeps how work spreads across replicas.
 type RouterAblationResult struct {
-	Mode     Mode
 	Devices  int
 	QueueCap int
 	Coalesce int
@@ -62,7 +62,6 @@ const (
 func RouterAblation(m Mode) (*RouterAblationResult, error) {
 	p := video.DETRACProfile()
 	out := &RouterAblationResult{
-		Mode:     m,
 		Devices:  routerAblationDevices,
 		QueueCap: routerAblationQueueCap,
 		Coalesce: routerAblationCoalesce,
@@ -71,20 +70,19 @@ func RouterAblation(m Mode) (*RouterAblationResult, error) {
 	for _, e := range shoggoth.CloudRouterEntries() {
 		router := e.Name
 		for _, replicas := range []int{1, 3} {
+			tier := cloud.TierConfig{
+				Replicas: replicas,
+				Router:   router,
+				Service:  cloud.ServiceConfig{QueueCap: routerAblationQueueCap, Coalesce: routerAblationCoalesce},
+			}
 			cfgs := make([]core.Config, routerAblationDevices)
 			for i := range cfgs {
 				cfgs[i] = configFor(core.Shoggoth, p, m)
 				cfgs[i].DeviceID = fmt.Sprintf("edge-%d", i+1)
 				cfgs[i].Seed = m.Seed + uint64(i)
+				cfgs[i].Cloud = tier
 			}
-			cluster := &shoggoth.Cluster{
-				QueueCap: routerAblationQueueCap,
-				Replicas: replicas,
-				Router:   router,
-				Coalesce: routerAblationCoalesce,
-				Cache:    &sharedCache,
-			}
-			res, err := cluster.Run(context.Background(), cfgs)
+			res, err := (&shoggoth.Cluster{Cache: &sharedCache}).Run(context.Background(), cfgs)
 			if err != nil {
 				return nil, fmt.Errorf("router ablation %s x %d replicas: %w", router, replicas, err)
 			}

@@ -34,7 +34,6 @@ type ScenarioAblationRow struct {
 // evaluate under time-varying bandwidth; this table is where our
 // reproduction does.
 type ScenarioAblationResult struct {
-	Mode     Mode
 	QueueCap int
 	Rows     []ScenarioAblationRow
 }
@@ -51,7 +50,7 @@ var scenarioAblationScenarios = []string{"steady", "lossy-uplink", "degraded-cel
 // deterministic: the same Mode reproduces every row bit for bit.
 func ScenarioAblation(m Mode) (*ScenarioAblationResult, error) {
 	kinds := []core.StrategyKind{core.CloudOnly, core.AMS, core.Shoggoth}
-	out := &ScenarioAblationResult{Mode: m, QueueCap: scenarioAblationQueueCap}
+	out := &ScenarioAblationResult{QueueCap: scenarioAblationQueueCap}
 
 	var cfgs []core.Config
 	for _, name := range scenarioAblationScenarios {

@@ -20,7 +20,6 @@ type Table1Row struct {
 // Table1Result reproduces Table I: up/down bandwidth and mAP@0.5 for all
 // five strategies on the three dataset profiles.
 type Table1Result struct {
-	Mode Mode
 	Rows []Table1Row
 	// ByProfile groups the raw run results for reuse (Figure 5 shares the
 	// DETRAC runs).
@@ -46,7 +45,7 @@ var paperTable1 = map[string]map[string][3]float64{
 
 // Table1 runs the full strategy × dataset grid.
 func Table1(m Mode) (*Table1Result, error) {
-	res := &Table1Result{Mode: m, ByProfile: map[string][]*core.Results{}}
+	res := &Table1Result{ByProfile: map[string][]*core.Results{}}
 	profiles := video.StockProfiles()
 	var cfgs []core.Config
 	for _, p := range profiles {

@@ -22,7 +22,6 @@ type Table2Row struct {
 // Table2Result reproduces Table II: mAP and per-session training time for
 // the replay-memory ablation on UA-DETRAC.
 type Table2Result struct {
-	Mode Mode
 	Rows []Table2Row
 }
 
@@ -72,7 +71,7 @@ func Table2(m Mode) (*Table2Result, error) {
 		return nil, err
 	}
 	cost := edge.DefaultCostModel()
-	out := &Table2Result{Mode: m}
+	out := &Table2Result{}
 	for i, v := range variants {
 		tc := detect.DefaultTrainerConfig()
 		v.Mutate(&tc)

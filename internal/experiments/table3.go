@@ -19,7 +19,6 @@ type Table3Row struct {
 // Table3Result reproduces Table III: sensitivity of uplink bandwidth and
 // average IoU to the frame sampling rate, fixed rates versus adaptive.
 type Table3Result struct {
-	Mode Mode
 	Rows []Table3Row
 }
 
@@ -46,7 +45,7 @@ func Table3(m Mode) (*Table3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Table3Result{Mode: m}
+	out := &Table3Result{}
 	for i, r := range rates {
 		out.Rows = append(out.Rows, Table3Row{
 			Rate:     fmt.Sprintf("%.1f", r),

@@ -1,7 +1,8 @@
 // Package runspec is one run as data: the JSON spec that shoggoth-sim and
 // shoggoth-edge load with -spec and edit with -set, and that shoggoth-sim's
 // -print-spec prints. A spec resolves to the core.Configs its runners take,
-// so the simulator and the live edge read a run the same way.
+// so the simulator and the live edge read a run the same way, or, with its
+// exp key, to the paper's experiments.
 package runspec
 
 import (
@@ -10,15 +11,20 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 
 	"shoggoth"
+	"shoggoth/internal/experiments"
 	"shoggoth/internal/scenario"
 )
 
 // Spec is one run as data: what a -spec file holds, -set edits and
 // -print-spec prints.
 type Spec struct {
+	// Exp is "all" or an experiment name (experiments.Select); set, the
+	// run is the paper's evaluation under Seed, Cycles and Workers alone.
+	Exp string `json:"exp"`
 	// Scenario is a registered name or an inline scenario in scenario.Load's
 	// format; absent, the run uses Profile.
 	Scenario json.RawMessage `json:"scenario,omitempty"`
@@ -75,12 +81,15 @@ func Decode(doc []byte, sets []string) (Spec, error) {
 		}
 	}
 	doc, _ = json.Marshal(keys) // every value is valid JSON
-	spec := Spec{Profile: shoggoth.ProfileDETRAC, Strategy: "shoggoth", Seed: 1, Cycles: 2, Fidelity: "full"}
+	spec := defaults
 	if err := decodeStrict(doc, &spec); err != nil {
 		return Spec{}, fmt.Errorf("spec: %w", err)
 	}
 	return spec, nil
 }
+
+// defaults is the spec of an empty document.
+var defaults = Spec{Profile: shoggoth.ProfileDETRAC, Strategy: "shoggoth", Seed: 1, Cycles: 2, Fidelity: "full"}
 
 // setKey stores value at the dot path in keys, creating objects on the way.
 func setKey(keys map[string]json.RawMessage, path []string, value json.RawMessage) (map[string]json.RawMessage, error) {
@@ -111,15 +120,37 @@ func decodeStrict(data []byte, v any) error {
 
 // Resolved is a validated spec's names in the runners' types.
 type Resolved struct {
-	Kinds    []shoggoth.StrategyKind
-	Profile  *shoggoth.Profile
-	Scenario *shoggoth.Scenario // nil: the plain profile
-	Tier     shoggoth.CloudTier // the scenario's tier under the cloud key
+	// Experiments are what the exp key selects, to run in Mode; empty, the
+	// spec runs devices.
+	Experiments []experiments.Experiment
+	Mode        experiments.Mode
+	Kinds       []shoggoth.StrategyKind
+	Profile     *shoggoth.Profile
+	Scenario    *shoggoth.Scenario // nil: the plain profile
+	Tier        shoggoth.CloudTier // the scenario's tier under the cloud key
 }
+
+// expReads are the keys an exp run reads; it refuses any other key set off
+// its default.
+var expReads = map[string]bool{"exp": true, "seed": true, "cycles": true, "workers": true}
 
 // Validate checks every key, naming the first bad one, and resolves the
 // spec's names. A trial config per strategy checks fidelity.
 func (s *Spec) Validate() (r Resolved, err error) {
+	if s.Exp != "" {
+		if r.Experiments, err = experiments.Select(s.Exp); err != nil {
+			return r, fmt.Errorf("spec key exp: %w", err)
+		}
+		r.Mode = experiments.Mode{Cycles: s.Cycles, Seed: s.Seed, Workers: s.Workers}
+		t, v, def := reflect.TypeOf(*s), reflect.ValueOf(*s), reflect.ValueOf(defaults)
+		for i := range t.NumField() {
+			key, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+			if !expReads[key] && !reflect.DeepEqual(v.Field(i).Interface(), def.Field(i).Interface()) {
+				return r, fmt.Errorf("spec key %s: exp %s runs the paper's own settings and reads only seed, cycles and workers; leave %s at its default",
+					key, s.Exp, key)
+			}
+		}
+	}
 	if r.Kinds = shoggoth.StrategyKinds(); !strings.EqualFold(s.Strategy, "all") {
 		kind, err := shoggoth.ParseStrategy(s.Strategy)
 		if err != nil {

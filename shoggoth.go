@@ -21,7 +21,7 @@
 // (RegisterStrategy) and scenarios — composed worlds of workload variants
 // and time-varying network traces (ScenarioByName, ScenarioConfigs). Each
 // has an Example. See DESIGN.md for the system inventory and the
-// Strategy/Session/Fleet API; cmd/shoggoth-bench regenerates the
+// Strategy/Session/Fleet API; `shoggoth-sim -set exp=all` regenerates the
 // paper-vs-measured record of every table and figure.
 package shoggoth
 
