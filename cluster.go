@@ -14,8 +14,8 @@ import (
 // and dropped, queueing delay, teacher busy time, plus the tier-level
 // routing detail — per-replica queue statistics, admission-control
 // rejections, coalesced teacher forwards, per-SLO-class label latency and
-// the Jain fairness index across devices. A 1-replica tier reports the
-// same embedded aggregate a bare service used to.
+// the Jain fairness index across devices. A 1-replica tier's embedded
+// aggregate is its replica's, bit for bit.
 type CloudStats = cloud.TierStats
 
 // EngineInfo reports the event engine's aggregate work. Both counters are

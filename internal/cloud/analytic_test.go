@@ -2,22 +2,16 @@ package cloud
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 
-	"shoggoth/internal/detect"
 	"shoggoth/internal/video"
 )
 
-func newAnalyticDevice(t testing.TB, svc *Service, id string, seed uint64) *ServiceDevice {
+// newAnalyticDevice registers an analytic device on tier and returns its
+// registration on the tier's first replica.
+func newAnalyticDevice(t testing.TB, tier *Tier, id string, seed uint64) *ServiceDevice {
 	t.Helper()
-	p := video.DETRACProfile()
-	teacher := detect.NewTeacher(p, rand.New(rand.NewPCG(seed, 2)))
-	d, err := svc.register(id, teacher, DefaultLabelerConfig(), nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
+	return onReplica(newTierDevice(t, tier, id, seed, DeviceOptions{Analytic: true}))
 }
 
 // TestAnalyticLabelFramesContract: an analytic device prices labeling
@@ -25,8 +19,7 @@ func newAnalyticDevice(t testing.TB, svc *Service, id string, seed uint64) *Serv
 // drift model (first frame 0, everything in [0, 1]) and the reported mean
 // is the mean of the per-frame values.
 func TestAnalyticLabelFramesContract(t *testing.T) {
-	svc := NewService(ServiceConfig{})
-	d := newAnalyticDevice(t, svc, "a", 1)
+	d := newAnalyticDevice(t, oneReplica(ServiceConfig{}), "a", 1)
 	frames := serviceFrames(t, 6)
 
 	labels, phis, mean := d.LabelFrames(frames)
@@ -56,7 +49,7 @@ func TestAnalyticLabelFramesContract(t *testing.T) {
 func TestAnalyticPhiDeterministic(t *testing.T) {
 	frames := serviceFrames(t, 9)
 	run := func() []float64 {
-		d := newAnalyticDevice(t, NewService(ServiceConfig{}), "a", 7)
+		d := newAnalyticDevice(t, oneReplica(ServiceConfig{}), "a", 7)
 		var out []float64
 		for _, batch := range [][]*video.Frame{frames[:3], frames[3:5], frames[5:]} {
 			_, phis, _ := d.LabelFrames(batch)
@@ -79,10 +72,10 @@ func TestAnalyticPhiDeterministic(t *testing.T) {
 func TestAnalyticPricingMatchesExecuted(t *testing.T) {
 	frames := serviceFrames(t, 5)
 
-	exec := NewService(ServiceConfig{})
-	de := newServiceDevice(t, exec, "d", 1, false)
-	an := NewService(ServiceConfig{})
-	da := newAnalyticDevice(t, an, "d", 1)
+	exec := oneReplica(ServiceConfig{})
+	de := newTierDevice(t, exec, "d", 1, DeviceOptions{})
+	an := oneReplica(ServiceConfig{})
+	da := newTierDevice(t, an, "d", 1, DeviceOptions{Analytic: true})
 
 	for _, arrival := range []float64{0, 0.2, 7.5} {
 		re := label(de, frames, arrival)

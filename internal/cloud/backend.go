@@ -11,7 +11,8 @@ type DeviceOptions struct {
 	// SLOClass names the device's service-level class for the tier's
 	// per-class latency/drop metrics. Empty means DefaultSLOClass.
 	SLOClass string
-	// Weight is the device's fair-queueing weight (0 means the default 1).
+	// Weight is the device's fair-queueing weight (PolicyWFQ share); values
+	// <= 0 mean the default 1. It is fixed at registration.
 	Weight float64
 	// Analytic prices this device's labeling instead of executing it: the
 	// teacher never runs, labels come back nil, and φ is the deterministic
@@ -23,11 +24,12 @@ type DeviceOptions struct {
 	Analytic bool
 }
 
-// Backend is a cloud labeling endpoint a core.System can register on:
-// either a bare Service (one teacher pipeline) or a Tier (a routed fleet of
-// replicas behind admission control). The zoo of virtual-time methods lives
-// on the returned Device; Backend itself only mints devices and reports
-// aggregate statistics.
+// Backend is a cloud labeling endpoint a core.System can register on: a
+// Tier (a routed fleet of teacher replicas behind admission control, one
+// replica by default) or internal/rpc's Backend (a live cloud over HTTP,
+// priced on a private Tier). The zoo of virtual-time methods lives on the
+// returned Device; Backend itself only mints devices and reports aggregate
+// statistics.
 //
 // Frame ownership: a backend reads the frames a Device is handed from
 // Enqueue (or Admit) until their labeling ends — for Enqueue, until cb has
@@ -47,8 +49,9 @@ type Backend interface {
 	Stats() QueueStats
 }
 
-// Device is one registered edge device's cloud-side handle, independent of
-// whether a Service or a Tier backs it.
+// Device is one registered edge device's cloud-side handle, whichever
+// Backend minted it. Its fair-queueing weight and SLO class are fixed at
+// registration (DeviceOptions).
 type Device interface {
 	// ID returns the registration id.
 	ID() string
@@ -66,22 +69,6 @@ type Device interface {
 	// UpdateRate feeds the controller one (φ̄, α, λ̄) report; ok is false
 	// without a controller.
 	UpdateRate(phiMean, alpha, lambda float64) (rate float64, ok bool)
-	// SetWeight sets the fair-queueing weight (non-positive resets to 1).
-	SetWeight(w float64)
 	// Stats returns the device's queue statistics.
 	Stats() QueueStats
-}
-
-// RegisterDevice implements Backend on the bare Service: Register plus the
-// optional weight. The SLO class is a tier concept; a bare Service ignores
-// it.
-func (s *Service) RegisterDevice(id string, teacher *detect.Teacher, labelerCfg LabelerConfig, ctrlCfg *ControllerConfig, opts DeviceOptions) (Device, error) {
-	d, err := s.register(id, teacher, labelerCfg, ctrlCfg, opts.Analytic)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Weight > 0 {
-		d.SetWeight(opts.Weight)
-	}
-	return d, nil
 }

@@ -192,29 +192,27 @@ func serviceFrames(t testing.TB, n int) []*video.Frame {
 	return out
 }
 
-func newServiceDevice(t *testing.T, svc *Service, id string, seed uint64, withCtrl bool) *ServiceDevice {
-	t.Helper()
-	p := video.DETRACProfile()
-	teacher := detect.NewTeacher(p, rand.New(rand.NewPCG(seed, 2)))
-	var ccfg *ControllerConfig
-	if withCtrl {
-		c := DefaultControllerConfig()
-		ccfg = &c
-	}
-	d, err := svc.Register(id, teacher, DefaultLabelerConfig(), ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
+// oneReplica builds a one-replica tier. Under the default router, with no
+// admission control, it hands every batch to its replica unchanged, so the
+// tests of a replica's scheduling engine drive it through the tier.
+func oneReplica(cfg ServiceConfig) *Tier { return NewTier(TierConfig{Service: cfg}) }
+
+// onReplica mints td's registration on its tier's first replica, as the
+// tier does when it first routes one of td's batches there, for the tests
+// that drive the replica's engine directly.
+func onReplica(td *TierDevice) *ServiceDevice {
+	reg := td.tier.replicas[0].registerRouted(td)
+	td.regs[0] = reg
+	return reg
 }
 
 // label runs one batch through d.Enqueue under an arrival-order policy,
 // where the callback fires before Enqueue returns; a dropped batch comes
 // back as BatchResult{Dropped: true}.
-func label(d *ServiceDevice, frames []*video.Frame, now float64) BatchResult {
+func label(d *TierDevice, frames []*video.Frame, now float64) BatchResult {
 	res, called := BatchResult{Dropped: true}, false
 	if d.Enqueue(frames, now, func(r BatchResult) { res, called = r, true }) && !called {
-		panic("label: the service deferred the batch; use Enqueue under a reordering policy")
+		panic("label: the replica deferred the batch; use Enqueue under a reordering policy")
 	}
 	return res
 }
@@ -223,9 +221,9 @@ func label(d *ServiceDevice, frames []*video.Frame, now float64) BatchResult {
 // on the one teacher pipeline; a batch arriving mid-service starts when the
 // previous one finishes, and the delay is attributed to the right device.
 func TestServiceSerialisesSharedTeacher(t *testing.T) {
-	svc := NewService(ServiceConfig{})
-	a := newServiceDevice(t, svc, "a", 1, true)
-	b := newServiceDevice(t, svc, "b", 2, true)
+	svc := oneReplica(ServiceConfig{})
+	a := newTierDevice(t, svc, "a", 1, DeviceOptions{})
+	b := newTierDevice(t, svc, "b", 2, DeviceOptions{})
 	frames := serviceFrames(t, 5)
 	lat := DefaultLabelerConfig().TeacherLatencySec
 
@@ -254,9 +252,9 @@ func TestServiceSerialisesSharedTeacher(t *testing.T) {
 // TestServiceQueueCapDrops: with QueueCap outstanding batches, a further
 // arrival is dropped — no labels, no φ, counted per device.
 func TestServiceQueueCapDrops(t *testing.T) {
-	svc := NewService(ServiceConfig{QueueCap: 1})
-	a := newServiceDevice(t, svc, "a", 1, true)
-	b := newServiceDevice(t, svc, "b", 2, true)
+	svc := oneReplica(ServiceConfig{QueueCap: 1})
+	a := newTierDevice(t, svc, "a", 1, DeviceOptions{})
+	b := newTierDevice(t, svc, "b", 2, DeviceOptions{})
 	frames := serviceFrames(t, 5)
 
 	ra := label(a, frames, 0)
@@ -283,12 +281,12 @@ func TestServiceQueueCapDrops(t *testing.T) {
 // TestServicePerDevicePhiContinuity: each device's φ stream compares
 // against its own previous batch, not against other devices' frames.
 func TestServicePerDevicePhiContinuity(t *testing.T) {
-	shared := NewService(ServiceConfig{})
-	a := newServiceDevice(t, shared, "a", 1, false)
-	label(newServiceDevice(t, shared, "b", 2, false), serviceFrames(t, 3), 0)
+	shared := oneReplica(ServiceConfig{})
+	a := newTierDevice(t, shared, "a", 1, DeviceOptions{})
+	label(newTierDevice(t, shared, "b", 2, DeviceOptions{}), serviceFrames(t, 3), 0)
 
-	private := NewService(ServiceConfig{})
-	solo := newServiceDevice(t, private, "solo", 1, false)
+	private := oneReplica(ServiceConfig{})
+	solo := newTierDevice(t, private, "solo", 1, DeviceOptions{})
 
 	frames := serviceFrames(t, 6)
 	for i := 0; i < 2; i++ {
@@ -303,28 +301,16 @@ func TestServicePerDevicePhiContinuity(t *testing.T) {
 	}
 }
 
-// TestServiceDuplicateRegistrationRejected: device ids key φ continuity and
-// controller state; aliasing two deployments would corrupt both.
-func TestServiceDuplicateRegistrationRejected(t *testing.T) {
-	svc := NewService(ServiceConfig{})
-	newServiceDevice(t, svc, "cam", 1, true)
-	p := video.DETRACProfile()
-	teacher := detect.NewTeacher(p, rand.New(rand.NewPCG(9, 2)))
-	if _, err := svc.Register("cam", teacher, DefaultLabelerConfig(), nil); err == nil {
-		t.Fatal("duplicate device id must be rejected")
-	}
-	if svc.Devices() != 1 {
-		t.Fatalf("registry size %d, want 1", svc.Devices())
-	}
-}
-
-// TestServiceDeviceWithoutController: non-adaptive devices label fine and
-// report no rate.
-func TestServiceDeviceWithoutController(t *testing.T) {
-	svc := NewService(ServiceConfig{})
-	d := newServiceDevice(t, svc, "fixed", 1, false)
+// TestTierDeviceWithoutController: a device registered without a
+// controller config is not adaptive, reports rate 0, turns every rate
+// report away and still labels.
+func TestTierDeviceWithoutController(t *testing.T) {
+	d := newTierDevice(t, oneReplica(ServiceConfig{}), "fixed", 1, DeviceOptions{})
 	if d.Adaptive() {
 		t.Fatal("device registered without a controller reports Adaptive")
+	}
+	if r := d.Rate(); r != 0 {
+		t.Fatalf("Rate without a controller = %v, want 0", r)
 	}
 	if r, ok := d.UpdateRate(0.5, 0.5, 0.5); ok || r != 0 {
 		t.Fatalf("UpdateRate without a controller: %v %v", r, ok)

@@ -2,10 +2,10 @@
 // (the teacher model behind a V100-like latency model), the φ label-change
 // metric, the sampling-rate controller of §III-C that adjusts each edge
 // device's frame sampling rate from φ, α and λ, and the shared labeling
-// Service — a scheduling engine with a pluggable policy (fifo,
+// Tier — replicas of a scheduling engine with a pluggable policy (fifo,
 // phi-priority, wfq, or anything registered via RegisterPolicy), a teacher
 // worker pool, and a finite admission queue, multiplexed across registered
-// edge devices (DESIGN.md §7–§8).
+// edge devices behind a router (DESIGN.md §7, §8, §12).
 package cloud
 
 import (

@@ -13,12 +13,13 @@ import (
 // scanDispatch is the deferred dispatch the service ran before it kept its
 // devices in a heap: one arrival-ordered list of every waiting batch, which
 // selectLocked scans on each pick and takeLocked shifts. It is kept as the
-// reference the heap is held to. It drives a Service of its own through the
+// reference the heap is held to. It drives a replica of its own through the
 // parts both share (admission, worker assignment, pricing, labeling), so
-// only the choice of the next batch differs; the devices of that Service
+// only the choice of the next batch differs; the devices of that replica
 // never queue a batch, which leaves its heap empty.
 type scanDispatch struct {
-	s     *Service
+	tier  *Tier // one replica, s
+	s     *service
 	sched *sim.Scheduler
 
 	pending     []*pendingBatch
@@ -33,11 +34,12 @@ type scanDispatch struct {
 }
 
 func newScanDispatch(cfg ServiceConfig) *scanDispatch {
-	s := NewService(cfg)
+	tier := oneReplica(cfg)
+	s := tier.replicas[0]
 	if c := max(cfg.Coalesce, 1); cap(s.costs) < c {
 		s.costs = make([]float64, c)
 	}
-	return &scanDispatch{s: s, sched: sim.NewScheduler(), epochs: map[*ServiceDevice]uint64{}}
+	return &scanDispatch{tier: tier, s: s, sched: sim.NewScheduler(), epochs: map[*ServiceDevice]uint64{}}
 }
 
 func (o *scanDispatch) enqueue(d *ServiceDevice, frames []*video.Frame, now float64, cb func(BatchResult)) bool {
@@ -199,13 +201,14 @@ func (a delivery) equal(b delivery) bool {
 		bits(a.delay) == bits(b.delay) && bits(a.phi) == bits(b.phi)
 }
 
-// checkHeads fails unless the service's heap holds exactly the devices with
-// a waiting batch, each once at its recorded index, in the policy's order,
-// and waiting counts their batches.
-func checkHeads(t *testing.T, s *Service) {
+// checkHeads fails unless the replica's heap holds exactly those of its
+// devices devs that have a waiting batch, each once at its recorded index,
+// in the policy's order, and waiting counts their batches.
+func checkHeads(t *testing.T, s *service, devs []*ServiceDevice) {
 	t.Helper()
 	inHeap, waiting := 0, 0
-	for id, d := range s.devices {
+	for _, d := range devs {
+		id := d.id
 		q := len(d.queue) - d.qHead
 		waiting += q
 		switch {
@@ -228,11 +231,12 @@ func checkHeads(t *testing.T, s *Service) {
 	}
 }
 
-// TestHeapPicksMatchScanOracle drives the service and the scan it replaced
-// with the same seeded sequences of Enqueue, dispatch events and SetWeight,
-// over the reordering policies with and without coalescing. Batches carry
-// different frames, so labeling moves each device's φ, and some devices run
-// a slower teacher, so coalesced groups stop early. Both must admit the
+// TestHeapPicksMatchScanOracle drives the replica and the scan it replaced
+// with the same seeded sequences of enqueues and dispatch events, over the
+// reordering policies with and without coalescing. Devices register with
+// seeded weights, batches carry different frames, so labeling moves each
+// device's φ, and some devices run a slower teacher, so coalesced groups
+// stop early. Both must admit the
 // same batches and serve them in the same order with bit-equal results;
 // after every event the heap must hold exactly the waiting devices, in
 // order.
@@ -246,9 +250,10 @@ func TestHeapPicksMatchScanOracle(t *testing.T) {
 			reordered, fused := false, 0
 			for trial := 0; trial < 12; trial++ {
 				cfg := ServiceConfig{Policy: policy, Coalesce: coalesce, Workers: 1 + trial%3, QueueCap: []int{0, 8}[trial/3%2]}
-				svc := NewService(cfg)
+				tier := oneReplica(cfg)
+				svc := tier.replicas[0]
 				sched := sim.NewScheduler()
-				svc.Bind(sched)
+				tier.Bind(sched)
 				ref := newScanDispatch(cfg)
 				var devs, refDevs []*ServiceDevice
 				for i := 0; i < 6; i++ {
@@ -257,16 +262,17 @@ func TestHeapPicksMatchScanOracle(t *testing.T) {
 						lc = slow
 					}
 					id := string(rune('a' + i))
+					opts := DeviceOptions{Analytic: true, Weight: []float64{0, 0.5, 1, 2, 3}[rng.IntN(5)]}
 					for _, side := range []struct {
-						s    *Service
+						tier *Tier
 						devs *[]*ServiceDevice
-					}{{svc, &devs}, {ref.s, &refDevs}} {
+					}{{tier, &devs}, {ref.tier, &refDevs}} {
 						teacher := detect.NewTeacher(video.DETRACProfile(), rand.New(rand.NewPCG(uint64(i+1), 2)))
-						d, err := side.s.register(id, teacher, lc, nil, true)
+						td, err := side.tier.Register(id, teacher, lc, nil, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
-						*side.devs = append(*side.devs, d)
+						*side.devs = append(*side.devs, onReplica(td))
 					}
 				}
 				var got, want []delivery
@@ -293,27 +299,23 @@ func TestHeapPicksMatchScanOracle(t *testing.T) {
 							t.Fatalf("%s coalesce=%d trial %d op %d: batch %d served as %+v, scan %+v", policy, coalesce, trial, op, k, got[k], want[k])
 						}
 					}
-					checkHeads(t, svc)
+					checkHeads(t, svc, devs)
 				}
 				for op := 0; op < 300; op++ {
 					now := sched.Now()
 					k := rng.IntN(len(devs))
-					switch r := rng.IntN(8); {
+					switch r := rng.IntN(7); {
 					case r < 5:
 						lo := rng.IntN(len(pool))
 						frames := pool[lo : lo+1+rng.IntN(min(4, len(pool)-lo))]
 						admitted++
-						ok := devs[k].Enqueue(frames, now, record(&got, devs[k].id, admitted))
+						ok := devs[k].enqueue(frames, now, 0, record(&got, devs[k].id, admitted))
 						if refOK := ref.enqueue(refDevs[k], frames, now, record(&want, refDevs[k].id, admitted)); ok != refOK {
 							t.Fatalf("%s coalesce=%d trial %d op %d: heap admitted=%v, scan %v", policy, coalesce, trial, op, ok, refOK)
 						}
 						if !ok {
 							admitted--
 						}
-					case r == 5:
-						w := []float64{0, 0.5, 1, 2, 3}[rng.IntN(5)]
-						devs[k].SetWeight(w)
-						refDevs[k].SetWeight(w)
 					default:
 						t1 := now + rng.Float64()*0.1
 						sched.AdvanceTo(t1)
@@ -327,7 +329,8 @@ func TestHeapPicksMatchScanOracle(t *testing.T) {
 				if len(got) == 0 || svc.waiting != 0 {
 					t.Fatalf("%s coalesce=%d trial %d: %d batches served, %d left waiting", policy, coalesce, trial, len(got), svc.waiting)
 				}
-				if gs, ws := svc.Stats(), ref.s.Stats(); gs != ws {
+				ga, wa := svc.aggCopy(), ref.s.aggCopy()
+				if gs, ws := ga.snapshot(), wa.snapshot(); gs != ws {
 					t.Fatalf("%s coalesce=%d trial %d: stats %+v, scan %+v", policy, coalesce, trial, gs, ws)
 				}
 				gf, gb := svc.coalesceCounts()

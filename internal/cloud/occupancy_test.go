@@ -60,8 +60,9 @@ func TestOccupancyMatchesLinearScanImmediate(t *testing.T) {
 		rng := rand.New(rand.NewPCG(11, 13))
 		for trial := 0; trial < 60; trial++ {
 			cfg := ServiceConfig{QueueCap: []int{0, 1, 3, 8}[trial%4], Workers: 1 + trial%3}
-			svc := NewService(cfg)
-			devs := []*ServiceDevice{newAnalyticDevice(t, svc, "a", 1), newAnalyticDevice(t, svc, "b", 2)}
+			tier := oneReplica(cfg)
+			svc := tier.replicas[0]
+			devs := []*ServiceDevice{newAnalyticDevice(t, tier, "a", 1), newAnalyticDevice(t, tier, "b", 2)}
 			ref := &occRef{cap: cfg.QueueCap}
 			clock, stepsBack := 0.0, 0
 			for op := 0; op < 400; op++ {
@@ -76,7 +77,7 @@ func TestOccupancyMatchesLinearScanImmediate(t *testing.T) {
 				switch rng.IntN(5) {
 				case 0:
 					want := !ref.full(now)
-					adm, ok := d.Admit(n, now)
+					adm, ok := d.admit(n, now, 0)
 					if ok != want {
 						t.Fatalf("backwards=%v trial %d op %d: Admit at %g admitted=%v, reference %v", backwards, trial, op, now, ok, want)
 					}
@@ -88,7 +89,7 @@ func TestOccupancyMatchesLinearScanImmediate(t *testing.T) {
 					}
 				case 1:
 					want := !ref.full(now)
-					ok := d.Enqueue(frames[:n], now, func(res BatchResult) { ref.done = append(ref.done, res.Done) })
+					ok := d.enqueue(frames[:n], now, 0, func(res BatchResult) { ref.done = append(ref.done, res.Done) })
 					if ok != want {
 						t.Fatalf("backwards=%v trial %d op %d: Enqueue at %g admitted=%v, reference %v", backwards, trial, op, now, ok, want)
 					}
@@ -135,12 +136,13 @@ func TestOccupancyMatchesLinearScanDeferred(t *testing.T) {
 			Workers:  1 + trial%3,
 			Coalesce: []int{0, 4}[trial/4%2],
 		}
-		svc := NewService(cfg)
+		tier := oneReplica(cfg)
+		svc := tier.replicas[0]
 		sched := sim.NewScheduler()
-		svc.Bind(sched)
+		tier.Bind(sched)
 		devs := make([]*ServiceDevice, 5)
 		for i := range devs {
-			devs[i] = newAnalyticDevice(t, svc, string(rune('a'+i)), uint64(i+1))
+			devs[i] = newAnalyticDevice(t, tier, string(rune('a'+i)), uint64(i+1))
 		}
 		ref := &occRef{cap: cfg.QueueCap}
 		served := func(res BatchResult) {
@@ -153,7 +155,7 @@ func TestOccupancyMatchesLinearScanDeferred(t *testing.T) {
 			switch rng.IntN(6) {
 			case 0, 1:
 				want := !ref.full(now)
-				ok := devs[rng.IntN(len(devs))].Enqueue(frames[:1+rng.IntN(len(frames))], now, served)
+				ok := devs[rng.IntN(len(devs))].enqueue(frames[:1+rng.IntN(len(frames))], now, 0, served)
 				if ok != want {
 					t.Fatalf("trial %d op %d: Enqueue at %g admitted=%v, reference %v", trial, op, now, ok, want)
 				}
@@ -203,12 +205,13 @@ func TestOccupancyMatchesLinearScanDeferred(t *testing.T) {
 // batch waits by value in its device's queue and its φs are the service's
 // scratch, and not per selection, heap operation, group or dispatch event.
 func TestDeferredDispatchAllocsBounded(t *testing.T) {
-	svc := NewService(ServiceConfig{Policy: PolicyWFQ, Workers: 2, Coalesce: 4, QueueCap: 64})
+	tier := oneReplica(ServiceConfig{Policy: PolicyWFQ, Workers: 2, Coalesce: 4, QueueCap: 64})
+	svc := tier.replicas[0]
 	sched := sim.NewScheduler()
-	svc.Bind(sched)
+	tier.Bind(sched)
 	devs := make([]*ServiceDevice, 8)
 	for i := range devs {
-		devs[i] = newAnalyticDevice(t, svc, string(rune('a'+i)), uint64(i+1))
+		devs[i] = newAnalyticDevice(t, tier, string(rune('a'+i)), uint64(i+1))
 	}
 	frames := serviceFrames(t, 3)
 	delivered := 0
@@ -216,7 +219,7 @@ func TestDeferredDispatchAllocsBounded(t *testing.T) {
 	round := func() {
 		now := sched.Now()
 		for _, d := range devs {
-			if !d.Enqueue(frames, now, cb) {
+			if !d.enqueue(frames, now, 0, cb) {
 				t.Fatal("batch dropped")
 			}
 		}
@@ -249,23 +252,23 @@ func TestDeferredDispatchAllocsBounded(t *testing.T) {
 func BenchmarkDeferredDispatch(b *testing.B) {
 	for _, n := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("waiting=%d", n), func(b *testing.B) {
-			svc := NewService(ServiceConfig{Policy: PolicyWFQ, Coalesce: 4})
+			tier := oneReplica(ServiceConfig{Policy: PolicyWFQ, Coalesce: 4})
 			sched := sim.NewScheduler()
-			svc.Bind(sched)
+			tier.Bind(sched)
 			frames := serviceFrames(b, 3)
 			served := 0
 			devs := make([]*ServiceDevice, n)
 			cbs := make([]func(BatchResult), n)
 			for i := range devs {
-				devs[i] = newAnalyticDevice(b, svc, fmt.Sprintf("d%d", i), uint64(i+1))
+				devs[i] = newAnalyticDevice(b, tier, fmt.Sprintf("d%d", i), uint64(i+1))
 				d := devs[i]
 				cbs[i] = func(BatchResult) {
 					served++
-					d.Enqueue(frames, sched.Now(), cbs[i])
+					d.enqueue(frames, sched.Now(), 0, cbs[i])
 				}
 			}
 			for i, d := range devs {
-				d.Enqueue(frames, 0, cbs[i])
+				d.enqueue(frames, 0, 0, cbs[i])
 			}
 			step := func(until int) {
 				for served < until {

@@ -216,7 +216,7 @@ func cloneFrames(frames []*video.Frame) []*video.Frame {
 func TestLabelFramesRetainsNoFrame(t *testing.T) {
 	all := serviceFrames(t, 24)
 	run := func(scribble bool) (labels [][]detect.TeacherLabel, phis []float64) {
-		d := newServiceDevice(t, NewService(ServiceConfig{}), "d", 5, false)
+		d := onReplica(newTierDevice(t, oneReplica(ServiceConfig{}), "d", 5, DeviceOptions{}))
 		for at := 0; at < len(all); at += 6 {
 			batch := cloneFrames(all[at : at+6])
 			l, p, _ := d.LabelFrames(batch)

@@ -54,10 +54,10 @@ func framesAtStride(t *testing.T, seed uint64, n, stride int) []*video.Frame {
 	return out
 }
 
-// deferredService builds a bound engine for a reordering policy.
-func deferredService(t *testing.T, policy string, workers, queueCap int) (*Service, *sim.Scheduler) {
+// deferredService builds a bound one-replica tier for a reordering policy.
+func deferredService(t *testing.T, policy string, workers, queueCap int) (*Tier, *sim.Scheduler) {
 	t.Helper()
-	svc := NewService(ServiceConfig{QueueCap: queueCap, Policy: policy, Workers: workers})
+	svc := oneReplica(ServiceConfig{QueueCap: queueCap, Policy: policy, Workers: workers})
 	sched := sim.NewScheduler()
 	svc.Bind(sched)
 	return svc, sched
@@ -69,10 +69,10 @@ func deferredService(t *testing.T, policy string, workers, queueCap int) (*Servi
 // before b ever ran.)
 func TestWFQEqualShareUnderBacklog(t *testing.T) {
 	svc, sched := deferredService(t, PolicyWFQ, 1, 0)
-	devs := []*ServiceDevice{
-		newServiceDevice(t, svc, "a", 1, false),
-		newServiceDevice(t, svc, "b", 2, false),
-		newServiceDevice(t, svc, "c", 3, false),
+	devs := []*TierDevice{
+		newTierDevice(t, svc, "a", 1, DeviceOptions{}),
+		newTierDevice(t, svc, "b", 2, DeviceOptions{}),
+		newTierDevice(t, svc, "c", 3, DeviceOptions{}),
 	}
 	frames := serviceFrames(t, 4)
 	perBatch := float64(len(frames)) * DefaultLabelerConfig().TeacherLatencySec
@@ -106,9 +106,8 @@ func TestWFQEqualShareUnderBacklog(t *testing.T) {
 // of a weight-1 device under sustained backlog.
 func TestWFQWeightedShare(t *testing.T) {
 	svc, sched := deferredService(t, PolicyWFQ, 1, 0)
-	a := newServiceDevice(t, svc, "a", 1, false)
-	b := newServiceDevice(t, svc, "b", 2, false)
-	a.SetWeight(2)
+	a := newTierDevice(t, svc, "a", 1, DeviceOptions{Weight: 2})
+	b := newTierDevice(t, svc, "b", 2, DeviceOptions{})
 	frames := serviceFrames(t, 4)
 	perBatch := float64(len(frames)) * DefaultLabelerConfig().TeacherLatencySec
 
@@ -130,8 +129,8 @@ func TestWFQWeightedShare(t *testing.T) {
 // served first even though it arrived later.
 func TestPhiPriorityReordersCongestedQueue(t *testing.T) {
 	svc, sched := deferredService(t, PolicyPhiPriority, 1, 0)
-	calm := newServiceDevice(t, svc, "calm", 1, false)
-	drift := newServiceDevice(t, svc, "drift", 2, false)
+	calm := newTierDevice(t, svc, "calm", 1, DeviceOptions{})
+	drift := newTierDevice(t, svc, "drift", 2, DeviceOptions{})
 
 	// Prime each device's φ signal: tightly-spaced frames change little
 	// between labels (low φ); widely-spaced frames change a lot (high φ).
@@ -163,9 +162,9 @@ func TestPhiPriorityReordersCongestedQueue(t *testing.T) {
 	}
 
 	// Control: under FIFO the identical scenario serves in arrival order.
-	fsvc := NewService(ServiceConfig{})
-	fc := newServiceDevice(t, fsvc, "calm", 1, false)
-	fd := newServiceDevice(t, fsvc, "drift", 2, false)
+	fsvc := oneReplica(ServiceConfig{})
+	fc := newTierDevice(t, fsvc, "calm", 1, DeviceOptions{})
+	fd := newTierDevice(t, fsvc, "drift", 2, DeviceOptions{})
 	label(fc, filler, 100)
 	rc := label(fc, framesAtStride(t, 4, 4, 15), 100.01)
 	rd := label(fd, framesAtStride(t, 5, 4, 150), 100.02)
@@ -179,9 +178,9 @@ func TestPhiPriorityReordersCongestedQueue(t *testing.T) {
 // zero engine changes — the registry contract.
 func TestRegisteredPolicyNeedsNoEngineEdits(t *testing.T) {
 	svc, sched := deferredService(t, "lifo-test", 1, 0)
-	a := newServiceDevice(t, svc, "a", 1, false)
-	b := newServiceDevice(t, svc, "b", 2, false)
-	c := newServiceDevice(t, svc, "c", 3, false)
+	a := newTierDevice(t, svc, "a", 1, DeviceOptions{})
+	b := newTierDevice(t, svc, "b", 2, DeviceOptions{})
+	c := newTierDevice(t, svc, "c", 3, DeviceOptions{})
 	frames := serviceFrames(t, 4)
 
 	var order []string
@@ -276,13 +275,13 @@ func TestPolicyNextIsAStrictTotalOrder(t *testing.T) {
 // both start immediately; the third queues behind the earliest horizon.
 // Worker ties break on the lowest index, so the schedule is deterministic.
 func TestWorkerPoolParallelService(t *testing.T) {
-	svc := NewService(ServiceConfig{Workers: 2})
-	if svc.Workers() != 2 {
-		t.Fatalf("worker pool size %d, want 2", svc.Workers())
+	svc := oneReplica(ServiceConfig{Workers: 2})
+	if n := len(svc.replicas[0].workers); n != 2 {
+		t.Fatalf("worker pool size %d, want 2", n)
 	}
-	a := newServiceDevice(t, svc, "a", 1, false)
-	b := newServiceDevice(t, svc, "b", 2, false)
-	c := newServiceDevice(t, svc, "c", 3, false)
+	a := newTierDevice(t, svc, "a", 1, DeviceOptions{})
+	b := newTierDevice(t, svc, "b", 2, DeviceOptions{})
+	c := newTierDevice(t, svc, "c", 3, DeviceOptions{})
 	frames := serviceFrames(t, 5)
 	lat := DefaultLabelerConfig().TeacherLatencySec
 
@@ -304,8 +303,8 @@ func TestWorkerPoolParallelService(t *testing.T) {
 // the deferred path too; Enqueue reports the drop and never calls back.
 func TestDeferredQueueCapDrops(t *testing.T) {
 	svc, sched := deferredService(t, PolicyWFQ, 1, 1)
-	a := newServiceDevice(t, svc, "a", 1, false)
-	b := newServiceDevice(t, svc, "b", 2, false)
+	a := newTierDevice(t, svc, "a", 1, DeviceOptions{})
+	b := newTierDevice(t, svc, "b", 2, DeviceOptions{})
 	frames := serviceFrames(t, 4)
 
 	if !a.Enqueue(frames, 0, func(BatchResult) {}) {
@@ -327,15 +326,15 @@ func TestDeferredQueueCapDrops(t *testing.T) {
 	}
 }
 
-// TestUnknownPolicyPanicsAtConstruction: NewService is post-validation;
-// user input goes through ValidatePolicy first.
+// TestUnknownPolicyPanicsAtConstruction: NewTier is post-validation; user
+// input goes through ValidatePolicy first.
 func TestUnknownPolicyPanicsAtConstruction(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewService with an unknown policy must panic")
+			t.Fatal("NewTier with an unknown policy must panic")
 		}
 	}()
-	NewService(ServiceConfig{Policy: "no-such-policy"})
+	NewTier(TierConfig{Service: ServiceConfig{Policy: "no-such-policy"}})
 }
 
 // TestControllerNonFiniteInputsNeutral: NaN/Inf telemetry must neither move

@@ -7,7 +7,7 @@ import (
 )
 
 // ReplicaState is one teacher replica's load snapshot as a router sees it:
-// enough to rank replicas without reaching into Service state. Snapshots are
+// enough to rank replicas without reaching into replica state. Snapshots are
 // handed to Pick in replica-index order.
 type ReplicaState struct {
 	// Index is the replica's position in the tier (the value Pick returns).
@@ -151,7 +151,7 @@ func init() {
 
 // roundRobinRouter cycles a cursor through the replica indices. With one
 // replica every Pick returns 0, which is what keeps a 1-replica tier a
-// bit-identical pass-through to the bare Service.
+// bit-identical pass-through to its replica.
 type roundRobinRouter struct {
 	next int
 }

@@ -39,7 +39,7 @@ type ServiceConfig struct {
 	Coalesce int `json:"coalesce,omitempty"`
 }
 
-// resolved returns c with its zero-valued knobs replaced by what a Service
+// resolved returns c with its zero-valued knobs replaced by what a replica
 // runs with: FIFO and one worker.
 func (c ServiceConfig) resolved() ServiceConfig {
 	if c.Policy == "" {
@@ -132,32 +132,33 @@ type pendingBatch struct {
 	cb    func(BatchResult)
 }
 
-// Service is the cloud scheduling engine: one shared labeling backend
-// multiplexed across many edge devices. A configurable pool of teacher
-// workers (ServiceConfig.Workers, each with its own busyUntil horizon)
-// serves batches in the order a pluggable Policy decides, behind a finite
-// admission queue (QueueCap); contention shows up as queueing delay, and
-// overload as drops. Per-device state — labeler φ continuity and the
-// optional sampling-rate controller — is keyed by device id.
+// service is one replica of a Tier: the cloud scheduling engine behind it.
+// A configurable pool of teacher workers (ServiceConfig.Workers, each with
+// its own busyUntil horizon) serves batches in the order a pluggable Policy
+// decides, behind a finite admission queue (QueueCap); contention shows up
+// as queueing delay, and overload as drops. A device reaches a replica only
+// through the tier, which mints its registration here (registerRouted) the
+// first time it routes one of the device's batches this way.
 //
 // Two driving modes share the engine:
 //
-//   - Virtual time (simulation): Enqueue batches from one event loop.
+//   - Virtual time (simulation): TierDevice.Enqueue from one event loop.
 //     Arrival-order policies (Policy.Immediate) are scheduled synchronously
 //     at admission; reordering policies queue and dispatch through the
-//     bound sim.Scheduler (Bind). The virtual-time methods must be driven
+//     timeline Tier.Bind attached. The virtual-time path must be driven
 //     from a single event loop.
-//   - Real time (internal/rpc): Admit/LabelFrames split admission (engine
-//     state, internally locked) from labeling (caller-serialised per
-//     device), so a live HTTP server shares the exact admission, horizon
-//     and statistics model while unrelated devices label concurrently.
-type Service struct {
+//   - Real time (internal/rpc): TierDevice.Admit and
+//     ServiceDevice.LabelFrames split admission (engine state, internally
+//     locked) from labeling (caller-serialised per device), so a live HTTP
+//     server shares the exact admission, horizon and statistics model while
+//     unrelated devices label concurrently.
+type service struct {
 	cfg       ServiceConfig
 	policy    Policy
 	immediate bool
 
 	// mu guards the scheduling state below (horizons, outstanding, waiting
-	// batches, accumulators, registry). The virtual-time path is
+	// batches, accumulators). The virtual-time path is
 	// single-threaded and pays only an uncontended lock; the rpc path
 	// genuinely contends.
 	mu sync.Mutex
@@ -185,17 +186,12 @@ type Service struct {
 	heads []*ServiceDevice
 	seq   int
 	agg   queueAccum
-	// devices holds the devices Register and RegisterDevice added, by id,
-	// so a duplicate is rejected; routed counts those a tier registered on
-	// this replica (registerRouted), which need no lookup.
-	devices map[string]*ServiceDevice
-	routed  int
 	// coalescedForwards counts multi-batch teacher forwards; coalescedBatches
 	// counts the batches that rode in them (primaries included).
 	coalescedForwards int
 	coalescedBatches  int
 
-	// sched drives deferred dispatch for reordering policies (Bind). A
+	// sched drives deferred dispatch for reordering policies (Tier.Bind). A
 	// Timeline rather than a concrete scheduler so the fleet engine can
 	// substitute its shared event queue.
 	sched       sim.Timeline
@@ -276,15 +272,21 @@ func (h *doneHeap) popMin() {
 	}
 }
 
-// NewService creates an empty labeling engine. It panics on an unregistered
-// policy name — validate user input with TierConfig.Validate first.
-func NewService(cfg ServiceConfig) *Service {
+// NewService builds a one-replica tier, which hands every batch to its
+// replica unchanged. It stays only for benchmark/units.go, which uses the
+// result as a Backend; ROADMAP 2(d) moves that call to NewTier and deletes
+// this one.
+func NewService(cfg ServiceConfig) *Tier { return NewTier(TierConfig{Service: cfg}) }
+
+// newService creates an empty replica. It panics on an unregistered policy
+// name — validate user input with TierConfig.Validate first.
+func newService(cfg ServiceConfig) *service {
 	cfg = cfg.resolved()
 	policy, err := NewPolicy(cfg.Policy)
 	if err != nil {
 		panic(err)
 	}
-	s := &Service{
+	s := &service{
 		cfg:    cfg,
 		policy: policy,
 		// Coalescing fuses batches when a worker frees, so it needs the
@@ -292,7 +294,6 @@ func NewService(cfg ServiceConfig) *Service {
 		immediate: policy.Immediate() && cfg.Coalesce < 2,
 		workers:   make([]float64, cfg.Workers),
 		free:      make([]int, cfg.Workers),
-		devices:   make(map[string]*ServiceDevice),
 	}
 	for w := range s.free { // equal horizons: index order is a heap
 		s.free[w] = w
@@ -301,31 +302,21 @@ func NewService(cfg ServiceConfig) *Service {
 	return s
 }
 
-// Bind attaches the virtual-time timeline that drives deferred dispatch.
-// Reordering (non-Immediate) policies require it before the first Enqueue;
-// arrival-order policies and the real-time Admit path never use it.
-func (s *Service) Bind(tl sim.Timeline) { s.sched = tl }
-
-// Workers returns the teacher pipeline pool size.
-func (s *Service) Workers() int { return len(s.workers) }
-
-// Policy returns the resolved scheduling policy name.
-func (s *Service) Policy() string { return s.cfg.Policy }
-
-// ServiceDevice is one registered edge device's cloud-side state: its own
-// labeler (φ continuity) and optional sampling-rate controller, sharing the
-// engine's teacher workers with every other device.
+// ServiceDevice is a tier device's registration on one replica: its own
+// labeler (φ continuity is per device and replica), its queue and its
+// statistics there, sharing the replica's teacher workers with every other
+// device routed to it. TierDevice.Admit hands it to the live server, which
+// labels on it; LabelFrames is all it exports.
 type ServiceDevice struct {
-	svc      *Service
+	svc      *service
 	id       string
 	labeler  *Labeler
-	ctrl     *Controller
 	acc      queueAccum
 	weight   float64
 	analytic bool    // price labeling instead of executing it (events fidelity)
 	lastPhi  float64 // most recent batch mean φ — the drift signal policies rank by
-	// routed is the tier device this registration serves (nil on a bare
-	// Service): a labeled batch is recorded on it before its callback runs.
+	// routed is the tier device this registration serves: a labeled batch is
+	// recorded on it before its callback runs.
 	routed *TierDevice
 	// queue[qHead:] holds the device's waiting batches in arrival order;
 	// heapIdx is the device's position in its service's heads, -1 while
@@ -335,70 +326,19 @@ type ServiceDevice struct {
 	heapIdx int
 }
 
-// Register adds a device to the service. Each device brings its own teacher
-// (its error stream) and labeler configuration; ctrlCfg non-nil attaches a
-// per-device sampling-rate controller. Duplicate ids are rejected so two
-// deployments can never alias one φ stream. Register is safe for concurrent
-// use (the rpc server registers devices on first contact).
-func (s *Service) Register(id string, teacher *detect.Teacher, labelerCfg LabelerConfig, ctrlCfg *ControllerConfig) (*ServiceDevice, error) {
-	return s.register(id, teacher, labelerCfg, ctrlCfg, false)
-}
-
-// register is Register plus the analytic-pricing flag (DeviceOptions
-// Analytic); the flag is per device, so analytic fleet devices and executed
-// full-fidelity devices coexist on one service.
-func (s *Service) register(id string, teacher *detect.Teacher, labelerCfg LabelerConfig, ctrlCfg *ControllerConfig, analytic bool) (*ServiceDevice, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.devices[id]; dup {
-		return nil, fmt.Errorf("cloud: device %q already registered", id)
-	}
-	d := s.newDevice(id, teacher, labelerCfg, ctrlCfg, analytic)
-	s.devices[id] = d
-	return d, nil
-}
-
-// registerRouted registers a tier's device on this replica, the first time
-// the tier routes one of its batches here. The tier has rejected duplicate
-// ids already and registers a device on a replica once, so no lookup by id
-// guards it; Devices counts it.
-func (s *Service) registerRouted(td *TierDevice) *ServiceDevice {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.routed++
-	d := s.newDevice(td.id, td.teacher, td.labelerCfg, nil, td.analytic)
-	d.routed = td
-	return d
-}
-
-// newDevice returns a device's fresh cloud-side state.
-func (s *Service) newDevice(id string, teacher *detect.Teacher, labelerCfg LabelerConfig, ctrlCfg *ControllerConfig, analytic bool) *ServiceDevice {
-	d := &ServiceDevice{svc: s, id: id, labeler: NewLabeler(teacher, labelerCfg), weight: 1, analytic: analytic, heapIdx: -1}
-	if ctrlCfg != nil {
-		d.ctrl = NewController(*ctrlCfg)
-	}
-	return d
-}
-
-// Devices returns the number of registered devices.
-func (s *Service) Devices() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.devices) + s.routed
-}
-
-// Stats returns the service-wide queue statistics.
-func (s *Service) Stats() QueueStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.agg.snapshot()
+// registerRouted mints td's registration on this replica, the first time
+// the tier routes one of its batches here, with the fair-queueing weight td
+// registered with. The tier has rejected duplicate ids already and mints a
+// registration on a replica once, and nothing of the replica's state
+// changes until a batch arrives, so no lock or lookup guards it.
+func (s *service) registerRouted(td *TierDevice) *ServiceDevice {
+	return &ServiceDevice{svc: s, id: td.id, labeler: NewLabeler(td.teacher, td.labelerCfg), weight: td.weight, analytic: td.analytic, routed: td, heapIdx: -1}
 }
 
 // AtCapacity reports whether a batch arriving at time now would be dropped
-// at the admission bound. It lets the rpc server refuse an unknown device's
-// upload BEFORE allocating its per-device state (teacher, controller) — an
-// advisory pre-check only: Admit re-checks authoritatively.
-func (s *Service) AtCapacity(now float64) bool {
+// at the admission bound — an advisory pre-check for Tier.AtCapacity only:
+// admission re-checks authoritatively.
+func (s *service) AtCapacity(now float64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.fullLocked(now)
@@ -412,7 +352,7 @@ func (s *Service) AtCapacity(now float64) bool {
 // pending batches drain in parallel across horizons, so the estimate is the
 // pool's, not a serial queue's. 0 means nothing occupies the queue. The rpc
 // server turns this into the Retry-After header of a 429.
-func (s *Service) RetryAfterSec(now float64) float64 {
+func (s *service) RetryAfterSec(now float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	earliest := math.Inf(1)
@@ -496,7 +436,7 @@ type Admission struct {
 // now.
 //
 //shoggoth:hotpath
-func (s *Service) occupancyLocked(now float64) int {
+func (s *service) occupancyLocked(now float64) int {
 	if now > s.occNow {
 		s.occNow = now
 	}
@@ -508,7 +448,7 @@ func (s *Service) occupancyLocked(now float64) int {
 
 // fullLocked reports whether a batch arriving at now finds the admission
 // queue at its bound.
-func (s *Service) fullLocked(now float64) bool {
+func (s *service) fullLocked(now float64) bool {
 	occ := s.occupancyLocked(now) // also when unbounded: it is what drains the heap
 	return s.cfg.QueueCap > 0 && occ >= s.cfg.QueueCap
 }
@@ -516,12 +456,12 @@ func (s *Service) fullLocked(now float64) bool {
 // freeWorkerLocked returns the worker with the smallest busyUntil horizon,
 // ties broken by the lowest index (the deterministic tie-break rule): the
 // root of the free heap.
-func (s *Service) freeWorkerLocked() int { return s.free[0] }
+func (s *service) freeWorkerLocked() int { return s.free[0] }
 
 // occupyFreeWorkerLocked moves the free worker's horizon to done, no
 // earlier than it was, and sifts the worker down the free heap. Only the
 // free worker is ever given a batch, so this is the heap's one update.
-func (s *Service) occupyFreeWorkerLocked(done float64) {
+func (s *service) occupyFreeWorkerLocked(done float64) {
 	h, at := s.free, s.workers
 	w := h[0]
 	at[w] = done
@@ -549,7 +489,7 @@ func (s *Service) occupyFreeWorkerLocked(done float64) {
 // extra is one-off additional service time (a tier cold-start penalty —
 // only added when nonzero, so extra-free paths keep the exact float op
 // sequence of the pre-tier cloud).
-func (s *Service) assignLocked(d *ServiceDevice, n int, now, arrival, extra float64) Admission {
+func (s *service) assignLocked(d *ServiceDevice, n int, now, arrival, extra float64) Admission {
 	w := s.freeWorkerLocked()
 	start := math.Max(now, s.workers[w])
 	// Service time is summed per frame, exactly as the labeling loop
@@ -573,19 +513,15 @@ func (s *Service) assignLocked(d *ServiceDevice, n int, now, arrival, extra floa
 	return Admission{Start: start, Done: done, QueueDelaySec: delay, ServiceSec: service}
 }
 
-// Admit runs admission control and worker assignment for a batch of nFrames
-// arriving at time now, in arrival order (the policy is not consulted — this
-// is the real-time path, where the network already fixed the order). ok is
-// false when the queue is full; the drop is counted. Admit is safe for
-// concurrent use; the caller labels the admitted frames with LabelFrames
-// under its own per-device serialisation.
-func (d *ServiceDevice) Admit(nFrames int, now float64) (Admission, bool) {
-	return d.admitExtra(nFrames, now, 0)
-}
-
-// admitExtra is Admit carrying one-off extra service time (a tier
-// cold-start penalty).
-func (d *ServiceDevice) admitExtra(nFrames int, now, extra float64) (Admission, bool) {
+// admit runs admission control and worker assignment for a batch of nFrames
+// arriving at time now, in arrival order (the policy is not consulted — the
+// real-time path, where the network already fixed the order, and the
+// arrival-order half of enqueue). extra is one-off extra service time (a
+// tier cold-start penalty). ok is false when the queue is full; the drop is
+// counted. admit is safe for concurrent use; the real-time caller labels
+// the admitted frames with LabelFrames under its own per-device
+// serialisation.
+func (d *ServiceDevice) admit(nFrames int, now, extra float64) (Admission, bool) {
 	s := d.svc
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -643,24 +579,19 @@ func (d *ServiceDevice) settle(phis []float64) float64 {
 	return d.lastPhi
 }
 
-// Enqueue admits one uploaded batch at virtual time now and arranges for cb
-// to be invoked exactly once with the labeled result — synchronously under
-// an arrival-order policy (the FIFO fast path), or from a deferred dispatch
+// enqueue admits one uploaded batch at virtual time now, carrying one-off
+// extra service time (a tier cold-start penalty), and arranges for cb to be
+// invoked exactly once with the labeled result — synchronously under an
+// arrival-order policy (the FIFO fast path), or from a deferred dispatch
 // event once a worker frees and the policy selects the batch. It returns
 // false (and never calls cb) when the batch is dropped at a full queue.
-// Reordering policies require a bound scheduler (Bind).
-func (d *ServiceDevice) Enqueue(frames []*video.Frame, now float64, cb func(BatchResult)) bool {
-	return d.enqueueOpts(frames, now, 0, cb)
-}
-
-// enqueueOpts is Enqueue carrying one-off extra service time (a tier
-// cold-start penalty; 0 on the plain path).
-func (d *ServiceDevice) enqueueOpts(frames []*video.Frame, now, extra float64, cb func(BatchResult)) bool {
+// Reordering policies require a bound timeline (Tier.Bind).
+func (d *ServiceDevice) enqueue(frames []*video.Frame, now, extra float64, cb func(BatchResult)) bool {
 	s := d.svc
 	if s.immediate {
 		// Arrival order: admission, worker assignment and labeling in one
 		// call, the callback before Enqueue returns.
-		adm, ok := d.admitExtra(len(frames), now, extra)
+		adm, ok := d.admit(len(frames), now, extra)
 		if !ok {
 			return false
 		}
@@ -676,7 +607,7 @@ func (d *ServiceDevice) enqueueOpts(frames []*video.Frame, now, extra float64, c
 		return true
 	}
 	if s.sched == nil {
-		panic(fmt.Sprintf("cloud: policy %q (coalesce %d) needs a scheduler; call Service.Bind first", s.Policy(), s.cfg.Coalesce))
+		panic(fmt.Sprintf("cloud: policy %q (coalesce %d) needs a scheduler; call Tier.Bind first", s.cfg.Policy, s.cfg.Coalesce))
 	}
 	s.mu.Lock()
 	if s.fullLocked(now) {
@@ -707,7 +638,7 @@ func (d *ServiceDevice) enqueueOpts(frames []*video.Frame, now, extra float64, c
 // ensureDispatchLocked schedules the next dispatch event at the earliest
 // time a worker frees (no earlier than now). Horizons only grow, so an
 // already-scheduled earlier-or-equal event covers this request.
-func (s *Service) ensureDispatchLocked(now float64) {
+func (s *service) ensureDispatchLocked(now float64) {
 	if s.waiting == 0 {
 		return
 	}
@@ -728,7 +659,7 @@ func (s *Service) ensureDispatchLocked(now float64) {
 // fused into one priced teacher forward — then labels the assigned batches
 // and delivers their callbacks in assignment order. Selection and labeling
 // are split so no callback runs while the engine lock is held.
-func (s *Service) onDispatch(now float64) {
+func (s *service) onDispatch(now float64) {
 	s.mu.Lock()
 	s.ready = s.dispatchLocked(now, s.ready[:0])
 	ready := s.ready // only dispatch events touch it, and the event loop runs one at a time
@@ -765,7 +696,7 @@ func (s *Service) onDispatch(now float64) {
 
 // takePhis returns an empty φ slice from phiFree, or nil when none is left
 // (PhiAnalytic grows it).
-func (s *Service) takePhis() []float64 {
+func (s *service) takePhis() []float64 {
 	n := len(s.phiFree) - 1
 	if n < 0 {
 		return nil
@@ -777,11 +708,9 @@ func (s *Service) takePhis() []float64 {
 }
 
 // deliver hands a labeled batch that arrived at arrival to its callback,
-// recording it on the tier first when the device is a tier's routed one.
+// recording it on the tier first.
 func (d *ServiceDevice) deliver(cb func(BatchResult), arrival float64, res BatchResult) {
-	if td := d.routed; td != nil {
-		td.tier.record(td, arrival, res.Done)
-	}
+	d.routed.tier.record(d.routed, arrival, res.Done)
 	cb(res)
 }
 
@@ -792,7 +721,7 @@ func (d *ServiceDevice) deliver(cb func(BatchResult), arrival float64, res Batch
 // escape to the batch callbacks.
 //
 //shoggoth:hotpath
-func (s *Service) dispatchLocked(now float64, ready []assigned) []assigned {
+func (s *service) dispatchLocked(now float64, ready []assigned) []assigned {
 	s.dispatchSet = false
 	for s.waiting > 0 && s.workers[s.freeWorkerLocked()] <= now {
 		if s.cfg.Coalesce >= 2 {
@@ -817,7 +746,7 @@ func (s *Service) dispatchLocked(now float64, ready []assigned) []assigned {
 // group is service scratch, valid until the next call.
 //
 //shoggoth:hotpath
-func (s *Service) selectGroupLocked() []pendingBatch {
+func (s *service) selectGroupLocked() []pendingBatch {
 	if cap(s.group) < s.cfg.Coalesce {
 		s.group = make([]pendingBatch, 0, s.cfg.Coalesce)
 		s.costs = make([]float64, s.cfg.Coalesce)
@@ -845,7 +774,7 @@ func (s *Service) selectGroupLocked() []pendingBatch {
 // meaning WFQ's attained-service counter advances less for piggybacked
 // work — riders are cheap by construction). The assignments are appended to
 // ready in selection order.
-func (s *Service) assignGroupLocked(ready []assigned, group []pendingBatch, now float64) []assigned {
+func (s *service) assignGroupLocked(ready []assigned, group []pendingBatch, now float64) []assigned {
 	w := s.freeWorkerLocked()
 	start := math.Max(now, s.workers[w])
 	costs := s.costs[:len(group)]
@@ -903,7 +832,7 @@ func (d *ServiceDevice) push(b pendingBatch) {
 // batch, or leaves the heap when none waits.
 //
 //shoggoth:hotpath
-func (s *Service) popLocked() pendingBatch {
+func (s *service) popLocked() pendingBatch {
 	d := s.heads[0]
 	b := d.queue[d.qHead]
 	d.queue[d.qHead] = pendingBatch{}
@@ -917,7 +846,7 @@ func (s *Service) popLocked() pendingBatch {
 
 // waitingBySeqLocked returns every waiting batch in arrival order. It is
 // the slow path of RetryAfterSec's replay; no pick uses it.
-func (s *Service) waitingBySeqLocked() []*pendingBatch {
+func (s *service) waitingBySeqLocked() []*pendingBatch {
 	all := make([]*pendingBatch, 0, s.waiting)
 	for _, d := range s.heads {
 		for i := d.qHead; i < len(d.queue); i++ {
@@ -947,7 +876,7 @@ func (d *ServiceDevice) headLocked() Pending {
 // allows, so an answer out of range falls back to the earlier arrival.
 //
 //shoggoth:hotpath
-func (s *Service) beforeLocked(a, b *ServiceDevice) bool {
+func (s *service) beforeLocked(a, b *ServiceDevice) bool {
 	pa, pb := a.headLocked(), b.headLocked()
 	aFirst := pa.Seq < pb.Seq
 	if aFirst {
@@ -960,13 +889,13 @@ func (s *Service) beforeLocked(a, b *ServiceDevice) bool {
 
 // rekeyLocked restores the heap order of heads after anything a policy may
 // rank d by changed: d's head-of-line batch (a batch queued or taken), its
-// attained service (a batch assigned), its φ (a batch labeled) or its
-// weight. It inserts d when its first batch waits, removes it when its last
+// attained service (a batch assigned) or its φ (a batch labeled); its
+// weight is fixed at registration. It inserts d when its first batch waits, removes it when its last
 // one left, and otherwise sifts it to its new place, in O(log d) for d
 // devices with a waiting batch.
 //
 //shoggoth:hotpath
-func (s *Service) rekeyLocked(d *ServiceDevice) {
+func (s *service) rekeyLocked(d *ServiceDevice) {
 	waits := d.qHead < len(d.queue)
 	switch {
 	case waits && d.heapIdx < 0:
@@ -991,14 +920,14 @@ func (s *Service) rekeyLocked(d *ServiceDevice) {
 // fixLocked moves the entry at i up or down to its place in heads.
 //
 //shoggoth:hotpath
-func (s *Service) fixLocked(i int) {
+func (s *service) fixLocked(i int) {
 	if !s.siftDownLocked(i) {
 		s.siftUpLocked(i)
 	}
 }
 
 //shoggoth:hotpath
-func (s *Service) siftUpLocked(j int) {
+func (s *service) siftUpLocked(j int) {
 	for j > 0 {
 		parent := (j - 1) / 2
 		if !s.beforeLocked(s.heads[j], s.heads[parent]) {
@@ -1012,7 +941,7 @@ func (s *Service) siftUpLocked(j int) {
 // siftDownLocked reports whether the entry at i moved.
 //
 //shoggoth:hotpath
-func (s *Service) siftDownLocked(i int) bool {
+func (s *service) siftDownLocked(i int) bool {
 	j, n := i, len(s.heads)
 	for {
 		child := 2*j + 1
@@ -1031,53 +960,11 @@ func (s *Service) siftDownLocked(i int) bool {
 	return j > i
 }
 
-func (s *Service) swapLocked(i, j int) {
+func (s *service) swapLocked(i, j int) {
 	h := s.heads
 	h[i], h[j] = h[j], h[i]
 	h[i].heapIdx = i
 	h[j].heapIdx = j
-}
-
-// ID returns the device's registration id.
-func (d *ServiceDevice) ID() string { return d.id }
-
-// SetWeight sets the device's fair-queueing weight (PolicyWFQ share;
-// non-positive values reset to the default 1).
-func (d *ServiceDevice) SetWeight(w float64) {
-	d.svc.mu.Lock()
-	defer d.svc.mu.Unlock()
-	if w <= 0 {
-		w = 1
-	}
-	d.weight = w
-	d.svc.rekeyLocked(d)
-}
-
-// Adaptive reports whether this device has a sampling-rate controller.
-func (d *ServiceDevice) Adaptive() bool { return d.ctrl != nil }
-
-// Rate returns the controller's current sampling rate (0 without one).
-func (d *ServiceDevice) Rate() float64 {
-	if d.ctrl == nil {
-		return 0
-	}
-	return d.ctrl.Rate()
-}
-
-// UpdateRate feeds the device's controller one (φ̄, α, λ̄) report and
-// returns the new rate command; ok is false without a controller.
-func (d *ServiceDevice) UpdateRate(phiMean, alpha, lambda float64) (rate float64, ok bool) {
-	if d.ctrl == nil {
-		return 0, false
-	}
-	return d.ctrl.Update(phiMean, alpha, lambda), true
-}
-
-// Stats returns this device's queue statistics.
-func (d *ServiceDevice) Stats() QueueStats {
-	d.svc.mu.Lock()
-	defer d.svc.mu.Unlock()
-	return d.acc.snapshot()
 }
 
 // accCopy returns a copy of the device's raw accumulator, for a tier
@@ -1089,7 +976,7 @@ func (d *ServiceDevice) accCopy() queueAccum {
 }
 
 // aggCopy returns a copy of the service-wide raw accumulator.
-func (s *Service) aggCopy() queueAccum {
+func (s *service) aggCopy() queueAccum {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.agg
@@ -1097,7 +984,7 @@ func (s *Service) aggCopy() queueAccum {
 
 // coalesceCounts reports fused teacher forwards and the batches that rode
 // in them.
-func (s *Service) coalesceCounts() (forwards, batches int) {
+func (s *service) coalesceCounts() (forwards, batches int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.coalescedForwards, s.coalescedBatches
@@ -1109,7 +996,7 @@ func (s *Service) coalesceCounts() (forwards, batches int) {
 // replica per uploaded batch.
 //
 //shoggoth:hotpath
-func (s *Service) loadSnapshot(now float64) (queueLen int, freeInSec float64) {
+func (s *service) loadSnapshot(now float64) (queueLen int, freeInSec float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.workers[s.freeWorkerLocked()]

@@ -20,12 +20,12 @@ const DefaultSLOClass = "standard"
 // onto it. The zero value is the frozen default — one FIFO worker behind a
 // 1-replica round-robin tier, no admission control, no batching.
 type TierConfig struct {
-	// Replicas is the number of Service replicas the tier owns (each a full
-	// teacher pipeline built from Service). Values < 1 mean 1.
+	// Replicas is the number of replicas the tier owns, each a full teacher
+	// pipeline configured by Service. Values < 1 mean 1.
 	Replicas int `json:"replicas,omitempty"`
 	// Router names the replica router (see RegisterRouter). Empty means
-	// RouterRoundRobin, the frozen default — with one replica the tier is
-	// then a bit-identical pass-through to the bare Service.
+	// RouterRoundRobin, the frozen default — with one replica the tier then
+	// hands every batch to that replica unchanged.
 	Router string `json:"router,omitempty"`
 	// Service configures every replica (queue bound, policy, worker pool,
 	// coalescing).
@@ -176,18 +176,18 @@ type classAccum struct {
 	lat     []float64 // per-batch label latency samples, completion order
 }
 
-// Tier is the routing tier over M teacher replicas: the cloud half of the
-// system once one Service stops being enough. Each replica is a full
-// Service (own worker pool, queue, policy, optional coalescing); a
-// registry-driven Router picks the replica for every uploaded batch, a
-// token bucket in front rejects overload before it queues, and per-device
-// state above the replicas (the sampling-rate controller, SLO class,
-// fairness accounting) lives on TierDevice so one logical device may lazily
-// register on several replicas while keeping ONE rate-control stream.
+// Tier is the cloud: a routing tier over M teacher replicas, and the one
+// Backend of this package. Each replica is a full scheduling engine (own
+// worker pool, queue, policy, optional coalescing); a registry-driven
+// Router picks the replica for every uploaded batch, a token bucket in front
+// rejects overload before it queues, and per-device state above the
+// replicas (the sampling-rate controller, SLO class, fairness accounting)
+// lives on TierDevice so one logical device may lazily register on several
+// replicas while keeping ONE rate-control stream.
 //
 // A 1-replica tier with the default round-robin router, no admission
-// control and no cold-start penalty is a bit-identical pass-through to the
-// bare Service — the contract that keeps the golden file frozen.
+// control and no cold-start penalty hands every batch to its replica
+// unchanged — the contract that keeps the golden file frozen.
 //
 // Determinism: routing happens in Enqueue order under the tier lock, the
 // router sees load snapshots computed purely from virtual time, and warmth
@@ -196,7 +196,7 @@ type classAccum struct {
 type Tier struct {
 	cfg      TierConfig // resolved: Router and Replicas name what runs
 	router   Router
-	replicas []*Service
+	replicas []*service
 	// loads reports that the router reads replica loads (it does not
 	// declare itself LoadBlind), so route snapshots every replica.
 	loads bool
@@ -218,7 +218,7 @@ type Tier struct {
 	admissionRejected int
 }
 
-// NewTier creates a tier of cfg.Replicas fresh Service replicas. It panics
+// NewTier creates a tier of cfg.Replicas fresh replicas. It panics
 // on an unregistered router or policy name — validate user input with
 // TierConfig.Validate first.
 func NewTier(cfg TierConfig) *Tier {
@@ -233,14 +233,14 @@ func NewTier(cfg TierConfig) *Tier {
 		cfg:      cfg,
 		router:   router,
 		loads:    blind == nil || !blind.LoadBlind(),
-		replicas: make([]*Service, n),
+		replicas: make([]*service, n),
 		warm:     make([]map[int]float64, n),
 		targets:  make([]ReplicaState, n),
 		devices:  make(map[string]*TierDevice),
 		classes:  make(map[string]*classAccum),
 	}
 	for i := range t.replicas {
-		t.replicas[i] = NewService(cfg.Service)
+		t.replicas[i] = newService(cfg.Service)
 		t.warm[i] = make(map[int]float64)
 		t.targets[i] = ReplicaState{Index: i, QueueCap: cfg.Service.QueueCap}
 	}
@@ -250,11 +250,13 @@ func NewTier(cfg TierConfig) *Tier {
 	return t
 }
 
-// Bind attaches the virtual-time timeline to every replica (deferred
-// dispatch and coalescing need it).
+// Bind attaches the virtual-time timeline that drives every replica's
+// deferred dispatch. Reordering (non-Immediate) policies and coalescing
+// require it before the first Enqueue; arrival-order policies and the
+// real-time Admit path never use it.
 func (t *Tier) Bind(tl sim.Timeline) {
 	for _, svc := range t.replicas {
-		svc.Bind(tl)
+		svc.sched = tl
 	}
 }
 
@@ -283,9 +285,13 @@ type TierDevice struct {
 	drops      int // token-bucket rejections (queue-full drops live in regs)
 }
 
-// Register adds a device to the tier. The optional controller config
-// attaches the tier-owned rate controller; opts carries the SLO class and
-// fair-queueing weight. Duplicate ids are rejected.
+// Register adds a device to the tier. Each device brings its own teacher
+// (its error stream) and labeler configuration; the optional controller
+// config attaches the tier-owned rate controller; opts carries the SLO
+// class, the fair-queueing weight — fixed from here on — and analytic
+// pricing. Duplicate ids are rejected so two deployments can never alias
+// one φ stream. Register is safe for concurrent use (the rpc server
+// registers devices as they post their registrations).
 func (t *Tier) Register(id string, teacher *detect.Teacher, labelerCfg LabelerConfig, ctrlCfg *ControllerConfig, opts DeviceOptions) (*TierDevice, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -409,9 +415,6 @@ func (t *Tier) admitRoute(td *TierDevice, frames []*video.Frame, now float64) (r
 	reg = td.regs[ri]
 	if reg == nil {
 		reg = t.replicas[ri].registerRouted(td)
-		if td.weight != 1 {
-			reg.SetWeight(td.weight)
-		}
 		td.regs[ri] = reg
 	}
 	return reg, ex, true
@@ -450,7 +453,7 @@ func (td *TierDevice) Enqueue(frames []*video.Frame, now float64, cb func(BatchR
 	if !ok {
 		return false
 	}
-	ok = reg.enqueueOpts(frames, now, extra, cb)
+	ok = reg.enqueue(frames, now, extra, cb)
 	if !ok {
 		t.recordQueueDrop(td.class)
 	}
@@ -469,7 +472,7 @@ func (td *TierDevice) Admit(frames []*video.Frame, now float64) (Admission, *Ser
 	if !ok {
 		return Admission{}, nil, false
 	}
-	adm, ok := reg.admitExtra(len(frames), now, extra)
+	adm, ok := reg.admit(len(frames), now, extra)
 	if !ok {
 		t.recordQueueDrop(td.class)
 		return Admission{}, nil, false
@@ -500,27 +503,10 @@ func (td *TierDevice) UpdateRate(phiMean, alpha, lambda float64) (rate float64, 
 	return td.ctrl.Update(phiMean, alpha, lambda), true
 }
 
-// SetWeight sets the device's fair-queueing weight on every current and
-// future replica registration (non-positive resets to 1).
-func (td *TierDevice) SetWeight(w float64) {
-	t := td.tier
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if w <= 0 {
-		w = 1
-	}
-	td.weight = w
-	for _, reg := range td.regs {
-		if reg != nil {
-			reg.SetWeight(w)
-		}
-	}
-}
-
 // Stats merges this device's queue statistics across every replica that
 // served it (replica-index order), token-bucket rejections included. With
-// one replica the merge reproduces the bare ServiceDevice stats bit for
-// bit.
+// one replica the merge reproduces that replica's statistics of the device
+// bit for bit.
 func (td *TierDevice) Stats() QueueStats {
 	t := td.tier
 	t.mu.Lock()
@@ -549,8 +535,7 @@ func (t *Tier) Stats() QueueStats {
 
 // AtCapacity reports whether a batch arriving at time now would be
 // rejected: the token bucket is dry, or every replica's queue is full. An
-// advisory pre-check (mirroring Service.AtCapacity) — Enqueue/Admit
-// re-check authoritatively.
+// advisory pre-check — Enqueue/Admit re-check authoritatively.
 func (t *Tier) AtCapacity(now float64) bool {
 	t.mu.Lock()
 	dry := t.bucket != nil && !t.bucket.peek(now)
@@ -570,7 +555,7 @@ func (t *Tier) AtCapacity(now float64) bool {
 }
 
 // RetryAfterSec estimates how long until the tier can admit again: the
-// soonest replica drain (each pool-aware, see Service.RetryAfterSec) and —
+// soonest replica drain (each pool-aware, see service.RetryAfterSec) and —
 // when admission control is the binding constraint — the token bucket's
 // next accrual, whichever binds later.
 func (t *Tier) RetryAfterSec(now float64) float64 {

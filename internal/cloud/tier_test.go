@@ -12,7 +12,7 @@ import (
 	"shoggoth/internal/video"
 )
 
-func newTierDevice(t *testing.T, tier *Tier, id string, seed uint64, opts DeviceOptions) *TierDevice {
+func newTierDevice(t testing.TB, tier *Tier, id string, seed uint64, opts DeviceOptions) *TierDevice {
 	t.Helper()
 	p := video.DETRACProfile()
 	teacher := detect.NewTeacher(p, rand.New(rand.NewPCG(seed, 2)))
@@ -60,10 +60,10 @@ func TestServiceRetryAfterSecPoolDrain(t *testing.T) {
 		// A reordering policy keeps the batches pending (unassigned), which
 		// is exactly the state the pool-drain replay estimates. The scheduler
 		// is bound but never advanced: nothing dispatches.
-		svc := NewService(ServiceConfig{Policy: PolicyWFQ, Workers: tc.workers})
+		svc := oneReplica(ServiceConfig{Policy: PolicyWFQ, Workers: tc.workers})
 		svc.Bind(sim.NewScheduler())
-		a := newServiceDevice(t, svc, "a", 1, false)
-		b := newServiceDevice(t, svc, "b", 2, false)
+		a := newTierDevice(t, svc, "a", 1, DeviceOptions{})
+		b := newTierDevice(t, svc, "b", 2, DeviceOptions{})
 		if !a.Enqueue(serviceFrames(t, 2), 0, func(BatchResult) {}) {
 			t.Fatal("enqueue a")
 		}
@@ -74,7 +74,7 @@ func TestServiceRetryAfterSecPoolDrain(t *testing.T) {
 			t.Fatalf("workers=%d: RetryAfterSec = %v, want %v", tc.workers, got, tc.want)
 		}
 	}
-	if got := NewService(ServiceConfig{}).RetryAfterSec(5); got != 0 {
+	if got := oneReplica(ServiceConfig{}).RetryAfterSec(5); got != 0 {
 		t.Fatalf("idle service RetryAfterSec = %v, want 0", got)
 	}
 }
@@ -82,17 +82,18 @@ func TestServiceRetryAfterSecPoolDrain(t *testing.T) {
 // TestTierOneReplicaPassThrough locks the contract that keeps the golden
 // file frozen: a 1-replica tier under the default router, no admission
 // control and no cold-start penalty produces bit-identical results and
-// statistics to the bare Service for the same batch sequence.
+// statistics to its replica, driven directly, for the same batch sequence.
 func TestTierOneReplicaPassThrough(t *testing.T) {
-	svc := NewService(ServiceConfig{QueueCap: 1})
-	sd := newServiceDevice(t, svc, "a", 1, false)
+	sd := onReplica(newTierDevice(t, oneReplica(ServiceConfig{QueueCap: 1}), "a", 1, DeviceOptions{}))
+	svc := sd.svc
 	tier := NewTier(TierConfig{Service: ServiceConfig{QueueCap: 1}})
 	td := newTierDevice(t, tier, "a", 1, DeviceOptions{})
 
 	frames := serviceFrames(t, 5)
 	// Includes a mid-service arrival that both sides must drop at QueueCap 1.
 	for _, now := range []float64{0, 0.01, 10, 10.2} {
-		want := label(sd, frames, now)
+		want := BatchResult{Dropped: true}
+		sd.enqueue(frames, now, 0, func(r BatchResult) { want = r })
 		var got BatchResult
 		ok := td.Enqueue(frames, now, func(r BatchResult) { got = r })
 		if ok == want.Dropped {
@@ -113,14 +114,15 @@ func TestTierOneReplicaPassThrough(t *testing.T) {
 			}
 		}
 	}
-	if tier.Stats() != svc.Stats() {
-		t.Fatalf("tier aggregate diverged: %+v vs %+v", tier.Stats(), svc.Stats())
+	agg, dev := svc.aggCopy(), sd.accCopy()
+	if want := agg.snapshot(); tier.Stats() != want {
+		t.Fatalf("tier aggregate diverged: %+v vs %+v", tier.Stats(), want)
 	}
-	if td.Stats() != sd.Stats() {
-		t.Fatalf("tier device stats diverged: %+v vs %+v", td.Stats(), sd.Stats())
+	if want := dev.snapshot(); td.Stats() != want {
+		t.Fatalf("tier device stats diverged: %+v vs %+v", td.Stats(), want)
 	}
 	ts := tier.TierStats()
-	if ts.QueueStats != svc.Stats() || len(ts.Replicas) != 1 || ts.Replicas[0] != svc.Stats() {
+	if want := agg.snapshot(); ts.QueueStats != want || len(ts.Replicas) != 1 || ts.Replicas[0] != want {
 		t.Fatalf("TierStats merge not exact: %+v", ts)
 	}
 	if ts.Router != RouterRoundRobin {
@@ -311,14 +313,26 @@ func TestTierDuplicateRegistrationRejected(t *testing.T) {
 	}
 }
 
-// TestReplicaCountsRoutedRegistrations holds a replica's Devices to the
-// registrations the tier mints on it lazily: none before a batch is routed
-// there, one per device after, however many batches follow.
+// TestReplicaCountsRoutedRegistrations holds the registrations the tier
+// mints on each replica lazily: none before a batch is routed there, one
+// per device after, however many batches follow.
 func TestReplicaCountsRoutedRegistrations(t *testing.T) {
 	tier := NewTier(TierConfig{Replicas: 2, Router: "round-robin"})
 	a := newTierDevice(t, tier, "a", 1, DeviceOptions{})
 	b := newTierDevice(t, tier, "b", 2, DeviceOptions{})
-	count := func() [2]int { return [2]int{tier.replicas[0].Devices(), tier.replicas[1].Devices()} }
+	count := func() (n [2]int) {
+		for _, d := range []*TierDevice{a, b} {
+			for i, reg := range d.regs {
+				if reg != nil {
+					if reg.svc != tier.replicas[i] || reg.routed != d {
+						t.Fatalf("device %s's registration %d belongs elsewhere", d.id, i)
+					}
+					n[i]++
+				}
+			}
+		}
+		return n
+	}
 	if got := count(); got != [2]int{0, 0} {
 		t.Fatalf("replica registrations before any batch: %v, want [0 0]", got)
 	}
@@ -471,9 +485,9 @@ func TestTierResolvedIsWhatRuns(t *testing.T) {
 	}
 	tier := NewTier(TierConfig{})
 	if tier.Replicas() != r.Replicas || tier.Router() != r.Router ||
-		tier.replicas[0].Policy() != r.Service.Policy || tier.replicas[0].Workers() != r.Service.Workers {
+		tier.replicas[0].cfg.Policy != r.Service.Policy || len(tier.replicas[0].workers) != r.Service.Workers {
 		t.Fatalf("NewTier runs %d replicas, router %s, policy %s, %d workers; Resolved says %+v",
-			tier.Replicas(), tier.Router(), tier.replicas[0].Policy(), tier.replicas[0].Workers(), r)
+			tier.Replicas(), tier.Router(), tier.replicas[0].cfg.Policy, len(tier.replicas[0].workers), r)
 	}
 	set := TierConfig{Replicas: 2, Router: RouterLeastLoaded, Service: ServiceConfig{Policy: PolicyWFQ, Workers: 3}}
 	if set.Resolved() != set {

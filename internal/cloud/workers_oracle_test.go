@@ -25,7 +25,7 @@ func linearFreeWorker(workers []float64) int {
 // once, orders every parent before its children on (horizon, index), and
 // has at its root the worker the linear scan picks. It returns whether
 // that pick tied with another worker's horizon.
-func checkFreeWorkers(t *testing.T, name string, s *Service) (tied bool) {
+func checkFreeWorkers(t *testing.T, name string, s *service) (tied bool) {
 	t.Helper()
 	at, h := s.workers, s.free
 	seen := make([]bool, len(at))
@@ -63,8 +63,8 @@ func TestFreeWorkerHeapMatchesLinearScan(t *testing.T) {
 	pick := func(xs ...float64) float64 { return xs[rng.IntN(len(xs))] }
 	ties := 0
 	for _, workers := range []int{1, 2, 3, 5, 8, 32} {
-		svc := NewService(ServiceConfig{Workers: workers})
-		d := newServiceDevice(t, svc, "dev", 1, false)
+		d := onReplica(newTierDevice(t, oneReplica(ServiceConfig{Workers: workers}), "dev", 1, DeviceOptions{}))
+		svc := d.svc
 		now := 0.0
 		for i := 0; i < 3000; i++ {
 			if checkFreeWorkers(t, "eager", svc) {
@@ -72,7 +72,7 @@ func TestFreeWorkerHeapMatchesLinearScan(t *testing.T) {
 			}
 			w := linearFreeWorker(svc.workers)
 			wantStart := math.Max(now, svc.workers[w])
-			adm, ok := d.admitExtra(rng.IntN(3), now, pick(0, 0, 0.5, 0.25))
+			adm, ok := d.admit(rng.IntN(3), now, pick(0, 0, 0.5, 0.25))
 			if !ok || adm.Start != wantStart {
 				t.Fatalf("%d workers, admission %d at %v: start %v (admitted %t), worker %d frees at %v", workers, i, now, adm.Start, ok, w, wantStart)
 			}
@@ -88,12 +88,13 @@ func TestFreeWorkerHeapMatchesLinearScan(t *testing.T) {
 	ties = 0
 	frames := serviceFrames(t, 3)
 	for _, workers := range []int{2, 5, 32} {
-		svc := NewService(ServiceConfig{Policy: PolicyWFQ, Workers: workers, Coalesce: 3})
+		tier := oneReplica(ServiceConfig{Policy: PolicyWFQ, Workers: workers, Coalesce: 3})
+		svc := tier.replicas[0]
 		sched := sim.NewScheduler()
-		svc.Bind(sched)
+		tier.Bind(sched)
 		devs := make([]*ServiceDevice, 6)
 		for i := range devs {
-			devs[i] = newAnalyticDevice(t, svc, string(rune('a'+i)), uint64(i+1))
+			devs[i] = newAnalyticDevice(t, tier, string(rune('a'+i)), uint64(i+1))
 		}
 		served := func(BatchResult) {
 			if checkFreeWorkers(t, "deferred", svc) {
@@ -103,7 +104,7 @@ func TestFreeWorkerHeapMatchesLinearScan(t *testing.T) {
 		for op := 0; op < 2000; op++ {
 			now := sched.Now()
 			if rng.IntN(3) > 0 {
-				devs[rng.IntN(len(devs))].Enqueue(frames[:1+rng.IntN(len(frames))], now, served)
+				devs[rng.IntN(len(devs))].enqueue(frames[:1+rng.IntN(len(frames))], now, 0, served)
 			} else {
 				sched.AdvanceTo(now + pick(0, 0.045, 0.2*rng.Float64()))
 			}

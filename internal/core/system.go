@@ -139,9 +139,9 @@ type SystemOptions struct {
 	// Scheduler, when set, is the virtual-time event loop this deployment
 	// shares with others (a Cluster steps every device on one clock).
 	Scheduler *sim.Scheduler
-	// Cloud, when set, is a shared labeling backend (a Service or a Tier):
-	// this device registers on it and contends with every other registered
-	// device for teacher capacity.
+	// Cloud, when set, is a shared labeling backend (a cloud.Tier, or the
+	// live rpc.Backend): this device registers on it and contends with
+	// every other registered device for teacher capacity.
 	Cloud cloud.Backend
 	// Shared, when set, receives the cross-device events this deployment
 	// emits (upload arrivals). The fleet engine passes the device's Outbox;

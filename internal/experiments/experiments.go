@@ -11,6 +11,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"shoggoth"
 	"shoggoth/internal/core"
@@ -21,11 +22,20 @@ import (
 // Mode scales experiment cost. Cycles is the number of scenario-script
 // passes per run (the paper streams hours of video; two cycles are enough
 // for retention effects to show, one cycle for a quick look). Workers
-// bounds the fleet's concurrent sessions (0 = GOMAXPROCS).
+// bounds the fleet's concurrent sessions and shards the Cluster
+// experiments' engines (0 = GOMAXPROCS).
 type Mode struct {
 	Cycles  float64
 	Seed    uint64
 	Workers int
+}
+
+// engineWorkers is Workers as a Cluster's EngineWorkers, which reads 0 as 1.
+func (m Mode) engineWorkers() int {
+	if m.Workers < 1 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return m.Workers
 }
 
 // sharedCache hands every run on a profile the identical deployed model,

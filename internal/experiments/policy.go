@@ -65,7 +65,7 @@ func PolicyAblation(m Mode) (*PolicyAblationResult, error) {
 				cfgs[i].DeviceID = fmt.Sprintf("edge-%d", i+1)
 				cfgs[i].Cloud = tier
 			}
-			res, err := (&shoggoth.Cluster{Cache: &sharedCache}).Run(context.Background(), cfgs)
+			res, err := (&shoggoth.Cluster{EngineWorkers: m.engineWorkers(), Cache: &sharedCache}).Run(context.Background(), cfgs)
 			if err != nil {
 				return nil, fmt.Errorf("policy ablation %s x %d workers: %w", policy, workers, err)
 			}

@@ -82,7 +82,7 @@ func RouterAblation(m Mode) (*RouterAblationResult, error) {
 				cfgs[i].Seed = m.Seed + uint64(i)
 				cfgs[i].Cloud = tier
 			}
-			res, err := (&shoggoth.Cluster{Cache: &sharedCache}).Run(context.Background(), cfgs)
+			res, err := (&shoggoth.Cluster{EngineWorkers: m.engineWorkers(), Cache: &sharedCache}).Run(context.Background(), cfgs)
 			if err != nil {
 				return nil, fmt.Errorf("router ablation %s x %d replicas: %w", router, replicas, err)
 			}

@@ -11,7 +11,8 @@ import (
 // Calling out to arbitrary code under a lock invites deadlock (the callback
 // re-enters the engine) and smears the lock's hold time across foreign work;
 // the engine must select under the lock, then dispatch after unlocking
-// (cloud.Service.onDispatch is the reference shape).
+// (the onDispatch of a cloud tier's replica, internal/cloud/service.go, is
+// the reference shape).
 //
 // The analyzer tracks sync.Mutex/RWMutex Lock/Unlock pairs per function
 // (deferred unlocks hold to function end; an unlock inside an early-return

@@ -42,10 +42,6 @@ func TestRepoIsClean(t *testing.T) {
 // reason. Everything else without a caller is deleted, not listed; root
 // package code is never listed.
 var withoutACaller = map[string]string{
-	"(*shoggoth/internal/cloud.Service).Devices":                          "test accessor: cloud and rpc tests read a bare Service's registrations",
-	"(*shoggoth/internal/cloud.Service).Register":                         "test driver: cloud tests register devices on a bare Service",
-	"(*shoggoth/internal/cloud.Service).Workers":                          "test accessor: policy and tier tests read the resolved worker count",
-	"(*shoggoth/internal/cloud.ServiceDevice).Admit":                      "test driver: occupancy_test.go drives admission on a bare Service",
 	"(*shoggoth/internal/cloud.Tier).Devices":                             "test accessor: tier_test.go reads the tier's registrations",
 	"(*shoggoth/internal/cloud.Tier).Replicas":                            "test accessor: tier_test.go reads the replica count",
 	"(*shoggoth/internal/cloud.Tier).Router":                              "test accessor: tier_test.go reads the resolved router",

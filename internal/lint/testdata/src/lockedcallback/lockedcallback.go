@@ -55,7 +55,7 @@ func (e *Engine) earlyReturnUnlock(cb func(int), v int) {
 }
 
 // goodDeferred is the sanctioned shape: select under the lock, dispatch
-// after unlocking (cloud.Service.onDispatch).
+// after unlocking (a cloud replica's onDispatch).
 func (e *Engine) goodDeferred(v int) {
 	e.mu.Lock()
 	ready := append(e.subs[:0:0], e.subs...)

@@ -198,8 +198,6 @@ func (d *device) UpdateRate(phiMean, alpha, lambda float64) (float64, bool) {
 	return d.rate, true
 }
 
-func (d *device) SetWeight(w float64) { d.priced.SetWeight(w) }
-
 // Stats returns the device's priced statistics, with the server's
 // refusals counted as drops.
 func (d *device) Stats() cloud.QueueStats {
