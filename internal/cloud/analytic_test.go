@@ -9,22 +9,23 @@ import (
 
 // newAnalyticDevice registers an analytic device on tier and returns its
 // registration on the tier's first replica.
-func newAnalyticDevice(t testing.TB, tier *Tier, id string, seed uint64) *ServiceDevice {
+func newAnalyticDevice(t testing.TB, tier *Tier, id string, seed uint64) *serviceDevice {
 	t.Helper()
 	return onReplica(newTierDevice(t, tier, id, seed, DeviceOptions{Analytic: true}))
 }
 
-// TestAnalyticLabelFramesContract: an analytic device prices labeling
+// TestAnalyticLabelingContract: an analytic device prices labeling
 // without running the teacher — no label sets come back, φ comes from the
 // drift model (first frame 0, everything in [0, 1]) and the reported mean
 // is the mean of the per-frame values.
-func TestAnalyticLabelFramesContract(t *testing.T) {
-	d := newAnalyticDevice(t, oneReplica(ServiceConfig{}), "a", 1)
+func TestAnalyticLabelingContract(t *testing.T) {
+	d := newTierDevice(t, oneReplica(ServiceConfig{}), "a", 1, DeviceOptions{Analytic: true})
 	frames := serviceFrames(t, 6)
 
-	labels, phis, mean := d.LabelFrames(frames)
-	if labels != nil {
-		t.Fatalf("analytic device returned %d label sets, want none", len(labels))
+	res := label(d, frames, 0)
+	phis, mean := res.Phis, res.PhiMean
+	if res.Labels != nil {
+		t.Fatalf("analytic device returned %d label sets, want none", len(res.Labels))
 	}
 	if len(phis) != len(frames) {
 		t.Fatalf("got %d φ values for %d frames", len(phis), len(frames))
@@ -49,11 +50,10 @@ func TestAnalyticLabelFramesContract(t *testing.T) {
 func TestAnalyticPhiDeterministic(t *testing.T) {
 	frames := serviceFrames(t, 9)
 	run := func() []float64 {
-		d := newAnalyticDevice(t, oneReplica(ServiceConfig{}), "a", 7)
+		d := newTierDevice(t, oneReplica(ServiceConfig{}), "a", 7, DeviceOptions{Analytic: true})
 		var out []float64
-		for _, batch := range [][]*video.Frame{frames[:3], frames[3:5], frames[5:]} {
-			_, phis, _ := d.LabelFrames(batch)
-			out = append(out, phis...)
+		for i, batch := range [][]*video.Frame{frames[:3], frames[3:5], frames[5:]} {
+			out = append(out, label(d, batch, float64(i)).Phis...) // copied: the φs are borrowed
 		}
 		return out
 	}
@@ -65,7 +65,7 @@ func TestAnalyticPhiDeterministic(t *testing.T) {
 	}
 }
 
-// TestAnalyticPricingMatchesExecuted: analytic mode changes what LabelFrames
+// TestAnalyticPricingMatchesExecuted: analytic mode changes what labeling
 // computes, never what a batch costs — service timing (start, done, queue
 // delay) is identical to an executed device over the same arrivals, so
 // events-fidelity queueing dynamics stay honest.

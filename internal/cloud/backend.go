@@ -32,12 +32,12 @@ type DeviceOptions struct {
 // statistics.
 //
 // Frame ownership: a backend reads the frames a Device is handed from
-// Enqueue (or Admit) until their labeling ends — for Enqueue, until cb has
-// returned or Enqueue has returned false — and never afterwards; it writes
-// to none, and it keeps no reference to the label sets it delivers. For an
-// analytic device labeling ends inside Enqueue: a batch that waits keeps the
-// φs it was priced at, not its frames, so the backend reads them only
-// during Enqueue. The caller may then reuse the frames and the slice
+// Enqueue until their labeling ends — until cb has returned or Enqueue has
+// returned false — and never afterwards; it writes to none, and it keeps
+// no reference to the label sets it delivers. For an analytic device
+// labeling ends inside Enqueue: a batch that waits keeps the φs it was
+// priced at, not its frames, so the backend reads them only during
+// Enqueue. The caller may then reuse the frames and the slice
 // holding them: a simulated edge recycles both, and an events-fidelity edge
 // builds its frames for the length of the call only. The BatchResult's Phis
 // are borrowed for the callback only (see BatchResult).
@@ -61,6 +61,14 @@ type Device interface {
 	// false and cb never runs. The frames stay the caller's: it may reuse
 	// them once cb has returned or Enqueue has returned false, and an
 	// analytic device's once Enqueue has returned.
+	//
+	// Concurrency: the caller serialises each device's calls. On a Tier
+	// whose policy serves in arrival order and which does not coalesce,
+	// different executed devices may call Enqueue concurrently: the batch
+	// is labeled and cb runs inside the call, outside the replica's lock.
+	// Analytic devices share their replica's φ scratch, so they may not,
+	// and neither may any device of a tier that defers batches to the
+	// timeline Tier.Bind attached: one event loop drives those.
 	Enqueue(frames []*video.Frame, now float64, cb func(BatchResult)) bool
 	// Adaptive reports whether the device has a sampling-rate controller.
 	Adaptive() bool

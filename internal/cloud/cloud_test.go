@@ -1,8 +1,11 @@
 package cloud
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -200,7 +203,7 @@ func oneReplica(cfg ServiceConfig) *Tier { return NewTier(TierConfig{Service: cf
 // onReplica mints td's registration on its tier's first replica, as the
 // tier does when it first routes one of td's batches there, for the tests
 // that drive the replica's engine directly.
-func onReplica(td *TierDevice) *ServiceDevice {
+func onReplica(td *tierDevice) *serviceDevice {
 	reg := td.tier.replicas[0].registerRouted(td)
 	td.regs[0] = reg
 	return reg
@@ -209,7 +212,7 @@ func onReplica(td *TierDevice) *ServiceDevice {
 // label runs one batch through d.Enqueue under an arrival-order policy,
 // where the callback fires before Enqueue returns; a dropped batch comes
 // back as BatchResult{Dropped: true}.
-func label(d *TierDevice, frames []*video.Frame, now float64) BatchResult {
+func label(d *tierDevice, frames []*video.Frame, now float64) BatchResult {
 	res, called := BatchResult{Dropped: true}, false
 	if d.Enqueue(frames, now, func(r BatchResult) { res, called = r, true }) && !called {
 		panic("label: the replica deferred the batch; use Enqueue under a reordering policy")
@@ -318,5 +321,76 @@ func TestTierDeviceWithoutController(t *testing.T) {
 	res := label(d, serviceFrames(t, 2), 0)
 	if res.Dropped || len(res.Labels) != 2 {
 		t.Fatalf("labeling failed without controller: %+v", res)
+	}
+}
+
+// TestConcurrentExecutedEnqueue holds the concurrency rule on
+// Device.Enqueue: executed devices on one arrival-order replica, each
+// calling Enqueue from its own goroutine, get the labels and φs a
+// sequential run gives them, and the tier's batch totals add up. Under the
+// race detector it also shows that they share no unguarded state.
+func TestConcurrentExecutedEnqueue(t *testing.T) {
+	const devices, batches, size = 4, 6, 3
+	frames := serviceFrames(t, batches*size)
+	type outcome struct {
+		labels [][]detect.TeacherLabel
+		phis   []float64
+	}
+	run := func(concurrent bool) (*Tier, []*tierDevice, []outcome) {
+		tier := oneReplica(ServiceConfig{Workers: 2})
+		devs := make([]*tierDevice, devices)
+		for i := range devs {
+			devs[i] = newTierDevice(t, tier, fmt.Sprintf("d%d", i), uint64(i+1), DeviceOptions{})
+		}
+		out := make([]outcome, devices)
+		upload := func(i int) {
+			for k := 0; k < batches; k++ {
+				res := label(devs[i], frames[k*size:(k+1)*size], float64(k)*0.05)
+				out[i].labels = append(out[i].labels, res.Labels...)
+				out[i].phis = append(out[i].phis, res.Phis...)
+			}
+		}
+		if !concurrent {
+			for i := range devs {
+				upload(i)
+			}
+			return tier, devs, out
+		}
+		var wg sync.WaitGroup
+		for i := range devs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				upload(i)
+			}()
+		}
+		wg.Wait()
+		return tier, devs, out
+	}
+	_, _, want := run(false)
+	tier, devs, got := run(true)
+	for i := range got {
+		if !reflect.DeepEqual(got[i].labels, want[i].labels) {
+			t.Fatalf("device %d: labels differ from the sequential run", i)
+		}
+		if len(got[i].phis) != batches*size {
+			t.Fatalf("device %d: %d φs, want %d", i, len(got[i].phis), batches*size)
+		}
+		for j := range got[i].phis {
+			if math.Float64bits(got[i].phis[j]) != math.Float64bits(want[i].phis[j]) {
+				t.Fatalf("device %d φ[%d] = %v, sequential %v", i, j, got[i].phis[j], want[i].phis[j])
+			}
+		}
+	}
+	total, served := devices*batches, 0
+	for _, d := range devs {
+		served += d.Stats().Batches
+	}
+	st := tier.TierStats()
+	if st.Batches != total || served != total || st.Replicas[0].Batches != total || st.DroppedBatches != 0 {
+		t.Fatalf("batch totals: tier %d, devices %d, replica %d, dropped %d; want %d served", st.Batches, served, st.Replicas[0].Batches, st.DroppedBatches, total)
+	}
+	if c := st.SLOClasses[DefaultSLOClass]; c.Batches != total || st.JainFairness != 1 {
+		t.Fatalf("class batches %d (want %d), Jain index %v (want 1)", c.Batches, total, st.JainFairness)
 	}
 }

@@ -26,9 +26,10 @@ type scanDispatch struct {
 	eligible    []Pending
 	idx         []int
 	selEpoch    uint64
-	epochs      map[*ServiceDevice]uint64 // the selection that last offered each device's head-of-line batch
+	epochs      map[*serviceDevice]uint64 // the selection that last offered each device's head-of-line batch
 	group       []*pendingBatch
 	ready       []assigned
+	phis        []float64 // labeling's φ scratch, as the service's phis
 	dispatchSet bool
 	dispatchAt  float64
 }
@@ -39,10 +40,10 @@ func newScanDispatch(cfg ServiceConfig) *scanDispatch {
 	if c := max(cfg.Coalesce, 1); cap(s.costs) < c {
 		s.costs = make([]float64, c)
 	}
-	return &scanDispatch{tier: tier, s: s, sched: sim.NewScheduler(), epochs: map[*ServiceDevice]uint64{}}
+	return &scanDispatch{tier: tier, s: s, sched: sim.NewScheduler(), epochs: map[*serviceDevice]uint64{}}
 }
 
-func (o *scanDispatch) enqueue(d *ServiceDevice, frames []*video.Frame, now float64, cb func(BatchResult)) bool {
+func (o *scanDispatch) enqueue(d *serviceDevice, frames []*video.Frame, now float64, cb func(BatchResult)) bool {
 	s := o.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -82,7 +83,7 @@ func (o *scanDispatch) onDispatch(now float64) {
 	s.mu.Unlock()
 	for k := range ready {
 		a := &ready[k]
-		labels, phis, phiMean := a.b.dev.LabelFrames(a.b.frames)
+		labels, phis, phiMean := a.b.dev.label(a.b.frames, &o.phis)
 		a.b.cb(BatchResult{
 			Labels:        labels,
 			Phis:          phis,
@@ -204,7 +205,7 @@ func (a delivery) equal(b delivery) bool {
 // checkHeads fails unless the replica's heap holds exactly those of its
 // devices devs that have a waiting batch, each once at its recorded index,
 // in the policy's order, and waiting counts their batches.
-func checkHeads(t *testing.T, s *service, devs []*ServiceDevice) {
+func checkHeads(t *testing.T, s *service, devs []*serviceDevice) {
 	t.Helper()
 	inHeap, waiting := 0, 0
 	for _, d := range devs {
@@ -255,7 +256,7 @@ func TestHeapPicksMatchScanOracle(t *testing.T) {
 				sched := sim.NewScheduler()
 				tier.Bind(sched)
 				ref := newScanDispatch(cfg)
-				var devs, refDevs []*ServiceDevice
+				var devs, refDevs []*serviceDevice
 				for i := 0; i < 6; i++ {
 					lc := DefaultLabelerConfig()
 					if i%3 == 2 {
@@ -265,14 +266,14 @@ func TestHeapPicksMatchScanOracle(t *testing.T) {
 					opts := DeviceOptions{Analytic: true, Weight: []float64{0, 0.5, 1, 2, 3}[rng.IntN(5)]}
 					for _, side := range []struct {
 						tier *Tier
-						devs *[]*ServiceDevice
+						devs *[]*serviceDevice
 					}{{tier, &devs}, {ref.tier, &refDevs}} {
 						teacher := detect.NewTeacher(video.DETRACProfile(), rand.New(rand.NewPCG(uint64(i+1), 2)))
-						td, err := side.tier.Register(id, teacher, lc, nil, opts)
+						td, err := side.tier.RegisterDevice(id, teacher, lc, nil, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
-						*side.devs = append(*side.devs, onReplica(td))
+						*side.devs = append(*side.devs, onReplica(td.(*tierDevice)))
 					}
 				}
 				var got, want []delivery

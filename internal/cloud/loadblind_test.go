@@ -108,7 +108,7 @@ func TestLoadBlindRoutingMatchesSnapshotRouting(t *testing.T) {
 type refTier struct {
 	tier    *Tier
 	sched   *sim.Scheduler
-	devs    []*TierDevice
+	devs    []Device
 	results [][]BatchResult
 }
 
@@ -122,7 +122,7 @@ func newRefTier(t *testing.T, router string, svc ServiceConfig) *refTier {
 	p := video.DETRACProfile()
 	for i := 0; i < 24; i++ {
 		teacher := detect.NewTeacher(p, rand.New(rand.NewPCG(uint64(i), 2)))
-		d, err := r.tier.Register(string(rune('a'+i)), teacher, DefaultLabelerConfig(), nil,
+		d, err := r.tier.RegisterDevice(string(rune('a'+i)), teacher, DefaultLabelerConfig(), nil,
 			DeviceOptions{Analytic: true, Weight: float64(1 + i%3)})
 		if err != nil {
 			t.Fatal(err)

@@ -209,21 +209,23 @@ func cloneFrames(frames []*video.Frame) []*video.Frame {
 	return out
 }
 
-// TestLabelFramesRetainsNoFrame: once LabelFrames has returned, the caller
-// may do what it likes with the frames it passed and the labels it got.
-// Scribbling over both after every batch leaves the next batch's φ and
-// labels exactly those of a run that scribbled over nothing.
-func TestLabelFramesRetainsNoFrame(t *testing.T) {
+// TestEnqueueRetainsNoFrame: once an arrival-order Enqueue has run its
+// callback and returned, the caller may do what it likes with the frames it
+// passed and the labels it got. Scribbling over both after every batch
+// leaves the next batch's φ and labels exactly those of a run that
+// scribbled over nothing.
+func TestEnqueueRetainsNoFrame(t *testing.T) {
 	all := serviceFrames(t, 24)
 	run := func(scribble bool) (labels [][]detect.TeacherLabel, phis []float64) {
-		d := onReplica(newTierDevice(t, oneReplica(ServiceConfig{}), "d", 5, DeviceOptions{}))
+		d := newTierDevice(t, oneReplica(ServiceConfig{}), "d", 5, DeviceOptions{})
 		for at := 0; at < len(all); at += 6 {
 			batch := cloneFrames(all[at : at+6])
-			l, p, _ := d.LabelFrames(batch)
+			res := label(d, batch, float64(at))
+			l := res.Labels
 			for _, set := range l {
 				labels = append(labels, append([]detect.TeacherLabel(nil), set...))
 			}
-			phis = append(phis, p...)
+			phis = append(phis, res.Phis...)
 			if !scribble {
 				continue
 			}

@@ -69,7 +69,7 @@ func deferredService(t *testing.T, policy string, workers, queueCap int) (*Tier,
 // before b ever ran.)
 func TestWFQEqualShareUnderBacklog(t *testing.T) {
 	svc, sched := deferredService(t, PolicyWFQ, 1, 0)
-	devs := []*TierDevice{
+	devs := []*tierDevice{
 		newTierDevice(t, svc, "a", 1, DeviceOptions{}),
 		newTierDevice(t, svc, "b", 2, DeviceOptions{}),
 		newTierDevice(t, svc, "c", 3, DeviceOptions{}),

@@ -1,10 +1,8 @@
 package cloud
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"shoggoth/internal/detect"
@@ -34,8 +32,7 @@ type ServiceConfig struct {
 	// teacher forward — the first batch pays full per-frame latency, every
 	// piggybacked frame pays coalesceMarginal of it. Values < 2 disable
 	// coalescing (the frozen default). Coalescing forces the deferred path
-	// even under an arrival-order policy, so it needs Bind; the real-time
-	// Admit path never coalesces (arrival order is fixed by the network).
+	// even under an arrival-order policy, so it needs Tier.Bind.
 	Coalesce int `json:"coalesce,omitempty"`
 }
 
@@ -120,7 +117,7 @@ func (a *queueAccum) snapshot() QueueStats {
 // analytic device's holds the φs its labeling computed at admission, and
 // no frame.
 type pendingBatch struct {
-	dev     *ServiceDevice
+	dev     *serviceDevice
 	n       int // the batch's frame count
 	frames  []*video.Frame
 	phis    []float64
@@ -137,30 +134,24 @@ type pendingBatch struct {
 // its own busyUntil horizon) serves batches in the order a pluggable Policy
 // decides, behind a finite admission queue (QueueCap); contention shows up
 // as queueing delay, and overload as drops. A device reaches a replica only
-// through the tier, which mints its registration here (registerRouted) the
-// first time it routes one of the device's batches this way.
+// through the tier's Device.Enqueue, which mints its registration here
+// (registerRouted) the first time it routes one of the device's batches
+// this way.
 //
-// Two driving modes share the engine:
-//
-//   - Virtual time (simulation): TierDevice.Enqueue from one event loop.
-//     Arrival-order policies (Policy.Immediate) are scheduled synchronously
-//     at admission; reordering policies queue and dispatch through the
-//     timeline Tier.Bind attached. The virtual-time path must be driven
-//     from a single event loop.
-//   - Real time (internal/rpc): TierDevice.Admit and
-//     ServiceDevice.LabelFrames split admission (engine state, internally
-//     locked) from labeling (caller-serialised per device), so a live HTTP
-//     server shares the exact admission, horizon and statistics model while
-//     unrelated devices label concurrently.
+// Under an arrival-order policy without coalescing (immediate) a batch is
+// admitted, assigned and labeled inside Enqueue, and only admission takes
+// the engine lock; otherwise the batch waits, and a dispatch event on the
+// timeline Tier.Bind attached serves it. Who may call Enqueue concurrently
+// is the rule on Device.Enqueue.
 type service struct {
 	cfg       ServiceConfig
 	policy    Policy
 	immediate bool
 
 	// mu guards the scheduling state below (horizons, outstanding, waiting
-	// batches, accumulators). The virtual-time path is
-	// single-threaded and pays only an uncontended lock; the rpc path
-	// genuinely contends.
+	// batches, accumulators). A simulation drives a replica from one event
+	// loop and pays only an uncontended lock; the live server's devices
+	// genuinely contend.
 	mu sync.Mutex
 	// workers holds each teacher worker's busyUntil horizon. A batch is
 	// assigned to the free worker with the smallest horizon, ties broken by
@@ -183,7 +174,7 @@ type service struct {
 	// heads holds the devices with a waiting batch, as a binary min-heap in
 	// the policy's order over their head-of-line batches (see
 	// rekeyLocked); each device records its position in heapIdx.
-	heads []*ServiceDevice
+	heads []*serviceDevice
 	seq   int
 	agg   queueAccum
 	// coalescedForwards counts multi-batch teacher forwards; coalescedBatches
@@ -223,7 +214,7 @@ type service struct {
 // engine lock is released and its callback may run.
 type assigned struct {
 	b   pendingBatch
-	adm Admission
+	adm admission
 }
 
 // doneHeap is a binary min-heap of batch completion times.
@@ -302,12 +293,11 @@ func newService(cfg ServiceConfig) *service {
 	return s
 }
 
-// ServiceDevice is a tier device's registration on one replica: its own
+// serviceDevice is a tier device's registration on one replica: its own
 // labeler (φ continuity is per device and replica), its queue and its
 // statistics there, sharing the replica's teacher workers with every other
-// device routed to it. TierDevice.Admit hands it to the live server, which
-// labels on it; LabelFrames is all it exports.
-type ServiceDevice struct {
+// device routed to it.
+type serviceDevice struct {
 	svc      *service
 	id       string
 	labeler  *Labeler
@@ -317,7 +307,7 @@ type ServiceDevice struct {
 	lastPhi  float64 // most recent batch mean φ — the drift signal policies rank by
 	// routed is the tier device this registration serves: a labeled batch is
 	// recorded on it before its callback runs.
-	routed *TierDevice
+	routed *tierDevice
 	// queue[qHead:] holds the device's waiting batches in arrival order;
 	// heapIdx is the device's position in its service's heads, -1 while
 	// nothing waits.
@@ -331,8 +321,8 @@ type ServiceDevice struct {
 // registered with. The tier has rejected duplicate ids already and mints a
 // registration on a replica once, and nothing of the replica's state
 // changes until a batch arrives, so no lock or lookup guards it.
-func (s *service) registerRouted(td *TierDevice) *ServiceDevice {
-	return &ServiceDevice{svc: s, id: td.id, labeler: NewLabeler(td.teacher, td.labelerCfg), weight: td.weight, analytic: td.analytic, routed: td, heapIdx: -1}
+func (s *service) registerRouted(td *tierDevice) *serviceDevice {
+	return &serviceDevice{svc: s, id: td.id, labeler: NewLabeler(td.teacher, td.labelerCfg), weight: td.weight, analytic: td.analytic, routed: td, heapIdx: -1}
 }
 
 // AtCapacity reports whether a batch arriving at time now would be dropped
@@ -345,48 +335,19 @@ func (s *service) AtCapacity(now float64) bool {
 }
 
 // RetryAfterSec estimates, at time now, how long until the admission queue
-// frees a slot, accounting for the whole worker pool's drain rate: the
-// earliest future completion among assigned batches, or — when the queue is
-// held full by still-unassigned pending batches — the earliest completion a
-// pool-drain replay of the pending queue produces. With Workers > 1 the
-// pending batches drain in parallel across horizons, so the estimate is the
-// pool's, not a serial queue's. 0 means nothing occupies the queue. The rpc
-// server turns this into the Retry-After header of a 429.
+// of an immediate replica frees a slot: the time to the earliest completion
+// among the batches on its workers, whichever worker holds it. 0 means
+// nothing occupies the queue. A batch waiting on a deferred replica is not
+// counted. The rpc server, whose replicas are immediate, turns this into
+// the Retry-After header of a 429.
 func (s *service) RetryAfterSec(now float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	earliest := math.Inf(1)
 	s.occupancyLocked(now) // drops completed batches, so the heap's root is the next completion
-	if len(s.outstanding) > 0 {
-		earliest = s.outstanding[0]
-	}
-	if s.waiting > 0 {
-		// Replay the waiting batches over a copy of the worker horizons in
-		// arrival order (a conservative estimate: reordering policies and
-		// coalescing can only finish a first batch sooner). The first
-		// simulated completion frees a queue slot.
-		horizons := make([]float64, len(s.workers))
-		copy(horizons, s.workers)
-		for _, b := range s.waitingBySeqLocked() {
-			w := 0
-			for i := 1; i < len(horizons); i++ {
-				if horizons[i] < horizons[w] {
-					w = i
-				}
-			}
-			start := math.Max(now, horizons[w])
-			service := float64(b.n)*b.dev.labeler.Config.TeacherLatencySec + b.extra
-			done := start + service
-			horizons[w] = done
-			if done > now && done < earliest {
-				earliest = done
-			}
-		}
-	}
-	if math.IsInf(earliest, 1) {
+	if len(s.outstanding) == 0 {
 		return 0
 	}
-	return earliest - now
+	return s.outstanding[0] - now
 }
 
 // BatchResult is the outcome of one uploaded sample batch.
@@ -411,13 +372,12 @@ type BatchResult struct {
 	Dropped bool
 }
 
-// Admission is the scheduling outcome of one admitted batch: when a worker
+// admission is the scheduling outcome of one admitted batch: when a worker
 // starts on it, when it completes, and what it waited.
-type Admission struct {
+type admission struct {
 	Start         float64
 	Done          float64
 	QueueDelaySec float64
-	ServiceSec    float64
 }
 
 // occupancyLocked returns the number of batches in the system — assigned and
@@ -428,11 +388,11 @@ type Admission struct {
 // Occupancy is evaluated at the service's high-water now: the latest time
 // any caller has asked at. A completed batch has left the system for good,
 // and the heap cannot bring it back. In virtual time now never decreases, so
-// this is the caller's now. The real-time path reads its clock before it
+// this is the caller's now. The live server reads its clock before it
 // takes the lock, so two requests can arrive here out of clock order; the
 // later-clocked one has then already been answered, and answering the other
 // at that same instant keeps admission a function of the order of arrival at
-// the lock. Worker horizons and Admission.Start keep using the caller's own
+// the lock. Worker horizons and admission.Start keep using the caller's own
 // now.
 //
 //shoggoth:hotpath
@@ -489,7 +449,7 @@ func (s *service) occupyFreeWorkerLocked(done float64) {
 // extra is one-off additional service time (a tier cold-start penalty —
 // only added when nonzero, so extra-free paths keep the exact float op
 // sequence of the pre-tier cloud).
-func (s *service) assignLocked(d *ServiceDevice, n int, now, arrival, extra float64) Admission {
+func (s *service) assignLocked(d *serviceDevice, n int, now, arrival, extra float64) admission {
 	w := s.freeWorkerLocked()
 	start := math.Max(now, s.workers[w])
 	// Service time is summed per frame, exactly as the labeling loop
@@ -510,42 +470,34 @@ func (s *service) assignLocked(d *ServiceDevice, n int, now, arrival, extra floa
 	d.acc.admit(delay, service)
 	s.rekeyLocked(d) // d may have a next batch waiting, keyed on its busy time before this one
 	s.agg.admit(delay, service)
-	return Admission{Start: start, Done: done, QueueDelaySec: delay, ServiceSec: service}
+	return admission{Start: start, Done: done, QueueDelaySec: delay}
 }
 
 // admit runs admission control and worker assignment for a batch of nFrames
-// arriving at time now, in arrival order (the policy is not consulted — the
-// real-time path, where the network already fixed the order, and the
-// arrival-order half of enqueue). extra is one-off extra service time (a
-// tier cold-start penalty). ok is false when the queue is full; the drop is
-// counted. admit is safe for concurrent use; the real-time caller labels
-// the admitted frames with LabelFrames under its own per-device
-// serialisation.
-func (d *ServiceDevice) admit(nFrames int, now, extra float64) (Admission, bool) {
+// arriving at time now, in arrival order (the policy is not consulted: the
+// immediate half of enqueue). extra is one-off extra service time (a tier
+// cold-start penalty). ok is false when the queue is full; the drop is
+// counted. admit is safe for concurrent use.
+func (d *serviceDevice) admit(nFrames int, now, extra float64) (admission, bool) {
 	s := d.svc
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fullLocked(now) {
 		d.acc.dropped++
 		s.agg.dropped++
-		return Admission{}, false
+		return admission{}, false
 	}
 	return s.assignLocked(d, nFrames, now, now, extra), true
 }
 
-// LabelFrames runs the teacher over a batch, returning the label sets, the
-// per-frame φ losses and their mean, and updating the device's drift
-// signal. It does not touch engine scheduling state; the caller serialises
-// calls per device (the virtual-time event loop, or the rpc server's
-// per-device lock) so the labeler's φ continuity sees frames in order.
-func (d *ServiceDevice) LabelFrames(frames []*video.Frame) ([][]detect.TeacherLabel, []float64, float64) {
-	var phis []float64 // fresh: devices label concurrently on the real-time path
-	return d.label(frames, &phis)
-}
-
-// label is LabelFrames with an analytic device's φs written over *scratch,
-// which it grows as needed. The virtual-time paths pass the service's phis.
-func (d *ServiceDevice) label(frames []*video.Frame, scratch *[]float64) ([][]detect.TeacherLabel, []float64, float64) {
+// label runs the teacher over a batch, returning the label sets, the
+// per-frame φ losses and their mean, and making the mean the device's drift
+// signal. An executed device's label sets and φs are fresh; an analytic
+// device's φs are written over *scratch, which it grows as needed (the
+// callers pass the service's phis). label touches no scheduling state and
+// takes no lock: the caller serialises calls per device, so the labeler's
+// φ chain sees frames in order.
+func (d *serviceDevice) label(frames []*video.Frame, scratch *[]float64) ([][]detect.TeacherLabel, []float64, float64) {
 	if d.analytic {
 		// Events-fidelity pricing: the batch was queued, assigned a worker
 		// horizon and charged its full (or coalesced-rider) service time by
@@ -570,7 +522,7 @@ func (d *ServiceDevice) label(frames []*video.Frame, scratch *[]float64) ([][]de
 
 // settle returns the mean of an analytic batch's φs and makes it the
 // device's drift signal, as labeling the batch does.
-func (d *ServiceDevice) settle(phis []float64) float64 {
+func (d *serviceDevice) settle(phis []float64) float64 {
 	var phi metrics.Running
 	for _, p := range phis {
 		phi.Add(p)
@@ -586,11 +538,12 @@ func (d *ServiceDevice) settle(phis []float64) float64 {
 // event once a worker frees and the policy selects the batch. It returns
 // false (and never calls cb) when the batch is dropped at a full queue.
 // Reordering policies require a bound timeline (Tier.Bind).
-func (d *ServiceDevice) enqueue(frames []*video.Frame, now, extra float64, cb func(BatchResult)) bool {
+func (d *serviceDevice) enqueue(frames []*video.Frame, now, extra float64, cb func(BatchResult)) bool {
 	s := d.svc
 	if s.immediate {
 		// Arrival order: admission, worker assignment and labeling in one
-		// call, the callback before Enqueue returns.
+		// call, the callback before Enqueue returns. Only admission takes
+		// the engine lock.
 		adm, ok := d.admit(len(frames), now, extra)
 		if !ok {
 			return false
@@ -709,7 +662,7 @@ func (s *service) takePhis() []float64 {
 
 // deliver hands a labeled batch that arrived at arrival to its callback,
 // recording it on the tier first.
-func (d *ServiceDevice) deliver(cb func(BatchResult), arrival float64, res BatchResult) {
+func (d *serviceDevice) deliver(cb func(BatchResult), arrival float64, res BatchResult) {
 	d.routed.tier.record(d.routed, arrival, res.Done)
 	cb(res)
 }
@@ -805,7 +758,7 @@ func (s *service) assignGroupLocked(ready []assigned, group []pendingBatch, now 
 		s.rekeyLocked(b.dev)
 		s.agg.admit(delay, costs[k])
 		//shoggoth:allow hotalloc -- grows to the most batches one dispatch event has assigned, then reused
-		ready = append(ready, assigned{b: *b, adm: Admission{Start: start, Done: done, QueueDelaySec: delay, ServiceSec: costs[k]}})
+		ready = append(ready, assigned{b: *b, adm: admission{Start: start, Done: done, QueueDelaySec: delay}})
 		*b = pendingBatch{}
 	}
 	if len(group) > 1 {
@@ -818,7 +771,7 @@ func (s *service) assignGroupLocked(ready []assigned, group []pendingBatch, now 
 // push appends b to the device's queue, first moving the waiting batches
 // to the front when the backing array is full, so a device that never
 // drains reuses its queue's memory instead of growing it.
-func (d *ServiceDevice) push(b pendingBatch) {
+func (d *serviceDevice) push(b pendingBatch) {
 	if d.qHead > 0 && len(d.queue) == cap(d.queue) {
 		n := copy(d.queue, d.queue[d.qHead:])
 		clear(d.queue[n:])
@@ -844,21 +797,8 @@ func (s *service) popLocked() pendingBatch {
 	return b
 }
 
-// waitingBySeqLocked returns every waiting batch in arrival order. It is
-// the slow path of RetryAfterSec's replay; no pick uses it.
-func (s *service) waitingBySeqLocked() []*pendingBatch {
-	all := make([]*pendingBatch, 0, s.waiting)
-	for _, d := range s.heads {
-		for i := d.qHead; i < len(d.queue); i++ {
-			all = append(all, &d.queue[i])
-		}
-	}
-	slices.SortFunc(all, func(a, b *pendingBatch) int { return cmp.Compare(a.seq, b.seq) })
-	return all
-}
-
 // headLocked is the policy's view of the device's head-of-line batch.
-func (d *ServiceDevice) headLocked() Pending {
+func (d *serviceDevice) headLocked() Pending {
 	b := &d.queue[d.qHead]
 	return Pending{
 		Device:    d.id,
@@ -876,7 +816,7 @@ func (d *ServiceDevice) headLocked() Pending {
 // allows, so an answer out of range falls back to the earlier arrival.
 //
 //shoggoth:hotpath
-func (s *service) beforeLocked(a, b *ServiceDevice) bool {
+func (s *service) beforeLocked(a, b *serviceDevice) bool {
 	pa, pb := a.headLocked(), b.headLocked()
 	aFirst := pa.Seq < pb.Seq
 	if aFirst {
@@ -895,7 +835,7 @@ func (s *service) beforeLocked(a, b *ServiceDevice) bool {
 // devices with a waiting batch.
 //
 //shoggoth:hotpath
-func (s *service) rekeyLocked(d *ServiceDevice) {
+func (s *service) rekeyLocked(d *serviceDevice) {
 	waits := d.qHead < len(d.queue)
 	switch {
 	case waits && d.heapIdx < 0:
@@ -969,7 +909,7 @@ func (s *service) swapLocked(i, j int) {
 
 // accCopy returns a copy of the device's raw accumulator, for a tier
 // merging per-replica registrations of one logical device.
-func (d *ServiceDevice) accCopy() queueAccum {
+func (d *serviceDevice) accCopy() queueAccum {
 	d.svc.mu.Lock()
 	defer d.svc.mu.Unlock()
 	return d.acc

@@ -182,8 +182,8 @@ type classAccum struct {
 // Router picks the replica for every uploaded batch, a token bucket in front
 // rejects overload before it queues, and per-device state above the
 // replicas (the sampling-rate controller, SLO class, fairness accounting)
-// lives on TierDevice so one logical device may lazily register on several
-// replicas while keeping ONE rate-control stream.
+// lives on the tier's device so one logical device may lazily register on
+// several replicas while keeping ONE rate-control stream.
 //
 // A 1-replica tier with the default round-robin router, no admission
 // control and no cold-start penalty hands every batch to its replica
@@ -211,8 +211,8 @@ type Tier struct {
 	// targets is the pre-sized ReplicaState scratch handed to Router.Pick —
 	// the dispatch path allocates nothing.
 	targets           []ReplicaState
-	devices           map[string]*TierDevice
-	order             []*TierDevice // registration order — the Jain denominator
+	devices           map[string]*tierDevice
+	order             []*tierDevice // registration order — the Jain denominator
 	classes           map[string]*classAccum
 	classOrder        []string // registration order; never range the map
 	admissionRejected int
@@ -236,7 +236,7 @@ func NewTier(cfg TierConfig) *Tier {
 		replicas: make([]*service, n),
 		warm:     make([]map[int]float64, n),
 		targets:  make([]ReplicaState, n),
-		devices:  make(map[string]*TierDevice),
+		devices:  make(map[string]*tierDevice),
 		classes:  make(map[string]*classAccum),
 	}
 	for i := range t.replicas {
@@ -252,26 +252,21 @@ func NewTier(cfg TierConfig) *Tier {
 
 // Bind attaches the virtual-time timeline that drives every replica's
 // deferred dispatch. Reordering (non-Immediate) policies and coalescing
-// require it before the first Enqueue; arrival-order policies and the
-// real-time Admit path never use it.
+// require it before the first Enqueue; an arrival-order tier that does not
+// coalesce, such as the live server's, never uses it.
 func (t *Tier) Bind(tl sim.Timeline) {
 	for _, svc := range t.replicas {
 		svc.sched = tl
 	}
 }
 
-// Replicas returns the replica count.
-func (t *Tier) Replicas() int { return len(t.replicas) }
-
-// Router returns the resolved replica router name.
-func (t *Tier) Router() string { return t.cfg.Router }
-
-// TierDevice is one logical edge device registered on a Tier. The tier
-// owns the device's sampling-rate controller (ONE rate stream regardless
-// of how many replicas end up serving it); per-replica registrations are
-// minted lazily the first time the router sends a batch that way, each
-// carrying its own labeler so φ continuity is per (device, replica).
-type TierDevice struct {
+// tierDevice is one logical edge device registered on a Tier: the Device
+// RegisterDevice returns. The tier owns the device's sampling-rate
+// controller (ONE rate stream regardless of how many replicas end up
+// serving it); per-replica registrations are minted lazily the first time
+// the router sends a batch that way, each carrying its own labeler so φ
+// continuity is per (device, replica).
+type tierDevice struct {
 	tier       *Tier
 	id         string
 	class      string
@@ -280,19 +275,20 @@ type TierDevice struct {
 	ctrl       *Controller
 	weight     float64
 	analytic   bool             // priced, never executed, labeling (DeviceOptions.Analytic)
-	regs       []*ServiceDevice // index-aligned with tier.replicas; nil until routed to
+	regs       []*serviceDevice // index-aligned with tier.replicas; nil until routed to
 	served     int
 	drops      int // token-bucket rejections (queue-full drops live in regs)
 }
 
-// Register adds a device to the tier. Each device brings its own teacher
-// (its error stream) and labeler configuration; the optional controller
-// config attaches the tier-owned rate controller; opts carries the SLO
-// class, the fair-queueing weight — fixed from here on — and analytic
-// pricing. Duplicate ids are rejected so two deployments can never alias
-// one φ stream. Register is safe for concurrent use (the rpc server
-// registers devices as they post their registrations).
-func (t *Tier) Register(id string, teacher *detect.Teacher, labelerCfg LabelerConfig, ctrlCfg *ControllerConfig, opts DeviceOptions) (*TierDevice, error) {
+// RegisterDevice implements Backend: it adds a device to the tier. Each
+// device brings its own teacher (its error stream) and labeler
+// configuration; the optional controller config attaches the tier-owned
+// rate controller; opts carries the SLO class, the fair-queueing weight —
+// fixed from here on — and analytic pricing. Duplicate ids are rejected so
+// two deployments can never alias one φ stream. RegisterDevice is safe for
+// concurrent use (the rpc server registers devices as they post their
+// registrations).
+func (t *Tier) RegisterDevice(id string, teacher *detect.Teacher, labelerCfg LabelerConfig, ctrlCfg *ControllerConfig, opts DeviceOptions) (Device, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, dup := t.devices[id]; dup {
@@ -302,7 +298,7 @@ func (t *Tier) Register(id string, teacher *detect.Teacher, labelerCfg LabelerCo
 	if class == "" {
 		class = DefaultSLOClass
 	}
-	td := &TierDevice{
+	td := &tierDevice{
 		tier:       t,
 		id:         id,
 		class:      class,
@@ -310,7 +306,7 @@ func (t *Tier) Register(id string, teacher *detect.Teacher, labelerCfg LabelerCo
 		labelerCfg: labelerCfg,
 		weight:     1,
 		analytic:   opts.Analytic,
-		regs:       make([]*ServiceDevice, len(t.replicas)),
+		regs:       make([]*serviceDevice, len(t.replicas)),
 	}
 	if ctrlCfg != nil {
 		td.ctrl = NewController(*ctrlCfg)
@@ -321,11 +317,6 @@ func (t *Tier) Register(id string, teacher *detect.Teacher, labelerCfg LabelerCo
 	t.devices[id] = td
 	t.order = append(t.order, td)
 	return td, nil
-}
-
-// RegisterDevice implements Backend.
-func (t *Tier) RegisterDevice(id string, teacher *detect.Teacher, labelerCfg LabelerConfig, ctrlCfg *ControllerConfig, opts DeviceOptions) (Device, error) {
-	return t.Register(id, teacher, labelerCfg, ctrlCfg, opts)
 }
 
 // Devices returns the number of registered devices.
@@ -361,7 +352,7 @@ func (t *Tier) classLocked(name string) *classAccum {
 // Policy may read occNow (Policy.Next must not depend on now).
 //
 //shoggoth:hotpath
-func (t *Tier) route(td *TierDevice, frames []*video.Frame, now float64) (int, float64) {
+func (t *Tier) route(td *tierDevice, frames []*video.Frame, now float64) (int, float64) {
 	domain := -1
 	if len(frames) > 0 {
 		domain = frames[0].DomainID
@@ -401,7 +392,7 @@ func (t *Tier) route(td *TierDevice, frames []*video.Frame, now float64) (int, f
 // admitRoute runs the token bucket and the router for one batch, lazily
 // registering the device on the chosen replica. ok is false when the
 // bucket rejected the batch (accounted against the device and its class).
-func (t *Tier) admitRoute(td *TierDevice, frames []*video.Frame, now float64) (reg *ServiceDevice, extra float64, ok bool) {
+func (t *Tier) admitRoute(td *tierDevice, frames []*video.Frame, now float64) (reg *serviceDevice, extra float64, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.bucket != nil && !t.bucket.take(now) {
@@ -423,7 +414,7 @@ func (t *Tier) admitRoute(td *TierDevice, frames []*video.Frame, now float64) (r
 // record accounts one labeled batch: the device's served count (the Jain
 // numerator) and its class's label-latency sample (arrival → done). A
 // replica records its routed batches itself, before their callbacks run.
-func (t *Tier) record(td *TierDevice, arrival, done float64) {
+func (t *Tier) record(td *tierDevice, arrival, done float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	td.served++
@@ -441,13 +432,13 @@ func (t *Tier) recordQueueDrop(class string) {
 }
 
 // ID returns the device's registration id.
-func (td *TierDevice) ID() string { return td.id }
+func (td *tierDevice) ID() string { return td.id }
 
-// Enqueue admits one uploaded batch at virtual time now: token bucket,
-// replica routing, then the chosen replica's Enqueue. cb runs exactly once
-// with the labeled result unless the batch is rejected (bucket or a full
-// replica queue), in which case Enqueue returns false and cb never runs.
-func (td *TierDevice) Enqueue(frames []*video.Frame, now float64, cb func(BatchResult)) bool {
+// Enqueue admits one uploaded batch at time now: token bucket, replica
+// routing, then the chosen replica's enqueue. cb runs exactly once with the
+// labeled result unless the batch is rejected (bucket or a full replica
+// queue), in which case Enqueue returns false and cb never runs.
+func (td *tierDevice) Enqueue(frames []*video.Frame, now float64, cb func(BatchResult)) bool {
 	t := td.tier
 	reg, extra, ok := t.admitRoute(td, frames, now)
 	if !ok {
@@ -460,33 +451,12 @@ func (td *TierDevice) Enqueue(frames []*video.Frame, now float64, cb func(BatchR
 	return ok
 }
 
-// Admit routes one real-time batch — token bucket, replica routing, then
-// the replica's arrival-order admission — and returns the replica
-// registration the caller must label on (φ continuity is per (device,
-// replica)). ok is false when the batch was rejected; the drop is counted.
-// The real-time path never coalesces: the network already fixed the order,
-// and a live server cannot hold frames hostage for riders.
-func (td *TierDevice) Admit(frames []*video.Frame, now float64) (Admission, *ServiceDevice, bool) {
-	t := td.tier
-	reg, extra, ok := t.admitRoute(td, frames, now)
-	if !ok {
-		return Admission{}, nil, false
-	}
-	adm, ok := reg.admit(len(frames), now, extra)
-	if !ok {
-		t.recordQueueDrop(td.class)
-		return Admission{}, nil, false
-	}
-	t.record(td, now, adm.Done)
-	return adm, reg, true
-}
-
 // Adaptive reports whether this device has a sampling-rate controller.
-func (td *TierDevice) Adaptive() bool { return td.ctrl != nil }
+func (td *tierDevice) Adaptive() bool { return td.ctrl != nil }
 
 // Rate returns the tier-owned controller's current sampling rate (0
 // without one).
-func (td *TierDevice) Rate() float64 {
+func (td *tierDevice) Rate() float64 {
 	if td.ctrl == nil {
 		return 0
 	}
@@ -496,7 +466,7 @@ func (td *TierDevice) Rate() float64 {
 // UpdateRate feeds the tier-owned controller one (φ̄, α, λ̄) report and
 // returns the new rate command; ok is false without a controller. One
 // stream regardless of which replicas served the batches.
-func (td *TierDevice) UpdateRate(phiMean, alpha, lambda float64) (rate float64, ok bool) {
+func (td *tierDevice) UpdateRate(phiMean, alpha, lambda float64) (rate float64, ok bool) {
 	if td.ctrl == nil {
 		return 0, false
 	}
@@ -507,7 +477,7 @@ func (td *TierDevice) UpdateRate(phiMean, alpha, lambda float64) (rate float64, 
 // served it (replica-index order), token-bucket rejections included. With
 // one replica the merge reproduces that replica's statistics of the device
 // bit for bit.
-func (td *TierDevice) Stats() QueueStats {
+func (td *tierDevice) Stats() QueueStats {
 	t := td.tier
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -535,7 +505,7 @@ func (t *Tier) Stats() QueueStats {
 
 // AtCapacity reports whether a batch arriving at time now would be
 // rejected: the token bucket is dry, or every replica's queue is full. An
-// advisory pre-check — Enqueue/Admit re-check authoritatively.
+// advisory pre-check — Enqueue re-checks authoritatively.
 func (t *Tier) AtCapacity(now float64) bool {
 	t.mu.Lock()
 	dry := t.bucket != nil && !t.bucket.peek(now)
@@ -554,10 +524,10 @@ func (t *Tier) AtCapacity(now float64) bool {
 	return true
 }
 
-// RetryAfterSec estimates how long until the tier can admit again: the
-// soonest replica drain (each pool-aware, see service.RetryAfterSec) and —
-// when admission control is the binding constraint — the token bucket's
-// next accrual, whichever binds later.
+// RetryAfterSec estimates, for an arrival-order tier, how long until it can
+// admit again: the soonest replica completion (see service.RetryAfterSec)
+// and — when admission control is the binding constraint — the token
+// bucket's next accrual, whichever binds later.
 func (t *Tier) RetryAfterSec(now float64) float64 {
 	min := math.Inf(1)
 	for _, svc := range t.replicas {

@@ -12,15 +12,15 @@ import (
 	"shoggoth/internal/video"
 )
 
-func newTierDevice(t testing.TB, tier *Tier, id string, seed uint64, opts DeviceOptions) *TierDevice {
+func newTierDevice(t testing.TB, tier *Tier, id string, seed uint64, opts DeviceOptions) *tierDevice {
 	t.Helper()
 	p := video.DETRACProfile()
 	teacher := detect.NewTeacher(p, rand.New(rand.NewPCG(seed, 2)))
-	d, err := tier.Register(id, teacher, DefaultLabelerConfig(), nil, opts)
+	d, err := tier.RegisterDevice(id, teacher, DefaultLabelerConfig(), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d
+	return d.(*tierDevice)
 }
 
 // pinRouter is the test-registered router proving the registry extension
@@ -43,36 +43,24 @@ func init() {
 		func() Router { return pinRouter{} })
 }
 
-// TestServiceRetryAfterSecPoolDrain: the 429 Retry-After estimate must
-// account for the whole worker pool's drain rate, not a serial replay. With
-// a 2-frame batch ahead of a 1-frame batch still unassigned, one worker
-// frees a slot when the head batch completes (2·lat), but two workers drain
-// the batches in parallel, so the 1-frame batch completes first (1·lat).
+// TestServiceRetryAfterSecPoolDrain: the 429 Retry-After estimate of an
+// arrival-order replica is the time to the soonest completion on any of
+// its workers, not to the completion of the batch admitted first. A 2-frame
+// batch and then a 1-frame batch, admitted at once onto two workers, free
+// a slot when the second completes (lat), not the first (2·lat).
 func TestServiceRetryAfterSecPoolDrain(t *testing.T) {
 	lat := DefaultLabelerConfig().TeacherLatencySec
-	for _, tc := range []struct {
-		workers int
-		want    float64
-	}{
-		{1, 2 * lat}, // serial: the 2-frame head batch frees the first slot
-		{2, lat},     // pool: the 1-frame batch drains on the second worker
-	} {
-		// A reordering policy keeps the batches pending (unassigned), which
-		// is exactly the state the pool-drain replay estimates. The scheduler
-		// is bound but never advanced: nothing dispatches.
-		svc := oneReplica(ServiceConfig{Policy: PolicyWFQ, Workers: tc.workers})
-		svc.Bind(sim.NewScheduler())
-		a := newTierDevice(t, svc, "a", 1, DeviceOptions{})
-		b := newTierDevice(t, svc, "b", 2, DeviceOptions{})
-		if !a.Enqueue(serviceFrames(t, 2), 0, func(BatchResult) {}) {
-			t.Fatal("enqueue a")
-		}
-		if !b.Enqueue(serviceFrames(t, 1), 0, func(BatchResult) {}) {
-			t.Fatal("enqueue b")
-		}
-		if got := svc.RetryAfterSec(0); math.Abs(got-tc.want) > 1e-12 {
-			t.Fatalf("workers=%d: RetryAfterSec = %v, want %v", tc.workers, got, tc.want)
-		}
+	svc := oneReplica(ServiceConfig{Workers: 2})
+	a := newTierDevice(t, svc, "a", 1, DeviceOptions{})
+	b := newTierDevice(t, svc, "b", 2, DeviceOptions{})
+	if r := label(a, serviceFrames(t, 2), 0); r.Dropped || r.Done != 2*lat {
+		t.Fatalf("a's batch: %+v, want done at %v", r, 2*lat)
+	}
+	if r := label(b, serviceFrames(t, 1), 0); r.Dropped || r.Done != lat {
+		t.Fatalf("b's batch: %+v, want done at %v on the second worker", r, lat)
+	}
+	if got := svc.RetryAfterSec(0); math.Abs(got-lat) > 1e-12 {
+		t.Fatalf("RetryAfterSec = %v, want %v", got, lat)
 	}
 	if got := oneReplica(ServiceConfig{}).RetryAfterSec(5); got != 0 {
 		t.Fatalf("idle service RetryAfterSec = %v, want 0", got)
@@ -305,7 +293,7 @@ func TestTierDuplicateRegistrationRejected(t *testing.T) {
 	newTierDevice(t, tier, "cam", 1, DeviceOptions{})
 	p := video.DETRACProfile()
 	teacher := detect.NewTeacher(p, rand.New(rand.NewPCG(9, 2)))
-	if _, err := tier.Register("cam", teacher, DefaultLabelerConfig(), nil, DeviceOptions{}); err == nil {
+	if _, err := tier.RegisterDevice("cam", teacher, DefaultLabelerConfig(), nil, DeviceOptions{}); err == nil {
 		t.Fatal("duplicate device id must be rejected")
 	}
 	if tier.Devices() != 1 {
@@ -321,7 +309,7 @@ func TestReplicaCountsRoutedRegistrations(t *testing.T) {
 	a := newTierDevice(t, tier, "a", 1, DeviceOptions{})
 	b := newTierDevice(t, tier, "b", 2, DeviceOptions{})
 	count := func() (n [2]int) {
-		for _, d := range []*TierDevice{a, b} {
+		for _, d := range []*tierDevice{a, b} {
 			for i, reg := range d.regs {
 				if reg != nil {
 					if reg.svc != tier.replicas[i] || reg.routed != d {
@@ -336,7 +324,7 @@ func TestReplicaCountsRoutedRegistrations(t *testing.T) {
 	if got := count(); got != [2]int{0, 0} {
 		t.Fatalf("replica registrations before any batch: %v, want [0 0]", got)
 	}
-	for i, d := range []*TierDevice{a, a, b, b, a} {
+	for i, d := range []*tierDevice{a, a, b, b, a} {
 		if !d.Enqueue(serviceFrames(t, 1), float64(i), func(BatchResult) {}) {
 			t.Fatalf("batch %d rejected", i)
 		}
@@ -484,10 +472,10 @@ func TestTierResolvedIsWhatRuns(t *testing.T) {
 		t.Fatalf("zero tier resolves to %+v, want %+v", r, want)
 	}
 	tier := NewTier(TierConfig{})
-	if tier.Replicas() != r.Replicas || tier.Router() != r.Router ||
+	if len(tier.replicas) != r.Replicas || tier.cfg.Router != r.Router ||
 		tier.replicas[0].cfg.Policy != r.Service.Policy || len(tier.replicas[0].workers) != r.Service.Workers {
 		t.Fatalf("NewTier runs %d replicas, router %s, policy %s, %d workers; Resolved says %+v",
-			tier.Replicas(), tier.Router(), tier.replicas[0].cfg.Policy, len(tier.replicas[0].workers), r)
+			len(tier.replicas), tier.cfg.Router, tier.replicas[0].cfg.Policy, len(tier.replicas[0].workers), r)
 	}
 	set := TierConfig{Replicas: 2, Router: RouterLeastLoaded, Service: ServiceConfig{Policy: PolicyWFQ, Workers: 3}}
 	if set.Resolved() != set {

@@ -92,7 +92,7 @@ func TestFreeWorkerHeapMatchesLinearScan(t *testing.T) {
 		svc := tier.replicas[0]
 		sched := sim.NewScheduler()
 		tier.Bind(sched)
-		devs := make([]*ServiceDevice, 6)
+		devs := make([]*serviceDevice, 6)
 		for i := range devs {
 			devs[i] = newAnalyticDevice(t, tier, string(rune('a'+i)), uint64(i+1))
 		}

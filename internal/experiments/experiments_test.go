@@ -23,7 +23,7 @@ func TestFigure4Smoke(t *testing.T) {
 		t.Skip("experiment smoke test")
 	}
 	m := Mode{Cycles: 0.2, Seed: 1} // 144 s per run: plumbing check only
-	f4, err := Figure4(m)
+	f4, err := Figure4(&Suite{Mode: m})
 	if err != nil {
 		t.Fatal(err)
 	}

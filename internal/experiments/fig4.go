@@ -21,19 +21,15 @@ var paperFig4 = map[string]float64{
 	"Edge-Only": 30.0, "Cloud-Only": 5.2, "Prompt": 22.3, "AMS": 29.7, "Shoggoth": 27.3,
 }
 
-// Figure4 runs the five strategies on UA-DETRAC and extracts FPS behaviour.
-func Figure4(m Mode) (*Figure4Result, error) {
-	p := video.DETRACProfile()
-	var cfgs []core.Config
-	for _, kind := range paperKinds() {
-		cfgs = append(cfgs, configFor(kind, p, m))
-	}
-	results, err := runAll(m, cfgs)
+// Figure4 extracts FPS behaviour from the suite's runs of the five
+// strategies on UA-DETRAC.
+func Figure4(s *Suite) (*Figure4Result, error) {
+	runs, err := s.paperRuns(video.DETRACProfile())
 	if err != nil {
 		return nil, err
 	}
 	out := &Figure4Result{AvgFPS: map[string]float64{}}
-	for _, r := range results {
+	for _, r := range runs[0] {
 		out.AvgFPS[r.Strategy] = r.AvgFPS
 		if r.Strategy == core.Shoggoth.String() {
 			series := r.FPSSeries

@@ -20,11 +20,15 @@ type Figure5Result struct {
 	PromptAboveEdgeFrac    float64 // paper: ≈ 0.78
 }
 
-// Figure5 computes windowed mAP gains on Table I's UA-DETRAC runs.
-func Figure5(t1 *Table1Result) *Figure5Result {
-	runs := t1.ByProfile[video.ProfileDETRAC]
+// Figure5 computes windowed mAP gains on the suite's UA-DETRAC runs, the
+// ones Table I reports.
+func Figure5(s *Suite) (*Figure5Result, error) {
+	runs, err := s.paperRuns(video.DETRACProfile())
+	if err != nil {
+		return nil, err
+	}
 	byName := map[string]*core.Results{}
-	for _, r := range runs {
+	for _, r := range runs[0] {
 		byName[r.Strategy] = r
 	}
 	base := byName[core.EdgeOnly.String()]
@@ -37,7 +41,7 @@ func Figure5(t1 *Table1Result) *Figure5Result {
 	out.ShoggothBeatsCloudFrac = fracGreater(byName["Shoggoth"], byName["Cloud-Only"])
 	out.ShoggothBeatsAMSFrac = fracGreater(byName["Shoggoth"], byName["AMS"])
 	out.PromptAboveEdgeFrac = 1 - metrics.FractionBelow(out.Gains["Prompt"], 0)
-	return out
+	return out, nil
 }
 
 // fracGreater returns the fraction of matched windows where a's mAP exceeds

@@ -5,7 +5,9 @@ import (
 	"io"
 	"strings"
 
+	"shoggoth/internal/core"
 	"shoggoth/internal/registry"
+	"shoggoth/internal/video"
 )
 
 // Renderer is an experiment's result: its table or figure as text, the
@@ -16,21 +18,47 @@ type Renderer interface{ Render() string }
 // suite.
 type Experiment = registry.Entry[func(*Suite) (Renderer, error)]
 
-// Suite is one Run: the mode every experiment runs under and the results
-// they share. Figure 5 scores Table I's runs, so a suite runs Table I at
-// most once.
+// Suite is one Run: the mode every experiment runs under and the runs they
+// share. Table I, Figure 4 and Figure 5 all read the five paper strategies'
+// runs of a profile, so a suite runs those of each profile at most once.
 type Suite struct {
 	Mode Mode
-	t1   *Table1Result
+	runs map[string][]*core.Results // profile name → its paperKinds runs, in that order
 }
 
-// table1 returns the suite's Table I, running it on first use.
-func (s *Suite) table1() (*Table1Result, error) {
-	var err error
-	if s.t1 == nil {
-		s.t1, err = Table1(s.Mode)
+// paperRuns returns the five paper-strategy runs of each profile, in
+// paperKinds order, running the profiles the suite has not run yet in one
+// Fleet call.
+func (s *Suite) paperRuns(profiles ...*video.Profile) ([][]*core.Results, error) {
+	var cfgs []core.Config
+	var todo []string
+	for _, p := range profiles {
+		if _, done := s.runs[p.Name]; done {
+			continue
+		}
+		todo = append(todo, p.Name)
+		for _, kind := range paperKinds() {
+			cfgs = append(cfgs, configFor(kind, p, s.Mode))
+		}
 	}
-	return s.t1, err
+	if len(todo) > 0 {
+		results, err := runAll(s.Mode, cfgs)
+		if err != nil {
+			return nil, err
+		}
+		if s.runs == nil {
+			s.runs = map[string][]*core.Results{}
+		}
+		k := len(paperKinds())
+		for i, name := range todo {
+			s.runs[name] = results[i*k : (i+1)*k]
+		}
+	}
+	out := make([][]*core.Results, len(profiles))
+	for i, p := range profiles {
+		out[i] = s.runs[p.Name]
+	}
+	return out, nil
 }
 
 // registered is the experiment registry, in the order "all" runs it.
@@ -39,21 +67,15 @@ var registered = registry.New[func(*Suite) (Renderer, error)]("experiments", "ex
 func init() {
 	for _, e := range []Experiment{
 		{Name: "table1", Summary: "Table I: up/down bandwidth and mAP@0.5 of the five strategies on three datasets",
-			Value: func(s *Suite) (Renderer, error) { return s.table1() }},
+			Value: inSuite(Table1)},
 		{Name: "fig4", Summary: "Figure 4: average FPS per strategy and Shoggoth's FPS over time",
-			Value: inMode(Figure4)},
+			Value: inSuite(Figure4)},
 		{Name: "table2", Summary: "Table II: the adaptive-training ablation (replay placement, freezing, no replay)",
 			Value: inMode(Table2)},
 		{Name: "table3", Summary: "Table III: uplink and IoU of fixed sampling rates against the adaptive controller",
 			Value: inMode(Table3)},
 		{Name: "fig5", Summary: "Figure 5: CDF of per-window mAP gain over Edge-Only, scored on table1's runs",
-			Value: func(s *Suite) (Renderer, error) {
-				t1, err := s.table1()
-				if err != nil {
-					return nil, err
-				}
-				return Figure5(t1), nil
-			}},
+			Value: inSuite(Figure5)},
 		{Name: "extra", Summary: "ablations beyond the paper: BRN vs BN, reservoir vs FIFO replay, controller signals",
 			Value: inMode(Extra)},
 		{Name: "policy", Summary: "cloud scheduling ablation: policies × teacher workers on one contended queue",
@@ -72,6 +94,11 @@ func init() {
 // inMode adapts an experiment that needs only the suite's mode.
 func inMode[R Renderer](f func(Mode) (R, error)) func(*Suite) (Renderer, error) {
 	return func(s *Suite) (Renderer, error) { return f(s.Mode) }
+}
+
+// inSuite adapts an experiment that reads the suite's shared runs.
+func inSuite[R Renderer](f func(*Suite) (R, error)) func(*Suite) (Renderer, error) {
+	return func(s *Suite) (Renderer, error) { return f(s) }
 }
 
 // Select resolves want, "all" or one experiment name (case-insensitive),

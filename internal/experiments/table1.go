@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"shoggoth/internal/core"
 	"shoggoth/internal/video"
 )
 
@@ -21,9 +20,6 @@ type Table1Row struct {
 // five strategies on the three dataset profiles.
 type Table1Result struct {
 	Rows []Table1Row
-	// ByProfile groups the raw run results for reuse (Figure 5 shares the
-	// DETRAC runs).
-	ByProfile map[string][]*core.Results
 }
 
 // paperTable1 holds the paper's reported values for side-by-side rendering:
@@ -43,24 +39,15 @@ var paperTable1 = map[string]map[string][3]float64{
 	},
 }
 
-// Table1 runs the full strategy × dataset grid.
-func Table1(m Mode) (*Table1Result, error) {
-	res := &Table1Result{ByProfile: map[string][]*core.Results{}}
-	profiles := video.StockProfiles()
-	var cfgs []core.Config
-	for _, p := range profiles {
-		for _, kind := range paperKinds() {
-			cfgs = append(cfgs, configFor(kind, p, m))
-		}
-	}
-	results, err := runAll(m, cfgs)
+// Table1 reads the full strategy × dataset grid from the suite.
+func Table1(s *Suite) (*Table1Result, error) {
+	byProfile, err := s.paperRuns(video.StockProfiles()...)
 	if err != nil {
 		return nil, err
 	}
-	i := 0
-	for range profiles {
-		for range paperKinds() {
-			r := results[i]
+	res := &Table1Result{}
+	for _, runs := range byProfile {
+		for _, r := range runs {
 			res.Rows = append(res.Rows, Table1Row{
 				Profile:  r.Profile,
 				Strategy: r.Strategy,
@@ -68,8 +55,6 @@ func Table1(m Mode) (*Table1Result, error) {
 				DownKbps: r.DownKbps,
 				MAP50:    r.MAP50,
 			})
-			res.ByProfile[r.Profile] = append(res.ByProfile[r.Profile], r)
-			i++
 		}
 	}
 	return res, nil

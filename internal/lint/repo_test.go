@@ -43,8 +43,6 @@ func TestRepoIsClean(t *testing.T) {
 // package code is never listed.
 var withoutACaller = map[string]string{
 	"(*shoggoth/internal/cloud.Tier).Devices":                             "test accessor: tier_test.go reads the tier's registrations",
-	"(*shoggoth/internal/cloud.Tier).Replicas":                            "test accessor: tier_test.go reads the replica count",
-	"(*shoggoth/internal/cloud.Tier).Router":                              "test accessor: tier_test.go reads the resolved router",
 	"(*shoggoth/internal/experiments.Table1Result).OrderingHolds":         "paper claim, held by experiments_test.go; ROADMAP 6 sweeps it over seeds",
 	"(*shoggoth/internal/experiments.Table3Result).AdaptiveBeatsAllFixed": "paper claim, held by experiments_test.go; ROADMAP 6 sweeps it over seeds",
 	"shoggoth/internal/experiments.PretrainedStudent":                     "test fixture: experiments_test.go shares the suite's pretrained students",

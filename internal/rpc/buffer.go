@@ -18,11 +18,12 @@ import (
 // handler takes a requestArena with getArena, decodes the upload into it and
 // gives it back with putArena when it returns; between the two, the
 // request's Frames — and every *video.Frame, Proposals and GT reached
-// through them — belong to that handler alone. It lends them to the
-// cloud for the length of the Admit and LabelFrames calls and to no one for
-// longer: cloud keeps no frame past LabelFrames (see its doc), and the reply
-// is built from the teacher's own label slices, never from arena memory, so
-// encoding it cannot read a recycled arena. DecodeLabelRequest, which the
+// through them — belong to that handler alone. It lends them to the cloud
+// for the length of the cloud.Device.Enqueue call, inside which the batch
+// is labeled and its callback runs, and to no one for longer: cloud keeps
+// no frame past the callback (see cloud.Backend), and the reply is built
+// from the teacher's own label slices, never from arena memory, so encoding
+// it cannot read a recycled arena. DecodeLabelRequest, which the
 // client, the fuzzers and the benchmark call, decodes onto fresh memory the
 // caller owns outright.
 

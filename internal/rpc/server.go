@@ -60,15 +60,17 @@ func (o ServerOptions) TierConfig() cloud.TierConfig {
 func (o ServerOptions) Validate() error { return o.TierConfig().Validate() }
 
 // Server is the cloud side: the same cloud.Tier routing-and-scheduling
-// engine the simulation's Cluster runs, served over HTTP. Requests are
-// admitted through the engine — so token-bucket rejections and QueueCap
-// overload surface as 429 backpressure and queue statistics accumulate
-// exactly as in the virtual-time model — while teacher inference for
-// unrelated devices still runs concurrently behind per-device locks; only
-// admission/routing (engine state) and the device registry are globally
-// locked. Service order is arrival order: on a real network the wire
-// already fixed it, so the engine contributes admission control, replica
-// routing, worker horizons and statistics rather than reordering.
+// engine the simulation's Cluster runs, served over HTTP. Every request
+// goes through its device's cloud.Device.Enqueue, as a simulated upload
+// does — so token-bucket rejections and QueueCap overload surface as 429
+// backpressure and queue statistics accumulate exactly as in the
+// virtual-time model — while teacher inference for unrelated devices still
+// runs concurrently behind per-device locks; only admission/routing (engine
+// state) and the device registry are globally locked. Service order is
+// arrival order: on a real network the wire already fixed it, so the
+// engine contributes admission control, replica routing, worker horizons
+// and statistics rather than reordering, and Enqueue labels the batch and
+// runs its callback before it returns.
 type Server struct {
 	// profile and seed build the teacher of a device that uploads without
 	// registering; a registered device brings its own.
@@ -82,13 +84,18 @@ type Server struct {
 }
 
 // deviceState is one device's cloud-side state. Its mutex serialises that
-// device's labeling (the labeler's φ continuity needs request order) and
-// controller updates, and keeps the labeled counter coherent for
+// device's Enqueue calls (the labeler's φ continuity needs request order)
+// and controller updates, and keeps the labeled counter coherent for
 // handleStatus — without ever blocking other devices.
 type deviceState struct {
 	mu      sync.Mutex
-	dev     *cloud.TierDevice
+	dev     cloud.Device
 	labeled int64
+	// res is the labeled batch onLabeled received during the Enqueue call
+	// that d.mu guards; onLabeled is bound once, so a request allocates no
+	// callback.
+	res       cloud.BatchResult
+	onLabeled func(cloud.BatchResult)
 }
 
 // NewServerOpts creates the cloud server; the zero ServerOptions is one
@@ -145,11 +152,12 @@ func (s *Server) device(id, sloClass string) (*deviceState, error) {
 
 // addLocked registers a new device on the engine; s.mu must be held.
 func (s *Server) addLocked(id string, teacher *detect.Teacher, labelerCfg cloud.LabelerConfig, ctrlCfg *cloud.ControllerConfig, sloClass string) (*deviceState, error) {
-	dev, err := s.tier.Register(id, teacher, labelerCfg, ctrlCfg, cloud.DeviceOptions{SLOClass: sloClass})
+	dev, err := s.tier.RegisterDevice(id, teacher, labelerCfg, ctrlCfg, cloud.DeviceOptions{SLOClass: sloClass})
 	if err != nil {
 		return nil, err
 	}
 	d := &deviceState{dev: dev}
+	d.onLabeled = func(res cloud.BatchResult) { d.res = res }
 	s.devices[id] = d
 	return d, nil
 }
@@ -263,7 +271,7 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 	// An unknown device at a full tier is rejected before its state
 	// (teacher + controller) is allocated: unique-id spam against an
 	// overloaded cloud must not grow the registry — the same bloat hole
-	// handleStatus closes by being read-only. Advisory only; Admit below
+	// handleStatus closes by being read-only. Advisory only; Enqueue below
 	// re-checks authoritatively.
 	if s.lookup(req.DeviceID) == nil && s.tier.AtCapacity(s.now()) {
 		s.rejectFull(w)
@@ -275,26 +283,26 @@ func (s *Server) handleLabel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	frames := arena.pointers()
 	d.mu.Lock()
-	now := s.now()
-	adm, reg, ok := d.dev.Admit(frames, now)
-	if !ok {
+	if !d.dev.Enqueue(arena.pointers(), s.now(), d.onLabeled) {
 		d.mu.Unlock()
 		s.rejectFull(w)
 		return
 	}
-	labels, phis, phiMean := reg.LabelFrames(frames)
+	res := d.res
+	d.res = cloud.BatchResult{}
 	d.labeled += int64(len(req.Frames))
-	rate, _ := d.dev.UpdateRate(phiMean, req.Alpha, req.Lambda)
+	rate, _ := d.dev.UpdateRate(res.PhiMean, req.Alpha, req.Lambda)
 	d.mu.Unlock()
 
+	// An executed device's labels and φs are fresh slices, never the
+	// replica's scratch, so the reply may be encoded after the lock.
 	resp := LabelResponse{
-		Labels:        labels,
-		Phis:          phis,
-		PhiMean:       phiMean,
+		Labels:        res.Labels,
+		Phis:          res.Phis,
+		PhiMean:       res.PhiMean,
 		NewRate:       rate,
-		QueueDelaySec: adm.QueueDelaySec,
+		QueueDelaySec: res.QueueDelaySec,
 	}
 	// req no longer points into buf (decoded values never do), so the reply
 	// can take the buffer over.
